@@ -2,14 +2,35 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 
 #include "amr/trace/tracer.hpp"
 
 namespace amr {
 
+Engine::~Engine() {
+  const auto free_fn = [this](const Entry& e) {
+    if (e.handler == &fn_handler_) delete reinterpret_cast<Fn*>(e.tag);
+  };
+  for (std::size_t i = front_head_; i < front_.size(); ++i) free_fn(front_[i]);
+  for (const std::vector<Entry>& bucket : buckets_)
+    for (const Entry& e : bucket) free_fn(e);
+}
+
 unsigned Engine::bucket_index(TimeNs t, TimeNs min) {
   return static_cast<unsigned>(std::bit_width(
       static_cast<std::uint64_t>(t) ^ static_cast<std::uint64_t>(min)));
+}
+
+void Engine::sort_front() {
+  // Legacy keys arrive already sorted, so check before sorting: a
+  // stable_sort call allocates its merge buffer even when it has nothing
+  // to move.
+  const auto by_key = [](const Entry& a, const Entry& b) {
+    return a.key < b.key;
+  };
+  if (!std::is_sorted(front_.begin(), front_.end(), by_key))
+    std::stable_sort(front_.begin(), front_.end(), by_key);
 }
 
 void Engine::refill_front() {
@@ -39,10 +60,7 @@ void Engine::refill_front() {
       buckets_[i].push_back(e);
   }
   buckets_[j].clear();
-  std::stable_sort(front_.begin(), front_.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return a.key < b.key;
-                   });
+  sort_front();
 }
 
 TimeNs Engine::next_time() {
@@ -81,10 +99,7 @@ void Engine::rebucket_all(TimeNs new_min) {
     else
       buckets_[i].push_back(e);
   }
-  std::stable_sort(front_.begin(), front_.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return a.key < b.key;
-                   });
+  sort_front();
 }
 
 void Engine::schedule_at(TimeNs t, EventHandler* handler,
@@ -100,16 +115,8 @@ void Engine::schedule_keyed(TimeNs t, std::uint64_t key,
   AMR_CHECK(handler != nullptr);
   if (t < front_time_) [[unlikely]]
     rebucket_all(t);
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    arena_[slot] = Body{handler, tag, next_seq_++};
-  } else {
-    slot = static_cast<std::uint32_t>(arena_.size());
-    arena_.push_back(Body{handler, tag, next_seq_++});
-  }
-  const Entry entry{t, key, slot};
+  ++next_seq_;
+  const Entry entry{t, key, handler, tag};
   // Always bucket relative to front_time_, the one monotone reference
   // every pending entry was bucketed against (updated only by
   // refill_front, and by rebucket_all above when a legal earlier time
@@ -134,25 +141,18 @@ void Engine::schedule_keyed(TimeNs t, std::uint64_t key,
   ++pending_;
 }
 
-void Engine::call_at(TimeNs t, std::function<void(Engine&)> fn) {
-  std::uint64_t slot;
-  if (!free_fn_slots_.empty()) {
-    slot = free_fn_slots_.back();
-    free_fn_slots_.pop_back();
-    fns_[slot] = std::move(fn);
-  } else {
-    slot = fns_.size();
-    fns_.push_back(std::move(fn));
-  }
-  schedule_at(t, &fn_handler_, slot);
+static_assert(sizeof(std::uintptr_t) <= sizeof(std::uint64_t),
+              "call_at stores a callback pointer in an event tag");
+
+void Engine::call_at(TimeNs t, Fn fn) {
+  schedule_at(t, &fn_handler_,
+              reinterpret_cast<std::uint64_t>(new Fn(std::move(fn))));
 }
 
 void Engine::FnHandler::on_event(Engine& engine, std::uint64_t tag) {
-  // Move out first: the callback may schedule more events and grow fns_.
-  auto fn = std::move(engine.fns_[tag]);
-  engine.fns_[tag] = nullptr;
-  engine.free_fn_slots_.push_back(tag);
-  fn(engine);
+  // Own the callback for the duration of the call; it may schedule more.
+  const std::unique_ptr<Fn> fn(reinterpret_cast<Fn*>(tag));
+  (*fn)(engine);
 }
 
 bool Engine::step() {
@@ -160,16 +160,15 @@ bool Engine::step() {
   refill_front();
   const Entry ev = front_[front_head_++];
   --pending_;
-  const Body body = arena_[ev.slot];
-  free_slots_.push_back(ev.slot);
   AMR_CHECK(ev.time >= now_);
   now_ = ev.time;
+  dispatch_key_ = ev.key;
   ++processed_;
   if (tracer_ != nullptr) [[unlikely]]
     tracer_->instant(Tracer::kTrackSim, TraceCat::kDes, "dispatch", now_,
-                     static_cast<std::int64_t>(body.tag),
-                     static_cast<std::int64_t>(body.seq));
-  body.handler->on_event(*this, body.tag);
+                     static_cast<std::int64_t>(ev.tag),
+                     static_cast<std::int64_t>(dispatch_seq()));
+  ev.handler->on_event(*this, ev.tag);
   return true;
 }
 

@@ -6,24 +6,23 @@
 // pipeline tests and for debugging placement effects.
 //
 // Hot paths (per-message events in boundary exchanges) use the
-// EventHandler interface to avoid per-event allocation; convenience
-// std::function callbacks are available for cold paths, and their heap
-// slots (including the std::function storage) are recycled across
-// events rather than reallocated.
+// EventHandler interface: an event is a (handler, 64-bit tag) pair that
+// handlers encode their whole payload into, so nothing allocates per
+// event. Convenience std::function callbacks are available for cold
+// paths; each one is heap-allocated and freed at dispatch.
 //
-// The pending-event set is a monotone radix queue (Ahuja et al. 1990)
-// over a pooled event arena, exploiting the DES invariant that events
-// are never scheduled into the past: 24-byte entries (time, dispatch
-// key, arena slot) live in 65 buckets keyed by the highest bit in which
-// the time differs from the current minimum. Scheduling is an O(1)
-// append (amortized; an equal-minimum entry with an out-of-order key
-// pays a sorted insert into the front bucket, which the monotone legacy
-// keys never do); dispatch pops the equal-minimum bucket and refills it
-// by redistributing the lowest non-empty bucket (each entry moves at
-// most 64 times over its lifetime, amortized ~O(1) for the near-sorted
-// schedules a DES produces). The (handler, tag) payload sits in
-// free-listed arena slots, touched once per dispatch, so nothing
-// allocates per event on either the handler or the callback path.
+// The pending-event set is a monotone radix queue (Ahuja et al. 1990),
+// exploiting the DES invariant that events are never scheduled into the
+// past: 32-byte entries (time, dispatch key, handler, tag) live in 65
+// buckets keyed by the highest bit in which the time differs from the
+// current minimum. Each entry is the whole event — dispatch reads the
+// entry it pops and nothing else. Scheduling is an O(1) append
+// (amortized; an equal-minimum entry with an out-of-order key pays a
+// sorted insert into the front bucket, which the monotone legacy keys
+// never do); dispatch pops the equal-minimum bucket and refills it by
+// redistributing the lowest non-empty bucket (each entry moves at most
+// 64 times over its lifetime, amortized ~O(1) for the near-sorted
+// schedules a DES produces).
 //
 // Determinism: equal-time entries always occupy the same bucket (bucket
 // index depends only on (time, current-min)), appends and
@@ -95,6 +94,12 @@ class EventHandler {
 
 class Engine {
  public:
+  Engine() = default;
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+  /// Frees the callbacks of call_at events still pending.
+  ~Engine();
+
   TimeNs now() const { return now_; }
 
   /// Schedule an event at absolute simulated time t (must be >= now()).
@@ -146,22 +151,28 @@ class Engine {
   }
   std::uint64_t events_processed() const { return processed_; }
 
+  /// Schedule sequence number the next schedule call will assign.
+  std::uint64_t next_seq() const { return next_seq_; }
+  /// Schedule sequence number of the event being dispatched (the low 62
+  /// bits of its key, so exact for schedule_at events). Lets a handler
+  /// find side data it filed under next_seq() when scheduling.
+  std::uint64_t dispatch_seq() const { return dispatch_key_ & kKeySeqMask; }
+
   /// Shard id stamped by the sharded engine (0 in the sequential case).
   /// Handlers shared across shards (Comm) use it to route per-shard
   /// bookkeeping without a map lookup.
   std::int32_t shard_id() const { return shard_id_; }
   void set_shard_id(std::int32_t id) { shard_id_ = id; }
 
-  /// Pre-size the event arena for a known pending-event population;
+  /// Pre-size the front bucket for a known pending-event population;
   /// optional, avoids growth reallocations mid-run.
-  void reserve(std::size_t events) {
-    arena_.reserve(events);
-    front_.reserve(events);
-  }
+  void reserve(std::size_t events) { front_.reserve(events); }
 
   /// Attach an event tracer (nullptr detaches). Dispatch instants are in
   /// the TraceCat::kDes category, which is off by default — enable it in
-  /// the trace config to see raw event dispatch.
+  /// the trace config to see raw event dispatch. Each instant carries the
+  /// event's tag and its dispatch_seq() (only schedule_at runs are
+  /// traced).
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   /// Scalar engine state for checkpoint/restart. Checkpoints are taken at
@@ -190,27 +201,24 @@ class Engine {
   /// 64 key bits -> highest-differing-bit indices 1..64; index 0 is the
   /// separate front bucket. buckets_[0] is never used.
   static constexpr unsigned kNumBuckets = 65;
+  /// Low 62 bits of a dispatch key: the schedule sequence number of a
+  /// legacy (schedule_at) key.
+  static constexpr std::uint64_t kKeySeqMask = (1ULL << 62) - 1;
 
-  /// Queue entry: (time, dispatch key) + arena slot. Time ordering comes
-  /// from the radix structure; the key orders equal-time entries in the
-  /// front bucket. Per-event metadata lives in the Body so the entries
-  /// the buckets shuffle stay 24 bytes.
+  /// Queue entry: the whole pending event. Time ordering comes from the
+  /// radix structure; the key orders equal-time entries in the front
+  /// bucket; (handler, tag) is the payload dispatch hands over.
   struct Entry {
     TimeNs time;
     std::uint64_t key;
-    std::uint32_t slot;
-  };
-
-  /// Pooled payload; slots are free-listed across events. The seq is a
-  /// 64-bit global schedule counter, informational only (trace output),
-  /// touched once at dispatch.
-  struct Body {
     EventHandler* handler;
     std::uint64_t tag;
-    std::uint64_t seq;
   };
+  static_assert(sizeof(Entry) == 32);
 
-  /// Adapter so call_at can reuse the POD event path.
+  /// Adapter so call_at can reuse the POD event path: the tag is an
+  /// owning pointer to a heap-allocated callback.
+  using Fn = std::function<void(Engine&)>;
   class FnHandler final : public EventHandler {
    public:
     void on_event(Engine& engine, std::uint64_t tag) override;
@@ -221,6 +229,9 @@ class Engine {
   /// bit. Monotonicity (t >= min_) keeps the index stable until min_
   /// catches up.
   static unsigned bucket_index(TimeNs t, TimeNs min);
+
+  /// Stable-sort the front bucket by dispatch key.
+  void sort_front();
 
   /// Ensure the front bucket holds the pending minimum (redistributes
   /// the lowest non-empty bucket when the front is drained). Requires
@@ -239,6 +250,7 @@ class Engine {
   Tracer* tracer_ = nullptr;
   std::int32_t shard_id_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t dispatch_key_ = 0;  ///< key of the event in dispatch
   std::uint64_t processed_ = 0;
   std::uint64_t pending_ = 0;
   TimeNs front_time_ = 0;  ///< all entries in front_ carry this time
@@ -246,11 +258,7 @@ class Engine {
   std::vector<Entry> front_;
   std::size_t front_head_ = 0;
   std::vector<Entry> buckets_[kNumBuckets];
-  std::vector<Body> arena_;
-  std::vector<std::uint32_t> free_slots_;
   FnHandler fn_handler_;
-  std::vector<std::function<void(Engine&)>> fns_;
-  std::vector<std::uint64_t> free_fn_slots_;
 };
 
 }  // namespace amr

@@ -19,8 +19,7 @@
 // delivery >= post_time + remote_per_msg + remote_latency > h_end, so
 // cross-shard events buffered during an epoch always land strictly
 // beyond the epoch's horizon — no shard ever receives an event in its
-// past. Within a shard the monotone radix queue and arena are reused
-// unchanged.
+// past. Within a shard the monotone radix queue is reused unchanged.
 //
 // Determinism contract: each shard dispatches in (time, key) order with
 // canonical content-derived keys (engine.hpp event_key), times are
@@ -93,8 +92,8 @@ class ShardedEngine {
 
   /// Invoked single-threaded at every epoch barrier, before mailboxes
   /// drain — the merge point for handler state partitioned by shard
-  /// (Comm merges collective entries and returns foreign slot frees
-  /// here). The callback may schedule events into any shard.
+  /// (Comm merges collective entries here). The callback may schedule
+  /// events into any shard.
   void set_barrier_callback(std::function<void()> cb) {
     barrier_cb_ = std::move(cb);
   }
@@ -127,6 +126,8 @@ class ShardedEngine {
   const std::vector<ShardEpochStats>& last_stats() const { return stats_; }
 
  private:
+  /// A buffered event: the same self-contained payload as an engine
+  /// queue entry, so draining a lane is a plain schedule_keyed.
   struct Posted {
     TimeNs t;
     std::uint64_t key;

@@ -167,6 +167,25 @@ std::string run_table_query(const JobTables& tables, const std::string& text,
     return "aggregates require 'group by' (use 'select *' for raw rows)";
   if (star && !group_keys.empty())
     return "'select *' cannot be grouped (name aggregates instead)";
+  // The query engine aborts on what it cannot group or aggregate, so
+  // every column the grouping touches is checked here first.
+  std::vector<std::string> out_cols;
+  for (const std::string& key : group_keys) {
+    const auto idx = static_cast<std::size_t>(table->col_index(key));
+    if (table->col_type(idx) != ColType::kI64)
+      return "cannot group by '" + key + "': not an integer column";
+    out_cols.push_back(key);
+  }
+  for (const AggSpec& spec : aggs) {
+    if (spec.agg != Agg::kCount && table->col_index(spec.column) < 0)
+      return "no column '" + spec.column + "' in " + table_name;
+    out_cols.push_back(spec.as);
+  }
+  for (std::size_t i = 0; i < out_cols.size(); ++i)
+    for (std::size_t j = 0; j < i; ++j)
+      if (out_cols[i] == out_cols[j])
+        return "duplicate result column '" + out_cols[i] +
+               "' (rename with 'as')";
 
   std::string order_col;
   bool order_desc = false;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "amr/faults/injector.hpp"
+#include "amr/simmpi/comm.hpp"
 #include "amr/workloads/cooling.hpp"
 #include "amr/workloads/sedov.hpp"
 
@@ -36,6 +37,8 @@ void appendf(std::string& out, const char* fmt, ...) {
 
 std::string validate_job(const JobSpec& spec) {
   if (spec.ranks <= 0) return "ranks must be positive";
+  if (spec.ranks > Comm::kMaxRanks)
+    return "ranks must be at most " + std::to_string(Comm::kMaxRanks);
   if (spec.steps <= 0) return "steps must be positive";
   if (!spec.restore.empty() && !spec.replay.empty())
     return "--restore and --replay are mutually exclusive";

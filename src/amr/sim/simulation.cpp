@@ -724,7 +724,7 @@ std::size_t Simulation::resident_bytes() const {
   // the exchange plans' dominant share (neighbor sends, receive counts,
   // compute slots — empirically a few hundred bytes per block at the
   // paper's connectivity). Per-rank: fabric NIC/slot state and executor
-  // endpoints. The constant covers topology, engine arena, and scratch.
+  // endpoints. The constant covers topology, engine queue, and scratch.
   const std::size_t per_block = sizeof(BlockCoord) +
                                 sizeof(std::int32_t) + 3 * sizeof(TimeNs) +
                                 256;

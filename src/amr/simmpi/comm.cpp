@@ -8,28 +8,47 @@
 
 namespace amr {
 
+namespace {
+/// Width of one rank field in a delivery tag; checked before the Comm
+/// sizes anything by nranks.
+unsigned rank_bits_for(std::int32_t nranks) {
+  AMR_CHECK(nranks > 0);
+  AMR_CHECK_MSG(nranks <= Comm::kMaxRanks,
+                "nranks exceeds the ranks a delivery tag can encode");
+  return static_cast<unsigned>(
+      std::bit_width(static_cast<std::uint64_t>(nranks - 1)));
+}
+}  // namespace
+
 Comm::Comm(Engine& engine, Fabric& fabric, std::int32_t nranks,
            CollectiveParams collective, ShardedEngine* sharded)
     : engine_(engine), fabric_(fabric), sharded_(sharded), nranks_(nranks),
-      collective_params_(collective),
+      collective_params_(collective), rank_bits_(rank_bits_for(nranks)),
+      dst_tag_bits_(kSlotShift - 2 * rank_bits_),
+      dst_shift_(dst_tag_bits_ + rank_bits_),
+      rank_mask_((1ULL << rank_bits_) - 1),
+      dst_tag_mask_((1ULL << dst_tag_bits_) - 1),
       endpoints_(static_cast<std::size_t>(nranks), nullptr) {
-  AMR_CHECK(nranks > 0);
-  const auto log2p = static_cast<TimeNs>(std::bit_width(
-      static_cast<std::uint64_t>(nranks - 1)));  // ceil(log2(nranks))
+  // ceil(log2(nranks)) is exactly the rank field width.
   collective_overhead_ =
-      collective_params_.alpha + collective_params_.beta * log2p;
-  const std::size_t npools =
-      sharded_ != nullptr
-          ? static_cast<std::size_t>(sharded_->num_shards())
-          : 1;
-  pools_.resize(npools);
+      collective_params_.alpha +
+      collective_params_.beta * static_cast<TimeNs>(rank_bits_);
   send_seq_.assign(static_cast<std::size_t>(nranks), 0);
   if (sharded_ != nullptr) {
     AMR_CHECK_MSG(fabric_.sharded(),
                   "sharded comm requires a sharding-enabled fabric");
-    foreign_frees_.resize(npools);
-    shard_collectives_.resize(npools);
+    shard_collectives_.resize(
+        static_cast<std::size_t>(sharded_->num_shards()));
   }
+}
+
+void Comm::set_tracer(Tracer* tracer) {
+  // Flow data is matched by schedule sequence number, which only the
+  // sequential engine's schedule_at path assigns.
+  AMR_CHECK_MSG(tracer == nullptr || sharded_ == nullptr,
+                "sharded comm cannot be traced");
+  tracer_ = tracer;
+  trace_flows_.clear();
 }
 
 void Comm::set_endpoint(std::int32_t rank, RankEndpoint* endpoint) {
@@ -56,31 +75,18 @@ void Comm::begin_exchange(std::uint64_t window,
       break;
     }
   }
-  if (slot == exchanges_.size()) exchanges_.emplace_back();
+  if (slot == exchanges_.size()) {
+    AMR_CHECK_MSG(slot < kMaxOpenExchanges,
+                  "too many open exchange windows for a delivery tag");
+    exchanges_.emplace_back();
+  }
   ExchangeState& state = exchanges_[slot];
   state.window = window;
   state.open = true;
   state.expected.assign(expected.begin(), expected.end());
   state.arrived.assign(static_cast<std::size_t>(nranks_), 0);
-  state.last_delivery.assign(static_cast<std::size_t>(nranks_), 0);
   state.waiting.assign(static_cast<std::size_t>(nranks_), 0);
   for (const std::int32_t e : state.expected) AMR_CHECK(e >= 0);
-}
-
-std::uint64_t Comm::alloc_delivery(std::int32_t pool_shard,
-                                   const PendingDelivery& d) {
-  DeliveryPool& pool = pools_[static_cast<std::size_t>(pool_shard)];
-  std::uint64_t slot;
-  if (!pool.free_slots.empty()) {
-    slot = pool.free_slots.back();
-    pool.free_slots.pop_back();
-    pool.deliveries[slot] = d;
-  } else {
-    slot = pool.deliveries.size();
-    pool.deliveries.push_back(d);
-  }
-  AMR_CHECK(slot <= kSlotMask);
-  return (static_cast<std::uint64_t>(pool_shard) << kPoolShardShift) | slot;
 }
 
 TimeNs Comm::isend(std::int32_t src, std::int32_t dst, std::int64_t bytes,
@@ -88,8 +94,11 @@ TimeNs Comm::isend(std::int32_t src, std::int32_t dst, std::int64_t bytes,
                    std::int64_t dst_tag, std::int32_t msgs,
                    bool priority) {
   AMR_CHECK(src != dst);
-  AMR_CHECK_MSG(find_exchange(window) >= 0,
-                "isend outside an open exchange window");
+  AMR_CHECK(src >= 0 && src < nranks_ && dst >= 0 && dst < nranks_);
+  const std::ptrdiff_t xi = find_exchange(window);
+  AMR_CHECK_MSG(xi >= 0, "isend outside an open exchange window");
+  AMR_CHECK_MSG(dst_tag >= kMinDstTag && dst_tag <= max_dst_tag(),
+                "dst_tag outside the range a delivery tag can encode");
   const TransferTiming t =
       fabric_.transfer(src, dst, bytes, post_time, msgs);
   std::uint64_t flow_id = 0;
@@ -102,22 +111,24 @@ TimeNs Comm::isend(std::int32_t src, std::int32_t dst, std::int64_t bytes,
         src, TraceCat::kMsg, priority ? "p2p-priority" : "p2p",
         post_time > 0 ? post_time - 1 : post_time, bytes, dst);
   }
-  const PendingDelivery d{window, dst, src, dst_tag, bytes, flow_id};
+  const std::uint64_t tag =
+      delivery_tag(static_cast<std::size_t>(xi), src, dst, dst_tag);
   if (sharded_ == nullptr) {
-    engine_.schedule_at(t.delivery, this, alloc_delivery(0, d));
+    if (flow_id != 0)
+      trace_flows_.emplace(engine_.next_seq(), TraceFlow{bytes, flow_id});
+    engine_.schedule_at(t.delivery, this, tag);
     return t.sender_release;
   }
-  // Sharded: allocate in the sending shard's pool (single-writer), key
-  // the delivery by (source rank, per-source send sequence) so its
-  // equal-time dispatch position is independent of the shard layout, and
-  // route cross-shard deliveries through the epoch mailbox. The fabric
-  // guarantees cross-node delivery >= post_time + lookahead, so a posted
-  // event always lands beyond the destination shard's current epoch.
+  // Sharded: key the delivery by (source rank, per-source send sequence)
+  // so its equal-time dispatch position is independent of the shard
+  // layout, and route cross-shard deliveries through the epoch mailbox.
+  // The fabric guarantees cross-node delivery >= post_time + lookahead,
+  // so a posted event always lands beyond the destination shard's
+  // current epoch.
   const std::int32_t src_shard = sharded_->shard_of_rank(src);
   const std::int32_t dst_shard = sharded_->shard_of_rank(dst);
   const std::uint64_t key =
       event_key::delivery(src, send_seq_[static_cast<std::size_t>(src)]++);
-  const std::uint64_t tag = alloc_delivery(src_shard, d);
   if (src_shard == dst_shard)
     sharded_->shard(src_shard).schedule_keyed(t.delivery, key, this, tag);
   else
@@ -198,14 +209,6 @@ void Comm::enter_collective(std::uint64_t window, std::int32_t rank,
 }
 
 void Comm::on_epoch_barrier() {
-  // Return cross-shard delivery frees to their owning pools. The lists
-  // are per dispatching shard and appended in that shard's dispatch
-  // order, so the free-list contents stay deterministic.
-  for (std::vector<std::uint64_t>& frees : foreign_frees_) {
-    for (const std::uint64_t tag : frees)
-      pools_[tag >> kPoolShardShift].free_slots.push_back(tag & kSlotMask);
-    frees.clear();
-  }
   // Merge per-shard collective entries (commutative, so the shard
   // iteration order cannot matter), then fire any completed collective
   // into every shard: each shard's dispatch notifies its own rank range.
@@ -280,41 +283,43 @@ void Comm::on_event(Engine& engine, std::uint64_t tag) {
     }
     return;
   }
-  // Message delivery.
-  const std::size_t pool_shard = tag >> kPoolShardShift;
-  const std::uint64_t slot = tag & kSlotMask;
-  const PendingDelivery d = pools_[pool_shard].deliveries[slot];
-  if (sharded_ != nullptr &&
-      static_cast<std::size_t>(engine.shard_id()) != pool_shard)
-    foreign_frees_[static_cast<std::size_t>(engine.shard_id())].push_back(
-        tag);
-  else
-    pools_[pool_shard].free_slots.push_back(slot);
-  const std::uint64_t window = d.window;
-  const std::int32_t rank = d.dst;
-  const std::ptrdiff_t xi = find_exchange(window);
-  AMR_CHECK(xi >= 0);
-  const auto r = static_cast<std::size_t>(rank);
+  // Message delivery: everything it needs rides in the tag.
+  const auto slot = static_cast<std::size_t>(tag >> kSlotShift);
+  const auto r = static_cast<std::size_t>((tag >> dst_shift_) & rank_mask_);
+  const auto src =
+      static_cast<std::int32_t>((tag >> dst_tag_bits_) & rank_mask_);
+  const std::int64_t dst_tag =
+      static_cast<std::int64_t>(tag & dst_tag_mask_) + kMinDstTag;
+  AMR_CHECK_MSG(slot < exchanges_.size() && exchanges_[slot].open,
+                "delivery into a closed exchange window");
+  const std::uint64_t window = exchanges_[slot].window;
   {
-    ExchangeState& state = exchanges_[static_cast<std::size_t>(xi)];
+    ExchangeState& state = exchanges_[slot];
     ++state.arrived[r];
-    state.last_delivery[r] = engine.now();
-    if (tracer_ != nullptr)
-      tracer_->flow_end(d.dst, TraceCat::kMsg, "p2p", engine.now(),
-                        d.flow_id, d.bytes, d.src);
+    if (tracer_ != nullptr) {
+      const auto it = trace_flows_.find(engine.dispatch_seq());
+      if (it != trace_flows_.end()) {
+        tracer_->flow_end(static_cast<std::int32_t>(r), TraceCat::kMsg,
+                          "p2p", engine.now(), it->second.flow_id,
+                          it->second.bytes, src);
+        trace_flows_.erase(it);
+      }
+    }
     AMR_CHECK_MSG(state.arrived[r] <= state.expected[r],
                   "more deliveries than expected; window mismatch");
   }
-  if (RankEndpoint* ep = endpoints_[r]; ep != nullptr)
-    ep->on_message(engine, window, engine.now(), d.src, d.dst_tag);
+  if (dst_tag != -1) {
+    if (RankEndpoint* ep = endpoints_[r]; ep != nullptr)
+      ep->on_message(engine, window, engine.now(), src, dst_tag);
+  }
   // Re-index after the callback: slot indices are stable, but the pool
   // vector may have grown if the endpoint opened a window.
-  ExchangeState& state = exchanges_[static_cast<std::size_t>(xi)];
+  ExchangeState& state = exchanges_[slot];
   if (state.waiting[r] != 0 && state.arrived[r] == state.expected[r]) {
     state.waiting[r] = 0;
     RankEndpoint* ep = endpoints_[r];
     AMR_CHECK(ep != nullptr);
-    ep->on_recvs_ready(engine, window, engine.now(), d.src);
+    ep->on_recvs_ready(engine, window, engine.now(), src);
   }
 }
 

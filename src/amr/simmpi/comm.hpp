@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "amr/des/engine.hpp"
@@ -45,10 +46,12 @@ class RankEndpoint {
   virtual void on_collective_done(Engine& engine, std::uint64_t window,
                                   TimeNs t) = 0;
 
-  /// Every message delivery (before any on_recvs_ready). `dst_tag` is the
-  /// sender-supplied routing tag (e.g. destination block id) — the hook
-  /// the overlap runtime uses to track per-block readiness. Default:
-  /// ignored (the BSP runtime only cares about window completion).
+  /// Every tagged message delivery (dst_tag != -1), before any
+  /// on_recvs_ready. `dst_tag` is the sender-supplied routing tag (e.g.
+  /// destination block id) — the hook the overlap runtime uses to track
+  /// per-block readiness. Untagged deliveries (the BSP runtime's, which
+  /// only cares about window completion) skip this call. Default:
+  /// ignored.
   virtual void on_message(Engine& engine, std::uint64_t window, TimeNs t,
                           std::int32_t src, std::int64_t dst_tag) {
     (void)engine;
@@ -74,11 +77,24 @@ class Comm final : public EventHandler {
   /// into the destination rank's shard — buffered through the sharded
   /// engine's mailbox when source and destination shards differ — and
   /// all mutable bookkeeping a shard thread touches is partitioned by
-  /// rank or by shard (delivery pools, collective accumulators, foreign
-  /// slot frees), with the merges happening in on_epoch_barrier(). The
-  /// fabric must have sharding enabled so transfer() is per-node too.
+  /// rank or by shard (arrival counts, collective accumulators), with the
+  /// merges happening in on_epoch_barrier(). The fabric must have
+  /// sharding enabled so transfer() is per-node too. nranks must fit the
+  /// delivery tag layout (at most kMaxRanks).
   Comm(Engine& engine, Fabric& fabric, std::int32_t nranks,
        CollectiveParams collective = {}, ShardedEngine* sharded = nullptr);
+
+  /// Limits of the delivery tag layout (see kSlotShift below).
+  static constexpr std::int32_t kMaxRanks = 1 << 24;
+  static constexpr std::size_t kMaxOpenExchanges = 16;
+  /// Smallest dst_tag a send may carry: -1 means untagged, and senders
+  /// may use one more negative sentinel (exec's kPackedSendTag, -2).
+  static constexpr std::int64_t kMinDstTag = -2;
+  /// Largest dst_tag a send may carry; depends on nranks (the tag bits
+  /// the rank fields leave). At least 2^31 - 3 up to 16384 ranks.
+  std::int64_t max_dst_tag() const {
+    return static_cast<std::int64_t>(dst_tag_mask_) + kMinDstTag;
+  }
 
   std::int32_t nranks() const { return nranks_; }
   Engine& engine() { return engine_; }
@@ -89,11 +105,12 @@ class Comm final : public EventHandler {
   void set_endpoint(std::int32_t rank, RankEndpoint* endpoint);
 
   /// Attach an event tracer (nullptr detaches): every P2P message gets a
-  /// flow arrow from its isend post to its delivery.
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
+  /// flow arrow from its isend post to its delivery. Sequential only.
+  void set_tracer(Tracer* tracer);
 
   /// Open a P2P exchange window. expected[r] = number of messages rank r
-  /// will receive in this window. Window ids must be unique while open.
+  /// will receive in this window. Window ids must be unique while open,
+  /// and at most kMaxOpenExchanges windows may be open at once.
   /// The expected counts are copied into pooled per-window state, so the
   /// steady-state cost is a memcpy — no allocation per step.
   void begin_exchange(std::uint64_t window,
@@ -108,11 +125,12 @@ class Comm final : public EventHandler {
   /// Post a nonblocking send within a window. Returns the time at which
   /// an MPI_Wait on this send request would return (buffer handed off;
   /// inflated by ACK-recovery blocking when that pathology is active).
-  /// `dst_tag` rides along to the receiver's on_message hook. `msgs` > 1
-  /// posts an aggregated transfer (one delivery event carrying that many
-  /// logical boundary messages; counts as ONE arrival against the
-  /// window's expected count, so aggregated windows must size `expected`
-  /// per peer rather than per block pair). `priority` marks a transfer
+  /// `dst_tag` rides along to the receiver's on_message hook; it must lie
+  /// in [kMinDstTag, max_dst_tag()], and -1 means untagged (no
+  /// on_message call). `msgs` > 1 posts an aggregated transfer (one
+  /// delivery event carrying that many logical boundary messages; counts
+  /// as ONE arrival against the window's expected count, so aggregated
+  /// windows must size `expected` per peer rather than per block pair). `priority` marks a transfer
   /// promoted by critical-path send ordering — timing is unchanged, but
   /// the trace flow is named "p2p-priority" so promotions are visible.
   TimeNs isend(std::int32_t src, std::int32_t dst, std::int64_t bytes,
@@ -144,8 +162,7 @@ class Comm final : public EventHandler {
 
   /// Sharded mode: the sharded engine's epoch-barrier hook (registered
   /// by the owner via ShardedEngine::set_barrier_callback). Runs single-
-  /// threaded between epochs: returns foreign-freed delivery slots to
-  /// their owning pools and merges per-shard collective accumulators,
+  /// threaded between epochs: merges per-shard collective accumulators,
   /// scheduling a completion event into every shard once all ranks have
   /// entered (each shard then notifies its own contiguous rank range).
   void on_epoch_barrier();
@@ -155,13 +172,12 @@ class Comm final : public EventHandler {
   /// windows (open flag, not erasure), so at steady state a step reuses
   /// the previous step's vectors at full capacity. Slot indices are
   /// stable for the lifetime of the Comm — pool growth only appends —
-  /// which lets on_event hold an index across endpoint callbacks.
+  /// which lets a delivery tag name its window by slot index.
   struct ExchangeState {
     std::uint64_t window = 0;
     bool open = false;
     std::vector<std::int32_t> expected;
     std::vector<std::int32_t> arrived;
-    std::vector<TimeNs> last_delivery;
     std::vector<std::uint8_t> waiting;
     // No aggregate outstanding counter: deliveries on different shards
     // would race on it. exchange_complete/end_exchange (coordinator-only
@@ -176,34 +192,30 @@ class Comm final : public EventHandler {
     TimeNs max_entry = 0;
   };
 
-  struct PendingDelivery {
-    std::uint64_t window;
-    std::int32_t dst;
-    std::int32_t src;
-    std::int64_t dst_tag;
-    std::int64_t bytes;
-    std::uint64_t flow_id;  ///< trace flow pair id (0 = untraced)
-  };
-
-  // Event tags: bit 63 selects delivery (0) vs collective completion
-  // (1, bits 32..62 = window id). A delivery tag is its pool slot in
-  // bits 0..39 plus the owning pool's shard in bits 40..62 — shard 0's
-  // tags equal the raw slot, keeping the sequential path's tags (and
-  // kDes trace output) identical to the single-pool layout.
+  // Event tags carry the whole delivery, so dispatch reads nothing but
+  // the engine's queue entry. Bit 63 selects delivery (0) vs collective
+  // completion (1, bits 32..62 = window id). A delivery tag packs, from
+  // the top: the exchange slot in bits 59..62, then dst and src in
+  // rank_bits_ = bit_width(nranks - 1) bits each, then dst_tag -
+  // kMinDstTag in the low dst_tag_bits_ = 59 - 2 * rank_bits_ bits.
   static constexpr std::uint64_t kCollectiveBit = 1ULL << 63;
-  static constexpr unsigned kPoolShardShift = 40;
-  static constexpr std::uint64_t kSlotMask = (1ULL << kPoolShardShift) - 1;
+  static constexpr unsigned kSlotShift = 59;
 
-  /// Per-shard delivery arena (one pool in the sequential case). Only
-  /// the owning shard's thread allocates from a pool; frees from other
-  /// shards detour through foreign_frees_ to the next epoch barrier.
-  struct DeliveryPool {
-    std::vector<PendingDelivery> deliveries;
-    std::vector<std::uint64_t> free_slots;
+  std::uint64_t delivery_tag(std::size_t slot, std::int32_t src,
+                             std::int32_t dst, std::int64_t dst_tag) const {
+    return (static_cast<std::uint64_t>(slot) << kSlotShift) |
+           (static_cast<std::uint64_t>(dst) << dst_shift_) |
+           (static_cast<std::uint64_t>(src) << dst_tag_bits_) |
+           static_cast<std::uint64_t>(dst_tag - kMinDstTag);
+  }
+
+  /// A traced message's flow arrow data, filed under the delivery
+  /// event's schedule sequence number (Engine::next_seq at isend,
+  /// Engine::dispatch_seq at delivery).
+  struct TraceFlow {
+    std::int64_t bytes;
+    std::uint64_t flow_id;
   };
-
-  std::uint64_t alloc_delivery(std::int32_t pool_shard,
-                               const PendingDelivery& d);
 
   Engine& engine_;
   Fabric& fabric_;
@@ -212,25 +224,29 @@ class Comm final : public EventHandler {
   std::int32_t nranks_;
   CollectiveParams collective_params_;
   TimeNs collective_overhead_;  // alpha + beta*ceil(log2(nranks))
+  // Delivery tag layout, fixed by nranks (see kSlotShift).
+  unsigned rank_bits_;
+  unsigned dst_tag_bits_;
+  unsigned dst_shift_;
+  std::uint64_t rank_mask_;
+  std::uint64_t dst_tag_mask_;
   /// Index of the open window's slot in exchanges_; -1 if not open.
   std::ptrdiff_t find_exchange(std::uint64_t window) const;
 
   std::vector<RankEndpoint*> endpoints_;
   std::vector<ExchangeState> exchanges_;       // pooled, see ExchangeState
   std::vector<CollectiveState> collectives_;   // active only, swap-pop
-  std::vector<DeliveryPool> pools_;            // [shard]; [0] sequential
   /// Per-source-rank monotone send counters, the per-class uniquifier of
   /// delivery dispatch keys. Not checkpointed: no delivery is in flight
   /// at a step boundary, so resetting them applies a common offset per
   /// source and preserves every relative order.
   std::vector<std::uint64_t> send_seq_;
-  /// [dispatching shard] -> delivery tags freed for another shard's
-  /// pool this epoch; returned to their owners at the barrier.
-  std::vector<std::vector<std::uint64_t>> foreign_frees_;
   /// [shard] -> collective entries accumulated by that shard's ranks
   /// this epoch; merged (commutatively: counts add, max_entry maxes)
   /// into collectives_ at the barrier.
   std::vector<std::vector<CollectiveState>> shard_collectives_;
+  /// Traced runs only: flow data of messages in flight.
+  std::unordered_map<std::uint64_t, TraceFlow> trace_flows_;
 };
 
 }  // namespace amr

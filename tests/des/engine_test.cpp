@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <random>
+#include <tuple>
 #include <vector>
+
+#include "amr/trace/tracer.hpp"
 
 namespace amr {
 namespace {
@@ -68,7 +72,7 @@ TEST(Engine, CallAtRunsCallbacksAndRecyclesSlots) {
     engine.call_at(i * 10, [&](Engine&) { ++calls; });
   engine.run();
   EXPECT_EQ(calls, 10);
-  // Slots recycled: more callbacks after a run still work.
+  // More callbacks after a run still work.
   engine.call_after(5, [&](Engine&) { ++calls; });
   engine.run();
   EXPECT_EQ(calls, 11);
@@ -232,6 +236,119 @@ TEST(Engine, FuzzDispatchOrderMatchesStableSortReference) {
           << "seed " << seed << " position " << i;
     }
   }
+}
+
+/// Records (time, handler, tag) so tests can see which handler a queue
+/// entry carried, not just its tag.
+struct Dispatch {
+  TimeNs time;
+  const EventHandler* handler;
+  std::uint64_t tag;
+  bool operator==(const Dispatch&) const = default;
+};
+
+class SharedLog final : public EventHandler {
+ public:
+  explicit SharedLog(std::vector<Dispatch>* log) : log_(log) {}
+  void on_event(Engine& engine, std::uint64_t tag) override {
+    log_->push_back({engine.now(), this, tag});
+  }
+
+ private:
+  std::vector<Dispatch>* log_;
+};
+
+TEST(Engine, PayloadRoundTripsThroughRedistributionAndRebucket) {
+  // Each queue entry carries its own (handler, tag). Full-width tags and
+  // alternating handlers must survive every move the radix queue makes:
+  // redistribution out of deep buckets, and the rebucket_all slow path
+  // (run_until parks the bucketing reference at 5000, then an earlier
+  // legal schedule re-buckets everything pending).
+  std::vector<Dispatch> log;
+  SharedLog a(&log);
+  SharedLog b(&log);
+  Engine engine;
+  std::vector<Dispatch> model;
+  std::mt19937_64 rng(5);
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const TimeNs t = 5000 + static_cast<TimeNs>(rng() % 100000);
+    const std::uint64_t tag = rng() | (i % 3 == 0 ? 1ULL << 63 : 0);
+    SharedLog* h = i % 2 == 0 ? &a : &b;
+    engine.schedule_at(t, h, tag);
+    model.push_back({t, h, tag});
+  }
+  engine.run_until(100);
+  ASSERT_TRUE(log.empty());
+  engine.schedule_at(200, &b, ~0ULL);
+  model.push_back({200, &b, ~0ULL});
+  engine.run();
+  std::stable_sort(model.begin(), model.end(),
+                   [](const Dispatch& x, const Dispatch& y) {
+                     return x.time < y.time;
+                   });
+  EXPECT_EQ(log, model);
+}
+
+TEST(Engine, KeyedEqualTimeEntriesDispatchInKeyOrder) {
+  // Equal-time entries dispatch by key whatever the schedule order, both
+  // when they land in the front bucket directly (sorted insert) and when
+  // a redistribution moves them there (stable sort).
+  std::vector<Dispatch> log;
+  SharedLog h(&log);
+  Engine engine;
+  const std::vector<std::uint64_t> keys = {
+      event_key::rank(3), event_key::delivery(7, 2),
+      event_key::collective(1), event_key::delivery(7, 1),
+      event_key::delivery(2, 9), event_key::rank(0)};
+  for (const std::uint64_t k : keys) engine.schedule_keyed(0, k, &h, k);
+  for (const std::uint64_t k : keys) engine.schedule_keyed(900, k, &h, k);
+  engine.run();
+  auto sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  ASSERT_EQ(log.size(), 2 * keys.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].time, i < keys.size() ? 0 : 900);
+    EXPECT_EQ(log[i].tag, sorted[i % keys.size()]) << "position " << i;
+  }
+}
+
+TEST(Engine, DesTraceCarriesTagAndScheduleSequence) {
+  // The kDes dispatch instant records (tag, seq), seq being the event's
+  // position in schedule order — the same numbering the legacy keys use.
+  TraceConfig cfg;
+  cfg.categories = kAllTraceCategories;
+  Tracer tracer(cfg);
+  Engine engine;
+  engine.set_tracer(&tracer);
+  Recorder rec;
+  engine.schedule_at(30, &rec, 100);  // seq 0
+  engine.schedule_at(10, &rec, 101);  // seq 1
+  engine.schedule_at(10, &rec, 102);  // seq 2
+  engine.call_at(20, [](Engine&) {});  // seq 3
+  engine.run();
+  std::vector<std::tuple<TimeNs, std::int64_t, std::int64_t>> got;
+  tracer.for_each([&](const TraceEvent& ev) {
+    if (ev.cat == TraceCat::kDes) got.emplace_back(ev.ts, ev.a, ev.b);
+  });
+  ASSERT_EQ(got.size(), 4u);
+  EXPECT_EQ(got[0], std::make_tuple(TimeNs{10}, 101, 1));
+  EXPECT_EQ(got[1], std::make_tuple(TimeNs{10}, 102, 2));
+  EXPECT_EQ(std::get<2>(got[2]), 3);
+  EXPECT_EQ(got[3], std::make_tuple(TimeNs{30}, 100, 0));
+}
+
+TEST(Engine, PendingCallbacksAreFreedWithTheEngine) {
+  // A callback that never dispatches is still owned by the engine; its
+  // captures are destroyed with it (the sanitizer trees catch a leak).
+  auto token = std::make_shared<int>(0);
+  {
+    Engine engine;
+    engine.call_at(10, [token](Engine&) {});
+    engine.call_at(5000, [token](Engine&) {});
+    engine.run_until(100);
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(EngineDeath, SchedulingIntoThePastAborts) {

@@ -13,6 +13,7 @@
 #include "amr/serve/job_protocol.hpp"
 #include "amr/serve/query_endpoint.hpp"
 #include "amr/serve/scheduler.hpp"
+#include "amr/simmpi/comm.hpp"
 #include "amr/telemetry/query.hpp"
 
 namespace amr::serve {
@@ -82,11 +83,13 @@ Table phases_fixture() {
   Table t("phases", {{"step", ColType::kI64},
                      {"rank", ColType::kI64},
                      {"phase", ColType::kI64},
-                     {"dur_ns", ColType::kI64}});
+                     {"dur_ns", ColType::kI64},
+                     {"ratio", ColType::kF64}});
   for (std::int64_t s = 0; s < 3; ++s)
     for (std::int64_t r = 0; r < 2; ++r)
       for (std::int64_t p = 0; p < 2; ++p)
-        t.append_row({s, r, p, 1000 * s + 100 * r + p});
+        t.append_row({s, r, p, 1000 * s + 100 * r + p,
+                      0.25 * static_cast<double>(p)});
   return t;
 }
 
@@ -147,6 +150,10 @@ TEST(QueryEndpoint, MalformedStatementsReportAndLeaveOutputUntouched) {
       "select median(dur_ns) from phases group by rank",  // unknown agg
       "select * from phases limit -3",           // bad limit
       "select * from phases bonus tokens",       // trailing tokens
+      "select mean(bogus) from phases group by step",  // unknown agg col
+      "select count from phases group by ratio",   // f64 group key
+      "select count from phases group by rank, rank",  // duplicate key
+      "select sum(dur_ns) as rank from phases group by rank",  // clash
   };
   for (const std::string& text : bad) {
     std::string out;
@@ -295,6 +302,10 @@ TEST(QuantumScheduler, InvalidSpecsFailAtSubmitWithoutPoisoningTheQueue) {
   ASSERT_NE(sched.result(0), nullptr);
   EXPECT_FALSE(sched.result(0)->ok);
   EXPECT_EQ(sched.result(0)->error, validate_job(contradictory));
+  // A rank count the message layer cannot address is refused up front.
+  JobSpec huge = fine;
+  huge.ranks = std::int64_t{Comm::kMaxRanks} + 1;
+  EXPECT_NE(validate_job(huge), "");
   // The unknown policy passes validation but fails construction; the
   // error lands in the result instead of throwing out of drain().
   ASSERT_NE(sched.result(1), nullptr);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
+
+#include "amr/exec/overlap.hpp"
 
 namespace amr {
 namespace {
@@ -206,6 +209,124 @@ TEST(Comm, AggregatedSendCountsAsOneArrival) {
   const TimeNs packed = h.engine.now() - packed_start;
   h.comm.end_exchange(24);
   EXPECT_EQ(packed, plain + 4 * quiet_params().packed_msg_overhead);
+}
+
+/// Endpoint recording every on_message call.
+class MessageLog final : public RankEndpoint {
+ public:
+  struct Message {
+    std::int32_t dst;
+    std::uint64_t window;
+    std::int32_t src;
+    std::int64_t dst_tag;
+    bool operator==(const Message&) const = default;
+  };
+  MessageLog(std::vector<Message>* log, std::int32_t rank)
+      : log_(log), rank_(rank) {}
+  void on_recvs_ready(Engine&, std::uint64_t, TimeNs, std::int32_t src)
+      override {
+    last_release_src = src;
+  }
+  void on_collective_done(Engine&, std::uint64_t, TimeNs) override {}
+  void on_message(Engine&, std::uint64_t window, TimeNs, std::int32_t src,
+                  std::int64_t dst_tag) override {
+    log_->push_back({rank_, window, src, dst_tag});
+  }
+  std::int32_t last_release_src = -1;
+
+ private:
+  std::vector<Message>* log_;
+  std::int32_t rank_;
+};
+
+TEST(Comm, ExtremeFieldValuesRoundTripThroughTheDeliveryTag) {
+  // A delivery carries (exchange slot, src, dst, dst_tag) in its event
+  // tag alone. The largest rank, the last window slot and both ends of
+  // the dst_tag range must come back out unchanged.
+  constexpr std::int32_t kRanks = 16384;
+  Engine engine;
+  ClusterTopology topo(kRanks, 16);
+  Fabric fabric(topo, quiet_params(), Rng(1));
+  Comm comm(engine, fabric, kRanks);
+  EXPECT_EQ(comm.max_dst_tag(), (std::int64_t{1} << 31) - 3);
+  std::vector<MessageLog::Message> log;
+  std::vector<MessageLog> eps;
+  eps.reserve(kRanks);
+  for (std::int32_t r = 0; r < kRanks; ++r) {
+    eps.emplace_back(&log, r);
+    comm.set_endpoint(r, &eps.back());
+  }
+  constexpr std::int32_t kLast = kRanks - 1;
+  std::vector<std::int32_t> idle(kRanks, 0);
+  for (std::uint64_t w = 0; w + 1 < Comm::kMaxOpenExchanges; ++w)
+    comm.begin_exchange(100 + w, idle);
+  std::vector<std::int32_t> expected(kRanks, 0);
+  expected[0] = 3;
+  expected[kLast] = 1;
+  const std::uint64_t window = (1ULL << 31) - 1;
+  comm.begin_exchange(window, expected);  // occupies the last slot
+  comm.isend(kLast, 0, 64, window, 0, comm.max_dst_tag());
+  comm.isend(kLast, 0, 64, window, 10, kPackedSendTag);
+  comm.isend(kLast, 0, 64, window, 20, 0);
+  comm.isend(0, kLast, 64, window, 30, 77);
+  EXPECT_FALSE(comm.wait_recvs(0, window, 0));
+  engine.run();
+  const std::vector<MessageLog::Message> want = {
+      {0, window, kLast, comm.max_dst_tag()},
+      {0, window, kLast, kPackedSendTag},
+      {0, window, kLast, 0},
+      {kLast, window, 0, 77}};
+  ASSERT_EQ(log.size(), want.size());  // arrival order is the fabric's
+  EXPECT_TRUE(std::is_permutation(log.begin(), log.end(), want.begin()));
+  EXPECT_EQ(eps[0].last_release_src, kLast);
+  EXPECT_TRUE(comm.exchange_complete(window));
+}
+
+TEST(Comm, UntaggedDeliveriesSkipOnMessage) {
+  // dst_tag -1 marks a send nobody routes on (the BSP runtime's): it
+  // still counts against the window but never calls on_message.
+  Engine engine;
+  ClusterTopology topo(4, 2);
+  Fabric fabric(topo, quiet_params(), Rng(1));
+  Comm comm(engine, fabric, 4);
+  std::vector<MessageLog::Message> log;
+  std::vector<MessageLog> eps;
+  for (std::int32_t r = 0; r < 4; ++r) eps.emplace_back(&log, r);
+  for (std::int32_t r = 0; r < 4; ++r) comm.set_endpoint(r, &eps[r]);
+  comm.begin_exchange(5, {0, 3, 0, 0});
+  comm.isend(0, 1, 100, 5, 0);
+  comm.isend(2, 1, 100, 5, 0, -1, 4);
+  comm.isend(3, 1, 100, 5, 0, 9);
+  EXPECT_FALSE(comm.wait_recvs(1, 5, 0));
+  engine.run();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0], (MessageLog::Message{1, 5, 3, 9}));
+  EXPECT_TRUE(comm.exchange_complete(5));
+  EXPECT_NE(eps[1].last_release_src, -1);
+}
+
+TEST(CommDeath, TooManyRanksForTheTagLayoutAborts) {
+  Engine engine;
+  ClusterTopology topo(4, 2);
+  Fabric fabric(topo, quiet_params(), Rng(1));
+  EXPECT_DEATH(Comm(engine, fabric, Comm::kMaxRanks + 1), "encode");
+}
+
+TEST(CommDeath, TooManyOpenWindowsAborts) {
+  Harness h(4);
+  for (std::uint64_t w = 0; w < Comm::kMaxOpenExchanges; ++w)
+    h.comm.begin_exchange(w, {0, 0, 0, 0});
+  EXPECT_DEATH(h.comm.begin_exchange(99, {0, 0, 0, 0}),
+               "too many open exchange windows");
+}
+
+TEST(CommDeath, UnencodableDstTagAborts) {
+  Harness h(4);
+  h.comm.begin_exchange(17, {0, 1, 0, 0});
+  EXPECT_DEATH(h.comm.isend(0, 1, 100, 17, 0, h.comm.max_dst_tag() + 1),
+               "dst_tag");
+  EXPECT_DEATH(h.comm.isend(0, 1, 100, 17, 0, Comm::kMinDstTag - 1),
+               "dst_tag");
 }
 
 TEST(CommDeath, DoubleWaitOnSameWindowAborts) {
