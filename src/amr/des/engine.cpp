@@ -106,7 +106,7 @@ void Engine::schedule_at(TimeNs t, EventHandler* handler,
                          std::uint64_t tag) {
   // The legacy key is the global schedule counter: monotone, so
   // equal-time dispatch order is exactly schedule FIFO.
-  schedule_keyed(t, event_key::kClassLegacy | next_seq_, handler, tag);
+  schedule_keyed(t, reserve_key(), handler, tag);
 }
 
 void Engine::schedule_keyed(TimeNs t, std::uint64_t key,
@@ -115,7 +115,6 @@ void Engine::schedule_keyed(TimeNs t, std::uint64_t key,
   AMR_CHECK(handler != nullptr);
   if (t < front_time_) [[unlikely]]
     rebucket_all(t);
-  ++next_seq_;
   const Entry entry{t, key, handler, tag};
   // Always bucket relative to front_time_, the one monotone reference
   // every pending entry was bucketed against (updated only by
@@ -168,7 +167,9 @@ bool Engine::step() {
     tracer_->instant(Tracer::kTrackSim, TraceCat::kDes, "dispatch", now_,
                      static_cast<std::int64_t>(ev.tag),
                      static_cast<std::int64_t>(dispatch_seq()));
+  dispatching_ = true;
   ev.handler->on_event(*this, ev.tag);
+  dispatching_ = false;
   return true;
 }
 

@@ -38,8 +38,10 @@
 // notion, so producers supply canonical keys (event_key below) that
 // depend only on simulation content — making equal-time order invariant
 // under the shard count. The two key regimes never mix within a run:
-// the sequential sim stack uses schedule_at exclusively; the sharded
-// stack uses schedule_keyed exclusively.
+// the sequential sim stack uses legacy keys only (schedule_at, or
+// schedule_keyed with a key taken earlier from reserve_key, which is how
+// Comm fills a dispatch slot it held open at isend); the sharded stack
+// uses canonical keys only.
 #pragma once
 
 #include <cstdint>
@@ -108,10 +110,26 @@ class Engine {
   /// Schedule with an explicit dispatch key (see event_key). Equal-time
   /// events dispatch in ascending key order regardless of the order the
   /// schedule calls were made in — the sharded engine's determinism
-  /// anchor. schedule_at is exactly schedule_keyed with a monotone
-  /// legacy key.
+  /// anchor. schedule_at is exactly schedule_keyed with reserve_key().
   void schedule_keyed(TimeNs t, std::uint64_t key, EventHandler* handler,
                       std::uint64_t tag = 0);
+
+  /// Consume the next legacy key without scheduling anything: returns
+  /// the key schedule_at would assign now. Every later legacy key is the
+  /// same as if an event had been scheduled, so a producer can hold the
+  /// dispatch slot open and later fill it (schedule_keyed with the key)
+  /// or leave it empty. Comm uses this for counted messages.
+  std::uint64_t reserve_key() {
+    return event_key::kClassLegacy | next_seq_++;
+  }
+
+  /// True when an event at (t, key) has been dispatched by now: inside a
+  /// dispatch, it orders at or before the event being dispatched;
+  /// outside one, t <= now().
+  bool dispatched(TimeNs t, std::uint64_t key) const {
+    if (!dispatching_) return t <= now_;
+    return t < now_ || (t == now_ && key <= dispatch_key_);
+  }
 
   /// Schedule an event dt nanoseconds from now.
   void schedule_after(TimeNs dt, EventHandler* handler,
@@ -151,11 +169,10 @@ class Engine {
   }
   std::uint64_t events_processed() const { return processed_; }
 
-  /// Schedule sequence number the next schedule call will assign.
-  std::uint64_t next_seq() const { return next_seq_; }
+  /// Dispatch key of the event being dispatched (or last dispatched).
+  std::uint64_t dispatch_key() const { return dispatch_key_; }
   /// Schedule sequence number of the event being dispatched (the low 62
-  /// bits of its key, so exact for schedule_at events). Lets a handler
-  /// find side data it filed under next_seq() when scheduling.
+  /// bits of its key, so exact for schedule_at events).
   std::uint64_t dispatch_seq() const { return dispatch_key_ & kKeySeqMask; }
 
   /// Shard id stamped by the sharded engine (0 in the sequential case).
@@ -171,7 +188,7 @@ class Engine {
   /// Attach an event tracer (nullptr detaches). Dispatch instants are in
   /// the TraceCat::kDes category, which is off by default — enable it in
   /// the trace config to see raw event dispatch. Each instant carries the
-  /// event's tag and its dispatch_seq() (only schedule_at runs are
+  /// event's tag and its dispatch_seq() (only legacy-key runs are
   /// traced).
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
@@ -251,6 +268,7 @@ class Engine {
   std::int32_t shard_id_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatch_key_ = 0;  ///< key of the event in dispatch
+  bool dispatching_ = false;        ///< inside a handler called by step()
   std::uint64_t processed_ = 0;
   std::uint64_t pending_ = 0;
   TimeNs front_time_ = 0;  ///< all entries in front_ carry this time

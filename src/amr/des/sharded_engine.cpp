@@ -34,7 +34,6 @@ ShardedEngine::ShardedEngine(const ClusterTopology& topo,
         std::min(shard_first_node_[static_cast<std::size_t>(s)], node);
   }
   shard_first_node_[static_cast<std::size_t>(n)] = nnodes;
-  mailboxes_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
   epoch_counts_.resize(static_cast<std::size_t>(n), 0);
   stats_.resize(static_cast<std::size_t>(n));
 }
@@ -51,37 +50,15 @@ std::pair<std::int32_t, std::int32_t> ShardedEngine::rank_range(
   return {first, last};
 }
 
-void ShardedEngine::post(std::int32_t src, std::int32_t dst, TimeNs t,
-                         std::uint64_t key, EventHandler* handler,
-                         std::uint64_t tag) {
-  mailboxes_[lane(src, dst)].push_back(Posted{t, key, handler, tag});
-}
-
-void ShardedEngine::drain_mailboxes() {
-  const std::size_t n = shards_.size();
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    Engine& e = *shards_[dst];
-    for (std::size_t src = 0; src < n; ++src) {
-      std::vector<Posted>& box = mailboxes_[src * n + dst];
-      for (const Posted& p : box) {
-        e.schedule_keyed(p.t, p.key, p.handler, p.tag);
-        ++stats_[dst].mailbox_events;
-      }
-      box.clear();
-    }
-  }
-}
-
 std::uint64_t ShardedEngine::run_all() {
   for (ShardEpochStats& s : stats_) s = ShardEpochStats{};
   const std::size_t n = shards_.size();
   std::uint64_t total = 0;
   for (;;) {
-    // Barrier work first: merged collective completions and mailbox
-    // deliveries may introduce new pending minima, so the horizon is
-    // computed only after both have been applied.
+    // Barrier work first: merged collective completions and receive
+    // wakes may introduce new pending minima, so the horizon is computed
+    // only after the callback has run.
     if (barrier_cb_) barrier_cb_();
-    drain_mailboxes();
     bool any = false;
     TimeNs horizon = 0;
     for (const std::unique_ptr<Engine>& e : shards_) {

@@ -8,8 +8,8 @@
 //
 //   epoch loop:
 //     barrier callback   (merge shard-partitioned handler state;
-//                         schedules e.g. collective completions)
-//     drain mailboxes    (cross-shard events buffered by post())
+//                         schedules e.g. collective completions and
+//                         the receive wakes of cross-shard messages)
 //     horizon  = min over shards of next pending event time
 //     h_end    = horizon + lookahead
 //     parallel: every shard dispatches its events with time < h_end
@@ -19,15 +19,20 @@
 // delivery >= post_time + remote_per_msg + remote_latency > h_end, so
 // cross-shard events buffered during an epoch always land strictly
 // beyond the epoch's horizon — no shard ever receives an event in its
-// past. Within a shard the monotone radix queue is reused unchanged.
+// past. The engine itself carries no cross-shard traffic: a handler that
+// produces work for another shard buffers it in shard-partitioned state
+// and schedules it from the barrier callback (Comm keeps one outbox per
+// source shard). Within a shard the monotone radix queue is reused
+// unchanged.
 //
 // Determinism contract: each shard dispatches in (time, key) order with
 // canonical content-derived keys (engine.hpp event_key), times are
 // independent of the shard count (every event's time is computed from
-// dispatch-ordered per-node state), and cross-shard mailbox buffering
-// only affects *insertion* order, which the keys make irrelevant. Hence
-// the full simulation output is byte-identical for every shard count —
-// the property ctest's par_des_determinism matrix enforces.
+// dispatch-ordered per-node state), and barrier-time buffering of
+// cross-shard work only affects *insertion* order, which the keys make
+// irrelevant. Hence the full simulation output is byte-identical for
+// every shard count — the property ctest's par_des_determinism matrix
+// enforces.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +53,9 @@ struct ShardEpochStats {
   std::int64_t events = 0;  ///< events dispatched by this shard
   std::int64_t epochs = 0;  ///< lookahead epochs executed (same for all)
   std::int64_t lookahead_stalls = 0;  ///< epochs with zero dispatches
-  std::int64_t mailbox_events = 0;    ///< cross-shard events received
+  /// Cross-shard message records merged into this shard at barriers.
+  /// The engine has no mailbox of its own: the comm layer fills this.
+  std::int64_t mailbox_events = 0;
 };
 
 class ShardedEngine {
@@ -83,17 +90,10 @@ class ShardedEngine {
   /// Contiguous [first, last) rank range owned by a shard.
   std::pair<std::int32_t, std::int32_t> rank_range(std::int32_t s) const;
 
-  /// Buffer an event produced during shard `src`'s epoch execution for
-  /// shard `dst`'s queue; scheduled (keyed) at the next epoch barrier.
-  /// Safe to call concurrently from different source shards: each
-  /// (src, dst) lane has exactly one writer, the src shard's thread.
-  void post(std::int32_t src, std::int32_t dst, TimeNs t, std::uint64_t key,
-            EventHandler* handler, std::uint64_t tag);
-
-  /// Invoked single-threaded at every epoch barrier, before mailboxes
-  /// drain — the merge point for handler state partitioned by shard
-  /// (Comm merges collective entries here). The callback may schedule
-  /// events into any shard.
+  /// Invoked single-threaded at every epoch barrier, before the next
+  /// horizon is computed — the merge point for handler state partitioned
+  /// by shard (Comm merges collective entries and cross-shard message
+  /// records here). The callback may schedule events into any shard.
   void set_barrier_callback(std::function<void()> cb) {
     barrier_cb_ = std::move(cb);
   }
@@ -126,21 +126,6 @@ class ShardedEngine {
   const std::vector<ShardEpochStats>& last_stats() const { return stats_; }
 
  private:
-  /// A buffered event: the same self-contained payload as an engine
-  /// queue entry, so draining a lane is a plain schedule_keyed.
-  struct Posted {
-    TimeNs t;
-    std::uint64_t key;
-    EventHandler* handler;
-    std::uint64_t tag;
-  };
-
-  std::size_t lane(std::int32_t src, std::int32_t dst) const {
-    return static_cast<std::size_t>(src) * shards_.size() +
-           static_cast<std::size_t>(dst);
-  }
-  void drain_mailboxes();
-
   const ClusterTopology& topo_;
   TimeNs lookahead_;
   ThreadPool* pool_;
@@ -149,7 +134,6 @@ class ShardedEngine {
   std::vector<std::unique_ptr<Engine>> shards_;
   std::vector<std::int32_t> node_shard_;   ///< node -> owning shard
   std::vector<std::int32_t> shard_first_node_;  ///< shard -> first node
-  std::vector<std::vector<Posted>> mailboxes_;  ///< [src * S + dst] lanes
   std::vector<std::uint64_t> epoch_counts_;     ///< per-shard scratch
   std::vector<ShardEpochStats> stats_;
   std::function<void()> barrier_cb_;

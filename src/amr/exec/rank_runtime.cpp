@@ -176,7 +176,7 @@ void RankRuntime::advance(Engine& engine) {
         self_schedule(engine, engine.now() + t.duration);
         return;
       case TaskKind::kWaitRecvs:
-        if (comm_.wait_recvs(rank_, window_, engine.now())) {
+        if (comm_.wait_recvs(engine, rank_, window_)) {
           ++pc_;
           continue;  // everything already arrived: zero wait
         }
@@ -221,7 +221,7 @@ void RankRuntime::on_recvs_ready(Engine& engine, std::uint64_t window,
                  releasing_src);
   state_ = State::kRunning;
   ++pc_;
-  // We are inside the delivery event at time t; continue inline on the
+  // We are inside the wake event at time t; continue inline on the
   // dispatching engine (the rank's own shard under sharding).
   advance(engine);
 }

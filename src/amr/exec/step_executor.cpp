@@ -39,6 +39,9 @@ StepResult StepExecutor::execute(std::span<const RankStepWork> work,
   if (sharded != nullptr) {
     sharded->run_all();
     result.shards = sharded->last_stats();
+    for (std::size_t s = 0; s < result.shards.size(); ++s)
+      result.shards[s].mailbox_events =
+          comm_.take_cross_shard_records(static_cast<std::int32_t>(s));
   } else {
     engine_.run();
   }

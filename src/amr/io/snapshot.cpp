@@ -138,6 +138,9 @@ void SnapshotReader::validate_envelope() {
 void SnapshotReader::take(void* out, std::size_t n) {
   const std::size_t end = in_section_ ? section_end_ : payload_end_;
   if (n > end - at_) fail("read past end (truncated section)");
+  // An empty vector's data() may be null, and memcpy forbids null even
+  // for zero bytes.
+  if (n == 0) return;
   std::memcpy(out, bytes_.data() + at_, n);
   at_ += n;
 }

@@ -37,18 +37,18 @@ Comm::Comm(Engine& engine, Fabric& fabric, std::int32_t nranks,
   if (sharded_ != nullptr) {
     AMR_CHECK_MSG(fabric_.sharded(),
                   "sharded comm requires a sharding-enabled fabric");
-    shard_collectives_.resize(
-        static_cast<std::size_t>(sharded_->num_shards()));
+    const auto shards = static_cast<std::size_t>(sharded_->num_shards());
+    shard_collectives_.resize(shards);
+    outboxes_.resize(shards);
+    cross_shard_records_.assign(shards, 0);
   }
 }
 
 void Comm::set_tracer(Tracer* tracer) {
-  // Flow data is matched by schedule sequence number, which only the
-  // sequential engine's schedule_at path assigns.
+  // The trace ring has one writer; shard threads would race on it.
   AMR_CHECK_MSG(tracer == nullptr || sharded_ == nullptr,
                 "sharded comm cannot be traced");
   tracer_ = tracer;
-  trace_flows_.clear();
 }
 
 void Comm::set_endpoint(std::int32_t rank, RankEndpoint* endpoint) {
@@ -83,10 +83,12 @@ void Comm::begin_exchange(std::uint64_t window,
   ExchangeState& state = exchanges_[slot];
   state.window = window;
   state.open = true;
-  state.expected.assign(expected.begin(), expected.end());
-  state.arrived.assign(static_cast<std::size_t>(nranks_), 0);
-  state.waiting.assign(static_cast<std::size_t>(nranks_), 0);
-  for (const std::int32_t e : state.expected) AMR_CHECK(e >= 0);
+  state.recvs.resize(static_cast<std::size_t>(nranks_));
+  for (std::size_t r = 0; r < state.recvs.size(); ++r) {
+    AMR_CHECK(expected[r] >= 0);
+    state.recvs[r] = RecvRecord{};
+    state.recvs[r].expected = expected[r];
+  }
 }
 
 TimeNs Comm::isend(std::int32_t src, std::int32_t dst, std::int64_t bytes,
@@ -101,60 +103,102 @@ TimeNs Comm::isend(std::int32_t src, std::int32_t dst, std::int64_t bytes,
                 "dst_tag outside the range a delivery tag can encode");
   const TransferTiming t =
       fabric_.transfer(src, dst, bytes, post_time, msgs);
-  std::uint64_t flow_id = 0;
   if (tracer_ != nullptr) {
     // Flow origin sits 1 ns inside the sender's pack span (which ends at
     // post_time) so Perfetto binds the arrow to that slice. Priority
     // promotions (critical-path send ordering) get their own flow name
-    // so a trace shows which transfers jumped the queue.
-    flow_id = tracer_->flow_begin(
+    // so a trace shows which transfers jumped the queue. The arrow's end
+    // is known now too: the delivery time, on the receiver's track.
+    const std::uint64_t flow_id = tracer_->flow_begin(
         src, TraceCat::kMsg, priority ? "p2p-priority" : "p2p",
         post_time > 0 ? post_time - 1 : post_time, bytes, dst);
+    tracer_->flow_end(dst, TraceCat::kMsg, "p2p", t.delivery, flow_id,
+                      bytes, src);
   }
   const std::uint64_t tag =
       delivery_tag(static_cast<std::size_t>(xi), src, dst, dst_tag);
   if (sharded_ == nullptr) {
-    if (flow_id != 0)
-      trace_flows_.emplace(engine_.next_seq(), TraceFlow{bytes, flow_id});
-    engine_.schedule_at(t.delivery, this, tag);
+    // The message takes the legacy key its delivery event would have
+    // had, so every other event keeps its key.
+    post(engine_, tag, t.delivery, engine_.reserve_key());
     return t.sender_release;
   }
-  // Sharded: key the delivery by (source rank, per-source send sequence)
+  // Sharded: key the message by (source rank, per-source send sequence)
   // so its equal-time dispatch position is independent of the shard
-  // layout, and route cross-shard deliveries through the epoch mailbox.
-  // The fabric guarantees cross-node delivery >= post_time + lookahead,
-  // so a posted event always lands beyond the destination shard's
-  // current epoch.
+  // layout. A cross-shard message waits in the source shard's outbox
+  // for the barrier merge; the fabric guarantees cross-node delivery >=
+  // post_time + lookahead, so whatever the merge schedules lands beyond
+  // the receiver shard's current epoch.
   const std::int32_t src_shard = sharded_->shard_of_rank(src);
-  const std::int32_t dst_shard = sharded_->shard_of_rank(dst);
   const std::uint64_t key =
       event_key::delivery(src, send_seq_[static_cast<std::size_t>(src)]++);
-  if (src_shard == dst_shard)
-    sharded_->shard(src_shard).schedule_keyed(t.delivery, key, this, tag);
+  if (src_shard == sharded_->shard_of_rank(dst))
+    post(sharded_->shard(src_shard), tag, t.delivery, key);
   else
-    sharded_->post(src_shard, dst_shard, t.delivery, key, this, tag);
+    outboxes_[static_cast<std::size_t>(src_shard)].push_back(
+        CrossPost{t.delivery, key, tag});
   return t.sender_release;
 }
 
-bool Comm::wait_recvs(std::int32_t rank, std::uint64_t window,
-                      TimeNs wait_start) {
+void Comm::post(Engine& engine, std::uint64_t tag, TimeNs t,
+                std::uint64_t key) {
+  if (is_tagged(tag)) {  // counted when it dispatches
+    engine.schedule_keyed(t, key, this, tag);
+    return;
+  }
+  const std::size_t slot = slot_of(tag);
+  AMR_CHECK_MSG(slot < exchanges_.size() && exchanges_[slot].open,
+                "delivery into a closed exchange window");
+  const std::int32_t dst = dst_of(tag);
+  RecvRecord& rv = exchanges_[slot].recvs[static_cast<std::size_t>(dst)];
+  count(rv, t, key, src_of(tag));
+  if (rv.waiting && rv.posted == rv.expected)
+    schedule_wake(engine, slot, dst, rv);
+}
+
+void Comm::count(RecvRecord& rv, TimeNs t, std::uint64_t key,
+                 std::int32_t src) {
+  ++rv.posted;
+  AMR_CHECK_MSG(rv.posted <= rv.expected,
+                "more deliveries than expected; window mismatch");
+  if (rv.posted == 1 || t > rv.t || (t == rv.t && key > rv.key)) {
+    rv.t = t;
+    rv.key = key;
+    rv.src = src;
+  }
+}
+
+void Comm::schedule_wake(Engine& engine, std::size_t slot,
+                         std::int32_t rank, const RecvRecord& rv) {
+  engine.schedule_keyed(rv.t, rv.key, this,
+                        delivery_tag(slot, rv.src, rank, -1));
+}
+
+bool Comm::wait_recvs(Engine& engine, std::int32_t rank,
+                      std::uint64_t window) {
   const std::ptrdiff_t xi = find_exchange(window);
   AMR_CHECK(xi >= 0);
-  ExchangeState& state = exchanges_[static_cast<std::size_t>(xi)];
-  const auto r = static_cast<std::size_t>(rank);
-  if (state.arrived[r] >= state.expected[r]) return true;
-  (void)wait_start;
-  AMR_CHECK_MSG(state.waiting[r] == 0, "rank already waiting on window");
-  state.waiting[r] = 1;
+  const auto slot = static_cast<std::size_t>(xi);
+  RecvRecord& rv = exchanges_[slot].recvs[static_cast<std::size_t>(rank)];
+  const bool counted = rv.posted == rv.expected;
+  if (counted && (rv.posted == 0 || engine.dispatched(rv.t, rv.key)))
+    return true;
+  AMR_CHECK_MSG(!rv.waiting, "rank already waiting on window");
+  rv.waiting = true;
+  // A complete count whose latest has not dispatched is an untagged
+  // message: tagged ones count as they dispatch.
+  if (counted) schedule_wake(engine, slot, rank, rv);
   return false;
 }
 
 bool Comm::exchange_complete(std::uint64_t window) const {
   const std::ptrdiff_t xi = find_exchange(window);
   AMR_CHECK(xi >= 0);
-  const ExchangeState& state = exchanges_[static_cast<std::size_t>(xi)];
-  for (std::size_t r = 0; r < state.expected.size(); ++r)
-    if (state.arrived[r] != state.expected[r]) return false;
+  const auto slot = static_cast<std::size_t>(xi);
+  const TimeNs now = sharded_ != nullptr ? sharded_->now() : engine_.now();
+  for (const RecvRecord& rv : exchanges_[slot].recvs)
+    if (rv.posted != rv.expected || (rv.posted > 0 && rv.t > now))
+      return false;
   return true;
 }
 
@@ -165,6 +209,13 @@ void Comm::end_exchange(std::uint64_t window) {
   AMR_CHECK_MSG(exchange_complete(window),
                 "closing window with undelivered messages");
   state.open = false;  // slot (and its vectors) recycled by the next open
+}
+
+std::int64_t Comm::take_cross_shard_records(std::int32_t shard) {
+  std::int64_t& n = cross_shard_records_[static_cast<std::size_t>(shard)];
+  const std::int64_t taken = n;
+  n = 0;
+  return taken;
 }
 
 void Comm::enter_collective(std::uint64_t window, std::int32_t rank,
@@ -209,6 +260,18 @@ void Comm::enter_collective(std::uint64_t window, std::int32_t rank,
 }
 
 void Comm::on_epoch_barrier() {
+  // Merge cross-shard messages into their receivers' records. The merge
+  // commutes (counts add, the latest is the max by (t, key) and keys are
+  // unique), and a wake is scheduled only once a count is complete, when
+  // its latest is final, so the shard iteration order cannot matter.
+  for (std::vector<CrossPost>& box : outboxes_) {
+    for (const CrossPost& p : box) {
+      const std::int32_t shard = sharded_->shard_of_rank(dst_of(p.tag));
+      ++cross_shard_records_[static_cast<std::size_t>(shard)];
+      post(sharded_->shard(shard), p.tag, p.t, p.key);
+    }
+    box.clear();
+  }
   // Merge per-shard collective entries (commutative, so the shard
   // iteration order cannot matter), then fire any completed collective
   // into every shard: each shard's dispatch notifies its own rank range.
@@ -283,44 +346,38 @@ void Comm::on_event(Engine& engine, std::uint64_t tag) {
     }
     return;
   }
-  // Message delivery: everything it needs rides in the tag.
-  const auto slot = static_cast<std::size_t>(tag >> kSlotShift);
-  const auto r = static_cast<std::size_t>((tag >> dst_shift_) & rank_mask_);
-  const auto src =
-      static_cast<std::int32_t>((tag >> dst_tag_bits_) & rank_mask_);
-  const std::int64_t dst_tag =
-      static_cast<std::int64_t>(tag & dst_tag_mask_) + kMinDstTag;
+  // A tagged delivery or a receive wake: everything it needs rides in
+  // the tag.
+  const std::size_t slot = slot_of(tag);
+  const auto r = static_cast<std::size_t>(dst_of(tag));
+  const std::int32_t src = src_of(tag);
   AMR_CHECK_MSG(slot < exchanges_.size() && exchanges_[slot].open,
                 "delivery into a closed exchange window");
   const std::uint64_t window = exchanges_[slot].window;
-  {
-    ExchangeState& state = exchanges_[slot];
-    ++state.arrived[r];
-    if (tracer_ != nullptr) {
-      const auto it = trace_flows_.find(engine.dispatch_seq());
-      if (it != trace_flows_.end()) {
-        tracer_->flow_end(static_cast<std::int32_t>(r), TraceCat::kMsg,
-                          "p2p", engine.now(), it->second.flow_id,
-                          it->second.bytes, src);
-        trace_flows_.erase(it);
-      }
-    }
-    AMR_CHECK_MSG(state.arrived[r] <= state.expected[r],
-                  "more deliveries than expected; window mismatch");
-  }
-  if (dst_tag != -1) {
+  if (is_tagged(tag)) {
+    count(exchanges_[slot].recvs[r], engine.now(), engine.dispatch_key(),
+          src);
+    const std::int64_t dst_tag =
+        static_cast<std::int64_t>(tag & dst_tag_mask_) + kMinDstTag;
     if (RankEndpoint* ep = endpoints_[r]; ep != nullptr)
       ep->on_message(engine, window, engine.now(), src, dst_tag);
+    // Re-index after the callback: slot indices are stable, but the pool
+    // vector may have grown if the endpoint opened a window. A parked
+    // receiver whose count this completes wakes inline if this is its
+    // latest message, else at its (later, untagged) latest.
+    const RecvRecord& rv = exchanges_[slot].recvs[r];
+    if (!rv.waiting || rv.posted != rv.expected) return;
+    if (rv.t != engine.now() || rv.key != engine.dispatch_key()) {
+      schedule_wake(engine, slot, static_cast<std::int32_t>(r), rv);
+      return;
+    }
   }
-  // Re-index after the callback: slot indices are stable, but the pool
-  // vector may have grown if the endpoint opened a window.
-  ExchangeState& state = exchanges_[slot];
-  if (state.waiting[r] != 0 && state.arrived[r] == state.expected[r]) {
-    state.waiting[r] = 0;
-    RankEndpoint* ep = endpoints_[r];
-    AMR_CHECK(ep != nullptr);
-    ep->on_recvs_ready(engine, window, engine.now(), src);
-  }
+  RecvRecord& rv = exchanges_[slot].recvs[r];
+  AMR_CHECK_MSG(rv.waiting, "receive wake for a rank that is not waiting");
+  rv.waiting = false;
+  RankEndpoint* ep = endpoints_[r];
+  AMR_CHECK(ep != nullptr);
+  ep->on_recvs_ready(engine, window, engine.now(), src);
 }
 
 }  // namespace amr

@@ -12,12 +12,23 @@
 // driver declares how many messages each rank will receive, ranks post
 // sends and then wait for their expected arrivals, and collectives close
 // the window.
+//
+// Receives complete by count. By §IV-D only two things release a rank
+// from its receive wait: its last arrival and that message's sender. So
+// an untagged message (dst_tag -1, the BSP runtime's kind) is not a DES
+// event: isend folds it into the receiver's per-window record (posted
+// count, and the latest (delivery time, dispatch key) with its sender),
+// taking the dispatch key its delivery event would have had. A receiver
+// parked in wait_recvs gets exactly one wake event, at that latest
+// (time, key) slot, so it resumes where its last delivery would have
+// dispatched. Tagged messages (dst_tag != -1) still dispatch one event
+// each, for the receiver's on_message hook, and count into the same
+// record when they dispatch.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "amr/des/engine.hpp"
@@ -37,8 +48,9 @@ class RankEndpoint {
  public:
   virtual ~RankEndpoint() = default;
   /// All expected messages of `window` have arrived (rank had a pending
-  /// wait). `t` is the completing delivery's time and `releasing_src` the
-  /// sender of that final message — the second rank of a two-rank
+  /// wait). Called from the rank's wake event, which dispatches in the
+  /// (time, key) slot of its last delivery. `t` is that delivery's time
+  /// and `releasing_src` its sender — the second rank of a two-rank
   /// critical path (paper §IV-D).
   virtual void on_recvs_ready(Engine& engine, std::uint64_t window,
                               TimeNs t, std::int32_t releasing_src) = 0;
@@ -49,9 +61,9 @@ class RankEndpoint {
   /// Every tagged message delivery (dst_tag != -1), before any
   /// on_recvs_ready. `dst_tag` is the sender-supplied routing tag (e.g.
   /// destination block id) — the hook the overlap runtime uses to track
-  /// per-block readiness. Untagged deliveries (the BSP runtime's, which
-  /// only cares about window completion) skip this call. Default:
-  /// ignored.
+  /// per-block readiness. Untagged messages (the BSP runtime's, which
+  /// only cares about window completion) are counted, not delivered as
+  /// events, so they never reach this call. Default: ignored.
   virtual void on_message(Engine& engine, std::uint64_t window, TimeNs t,
                           std::int32_t src, std::int64_t dst_tag) {
     (void)engine;
@@ -72,15 +84,15 @@ struct CollectiveParams {
 class Comm final : public EventHandler {
  public:
   /// With `sharded` non-null the comm routes events through the sharded
-  /// engine instead of `engine`: deliveries and collective completions
-  /// are scheduled with canonical dispatch keys (engine.hpp event_key)
-  /// into the destination rank's shard — buffered through the sharded
-  /// engine's mailbox when source and destination shards differ — and
-  /// all mutable bookkeeping a shard thread touches is partitioned by
-  /// rank or by shard (arrival counts, collective accumulators), with the
-  /// merges happening in on_epoch_barrier(). The fabric must have
-  /// sharding enabled so transfer() is per-node too. nranks must fit the
-  /// delivery tag layout (at most kMaxRanks).
+  /// engine instead of `engine`: messages take canonical dispatch keys
+  /// (engine.hpp event_key), and wakes, tagged deliveries and collective
+  /// completions go into the destination rank's shard. All mutable
+  /// bookkeeping a shard thread touches is partitioned by rank or by
+  /// shard: a same-shard message updates the receiver's record directly,
+  /// a cross-shard one is appended to its source shard's outbox, and
+  /// on_epoch_barrier() merges the outboxes and collective accumulators.
+  /// The fabric must have sharding enabled so transfer() is per-node too.
+  /// nranks must fit the delivery tag layout (at most kMaxRanks).
   Comm(Engine& engine, Fabric& fabric, std::int32_t nranks,
        CollectiveParams collective = {}, ShardedEngine* sharded = nullptr);
 
@@ -105,7 +117,8 @@ class Comm final : public EventHandler {
   void set_endpoint(std::int32_t rank, RankEndpoint* endpoint);
 
   /// Attach an event tracer (nullptr detaches): every P2P message gets a
-  /// flow arrow from its isend post to its delivery. Sequential only.
+  /// flow arrow from its isend post to its delivery, both recorded at
+  /// isend. Sequential only.
   void set_tracer(Tracer* tracer);
 
   /// Open a P2P exchange window. expected[r] = number of messages rank r
@@ -125,31 +138,46 @@ class Comm final : public EventHandler {
   /// Post a nonblocking send within a window. Returns the time at which
   /// an MPI_Wait on this send request would return (buffer handed off;
   /// inflated by ACK-recovery blocking when that pathology is active).
-  /// `dst_tag` rides along to the receiver's on_message hook; it must lie
-  /// in [kMinDstTag, max_dst_tag()], and -1 means untagged (no
-  /// on_message call). `msgs` > 1 posts an aggregated transfer (one
-  /// delivery event carrying that many logical boundary messages; counts
-  /// as ONE arrival against the window's expected count, so aggregated
-  /// windows must size `expected` per peer rather than per block pair). `priority` marks a transfer
-  /// promoted by critical-path send ordering — timing is unchanged, but
-  /// the trace flow is named "p2p-priority" so promotions are visible.
+  /// An untagged message is counted against the receiver's expected
+  /// count here (aborting if that count is exceeded; cross-shard ones
+  /// are counted at the next epoch barrier), a tagged one when its
+  /// delivery dispatches. `dst_tag` rides along to the receiver's
+  /// on_message hook; it must lie in [kMinDstTag, max_dst_tag()], and -1
+  /// means untagged: no delivery event and no on_message call. `msgs` >
+  /// 1 posts an aggregated transfer (one delivery carrying that many
+  /// logical boundary messages; counts as ONE arrival against the
+  /// window's expected count, so aggregated windows must size `expected`
+  /// per peer rather than per block pair).
+  /// `priority` marks a transfer promoted by critical-path send ordering
+  /// — timing is unchanged, but the trace flow is named "p2p-priority"
+  /// so promotions are visible.
   TimeNs isend(std::int32_t src, std::int32_t dst, std::int64_t bytes,
                std::uint64_t window, TimeNs post_time,
                std::int64_t dst_tag = -1, std::int32_t msgs = 1,
                bool priority = false);
 
-  /// Rank's waitall on its receives for the window. If all messages have
-  /// already arrived, returns true (rank proceeds at wait_start). If not,
-  /// registers the rank for on_recvs_ready and returns false.
-  bool wait_recvs(std::int32_t rank, std::uint64_t window,
-                  TimeNs wait_start);
+  /// Rank's waitall on its receives for the window, called from an event
+  /// `engine` is dispatching (the rank's shard under sharding). Returns
+  /// true when every expected message is counted and the latest one's
+  /// (time, key) has dispatched (Engine::dispatched) — the rank proceeds
+  /// at once. Otherwise the rank parks and returns false; once its count
+  /// is complete, one wake event at the latest (time, key) calls
+  /// on_recvs_ready. A tagged latest message wakes the rank from its own
+  /// delivery event, right after on_message.
+  bool wait_recvs(Engine& engine, std::int32_t rank, std::uint64_t window);
 
-  /// True once every expected message of the window has been delivered to
-  /// every rank; the window can then be closed.
+  /// True once every expected message of the window is counted and
+  /// delivered by the coordinator's clock (engine.now(), or the sharded
+  /// engine's now()); the window can then be closed.
   bool exchange_complete(std::uint64_t window) const;
 
   /// Release a completed exchange window's bookkeeping.
   void end_exchange(std::uint64_t window);
+
+  /// Sharded mode: cross-shard message records merged into `shard`'s
+  /// receivers since the last call (the shards table's mailbox column);
+  /// resets the count.
+  std::int64_t take_cross_shard_records(std::int32_t shard);
 
   /// Enter a blocking collective (allreduce-style). Completion fires
   /// on_collective_done on every participating rank. Every rank must
@@ -157,17 +185,36 @@ class Comm final : public EventHandler {
   void enter_collective(std::uint64_t window, std::int32_t rank,
                         TimeNs entry_time);
 
-  // EventHandler: message deliveries and collective completions.
+  // EventHandler: tagged deliveries, receive wakes and collective
+  // completions.
   void on_event(Engine& engine, std::uint64_t tag) override;
 
   /// Sharded mode: the sharded engine's epoch-barrier hook (registered
   /// by the owner via ShardedEngine::set_barrier_callback). Runs single-
-  /// threaded between epochs: merges per-shard collective accumulators,
-  /// scheduling a completion event into every shard once all ranks have
-  /// entered (each shard then notifies its own contiguous rank range).
+  /// threaded between epochs. Hands the outboxes' messages to their
+  /// receivers as isend does (counts add, the latest is the max by
+  /// (time, key)), scheduling each tagged delivery and each completed
+  /// wake into the receiver's shard; lookahead puts every such time at
+  /// or beyond the next epoch's start. Then merges per-shard collective
+  /// accumulators, scheduling a completion event into every shard once
+  /// all ranks have entered (each shard then notifies its own contiguous
+  /// rank range).
   void on_epoch_barrier();
 
  private:
+  /// One receiver's messages in one window: everything its receive
+  /// completion depends on, in one 32-byte record (isend touches one
+  /// cache line of the receiver's state).
+  struct RecvRecord {
+    TimeNs t = 0;            ///< latest counted delivery time
+    std::uint64_t key = 0;   ///< its dispatch key
+    std::int32_t expected = 0;
+    std::int32_t posted = 0;  ///< messages counted so far
+    std::int32_t src = -1;   ///< its sender
+    bool waiting = false;    ///< receiver parked in wait_recvs
+  };
+  static_assert(sizeof(RecvRecord) == 32);
+
   /// Pooled per-window exchange bookkeeping. Slots are recycled across
   /// windows (open flag, not erasure), so at steady state a step reuses
   /// the previous step's vectors at full capacity. Slot indices are
@@ -176,12 +223,18 @@ class Comm final : public EventHandler {
   struct ExchangeState {
     std::uint64_t window = 0;
     bool open = false;
-    std::vector<std::int32_t> expected;
-    std::vector<std::int32_t> arrived;
-    std::vector<std::uint8_t> waiting;
-    // No aggregate outstanding counter: deliveries on different shards
-    // would race on it. exchange_complete/end_exchange (coordinator-only
-    // calls) sum expected - arrived on demand instead.
+    // Indexed by receiver. No aggregate outstanding counter: posts on
+    // different shards would race on it. exchange_complete/end_exchange
+    // (coordinator-only calls) scan the records instead.
+    std::vector<RecvRecord> recvs;
+  };
+
+  /// A cross-shard message awaiting the barrier merge: its delivery
+  /// tag (which names slot, dst and src) and dispatch slot.
+  struct CrossPost {
+    TimeNs t;
+    std::uint64_t key;
+    std::uint64_t tag;
   };
 
   /// Active collectives (typically one): linear scan beats a hash map at
@@ -198,8 +251,13 @@ class Comm final : public EventHandler {
   // the top: the exchange slot in bits 59..62, then dst and src in
   // rank_bits_ = bit_width(nranks - 1) bits each, then dst_tag -
   // kMinDstTag in the low dst_tag_bits_ = 59 - 2 * rank_bits_ bits.
+  // Untagged messages never dispatch, so an untagged delivery tag is
+  // free to mean "wake": a receive wake's tag is exactly the tag its
+  // last delivery would have had.
   static constexpr std::uint64_t kCollectiveBit = 1ULL << 63;
   static constexpr unsigned kSlotShift = 59;
+  static constexpr auto kUntaggedField =
+      static_cast<std::uint64_t>(-1 - kMinDstTag);
 
   std::uint64_t delivery_tag(std::size_t slot, std::int32_t src,
                              std::int32_t dst, std::int64_t dst_tag) const {
@@ -209,13 +267,30 @@ class Comm final : public EventHandler {
            static_cast<std::uint64_t>(dst_tag - kMinDstTag);
   }
 
-  /// A traced message's flow arrow data, filed under the delivery
-  /// event's schedule sequence number (Engine::next_seq at isend,
-  /// Engine::dispatch_seq at delivery).
-  struct TraceFlow {
-    std::int64_t bytes;
-    std::uint64_t flow_id;
-  };
+  std::size_t slot_of(std::uint64_t tag) const {
+    return static_cast<std::size_t>(tag >> kSlotShift);
+  }
+  std::int32_t dst_of(std::uint64_t tag) const {
+    return static_cast<std::int32_t>((tag >> dst_shift_) & rank_mask_);
+  }
+  std::int32_t src_of(std::uint64_t tag) const {
+    return static_cast<std::int32_t>((tag >> dst_tag_bits_) & rank_mask_);
+  }
+  bool is_tagged(std::uint64_t tag) const {
+    return (tag & dst_tag_mask_) != kUntaggedField;
+  }
+
+  /// Hand a message to its receiver; `engine` is the receiver's (shard)
+  /// engine. A tagged message becomes its delivery event. An untagged
+  /// one is counted, and schedules the receiver's wake when it
+  /// completes a parked receive.
+  void post(Engine& engine, std::uint64_t tag, TimeNs t, std::uint64_t key);
+  /// Count a message delivered at (t, key) from `src` into a record.
+  static void count(RecvRecord& rv, TimeNs t, std::uint64_t key,
+                    std::int32_t src);
+  /// Schedule `rank`'s wake at its record's latest (t, key).
+  void schedule_wake(Engine& engine, std::size_t slot, std::int32_t rank,
+                     const RecvRecord& rv);
 
   Engine& engine_;
   Fabric& fabric_;
@@ -245,8 +320,12 @@ class Comm final : public EventHandler {
   /// this epoch; merged (commutatively: counts add, max_entry maxes)
   /// into collectives_ at the barrier.
   std::vector<std::vector<CollectiveState>> shard_collectives_;
-  /// Traced runs only: flow data of messages in flight.
-  std::unordered_map<std::uint64_t, TraceFlow> trace_flows_;
+  /// [source shard] -> cross-shard messages posted this epoch; one
+  /// writer per vector (the source shard's thread).
+  std::vector<std::vector<CrossPost>> outboxes_;
+  /// [receiver shard] -> cross-shard records merged since the last
+  /// take_cross_shard_records.
+  std::vector<std::int64_t> cross_shard_records_;
 };
 
 }  // namespace amr

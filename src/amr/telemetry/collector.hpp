@@ -59,9 +59,12 @@ class Collector {
 
   /// shards(step, shard i64, events i64, epochs i64, stalls i64,
   ///        mailbox i64) — per-(step, DES shard) execution counters from
-  ///        the sharded engine (empty for sequential runs). `stalls`
-  ///        counts lookahead epochs in which the shard dispatched
-  ///        nothing — the shard-imbalance signal.
+  ///        the sharded engine (empty for sequential runs). `events`
+  ///        counts dispatched events (untagged messages are counted by
+  ///        the comm, not dispatched); `stalls` counts lookahead epochs
+  ///        in which the shard dispatched nothing — the shard-imbalance
+  ///        signal; `mailbox` counts cross-shard message records merged
+  ///        into the shard at epoch barriers.
   void record_shard(std::int64_t step, std::int32_t shard,
                     std::int64_t events, std::int64_t epochs,
                     std::int64_t stalls, std::int64_t mailbox);

@@ -337,6 +337,64 @@ TEST(Engine, DesTraceCarriesTagAndScheduleSequence) {
   EXPECT_EQ(got[3], std::make_tuple(TimeNs{30}, 100, 0));
 }
 
+TEST(Engine, ReservedKeyLeavesLaterKeysAndDesInstantsUnchanged) {
+  // reserve_key() is a schedule_at whose event does not exist (yet):
+  // every later legacy key, and the (tag, seq) dispatch instants of the
+  // remaining events, match a run that scheduled it. Filling the slot
+  // later with schedule_keyed restores that run exactly.
+  enum class Mode { kScheduled, kReserved, kFilledLate };
+  const auto run = [](Mode mode) {
+    TraceConfig cfg;
+    cfg.categories = kAllTraceCategories;
+    Tracer tracer(cfg);
+    Engine engine;
+    engine.set_tracer(&tracer);
+    Recorder rec;
+    engine.schedule_at(20, &rec, 1);
+    std::uint64_t held = 0;
+    if (mode == Mode::kScheduled)
+      engine.schedule_at(10, &rec, 2);
+    else
+      held = engine.reserve_key();
+    engine.schedule_at(10, &rec, 3);
+    engine.schedule_at(5, &rec, 4);
+    engine.schedule_at(10, &rec, 5);
+    if (mode == Mode::kFilledLate) engine.schedule_keyed(10, held, &rec, 2);
+    engine.run();
+    std::vector<std::tuple<TimeNs, std::int64_t, std::int64_t>> got;
+    tracer.for_each([&](const TraceEvent& ev) {
+      if (ev.cat == TraceCat::kDes) got.emplace_back(ev.ts, ev.a, ev.b);
+    });
+    return got;
+  };
+  const auto scheduled = run(Mode::kScheduled);
+  ASSERT_EQ(scheduled.size(), 5u);
+  EXPECT_EQ(scheduled[1], std::make_tuple(TimeNs{10}, 2, 1));
+  auto without = scheduled;
+  without.erase(without.begin() + 1);
+  EXPECT_EQ(run(Mode::kReserved), without);
+  EXPECT_EQ(run(Mode::kFilledLate), scheduled);
+}
+
+TEST(Engine, DispatchedOrdersByTimeThenKey) {
+  // Inside a dispatch, (t, key) has dispatched when it orders at or
+  // before the event being dispatched; outside one, when t <= now().
+  Engine engine;
+  std::vector<bool> seen;
+  engine.call_at(10, [&seen](Engine& e) {
+    const std::uint64_t key = e.dispatch_key();
+    seen.push_back(e.dispatched(9, ~0ULL));
+    seen.push_back(e.dispatched(10, key - 1));
+    seen.push_back(e.dispatched(10, key));
+    seen.push_back(e.dispatched(10, key + 1));
+    seen.push_back(e.dispatched(11, 0));
+  });
+  engine.run();
+  EXPECT_EQ(seen, (std::vector<bool>{true, true, true, false, false}));
+  EXPECT_TRUE(engine.dispatched(10, ~0ULL));
+  EXPECT_FALSE(engine.dispatched(11, 0));
+}
+
 TEST(Engine, PendingCallbacksAreFreedWithTheEngine) {
   // A callback that never dispatches is still owned by the engine; its
   // captures are destroyed with it (the sanitizer trees catch a leak).

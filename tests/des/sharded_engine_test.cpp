@@ -63,13 +63,18 @@ TEST(ShardedEngine, NodePartitionIsContiguousAndCoversAllRanks) {
 
 TEST(ShardedEngine, EqualTimeKeyedEventsDispatchInKeyOrder) {
   // Insertion order scrambled three ways (direct, reversed, via the
-  // cross-shard mailbox): dispatch must always be ascending key.
+  // barrier callback): dispatch must always be ascending key.
   const ClusterTopology topo(32, 16);  // 2 nodes
   ShardedEngine eng(topo, 2, 10, nullptr);
   Recorder rec;
+  bool injected = false;
+  eng.set_barrier_callback([&] {
+    if (injected) return;
+    injected = true;
+    eng.shard(0).schedule_keyed(100, 5, &rec, 5);
+  });
   eng.shard(0).schedule_keyed(100, 7, &rec, 7);
   eng.shard(0).schedule_keyed(100, 3, &rec, 3);
-  eng.post(1, 0, 100, 5, &rec, 5);  // arrives via mailbox drain
   eng.shard(0).schedule_keyed(100, 1, &rec, 1);
   eng.run_all();
   ASSERT_EQ(rec.log.size(), 4u);
@@ -92,17 +97,25 @@ TEST(ShardedEngine, RunUntilAlignsDrainedShardClocks) {
   EXPECT_EQ(eng.shard(1).now(), 500);
 }
 
-TEST(ShardedEngine, StatsCountMailboxEventsAndEpochs) {
+TEST(ShardedEngine, StatsCountEventsAndEpochs) {
+  // Events a barrier callback schedules count like any other; the
+  // mailbox column belongs to the comm layer and stays zero here.
   const ClusterTopology topo(32, 16);
   ShardedEngine eng(topo, 2, 10, nullptr);
   Recorder rec;
+  bool injected = false;
+  eng.set_barrier_callback([&] {
+    if (injected) return;
+    injected = true;
+    eng.shard(1).schedule_keyed(25, 2, &rec, 1);
+  });
   eng.shard(0).schedule_keyed(10, 1, &rec, 0);
-  eng.post(0, 1, 25, 2, &rec, 1);
   eng.run_all();
   const auto& stats = eng.last_stats();
   ASSERT_EQ(stats.size(), 2u);
-  EXPECT_EQ(stats[0].events + stats[1].events, 2);
-  EXPECT_EQ(stats[1].mailbox_events, 1);
+  EXPECT_EQ(stats[0].events, 1);
+  EXPECT_EQ(stats[1].events, 1);
+  EXPECT_EQ(stats[1].mailbox_events, 0);
   EXPECT_GT(stats[0].epochs, 0);
   EXPECT_EQ(stats[0].epochs, stats[1].epochs);
 }
@@ -163,14 +176,35 @@ TEST(Engine, FuzzKeyedDispatchMatchesTimeKeySortReference) {
   }
 }
 
+class NodeProgram;
+
+/// Cross-node events buffered per source shard during an epoch and
+/// scheduled from the barrier callback — the pattern the comm layer uses
+/// for cross-shard messages (each vector has one writer, its shard).
+struct Outboxes {
+  struct Entry {
+    TimeNs t;
+    std::uint64_t key;
+    NodeProgram* target;
+    std::int32_t target_node;
+  };
+  ShardedEngine* eng = nullptr;
+  std::vector<std::vector<Entry>> boxes;
+
+  explicit Outboxes(ShardedEngine& e)
+      : eng(&e), boxes(static_cast<std::size_t>(e.num_shards())) {}
+  void drain();
+};
+
 /// Cross-shard fuzz workload: every node runs a deterministic per-node
-/// program that, on each event, schedules more work locally and posts
+/// program that, on each event, schedules more work locally and sends
 /// keyed events to random peer nodes beyond the lookahead bound. Node
 /// behaviour depends only on that node's own dispatch sequence, so the
 /// per-node fired logs must be identical under any shard count.
 class NodeProgram final : public EventHandler {
  public:
   ShardedEngine* eng = nullptr;
+  Outboxes* outboxes = nullptr;
   std::int32_t node = 0;
   std::int32_t num_nodes = 0;
   TimeNs lookahead = 0;
@@ -198,9 +232,8 @@ class NodeProgram final : public EventHandler {
       const TimeNs t = engine.now() + lookahead + 1 +
                        static_cast<TimeNs>(rng() % 64);
       NodeProgram& target = (*peers)[static_cast<std::size_t>(dst)];
-      const std::uint64_t ek = key();
-      eng->post(eng->shard_of_node(node), eng->shard_of_node(dst), t, ek,
-                &target, ek);
+      outboxes->boxes[static_cast<std::size_t>(eng->shard_of_node(node))]
+          .push_back(Outboxes::Entry{t, key(), &target, dst});
     }
   }
 
@@ -211,6 +244,15 @@ class NodeProgram final : public EventHandler {
   }
 };
 
+void Outboxes::drain() {
+  for (std::vector<Entry>& box : boxes) {
+    for (const Entry& e : box)
+      eng->shard(eng->shard_of_node(e.target_node))
+          .schedule_keyed(e.t, e.key, e.target, e.key);
+    box.clear();
+  }
+}
+
 TEST(ShardedEngine, FuzzCrossShardDispatchInvariantUnderShardCount) {
   const ClusterTopology topo(64, 16);  // 4 nodes
   const TimeNs lookahead = 20;
@@ -218,11 +260,14 @@ TEST(ShardedEngine, FuzzCrossShardDispatchInvariantUnderShardCount) {
     std::vector<std::vector<std::pair<TimeNs, std::uint64_t>>> reference;
     for (const std::int32_t shards : {1, 2, 4}) {
       ShardedEngine eng(topo, shards, lookahead, nullptr);
+      Outboxes outboxes(eng);
+      eng.set_barrier_callback([&outboxes] { outboxes.drain(); });
       std::vector<NodeProgram> nodes(
           static_cast<std::size_t>(topo.num_nodes()));
       for (std::int32_t n = 0; n < topo.num_nodes(); ++n) {
         NodeProgram& p = nodes[static_cast<std::size_t>(n)];
         p.eng = &eng;
+        p.outboxes = &outboxes;
         p.node = n;
         p.num_nodes = topo.num_nodes();
         p.lookahead = lookahead;
@@ -258,11 +303,14 @@ TEST(ShardedEngine, ThreadPoolExecutionMatchesInlineExecution) {
   ThreadPool pool(4);
   for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
     ShardedEngine eng(topo, 4, lookahead, p);
+    Outboxes outboxes(eng);
+    eng.set_barrier_callback([&outboxes] { outboxes.drain(); });
     std::vector<NodeProgram> nodes(
         static_cast<std::size_t>(topo.num_nodes()));
     for (std::int32_t n = 0; n < topo.num_nodes(); ++n) {
       NodeProgram& prog = nodes[static_cast<std::size_t>(n)];
       prog.eng = &eng;
+      prog.outboxes = &outboxes;
       prog.node = n;
       prog.num_nodes = topo.num_nodes();
       prog.lookahead = lookahead;

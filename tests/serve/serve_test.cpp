@@ -188,7 +188,13 @@ std::vector<JobSpec> mixed_fleet() {
 }
 
 TEST(QuantumScheduler, MultiplexedOutputMatchesStandalone) {
-  const std::vector<JobSpec> fleet = mixed_fleet();
+  // Twins split across batches: batches are (a, c), (b, d), (a, c), ...
+  // and a batch finishes before the next starts, so the first twin
+  // always publishes an epoch's plans before the second needs them.
+  // Twins sharing a batch run concurrently and can both miss.
+  const std::vector<JobSpec> mixed = mixed_fleet();
+  const std::vector<JobSpec> fleet = {mixed[0], mixed[2], mixed[1],
+                                      mixed[3]};
   std::vector<std::string> want;
   for (const JobSpec& spec : fleet) want.push_back(standalone_text(spec));
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <random>
 #include <vector>
 
+#include "amr/des/sharded_engine.hpp"
 #include "amr/exec/overlap.hpp"
 
 namespace amr {
@@ -57,11 +60,13 @@ struct Harness {
 };
 
 TEST(Comm, DeliveryCompletesExchange) {
+  // An untagged message is counted, not dispatched: the window completes
+  // once the clock passes its delivery time.
   Harness h(4);
   h.comm.begin_exchange(1, {0, 1, 0, 0});
   h.comm.isend(0, 1, 1000, 1, 0);
   EXPECT_FALSE(h.comm.exchange_complete(1));
-  h.engine.run();
+  h.engine.run_until(ms(1.0));
   EXPECT_TRUE(h.comm.exchange_complete(1));
   h.comm.end_exchange(1);
 }
@@ -71,7 +76,7 @@ TEST(Comm, WaitBeforeArrivalParksThenNotifies) {
   h.comm.begin_exchange(2, {0, 1, 0, 0});
   const TimeNs release = h.comm.isend(0, 1, 1000, 2, 0);
   EXPECT_GT(release, 0);
-  EXPECT_FALSE(h.comm.wait_recvs(1, 2, 0));
+  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 1, 2));
   h.engine.run();
   EXPECT_EQ(h.endpoints[1].recv_ready_calls, 1);
   EXPECT_EQ(h.endpoints[1].recv_ready_window, 2u);
@@ -83,8 +88,8 @@ TEST(Comm, WaitAfterArrivalReturnsImmediately) {
   Harness h(4);
   h.comm.begin_exchange(3, {0, 1, 0, 0});
   h.comm.isend(0, 1, 1000, 3, 0);
-  h.engine.run();
-  EXPECT_TRUE(h.comm.wait_recvs(1, 3, h.engine.now()));
+  h.engine.run_until(ms(1.0));
+  EXPECT_TRUE(h.comm.wait_recvs(h.engine, 1, 3));
   EXPECT_EQ(h.endpoints[1].recv_ready_calls, 0);  // no callback needed
 }
 
@@ -94,7 +99,7 @@ TEST(Comm, MultipleMessagesReleaseOnLastArrival) {
   h.comm.isend(0, 1, 1000, 4, 0);
   h.comm.isend(2, 1, 1000, 4, 0);
   h.comm.isend(3, 1, 500000, 4, 0);  // big message arrives last
-  EXPECT_FALSE(h.comm.wait_recvs(1, 4, 0));
+  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 1, 4));
   h.engine.run();
   EXPECT_EQ(h.endpoints[1].recv_ready_calls, 1);
   EXPECT_EQ(h.endpoints[1].release_src, 3);
@@ -131,7 +136,11 @@ TEST(Comm, IndependentWindowsDoNotInterfere) {
   h.comm.begin_exchange(11, {0, 0, 1, 0});
   h.comm.isend(0, 1, 100, 10, 0);
   h.comm.isend(0, 2, 100, 11, 0);
+  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 1, 10));
+  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 2, 11));
   h.engine.run();
+  EXPECT_EQ(h.endpoints[1].recv_ready_window, 10u);
+  EXPECT_EQ(h.endpoints[2].recv_ready_window, 11u);
   EXPECT_TRUE(h.comm.exchange_complete(10));
   EXPECT_TRUE(h.comm.exchange_complete(11));
   h.comm.end_exchange(10);
@@ -147,7 +156,10 @@ TEST(Comm, SenderReleaseReflectsAckPathology) {
   h.comm.begin_exchange(12, {0, 0, 1, 0});
   const TimeNs release = h.comm.isend(0, 2, 1000, 12, 0);
   EXPECT_GE(release, ms(2.0));
+  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 2, 12));
   h.engine.run();
+  // The data arrived long before the sender's request completed.
+  EXPECT_LT(h.endpoints[2].recv_ready_time, release);
   h.comm.end_exchange(12);
 }
 
@@ -160,7 +172,7 @@ TEST(Comm, ZeroMessageWindowCompletesImmediately) {
   h.comm.begin_exchange(20, {0, 0, 0, 0});
   EXPECT_TRUE(h.comm.exchange_complete(20));
   for (std::int32_t r = 0; r < 4; ++r)
-    EXPECT_TRUE(h.comm.wait_recvs(r, 20, 0));
+    EXPECT_TRUE(h.comm.wait_recvs(h.engine, r, 20));
   h.engine.run();
   for (const auto& ep : h.endpoints) EXPECT_EQ(ep.recv_ready_calls, 0);
   h.comm.end_exchange(20);
@@ -173,9 +185,9 @@ TEST(Comm, SenderWithNoRecvsNeverParks) {
   h.comm.begin_exchange(21, {0, 2, 0, 0});
   h.comm.isend(0, 1, 1000, 21, 0);
   h.comm.isend(0, 1, 2000, 21, 0);
-  EXPECT_TRUE(h.comm.wait_recvs(0, 21, 0));
+  EXPECT_TRUE(h.comm.wait_recvs(h.engine, 0, 21));
   EXPECT_FALSE(h.comm.exchange_complete(21));
-  h.engine.run();
+  h.engine.run_until(ms(1.0));
   EXPECT_EQ(h.endpoints[0].recv_ready_calls, 0);
   EXPECT_TRUE(h.comm.exchange_complete(21));
   h.comm.end_exchange(21);
@@ -185,11 +197,16 @@ TEST(Comm, AggregatedSendCountsAsOneArrival) {
   // An aggregated isend (msgs > 1) is one packed transfer: one delivery
   // against the window's expected count, released later than the
   // equivalent single message by the fabric's per-message overhead.
+  // Each delivery is observed through the receiver's wake, parked
+  // before the run, so the clock stops at the delivery time.
   Harness h(4);
+  TestEndpoint& rx = h.endpoints[1];
   h.comm.begin_exchange(22, {0, 1, 0, 0});
   h.comm.isend(0, 1, 4000, 22, 0, -1, 5);
   EXPECT_FALSE(h.comm.exchange_complete(22));
+  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 1, 22));
   h.engine.run();
+  EXPECT_EQ(rx.recv_ready_calls, 1);
   EXPECT_TRUE(h.comm.exchange_complete(22));
   EXPECT_EQ(h.fabric.stats().packed_transfers, 1);
   EXPECT_EQ(h.fabric.stats().coalesced_msgs, 4);
@@ -199,15 +216,18 @@ TEST(Comm, AggregatedSendCountsAsOneArrival) {
   h.comm.begin_exchange(23, {0, 1, 0, 0});
   h.comm.isend(0, 1, 4000, 23, h.engine.now());
   const TimeNs plain_start = h.engine.now();
+  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 1, 23));
   h.engine.run();
-  const TimeNs plain = h.engine.now() - plain_start;
+  const TimeNs plain = rx.recv_ready_time - plain_start;
   h.comm.end_exchange(23);
   h.comm.begin_exchange(24, {0, 1, 0, 0});
   h.comm.isend(0, 1, 4000, 24, h.engine.now(), -1, 5);
   const TimeNs packed_start = h.engine.now();
+  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 1, 24));
   h.engine.run();
-  const TimeNs packed = h.engine.now() - packed_start;
+  const TimeNs packed = rx.recv_ready_time - packed_start;
   h.comm.end_exchange(24);
+  EXPECT_EQ(rx.recv_ready_calls, 3);
   EXPECT_EQ(packed, plain + 4 * quiet_params().packed_msg_overhead);
 }
 
@@ -269,7 +289,7 @@ TEST(Comm, ExtremeFieldValuesRoundTripThroughTheDeliveryTag) {
   comm.isend(kLast, 0, 64, window, 10, kPackedSendTag);
   comm.isend(kLast, 0, 64, window, 20, 0);
   comm.isend(0, kLast, 64, window, 30, 77);
-  EXPECT_FALSE(comm.wait_recvs(0, window, 0));
+  EXPECT_FALSE(comm.wait_recvs(engine, 0, window));
   engine.run();
   const std::vector<MessageLog::Message> want = {
       {0, window, kLast, comm.max_dst_tag()},
@@ -297,12 +317,358 @@ TEST(Comm, UntaggedDeliveriesSkipOnMessage) {
   comm.isend(0, 1, 100, 5, 0);
   comm.isend(2, 1, 100, 5, 0, -1, 4);
   comm.isend(3, 1, 100, 5, 0, 9);
-  EXPECT_FALSE(comm.wait_recvs(1, 5, 0));
+  EXPECT_FALSE(comm.wait_recvs(engine, 1, 5));
   engine.run();
   ASSERT_EQ(log.size(), 1u);
   EXPECT_EQ(log[0], (MessageLog::Message{1, 5, 3, 9}));
   EXPECT_TRUE(comm.exchange_complete(5));
   EXPECT_NE(eps[1].last_release_src, -1);
+}
+
+/// What a rank observed, in the order the endpoints saw it: 'm' an
+/// on_message, 'r' an on_recvs_ready, 'w' a wait_recvs that returned
+/// true at once.
+struct Observed {
+  char kind;
+  std::int32_t rank;
+  TimeNs t;
+  std::int32_t src;
+  std::int64_t dst_tag;
+  bool operator==(const Observed&) const = default;
+};
+
+class ObservingEndpoint final : public RankEndpoint {
+ public:
+  ObservingEndpoint(std::vector<Observed>* log, std::int32_t rank)
+      : log_(log), rank_(rank) {}
+  void on_recvs_ready(Engine&, std::uint64_t, TimeNs t,
+                      std::int32_t src) override {
+    log_->push_back({'r', rank_, t, src, -1});
+  }
+  void on_collective_done(Engine&, std::uint64_t, TimeNs) override {}
+  void on_message(Engine&, std::uint64_t, TimeNs t, std::int32_t src,
+                  std::int64_t dst_tag) override {
+    log_->push_back({'m', rank_, t, src, dst_tag});
+  }
+
+ private:
+  std::vector<Observed>* log_;
+  std::int32_t rank_;
+};
+
+/// Integer-nanosecond fabric with no jitter and small constants, so
+/// posts, deliveries and waits collide on equal nanoseconds.
+FabricParams grid_params() {
+  FabricParams p = quiet_params();
+  p.remote_latency = 8;
+  p.remote_per_msg = 2;
+  p.remote_gbytes_per_sec = 1.0;
+  p.shm_latency = 6;
+  p.shm_gbytes_per_sec = 1.0;
+  p.post_overhead = 1;
+  return p;
+}
+
+constexpr std::uint64_t kFuzzWindow = 3;
+constexpr std::int32_t kFuzzRanks = 8;
+
+/// Test-only oracle: the eager per-message model that counted
+/// completion replaces. Every message is a DES event scheduled at isend,
+/// arrivals count at dispatch, and a parked receiver wakes inline on its
+/// last delivery.
+class EagerComm final : public EventHandler {
+ public:
+  EagerComm(Engine& engine, Fabric& fabric,
+            std::vector<ObservingEndpoint>& eps,
+            std::vector<std::int32_t> expected)
+      : engine_(engine), fabric_(fabric), eps_(eps),
+        expected_(std::move(expected)), arrived_(expected_.size(), 0),
+        waiting_(expected_.size(), false) {}
+
+  void isend(std::int32_t src, std::int32_t dst, std::int64_t bytes,
+             std::int64_t dst_tag) {
+    const TransferTiming t =
+        fabric_.transfer(src, dst, bytes, engine_.now());
+    deliveries.push_back({dst, t.delivery});
+    engine_.schedule_at(t.delivery, this,
+                        static_cast<std::uint64_t>(src) |
+                            (static_cast<std::uint64_t>(dst) << 16) |
+                            (static_cast<std::uint64_t>(dst_tag + 2) << 32));
+  }
+  bool wait_recvs(std::int32_t rank) {
+    const auto r = static_cast<std::size_t>(rank);
+    if (arrived_[r] >= expected_[r]) return true;
+    waiting_[r] = true;
+    return false;
+  }
+  bool complete() const { return arrived_ == expected_; }
+
+  void on_event(Engine& engine, std::uint64_t tag) override {
+    const auto src = static_cast<std::int32_t>(tag & 0xffff);
+    const auto dst = static_cast<std::size_t>((tag >> 16) & 0xffff);
+    const std::int64_t dst_tag = static_cast<std::int64_t>(tag >> 32) - 2;
+    ++arrived_[dst];
+    if (dst_tag != -1)
+      eps_[dst].on_message(engine, kFuzzWindow, engine.now(), src, dst_tag);
+    if (waiting_[dst] && arrived_[dst] == expected_[dst]) {
+      waiting_[dst] = false;
+      eps_[dst].on_recvs_ready(engine, kFuzzWindow, engine.now(), src);
+    }
+  }
+
+  /// (receiver, delivery time) of every message, for the tie census.
+  std::vector<std::pair<std::int32_t, TimeNs>> deliveries;
+
+ private:
+  Engine& engine_;
+  Fabric& fabric_;
+  std::vector<ObservingEndpoint>& eps_;
+  std::vector<std::int32_t> expected_;
+  std::vector<std::int32_t> arrived_;
+  std::vector<bool> waiting_;
+};
+
+/// One scripted action: a send (dst >= 0) or a rank's wait (dst == -1).
+struct FuzzAction {
+  TimeNs t;
+  std::int32_t rank;
+  std::int32_t dst;
+  std::int64_t bytes;
+  std::int64_t dst_tag;
+};
+
+struct FuzzScenario {
+  std::vector<FuzzAction> actions;
+  std::vector<std::size_t> order;  ///< schedule order of the actions
+  std::vector<std::int32_t> expected;
+};
+
+FuzzScenario make_fuzz_scenario(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  FuzzScenario sc;
+  sc.expected.assign(kFuzzRanks, 0);
+  const int sends = static_cast<int>(rng() % 24);
+  for (int i = 0; i < sends; ++i) {
+    const auto src = static_cast<std::int32_t>(rng() % kFuzzRanks);
+    const auto dst = static_cast<std::int32_t>(
+        (src + 1 + static_cast<std::int32_t>(rng() % (kFuzzRanks - 1))) %
+        kFuzzRanks);
+    const auto t = static_cast<TimeNs>(2 * (rng() % 16));
+    const auto bytes = static_cast<std::int64_t>(2 * (rng() % 4));
+    const std::int64_t dst_tag =
+        rng() % 3 == 0 ? static_cast<std::int64_t>(rng() % 5) : -1;
+    sc.actions.push_back({t, src, dst, bytes, dst_tag});
+    ++sc.expected[static_cast<std::size_t>(dst)];
+  }
+  for (std::int32_t r = 0; r < kFuzzRanks; ++r)
+    sc.actions.push_back(
+        {static_cast<TimeNs>(2 * (rng() % 30)), r, -1, 0, 0});
+  sc.order.resize(sc.actions.size());
+  for (std::size_t i = 0; i < sc.order.size(); ++i) sc.order[i] = i;
+  std::shuffle(sc.order.begin(), sc.order.end(), rng);
+  return sc;
+}
+
+/// Plays a scenario's actions as DES events against either model.
+class ScriptPlayer final : public EventHandler {
+ public:
+  const std::vector<FuzzAction>* actions = nullptr;
+  std::vector<Observed>* log = nullptr;
+  std::function<void(const FuzzAction&)> send;
+  std::function<bool(std::int32_t)> wait;
+
+  void on_event(Engine& engine, std::uint64_t tag) override {
+    const FuzzAction& a = (*actions)[tag];
+    if (a.dst >= 0)
+      send(a);
+    else if (wait(a.rank))
+      log->push_back({'w', a.rank, engine.now(), -1, -1});
+  }
+};
+
+struct FuzzOutcome {
+  std::vector<Observed> log;
+  std::vector<bool> complete;  ///< exchange_complete at each checkpoint
+  std::int64_t ties = 0;       ///< waits at one of their own deliveries
+};
+
+/// Runs the scenario against the counted Comm (eager == false) or the
+/// eager oracle, polling completion at fixed clock checkpoints.
+FuzzOutcome run_fuzz(const FuzzScenario& sc, bool eager) {
+  Engine engine;
+  ClusterTopology topo(kFuzzRanks, 4);
+  Fabric fabric(topo, grid_params(), Rng(1));
+  FuzzOutcome out;
+  std::vector<ObservingEndpoint> eps;
+  for (std::int32_t r = 0; r < kFuzzRanks; ++r) eps.emplace_back(&out.log, r);
+  Comm comm(engine, fabric, kFuzzRanks);
+  for (std::int32_t r = 0; r < kFuzzRanks; ++r)
+    comm.set_endpoint(r, &eps[static_cast<std::size_t>(r)]);
+  comm.begin_exchange(kFuzzWindow, sc.expected);
+  EagerComm ref(engine, fabric, eps, sc.expected);
+  ScriptPlayer player;
+  player.actions = &sc.actions;
+  player.log = &out.log;
+  if (eager) {
+    player.send = [&](const FuzzAction& a) {
+      ref.isend(a.rank, a.dst, a.bytes, a.dst_tag);
+    };
+    player.wait = [&](std::int32_t r) { return ref.wait_recvs(r); };
+  } else {
+    player.send = [&](const FuzzAction& a) {
+      comm.isend(a.rank, a.dst, a.bytes, kFuzzWindow, engine.now(),
+                 a.dst_tag);
+    };
+    player.wait = [&](std::int32_t r) {
+      return comm.wait_recvs(engine, r, kFuzzWindow);
+    };
+  }
+  const auto complete = [&] {
+    return eager ? ref.complete() : comm.exchange_complete(kFuzzWindow);
+  };
+  for (const std::size_t i : sc.order)
+    engine.schedule_at(sc.actions[i].t, &player, i);
+  for (TimeNs t = 0; t <= 120; t += 3) {
+    engine.run_until(t);
+    out.complete.push_back(complete());
+  }
+  engine.run();
+  out.complete.push_back(complete());
+  for (const FuzzAction& a : sc.actions)
+    if (a.dst < 0)
+      for (const auto& [dst, t] : ref.deliveries)
+        if (dst == a.rank && t == a.t) ++out.ties;
+  return out;
+}
+
+TEST(Comm, FuzzCountedCompletionMatchesEagerDeliveryModel) {
+  // Counted completion must be unobservable: wake times, releasing
+  // senders, the order of every wake and on_message, immediate waits
+  // and exchange_complete all match the eager per-message model, on
+  // scripts dense in equal-nanosecond ties.
+  std::int64_t ties = 0;
+  std::int64_t wakes = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const FuzzScenario sc = make_fuzz_scenario(seed);
+    const FuzzOutcome eager = run_fuzz(sc, true);
+    const FuzzOutcome counted = run_fuzz(sc, false);
+    ASSERT_EQ(counted.log, eager.log) << "seed " << seed;
+    ASSERT_EQ(counted.complete, eager.complete) << "seed " << seed;
+    ties += eager.ties;
+    wakes += std::count_if(eager.log.begin(), eager.log.end(),
+                           [](const Observed& o) { return o.kind == 'r'; });
+  }
+  EXPECT_GT(ties, 20) << "the fuzz no longer produces equal-time ties";
+  EXPECT_GT(wakes, 300);
+}
+
+TEST(Comm, MixedTaggedAndUntaggedWindowWakesAtTheLatest) {
+  // Rank 1 waits on tagged and untagged messages. A tagged latest wakes
+  // it inline, right after that delivery's on_message; an untagged
+  // latest wakes it with its own event at that message's delivery time.
+  const auto run = [](std::int64_t big_tag) {
+    Engine engine;
+    ClusterTopology topo(4, 2);
+    Fabric fabric(topo, quiet_params(), Rng(1));
+    Comm comm(engine, fabric, 4);
+    std::vector<Observed> log;
+    std::vector<ObservingEndpoint> eps;
+    for (std::int32_t r = 0; r < 4; ++r) eps.emplace_back(&log, r);
+    for (std::int32_t r = 0; r < 4; ++r) comm.set_endpoint(r, &eps[r]);
+    comm.begin_exchange(6, {0, 3, 0, 0});
+    comm.isend(0, 1, 100, 6, 0, 4);
+    comm.isend(2, 1, 100, 6, 0);
+    comm.isend(3, 1, 500000, 6, 0, big_tag);  // arrives last
+    EXPECT_FALSE(comm.wait_recvs(engine, 1, 6));
+    engine.run();
+    EXPECT_EQ(engine.now(), log.back().t);
+    EXPECT_TRUE(comm.exchange_complete(6));
+    return log;
+  };
+  const std::vector<Observed> tagged = run(9);
+  ASSERT_EQ(tagged.size(), 3u);
+  EXPECT_EQ(tagged[0], (Observed{'m', 1, tagged[0].t, 0, 4}));
+  EXPECT_EQ(tagged[1], (Observed{'m', 1, tagged[1].t, 3, 9}));
+  EXPECT_EQ(tagged[2], (Observed{'r', 1, tagged[1].t, 3, -1}));
+  EXPECT_LT(tagged[0].t, tagged[1].t);
+
+  const std::vector<Observed> untagged = run(-1);
+  ASSERT_EQ(untagged.size(), 2u);
+  EXPECT_EQ(untagged[0], tagged[0]);
+  // Same fabric calls, so the big message lands when it did tagged.
+  EXPECT_EQ(untagged[1], tagged[2]);
+}
+
+/// Scripted sends and waits on a sharded comm: tag = (action << 8) |
+/// rank, action 0 = send to `dst` with `bytes`, 1 = wait.
+class ShardScript final : public EventHandler {
+ public:
+  ShardScript(Comm& comm, std::int32_t dst) : comm_(comm), dst_(dst) {}
+  void on_event(Engine& engine, std::uint64_t tag) override {
+    const auto rank = static_cast<std::int32_t>(tag & 0xff);
+    if ((tag >> 8) == 0)
+      comm_.isend(rank, dst_, rank == 1 ? 1000 : 64000, 1, engine.now());
+    else
+      EXPECT_FALSE(comm_.wait_recvs(engine, rank, 1));
+  }
+
+ private:
+  Comm& comm_;
+  std::int32_t dst_;
+};
+
+TEST(Comm, CrossShardLastArrivalCompletesAtTheBarrier) {
+  // Rank 0 (shard 0) waits on a same-shard message from rank 1 and a
+  // larger cross-shard one from rank 16 (shard 1) that lands last. The
+  // cross-shard record reaches rank 0 only at an epoch barrier, which
+  // must schedule the wake: same time and releasing sender as the
+  // sequential comm, one record in shard 0's mailbox column.
+  const ClusterTopology topo(32, 16);
+  const std::vector<std::int32_t> expected = [] {
+    std::vector<std::int32_t> e(32, 0);
+    e[0] = 2;
+    return e;
+  }();
+
+  Engine seq_engine;
+  Fabric seq_fabric(topo, quiet_params(), Rng(1));
+  Comm seq(seq_engine, seq_fabric, 32);
+  std::vector<TestEndpoint> seq_eps(32);
+  for (std::int32_t r = 0; r < 32; ++r) seq.set_endpoint(r, &seq_eps[r]);
+  seq.begin_exchange(1, expected);
+  ShardScript seq_script(seq, 0);
+  seq_engine.schedule_at(0, &seq_script, 1);
+  seq_engine.schedule_at(0, &seq_script, 16);
+  seq_engine.schedule_at(100, &seq_script, (1 << 8) | 0);
+  seq_engine.run();
+
+  Engine unused;
+  Fabric fabric(topo, quiet_params(), Rng(1));
+  fabric.enable_sharding();
+  ShardedEngine sharded(topo, 2, quiet_params().remote_latency, nullptr);
+  Comm comm(unused, fabric, 32, {}, &sharded);
+  sharded.set_barrier_callback([&comm] { comm.on_epoch_barrier(); });
+  std::vector<TestEndpoint> eps(32);
+  for (std::int32_t r = 0; r < 32; ++r) comm.set_endpoint(r, &eps[r]);
+  comm.begin_exchange(1, expected);
+  ShardScript script(comm, 0);
+  sharded.shard(0).schedule_keyed(0, event_key::rank(1), &script, 1);
+  sharded.shard(1).schedule_keyed(0, event_key::rank(16), &script, 16);
+  sharded.shard(0).schedule_keyed(100, event_key::rank(0), &script,
+                                  (1 << 8) | 0);
+  sharded.run_all();
+
+  ASSERT_EQ(seq_eps[0].recv_ready_calls, 1);
+  EXPECT_EQ(seq_eps[0].release_src, 16);
+  EXPECT_EQ(eps[0].recv_ready_calls, 1);
+  EXPECT_EQ(eps[0].release_src, 16);
+  EXPECT_EQ(eps[0].recv_ready_time, seq_eps[0].recv_ready_time);
+  EXPECT_GE(eps[0].recv_ready_time, quiet_params().remote_latency);
+  EXPECT_EQ(comm.take_cross_shard_records(0), 1);
+  EXPECT_EQ(comm.take_cross_shard_records(1), 0);
+  EXPECT_EQ(comm.take_cross_shard_records(0), 0);  // taking resets
+  EXPECT_TRUE(comm.exchange_complete(1));
+  comm.end_exchange(1);
 }
 
 TEST(CommDeath, TooManyRanksForTheTagLayoutAborts) {
@@ -332,8 +698,8 @@ TEST(CommDeath, UnencodableDstTagAborts) {
 TEST(CommDeath, DoubleWaitOnSameWindowAborts) {
   Harness h(4);
   h.comm.begin_exchange(13, {0, 1, 0, 0});
-  EXPECT_FALSE(h.comm.wait_recvs(1, 13, 0));
-  EXPECT_DEATH(h.comm.wait_recvs(1, 13, 0), "waiting");
+  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 1, 13));
+  EXPECT_DEATH(h.comm.wait_recvs(h.engine, 1, 13), "waiting");
 }
 
 TEST(CommDeath, ClosingIncompleteWindowAborts) {
@@ -343,10 +709,10 @@ TEST(CommDeath, ClosingIncompleteWindowAborts) {
 }
 
 TEST(CommDeath, UnexpectedDeliveryAborts) {
+  // Messages are counted at isend, so the overflow aborts there.
   Harness h(4);
   h.comm.begin_exchange(15, {0, 0, 0, 0});
-  h.comm.isend(0, 1, 100, 15, 0);
-  EXPECT_DEATH(h.engine.run(), "expected");
+  EXPECT_DEATH(h.comm.isend(0, 1, 100, 15, 0), "expected");
 }
 
 TEST(CommDeath, DuplicateWindowAborts) {
