@@ -1,30 +1,30 @@
 // Adaptive-communication benchmark: the Fig-6-style three-way exhibit
-// of aggregation x overlap x send priority on the Sedov workload with
-// the CPLX policy.
+// of packing x overlap x send priority on the Sedov workload with the
+// CPLX policy.
 //
-// The all-or-nothing choices each leave time on the table: BSP +
-// aggregation packs every pair but the receiver still waits for the
-// full exchange; plain overlap unblocks dependent blocks early but pays
-// the per-message launch cost for every small send. Adaptive packing
-// (--comm-adaptive) decides per (src,dst) pair from the fabric model;
+// The single-axis choices each leave time on the table: packed BSP
+// coalesces every pair but the receiver still waits for the full
+// exchange; plain overlap unblocks dependent blocks early but pays the
+// per-message launch cost for every small send. Packing
+// (--comm-adaptive) decides per (src,dst) pair from the modeled policy;
 // under overlap the step runs two-stage with fused per-peer buffers
 // (aggregates launch from stage-1 completions and pay no serial
 // pack/unpack), and critical-path send priority runs the blocks
 // feeding the predicted straggler first. Three sections:
 //   1. steps/sec in SIMULATED time at paper scales for the five modes
-//      {bsp, bsp+aggregate, overlap, overlap+adaptive,
+//      {bsp, bsp+adaptive, overlap, overlap+adaptive,
 //      overlap+adaptive+priority}, with coalescing counters and an
 //      in-bench acceptance check at 2048 ranks: the adaptive overlap
 //      modes must beat both the best packed-BSP run and plain overlap;
-//   2. modeled-threshold parity: per scale, the modeled per-path
-//      thresholds must reach >= 98% of the best hand-picked global
-//      --pack-threshold setting (sweep over fixed bytes/msg points);
+//   2. modeled-policy parity: per scale, the modeled policy must reach
+//      >= 98% of the best hand-picked global --pack-threshold setting
+//      (sweep over fixed bytes/msg points);
 //   3. determinism: two identical adaptive runs produce identical
 //      reports.
 //
 // The mesh runs denser than one block per rank (--blocks-per-rank,
-// default 4), like bench_comm_aggregate: packing needs same-destination
-// sends, which only exist when a rank holds several blocks.
+// default 4): packing needs same-destination sends, which only exist
+// when a rank holds several blocks.
 //
 // The headline metric is simulated steps/s (steps / report
 // wall_seconds): host ms is printed for reference but the simulated
@@ -59,18 +59,16 @@ double now_ms() {
 struct Mode {
   const char* name;
   ExecutionMode execution;
-  bool aggregate;
   bool adaptive;
   bool priority;
 };
 
 constexpr Mode kModes[] = {
-    {"bsp", ExecutionMode::kBsp, false, false, false},
-    {"bsp+aggregate", ExecutionMode::kBsp, true, false, false},
-    {"overlap", ExecutionMode::kOverlap, false, false, false},
-    {"overlap+adaptive", ExecutionMode::kOverlap, false, true, false},
-    {"overlap+adaptive+priority", ExecutionMode::kOverlap, false, true,
-     true},
+    {"bsp", ExecutionMode::kBsp, false, false},
+    {"bsp+adaptive", ExecutionMode::kBsp, true, false},
+    {"overlap", ExecutionMode::kOverlap, false, false},
+    {"overlap+adaptive", ExecutionMode::kOverlap, true, false},
+    {"overlap+adaptive+priority", ExecutionMode::kOverlap, true, true},
 };
 
 struct ModeResult {
@@ -90,7 +88,6 @@ SimulationConfig mode_config(std::int32_t ranks, std::int64_t steps,
   // Overlap has no flux path; keep BSP identical so the exhibit
   // compares schedules, not message sets.
   cfg.include_flux_correction = false;
-  cfg.aggregate_messages = mode.aggregate;
   cfg.comm_adaptive = mode.adaptive;
   cfg.comm_pack_threshold = pack_threshold;
   cfg.send_priority = mode.priority;
@@ -147,7 +144,7 @@ int main(int argc, char** argv) {
   bool all_ok = true;
 
   print_header(
-      "sedov simulated steps/s: aggregation x overlap x send priority");
+      "sedov simulated steps/s: packing x overlap x send priority");
   // results[scale][mode]
   std::vector<std::vector<ModeResult>> results;
   for (const std::int32_t ranks : scales) {
@@ -168,7 +165,7 @@ int main(int argc, char** argv) {
           static_cast<long long>(r.report.msgs_coalesced));
     }
     // Acceptance check (2048 ranks, the paper's headline scale): the
-    // adaptive overlap modes must beat both all-or-nothing baselines.
+    // adaptive overlap modes must beat both single-axis baselines.
     if (ranks == 2048) {
       const double best_adaptive =
           std::max(row[3].steps_per_s, row[4].steps_per_s);
@@ -185,7 +182,7 @@ int main(int argc, char** argv) {
   }
 
   print_header(
-      "modeled thresholds vs hand-picked global --pack-threshold");
+      "modeled policy vs hand-picked global --pack-threshold");
   // Global sweep points in mean bytes/message: never-pack, the small
   // payloads (vertex/edge/flux), between-edge-and-face, face, pack-all.
   const std::vector<std::int64_t> sweep = {0,    512,   2560,  5120,

@@ -83,7 +83,7 @@ Point run_point(std::int32_t ranks, std::int32_t shards,
 }
 
 /// Simulated results every sharded run must agree on regardless of
-/// shard count (same fields bench_step_pipeline guards).
+/// shard count.
 bool reports_match(const RunReport& a, const RunReport& b) {
   return a.wall_seconds == b.wall_seconds &&
          a.phases.compute == b.phases.compute &&

@@ -122,11 +122,10 @@ int cmd_run(int argc, char** argv) {
         "  --ranks=N                (default 64)\n"
         "  --steps=N                (default 40)\n"
         "  --execution=bsp|overlap  (default bsp)\n"
-        "  --aggregate              (pack all same-(src,dst) sends; works\n"
-        "                            under bsp and overlap)\n"
-        "  --comm-adaptive          (per-peer adaptive packing from the\n"
-        "                            fabric eager/rendezvous threshold;\n"
-        "                            mutually exclusive with --aggregate)\n"
+        "  --comm-adaptive          (per-peer packing: coalesce every\n"
+        "                            multi-message (src,dst) pair into\n"
+        "                            one transfer; bsp and overlap)\n"
+        "  --aggregate              (second spelling of --comm-adaptive)\n"
         "  --pack-threshold=N       (global threshold override in mean\n"
         "                            bytes/message; requires\n"
         "                            --comm-adaptive; -1 = modeled)\n"
@@ -168,7 +167,7 @@ int cmd_run(int argc, char** argv) {
   // byte-identical to the uninterrupted run's.
   if (!driver->restore_note().empty())
     std::fprintf(stderr, "amrcplx: %s\n", driver->restore_note().c_str());
-  print_report(driver->run(), spec.aggregate || spec.comm_adaptive);
+  print_report(driver->run(), driver->config().comm_adaptive);
   if (!trace_out.empty()) {
     const Tracer& tracer = *driver->sim().tracer();
     if (!write_chrome_trace(tracer, trace_out)) {
@@ -213,7 +212,7 @@ int cmd_sweep(int argc, char** argv) {
       spec.collect_telemetry = false;
       SimDriver driver(spec);
       return compact_report_text(driver.run(),
-                                 aggregate || comm_adaptive);
+                                 driver.config().comm_adaptive);
     });
   }
   sweep.run();

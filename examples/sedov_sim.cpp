@@ -15,14 +15,13 @@
 //   --timing    adds host-measured placement wall-clock (nondeterministic)
 //   --overlap   task-graph execution with compute/communication overlap
 //               instead of the default BSP step
-//   --aggregate coalesce all same-(src,dst) boundary sends of a step into
-//               one packed transfer per destination rank (works under BSP
-//               and --overlap); off by default — the legacy path stays
-//               byte-identical
-//   --comm-adaptive  per-peer adaptive packing: each (src,dst) pair packs
-//               or sends eagerly by comparing its mean bytes/message
-//               against the fabric-derived eager/rendezvous threshold
-//               (mutually exclusive with --aggregate, which it subsumes)
+//   --comm-adaptive  per-peer message packing: each (src,dst) pair's
+//               boundary sends of a step coalesce into one packed
+//               transfer. The modeled policy packs every multi-message
+//               pair (BSP and --overlap); off by default — the legacy
+//               path stays byte-identical
+//   --aggregate second spelling of --comm-adaptive (same output, same
+//               snapshots)
 //   --pack-threshold=N  global packing-threshold override in mean
 //               bytes/message (requires --comm-adaptive; -1 = modeled)
 //   --send-priority  schedule sends destined for the previous window's
@@ -45,9 +44,6 @@
 //               placement_tuning_determinism diffs the two modes)
 //   --trace-out=FILE writes an event-level Perfetto/chrome://tracing
 //               trace (single-policy runs only)
-//   --no-incremental  rebuild exchange plans from scratch every step
-//               (reference path; output must be byte-identical — ctest
-//               step_pipeline_determinism diffs the two modes)
 //   --faults=N  throttle N nodes (x4 compute) for the middle half of the
 //               run; victims are picked deterministically from the seed
 //   --checkpoint-every=K  write ckpt_<step>.amrs every K steps into
@@ -102,7 +98,6 @@ int main(int argc, char** argv) {
   const std::int64_t pack_threshold = flags.get_int("pack-threshold", -1);
   const auto des_shards =
       static_cast<std::int32_t>(flags.get_int("des-shards", 0));
-  const bool incremental = !flags.has("no-incremental");
   const bool auto_cplx = flags.has("auto-cplx");
   const std::int64_t cplx_budget_ms = flags.get_int("cplx-budget-ms", -1);
   const bool placement_incremental = flags.has("placement-incremental");
@@ -172,7 +167,6 @@ int main(int argc, char** argv) {
       spec.pack_threshold = pack_threshold;
       spec.send_priority = send_priority;
       spec.des_shards = des_shards;
-      spec.incremental_plans = incremental;
       spec.auto_cplx = auto_cplx;
       spec.cplx_budget_ms = cplx_budget_ms;
       spec.placement_incremental = placement_incremental;
@@ -206,8 +200,7 @@ int main(int argc, char** argv) {
               driver->policy().name().c_str(), static_cast<int>(ranks),
               static_cast<long long>(steps), cfg.root_grid.nx,
               cfg.root_grid.ny, cfg.root_grid.nz);
-      out += verbose_report_text(driver->run(), timing,
-                                 aggregate || comm_adaptive);
+      out += verbose_report_text(driver->run(), timing, cfg.comm_adaptive);
       if (tracing) {
         const Tracer& tracer = *driver->sim().tracer();
         if (!write_chrome_trace(tracer, trace_out)) {

@@ -123,7 +123,7 @@ void apply_packing(std::vector<OverlapRankWork>& work,
       p.bytes += m.bytes;
     }
     for (Pair& p : pairs)
-      p.packed = packing.pack(src, p.dst, p.bytes, p.msgs);
+      p.packed = packing.pack(p.bytes, p.msgs);
     for (const RawMsg& m : msgs) {
       Pair& p = pair_of(m.dst);
       auto& dw = work[static_cast<std::size_t>(m.dst)];

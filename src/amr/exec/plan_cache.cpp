@@ -59,16 +59,6 @@ std::span<const RankStepWork> ExchangePlanCache::step_work(
     const AmrMesh& mesh, const Placement& placement,
     std::uint64_t placement_version, std::span<const TimeNs> block_costs,
     std::int32_t nranks, const MessageSizeModel& sizes, bool include_flux,
-    bool aggregate) {
-  return step_work(mesh, placement, placement_version, block_costs, nranks,
-                   sizes, include_flux,
-                   aggregate ? PackingPolicy::all() : PackingPolicy::none());
-}
-
-std::span<const RankStepWork> ExchangePlanCache::step_work(
-    const AmrMesh& mesh, const Placement& placement,
-    std::uint64_t placement_version, std::span<const TimeNs> block_costs,
-    std::int32_t nranks, const MessageSizeModel& sizes, bool include_flux,
     const PackingPolicy& packing) {
   if (fresh(mesh.version(), placement_version, have_bsp_) &&
       packing_ == packing) {

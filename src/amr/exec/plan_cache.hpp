@@ -6,8 +6,7 @@
 // counts — is identical from step to step; only the per-block compute
 // durations change (workload jitter, fault inflation). Rebuilding the
 // whole plan every step makes that invariant expensive: neighbor
-// collection plus plan construction dominates small-step wall-clock
-// (BENCH_step_pipeline.json quantifies it).
+// collection plus plan construction dominates small-step wall-clock.
 //
 // ExchangePlanCache keys the built plan on (mesh version, placement
 // version). A hit re-patches only the compute durations — every other
@@ -15,7 +14,9 @@
 // bit-identical to building it fresh: build_step_work/build_overlap_work
 // emit computes in block order with duration = block_costs[block], which
 // is exactly what the patch loop re-applies. Any regrid or rebalance
-// bumps a version and the next step misses once.
+// bumps a version and the next step misses once. The cache is the only
+// step pipeline; the from-scratch build functions are its test oracle
+// (tests/exec/plan_cache_test.cpp).
 //
 // One cache instance serves one run: nranks, the message-size model, and
 // the flux-correction flag must not change across calls (the key does
@@ -57,23 +58,15 @@ class ExchangePlanCache {
   /// the identical placement under an unchanged mesh numbering (the
   /// incremental path's no-op-rebalance fast path in sim/simulation.cpp),
   /// so such epochs keep hitting. On a hit only compute durations
-  /// are refreshed from `block_costs`. `aggregate` is part of the cache
-  /// key: a plan built per-neighbor-pair must never be served to an
-  /// aggregated step (their send lists and expected counts differ).
+  /// are refreshed from `block_costs`. `packing` is part of the cache
+  /// key: a threshold change misses once and rebuilds rather than
+  /// serving a plan with different pack decisions (send lists and
+  /// expected counts differ).
   std::span<const RankStepWork> step_work(
       const AmrMesh& mesh, const Placement& placement,
       std::uint64_t placement_version, std::span<const TimeNs> block_costs,
       std::int32_t nranks, const MessageSizeModel& sizes, bool include_flux,
-      bool aggregate = false);
-
-  /// Adaptive variant: the full PackingPolicy (thresholds + node split)
-  /// is the cache-key axis, so a threshold change misses once and
-  /// rebuilds rather than serving a plan with different pack decisions.
-  std::span<const RankStepWork> step_work(
-      const AmrMesh& mesh, const Placement& placement,
-      std::uint64_t placement_version, std::span<const TimeNs> block_costs,
-      std::int32_t nranks, const MessageSizeModel& sizes, bool include_flux,
-      const PackingPolicy& packing);
+      const PackingPolicy& packing = PackingPolicy::none());
 
   /// Overlap-mode analogue of step_work. `stage1_frac > 0` builds the
   /// two-stage rendering (ghost-producing stage-1 compute, sends and

@@ -34,9 +34,7 @@ std::uint64_t SharedPlanStore::Key::hash() const {
   h = fnv_pod(h, sizes.ghost);
   h = fnv_pod(h, sizes.nvars);
   h = fnv_pod(h, sizes.bytes_per_value);
-  h = fnv_pod(h, packing.shm_threshold);
-  h = fnv_pod(h, packing.remote_threshold);
-  h = fnv_pod(h, packing.ranks_per_node);
+  h = fnv_pod(h, packing.threshold);
   h = fnv_bytes(h, blocks.data(), blocks.size() * sizeof(BlockCoord));
   h = fnv_bytes(h, placement.data(),
                 placement.size() * sizeof(std::int32_t));

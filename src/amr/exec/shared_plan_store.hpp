@@ -19,7 +19,7 @@
 // compare the full key (hash prefilter, then exact vector equality):
 // a hit is provably the plan the consumer would have built, which is
 // what keeps shared results byte-identical to private-cache runs. Any
-// mode-matrix mismatch — execution mode, packing thresholds, flux
+// mode-matrix mismatch — execution mode, packing threshold, flux
 // flag, message sizes — simply never matches, isolating the tenants.
 //
 // Thread-safe (tenants slice concurrently on the serve pool); bounded

@@ -4,7 +4,13 @@
 
 namespace amr {
 
-std::vector<RankStepWork> build_step_work(
+namespace {
+
+/// Single-pass build for the degenerate policies: every pair eager
+/// (`aggregate` false) or every multi-message pair packed (true). The
+/// general threshold build below needs a second pass over per-pair
+/// totals; these two do not.
+std::vector<RankStepWork> build_single_pass(
     const AmrMesh& mesh, const Placement& placement,
     std::span<const TimeNs> block_costs, std::int32_t nranks,
     const MessageSizeModel& sizes, bool include_flux, bool aggregate) {
@@ -58,19 +64,16 @@ std::vector<RankStepWork> build_step_work(
   return work;
 }
 
+}  // namespace
+
 std::vector<RankStepWork> build_step_work(
     const AmrMesh& mesh, const Placement& placement,
     std::span<const TimeNs> block_costs, std::int32_t nranks,
     const MessageSizeModel& sizes, bool include_flux,
     const PackingPolicy& packing) {
-  // The degenerate policies delegate to the single-pass builds, which
-  // keeps those paths byte-identical to the bool-flag overload.
-  if (!packing.active())
-    return build_step_work(mesh, placement, block_costs, nranks, sizes,
-                           include_flux, false);
-  if (packing.pack_all())
-    return build_step_work(mesh, placement, block_costs, nranks, sizes,
-                           include_flux, true);
+  if (!packing.active() || packing.pack_all())
+    return build_single_pass(mesh, placement, block_costs, nranks, sizes,
+                             include_flux, packing.pack_all());
 
   AMR_CHECK(placement.size() == mesh.size());
   AMR_CHECK(block_costs.size() == mesh.size());
@@ -140,7 +143,7 @@ std::vector<RankStepWork> build_step_work(
     }
     for (const RawMsg& m : msgs) {
       PairTotal& t = pair_of(m.dst);
-      if (packing.pack(src, m.dst, t.bytes, t.msgs)) {
+      if (packing.pack(t.bytes, t.msgs)) {
         if (t.emitted) continue;
         t.emitted = true;
         w.sends.push_back(OutMessage{m.dst, t.bytes, m.src_block,

@@ -46,43 +46,31 @@ struct RankStepWork {
   std::int64_t recv_bytes = 0;          ///< incoming ghost volume (unpack)
 };
 
-/// Per-peer packing decision for the boundary exchange (the adaptive
-/// generalization of the all-or-nothing `aggregate` flag). A (src,dst)
+/// Per-peer packing decision for the boundary exchange. A (src,dst)
 /// pair's messages coalesce into one packed transfer when their *mean*
-/// payload is at or below the threshold for that pair's fabric path —
-/// small messages amortize the per-message launch cost by packing, large
-/// ones already pay mostly serialization and go eagerly so receivers see
-/// their first ghost sooner. Thresholds are pure functions of modeled
-/// fabric costs (FabricParams::pack_threshold), so plans stay
-/// deterministic and checkpoint/replay-compatible.
+/// payload is at or below `threshold` — small messages amortize the
+/// per-message launch cost by packing, large ones already pay mostly
+/// serialization and go eagerly so receivers see their first ghost
+/// sooner. The policy is a pure function of the run config, so plans
+/// stay deterministic and checkpoint/replay-compatible.
 struct PackingPolicy {
-  /// Pack when mean bytes/msg <= threshold; <= 0 disables packing on
-  /// that path. Values at or above kPackAlways mean "always pack".
-  std::int64_t shm_threshold = 0;
-  std::int64_t remote_threshold = 0;
-  /// Ranks per node, for the shm-vs-remote path split; 0 = treat every
-  /// pair as remote.
-  std::int32_t ranks_per_node = 0;
+  /// Pack when mean bytes/msg <= threshold; <= 0 disables packing.
+  /// Values at or above kPackAlways mean "always pack".
+  std::int64_t threshold = 0;
 
   /// Sentinel large enough to dominate any real payload without risking
   /// signed overflow in `bytes <= threshold * msgs`.
   static constexpr std::int64_t kPackAlways = std::int64_t{1} << 40;
 
   static PackingPolicy none() { return {}; }
-  static PackingPolicy all() { return {kPackAlways, kPackAlways, 0}; }
+  static PackingPolicy all() { return {kPackAlways}; }
 
-  bool active() const { return shm_threshold > 0 || remote_threshold > 0; }
-  bool pack_all() const {
-    return shm_threshold >= kPackAlways && remote_threshold >= kPackAlways;
-  }
+  bool active() const { return threshold > 0; }
+  bool pack_all() const { return threshold >= kPackAlways; }
   /// Decision for one (src,dst) pair given its step totals.
-  bool pack(std::int32_t src, std::int32_t dst, std::int64_t bytes,
-            std::int64_t msgs) const {
+  bool pack(std::int64_t bytes, std::int64_t msgs) const {
     if (msgs < 2) return false;  // nothing to coalesce
-    const bool same_node =
-        ranks_per_node > 0 && src / ranks_per_node == dst / ranks_per_node;
-    const std::int64_t t = same_node ? shm_threshold : remote_threshold;
-    return t > 0 && bytes <= t * msgs;
+    return threshold > 0 && bytes <= threshold * msgs;
   }
   friend bool operator==(const PackingPolicy&,
                          const PackingPolicy&) = default;
@@ -105,31 +93,19 @@ constexpr const char* to_string(TaskOrdering o) {
 /// their coarser face neighbors (paper §II-B) — small peer-to-peer
 /// messages that exist only along refinement boundaries.
 ///
-/// With `aggregate`, all same-(src,dst) messages of the step coalesce
-/// into one per-destination packed transfer (how real AMR frameworks
-/// pack all ghost data for a neighbor rank into one buffer): bytes are
-/// summed, the logical message count rides in OutMessage::msgs, and the
-/// receiver expects one arrival per sending peer instead of one per
-/// block pair. Aggregates appear in first-touch (block-emission) order,
-/// so the build stays deterministic; byte totals and recv_bytes are
-/// identical to the legacy path.
+/// `packing` decides per (src,dst) pair whether the step's messages
+/// coalesce into one per-destination packed transfer (how real AMR
+/// frameworks pack all ghost data for a neighbor rank into one buffer):
+/// bytes are summed, the logical message count rides in
+/// OutMessage::msgs, and the receiver expects one arrival for the pair
+/// instead of one per block pair. Packed pairs appear at their
+/// first-touch (block-emission) position, eager pairs keep per-message
+/// emission order, so the build stays deterministic. Byte totals and
+/// recv_bytes are identical under every policy.
 std::vector<RankStepWork> build_step_work(
     const AmrMesh& mesh, const Placement& placement,
     std::span<const TimeNs> block_costs, std::int32_t nranks,
     const MessageSizeModel& sizes = {}, bool include_flux = false,
-    bool aggregate = false);
-
-/// Adaptive variant: packing decided per (src,dst) pair by `packing`.
-/// PackingPolicy::none() is byte-identical to the legacy build,
-/// PackingPolicy::all() to the `aggregate` build; genuine thresholds
-/// split each rank's peers into packed aggregates (first-touch order,
-/// one arrival at the receiver) and eager per-message sends (original
-/// emission order). Byte totals and recv_bytes always match the legacy
-/// path.
-std::vector<RankStepWork> build_step_work(
-    const AmrMesh& mesh, const Placement& placement,
-    std::span<const TimeNs> block_costs, std::int32_t nranks,
-    const MessageSizeModel& sizes, bool include_flux,
-    const PackingPolicy& packing);
+    const PackingPolicy& packing = PackingPolicy::none());
 
 }  // namespace amr

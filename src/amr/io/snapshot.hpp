@@ -42,20 +42,20 @@ class SnapshotError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
-// Format version history — every bump so far added a *config
+// Format version history — every bump through v5 added a *config
 // fingerprint* axis (fields write_meta/check_meta in sim_state.cpp
 // diff to refuse a restore under a different simulation mode) plus the
 // sections/fields that mode needs to resume byte-identically:
 //
 // v1: the base format. Fingerprint: cluster shape (nranks,
 //     ranks_per_node, root grid), seed, execution mode, task ordering,
-//     flux correction, telemetry/trace switches, incremental_plans,
-//     workload name, and the full fault schedule. Sections: meta,
+//     flux correction, telemetry/trace switches, the incremental-plans
+//     switch, workload name, and the full fault schedule. Sections: meta,
 //     state (step, placement, plan-cache key, active faults), DES
 //     clock, RNG streams, fabric, telemetry tables, trace ring.
-// v2: aggregate_messages in the config fingerprint, msgs_coalesced /
-//     bytes_packed in the report section, packed-transfer fabric
-//     counters, and two added comm-table columns.
+// v2: the message-aggregation flag in the config fingerprint,
+//     msgs_coalesced / bytes_packed in the report section,
+//     packed-transfer fabric counters, and two added comm-table columns.
 // v3: sharded-DES bit in the config fingerprint (shard *count* is
 //     deliberately not an axis — spill/restore may re-shard), per-node
 //     fabric RNG/stats in the fabric section when sharded, and the
@@ -67,6 +67,11 @@ class SnapshotError : public std::runtime_error {
 //     cplx_budget_ms) in the config fingerprint, the "tuner" section
 //     (auto-X tuner state + epoch accumulators), and the collector's
 //     fifth (placement) table.
+// v6: the first bump that removes axes: the message-aggregation flag
+//     (now a second spelling of comm_adaptive, resolved by
+//     job_config()) and the incremental-plans switch (the plan cache is
+//     the only step pipeline) leave the config fingerprint. Sections are
+//     unchanged.
 //
 // Version-bump checklist — the compile-time-checkable moral equivalent
 // of a static_assert, since the fingerprint is data, not types. When a
@@ -81,15 +86,15 @@ class SnapshotError : public std::runtime_error {
 //      compatible; appending fields to an existing section is not);
 //   4. extend tests/sim/checkpoint_test.cpp round-trip coverage and the
 //      mismatched-restore refusal case, and run the checkpoint_ /
-//      aggregate_ / comm_adaptive_ / par_des_ / serve_determinism ctest
-//      scripts — serve eviction spills reuse this exact format, so a
-//      missed axis shows up as multiplexed-vs-standalone stdout drift;
+//      comm_adaptive_ / par_des_ / placement_tuning_ / serve_determinism
+//      ctest scripts — serve eviction spills reuse this exact format, so
+//      a missed axis shows up as multiplexed-vs-standalone stdout drift;
 //   5. never reuse or renumber an existing version: old spills and
 //      checkpoints must keep failing loudly, not misparse.
 // Counters that are scheduling artifacts rather than simulation state
 // (e.g. plan-cache share_hits) must NOT be serialized — see
 // StepPipelineStats.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 6;
 
 /// Builds a snapshot payload in memory, then writes the enveloped file.
 class SnapshotWriter {

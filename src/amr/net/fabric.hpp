@@ -72,24 +72,6 @@ struct FabricParams {
   /// legacy path (msgs == 1).
   TimeNs packed_msg_overhead = us(0.25);
 
-  /// Eager/rendezvous-style packing threshold in mean bytes per logical
-  /// message for the given path: coalescing a message into an aggregate
-  /// saves its per-message launch cost (NIC per_msg + post on the remote
-  /// path, latency + post on shm) minus the packed_msg_overhead it now
-  /// pays, while delaying delivery by the extra serialization of the
-  /// bytes it rides with. Break-even is where serialization time of the
-  /// mean payload equals the per-message saving — below it, packing wins.
-  /// A pure function of the params, so adaptive plans are deterministic.
-  std::int64_t pack_threshold(bool same_node) const {
-    const TimeNs launch_ns =
-        (same_node ? shm_latency : remote_per_msg) + post_overhead;
-    const TimeNs saved_ns = launch_ns - packed_msg_overhead;
-    if (saved_ns <= 0) return 0;
-    const double gbps =
-        same_node ? shm_gbytes_per_sec : remote_gbytes_per_sec;
-    return static_cast<std::int64_t>(static_cast<double>(saved_ns) * gbps);
-  }
-
   /// Paper-cluster defaults after the tuning exercise: large shm queue,
   /// no ACK pathology (drain queue active as belt-and-braces).
   static FabricParams tuned();

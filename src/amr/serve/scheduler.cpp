@@ -105,7 +105,7 @@ void QuantumScheduler::finish(Tenant& t) {
   t.result.ok = true;
   t.result.report = report;
   t.result.text = compact_report_text(
-      report, t.spec.aggregate || t.spec.comm_adaptive);
+      report, t.driver->config().comm_adaptive);
   if (t.spec.collect_telemetry) {
     const Collector& c = sim.collector();
     t.result.phases = std::make_unique<Table>(c.phases());

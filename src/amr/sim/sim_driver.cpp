@@ -33,6 +33,12 @@ void appendf(std::string& out, const char* fmt, ...) {
   va_end(args);
 }
 
+/// `aggregate` is a second spelling of `comm_adaptive`; this is the one
+/// place the alias resolves.
+bool packs_messages(const JobSpec& spec) {
+  return spec.comm_adaptive || spec.aggregate;
+}
+
 }  // namespace
 
 std::string validate_job(const JobSpec& spec) {
@@ -42,10 +48,7 @@ std::string validate_job(const JobSpec& spec) {
   if (spec.steps <= 0) return "steps must be positive";
   if (!spec.restore.empty() && !spec.replay.empty())
     return "--restore and --replay are mutually exclusive";
-  if (spec.aggregate && spec.comm_adaptive)
-    return "--aggregate and --comm-adaptive are mutually exclusive "
-           "(adaptive packing subsumes the aggregate flag)";
-  if (spec.pack_threshold >= 0 && !spec.comm_adaptive)
+  if (spec.pack_threshold >= 0 && !packs_messages(spec))
     return "--pack-threshold requires --comm-adaptive";
   if (spec.des_shards > 0 && spec.overlap)
     return "--des-shards requires --execution=bsp (overlap self-events "
@@ -101,12 +104,10 @@ SimulationConfig job_config(const JobSpec& spec) {
   // The overlap builder has no flux path; keep the fingerprint honest so
   // restores cannot silently claim flux messages.
   cfg.include_flux_correction = cfg.execution == ExecutionMode::kBsp;
-  cfg.aggregate_messages = spec.aggregate;
-  cfg.comm_adaptive = spec.comm_adaptive;
+  cfg.comm_adaptive = packs_messages(spec);
   cfg.comm_pack_threshold = spec.pack_threshold;
   cfg.send_priority = spec.send_priority;
   cfg.des_shards = spec.des_shards;
-  cfg.incremental_plans = spec.incremental_plans;
   cfg.auto_cplx = spec.auto_cplx;
   cfg.placement_incremental = spec.placement_incremental;
   if (spec.cplx_budget_ms > 0)

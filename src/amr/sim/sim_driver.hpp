@@ -32,12 +32,14 @@ struct JobSpec {
   std::int64_t ranks = 64;
   std::int64_t steps = 40;
   bool overlap = false;  ///< overlap execution instead of BSP
+  bool comm_adaptive = false;  ///< per-peer message packing
+  /// Second spelling of comm_adaptive (`--aggregate`, the "aggregate"
+  /// job field), resolved inside sim_driver: downstream code reads
+  /// SimulationConfig::comm_adaptive, never this field.
   bool aggregate = false;
-  bool comm_adaptive = false;
   std::int64_t pack_threshold = -1;  ///< requires comm_adaptive; -1 modeled
   bool send_priority = false;
   std::int32_t des_shards = 0;  ///< BSP only; 0 = sequential engine
-  bool incremental_plans = true;
   /// Self-tuning CPLX: the auto-X tuner picks X per regrid epoch.
   bool auto_cplx = false;
   /// Auto-X evaluation budget in ms (requires auto_cplx when >= 0);

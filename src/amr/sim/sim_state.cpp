@@ -178,7 +178,6 @@ void write_meta(io::SnapshotWriter& w, const SimulationConfig& config,
   w.u8(static_cast<std::uint8_t>(config.execution));
   w.u8(static_cast<std::uint8_t>(config.ordering));
   w.b(config.include_flux_correction);
-  w.b(config.aggregate_messages);
   // Adaptive-comm axes (format v4): packing decisions and send order
   // shape every window, so mismatched restores must be refused.
   w.b(config.comm_adaptive);
@@ -189,7 +188,6 @@ void write_meta(io::SnapshotWriter& w, const SimulationConfig& config,
   // run restores any sharded snapshot (state is node-indexed).
   w.b(config.des_shards > 0);
   w.b(config.telemetry_driven_costs);
-  w.b(config.incremental_plans);
   // Placement-engine axes (format v5): both change which placements the
   // run computes, and the tuner budget shapes every auto-X decision.
   w.b(config.auto_cplx);
@@ -229,13 +227,11 @@ void check_meta(io::SnapshotReader& r, const SimulationConfig& config,
   require(r.u8() == static_cast<std::uint8_t>(config.ordering),
           "task ordering");
   require(r.b() == config.include_flux_correction, "flux correction");
-  require(r.b() == config.aggregate_messages, "message aggregation");
   require(r.b() == config.comm_adaptive, "adaptive packing");
   require(r.b() == config.send_priority, "send priority");
   require(r.i64() == config.comm_pack_threshold, "packing threshold");
   require(r.b() == (config.des_shards > 0), "sharded DES");
   require(r.b() == config.telemetry_driven_costs, "telemetry-driven costs");
-  require(r.b() == config.incremental_plans, "incremental plans");
   require(r.b() == config.auto_cplx, "auto-X tuning");
   require(r.b() == config.placement_incremental, "incremental placement");
   require(r.f64() == config.cplx_budget_ms, "auto-X budget");

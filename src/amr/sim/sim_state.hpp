@@ -122,8 +122,6 @@ struct SimRuntime {
   std::vector<std::int32_t> prev_rank;
   std::vector<std::int64_t> migrate_bytes;
   std::vector<TimeNs> costs;
-  std::vector<RankStepWork> fresh_bsp;
-  std::vector<OverlapRankWork> fresh_overlap;
   std::vector<TimeNs> cost_scratch;
   std::vector<std::int32_t> rank_scratch_a;
   std::vector<std::int32_t> rank_scratch_b;

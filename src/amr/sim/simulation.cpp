@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "amr/common/check.hpp"
@@ -40,24 +38,13 @@ std::string checkpoint_path(const std::string& dir, std::int64_t step) {
 /// that transfer latency can stall (the bench plateaus at ~0.8).
 constexpr double kOverlapStageSplit = 0.8;
 
-/// The run's packing policy as a pure function of the config: legacy
-/// --aggregate packs everything, adaptive mode derives per-path
-/// thresholds from the fabric model (or takes the global override).
-/// Under BSP the receiver waits for all arrivals anyway, so deferring a
-/// message into an aggregate is free and the model packs every pair;
-/// only under overlap does packing delay the first ghost a dependent
-/// block needs, which is where the per-peer threshold earns its keep.
+/// The run's packing policy as a pure function of the config: off,
+/// the global threshold override, or the modeled policy. Under BSP the
+/// receiver waits for all arrivals anyway, so deferring a message into
+/// a packed transfer is free and the model packs every pair.
 PackingPolicy packing_policy(const SimulationConfig& cfg) {
-  if (cfg.aggregate_messages) return PackingPolicy::all();
   if (!cfg.comm_adaptive) return PackingPolicy::none();
-  PackingPolicy p;
-  p.ranks_per_node = cfg.ranks_per_node;
-  if (cfg.comm_pack_threshold >= 0) {
-    p.shm_threshold = cfg.comm_pack_threshold;
-    p.remote_threshold = cfg.comm_pack_threshold;
-    return p;
-  }
-  if (cfg.execution == ExecutionMode::kBsp) return PackingPolicy::all();
+  if (cfg.comm_pack_threshold >= 0) return {cfg.comm_pack_threshold};
   // Overlap runs two-stage with fused buffers: contributors write ghost
   // slabs into per-peer aggregates during stage-1 compute and receivers
   // read them in place, so packing costs no CPU on either side. Keeping
@@ -66,9 +53,8 @@ PackingPolicy packing_policy(const SimulationConfig& cfg) {
   // with the CPU pack rate well below wire bandwidth that trade never
   // favors eager, so the modeled per-peer decision packs every
   // multi-message pair (singleton pairs still go eager — there is
-  // nothing to coalesce). The finite fabric thresholds
-  // (FabricParams::pack_threshold) price the BSP-style phase-packed
-  // path and remain reachable via comm_pack_threshold for sweeps.
+  // nothing to coalesce). Finite thresholds stay reachable via
+  // comm_pack_threshold for sweeps.
   return PackingPolicy::all();
 }
 
@@ -189,15 +175,8 @@ void Simulation::previous_ranks(const AmrMesh& mesh,
 }
 
 void Simulation::begin_run() {
-  // Adaptive-comm mode matrix: aggregation now composes with overlap
-  // (packed arrivals credit per-block); the adaptive policy subsumes the
-  // all-or-nothing flag, so the two are mutually exclusive, and the
-  // global threshold override only means something under the adaptive
-  // policy.
-  AMR_CHECK_MSG(!(config_.aggregate_messages && config_.comm_adaptive),
-                "aggregate_messages and comm_adaptive are mutually "
-                "exclusive (adaptive packing subsumes the aggregate "
-                "flag)");
+  // The global threshold override only means something when packing
+  // is on.
   AMR_CHECK_MSG(config_.comm_pack_threshold < 0 || config_.comm_adaptive,
                 "comm_pack_threshold requires comm_adaptive");
   AMR_CHECK_MSG(!(config_.des_shards > 0 &&
@@ -317,27 +296,6 @@ void Simulation::step_once() {
         // table still learns, but mark it unscaled so one garbage-scale
         // sample cannot poison the RLS weights.
         if (!costs_informative) st.tuner.last_scale = 0.0;
-        if (std::getenv("AMR_TUNER_DEBUG") != nullptr) {
-          for (std::size_t i = 0; i < rt.cand_evals.size(); ++i) {
-            const CandidateEval& ce = rt.cand_evals[i];
-            std::fprintf(stderr,
-                         "[tuner] step=%lld x=%.0f mean=%.3g imb=%.3f "
-                         "rs=%.3f pred=%.3g score=%.3g resid=%.3f\n",
-                         static_cast<long long>(step), ce.x_percent,
-                         ce.mean_load, ce.imbalance, ce.remote_share,
-                         AutoXTuner::predict(st.tuner, ce, ce.mean_load),
-                         AutoXTuner::scored(st.tuner, ce, ce.mean_load,
-                                            rt.cand_indices[i]),
-                         st.tuner.resid[static_cast<std::size_t>(
-                             rt.cand_indices[i])]);
-          }
-          std::fprintf(stderr,
-                       "[tuner] -> chose x=%.0f mode=%d w=(%.3g,%.3g,%.3g)\n",
-                       tuner.config().candidates[static_cast<std::size_t>(
-                           decision.candidate)],
-                       decision.mode, st.tuner.w[0], st.tuner.w[1],
-                       st.tuner.w[2]);
-        }
         next = std::move(
             rt.cand_evals[static_cast<std::size_t>(decision.slot)].placement);
       }));
@@ -485,10 +443,9 @@ void Simulation::step_once() {
   }
 
   // -- Execute the step ----------------------------------------------
-  // Predicted cache behaviour depends only on the version pair, so it
-  // is identical whether or not the cache actually runs — which keeps
-  // the emitted counters byte-identical across pipeline modes (and
-  // across checkpoint/restore, where the live cache is rebuilt).
+  // Predicted cache behaviour depends only on the version pair, so the
+  // emitted counters stay byte-identical across checkpoint/restore,
+  // where the live cache is rebuilt and misses once.
   const bool predicted_hit = st.have_plan_key &&
                              st.last_plan_mesh == mesh.version() &&
                              st.last_plan_placement == st.placement_version;
@@ -515,19 +472,9 @@ void Simulation::step_once() {
   const std::int32_t priority_rank =
       config_.send_priority ? st.last_straggler : -1;
   if (config_.execution == ExecutionMode::kBsp) {
-    std::span<const RankStepWork> work;
-    if (config_.incremental_plans) {
-      work = rt.plan_cache.step_work(mesh, st.placement,
-                                     st.placement_version, rt.costs,
-                                     config_.nranks, config_.msg_sizes,
-                                     config_.include_flux_correction,
-                                     packing);
-    } else {
-      rt.fresh_bsp = build_step_work(
-          mesh, st.placement, rt.costs, config_.nranks, config_.msg_sizes,
-          config_.include_flux_correction, packing);
-      work = rt.fresh_bsp;
-    }
+    const std::span<const RankStepWork> work = rt.plan_cache.step_work(
+        mesh, st.placement, st.placement_version, rt.costs, config_.nranks,
+        config_.msg_sizes, config_.include_flux_correction, packing);
     result = rt.bsp_executor->execute(work, config_.ordering,
                                       static_cast<std::uint64_t>(step),
                                       priority_rank);
@@ -539,23 +486,9 @@ void Simulation::step_once() {
     // exchange at step start. Packing-off keeps the legacy single-stage
     // plan (previous-step ghosts), bit-identical to pre-adaptive runs.
     const double stage_frac = packing.active() ? kOverlapStageSplit : 0.0;
-    std::span<const OverlapRankWork> work;
-    if (config_.incremental_plans) {
-      work = rt.plan_cache.overlap_work(mesh, st.placement,
-                                        st.placement_version, rt.costs,
-                                        config_.nranks, config_.msg_sizes,
-                                        packing, stage_frac);
-    } else {
-      rt.fresh_overlap =
-          stage_frac > 0.0
-              ? build_two_stage_work(mesh, st.placement, rt.costs,
-                                     config_.nranks, stage_frac,
-                                     config_.msg_sizes, packing)
-              : build_overlap_work(mesh, st.placement, rt.costs,
-                                   config_.nranks, config_.msg_sizes,
-                                   packing);
-      work = rt.fresh_overlap;
-    }
+    const std::span<const OverlapRankWork> work = rt.plan_cache.overlap_work(
+        mesh, st.placement, st.placement_version, rt.costs, config_.nranks,
+        config_.msg_sizes, packing, stage_frac);
     result = rt.overlap_executor->execute(
         work, static_cast<std::uint64_t>(step), priority_rank);
     for (const auto& w : work) intra_rank_msgs += w.local_copy_msgs;
@@ -632,10 +565,9 @@ void Simulation::step_once() {
     }
   }
 
-  // Cumulative aggregation counters on the sim track. Emitted only when
-  // some packing mode is on so legacy traces stay byte-identical.
-  if (tracer != nullptr &&
-      (config_.aggregate_messages || config_.comm_adaptive)) {
+  // Cumulative packing counters on the sim track. Emitted only when
+  // packing is on so legacy traces stay byte-identical.
+  if (tracer != nullptr && config_.comm_adaptive) {
     tracer->counter(Tracer::kTrackSim, TraceCat::kMsg, "msgs_coalesced",
                     sim_now(), report.msgs_coalesced);
     tracer->counter(Tracer::kTrackSim, TraceCat::kMsg, "bytes_packed",

@@ -49,29 +49,22 @@ struct SimulationConfig {
   /// Fine->coarse flux-correction messages along refinement boundaries
   /// (paper §II-B).
   bool include_flux_correction = true;
-  /// Per-destination message aggregation: coalesce all same-(src,dst)
-  /// boundary sends of a step into one packed transfer (Parthenon-style
-  /// neighbor-buffer packing). Off = legacy per-neighbor-pair path,
-  /// byte-identical to builds without this option. Works under both BSP
-  /// and overlap execution (overlap receivers credit every destination
-  /// block when the aggregate arrives). Mutually exclusive with
-  /// comm_adaptive, which subsumes it.
-  bool aggregate_messages = false;
-  /// Adaptive per-peer packing: each (src,dst) pair packs or sends
-  /// eagerly by comparing its mean bytes/message against an
-  /// eager/rendezvous-style threshold derived from FabricParams
-  /// (FabricParams::pack_threshold). Under BSP the model packs every
-  /// pair (the receiver waits for all arrivals, so deferral is free);
-  /// under overlap small-message pairs pack while large-payload pairs go
-  /// eagerly so dependent blocks unblock sooner. Thresholds are pure
-  /// functions of modeled costs: runs stay deterministic and
-  /// checkpoint/replay-compatible (the axes are in the snapshot
-  /// fingerprint). Off = byte-identical legacy behavior.
+  /// Per-peer message packing: each (src,dst) pair coalesces its step's
+  /// boundary sends into one packed transfer (Parthenon-style
+  /// neighbor-buffer packing) when its mean bytes/message is at or below
+  /// the packing threshold. The modeled policy packs every multi-message
+  /// pair under both BSP (the receiver waits for all arrivals, so
+  /// deferral is free) and fused two-stage overlap (contributors write
+  /// straight into the packed buffer, so packing costs no CPU); overlap
+  /// receivers credit every destination block when the packed transfer
+  /// arrives. The policy is a pure function of the config: runs stay
+  /// deterministic and checkpoint/replay-compatible (the axes are in
+  /// the snapshot fingerprint). Off = byte-identical legacy behavior.
   bool comm_adaptive = false;
   /// Global packing-threshold override in mean bytes/message (requires
-  /// comm_adaptive): >= 0 replaces both modeled thresholds — the
-  /// hand-picked global setting the adaptive split is benchmarked
-  /// against (bench_comm_adaptive). -1 = use the modeled thresholds.
+  /// comm_adaptive): >= 0 replaces the modeled pack-every-pair policy —
+  /// the hand-picked global setting the modeled policy is benchmarked
+  /// against (bench_comm_adaptive). -1 = use the modeled policy.
   std::int64_t comm_pack_threshold = -1;
   /// Critical-path-aware send priority (§IV critical-path model): each
   /// step schedules sends destined for the previous window's straggler
@@ -160,14 +153,6 @@ struct SimulationConfig {
   bool trace_enabled = false;
   TraceConfig trace{};
 
-  /// Incremental step pipeline: reuse exchange plans across steps until a
-  /// regrid or rebalance bumps the (mesh, placement) version pair. Off =
-  /// rebuild every plan from scratch each step. Both paths produce
-  /// byte-identical RunReports, telemetry, and traces (ctest
-  /// step_pipeline_determinism holds them to it); off exists as the
-  /// reference for that contract and for A/B benchmarking.
-  bool incremental_plans = true;
-
   /// Checkpointing: every `checkpoint_every` steps (0 = never) write a
   /// snapshot `ckpt_<step>.amrs` into `checkpoint_dir`. Snapshots are
   /// taken at step boundaries (drained event queue); restoring one and
@@ -212,7 +197,7 @@ struct RunReport {
   std::int64_t msgs_intra_rank = 0;  ///< memcpy'd neighbor pairs
   std::int64_t bytes_local = 0;
   std::int64_t bytes_remote = 0;
-  /// Aggregation effect (0 unless aggregate_messages): logical messages
+  /// Packing effect (0 unless comm_adaptive): logical messages
   /// absorbed into packed transfers, and the bytes those transfers moved.
   std::int64_t msgs_coalesced = 0;
   std::int64_t bytes_packed = 0;
@@ -224,7 +209,7 @@ struct RunReport {
 };
 
 /// Incrementality counters for the last run() — diagnostics only, kept
-/// out of RunReport so reports stay byte-identical across pipeline modes.
+/// out of RunReport so reports stay byte-identical across restores.
 struct StepPipelineStats {
   std::int64_t plan_hits = 0;    ///< steps served from the plan cache
   std::int64_t plan_misses = 0;  ///< steps that (re)built plans
@@ -233,8 +218,9 @@ struct StepPipelineStats {
   /// the counters above it is never serialized into snapshots and resets
   /// on restore.
   std::int64_t plan_share_hits = 0;
-  /// Mode-independent predictions from (mesh, placement) version changes;
-  /// with incremental_plans on, the actual counters must match these.
+  /// Predictions from (mesh, placement) version changes; the actual
+  /// counters must match these. Restores rebuild the live cache, so the
+  /// trace's plan-cache counter track records these, not the actuals.
   std::int64_t predicted_hits = 0;
   std::int64_t predicted_misses = 0;
   std::int64_t telemetry_drops = 0;  ///< cost carries lost to aged remaps

@@ -44,7 +44,7 @@ class Collector {
   ///      bytes_remote i64, send_wait_ns i64, recv_wait_ns i64,
   ///      msgs_coalesced i64, bytes_packed i64)
   /// The last two count message aggregation (0 on the legacy path), so
-  /// msgs_local/msgs_remote before vs after --aggregate are directly
+  /// msgs_local/msgs_remote before vs after --comm-adaptive are directly
   /// queryable from the same table.
   void record_comm(std::int64_t step, std::int32_t rank,
                    std::int64_t msgs_local, std::int64_t msgs_remote,

@@ -8,10 +8,14 @@
 #      AMR_SANITIZE=thread tree),
 #   3. an --overlap --comm-adaptive --send-priority run restored from
 #      any mid-run snapshot continues byte-identically (last_straggler
-#      and the packing axes ride in the snapshot), and
+#      and the packing axes ride in the snapshot),
 #   4. snapshots written under the adaptive axes refuse to restore into
 #      runs without them (config fingerprint mismatch), naming the
-#      offending axis.
+#      offending axis, and
+#   5. a BSP --comm-adaptive run with a fault window restored from any
+#      mid-run snapshot continues byte-identically.
+# The --aggregate spelling of --comm-adaptive is checked by
+# aggregate_determinism.cmake.
 # Adaptive-off byte-identity to the legacy path is covered by every
 # other determinism script, which all run with the new flags off.
 # Invoked from bench/CMakeLists.txt; -DSEDOV names the sedov_sim binary,
@@ -130,3 +134,57 @@ if(NOT err MATCHES "send priority")
   message(FATAL_ERROR "mismatched-priority restore failed without "
                       "naming send priority: ${err}")
 endif()
+
+# BSP + adaptive across checkpoint/restore with a fault window: packed
+# transfer counters and fabric packing stats ride in the snapshot.
+set(bsp_dir "${WORK_DIR}/bsp")
+file(MAKE_DIRECTORY "${bsp_dir}")
+set(bsp_mode --comm-adaptive --faults=2)
+execute_process(
+  COMMAND "${SEDOV}" cpl50 32 24 ${bsp_mode}
+  OUTPUT_VARIABLE bsp_full RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "uninterrupted adaptive BSP run failed (exit ${rc})")
+endif()
+execute_process(
+  COMMAND "${SEDOV}" cpl50 32 24 ${bsp_mode}
+          --checkpoint-every=7 --checkpoint-dir=${bsp_dir}
+  OUTPUT_VARIABLE bsp_ck RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "checkpointing adaptive BSP run failed (exit ${rc})")
+endif()
+if(NOT bsp_full STREQUAL bsp_ck)
+  message(FATAL_ERROR "writing checkpoints changed adaptive BSP stdout")
+endif()
+file(GLOB bsp_snapshots "${bsp_dir}/ckpt_*.amrs")
+if(bsp_snapshots STREQUAL "")
+  message(FATAL_ERROR "checkpointing adaptive BSP run wrote no snapshots")
+endif()
+foreach(snapshot IN LISTS bsp_snapshots)
+  execute_process(
+    COMMAND "${SEDOV}" cpl50 32 24 ${bsp_mode} --restore=${snapshot}
+    OUTPUT_VARIABLE out_restored RESULT_VARIABLE rc
+    ERROR_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "restore from ${snapshot} failed (exit ${rc})")
+  endif()
+  if(NOT bsp_full STREQUAL out_restored)
+    message(FATAL_ERROR "stdout differs between the uninterrupted "
+                        "adaptive BSP run and the run restored from "
+                        "${snapshot}: the adaptive-comm determinism "
+                        "contract is broken")
+  endif()
+endforeach()
+list(GET bsp_snapshots 0 snapshot)
+execute_process(
+  COMMAND "${SEDOV}" cpl50 32 24 --faults=2 --restore=${snapshot}
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "restoring an adaptive BSP snapshot without "
+                      "--comm-adaptive unexpectedly succeeded")
+endif()
+if(NOT err MATCHES "adaptive packing")
+  message(FATAL_ERROR "mismatched-adaptive BSP restore failed without "
+                      "naming adaptive packing: ${err}")
+endif()
+

@@ -328,12 +328,12 @@ TEST(PackedOverlap, ExecutesToCompletionAndDeterministically) {
   const TimeNs packed = run(PackingPolicy::all(), -1);
   EXPECT_GT(packed, 0);
   EXPECT_EQ(packed, run(PackingPolicy::all(), -1));
-  // A per-pair split executes too (thresholds between edge and face).
+  // A per-pair split executes too (threshold between edge and face).
   const std::int64_t mid = (sizes.bytes(NeighborKind::kEdge) +
                             sizes.bytes(NeighborKind::kFace)) / 2;
-  const TimeNs split = run(PackingPolicy{mid, mid, 2}, -1);
+  const TimeNs split = run(PackingPolicy{mid}, -1);
   EXPECT_GT(split, 0);
-  EXPECT_EQ(split, run(PackingPolicy{mid, mid, 2}, -1));
+  EXPECT_EQ(split, run(PackingPolicy{mid}, -1));
 }
 
 TEST(PackedOverlap, PriorityRankIsDeterministicNoopOffAndOn) {

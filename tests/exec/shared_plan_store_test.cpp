@@ -159,6 +159,10 @@ TEST(SharedPlanStore, EveryKeyAxisIsolates) {
   EXPECT_FALSE(store.lookup_bsp(k, out));
 
   k = base();
+  k.packing = PackingPolicy{4000};
+  EXPECT_FALSE(store.lookup_bsp(k, out));
+
+  k = base();
   k.placement[0] = (k.placement[0] + 1) % nranks;
   EXPECT_FALSE(store.lookup_bsp(k, out));
 
@@ -287,7 +291,8 @@ TEST(SharedPlanStore, IdenticalFingerprintCachesShare) {
 
 TEST(SharedPlanStore, ModeMismatchNeverShares) {
   // A tenant running any different mode-matrix point must build its own
-  // plan: aggregation, packing thresholds, and execution mode all key.
+  // plan: pack-none, pack-all, a finite threshold, and the execution
+  // mode all key.
   AmrMesh mesh(RootGrid{2, 2, 2});
   mesh.refine(std::vector<std::int32_t>{0});
   const std::int32_t nranks = 2;
@@ -301,16 +306,17 @@ TEST(SharedPlanStore, ModeMismatchNeverShares) {
   (void)legacy.step_work(mesh, p, 0, c, nranks, sizes, true);
   ASSERT_EQ(store.stats().published, 1);
 
-  ExchangePlanCache agg;
-  agg.set_shared_store(&store);
-  const auto got =
-      agg.step_work(mesh, p, 0, c, nranks, sizes, true, /*aggregate=*/true);
-  EXPECT_EQ(agg.stats().share_hits, 0);
-  expect_equal(got, build_step_work(mesh, p, c, nranks, sizes, true, true));
+  ExchangePlanCache packed;
+  packed.set_shared_store(&store);
+  const auto got = packed.step_work(mesh, p, 0, c, nranks, sizes, true,
+                                    PackingPolicy::all());
+  EXPECT_EQ(packed.stats().share_hits, 0);
+  expect_equal(got, build_step_work(mesh, p, c, nranks, sizes, true,
+                                    PackingPolicy::all()));
 
   ExchangePlanCache adaptive;
   adaptive.set_shared_store(&store);
-  const PackingPolicy split{4000, 9000, 16};
+  const PackingPolicy split{4000};
   (void)adaptive.step_work(mesh, p, 0, c, nranks, sizes, true, split);
   EXPECT_EQ(adaptive.stats().share_hits, 0);
 

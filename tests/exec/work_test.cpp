@@ -91,9 +91,9 @@ TEST(BuildStepWork, AggregateFoldsSendsPerDestination) {
   const std::vector<TimeNs> costs(mesh.size(), us(10));
   const MessageSizeModel sizes;
   const auto legacy =
-      build_step_work(mesh, placement, costs, 5, sizes, false, false);
-  const auto agg =
-      build_step_work(mesh, placement, costs, 5, sizes, false, true);
+      build_step_work(mesh, placement, costs, 5, sizes, false);
+  const auto agg = build_step_work(mesh, placement, costs, 5, sizes, false,
+                                   PackingPolicy::all());
   ASSERT_EQ(agg.size(), legacy.size());
 
   std::int64_t legacy_sends = 0;
@@ -134,53 +134,26 @@ TEST(BuildStepWork, AggregateFoldsSendsPerDestination) {
     EXPECT_EQ(incoming[r], agg[r].expected_recvs);
 }
 
-TEST(PackingPolicy, ThresholdAndNodeSplit) {
-  // Mean bytes/message vs the per-path threshold; same-node pairs use
-  // the shm threshold, cross-node pairs the remote one (16 ranks/node).
-  PackingPolicy p{4000, 1000, 16};
+TEST(PackingPolicy, MeanPayloadThreshold) {
+  // Mean bytes/message vs the threshold, independent of which ranks the
+  // pair connects.
+  const PackingPolicy p{1000};
   EXPECT_TRUE(p.active());
   EXPECT_FALSE(p.pack_all());
   // Single messages never pack regardless of size.
-  EXPECT_FALSE(p.pack(0, 1, 100, 1));
-  // Same node (ranks 0 and 1): mean 2000 <= 4000 packs.
-  EXPECT_TRUE(p.pack(0, 1, 4000, 2));
-  // Cross node (ranks 0 and 16): mean 2000 > 1000 stays eager.
-  EXPECT_FALSE(p.pack(0, 16, 4000, 2));
-  EXPECT_TRUE(p.pack(0, 16, 1500, 2));
+  EXPECT_FALSE(p.pack(100, 1));
+  // Mean 500 <= 1000 packs; mean 2000 > 1000 stays eager; the boundary
+  // (mean == threshold) packs.
+  EXPECT_TRUE(p.pack(1000, 2));
+  EXPECT_FALSE(p.pack(4000, 2));
+  EXPECT_TRUE(p.pack(2000, 2));
   EXPECT_FALSE(PackingPolicy::none().active());
+  EXPECT_FALSE(PackingPolicy::none().pack(2, 2));
+  EXPECT_FALSE(PackingPolicy{0}.active());
+  EXPECT_TRUE(PackingPolicy::all().active());
   EXPECT_TRUE(PackingPolicy::all().pack_all());
-  EXPECT_TRUE(PackingPolicy::all().pack(0, 99, std::int64_t{1} << 39, 2));
-}
-
-TEST(BuildStepWork, AdaptiveNoneAndAllMatchLegacyPaths) {
-  AmrMesh mesh(RootGrid{3, 3, 3});
-  Placement placement(mesh.size());
-  for (std::size_t b = 0; b < mesh.size(); ++b)
-    placement[b] = static_cast<std::int32_t>(b % 5);
-  const std::vector<TimeNs> costs(mesh.size(), us(10));
-  const MessageSizeModel sizes;
-  auto same = [](std::span<const RankStepWork> a,
-                 std::span<const RankStepWork> b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t r = 0; r < a.size(); ++r) {
-      ASSERT_EQ(a[r].sends.size(), b[r].sends.size());
-      for (std::size_t i = 0; i < a[r].sends.size(); ++i) {
-        EXPECT_EQ(a[r].sends[i].dst_rank, b[r].sends[i].dst_rank);
-        EXPECT_EQ(a[r].sends[i].bytes, b[r].sends[i].bytes);
-        EXPECT_EQ(a[r].sends[i].src_block, b[r].sends[i].src_block);
-        EXPECT_EQ(a[r].sends[i].msgs, b[r].sends[i].msgs);
-      }
-      EXPECT_EQ(a[r].expected_recvs, b[r].expected_recvs);
-      EXPECT_EQ(a[r].recv_bytes, b[r].recv_bytes);
-      EXPECT_EQ(a[r].local_copy_msgs, b[r].local_copy_msgs);
-    }
-  };
-  same(build_step_work(mesh, placement, costs, 5, sizes, true, false),
-       build_step_work(mesh, placement, costs, 5, sizes, true,
-                       PackingPolicy::none()));
-  same(build_step_work(mesh, placement, costs, 5, sizes, true, true),
-       build_step_work(mesh, placement, costs, 5, sizes, true,
-                       PackingPolicy::all()));
+  EXPECT_TRUE(PackingPolicy::all().pack(std::int64_t{1} << 39, 2));
+  EXPECT_FALSE(PackingPolicy::all().pack(std::int64_t{1} << 39, 1));
 }
 
 TEST(BuildStepWork, AdaptiveThresholdSplitsPairs) {
@@ -194,7 +167,7 @@ TEST(BuildStepWork, AdaptiveThresholdSplitsPairs) {
   const std::vector<TimeNs> costs(mesh.size(), us(10));
   const MessageSizeModel sizes;
   const auto legacy =
-      build_step_work(mesh, placement, costs, 5, sizes, false, false);
+      build_step_work(mesh, placement, costs, 5, sizes, false);
 
   // Pick a threshold strictly between the smallest and largest per-pair
   // mean, so the split is guaranteed to separate real traffic.
@@ -218,7 +191,7 @@ TEST(BuildStepWork, AdaptiveThresholdSplitsPairs) {
   }
   ASSERT_LT(lo, hi);  // pair means genuinely differ on this mesh
   const std::int64_t mid = (lo + hi) / 2;
-  const PackingPolicy policy{mid, mid, 16};
+  const PackingPolicy policy{mid};
   const auto adaptive =
       build_step_work(mesh, placement, costs, 5, sizes, false, policy);
 
@@ -241,7 +214,7 @@ TEST(BuildStepWork, AdaptiveThresholdSplitsPairs) {
       if (s.msgs > 1) {
         ++packed;
         // A packed pair's mean stayed at or below the threshold.
-        EXPECT_LE(s.bytes, policy.remote_threshold * s.msgs);
+        EXPECT_LE(s.bytes, policy.threshold * s.msgs);
       } else {
         ++eager;
       }

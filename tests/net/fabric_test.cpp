@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "amr/placement/metrics.hpp"
-
 namespace amr {
 namespace {
 
@@ -178,36 +176,6 @@ TEST(FabricDeath, IntraRankTransferForbidden) {
   const ClusterTopology topo(4, 2);
   Fabric fabric(topo, quiet_params(), Rng(1));
   EXPECT_DEATH(fabric.transfer(1, 1, 100, 0), "bypass");
-}
-
-TEST(FabricParamsModel, PackThresholdMatchesBreakEven) {
-  // Threshold = (per-message launch cost saved by coalescing, minus the
-  // packed-message overhead still paid) x path bandwidth: the mean
-  // payload whose serialization time equals the saving.
-  const FabricParams p = FabricParams::tuned();
-  const std::int64_t remote = static_cast<std::int64_t>(
-      static_cast<double>(p.remote_per_msg + p.post_overhead -
-                          p.packed_msg_overhead) *
-      p.remote_gbytes_per_sec);
-  const std::int64_t shm = static_cast<std::int64_t>(
-      static_cast<double>(p.shm_latency + p.post_overhead -
-                          p.packed_msg_overhead) *
-      p.shm_gbytes_per_sec);
-  EXPECT_EQ(p.pack_threshold(false), remote);
-  EXPECT_EQ(p.pack_threshold(true), shm);
-  EXPECT_GT(p.pack_threshold(false), 0);
-  EXPECT_GT(p.pack_threshold(true), 0);
-  // The default message-size model's small payloads (edge/vertex) fall
-  // under both thresholds; faces exceed the shm threshold.
-  const MessageSizeModel sizes;
-  EXPECT_LT(sizes.bytes(NeighborKind::kEdge), p.pack_threshold(true));
-  EXPECT_GT(sizes.bytes(NeighborKind::kFace), p.pack_threshold(true));
-
-  // When coalescing saves nothing, the threshold collapses to zero.
-  FabricParams degenerate = p;
-  degenerate.packed_msg_overhead =
-      degenerate.shm_latency + degenerate.post_overhead;
-  EXPECT_EQ(degenerate.pack_threshold(true), 0);
 }
 
 TEST(FabricPresets, UntunedIsPathological) {

@@ -1,7 +1,7 @@
 # Asserts the sharded-DES determinism contract end-to-end: sedov_sim
 # stdout must be byte-identical for every --des-shards value >= 1 —
 # shard count is a pure performance knob, never an answer knob — with
-# fault injection and message aggregation active:
+# fault injection and message packing active:
 #   1. --des-shards=1 / 2 / 8 produce identical stdout (8 clamps to the
 #      node count, exercising the clamp path too),
 #   2. a sharded run restored from a snapshot written under a DIFFERENT
@@ -19,7 +19,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 
 # 64 ranks / 16 per node = 4 nodes, so 1, 2, and 8(->4) shards genuinely
 # partition the queue differently.
-set(args cpl50 64 24 --faults=2 --aggregate)
+set(args cpl50 64 24 --faults=2 --comm-adaptive)
 
 execute_process(
   COMMAND "${SEDOV}" ${args} --des-shards=1

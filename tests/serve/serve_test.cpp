@@ -44,7 +44,31 @@ TEST(JobProtocol, JobObjectPopulatesTheSpec) {
   EXPECT_TRUE(req.job.send_priority);
   // Untouched fields keep the `amrcplx run` defaults.
   EXPECT_FALSE(req.job.aggregate);
-  EXPECT_TRUE(req.job.incremental_plans);
+  EXPECT_FALSE(req.job.comm_adaptive);
+}
+
+TEST(JobProtocol, AggregateIsASecondSpellingOfCommAdaptive) {
+  // The two fields must configure the same run: identical packing
+  // fields in job_config, with or without a threshold override.
+  for (const char* extra : {"", ", \"pack_threshold\": 2560"}) {
+    const ServeRequest agg = parse_serve_line(
+        std::string("{\"execution\": \"overlap\", \"aggregate\": true") +
+        extra + "}");
+    const ServeRequest adaptive = parse_serve_line(
+        std::string("{\"execution\": \"overlap\", "
+                    "\"comm_adaptive\": true") +
+        extra + "}");
+    ASSERT_EQ(agg.kind, ServeRequest::Kind::kJob) << agg.error;
+    ASSERT_EQ(adaptive.kind, ServeRequest::Kind::kJob) << adaptive.error;
+    EXPECT_EQ(validate_job(agg.job), "") << extra;
+    EXPECT_EQ(validate_job(adaptive.job), "") << extra;
+    const SimulationConfig a = job_config(agg.job);
+    const SimulationConfig b = job_config(adaptive.job);
+    EXPECT_TRUE(a.comm_adaptive) << extra;
+    EXPECT_EQ(a.comm_adaptive, b.comm_adaptive) << extra;
+    EXPECT_EQ(a.comm_pack_threshold, b.comm_pack_threshold) << extra;
+    EXPECT_EQ(a.send_priority, b.send_priority) << extra;
+  }
 }
 
 TEST(JobProtocol, UnknownAndMistypedFieldsAreRejected) {
@@ -168,8 +192,7 @@ TEST(QueryEndpoint, MalformedStatementsReportAndLeaveOutputUntouched) {
 /// SimDriver, exactly as `amrcplx run` would.
 std::string standalone_text(const JobSpec& spec) {
   SimDriver driver(spec);
-  return compact_report_text(driver.run(),
-                             spec.aggregate || spec.comm_adaptive);
+  return compact_report_text(driver.run(), driver.config().comm_adaptive);
 }
 
 std::vector<JobSpec> mixed_fleet() {

@@ -212,16 +212,16 @@ TEST(Simulation, OverlapExecutionModeCompletesAndMatchesMessageCounts) {
 }
 
 TEST(Simulation, AggregateWorksUnderOverlapAndConservesTraffic) {
-  // Formerly rejected: aggregation under overlap execution. The packed
-  // plan must move the same logical messages and bytes through fewer
+  // Packed per-peer transfers under overlap execution: the packed plan
+  // must move the same logical messages and bytes through fewer
   // transfers.
-  auto run = [](bool aggregate) {
+  auto run = [](bool adaptive) {
     SedovWorkload sedov(small_sedov());
     const auto policy = make_policy("cpl50");
     SimulationConfig cfg = small_config();
     cfg.execution = ExecutionMode::kOverlap;
     cfg.include_flux_correction = false;
-    cfg.aggregate_messages = aggregate;
+    cfg.comm_adaptive = adaptive;
     Simulation sim(cfg, sedov, *policy);
     return sim.run();
   };
@@ -237,27 +237,6 @@ TEST(Simulation, AggregateWorksUnderOverlapAndConservesTraffic) {
   EXPECT_EQ(agg.msgs_intra_rank, legacy.msgs_intra_rank);
   EXPECT_GT(agg.bytes_packed, 0);
   EXPECT_EQ(legacy.msgs_coalesced, 0);
-}
-
-TEST(Simulation, AdaptiveBspPacksLikeAggregate) {
-  // Under BSP the receiver waits for all arrivals, so the adaptive
-  // policy packs every pair — the run must match --aggregate exactly.
-  auto run = [](bool adaptive) {
-    SedovWorkload sedov(small_sedov());
-    const auto policy = make_policy("cpl50");
-    SimulationConfig cfg = small_config();
-    cfg.aggregate_messages = !adaptive;
-    cfg.comm_adaptive = adaptive;
-    Simulation sim(cfg, sedov, *policy);
-    return sim.run();
-  };
-  const RunReport agg = run(false);
-  const RunReport adaptive = run(true);
-  EXPECT_EQ(agg.wall_seconds, adaptive.wall_seconds);
-  EXPECT_EQ(agg.msgs_local, adaptive.msgs_local);
-  EXPECT_EQ(agg.msgs_remote, adaptive.msgs_remote);
-  EXPECT_EQ(agg.msgs_coalesced, adaptive.msgs_coalesced);
-  EXPECT_EQ(agg.bytes_packed, adaptive.bytes_packed);
 }
 
 TEST(Simulation, AdaptiveOverlapSplitsPairsAndIsDeterministic) {
@@ -321,16 +300,6 @@ TEST(Simulation, ShardedAdaptiveStatsMatchAcrossShardCounts) {
   EXPECT_EQ(seq.msgs_local, s1.msgs_local);
   EXPECT_EQ(seq.msgs_remote, s1.msgs_remote);
   EXPECT_GT(seq.msgs_coalesced, 0);
-}
-
-TEST(SimulationDeath, AggregateAndAdaptiveAreMutuallyExclusive) {
-  SedovWorkload sedov(small_sedov());
-  const auto policy = make_policy("baseline");
-  SimulationConfig cfg = small_config();
-  cfg.aggregate_messages = true;
-  cfg.comm_adaptive = true;
-  Simulation sim(cfg, sedov, *policy);
-  EXPECT_DEATH(sim.run(), "mutually exclusive");
 }
 
 TEST(SimulationDeath, PackThresholdRequiresAdaptive) {

@@ -1,7 +1,7 @@
 // Golden-file lock on the comm table schema and contents, including the
 // message-aggregation columns (msgs_coalesced, bytes_packed).
 //
-// A tiny deterministic Sedov run with --aggregate records per-(step,
+// A tiny deterministic Sedov run with --comm-adaptive records per-(step,
 // rank) message counters into Collector's comm table; its CSV must match
 // tests/telemetry/golden/comm_table.csv byte-for-byte. Any change to the
 // table schema, the per-window counters the simulation feeds it, or the
@@ -32,7 +32,7 @@ Table comm_table_from_tiny_run() {
   cfg.steps = 4;
   cfg.root_grid = RootGrid{2, 2, 2};
   cfg.collect_telemetry = true;
-  cfg.aggregate_messages = true;
+  cfg.comm_adaptive = true;
   SedovParams sp;
   sp.total_steps = cfg.steps;
   sp.max_level = 1;
