@@ -5,6 +5,7 @@
 // sweep tasks that buffer output instead of printing (amr/par/sweep).
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cstdarg>
@@ -12,7 +13,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "amr/mesh/coords.hpp"
@@ -32,21 +37,30 @@ namespace amr::bench {
 /// answer --help with the full flag list and defaults, and (b) reject
 /// unrecognized --flags by listing the known ones — no per-binary usage
 /// text to keep in sync. Arguments not starting with "--" are positional
-/// and ignored by the validation.
+/// and ignored by the validation. Simulation frontends register the
+/// whole job-field table with job().
 class Flags {
  public:
-  Flags(int argc, char** argv) {
-    prog_ = argc > 0 ? argv[0] : "bench";
+  /// `prog` names the program in messages (default argv[0]); a
+  /// subcommand passes its own argv slice and name.
+  Flags(int argc, char** argv, std::string prog = "") : prog_(std::move(prog)) {
+    if (prog_.empty()) prog_ = argc > 0 ? argv[0] : "bench";
     for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
   }
 
-  bool has(const std::string& name) const {
-    note(name, "", true);
+  bool has(const std::string& name, const char* help = "") const {
+    note(name, "", true, help);
+    return given(name);
+  }
+
+  /// True if --name or --name=VALUE appears (registers nothing).
+  bool given(const std::string& name) const {
     return find(name) != nullptr || flag_set(name);
   }
 
-  std::int64_t get_int(const std::string& name, std::int64_t def) const {
-    note(name, std::to_string(def), false);
+  std::int64_t get_int(const std::string& name, std::int64_t def,
+                       const char* help = "") const {
+    note(name, std::to_string(def), false, help);
     const char* v = find(name);
     if (v == nullptr) return def;
     std::int64_t out = 0;
@@ -60,7 +74,7 @@ class Flags {
   double get_double(const std::string& name, double def) const {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%g", def);
-    note(name, buf, false);
+    note(name, buf, false, "");
     const char* v = find(name);
     if (v == nullptr) return def;
     // strtod rather than from_chars<double>: libstdc++'s FP from_chars
@@ -74,9 +88,9 @@ class Flags {
     return out;
   }
 
-  std::string get_str(const std::string& name,
-                      const std::string& def) const {
-    note(name, def.empty() ? "\"\"" : def, false);
+  std::string get_str(const std::string& name, const std::string& def,
+                      const char* help = "") const {
+    note(name, def.empty() ? "\"\"" : def, false, help);
     const char* v = find(name);
     return v != nullptr ? std::string(v) : def;
   }
@@ -84,7 +98,7 @@ class Flags {
   /// True if --quick was passed: benches shrink scales/steps for smoke
   /// runs while preserving orderings.
   bool quick() const {
-    note("quick", "", true);
+    note("quick", "", true, "");
     return flag_set("quick");
   }
 
@@ -92,7 +106,9 @@ class Flags {
   /// worker per hardware thread". Output is byte-identical across jobs
   /// values (see amr/par/sweep.hpp).
   int jobs() const {
-    const std::int64_t j = get_int("jobs", 1);
+    const std::int64_t j =
+        get_int("jobs", 1, "parallel sweep workers (0 = one per hardware "
+                           "thread); output is identical for every N");
     if (j < 0) die_invalid("jobs", std::to_string(j).c_str(), ">= 0");
     if (j == 0) return ThreadPool::hardware_jobs();
     return static_cast<int>(j);
@@ -110,18 +126,55 @@ class Flags {
     return out;
   }
 
+  /// Text --help prints between the usage line and the flag list.
+  void about(std::string text) const { about_ = std::move(text); }
+
+  /// Register every job_fields() row (sim/sim_driver.hpp) except the
+  /// JSON names in `skip` as --name, '-' for '_'; boolean rows are
+  /// switches. `spec` holds the frontend's presets (the defaults --help
+  /// shows) and receives the flags given. A value its row refuses exits
+  /// 2 naming the flag.
+  void job(JobSpec& spec, std::span<const std::string_view> skip = {}) const {
+    for (const JobField& f : job_fields()) {
+      if (std::find(skip.begin(), skip.end(), f.name) != skip.end())
+        continue;
+      const std::string name = flag_name(f.name);
+      const bool is_switch =
+          f.on == nullptr && std::holds_alternative<bool JobSpec::*>(f.member);
+      note(name, is_switch ? "" : job_field_text(spec, f), is_switch, f.help);
+      const char* text = find(name);
+      if (text == nullptr && !flag_set(name)) continue;
+      const std::string err = set_job_field(spec, f, cli_value(f, text));
+      if (err.empty()) continue;
+      std::fprintf(stderr, "%s: --%s %s", prog_.c_str(), name.c_str(),
+                   err.c_str());
+      if (text != nullptr) std::fprintf(stderr, " (got '%s')", text);
+      std::fprintf(stderr, "\n");
+      std::exit(2);
+    }
+  }
+
+  /// The CLI spelling of a job-field name: '-' for '_'.
+  static std::string flag_name(std::string_view field) {
+    std::string out(field);
+    std::replace(out.begin(), out.end(), '_', '-');
+    return out;
+  }
+
   /// Call once after all flags have been read. --help prints every
-  /// registered flag with its default and exits 0; an unrecognized
-  /// --flag aborts listing the known ones.
+  /// registered flag with its default and help and exits 0; an
+  /// unrecognized --flag aborts listing the known ones.
   void done() const {
     if (flag_set("help")) {
-      std::printf("usage: %s [flags]\nflags:\n", prog_.c_str());
+      std::printf("usage: %s [flags]\n%sflags:\n", prog_.c_str(),
+                  about_.c_str());
       for (const auto& r : registered_) {
         if (r.is_switch)
           std::printf("  --%s\n", r.name.c_str());
         else
           std::printf("  --%s=<value>  (default %s)\n", r.name.c_str(),
                       r.def.c_str());
+        if (*r.help != '\0') std::printf("      %s\n", r.help);
       }
       std::exit(0);
     }
@@ -137,22 +190,51 @@ class Flags {
     }
   }
 
+  /// done(), then the job's validate_job: an incoherent job exits 2
+  /// with the check's message.
+  void done(const JobSpec& spec) const {
+    done();
+    const std::string err = validate_job(spec);
+    if (err.empty()) return;
+    std::fprintf(stderr, "%s: %s\n", prog_.c_str(), err.c_str());
+    std::exit(2);
+  }
+
  private:
   struct Registered {
     std::string name;
     std::string def;  ///< rendered default (empty for switches)
     bool is_switch;
+    const char* help;
   };
+
+  /// A job flag's text as the value its row takes: a bare switch is
+  /// true, and integer and boolean rows parse their text strictly (text
+  /// that does not parse stays a string, which the row refuses).
+  static JobValue cli_value(const JobField& f, const char* text) {
+    if (text == nullptr) return true;
+    const std::string_view v = text;
+    if (f.on == nullptr && std::holds_alternative<bool JobSpec::*>(f.member)) {
+      if (v == "true" || v == "false") return v == "true";
+    } else if (f.on == nullptr &&
+               !std::holds_alternative<std::string JobSpec::*>(f.member)) {
+      std::int64_t out = 0;
+      const char* end = v.data() + v.size();
+      const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+      if (ec == std::errc{} && ptr == end) return out;
+    }
+    return std::string(v);
+  }
 
   bool known(const std::string& name) const {
     for (const auto& r : registered_)
       if (r.name == name) return true;
     return false;
   }
-  void note(const std::string& name, std::string def,
-            bool is_switch) const {
+  void note(const std::string& name, std::string def, bool is_switch,
+            const char* help) const {
     if (!known(name))
-      registered_.push_back({name, std::move(def), is_switch});
+      registered_.push_back({name, std::move(def), is_switch, help});
   }
   const char* find(const std::string& name) const {
     const std::string prefix = "--" + name + "=";
@@ -174,6 +256,7 @@ class Flags {
   }
   std::string prog_;
   std::vector<std::string> args_;
+  mutable std::string about_;
   /// Flags seen by the getters, in first-read order (for done()).
   mutable std::vector<Registered> registered_;
 };

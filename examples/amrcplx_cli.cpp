@@ -3,158 +3,52 @@
 //
 //   run      simulate a workload end-to-end and print the run report
 //   sweep    compare all evaluation policies on one configuration
+//   serve    multiplex a batch of jobs over one process
 //   mesh     build a mesh and print structure/locality statistics
 //   policies list registered placement policies
+//
+// Every subcommand parses its flags strictly (an unknown flag exits 2)
+// and answers --help. The job flags of run and sweep, and serve's job
+// fields, are the job_fields() table of amr/sim/sim_driver.hpp.
 //
 // Examples:
 //   amrcplx run --workload=sedov --policy=cpl50 --ranks=512 --steps=60
 //   amrcplx run --workload=cooling --policy=lpt --execution=overlap
 //   amrcplx sweep --ranks=256 --steps=40 --jobs=8
 //   amrcplx mesh --ranks=512 --sfc=hilbert
-#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "amr/mesh/generators.hpp"
 #include "amr/par/sweep.hpp"
-#include "amr/par/thread_pool.hpp"
 #include "amr/placement/metrics.hpp"
 #include "amr/placement/registry.hpp"
 #include "amr/serve/sim_server.hpp"
 #include "amr/sim/sim_driver.hpp"
 #include "amr/trace/chrome_export.hpp"
+#include "bench_util.hpp"
 
 namespace {
 
 using namespace amr;
+using bench::Flags;
 
-bool has_flag(int argc, char** argv, const char* name) {
-  const std::string flag = std::string("--") + name;
-  for (int i = 2; i < argc; ++i)
-    if (flag == argv[i]) return true;
-  return false;
-}
-
-const char* arg_value(int argc, char** argv, const char* name,
-                      const char* def) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 2; i < argc; ++i)
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0)
-      return argv[i] + prefix.size();
-  return def;
-}
-
-/// Strict integer parse: a malformed --ranks=1O aborts instead of
-/// silently truncating like atoll.
-std::int64_t arg_int(int argc, char** argv, const char* name,
-                     std::int64_t def) {
-  const char* v = arg_value(argc, argv, name, nullptr);
-  if (v == nullptr) return def;
-  std::int64_t out = 0;
-  const char* end = v + std::strlen(v);
-  const auto [ptr, ec] = std::from_chars(v, end, out);
-  if (ec != std::errc{} || ptr != end) {
-    std::fprintf(stderr, "amrcplx: invalid value for --%s: '%s'\n", name,
-                 v);
-    std::exit(2);
-  }
-  return out;
-}
-
-int arg_jobs(int argc, char** argv) {
-  const std::int64_t j = arg_int(argc, argv, "jobs", 1);
-  if (j < 0) {
-    std::fprintf(stderr, "amrcplx: --jobs must be >= 0\n");
-    std::exit(2);
-  }
-  return j == 0 ? ThreadPool::hardware_jobs() : static_cast<int>(j);
-}
-
-void print_report(const RunReport& r, bool show_packing) {
-  const std::string text = compact_report_text(r, show_packing);
-  std::fwrite(text.data(), 1, text.size(), stdout);
-}
-
-/// Flag-to-spec mapping shared by `run` and (per job line) `serve`'s
-/// defaults; validation lives in validate_job.
-JobSpec spec_from_flags(int argc, char** argv) {
+int cmd_run(const Flags& flags) {
   JobSpec spec;
-  spec.workload = arg_value(argc, argv, "workload", "sedov");
-  spec.policy = arg_value(argc, argv, "policy", "cpl50");
-  spec.ranks = arg_int(argc, argv, "ranks", 64);
-  spec.steps = arg_int(argc, argv, "steps", 40);
-  spec.overlap =
-      std::string(arg_value(argc, argv, "execution", "bsp")) == "overlap";
-  spec.aggregate = has_flag(argc, argv, "aggregate");
-  spec.comm_adaptive = has_flag(argc, argv, "comm-adaptive");
-  spec.pack_threshold = arg_int(argc, argv, "pack-threshold", -1);
-  spec.send_priority = has_flag(argc, argv, "send-priority");
-  spec.des_shards =
-      static_cast<std::int32_t>(arg_int(argc, argv, "des-shards", 0));
-  spec.auto_cplx = has_flag(argc, argv, "auto-cplx");
-  spec.cplx_budget_ms = arg_int(argc, argv, "cplx-budget-ms", -1);
-  spec.placement_incremental =
-      has_flag(argc, argv, "placement-incremental");
-  spec.checkpoint_every = arg_int(argc, argv, "checkpoint-every", 0);
-  spec.checkpoint_dir = arg_value(argc, argv, "checkpoint-dir", ".");
-  spec.restore = arg_value(argc, argv, "restore", "");
-  spec.replay = arg_value(argc, argv, "replay", "");
-  spec.fault_nodes =
-      static_cast<std::int32_t>(arg_int(argc, argv, "faults", 0));
-  spec.trace = *arg_value(argc, argv, "trace-out", "") != '\0';
-  const std::int64_t cap = arg_int(argc, argv, "trace-capacity", 0);
-  if (cap > 0) spec.trace_capacity = static_cast<std::size_t>(cap);
-  return spec;
-}
-
-int cmd_run(int argc, char** argv) {
-  if (has_flag(argc, argv, "help")) {
-    std::printf(
-        "usage: amrcplx run [--flag=value]\n"
-        "  --workload=sedov|cooling (default sedov)\n"
-        "  --policy=NAME            (default cpl50)\n"
-        "  --ranks=N                (default 64)\n"
-        "  --steps=N                (default 40)\n"
-        "  --execution=bsp|overlap  (default bsp)\n"
-        "  --comm-adaptive          (per-peer packing: coalesce every\n"
-        "                            multi-message (src,dst) pair into\n"
-        "                            one transfer; bsp and overlap)\n"
-        "  --aggregate              (second spelling of --comm-adaptive)\n"
-        "  --pack-threshold=N       (global threshold override in mean\n"
-        "                            bytes/message; requires\n"
-        "                            --comm-adaptive; -1 = modeled)\n"
-        "  --send-priority          (schedule sends to the previous\n"
-        "                            window's straggler rank first)\n"
-        "  --des-shards=N           (parallel sharded DES; bsp only;\n"
-        "                            0 = sequential legacy engine)\n"
-        "  --auto-cplx              (self-tuning CPLX: pick X per regrid\n"
-        "                            epoch from an online step-time\n"
-        "                            surrogate; reports policy auto-cplx)\n"
-        "  --cplx-budget-ms=N       (auto-X evaluation budget; requires\n"
-        "                            --auto-cplx; default 50)\n"
-        "  --placement-incremental  (incremental parallel placement\n"
-        "                            engine for CPLX policies; output is\n"
-        "                            byte-identical to the full rebuild)\n"
-        "  --faults=N               (throttle N nodes x4 for the middle\n"
-        "                            half of the run; deterministic)\n"
-        "  --trace-out=FILE.json [--trace-capacity=N]\n"
-        "  --checkpoint-every=K --checkpoint-dir=D\n"
-        "  --restore=FILE | --replay=FILE\n");
-    return 0;
-  }
-  const JobSpec spec = spec_from_flags(argc, argv);
-  const std::string trace_out = arg_value(argc, argv, "trace-out", "");
-  const std::string invalid = validate_job(spec);
-  if (!invalid.empty()) {
-    std::fprintf(stderr, "amrcplx: %s\n", invalid.c_str());
-    return 2;
-  }
+  flags.job(spec);
+  const std::string trace_out = flags.get_str(
+      "trace-out", "", "write a Perfetto / chrome://tracing trace");
+  const std::int64_t trace_capacity = flags.get_int(
+      "trace-capacity", 0, "trace ring capacity in events (0 = default)");
+  flags.done(spec);
+  spec.trace = !trace_out.empty();
+  if (trace_capacity > 0)
+    spec.trace_capacity = static_cast<std::size_t>(trace_capacity);
 
   std::unique_ptr<SimDriver> driver;
   try {
@@ -167,7 +61,9 @@ int cmd_run(int argc, char** argv) {
   // byte-identical to the uninterrupted run's.
   if (!driver->restore_note().empty())
     std::fprintf(stderr, "amrcplx: %s\n", driver->restore_note().c_str());
-  print_report(driver->run(), driver->config().comm_adaptive);
+  const std::string text =
+      compact_report_text(driver->run(), driver->config().comm_adaptive);
+  std::fwrite(text.data(), 1, text.size(), stdout);
   if (!trace_out.empty()) {
     const Tracer& tracer = *driver->sim().tracer();
     if (!write_chrome_trace(tracer, trace_out)) {
@@ -183,48 +79,50 @@ int cmd_run(int argc, char** argv) {
   return 0;
 }
 
-int cmd_sweep(int argc, char** argv) {
-  const std::int64_t ranks = arg_int(argc, argv, "ranks", 64);
-  const std::int64_t steps = arg_int(argc, argv, "steps", 40);
-  const bool aggregate = has_flag(argc, argv, "aggregate");
-  const bool comm_adaptive = has_flag(argc, argv, "comm-adaptive");
-  const bool send_priority = has_flag(argc, argv, "send-priority");
-  const std::string execution = arg_value(argc, argv, "execution", "bsp");
-  const auto des_shards =
-      static_cast<std::int32_t>(arg_int(argc, argv, "des-shards", 0));
-  const bool placement_incremental =
-      has_flag(argc, argv, "placement-incremental");
+int cmd_sweep(const Flags& flags) {
+  // A sweep runs every evaluation policy; these name a single run.
+  constexpr std::string_view kOneRun[] = {
+      "policy",         "restore", "replay", "checkpoint_every",
+      "checkpoint_dir", "trace_out"};
+  for (const std::string_view field : kOneRun) {
+    const std::string flag = Flags::flag_name(field);
+    if (!flags.given(flag)) continue;
+    std::fprintf(stderr,
+                 "amrcplx sweep: --%s names a single run; a sweep runs "
+                 "every evaluation policy\n",
+                 flag.c_str());
+    return 2;
+  }
+  JobSpec spec;
+  spec.collect_telemetry = false;
+  flags.job(spec, kOneRun);
+  const int jobs = flags.jobs();
+  const std::string json = flags.json_path();
+  flags.done(spec);
   // Each policy's simulation is independent and fully deterministic in
   // simulated time, so the fan-out preserves serial output exactly.
-  Sweep sweep(arg_jobs(argc, argv));
+  Sweep sweep(jobs);
   for (const auto& name : evaluation_policy_names()) {
-    sweep.add(name, [=] {
-      JobSpec spec;
-      spec.policy = name;
-      spec.ranks = ranks;
-      spec.steps = steps;
-      spec.overlap = execution == "overlap";
-      spec.aggregate = aggregate;
-      spec.comm_adaptive = comm_adaptive;
-      spec.send_priority = send_priority;
-      spec.des_shards = des_shards;
-      spec.placement_incremental = placement_incremental;
-      spec.collect_telemetry = false;
-      SimDriver driver(spec);
+    sweep.add(name, [spec, name] {
+      JobSpec run = spec;
+      run.policy = name;
+      SimDriver driver(run);
       return compact_report_text(driver.run(),
                                  driver.config().comm_adaptive);
     });
   }
   sweep.run();
   sweep.print();
-  const std::string json = arg_value(argc, argv, "json", "");
   if (!json.empty()) sweep.write_json(json, "amrcplx/sweep");
   return 0;
 }
 
-int cmd_mesh(int argc, char** argv) {
-  const std::int64_t ranks = arg_int(argc, argv, "ranks", 512);
-  const std::string sfc_name = arg_value(argc, argv, "sfc", "z-order");
+int cmd_mesh(const Flags& flags) {
+  const std::int64_t ranks = flags.get_int("ranks", 512, "mesh for this "
+                                           "many ranks (Table I grid)");
+  const std::string sfc_name =
+      flags.get_str("sfc", "z-order", "z-order | hilbert");
+  flags.done();
   const SfcKind sfc =
       sfc_name == "hilbert" ? SfcKind::kHilbert : SfcKind::kZOrder;
 
@@ -248,59 +146,39 @@ int cmd_mesh(int argc, char** argv) {
   return 0;
 }
 
-int cmd_serve(int argc, char** argv) {
-  if (has_flag(argc, argv, "help")) {
-    std::printf(
-        "usage: amrcplx serve [--flag=value] < jobs  |  --file=JOBS\n"
-        "multiplex a batch of simulation jobs over one process.\n"
-        "protocol (one request per line):\n"
-        "  {\"policy\": \"cpl50\", \"ranks\": 64, \"steps\": 40, ...}\n"
-        "      submit a job; fields mirror `amrcplx run` flags\n"
-        "      (id, workload, policy, ranks, steps, execution,\n"
-        "       aggregate, comm_adaptive, pack_threshold, send_priority,\n"
-        "       des_shards, auto_cplx, cplx_budget_ms,\n"
-        "       placement_incremental, sedov_max_level, checkpoint_every,\n"
-        "       checkpoint_dir, restore, replay, faults)\n"
-        "  query <job-id> select ...   results endpoint (see README)\n"
-        "  stats                       scheduler counters\n"
-        "  # comment\n"
-        "flags:\n"
-        "  --file=JOBS          (read requests from a file, not stdin)\n"
-        "  --quantum-steps=N    (steps per tenant slice; default 16)\n"
-        "  --serve-jobs=N       (tenants sliced concurrently; default 1)\n"
-        "  --max-resident=MB    (evict cold sims to snapshots beyond this\n"
-        "                        budget; -1 unlimited, 0 evicts all idle)\n"
-        "  --spill-dir=D        (eviction snapshot directory; default .)\n"
-        "  --no-share           (disable cross-tenant plan sharing)\n"
-        "  --stats              (print scheduler counters to stderr)\n");
-    return 0;
-  }
-  // Unlike run/sweep, serve consumes stdin — a silently ignored flag
-  // typo would hang waiting for jobs, so reject unknown flags here.
-  static const char* const kServeFlags[] = {
-      "file",     "quantum-steps", "serve-jobs", "max-resident",
-      "spill-dir", "no-share",     "stats",      "help"};
-  for (int i = 2; i < argc; ++i) {
-    const std::string_view a = argv[i];
-    if (a.rfind("--", 0) != 0) continue;
-    const std::string_view body = a.substr(2, a.find('=') - 2);
-    bool known = false;
-    for (const char* f : kServeFlags) known = known || body == f;
-    if (!known) {
-      std::fprintf(stderr,
-                   "amrcplx serve: unrecognized flag --%.*s; see "
-                   "`amrcplx serve --help`\n",
-                   static_cast<int>(body.size()), body.data());
-      return 2;
-    }
-  }
+int cmd_serve(const Flags& flags) {
+  // Serve consumes stdin: a silently ignored flag typo would hang
+  // waiting for jobs, so done() rejecting unknown flags matters here.
+  std::string about =
+      "multiplex a batch of simulation jobs over one process; requests\n"
+      "come one per line from stdin or --file:\n"
+      "  {\"policy\": \"cpl50\", \"ranks\": 64, ...}  submit a job\n"
+      "  query <job-id> select ...           results endpoint (README)\n"
+      "  stats                               scheduler counters\n"
+      "  # comment\n"
+      "job fields (the `amrcplx run` flags, '_' for '-'):\n";
+  for (const JobField& f : job_fields())
+    about += std::string("  ") + f.name + " (" + job_field_kind(f) +
+             ")\n      " + f.help + "\n";
+  flags.about(std::move(about));
   serve::ServeOptions opts;
-  opts.quantum_steps = arg_int(argc, argv, "quantum-steps", 16);
-  opts.serve_jobs =
-      static_cast<int>(arg_int(argc, argv, "serve-jobs", 1));
-  opts.max_resident_mb = arg_int(argc, argv, "max-resident", -1);
-  opts.spill_dir = arg_value(argc, argv, "spill-dir", ".");
-  opts.share_plans = !has_flag(argc, argv, "no-share");
+  const std::string file =
+      flags.get_str("file", "", "read requests from this file, not stdin");
+  opts.quantum_steps =
+      flags.get_int("quantum-steps", 16, "steps per tenant slice");
+  opts.serve_jobs = static_cast<int>(
+      flags.get_int("serve-jobs", 1, "tenants sliced concurrently"));
+  opts.max_resident_mb = flags.get_int(
+      "max-resident", -1,
+      "evict cold sims to snapshots beyond this many MiB (-1 unlimited, "
+      "0 evicts all idle)");
+  opts.spill_dir =
+      flags.get_str("spill-dir", ".", "eviction snapshot directory");
+  opts.share_plans =
+      !flags.has("no-share", "disable cross-tenant plan sharing");
+  const bool stats =
+      flags.has("stats", "print scheduler counters to stderr");
+  flags.done();
   if (opts.quantum_steps <= 0) {
     std::fprintf(stderr, "amrcplx: --quantum-steps must be positive\n");
     return 2;
@@ -309,7 +187,6 @@ int cmd_serve(int argc, char** argv) {
     std::fprintf(stderr, "amrcplx: --serve-jobs must be >= 1\n");
     return 2;
   }
-  const std::string file = arg_value(argc, argv, "file", "");
   std::ifstream job_file;
   std::istream* in = &std::cin;
   if (!file.empty()) {
@@ -323,7 +200,7 @@ int cmd_serve(int argc, char** argv) {
   }
   serve::SimServer server(opts);
   const int rc = server.run(*in, stdout);
-  if (has_flag(argc, argv, "stats")) {
+  if (stats) {
     const serve::SchedulerStats s = server.stats();
     std::fprintf(stderr,
                  "serve: %lld jobs, %lld slices, %lld evictions, "
@@ -340,7 +217,8 @@ int cmd_serve(int argc, char** argv) {
   return rc;
 }
 
-int cmd_policies() {
+int cmd_policies(const Flags& flags) {
+  flags.done();
   std::printf("policies: baseline lpt cdp cdp-general cdp-bsearch "
               "chunked-cdp[/N] cpl0..cpl100 zonal/N/<inner>\n");
   std::printf("(graphcut is mesh-bound: see GraphCutPolicy in the API)\n");
@@ -351,26 +229,16 @@ int cmd_policies() {
 
 int main(int argc, char** argv) {
   const std::string cmd = argc > 1 ? argv[1] : "";
-  if (cmd == "run") return cmd_run(argc, argv);
-  if (cmd == "sweep") return cmd_sweep(argc, argv);
-  if (cmd == "serve") return cmd_serve(argc, argv);
-  if (cmd == "mesh") return cmd_mesh(argc, argv);
-  if (cmd == "policies") return cmd_policies();
+  // Each subcommand parses its own argv slice, named "amrcplx <cmd>".
+  const Flags flags(argc - 1, argv + 1, "amrcplx " + cmd);
+  if (cmd == "run") return cmd_run(flags);
+  if (cmd == "sweep") return cmd_sweep(flags);
+  if (cmd == "serve") return cmd_serve(flags);
+  if (cmd == "mesh") return cmd_mesh(flags);
+  if (cmd == "policies") return cmd_policies(flags);
   std::fprintf(stderr,
                "usage: amrcplx <run|sweep|serve|mesh|policies> "
                "[--flag=value]\n"
-               "  run    --workload=sedov|cooling --policy=NAME "
-               "--ranks=N --steps=N --execution=bsp|overlap\n"
-               "         --trace-out=FILE.json [--trace-capacity=N] "
-               "(Perfetto / chrome://tracing)\n"
-               "         --checkpoint-every=K --checkpoint-dir=D "
-               "--restore=FILE | --replay=FILE (see run --help)\n"
-               "  sweep  --ranks=N --steps=N --jobs=N [--aggregate] "
-               "[--comm-adaptive] [--send-priority]\n"
-               "         [--execution=bsp|overlap] [--des-shards=N] "
-               "[--placement-incremental] [--json=FILE]\n"
-               "  serve  --file=JOBS --quantum-steps=N --serve-jobs=N "
-               "--max-resident=MB (see serve --help)\n"
-               "  mesh   --ranks=N --sfc=z-order|hilbert\n");
+               "  `amrcplx <command> --help` lists a command's flags\n");
   return cmd.empty() ? 1 : 2;
 }

@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstring>
+#include <utility>
 
 namespace amr::serve {
 
@@ -24,14 +25,6 @@ struct Cursor {
     }
     return false;
   }
-};
-
-/// One parsed scalar: exactly one of the alternatives is meaningful.
-struct Scalar {
-  enum class Type { kString, kInt, kBool } type = Type::kString;
-  std::string str;
-  std::int64_t num = 0;
-  bool boolean = false;
 };
 
 bool parse_json_string(Cursor& c, std::string& out, std::string& err) {
@@ -66,91 +59,47 @@ bool parse_json_string(Cursor& c, std::string& out, std::string& err) {
   return true;
 }
 
-bool parse_scalar(Cursor& c, Scalar& out, std::string& err) {
+bool parse_scalar(Cursor& c, JobValue& out, std::string& err) {
   c.skip_ws();
   if (c.p >= c.end) {
     err = "expected a value";
     return false;
   }
   if (*c.p == '"') {
-    out.type = Scalar::Type::kString;
-    return parse_json_string(c, out.str, err);
+    std::string str;
+    if (!parse_json_string(c, str, err)) return false;
+    out = std::move(str);
+    return true;
   }
   const std::size_t left = static_cast<std::size_t>(c.end - c.p);
   if (left >= 4 && std::strncmp(c.p, "true", 4) == 0) {
-    out.type = Scalar::Type::kBool;
-    out.boolean = true;
+    out = true;
     c.p += 4;
     return true;
   }
   if (left >= 5 && std::strncmp(c.p, "false", 5) == 0) {
-    out.type = Scalar::Type::kBool;
-    out.boolean = false;
+    out = false;
     c.p += 5;
     return true;
   }
-  out.type = Scalar::Type::kInt;
-  const auto [ptr, ec] = std::from_chars(c.p, c.end, out.num);
+  std::int64_t num = 0;
+  const auto [ptr, ec] = std::from_chars(c.p, c.end, num);
   if (ec != std::errc{} || ptr == c.p) {
     err = "expected a string, integer, or boolean";
     return false;
   }
+  out = num;
   c.p = ptr;
   return true;
 }
 
-std::string wrong_type(const std::string& key, const char* want) {
-  return "field \"" + key + "\" must be " + want;
-}
-
 /// Apply one key/value to the spec; "" on success, else the error.
 std::string apply_field(JobSpec& spec, const std::string& key,
-                        const Scalar& v) {
-  const auto str = [&](std::string JobSpec::* field) -> std::string {
-    if (v.type != Scalar::Type::kString) return wrong_type(key, "a string");
-    spec.*field = v.str;
-    return "";
-  };
-  const auto i64 = [&](auto JobSpec::* field) -> std::string {
-    if (v.type != Scalar::Type::kInt) return wrong_type(key, "an integer");
-    spec.*field = static_cast<std::decay_t<decltype(spec.*field)>>(v.num);
-    return "";
-  };
-  const auto boolean = [&](bool JobSpec::* field) -> std::string {
-    if (v.type != Scalar::Type::kBool) return wrong_type(key, "a boolean");
-    spec.*field = v.boolean;
-    return "";
-  };
-
-  if (key == "id") return str(&JobSpec::id);
-  if (key == "workload") return str(&JobSpec::workload);
-  if (key == "policy") return str(&JobSpec::policy);
-  if (key == "ranks") return i64(&JobSpec::ranks);
-  if (key == "steps") return i64(&JobSpec::steps);
-  if (key == "execution") {
-    if (v.type != Scalar::Type::kString)
-      return wrong_type(key, "\"bsp\" or \"overlap\"");
-    if (v.str != "bsp" && v.str != "overlap")
-      return wrong_type(key, "\"bsp\" or \"overlap\"");
-    spec.overlap = v.str == "overlap";
-    return "";
-  }
-  if (key == "aggregate") return boolean(&JobSpec::aggregate);
-  if (key == "comm_adaptive") return boolean(&JobSpec::comm_adaptive);
-  if (key == "pack_threshold") return i64(&JobSpec::pack_threshold);
-  if (key == "send_priority") return boolean(&JobSpec::send_priority);
-  if (key == "des_shards") return i64(&JobSpec::des_shards);
-  if (key == "auto_cplx") return boolean(&JobSpec::auto_cplx);
-  if (key == "cplx_budget_ms") return i64(&JobSpec::cplx_budget_ms);
-  if (key == "placement_incremental")
-    return boolean(&JobSpec::placement_incremental);
-  if (key == "sedov_max_level") return i64(&JobSpec::sedov_max_level);
-  if (key == "checkpoint_every") return i64(&JobSpec::checkpoint_every);
-  if (key == "checkpoint_dir") return str(&JobSpec::checkpoint_dir);
-  if (key == "restore") return str(&JobSpec::restore);
-  if (key == "replay") return str(&JobSpec::replay);
-  if (key == "faults") return i64(&JobSpec::fault_nodes);
-  return "unknown field \"" + key + "\"";
+                        const JobValue& v) {
+  const JobField* field = find_job_field(key);
+  if (field == nullptr) return "unknown field \"" + key + "\"";
+  const std::string err = set_job_field(spec, *field, v);
+  return err.empty() ? err : "field \"" + key + "\" " + err;
 }
 
 ServeRequest parse_job_object(const std::string& line) {
@@ -180,7 +129,7 @@ ServeRequest parse_job_object(const std::string& line) {
       req.error = "expected ':' after \"" + key + "\"";
       return req;
     }
-    Scalar value;
+    JobValue value;
     if (!parse_scalar(c, value, err)) {
       req.error = "field \"" + key + "\": " + err;
       return req;

@@ -7,7 +7,9 @@
 //
 // Job lines are flat JSON objects — a deliberately minimal dialect
 // (string / integer / boolean values, no nesting) parsed here without
-// any external dependency. Unknown keys are rejected rather than
+// any external dependency. Keys are the job_fields() rows of
+// amr/sim/sim_driver.hpp, the same table the CLI flags come from.
+// Unknown keys are rejected rather than
 // ignored: a typo'd "polcy" silently running the default policy would
 // corrupt a whole sweep, the same reasoning as the strict bench flag
 // parser.

@@ -5,9 +5,10 @@
 // QuantumScheduler owns execution. Requests stream in (job file or
 // stdin), job objects queue, and a `query`/`stats` line — or end of
 // input — drains the queue. Every completed job then prints, in
-// submission order:
+// submission order, under its 0-based submission index (the job's
+// "id" only addresses `query` lines):
 //
-//   == job <id> ==
+//   == job <index> ==
 //   <the job's report text, byte-identical to `amrcplx run`>
 //
 // followed by the query/stats responses in request order. All stdout is

@@ -4,6 +4,8 @@
 #include <cstdarg>
 #include <cstdio>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "amr/faults/injector.hpp"
 #include "amr/simmpi/comm.hpp"
@@ -33,19 +35,141 @@ void appendf(std::string& out, const char* fmt, ...) {
   va_end(args);
 }
 
-/// `aggregate` is a second spelling of `comm_adaptive`; this is the one
-/// place the alias resolves.
+/// JobSpec::aggregate is a second spelling of `comm_adaptive` for API
+/// callers; this is the one place it resolves.
 bool packs_messages(const JobSpec& spec) {
   return spec.comm_adaptive || spec.aggregate;
 }
 
+constexpr JobField kJobFields[] = {
+    {"id", &JobSpec::id, "label that `query <id>` lines name (serve)"},
+    {"workload", &JobSpec::workload, "sedov | cooling"},
+    {"policy", &JobSpec::policy,
+     "placement policy (see `amrcplx policies`)"},
+    {"ranks", &JobSpec::ranks,
+     "simulated MPI ranks, a power of two (16 per node)"},
+    {"steps", &JobSpec::steps, "timesteps"},
+    {"execution", &JobSpec::overlap,
+     "bsp, or overlap: task-graph steps that overlap compute and "
+     "communication",
+     "bsp", "overlap"},
+    {"overlap", &JobSpec::overlap, "same as execution=overlap"},
+    {"comm_adaptive", &JobSpec::comm_adaptive,
+     "per-peer packing: coalesce each (src,dst) pair's boundary sends of "
+     "a step into one transfer"},
+    {"aggregate", &JobSpec::comm_adaptive, "same as comm_adaptive"},
+    {"pack_threshold", &JobSpec::pack_threshold,
+     "packing threshold in mean bytes/message (needs comm_adaptive; "
+     "-1 = modeled)"},
+    {"send_priority", &JobSpec::send_priority,
+     "send to the previous window's critical-path straggler rank first"},
+    {"des_shards", &JobSpec::des_shards,
+     "run the DES as N node shards in parallel (bsp only; 0 = "
+     "sequential engine)"},
+    {"auto_cplx", &JobSpec::auto_cplx,
+     "self-tuning CPLX: pick X per regrid epoch from an online "
+     "step-time model"},
+    {"cplx_budget_ms", &JobSpec::cplx_budget_ms,
+     "auto-X evaluation budget (needs auto_cplx; -1 = 50 ms)"},
+    {"placement_incremental", &JobSpec::placement_incremental,
+     "incremental parallel placement engine for CPLX policies (same "
+     "output as a full rebuild)"},
+    {"sedov_max_level", &JobSpec::sedov_max_level,
+     "Sedov refinement depth (0 = workload default)"},
+    {"checkpoint_every", &JobSpec::checkpoint_every,
+     "write ckpt_<step>.amrs every K steps (0 = never)"},
+    {"checkpoint_dir", &JobSpec::checkpoint_dir, "checkpoint directory"},
+    {"restore", &JobSpec::restore,
+     "resume from a snapshot; stdout matches the uninterrupted run"},
+    {"replay", &JobSpec::replay,
+     "like restore, to re-drive the run under another policy"},
+    {"faults", &JobSpec::fault_nodes,
+     "throttle N nodes x4 for the middle half of the run (victims from "
+     "the seed)"},
+};
+
 }  // namespace
+
+std::span<const JobField> job_fields() { return kJobFields; }
+
+const JobField* find_job_field(std::string_view name) {
+  for (const JobField& f : kJobFields)
+    if (name == f.name) return &f;
+  return nullptr;
+}
+
+std::string job_field_kind(const JobField& field) {
+  if (field.on != nullptr)
+    return std::string("\"") + field.off + "\" or \"" + field.on + "\"";
+  if (std::holds_alternative<std::string JobSpec::*>(field.member))
+    return "a string";
+  if (std::holds_alternative<bool JobSpec::*>(field.member))
+    return "a boolean";
+  if (std::holds_alternative<std::int32_t JobSpec::*>(field.member))
+    return "a 32-bit integer";
+  return "an integer";
+}
+
+std::string set_job_field(JobSpec& spec, const JobField& field,
+                          const JobValue& value) {
+  const bool ok = std::visit(
+      [&](auto JobSpec::* member) {
+        auto& dst = spec.*member;
+        using T = std::remove_reference_t<decltype(dst)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          if (field.on != nullptr) {
+            const auto* word = std::get_if<std::string>(&value);
+            if (word == nullptr || (*word != field.off && *word != field.on))
+              return false;
+            dst = *word == field.on;
+            return true;
+          }
+        }
+        // Integers arrive as int64; an int32 member takes only values
+        // that fit.
+        using Want = std::conditional_t<std::is_same_v<T, std::int32_t>,
+                                        std::int64_t, T>;
+        const auto* v = std::get_if<Want>(&value);
+        if (v == nullptr) return false;
+        if constexpr (std::is_same_v<T, std::int32_t>)
+          if (!std::in_range<T>(*v)) return false;
+        dst = static_cast<T>(*v);
+        return true;
+      },
+      field.member);
+  return ok ? "" : "must be " + job_field_kind(field);
+}
+
+std::string job_field_text(const JobSpec& spec, const JobField& field) {
+  return std::visit(
+      [&](auto JobSpec::* member) -> std::string {
+        const auto& v = spec.*member;
+        using T = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>)
+          return v.empty() ? "\"\"" : v;
+        else if constexpr (std::is_same_v<T, bool>)
+          return field.on != nullptr ? (v ? field.on : field.off)
+                                     : (v ? "true" : "false");
+        else
+          return std::to_string(v);
+      },
+      field.member);
+}
 
 std::string validate_job(const JobSpec& spec) {
   if (spec.ranks <= 0) return "ranks must be positive";
   if (spec.ranks > Comm::kMaxRanks)
     return "ranks must be at most " + std::to_string(Comm::kMaxRanks);
+  if ((spec.ranks & (spec.ranks - 1)) != 0)
+    return "ranks must be a power of two";
   if (spec.steps <= 0) return "steps must be positive";
+  if (spec.workload != "sedov" && spec.workload != "cooling")
+    return "unknown workload " + spec.workload + " (sedov | cooling)";
+  if (spec.des_shards < 0) return "--des-shards must be >= 0";
+  if (spec.fault_nodes < 0) return "--faults must be >= 0";
+  if (spec.checkpoint_every < 0) return "--checkpoint-every must be >= 0";
+  if (spec.sedov_max_level < 0) return "--sedov-max-level must be >= 0";
+  if (spec.pack_threshold < -1) return "--pack-threshold must be >= -1";
   if (!spec.restore.empty() && !spec.replay.empty())
     return "--restore and --replay are mutually exclusive";
   if (spec.pack_threshold >= 0 && !packs_messages(spec))
@@ -240,10 +364,7 @@ SimDriver::SimDriver(const JobSpec& spec, SharedPlanStore* shared_plans)
   if (!err.empty()) throw std::runtime_error(err);
   config_ = job_config(spec_);
   config_.shared_plans = shared_plans;
-  workload_ = make_job_workload(spec_);
-  if (!workload_)
-    throw std::runtime_error("unknown workload " + spec_.workload +
-                             " (sedov | cooling)");
+  workload_ = make_job_workload(spec_);  // validate_job knows the names
   policy_ = make_policy(spec_.policy);  // throws on an unknown policy
   sim_ = std::make_unique<Simulation>(config_, *workload_, *policy_);
   const std::string snapshot =

@@ -13,7 +13,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
+#include <variant>
 
 #include "amr/placement/registry.hpp"
 #include "amr/sim/simulation.hpp"
@@ -23,8 +26,8 @@ namespace amr {
 class SharedPlanStore;
 
 /// One simulation job, as a frontend-neutral value: flags from the CLIs
-/// and JSON fields from the serve protocol both land here. Defaults
-/// mirror `amrcplx run`.
+/// and JSON fields from the serve protocol both land here, through the
+/// job_fields() table. Defaults mirror `amrcplx run`.
 struct JobSpec {
   std::string id;  ///< serve job identifier (CLIs leave it empty)
   std::string workload = "sedov";  ///< sedov | cooling
@@ -33,9 +36,9 @@ struct JobSpec {
   std::int64_t steps = 40;
   bool overlap = false;  ///< overlap execution instead of BSP
   bool comm_adaptive = false;  ///< per-peer message packing
-  /// Second spelling of comm_adaptive (`--aggregate`, the "aggregate"
-  /// job field), resolved inside sim_driver: downstream code reads
-  /// SimulationConfig::comm_adaptive, never this field.
+  /// Second spelling of comm_adaptive for API callers, resolved inside
+  /// sim_driver: downstream code reads SimulationConfig::comm_adaptive,
+  /// never this field. (The `aggregate` job field sets comm_adaptive.)
   bool aggregate = false;
   std::int64_t pack_threshold = -1;  ///< requires comm_adaptive; -1 modeled
   bool send_priority = false;
@@ -59,12 +62,54 @@ struct JobSpec {
   std::int32_t fault_nodes = 0;
   bool trace = false;
   std::size_t trace_capacity = 0;  ///< 0 = TraceConfig default
+
+  friend bool operator==(const JobSpec&, const JobSpec&) = default;
 };
 
-/// Mode-matrix validation, hoisted so every frontend rejects the same
-/// contradictions with the same words. Returns "" when the spec is
-/// coherent, else the failure message (no program-name prefix — the
-/// frontend adds its own).
+/// One job field, declared once for every frontend: `name` is the serve
+/// JSON key, and the CLI flag is `--name` with '-' for '_'. Rows that
+/// share a member are aliases ("aggregate" sets comm_adaptive,
+/// "overlap" is the switch spelling of "execution"); the last one given
+/// wins. collect_telemetry, trace and trace_capacity are not rows: each
+/// frontend sets them from its own presets and flags.
+struct JobField {
+  using Member = std::variant<std::string JobSpec::*, std::int64_t JobSpec::*,
+                              std::int32_t JobSpec::*, bool JobSpec::*>;
+  const char* name;
+  Member member;
+  const char* help;
+  /// Set on a bool member spelled as a choice of two words instead of a
+  /// boolean ("execution": off = "bsp", on = "overlap").
+  const char* off = nullptr;
+  const char* on = nullptr;
+};
+
+/// A field value as parsed from a serve JSON line or a CLI flag.
+using JobValue = std::variant<std::string, std::int64_t, bool>;
+
+/// The job-field table, in help order.
+std::span<const JobField> job_fields();
+
+/// The row named `name` (JSON spelling), or nullptr.
+const JobField* find_job_field(std::string_view name);
+
+/// What a row takes, as it reads after "must be": "an integer",
+/// "a boolean", "a string", or the two words of a choice.
+std::string job_field_kind(const JobField& field);
+
+/// Store `value` into the row's member. Returns "" on success, else
+/// "must be <kind>"; the frontend prefixes the field's name.
+std::string set_job_field(JobSpec& spec, const JobField& field,
+                          const JobValue& value);
+
+/// The row's current value in `spec`, rendered for help text.
+std::string job_field_text(const JobSpec& spec, const JobField& field);
+
+/// Input and mode-matrix validation, the one place every frontend's job
+/// is checked, so all reject the same inputs with the same words:
+/// ranges (ranks a power of two, counts >= 0), the workload name, and
+/// contradictory modes. Returns "" when the spec is coherent, else the
+/// failure message (no program-name prefix — the frontend adds its own).
 std::string validate_job(const JobSpec& spec);
 
 /// Paper Table I mesh sizes: 512 -> 128^3 cells = 8^3 root blocks of

@@ -7,7 +7,11 @@
 // inside a fault window).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "amr/serve/job_protocol.hpp"
@@ -15,6 +19,7 @@
 #include "amr/serve/scheduler.hpp"
 #include "amr/simmpi/comm.hpp"
 #include "amr/telemetry/query.hpp"
+#include "bench_util.hpp"
 
 namespace amr::serve {
 namespace {
@@ -28,49 +33,6 @@ TEST(JobProtocol, BlankAndCommentLinesAreIgnored) {
             ServeRequest::Kind::kNone);
 }
 
-TEST(JobProtocol, JobObjectPopulatesTheSpec) {
-  const ServeRequest req = parse_serve_line(
-      "{\"id\": \"what-if\", \"workload\": \"cooling\", \"policy\": "
-      "\"lpt\", \"ranks\": 128, \"steps\": 12, \"execution\": "
-      "\"overlap\", \"faults\": 2, \"send_priority\": true}");
-  ASSERT_EQ(req.kind, ServeRequest::Kind::kJob);
-  EXPECT_EQ(req.job.id, "what-if");
-  EXPECT_EQ(req.job.workload, "cooling");
-  EXPECT_EQ(req.job.policy, "lpt");
-  EXPECT_EQ(req.job.ranks, 128);
-  EXPECT_EQ(req.job.steps, 12);
-  EXPECT_TRUE(req.job.overlap);
-  EXPECT_EQ(req.job.fault_nodes, 2);
-  EXPECT_TRUE(req.job.send_priority);
-  // Untouched fields keep the `amrcplx run` defaults.
-  EXPECT_FALSE(req.job.aggregate);
-  EXPECT_FALSE(req.job.comm_adaptive);
-}
-
-TEST(JobProtocol, AggregateIsASecondSpellingOfCommAdaptive) {
-  // The two fields must configure the same run: identical packing
-  // fields in job_config, with or without a threshold override.
-  for (const char* extra : {"", ", \"pack_threshold\": 2560"}) {
-    const ServeRequest agg = parse_serve_line(
-        std::string("{\"execution\": \"overlap\", \"aggregate\": true") +
-        extra + "}");
-    const ServeRequest adaptive = parse_serve_line(
-        std::string("{\"execution\": \"overlap\", "
-                    "\"comm_adaptive\": true") +
-        extra + "}");
-    ASSERT_EQ(agg.kind, ServeRequest::Kind::kJob) << agg.error;
-    ASSERT_EQ(adaptive.kind, ServeRequest::Kind::kJob) << adaptive.error;
-    EXPECT_EQ(validate_job(agg.job), "") << extra;
-    EXPECT_EQ(validate_job(adaptive.job), "") << extra;
-    const SimulationConfig a = job_config(agg.job);
-    const SimulationConfig b = job_config(adaptive.job);
-    EXPECT_TRUE(a.comm_adaptive) << extra;
-    EXPECT_EQ(a.comm_adaptive, b.comm_adaptive) << extra;
-    EXPECT_EQ(a.comm_pack_threshold, b.comm_pack_threshold) << extra;
-    EXPECT_EQ(a.send_priority, b.send_priority) << extra;
-  }
-}
-
 TEST(JobProtocol, UnknownAndMistypedFieldsAreRejected) {
   // A typo'd key must fail the line, not silently run a default config.
   const ServeRequest typo = parse_serve_line("{\"polcy\": \"lpt\"}");
@@ -81,6 +43,10 @@ TEST(JobProtocol, UnknownAndMistypedFieldsAreRejected) {
             ServeRequest::Kind::kError);
   EXPECT_EQ(parse_serve_line("{\"execution\": \"fancy\"}").kind,
             ServeRequest::Kind::kError);
+  // A value an int32 field cannot hold is refused, not truncated.
+  const ServeRequest wide = parse_serve_line("{\"des_shards\": 4294967297}");
+  ASSERT_EQ(wide.kind, ServeRequest::Kind::kError);
+  EXPECT_EQ(wide.error, "field \"des_shards\" must be a 32-bit integer");
   EXPECT_EQ(parse_serve_line("{\"policy\": \"lpt\"} trailing").kind,
             ServeRequest::Kind::kError);
   EXPECT_EQ(parse_serve_line("{\"policy\" \"lpt\"}").kind,
@@ -99,6 +65,159 @@ TEST(JobProtocol, QueryAndStatsCommands) {
             ServeRequest::Kind::kError);
   EXPECT_EQ(parse_serve_line("frobnicate now").kind,
             ServeRequest::Kind::kError);
+}
+
+// --------------------------------------------------------------- job fields
+
+/// The CLI frontends' flag parser over `args` (program name excluded).
+JobSpec spec_from_cli(std::vector<std::string> args) {
+  args.insert(args.begin(), "cli");
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  const bench::Flags flags(static_cast<int>(argv.size()), argv.data());
+  JobSpec spec;
+  flags.job(spec);
+  return spec;
+}
+
+JobSpec spec_from_json(const std::string& line) {
+  const ServeRequest req = parse_serve_line(line);
+  EXPECT_EQ(req.kind, ServeRequest::Kind::kJob) << line << ": " << req.error;
+  return req.job;
+}
+
+/// Every SimulationConfig field job_config sets, rendered for comparison.
+std::string config_text(const SimulationConfig& c) {
+  std::ostringstream o;
+  o << c.nranks << ' ' << c.ranks_per_node << ' ' << c.root_grid.nx << 'x'
+    << c.root_grid.ny << 'x' << c.root_grid.nz << ' ' << c.steps << ' '
+    << c.collect_telemetry << ' ' << static_cast<int>(c.execution) << ' '
+    << c.include_flux_correction << ' ' << c.comm_adaptive << ' '
+    << c.comm_pack_threshold << ' ' << c.send_priority << ' '
+    << c.des_shards << ' ' << c.auto_cplx << ' ' << c.cplx_budget_ms << ' '
+    << c.placement_incremental << ' ' << c.checkpoint_every << ' '
+    << c.checkpoint_dir << ' ' << c.trace_enabled << ' '
+    << c.trace.capacity;
+  for (const ThrottleFault& f : c.faults.throttles()) {
+    o << " throttle " << f.factor << ' ' << f.onset_step << ' '
+      << f.end_step;
+    for (const std::int32_t n : f.nodes) o << ' ' << n;
+  }
+  return o.str();
+}
+
+/// `cli` args and the `json` line must build the same JobSpec and the
+/// same job_config.
+void expect_same_job(const std::vector<std::string>& cli,
+                     const std::string& json) {
+  const JobSpec a = spec_from_cli(cli);
+  const JobSpec b = spec_from_json(json);
+  EXPECT_TRUE(a == b) << json;
+  EXPECT_EQ(config_text(job_config(a)), config_text(job_config(b)))
+      << json;
+}
+
+#if defined(AMR_SEDOV_SIM) && defined(AMR_AMRCPLX)
+std::string help_text(const std::string& command) {
+  std::string out;
+  FILE* pipe = popen((command + " --help").c_str(), "r");
+  if (pipe == nullptr) return out;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;)
+    out.append(buf, n);
+  EXPECT_EQ(pclose(pipe), 0) << command;
+  return out;
+}
+#endif
+
+TEST(JobProtocol, JobObjectPopulatesTheSpec) {
+  // A whole job line, and its `amrcplx run` spelling builds the same job.
+  const std::string what_if =
+      "{\"id\": \"what-if\", \"workload\": \"cooling\", \"policy\": "
+      "\"lpt\", \"ranks\": 128, \"steps\": 12, \"execution\": "
+      "\"overlap\", \"faults\": 2, \"send_priority\": true}";
+  const ServeRequest req = parse_serve_line(what_if);
+  ASSERT_EQ(req.kind, ServeRequest::Kind::kJob);
+  EXPECT_EQ(req.job.id, "what-if");
+  EXPECT_EQ(req.job.workload, "cooling");
+  EXPECT_EQ(req.job.policy, "lpt");
+  EXPECT_EQ(req.job.ranks, 128);
+  EXPECT_EQ(req.job.steps, 12);
+  EXPECT_TRUE(req.job.overlap);
+  EXPECT_EQ(req.job.fault_nodes, 2);
+  EXPECT_TRUE(req.job.send_priority);
+  // Untouched fields keep the `amrcplx run` defaults.
+  EXPECT_FALSE(req.job.aggregate);
+  EXPECT_FALSE(req.job.comm_adaptive);
+  expect_same_job({"--id=what-if", "--workload=cooling", "--policy=lpt",
+                   "--ranks=128", "--steps=12", "--execution=overlap",
+                   "--faults=2", "--send-priority"},
+                  what_if);
+}
+
+TEST(JobProtocol, AggregateIsASecondSpellingOfCommAdaptive) {
+  // Aliases set the same member: "aggregate" is comm_adaptive and
+  // "overlap" is execution=overlap, with or without a threshold, through
+  // both the CLI and the JSON spelling.
+  for (const char* extra : {"", ", \"pack_threshold\": 2560"}) {
+    std::vector<std::string> alias = {"--overlap", "--aggregate"};
+    if (*extra != '\0') alias.push_back("--pack-threshold=2560");
+    const std::string adaptive =
+        std::string("{\"execution\": \"overlap\", \"comm_adaptive\": true") +
+        extra + "}";
+    const std::string agg =
+        std::string("{\"execution\": \"overlap\", \"aggregate\": true") +
+        extra + "}";
+    EXPECT_EQ(validate_job(spec_from_json(adaptive)), "") << extra;
+    EXPECT_EQ(validate_job(spec_from_json(agg)), "") << extra;
+    EXPECT_TRUE(job_config(spec_from_json(agg)).comm_adaptive) << extra;
+    expect_same_job(alias, adaptive);
+    expect_same_job(alias, agg);
+    expect_same_job(alias, std::string("{\"overlap\": true, \"aggregate\": "
+                                       "true") + extra + "}");
+  }
+}
+
+TEST(JobFields, CliFlagsAndServeFieldsBuildTheSameSpec) {
+  // Every row: one non-default value, spelled as a CLI flag and as a
+  // serve JSON field.
+  for (const JobField& f : job_fields()) {
+    const std::string flag = "--" + bench::Flags::flag_name(f.name);
+    std::vector<std::string> cli;
+    std::string json;
+    if (f.on != nullptr) {
+      cli = {flag + "=" + f.on};
+      json = std::string("\"") + f.on + "\"";
+    } else if (std::holds_alternative<bool JobSpec::*>(f.member)) {
+      cli = {flag};
+      json = "true";
+    } else if (std::holds_alternative<std::string JobSpec::*>(f.member)) {
+      cli = {flag + "=x-" + f.name};
+      json = std::string("\"x-") + f.name + "\"";
+    } else {
+      cli = {flag + "=3"};
+      json = "3";
+    }
+    const std::string line =
+        std::string("{\"") + f.name + "\": " + json + "}";
+    EXPECT_FALSE(spec_from_json(line) == JobSpec{}) << f.name;
+    expect_same_job(cli, line);
+  }
+
+#if defined(AMR_SEDOV_SIM) && defined(AMR_AMRCPLX)
+  // Each frontend's --help lists every row.
+  const std::string sedov = help_text(AMR_SEDOV_SIM);
+  const std::string run = help_text(std::string(AMR_AMRCPLX) + " run");
+  const std::string serve = help_text(std::string(AMR_AMRCPLX) + " serve");
+  for (const JobField& f : job_fields()) {
+    const std::string flag = "  --" + bench::Flags::flag_name(f.name);
+    EXPECT_NE(sedov.find(flag), std::string::npos) << f.name;
+    EXPECT_NE(run.find(flag), std::string::npos) << f.name;
+    EXPECT_NE(serve.find(std::string("  ") + f.name + " ("),
+              std::string::npos)
+        << f.name;
+  }
+#endif
 }
 
 // ----------------------------------------------------------- query endpoint
@@ -343,6 +462,54 @@ TEST(QuantumScheduler, InvalidSpecsFailAtSubmitWithoutPoisoningTheQueue) {
   ASSERT_NE(sched.result(2), nullptr);
   EXPECT_TRUE(sched.result(2)->ok);
   EXPECT_EQ(sched.result(2)->text, standalone_text(fine));
+}
+
+TEST(QuantumScheduler, OutOfRangeSpecsFailWithNamedErrors) {
+  // validate_job is the one input check: each range gets its own
+  // message, and a refused tenant leaves the next one untouched.
+  JobSpec fine;
+  fine.ranks = 64;
+  fine.steps = 4;
+  std::vector<std::pair<JobSpec, std::string>> cases;
+  const auto add = [&](const char* want, auto edit) {
+    JobSpec spec = fine;
+    edit(spec);
+    cases.emplace_back(spec, want);
+  };
+  // 3 ranks would build a 2-block root grid.
+  add("ranks must be a power of two", [](JobSpec& s) { s.ranks = 3; });
+  add("ranks must be a power of two", [](JobSpec& s) { s.ranks = 24; });
+  add("--des-shards must be >= 0", [](JobSpec& s) { s.des_shards = -2; });
+  add("--faults must be >= 0", [](JobSpec& s) { s.fault_nodes = -1; });
+  add("--checkpoint-every must be >= 0",
+      [](JobSpec& s) { s.checkpoint_every = -1; });
+  add("--sedov-max-level must be >= 0",
+      [](JobSpec& s) { s.sedov_max_level = -1; });
+  add("--pack-threshold must be >= -1", [](JobSpec& s) {
+    s.comm_adaptive = true;
+    s.pack_threshold = -2;
+  });
+  add("unknown workload bogus (sedov | cooling)",
+      [](JobSpec& s) { s.workload = "bogus"; });
+
+  QuantumScheduler sched(ServeOptions{});
+  for (const auto& [spec, want] : cases) {
+    EXPECT_EQ(validate_job(spec), want);
+    sched.submit(spec);
+  }
+  sched.submit(fine);
+  sched.drain();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const JobResult* r = sched.result(static_cast<std::int64_t>(i));
+    ASSERT_NE(r, nullptr) << i;
+    EXPECT_FALSE(r->ok) << i;
+    EXPECT_EQ(r->error, cases[i].second) << i;
+  }
+  const JobResult* last =
+      sched.result(static_cast<std::int64_t>(cases.size()));
+  ASSERT_NE(last, nullptr);
+  ASSERT_TRUE(last->ok) << last->error;
+  EXPECT_EQ(last->text, standalone_text(fine));
 }
 
 TEST(QuantumScheduler, RejectsIncoherentOptions) {
