@@ -93,7 +93,9 @@ std::vector<std::vector<RawMsg>> collect_messages(
 /// become one PackedSend (first-touch order) plus receiver-side
 /// agg_credits, eager pairs keep per-message sends. `two_stage` attaches
 /// eager sends to producing blocks and makes aggregates incremental
-/// (countdown over distinct contributing blocks).
+/// (countdown over distinct contributing blocks). Linear in messages: a
+/// per-destination index finds each pair, and the credit de-dup scans
+/// only the current source's run of the receiver's agg_credits.
 void apply_packing(std::vector<OverlapRankWork>& work,
                    const std::vector<std::vector<RawMsg>>& raw,
                    std::span<const std::int32_t> slot_of_block,
@@ -104,18 +106,26 @@ void apply_packing(std::vector<OverlapRankWork>& work,
     std::int64_t bytes = 0;
     bool packed = false;
     std::int32_t packed_idx = -1;  ///< into packed_sends once emitted
+    /// Start of this source's credit run in the receiver's agg_credits.
+    std::int32_t credit_begin = -1;
   };
   std::vector<Pair> pairs;
   const auto nranks = static_cast<std::int32_t>(work.size());
+  // [dst rank] -> index into pairs for the current source; -1 = none.
+  std::vector<std::int32_t> pair_index(static_cast<std::size_t>(nranks), -1);
   for (std::int32_t src = 0; src < nranks; ++src) {
     auto& w = work[static_cast<std::size_t>(src)];
     const auto& msgs = raw[static_cast<std::size_t>(src)];
+    for (const Pair& p : pairs)
+      pair_index[static_cast<std::size_t>(p.dst)] = -1;
     pairs.clear();
     auto pair_of = [&](std::int32_t dst) -> Pair& {
-      for (auto it = pairs.rbegin(); it != pairs.rend(); ++it)
-        if (it->dst == dst) return *it;
-      pairs.push_back(Pair{dst});
-      return pairs.back();
+      std::int32_t& idx = pair_index[static_cast<std::size_t>(dst)];
+      if (idx < 0) {
+        idx = static_cast<std::int32_t>(pairs.size());
+        pairs.push_back(Pair{dst});
+      }
+      return pairs[static_cast<std::size_t>(idx)];
     };
     for (const RawMsg& m : msgs) {
       Pair& p = pair_of(m.dst);
@@ -141,31 +151,30 @@ void apply_packing(std::vector<OverlapRankWork>& work,
           BlockWork& producer = w.blocks[static_cast<std::size_t>(
               slot_of_block[static_cast<std::size_t>(m.src_block)])];
           producer.sends.push_back(OutMessage{m.dst, m.bytes, m.dst_block});
-          producer.send_dst_tags.push_back(m.dst_block);
+          producer.send_dst_tags.push_back(eager_dst_tag(slot));
         } else {
           w.sends.push_back(OutMessage{m.dst, m.bytes, m.dst_block});
-          w.send_dst_tags.push_back(m.dst_block);
+          w.send_dst_tags.push_back(eager_dst_tag(slot));
         }
         continue;
       }
       if (p.packed_idx < 0) {
         p.packed_idx = static_cast<std::int32_t>(w.packed_sends.size());
+        p.credit_begin = static_cast<std::int32_t>(dw.agg_credits.size());
         w.packed_sends.push_back(PackedSend{
             OutMessage{m.dst, p.bytes, m.src_block,
                        static_cast<std::int32_t>(p.msgs)},
-            0});
+            packed_dst_tag(p.credit_begin), 0});
         ++dw.expected_recvs;  // one arrival for the whole aggregate
       }
       // Receiver credit: `count` logical messages for this block slot.
-      bool credited = false;
-      for (AggCredit& c : dw.agg_credits) {
-        if (c.src_rank == src && c.slot == slot) {
-          ++c.count;
-          credited = true;
-          break;
-        }
-      }
-      if (!credited) dw.agg_credits.push_back(AggCredit{src, slot, 1});
+      // Sources run in order, so this source's credits are the tail.
+      auto credit = dw.agg_credits.begin() + p.credit_begin;
+      while (credit != dw.agg_credits.end() && credit->slot != slot) ++credit;
+      if (credit != dw.agg_credits.end())
+        ++credit->count;
+      else
+        dw.agg_credits.push_back(AggCredit{src, slot, 1});
       if (two_stage) {
         // Incremental launch: the aggregate fires when its last distinct
         // contributing block finishes stage 1.
@@ -204,11 +213,12 @@ std::vector<OverlapRankWork> build_overlap_work(
   }
   // Previous-step ghosts: sends posted up-front at rank level.
   sweep_messages(mesh, placement, sizes, work, slots,
-                 [](OverlapRankWork& w, std::int32_t /*src_block*/,
-                    std::int32_t dst, std::int32_t dst_block,
-                    std::int64_t bytes) {
+                 [&](OverlapRankWork& w, std::int32_t /*src_block*/,
+                     std::int32_t dst, std::int32_t dst_block,
+                     std::int64_t bytes) {
                    w.sends.push_back(OutMessage{dst, bytes, dst_block});
-                   w.send_dst_tags.push_back(dst_block);
+                   w.send_dst_tags.push_back(eager_dst_tag(slots[
+                       static_cast<std::size_t>(dst_block)]));
                  });
   return work;
 }
@@ -256,7 +266,8 @@ std::vector<OverlapRankWork> build_two_stage_work(
         BlockWork& producer =
             w.blocks[static_cast<std::size_t>(slots[src_block])];
         producer.sends.push_back(OutMessage{dst, bytes, dst_block});
-        producer.send_dst_tags.push_back(dst_block);
+        producer.send_dst_tags.push_back(
+            eager_dst_tag(slots[static_cast<std::size_t>(dst_block)]));
       });
   return work;
 }
@@ -358,9 +369,12 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
     window_ = window;
     priority_rank_ = priority_rank;
     state_ = State::kIdle;
-    arrived_.assign(work.blocks.size(), 0);
-    stage1_done_.assign(work.blocks.size(), false);
-    done_.assign(work.blocks.size(), false);
+    recvs_.resize(work.blocks.size());
+    for (std::size_t s = 0; s < recvs_.size(); ++s) {
+      recvs_[s] = BlockRecv{};
+      recvs_[s].expected = work.blocks[s].expected_recvs;
+    }
+    armed_gen_ = 0;
     blocks_left_ = work.blocks.size();
     pending_sends_.clear();
     pending_tags_.clear();
@@ -377,7 +391,7 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
       const PackedSend& p = work.packed_sends[i];
       if (p.contributors == 0) {
         pending_sends_.push_back(p.msg);
-        pending_tags_.push_back(kPackedSendTag);
+        pending_tags_.push_back(p.dst_tag);
       } else {
         packed_remaining_[i] = p.contributors;
       }
@@ -412,13 +426,17 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
   void start(Engine& engine) {
     AMR_CHECK(state_ == State::kIdle);
     state_ = State::kRunning;
-    engine.schedule_at(engine.now(), this, 0);
+    engine.schedule_at(engine.now(), this, kContinue);
   }
 
   bool step_done() const { return step_done_; }
   const RankStepStats& stats() const { return stats_; }
 
-  void on_event(Engine& engine, std::uint64_t /*tag*/) override {
+  void on_event(Engine& engine, std::uint64_t tag) override {
+    if (tag != kContinue) {
+      on_wake(engine, tag);
+      return;
+    }
     switch (state_) {
       case State::kRunning:
         advance(engine);
@@ -454,7 +472,7 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
         return;
       case State::kComputingStage1: {
         const auto s = static_cast<std::size_t>(current_block_);
-        stage1_done_[s] = true;
+        recvs_[s].stage1_done = true;
         const BlockWork& b = work_->blocks[s];
         for (std::size_t i = 0; i < b.sends.size(); ++i) {
           pending_sends_.push_back(b.sends[i]);
@@ -464,13 +482,14 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
         // its last outstanding contributor.
         for (const std::int32_t idx : b.packed_out) {
           if (--packed_remaining_[static_cast<std::size_t>(idx)] == 0) {
-            pending_sends_.push_back(
-                work_->packed_sends[static_cast<std::size_t>(idx)].msg);
-            pending_tags_.push_back(kPackedSendTag);
+            const PackedSend& p =
+                work_->packed_sends[static_cast<std::size_t>(idx)];
+            pending_sends_.push_back(p.msg);
+            pending_tags_.push_back(p.dst_tag);
           }
         }
         if (b.stage2_compute == 0) {
-          done_[s] = true;
+          recvs_[s].done = true;
           --blocks_left_;
         }
         current_block_ = -1;
@@ -480,7 +499,7 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
       }
       case State::kComputingStage2: {
         const auto s = static_cast<std::size_t>(current_block_);
-        done_[s] = true;
+        recvs_[s].done = true;
         --blocks_left_;
         current_block_ = -1;
         state_ = State::kRunning;
@@ -501,36 +520,46 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
     }
   }
 
-  void on_message(Engine& engine, std::uint64_t window, TimeNs t,
-                  std::int32_t src, std::int64_t dst_tag) override {
-    if (window != window_) return;
-    if (dst_tag == kPackedSendTag) {
-      // A packed transfer credits every destination block at once (at
-      // most one aggregate per sender per window, so `src` resolves it).
-      bool any = false;
-      for (const AggCredit& c : work_->agg_credits) {
-        if (c.src_rank != src) continue;
-        const auto slot = static_cast<std::size_t>(c.slot);
-        arrived_[slot] += c.count;
-        AMR_CHECK(arrived_[slot] <= work_->blocks[slot].expected_recvs);
-        any = true;
+  void on_post(Engine& engine, std::uint64_t window, TimeNs t,
+               std::uint64_t key, std::int32_t src,
+               std::int64_t dst_tag) override {
+    AMR_CHECK_MSG(window == window_, "overlap message for another window");
+    // The tag names the receiving slot (eager) or the start of the
+    // sender's credit run (packed) outright: no search. A stalled rank
+    // re-arms when this completes a block whose latest delivery lands
+    // before its armed wake.
+    const BlockRecv* rearm = nullptr;
+    const auto credit = [&](std::size_t slot, std::int32_t count) {
+      BlockRecv& rv = recvs_[slot];
+      const bool first = rv.posted == 0;
+      rv.posted += count;
+      AMR_CHECK_MSG(rv.posted <= rv.expected,
+                    "more overlap arrivals than a block expects");
+      if (first || t > rv.t || (t == rv.t && key > rv.key)) {
+        rv.t = t;
+        rv.key = key;
+        rv.src = src;
       }
-      AMR_CHECK_MSG(any, "packed arrival with no matching credits");
+      if (state_ == State::kStalled && rv.posted == rv.expected &&
+          (armed_gen_ == 0 || earlier(rv, armed_)) &&
+          (rearm == nullptr || earlier(rv, *rearm)))
+        rearm = &rv;
+    };
+    if (is_packed_dst_tag(dst_tag)) {
+      const auto begin = static_cast<std::size_t>(dst_tag / 2);
+      const auto& credits = work_->agg_credits;
+      AMR_CHECK_MSG(begin < credits.size() && credits[begin].src_rank == src,
+                    "packed arrival names no credit run of its sender");
+      for (std::size_t i = begin;
+           i < credits.size() && credits[i].src_rank == src; ++i)
+        credit(static_cast<std::size_t>(credits[i].slot), credits[i].count);
     } else {
-      AMR_CHECK(dst_tag >= 0);
-      const std::size_t slot = static_cast<std::size_t>(
-          slot_of(static_cast<std::int32_t>(dst_tag)));
-      ++arrived_[slot];
-      AMR_CHECK(arrived_[slot] <= work_->blocks[slot].expected_recvs);
+      const auto slot = static_cast<std::size_t>(dst_tag / 2);
+      AMR_CHECK_MSG(dst_tag >= 0 && slot < recvs_.size(),
+                    "eager arrival names no block slot on this rank");
+      credit(slot, 1);
     }
-    if (state_ == State::kStalled && runnable_exists()) {
-      stats_.recv_wait_ns += t - wait_start_;
-      stats_.last_release_src = src;
-      if (tracer_ != nullptr)
-        tracer_->end(rank_, TraceCat::kRecvWait, "stall", t, src);
-      state_ = State::kRunning;
-      advance(engine);
-    }
+    if (rearm != nullptr) arm(engine, *rearm);
   }
 
   void on_recvs_ready(Engine&, std::uint64_t, TimeNs,
@@ -564,34 +593,110 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
     kInCollective,
   };
 
-  std::int32_t slot_of(std::int32_t block) const {
-    for (std::size_t s = 0; s < work_->blocks.size(); ++s)
-      if (work_->blocks[s].block == block)
-        return static_cast<std::int32_t>(s);
-    AMR_CHECK_MSG(false, "message for a block not on this rank");
-    return -1;
+  /// One block slot's receives this step: everything its readiness and
+  /// its release depend on, resolved by dst_tag with no search.
+  struct BlockRecv {
+    TimeNs t = 0;            ///< latest posted delivery time
+    std::uint64_t key = 0;   ///< its dispatch key
+    std::int32_t posted = 0;    ///< logical messages counted so far
+    std::int32_t expected = 0;  ///< BlockWork::expected_recvs
+    std::int32_t src = -1;   ///< its sender
+    bool stage1_done = false;
+    bool done = false;
+  };
+  static_assert(sizeof(BlockRecv) == 32);
+
+  /// Event tag of the rank's own continuations; a wake's tag is its
+  /// generation (>= 1).
+  static constexpr std::uint64_t kContinue = 0;
+
+  /// A wake scheduled and not yet dispatched.
+  struct PendingWake {
+    TimeNs t;
+    std::uint64_t key;
+    std::uint64_t gen;
+  };
+
+  static bool earlier(const BlockRecv& a, const BlockRecv& b) {
+    return a.t < b.t || (a.t == b.t && a.key < b.key);
+  }
+
+  /// Every ghost of the block has landed: its count is complete and its
+  /// latest delivery slot has dispatched.
+  bool ghosts_in(const Engine& engine, std::size_t s) const {
+    const BlockRecv& rv = recvs_[s];
+    return rv.posted == rv.expected &&
+           (rv.posted == 0 || engine.dispatched(rv.t, rv.key));
   }
 
   /// Stage-1 readiness: single-stage blocks are gated by their arrivals;
   /// two-stage blocks start immediately.
-  bool stage1_ready(std::size_t s) const {
-    const BlockWork& b = work_->blocks[s];
-    if (stage1_done_[s]) return false;
-    if (b.stage2_compute > 0) return true;
-    return arrived_[s] >= b.expected_recvs;
+  bool stage1_ready(const Engine& engine, std::size_t s) const {
+    if (recvs_[s].stage1_done) return false;
+    if (work_->blocks[s].stage2_compute > 0) return true;
+    return ghosts_in(engine, s);
   }
 
-  bool stage2_ready(std::size_t s) const {
-    const BlockWork& b = work_->blocks[s];
-    return stage1_done_[s] && !done_[s] && b.stage2_compute > 0 &&
-           arrived_[s] >= b.expected_recvs;
+  bool stage2_ready(const Engine& engine, std::size_t s) const {
+    const BlockRecv& rv = recvs_[s];
+    return rv.stage1_done && !rv.done &&
+           work_->blocks[s].stage2_compute > 0 && ghosts_in(engine, s);
   }
 
-  bool runnable_exists() const {
-    if (send_head_ < pending_sends_.size()) return true;
-    for (std::size_t s = 0; s < work_->blocks.size(); ++s)
-      if (stage1_ready(s) || stage2_ready(s)) return true;
-    return false;
+  /// Point the rank's one live wake at `rv`'s latest delivery slot. A
+  /// superseded wake stays queued and is dropped when it dispatches; an
+  /// arm at a slot that already holds a pending wake revives that one
+  /// instead of scheduling a second event there.
+  void arm(Engine& engine, const BlockRecv& rv) {
+    AMR_CHECK(!engine.dispatched(rv.t, rv.key));
+    armed_ = rv;
+    for (const PendingWake& w : wakes_)
+      if (w.t == rv.t && w.key == rv.key) {
+        armed_gen_ = w.gen;
+        return;
+      }
+    armed_gen_ = ++wake_gen_;
+    wakes_.push_back(PendingWake{rv.t, rv.key, armed_gen_});
+    engine.schedule_keyed(rv.t, rv.key, this, armed_gen_);
+  }
+
+  /// A wake dispatched in its block's latest delivery slot: resume the
+  /// stalled rank there, released by that delivery's sender. A stale
+  /// generation is dropped.
+  void on_wake(Engine& engine, std::uint64_t gen) {
+    for (PendingWake& w : wakes_)
+      if (w.gen == gen) {
+        w = wakes_.back();
+        wakes_.pop_back();
+        break;
+      }
+    if (gen != armed_gen_) return;
+    AMR_CHECK(state_ == State::kStalled);
+    armed_gen_ = 0;
+    const TimeNs t = engine.now();
+    stats_.recv_wait_ns += t - wait_start_;
+    stats_.last_release_src = armed_.src;
+    if (tracer_ != nullptr)
+      tracer_->end(rank_, TraceCat::kRecvWait, "stall", t, armed_.src);
+    state_ = State::kRunning;
+    advance(engine);
+  }
+
+  /// Stall: arm a wake at the earliest latest slot among blocks whose
+  /// count is complete. (Every block still to run waits on ghosts here,
+  /// and none of those with a complete count has landed yet.) With no
+  /// such block the next completing on_post arms it.
+  void stall(Engine& engine) {
+    wait_start_ = engine.now();
+    state_ = State::kStalled;
+    if (tracer_ != nullptr)
+      tracer_->begin(rank_, TraceCat::kRecvWait, "stall", engine.now());
+    const BlockRecv* first = nullptr;
+    for (const BlockRecv& rv : recvs_)
+      if (!rv.done && rv.posted == rv.expected &&
+          (first == nullptr || earlier(rv, *first)))
+        first = &rv;
+    if (first != nullptr) arm(engine, *first);
   }
 
   TimeNs pack_ns(std::int64_t bytes) const {
@@ -637,7 +742,7 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
       // last contributor finishes the aggregate is already packed and the
       // launch pays only the post overhead. Eager per-pair sends have no
       // pre-laid buffer and still pay the serial CPU pack here.
-      const bool fused = pending_tags_[send_head_] == kPackedSendTag;
+      const bool fused = is_packed_dst_tag(pending_tags_[send_head_]);
       const TimeNs pack =
           (fused ? 0 : pack_ns(pending_sends_[send_head_].bytes)) +
           params_.task_overhead;
@@ -648,7 +753,7 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
                           engine.now(), pack,
                           pending_sends_[send_head_].bytes,
                           pending_sends_[send_head_].dst_rank);
-      engine.schedule_after(pack, this, 0);
+      engine.schedule_after(pack, this, kContinue);
       return;
     }
     // Priority 2: intra-rank ghost copies, once.
@@ -665,7 +770,7 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
           tracer_->complete(rank_, TraceCat::kPack, "local-copy",
                             engine.now(), copy, work_->local_copy_bytes,
                             work_->local_copy_msgs);
-        engine.schedule_after(copy, this, 0);
+        engine.schedule_after(copy, this, kContinue);
         return;
       }
     }
@@ -675,7 +780,7 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
       for (std::size_t i = 0; i < work_->blocks.size(); ++i) {
         const std::size_t s =
             order_.empty() ? i : static_cast<std::size_t>(order_[i]);
-        if (!stage1_ready(s)) continue;
+        if (!stage1_ready(engine, s)) continue;
         const BlockWork& b = work_->blocks[s];
         current_block_ = static_cast<std::int32_t>(s);
         // Single-stage blocks consume ghosts here: charge the unpack.
@@ -695,12 +800,12 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
               engine.now(), b.compute + unpack + params_.task_overhead,
               b.block, b.recv_bytes);
         engine.schedule_after(b.compute + unpack + params_.task_overhead,
-                              this, 0);
+                              this, kContinue);
         return;
       }
       // Priority 4: ready stage-2 work.
       for (std::size_t s = 0; s < work_->blocks.size(); ++s) {
-        if (!stage2_ready(s)) continue;
+        if (!stage2_ready(engine, s)) continue;
         const BlockWork& b = work_->blocks[s];
         current_block_ = static_cast<std::int32_t>(s);
         // Eager slice only: aggregated ghosts are consumed in place.
@@ -715,14 +820,12 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
               b.stage2_compute + unpack + params_.task_overhead, b.block,
               b.recv_bytes);
         engine.schedule_after(
-            b.stage2_compute + unpack + params_.task_overhead, this, 0);
+            b.stage2_compute + unpack + params_.task_overhead, this,
+            kContinue);
         return;
       }
       // Nothing runnable: stall until a message readies a block.
-      wait_start_ = engine.now();
-      state_ = State::kStalled;
-      if (tracer_ != nullptr)
-        tracer_->begin(rank_, TraceCat::kRecvWait, "stall", engine.now());
+      stall(engine);
       return;
     }
     // All blocks done: drain send requests, then the collective.
@@ -732,7 +835,7 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
       if (tracer_ != nullptr)
         tracer_->begin(rank_, TraceCat::kSendWait, "send-wait",
                        engine.now());
-      engine.schedule_at(max_send_release_, this, 0);
+      engine.schedule_at(max_send_release_, this, kContinue);
       return;
     }
     enter_collective(engine);
@@ -752,9 +855,11 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
   std::vector<std::int32_t> order_;  ///< stage-1 walk (priority-partitioned)
   std::int32_t priority_rank_ = -1;
   std::size_t send_head_ = 0;
-  std::vector<std::int32_t> arrived_;
-  std::vector<bool> stage1_done_;
-  std::vector<bool> done_;
+  std::vector<BlockRecv> recvs_;  ///< per block slot
+  BlockRecv armed_;               ///< block record the live wake is for
+  std::uint64_t armed_gen_ = 0;   ///< live wake's generation; 0 = none
+  std::uint64_t wake_gen_ = 0;
+  std::vector<PendingWake> wakes_;
   std::size_t blocks_left_ = 0;
   std::int32_t current_block_ = -1;
   bool copy_charged_ = false;

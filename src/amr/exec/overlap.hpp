@@ -21,6 +21,19 @@
 // Rank-local scheduling priority: pending sends first (the paper's send
 // prioritization), then stage-1 work (produces more sends), then ready
 // stage-2 work; stall only when nothing is runnable.
+//
+// Arrivals are counted, not dispatched. Every overlap send is tagged
+// (see eager_dst_tag / packed_dst_tag), so Comm hands it to the
+// receiver's on_post hook at isend with its delivery (time, dispatch
+// key) slot. The receiver folds it into a per-block record — posted
+// count and latest (time, key) with its sender — found by the tag alone,
+// with no search. A block's ghosts are in once its count is complete and
+// its latest slot has dispatched. A stalled rank arms one wake at the
+// earliest latest slot among its count-complete blocks (re-armed when a
+// later post completes an earlier block; superseded wakes are dropped by
+// a generation tag), so it resumes exactly where the releasing delivery
+// would have dispatched, with that delivery's sender as the releasing
+// rank (§IV-D).
 #pragma once
 
 #include <cstdint>
@@ -32,11 +45,21 @@
 
 namespace amr {
 
-/// dst_tag of an aggregated (packed) transfer. Ordinary overlap sends tag
-/// the destination block; a packed transfer carries messages for several
-/// blocks, so the receiver resolves its per-block credits from
-/// OverlapRankWork::agg_credits keyed by the sender rank instead.
-inline constexpr std::int64_t kPackedSendTag = -2;
+/// dst_tag of an eager overlap send: the receiver's block slot (index
+/// into its OverlapRankWork::blocks), doubled so the low bit is clear.
+inline constexpr std::int64_t eager_dst_tag(std::int32_t slot) {
+  return 2 * std::int64_t{slot};
+}
+/// dst_tag of a packed transfer, which carries messages for several
+/// blocks: the index where its sender's run of credits starts in the
+/// receiver's OverlapRankWork::agg_credits (a sender's credits are
+/// contiguous), doubled plus one.
+inline constexpr std::int64_t packed_dst_tag(std::int32_t credit_begin) {
+  return 2 * std::int64_t{credit_begin} + 1;
+}
+inline constexpr bool is_packed_dst_tag(std::int64_t dst_tag) {
+  return (dst_tag & 1) != 0;
+}
 
 /// Per-block work description for the overlap runtime.
 struct BlockWork {
@@ -51,7 +74,7 @@ struct BlockWork {
   /// the eager remainder pays a CPU unpack.
   std::int64_t packed_recv_bytes = 0;
   std::vector<OutMessage> sends;    ///< posted after stage-1 completes
-  std::vector<std::int64_t> send_dst_tags;  ///< dest block per send
+  std::vector<std::int64_t> send_dst_tags;  ///< eager_dst_tag per send
   /// Aggregates (indices into OverlapRankWork::packed_sends) this block
   /// contributes to; a two-stage aggregate launches incrementally, as
   /// soon as its last contributing block finishes stage 1.
@@ -61,6 +84,7 @@ struct BlockWork {
 /// One per-destination aggregate of the step (OutMessage::msgs >= 2).
 struct PackedSend {
   OutMessage msg;
+  std::int64_t dst_tag = -1;  ///< packed_dst_tag of its credit run
   /// Distinct producing blocks gating the launch; 0 = no compute
   /// dependency (previous-step ghosts), queued at step start.
   std::int32_t contributors = 0;
@@ -68,7 +92,8 @@ struct PackedSend {
 
 /// Receiver-side credit of a packed transfer: `count` logical messages
 /// for block slot `slot` arrive with the aggregate from `src_rank` (at
-/// most one aggregate per sender per exchange window).
+/// most one aggregate per sender per exchange window). Credits are
+/// appended in sender order, so each sender's credits are contiguous.
 struct AggCredit {
   std::int32_t src_rank = -1;
   std::int32_t slot = -1;
@@ -78,7 +103,7 @@ struct AggCredit {
 struct OverlapRankWork {
   std::vector<BlockWork> blocks;
   std::vector<OutMessage> sends;        ///< posted up-front (prev state)
-  std::vector<std::int64_t> send_dst_tags;  ///< dest block per send
+  std::vector<std::int64_t> send_dst_tags;  ///< eager_dst_tag per send
   std::vector<PackedSend> packed_sends;     ///< per-destination aggregates
   std::vector<AggCredit> agg_credits;   ///< arrivals owed by aggregates
   /// Stage-1 scheduling order (block slots). Contributors are grouped by

@@ -142,18 +142,20 @@ TimeNs Comm::isend(std::int32_t src, std::int32_t dst, std::int64_t bytes,
 
 void Comm::post(Engine& engine, std::uint64_t tag, TimeNs t,
                 std::uint64_t key) {
-  if (is_tagged(tag)) {  // counted when it dispatches
-    engine.schedule_keyed(t, key, this, tag);
-    return;
-  }
   const std::size_t slot = slot_of(tag);
   AMR_CHECK_MSG(slot < exchanges_.size() && exchanges_[slot].open,
                 "delivery into a closed exchange window");
   const std::int32_t dst = dst_of(tag);
+  const std::int32_t src = src_of(tag);
   RecvRecord& rv = exchanges_[slot].recvs[static_cast<std::size_t>(dst)];
-  count(rv, t, key, src_of(tag));
+  count(rv, t, key, src);
   if (rv.waiting && rv.posted == rv.expected)
     schedule_wake(engine, slot, dst, rv);
+  const std::int64_t dst_tag = dst_tag_of(tag);
+  if (dst_tag == -1) return;
+  RankEndpoint* ep = endpoints_[static_cast<std::size_t>(dst)];
+  if (ep != nullptr)
+    ep->on_post(engine, exchanges_[slot].window, t, key, src, dst_tag);
 }
 
 void Comm::count(RecvRecord& rv, TimeNs t, std::uint64_t key,
@@ -185,8 +187,6 @@ bool Comm::wait_recvs(Engine& engine, std::int32_t rank,
     return true;
   AMR_CHECK_MSG(!rv.waiting, "rank already waiting on window");
   rv.waiting = true;
-  // A complete count whose latest has not dispatched is an untagged
-  // message: tagged ones count as they dispatch.
   if (counted) schedule_wake(engine, slot, rank, rv);
   return false;
 }
@@ -346,38 +346,18 @@ void Comm::on_event(Engine& engine, std::uint64_t tag) {
     }
     return;
   }
-  // A tagged delivery or a receive wake: everything it needs rides in
-  // the tag.
+  // A receive wake: everything it needs rides in the tag.
   const std::size_t slot = slot_of(tag);
   const auto r = static_cast<std::size_t>(dst_of(tag));
-  const std::int32_t src = src_of(tag);
   AMR_CHECK_MSG(slot < exchanges_.size() && exchanges_[slot].open,
                 "delivery into a closed exchange window");
-  const std::uint64_t window = exchanges_[slot].window;
-  if (is_tagged(tag)) {
-    count(exchanges_[slot].recvs[r], engine.now(), engine.dispatch_key(),
-          src);
-    const std::int64_t dst_tag =
-        static_cast<std::int64_t>(tag & dst_tag_mask_) + kMinDstTag;
-    if (RankEndpoint* ep = endpoints_[r]; ep != nullptr)
-      ep->on_message(engine, window, engine.now(), src, dst_tag);
-    // Re-index after the callback: slot indices are stable, but the pool
-    // vector may have grown if the endpoint opened a window. A parked
-    // receiver whose count this completes wakes inline if this is its
-    // latest message, else at its (later, untagged) latest.
-    const RecvRecord& rv = exchanges_[slot].recvs[r];
-    if (!rv.waiting || rv.posted != rv.expected) return;
-    if (rv.t != engine.now() || rv.key != engine.dispatch_key()) {
-      schedule_wake(engine, slot, static_cast<std::int32_t>(r), rv);
-      return;
-    }
-  }
   RecvRecord& rv = exchanges_[slot].recvs[r];
   AMR_CHECK_MSG(rv.waiting, "receive wake for a rank that is not waiting");
   rv.waiting = false;
   RankEndpoint* ep = endpoints_[r];
   AMR_CHECK(ep != nullptr);
-  ep->on_recvs_ready(engine, window, engine.now(), src);
+  ep->on_recvs_ready(engine, exchanges_[slot].window, engine.now(),
+                     src_of(tag));
 }
 
 }  // namespace amr

@@ -15,15 +15,16 @@
 //
 // Receives complete by count. By §IV-D only two things release a rank
 // from its receive wait: its last arrival and that message's sender. So
-// an untagged message (dst_tag -1, the BSP runtime's kind) is not a DES
-// event: isend folds it into the receiver's per-window record (posted
-// count, and the latest (delivery time, dispatch key) with its sender),
-// taking the dispatch key its delivery event would have had. A receiver
-// parked in wait_recvs gets exactly one wake event, at that latest
-// (time, key) slot, so it resumes where its last delivery would have
-// dispatched. Tagged messages (dst_tag != -1) still dispatch one event
-// each, for the receiver's on_message hook, and count into the same
-// record when they dispatch.
+// no message is a DES event: isend folds each one into the receiver's
+// per-window record (posted count, and the latest (delivery time,
+// dispatch key) with its sender), taking the dispatch key its delivery
+// event would have had. A receiver parked in wait_recvs gets exactly one
+// wake event, at that latest (time, key) slot, so it resumes where its
+// last delivery would have dispatched. A tagged message (dst_tag != -1,
+// the overlap runtime's kind) is also handed to the receiver's on_post
+// hook with its (time, key) slot, synchronously, so the receiver can
+// keep finer-grained counted records of its own (per block) and arm its
+// own wakes.
 #pragma once
 
 #include <cstdint>
@@ -58,17 +59,23 @@ class RankEndpoint {
   virtual void on_collective_done(Engine& engine, std::uint64_t window,
                                   TimeNs t) = 0;
 
-  /// Every tagged message delivery (dst_tag != -1), before any
-  /// on_recvs_ready. `dst_tag` is the sender-supplied routing tag (e.g.
-  /// destination block id) — the hook the overlap runtime uses to track
-  /// per-block readiness. Untagged messages (the BSP runtime's, which
-  /// only cares about window completion) are counted, not delivered as
-  /// events, so they never reach this call. Default: ignored.
-  virtual void on_message(Engine& engine, std::uint64_t window, TimeNs t,
-                          std::int32_t src, std::int64_t dst_tag) {
+  /// A tagged message (dst_tag != -1) was posted to this rank. It is
+  /// not an event: the call comes when the message is counted (inside
+  /// isend; under sharding in the same-shard post or at the epoch barrier
+  /// merge), and (t, key) is the dispatch slot its delivery would have
+  /// had — `engine.dispatched(t, key)` says whether it has landed, and
+  /// a wake scheduled at (t, key) resumes the receiver exactly where that
+  /// delivery would have. `dst_tag` is the sender-supplied routing tag —
+  /// the hook the overlap runtime uses to track per-block readiness.
+  /// Untagged messages (the BSP runtime's, which only cares about window
+  /// completion) never reach this call. Default: ignored.
+  virtual void on_post(Engine& engine, std::uint64_t window, TimeNs t,
+                       std::uint64_t key, std::int32_t src,
+                       std::int64_t dst_tag) {
     (void)engine;
     (void)window;
     (void)t;
+    (void)key;
     (void)src;
     (void)dst_tag;
   }
@@ -85,8 +92,8 @@ class Comm final : public EventHandler {
  public:
   /// With `sharded` non-null the comm routes events through the sharded
   /// engine instead of `engine`: messages take canonical dispatch keys
-  /// (engine.hpp event_key), and wakes, tagged deliveries and collective
-  /// completions go into the destination rank's shard. All mutable
+  /// (engine.hpp event_key), and wakes and collective completions go
+  /// into the destination rank's shard. All mutable
   /// bookkeeping a shard thread touches is partitioned by rank or by
   /// shard: a same-shard message updates the receiver's record directly,
   /// a cross-shard one is appended to its source shard's outbox, and
@@ -99,11 +106,10 @@ class Comm final : public EventHandler {
   /// Limits of the delivery tag layout (see kSlotShift below).
   static constexpr std::int32_t kMaxRanks = 1 << 24;
   static constexpr std::size_t kMaxOpenExchanges = 16;
-  /// Smallest dst_tag a send may carry: -1 means untagged, and senders
-  /// may use one more negative sentinel (exec's kPackedSendTag, -2).
-  static constexpr std::int64_t kMinDstTag = -2;
+  /// Smallest dst_tag a send may carry: -1 means untagged.
+  static constexpr std::int64_t kMinDstTag = -1;
   /// Largest dst_tag a send may carry; depends on nranks (the tag bits
-  /// the rank fields leave). At least 2^31 - 3 up to 16384 ranks.
+  /// the rank fields leave). At least 2^31 - 2 up to 16384 ranks.
   std::int64_t max_dst_tag() const {
     return static_cast<std::int64_t>(dst_tag_mask_) + kMinDstTag;
   }
@@ -138,12 +144,12 @@ class Comm final : public EventHandler {
   /// Post a nonblocking send within a window. Returns the time at which
   /// an MPI_Wait on this send request would return (buffer handed off;
   /// inflated by ACK-recovery blocking when that pathology is active).
-  /// An untagged message is counted against the receiver's expected
-  /// count here (aborting if that count is exceeded; cross-shard ones
-  /// are counted at the next epoch barrier), a tagged one when its
-  /// delivery dispatches. `dst_tag` rides along to the receiver's
-  /// on_message hook; it must lie in [kMinDstTag, max_dst_tag()], and -1
-  /// means untagged: no delivery event and no on_message call. `msgs` >
+  /// The message is counted against the receiver's expected count here
+  /// (aborting if that count is exceeded; cross-shard ones are counted
+  /// at the next epoch barrier); it never becomes a DES event. A tagged
+  /// message's `dst_tag` is handed to the receiver's on_post hook as it
+  /// is counted; it must lie in [kMinDstTag, max_dst_tag()], and -1
+  /// means untagged: no on_post call. `msgs` >
   /// 1 posts an aggregated transfer (one delivery carrying that many
   /// logical boundary messages; counts as ONE arrival against the
   /// window's expected count, so aggregated windows must size `expected`
@@ -162,8 +168,7 @@ class Comm final : public EventHandler {
   /// (time, key) has dispatched (Engine::dispatched) — the rank proceeds
   /// at once. Otherwise the rank parks and returns false; once its count
   /// is complete, one wake event at the latest (time, key) calls
-  /// on_recvs_ready. A tagged latest message wakes the rank from its own
-  /// delivery event, right after on_message.
+  /// on_recvs_ready, tagged or untagged.
   bool wait_recvs(Engine& engine, std::int32_t rank, std::uint64_t window);
 
   /// True once every expected message of the window is counted and
@@ -185,17 +190,17 @@ class Comm final : public EventHandler {
   void enter_collective(std::uint64_t window, std::int32_t rank,
                         TimeNs entry_time);
 
-  // EventHandler: tagged deliveries, receive wakes and collective
-  // completions.
+  // EventHandler: receive wakes and collective completions.
   void on_event(Engine& engine, std::uint64_t tag) override;
 
   /// Sharded mode: the sharded engine's epoch-barrier hook (registered
   /// by the owner via ShardedEngine::set_barrier_callback). Runs single-
   /// threaded between epochs. Hands the outboxes' messages to their
   /// receivers as isend does (counts add, the latest is the max by
-  /// (time, key)), scheduling each tagged delivery and each completed
-  /// wake into the receiver's shard; lookahead puts every such time at
-  /// or beyond the next epoch's start. Then merges per-shard collective
+  /// (time, key); tagged ones reach on_post with the receiver's shard
+  /// engine), scheduling each completed wake into the receiver's shard;
+  /// lookahead puts every such time at or beyond the next epoch's
+  /// start. Then merges per-shard collective
   /// accumulators, scheduling a completion event into every shard once
   /// all ranks have entered (each shard then notifies its own contiguous
   /// rank range).
@@ -245,19 +250,16 @@ class Comm final : public EventHandler {
     TimeNs max_entry = 0;
   };
 
-  // Event tags carry the whole delivery, so dispatch reads nothing but
-  // the engine's queue entry. Bit 63 selects delivery (0) vs collective
-  // completion (1, bits 32..62 = window id). A delivery tag packs, from
-  // the top: the exchange slot in bits 59..62, then dst and src in
-  // rank_bits_ = bit_width(nranks - 1) bits each, then dst_tag -
+  // A delivery tag names a whole message: cross-shard outboxes carry it
+  // to the barrier merge, and a receive wake's event tag is its last
+  // message's tag with the dst_tag field cleared, so dispatch reads
+  // nothing but the engine's queue entry. Bit 63 selects wake (0) vs
+  // collective completion (1, bits 32..62 = window id). A delivery tag
+  // packs, from the top: the exchange slot in bits 59..62, then dst and
+  // src in rank_bits_ = bit_width(nranks - 1) bits each, then dst_tag -
   // kMinDstTag in the low dst_tag_bits_ = 59 - 2 * rank_bits_ bits.
-  // Untagged messages never dispatch, so an untagged delivery tag is
-  // free to mean "wake": a receive wake's tag is exactly the tag its
-  // last delivery would have had.
   static constexpr std::uint64_t kCollectiveBit = 1ULL << 63;
   static constexpr unsigned kSlotShift = 59;
-  static constexpr auto kUntaggedField =
-      static_cast<std::uint64_t>(-1 - kMinDstTag);
 
   std::uint64_t delivery_tag(std::size_t slot, std::int32_t src,
                              std::int32_t dst, std::int64_t dst_tag) const {
@@ -276,14 +278,13 @@ class Comm final : public EventHandler {
   std::int32_t src_of(std::uint64_t tag) const {
     return static_cast<std::int32_t>((tag >> dst_tag_bits_) & rank_mask_);
   }
-  bool is_tagged(std::uint64_t tag) const {
-    return (tag & dst_tag_mask_) != kUntaggedField;
+  std::int64_t dst_tag_of(std::uint64_t tag) const {
+    return static_cast<std::int64_t>(tag & dst_tag_mask_) + kMinDstTag;
   }
 
   /// Hand a message to its receiver; `engine` is the receiver's (shard)
-  /// engine. A tagged message becomes its delivery event. An untagged
-  /// one is counted, and schedules the receiver's wake when it
-  /// completes a parked receive.
+  /// engine. The message is counted, schedules the receiver's wake when
+  /// it completes a parked receive, and, if tagged, reaches on_post.
   void post(Engine& engine, std::uint64_t tag, TimeNs t, std::uint64_t key);
   /// Count a message delivered at (t, key) from `src` into a record.
   static void count(RecvRecord& rv, TimeNs t, std::uint64_t key,

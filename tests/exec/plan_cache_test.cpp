@@ -75,6 +75,7 @@ void expect_equal(std::span<const OverlapRankWork> got,
       const PackedSend& g = got[r].packed_sends[i];
       const PackedSend& w = want[r].packed_sends[i];
       EXPECT_TRUE(same_msgs({g.msg}, {w.msg})) << r;
+      EXPECT_EQ(g.dst_tag, w.dst_tag) << r;
       EXPECT_EQ(g.contributors, w.contributors) << r;
     }
     ASSERT_EQ(got[r].agg_credits.size(), want[r].agg_credits.size()) << r;

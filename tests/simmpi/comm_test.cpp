@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "amr/des/sharded_engine.hpp"
-#include "amr/exec/overlap.hpp"
 
 namespace amr {
 namespace {
@@ -231,7 +230,7 @@ TEST(Comm, AggregatedSendCountsAsOneArrival) {
   EXPECT_EQ(packed, plain + 4 * quiet_params().packed_msg_overhead);
 }
 
-/// Endpoint recording every on_message call.
+/// Endpoint recording every on_post call.
 class MessageLog final : public RankEndpoint {
  public:
   struct Message {
@@ -239,7 +238,12 @@ class MessageLog final : public RankEndpoint {
     std::uint64_t window;
     std::int32_t src;
     std::int64_t dst_tag;
-    bool operator==(const Message&) const = default;
+    TimeNs t = 0;  ///< delivery slot; not compared
+    std::uint64_t key = 0;
+    bool operator==(const Message& o) const {
+      return dst == o.dst && window == o.window && src == o.src &&
+             dst_tag == o.dst_tag;
+    }
   };
   MessageLog(std::vector<Message>* log, std::int32_t rank)
       : log_(log), rank_(rank) {}
@@ -248,9 +252,9 @@ class MessageLog final : public RankEndpoint {
     last_release_src = src;
   }
   void on_collective_done(Engine&, std::uint64_t, TimeNs) override {}
-  void on_message(Engine&, std::uint64_t window, TimeNs, std::int32_t src,
-                  std::int64_t dst_tag) override {
-    log_->push_back({rank_, window, src, dst_tag});
+  void on_post(Engine&, std::uint64_t window, TimeNs t, std::uint64_t key,
+               std::int32_t src, std::int64_t dst_tag) override {
+    log_->push_back({rank_, window, src, dst_tag, t, key});
   }
   std::int32_t last_release_src = -1;
 
@@ -268,7 +272,7 @@ TEST(Comm, ExtremeFieldValuesRoundTripThroughTheDeliveryTag) {
   ClusterTopology topo(kRanks, 16);
   Fabric fabric(topo, quiet_params(), Rng(1));
   Comm comm(engine, fabric, kRanks);
-  EXPECT_EQ(comm.max_dst_tag(), (std::int64_t{1} << 31) - 3);
+  EXPECT_EQ(comm.max_dst_tag(), (std::int64_t{1} << 31) - 2);
   std::vector<MessageLog::Message> log;
   std::vector<MessageLog> eps;
   eps.reserve(kRanks);
@@ -286,25 +290,28 @@ TEST(Comm, ExtremeFieldValuesRoundTripThroughTheDeliveryTag) {
   const std::uint64_t window = (1ULL << 31) - 1;
   comm.begin_exchange(window, expected);  // occupies the last slot
   comm.isend(kLast, 0, 64, window, 0, comm.max_dst_tag());
-  comm.isend(kLast, 0, 64, window, 10, kPackedSendTag);
+  comm.isend(kLast, 0, 64, window, 10, 1);
   comm.isend(kLast, 0, 64, window, 20, 0);
   comm.isend(0, kLast, 64, window, 30, 77);
-  EXPECT_FALSE(comm.wait_recvs(engine, 0, window));
-  engine.run();
+  // on_post runs inside isend, so the log is in post order.
   const std::vector<MessageLog::Message> want = {
       {0, window, kLast, comm.max_dst_tag()},
-      {0, window, kLast, kPackedSendTag},
+      {0, window, kLast, 1},
       {0, window, kLast, 0},
       {kLast, window, 0, 77}};
-  ASSERT_EQ(log.size(), want.size());  // arrival order is the fabric's
-  EXPECT_TRUE(std::is_permutation(log.begin(), log.end(), want.begin()));
+  EXPECT_EQ(log, want);
+  EXPECT_FALSE(comm.wait_recvs(engine, 0, window));
+  engine.run();
+  EXPECT_EQ(log.size(), want.size());
   EXPECT_EQ(eps[0].last_release_src, kLast);
   EXPECT_TRUE(comm.exchange_complete(window));
 }
 
-TEST(Comm, UntaggedDeliveriesSkipOnMessage) {
+TEST(Comm, UntaggedSendsSkipOnPost) {
   // dst_tag -1 marks a send nobody routes on (the BSP runtime's): it
-  // still counts against the window but never calls on_message.
+  // still counts against the window but never calls on_post. A tagged
+  // one reaches on_post inside isend, before anything dispatches, with
+  // the delivery time and a fresh dispatch key.
   Engine engine;
   ClusterTopology topo(4, 2);
   Fabric fabric(topo, quiet_params(), Rng(1));
@@ -317,21 +324,27 @@ TEST(Comm, UntaggedDeliveriesSkipOnMessage) {
   comm.isend(0, 1, 100, 5, 0);
   comm.isend(2, 1, 100, 5, 0, -1, 4);
   comm.isend(3, 1, 100, 5, 0, 9);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0], (MessageLog::Message{1, 5, 3, 9}));
+  EXPECT_GT(log[0].t, 0);
+  EXPECT_FALSE(engine.dispatched(log[0].t, log[0].key));
   EXPECT_FALSE(comm.wait_recvs(engine, 1, 5));
   engine.run();
   ASSERT_EQ(log.size(), 1u);
-  EXPECT_EQ(log[0], (MessageLog::Message{1, 5, 3, 9}));
   EXPECT_TRUE(comm.exchange_complete(5));
   EXPECT_NE(eps[1].last_release_src, -1);
 }
 
-/// What a rank observed, in the order the endpoints saw it: 'm' an
-/// on_message, 'r' an on_recvs_ready, 'w' a wait_recvs that returned
-/// true at once.
+/// What a rank observed, in the order the endpoints saw it: 'p' an
+/// on_post, 'r' an on_recvs_ready, 'w' a wait_recvs that returned true
+/// at once. `key` is the posted message's dispatch key for 'p', and the
+/// dispatch key of the event the call ran in otherwise — so an 'r'
+/// shows the slot the wake landed in.
 struct Observed {
   char kind;
   std::int32_t rank;
   TimeNs t;
+  std::uint64_t key;
   std::int32_t src;
   std::int64_t dst_tag;
   bool operator==(const Observed&) const = default;
@@ -341,14 +354,14 @@ class ObservingEndpoint final : public RankEndpoint {
  public:
   ObservingEndpoint(std::vector<Observed>* log, std::int32_t rank)
       : log_(log), rank_(rank) {}
-  void on_recvs_ready(Engine&, std::uint64_t, TimeNs t,
+  void on_recvs_ready(Engine& engine, std::uint64_t, TimeNs t,
                       std::int32_t src) override {
-    log_->push_back({'r', rank_, t, src, -1});
+    log_->push_back({'r', rank_, t, engine.dispatch_key(), src, -1});
   }
   void on_collective_done(Engine&, std::uint64_t, TimeNs) override {}
-  void on_message(Engine&, std::uint64_t, TimeNs t, std::int32_t src,
-                  std::int64_t dst_tag) override {
-    log_->push_back({'m', rank_, t, src, dst_tag});
+  void on_post(Engine&, std::uint64_t, TimeNs t, std::uint64_t key,
+               std::int32_t src, std::int64_t dst_tag) override {
+    log_->push_back({'p', rank_, t, key, src, dst_tag});
   }
 
  private:
@@ -373,9 +386,10 @@ constexpr std::uint64_t kFuzzWindow = 3;
 constexpr std::int32_t kFuzzRanks = 8;
 
 /// Test-only oracle: the eager per-message model that counted
-/// completion replaces. Every message is a DES event scheduled at isend,
-/// arrivals count at dispatch, and a parked receiver wakes inline on its
-/// last delivery.
+/// completion replaces. Every message, tagged or not, is a DES event
+/// scheduled at isend (a tagged one is also reported to on_post there,
+/// with that event's slot), arrivals count at dispatch, and a parked
+/// receiver wakes inline on its last delivery.
 class EagerComm final : public EventHandler {
  public:
   EagerComm(Engine& engine, Fabric& fabric,
@@ -390,10 +404,13 @@ class EagerComm final : public EventHandler {
     const TransferTiming t =
         fabric_.transfer(src, dst, bytes, engine_.now());
     deliveries.push_back({dst, t.delivery});
-    engine_.schedule_at(t.delivery, this,
-                        static_cast<std::uint64_t>(src) |
-                            (static_cast<std::uint64_t>(dst) << 16) |
-                            (static_cast<std::uint64_t>(dst_tag + 2) << 32));
+    const std::uint64_t key = engine_.reserve_key();
+    if (dst_tag != -1)
+      eps_[static_cast<std::size_t>(dst)].on_post(
+          engine_, kFuzzWindow, t.delivery, key, src, dst_tag);
+    engine_.schedule_keyed(t.delivery, key, this,
+                           static_cast<std::uint64_t>(src) |
+                               (static_cast<std::uint64_t>(dst) << 16));
   }
   bool wait_recvs(std::int32_t rank) {
     const auto r = static_cast<std::size_t>(rank);
@@ -406,10 +423,7 @@ class EagerComm final : public EventHandler {
   void on_event(Engine& engine, std::uint64_t tag) override {
     const auto src = static_cast<std::int32_t>(tag & 0xffff);
     const auto dst = static_cast<std::size_t>((tag >> 16) & 0xffff);
-    const std::int64_t dst_tag = static_cast<std::int64_t>(tag >> 32) - 2;
     ++arrived_[dst];
-    if (dst_tag != -1)
-      eps_[dst].on_message(engine, kFuzzWindow, engine.now(), src, dst_tag);
     if (waiting_[dst] && arrived_[dst] == expected_[dst]) {
       waiting_[dst] = false;
       eps_[dst].on_recvs_ready(engine, kFuzzWindow, engine.now(), src);
@@ -482,7 +496,8 @@ class ScriptPlayer final : public EventHandler {
     if (a.dst >= 0)
       send(a);
     else if (wait(a.rank))
-      log->push_back({'w', a.rank, engine.now(), -1, -1});
+      log->push_back({'w', a.rank, engine.now(), engine.dispatch_key(), -1,
+                      -1});
   }
 };
 
@@ -542,12 +557,14 @@ FuzzOutcome run_fuzz(const FuzzScenario& sc, bool eager) {
 }
 
 TEST(Comm, FuzzCountedCompletionMatchesEagerDeliveryModel) {
-  // Counted completion must be unobservable: wake times, releasing
-  // senders, the order of every wake and on_message, immediate waits
-  // and exchange_complete all match the eager per-message model, on
-  // scripts dense in equal-nanosecond ties.
+  // Counted completion must be unobservable: for any mix of tagged and
+  // untagged sends, wake times and slots, releasing senders, the order
+  // of every wake, on_post and immediate wait, and exchange_complete all
+  // match the eager per-message model, on scripts dense in
+  // equal-nanosecond ties.
   std::int64_t ties = 0;
   std::int64_t wakes = 0;
+  std::int64_t tagged_wakes = 0;  ///< released by a tagged latest
   for (std::uint64_t seed = 1; seed <= 300; ++seed) {
     const FuzzScenario sc = make_fuzz_scenario(seed);
     const FuzzOutcome eager = run_fuzz(sc, true);
@@ -555,17 +572,26 @@ TEST(Comm, FuzzCountedCompletionMatchesEagerDeliveryModel) {
     ASSERT_EQ(counted.log, eager.log) << "seed " << seed;
     ASSERT_EQ(counted.complete, eager.complete) << "seed " << seed;
     ties += eager.ties;
-    wakes += std::count_if(eager.log.begin(), eager.log.end(),
-                           [](const Observed& o) { return o.kind == 'r'; });
+    for (const Observed& o : eager.log) {
+      if (o.kind != 'r') continue;
+      ++wakes;
+      tagged_wakes += std::count_if(
+          eager.log.begin(), eager.log.end(), [&](const Observed& p) {
+            return p.kind == 'p' && p.rank == o.rank && p.t == o.t &&
+                   p.key == o.key;
+          });
+    }
   }
   EXPECT_GT(ties, 20) << "the fuzz no longer produces equal-time ties";
   EXPECT_GT(wakes, 300);
+  EXPECT_GT(tagged_wakes, 50) << "too few wakes released by tagged sends";
 }
 
 TEST(Comm, MixedTaggedAndUntaggedWindowWakesAtTheLatest) {
-  // Rank 1 waits on tagged and untagged messages. A tagged latest wakes
-  // it inline, right after that delivery's on_message; an untagged
-  // latest wakes it with its own event at that message's delivery time.
+  // Rank 1 waits on tagged and untagged messages. Tagged ones reach
+  // on_post at isend; neither kind dispatches. Either way the one wake
+  // lands in the latest message's own (time, key) slot, released by its
+  // sender.
   const auto run = [](std::int64_t big_tag) {
     Engine engine;
     ClusterTopology topo(4, 2);
@@ -587,27 +613,32 @@ TEST(Comm, MixedTaggedAndUntaggedWindowWakesAtTheLatest) {
   };
   const std::vector<Observed> tagged = run(9);
   ASSERT_EQ(tagged.size(), 3u);
-  EXPECT_EQ(tagged[0], (Observed{'m', 1, tagged[0].t, 0, 4}));
-  EXPECT_EQ(tagged[1], (Observed{'m', 1, tagged[1].t, 3, 9}));
-  EXPECT_EQ(tagged[2], (Observed{'r', 1, tagged[1].t, 3, -1}));
+  EXPECT_EQ(tagged[0], (Observed{'p', 1, tagged[0].t, tagged[0].key, 0, 4}));
+  EXPECT_EQ(tagged[1], (Observed{'p', 1, tagged[1].t, tagged[1].key, 3, 9}));
+  EXPECT_EQ(tagged[2],
+            (Observed{'r', 1, tagged[1].t, tagged[1].key, 3, -1}));
   EXPECT_LT(tagged[0].t, tagged[1].t);
 
   const std::vector<Observed> untagged = run(-1);
   ASSERT_EQ(untagged.size(), 2u);
   EXPECT_EQ(untagged[0], tagged[0]);
-  // Same fabric calls, so the big message lands when it did tagged.
+  // Same fabric calls and keys, so the big message lands in the slot it
+  // had tagged.
   EXPECT_EQ(untagged[1], tagged[2]);
 }
 
 /// Scripted sends and waits on a sharded comm: tag = (action << 8) |
-/// rank, action 0 = send to `dst` with `bytes`, 1 = wait.
+/// rank, action 0 = send to `dst` with `bytes` (dst_tag = the sender's
+/// rank when `tagged`), 1 = wait.
 class ShardScript final : public EventHandler {
  public:
-  ShardScript(Comm& comm, std::int32_t dst) : comm_(comm), dst_(dst) {}
+  ShardScript(Comm& comm, std::int32_t dst, bool tagged = false)
+      : comm_(comm), dst_(dst), tagged_(tagged) {}
   void on_event(Engine& engine, std::uint64_t tag) override {
     const auto rank = static_cast<std::int32_t>(tag & 0xff);
     if ((tag >> 8) == 0)
-      comm_.isend(rank, dst_, rank == 1 ? 1000 : 64000, 1, engine.now());
+      comm_.isend(rank, dst_, rank == 1 ? 1000 : 64000, 1, engine.now(),
+                  tagged_ ? rank : -1);
     else
       EXPECT_FALSE(comm_.wait_recvs(engine, rank, 1));
   }
@@ -615,6 +646,34 @@ class ShardScript final : public EventHandler {
  private:
   Comm& comm_;
   std::int32_t dst_;
+  bool tagged_;
+};
+
+/// Endpoint recording on_post calls with the shard they ran in, and
+/// the release of its receive wait.
+class ShardPostLog final : public RankEndpoint {
+ public:
+  struct Post {
+    std::int32_t shard;
+    TimeNs t;
+    std::uint64_t key;
+    std::int32_t src;
+    std::int64_t dst_tag;
+    bool operator==(const Post&) const = default;
+  };
+  void on_recvs_ready(Engine&, std::uint64_t, TimeNs t,
+                      std::int32_t src) override {
+    ready_time = t;
+    release_src = src;
+  }
+  void on_collective_done(Engine&, std::uint64_t, TimeNs) override {}
+  void on_post(Engine& engine, std::uint64_t, TimeNs t, std::uint64_t key,
+               std::int32_t src, std::int64_t dst_tag) override {
+    posts.push_back({engine.shard_id(), t, key, src, dst_tag});
+  }
+  std::vector<Post> posts;
+  TimeNs ready_time = -1;
+  std::int32_t release_src = -1;
 };
 
 TEST(Comm, CrossShardLastArrivalCompletesAtTheBarrier) {
@@ -667,6 +726,59 @@ TEST(Comm, CrossShardLastArrivalCompletesAtTheBarrier) {
   EXPECT_EQ(comm.take_cross_shard_records(0), 1);
   EXPECT_EQ(comm.take_cross_shard_records(1), 0);
   EXPECT_EQ(comm.take_cross_shard_records(0), 0);  // taking resets
+  EXPECT_TRUE(comm.exchange_complete(1));
+  comm.end_exchange(1);
+}
+
+TEST(Comm, ShardedTaggedPostsReachTheReceiversShard) {
+  // Under sharding a tagged message is no event either: it reaches
+  // on_post in the receiver's shard engine, with its canonical delivery
+  // key — inside the same-shard isend, or at the epoch barrier that
+  // merges a cross-shard outbox. The wake still lands in the latest's
+  // slot, released by its sender.
+  const ClusterTopology topo(32, 16);
+  const std::vector<std::int32_t> expected = [] {
+    std::vector<std::int32_t> e(32, 0);
+    e[0] = 2;
+    return e;
+  }();
+  Engine unused;
+  Fabric fabric(topo, quiet_params(), Rng(1));
+  fabric.enable_sharding();
+  ShardedEngine sharded(topo, 2, quiet_params().remote_latency, nullptr);
+  Comm comm(unused, fabric, 32, {}, &sharded);
+  std::size_t posts_at_barrier = 0;
+  std::vector<ShardPostLog> eps(32);
+  sharded.set_barrier_callback([&] {
+    if (posts_at_barrier == 0) posts_at_barrier = eps[0].posts.size();
+    comm.on_epoch_barrier();
+  });
+  for (std::int32_t r = 0; r < 32; ++r) comm.set_endpoint(r, &eps[r]);
+  comm.begin_exchange(1, expected);
+  ShardScript script(comm, 0, /*tagged=*/true);
+  sharded.shard(0).schedule_keyed(0, event_key::rank(1), &script, 1);
+  sharded.shard(1).schedule_keyed(0, event_key::rank(16), &script, 16);
+  sharded.shard(0).schedule_keyed(100, event_key::rank(0), &script,
+                                  (1 << 8) | 0);
+  sharded.run_all();
+
+  ASSERT_EQ(eps[0].posts.size(), 2u);
+  // Only the same-shard post had arrived by the first barrier.
+  EXPECT_EQ(posts_at_barrier, 1u);
+  const ShardPostLog::Post& near = eps[0].posts[0];
+  const ShardPostLog::Post& far = eps[0].posts[1];
+  EXPECT_EQ(near.shard, 0);
+  EXPECT_EQ(near.src, 1);
+  EXPECT_EQ(near.dst_tag, 1);
+  EXPECT_EQ(near.key, event_key::delivery(1, 0));
+  EXPECT_EQ(far.shard, 0);
+  EXPECT_EQ(far.src, 16);
+  EXPECT_EQ(far.dst_tag, 16);
+  EXPECT_EQ(far.key, event_key::delivery(16, 0));
+  EXPECT_LT(near.t, far.t);
+  EXPECT_EQ(eps[0].ready_time, far.t);
+  EXPECT_EQ(eps[0].release_src, 16);
+  EXPECT_EQ(comm.take_cross_shard_records(0), 1);
   EXPECT_TRUE(comm.exchange_complete(1));
   comm.end_exchange(1);
 }

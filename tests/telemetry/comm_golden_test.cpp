@@ -5,10 +5,14 @@
 // rank) message counters into Collector's comm table; its CSV must match
 // tests/telemetry/golden/comm_table.csv byte-for-byte. Any change to the
 // table schema, the per-window counters the simulation feeds it, or the
-// aggregation fold itself shows up as a diff here. Regenerate with
+// aggregation fold itself shows up as a diff here. The same run under
+// overlap execution with send priority (comm_table_overlap.csv) pins the
+// overlap runtime's simulated timings — its stall (recv_wait_ns) and
+// send-wait columns — against a fixed reference. Regenerate with
 // AMR_TELEMETRY_REGEN_GOLDEN=1 after an intentional change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -23,7 +27,7 @@
 namespace amr {
 namespace {
 
-Table comm_table_from_tiny_run() {
+Table comm_table_from_tiny_run(bool overlap) {
   SimulationConfig cfg;
   // 8 root blocks over 4 ranks: every rank holds several blocks, so the
   // aggregation fold has same-destination sends to pack.
@@ -33,6 +37,10 @@ Table comm_table_from_tiny_run() {
   cfg.root_grid = RootGrid{2, 2, 2};
   cfg.collect_telemetry = true;
   cfg.comm_adaptive = true;
+  if (overlap) {
+    cfg.execution = ExecutionMode::kOverlap;
+    cfg.send_priority = true;
+  }
   SedovParams sp;
   sp.total_steps = cfg.steps;
   sp.max_level = 1;
@@ -44,25 +52,23 @@ Table comm_table_from_tiny_run() {
   return copy;
 }
 
-TEST(CommTable, AggregationColumnsMatchGoldenFile) {
-  const Table comm = comm_table_from_tiny_run();
+/// The comm table of `comm` as CSV text.
+std::string csv_text(const Table& comm) {
   const std::string tmp =
       testing::TempDir() + "/comm_table_golden_test.csv";
-  ASSERT_TRUE(write_csv(comm, tmp));
+  EXPECT_TRUE(write_csv(comm, tmp));
   std::ifstream got_in(tmp, std::ios::binary);
-  ASSERT_TRUE(got_in);
+  EXPECT_TRUE(got_in);
   std::ostringstream got_buf;
   got_buf << got_in.rdbuf();
-  const std::string got = got_buf.str();
   std::remove(tmp.c_str());
+  return got_buf.str();
+}
 
-  // The run actually exercised the aggregation path: the header carries
-  // the new columns and at least one row coalesced something.
-  EXPECT_NE(got.find("msgs_coalesced"), std::string::npos);
-  EXPECT_NE(got.find("bytes_packed"), std::string::npos);
-
-  const std::string path =
-      std::string(AMR_TELEMETRY_GOLDEN_DIR) + "/comm_table.csv";
+/// Compares `got` with golden/`name`, or rewrites it under
+/// AMR_TELEMETRY_REGEN_GOLDEN.
+void expect_matches_golden(const std::string& got, const std::string& name) {
+  const std::string path = std::string(AMR_TELEMETRY_GOLDEN_DIR) + "/" + name;
   if (std::getenv("AMR_TELEMETRY_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary);
     out << got;
@@ -75,6 +81,26 @@ TEST(CommTable, AggregationColumnsMatchGoldenFile) {
   std::ostringstream want;
   want << in.rdbuf();
   EXPECT_EQ(got, want.str());
+}
+
+TEST(CommTable, AggregationColumnsMatchGoldenFile) {
+  const std::string got = csv_text(comm_table_from_tiny_run(false));
+
+  // The run actually exercised the aggregation path: the header carries
+  // the new columns and at least one row coalesced something.
+  EXPECT_NE(got.find("msgs_coalesced"), std::string::npos);
+  EXPECT_NE(got.find("bytes_packed"), std::string::npos);
+  expect_matches_golden(got, "comm_table.csv");
+}
+
+TEST(CommTable, OverlapTimingsMatchGoldenFile) {
+  const Table comm = comm_table_from_tiny_run(true);
+  // The reference is only worth pinning if the overlap runtime actually
+  // stalled on a message somewhere.
+  const auto wait = comm.i64("recv_wait_ns");
+  EXPECT_TRUE(std::any_of(wait.begin(), wait.end(),
+                          [](std::int64_t w) { return w > 0; }));
+  expect_matches_golden(csv_text(comm), "comm_table_overlap.csv");
 }
 
 }  // namespace
