@@ -116,4 +116,26 @@ void BM_FabricTransfer(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricTransfer);
 
+// Same-node transfers through the shm slot queue, at the tuned depth
+// (4096) and the untuned one (8). Each node posts 16 back-to-back
+// messages per round, so the 8-slot queue also takes the retry path.
+void BM_FabricTransferShm(benchmark::State& state) {
+  const ClusterTopology topo(4096, 16);
+  FabricParams params = FabricParams::tuned();
+  params.shm_queue_slots = static_cast<std::int32_t>(state.range(0));
+  Fabric fabric(topo, params, Rng(1));
+  TimeNs t = 0;
+  std::int32_t src = 0;
+  for (auto _ : state) {
+    const std::int32_t dst = src - src % 16 + (src + 1) % 16;
+    benchmark::DoNotOptimize(fabric.transfer(src, dst, 20480, t));
+    src = (src + 1) % 4096;
+    t += 100;
+  }
+  state.counters["shm_retries"] = benchmark::Counter(
+      static_cast<double>(fabric.stats().shm_retries),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_FabricTransferShm)->Arg(4096)->Arg(8);
+
 }  // namespace

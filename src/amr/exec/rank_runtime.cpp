@@ -1,27 +1,56 @@
 #include "amr/exec/rank_runtime.hpp"
 
+#include <cstddef>
+#include <cstdint>
+
 #include "amr/common/check.hpp"
 #include "amr/trace/tracer.hpp"
 
 namespace amr {
 
-RankRuntime::RankRuntime(std::int32_t rank, Comm& comm, ExecParams params,
-                         Tracer* tracer)
-    : rank_(rank), comm_(comm), params_(params), tracer_(tracer) {
-  comm_.set_endpoint(rank, this);
+void RankRuntime::attach(std::int32_t rank, const Context& ctx) {
+  AMR_CHECK(ctx_ == nullptr && ctx.comm != nullptr);
+#if defined(__GNUC__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+#endif
+  static_assert(offsetof(RankRuntime, step_done_) < 64,
+                "dispatch-hot fields must share the first cache line");
+#if defined(__GNUC__)
+#pragma GCC diagnostic pop
+#endif
+  rank_ = rank;
+  ctx_ = &ctx;
+  ctx.comm->set_endpoint(rank, this);
 }
 
-TimeNs RankRuntime::pack_ns(std::int64_t bytes) const {
-  return static_cast<TimeNs>(static_cast<double>(bytes) /
-                             params_.pack_gbytes_per_sec);
+TimeNs RankRuntime::duration(const Task& t) const {
+  switch (t.kind) {
+    case TaskKind::kCompute:
+      return t.value;
+    case TaskKind::kPackSend:
+    case TaskKind::kUnpack:
+      return static_cast<TimeNs>(static_cast<double>(t.value) /
+                                 ctx_->params.pack_gbytes_per_sec) +
+             ctx_->params.task_overhead;
+    case TaskKind::kLocalCopy:
+      return static_cast<TimeNs>(static_cast<double>(t.value) /
+                                 ctx_->params.memcpy_gbytes_per_sec) +
+             ctx_->params.task_overhead;
+    case TaskKind::kWaitRecvs:
+    case TaskKind::kWaitSends:
+      break;
+  }
+  return 0;
 }
 
 void RankRuntime::begin_step(const RankStepWork& work,
                              TaskOrdering ordering, std::uint64_t window,
                              TimeNs start, std::int32_t priority_rank) {
+  AMR_CHECK(ctx_ != nullptr);
+  AMR_CHECK(window <= UINT32_MAX);
   tasks_.clear();
-  pc_ = 0;
-  window_ = window;
+  window_ = static_cast<std::uint32_t>(window);
   ordering_tag_ = static_cast<std::int64_t>(ordering);
   priority_rank_ = priority_rank;
   state_ = State::kIdle;
@@ -30,56 +59,71 @@ void RankRuntime::begin_step(const RankStepWork& work,
   stats_ = RankStepStats{};
   wait_start_ = start;
 
+  // Every task runs exactly once per step, so the counters that depend
+  // only on the plan are counted as the list is built; events add only
+  // the waits.
+  const ClusterTopology& topo = ctx_->comm->fabric().topology();
+  const std::int32_t node = topo.node_of(rank_);
+  auto add = [&](const Task& t) {
+    tasks_.push_back(t);
+    if (t.kind == TaskKind::kCompute) {
+      stats_.compute_ns += t.value;
+      return;
+    }
+    stats_.pack_ns += duration(t);
+    if (t.kind != TaskKind::kPackSend) return;
+    if (topo.node_of(t.dst) == node) {
+      ++stats_.msgs_local;
+      stats_.bytes_local += t.value;
+    } else {
+      ++stats_.msgs_remote;
+      stats_.bytes_remote += t.value;
+    }
+    stats_.msgs_coalesced += t.msgs - 1;
+    if (t.msgs > 1) stats_.bytes_packed += t.value;
+  };
+  auto add_send = [&](const OutMessage& m) {
+    AMR_CHECK(m.msgs >= 1 && m.msgs <= UINT16_MAX);
+    add(Task{m.bytes, m.dst_rank, static_cast<std::uint16_t>(m.msgs),
+             TaskKind::kPackSend});
+  };
   auto add_sends = [&] {
     // Critical-path priority: sends feeding the predicted critical rank
-    // go first. With priority_rank == -1 the first pass matches nothing
-    // and the schedule is bit-identical to the legacy order.
+    // go first, relative order otherwise kept; without a target the
+    // schedule is the legacy order.
+    if (priority_rank >= 0)
+      for (const OutMessage& m : work.sends)
+        if (m.dst_rank == priority_rank) add_send(m);
     for (const OutMessage& m : work.sends)
-      if (m.dst_rank == priority_rank)
-        tasks_.push_back(Task{TaskKind::kPackSend,
-                              pack_ns(m.bytes) + params_.task_overhead,
-                              m.dst_rank, m.bytes, m.msgs});
-    for (const OutMessage& m : work.sends)
-      if (m.dst_rank != priority_rank)
-        tasks_.push_back(Task{TaskKind::kPackSend,
-                              pack_ns(m.bytes) + params_.task_overhead,
-                              m.dst_rank, m.bytes, m.msgs});
-    if (work.local_copy_bytes > 0) {
-      const auto copy = static_cast<TimeNs>(
-          static_cast<double>(work.local_copy_bytes) /
-          params_.memcpy_gbytes_per_sec);
-      tasks_.push_back(Task{TaskKind::kLocalCopy,
-                            copy + params_.task_overhead, -1,
-                            work.local_copy_bytes});
-    }
+      if (m.dst_rank != priority_rank) add_send(m);
+    if (work.local_copy_bytes > 0)
+      add(Task{work.local_copy_bytes, -1, 1, TaskKind::kLocalCopy});
   };
-  auto add_computes = [&] {
-    for (const BlockCompute& c : work.computes)
-      tasks_.push_back(Task{TaskKind::kCompute,
-                            c.duration + params_.task_overhead, -1, 0});
+  const TimeNs overhead = ctx_->params.task_overhead;
+  auto add_computes = [&](const std::vector<BlockCompute>& computes) {
+    for (const BlockCompute& c : computes)
+      add(Task{c.duration + overhead, -1, 1, TaskKind::kCompute});
   };
 
   // The tuning lever of Fig 3/4b: where sends sit in the task schedule.
   if (ordering == TaskOrdering::kSendFirst) {
     add_sends();
-    add_computes();
+    add_computes(work.computes);
   } else {
-    add_computes();
+    add_computes(work.computes);
     add_sends();
   }
-  tasks_.push_back(Task{TaskKind::kWaitRecvs, 0, -1, 0});
+  add(Task{0, -1, 1, TaskKind::kWaitRecvs});
   if (work.recv_bytes > 0)
-    tasks_.push_back(Task{TaskKind::kUnpack,
-                          pack_ns(work.recv_bytes) + params_.task_overhead,
-                          -1, work.recv_bytes});
-  for (const BlockCompute& c : work.computes_after_wait)
-    tasks_.push_back(Task{TaskKind::kCompute,
-                          c.duration + params_.task_overhead, -1, 0});
-  tasks_.push_back(Task{TaskKind::kWaitSends, 0, -1, 0});
+    add(Task{work.recv_bytes, -1, 1, TaskKind::kUnpack});
+  add_computes(work.computes_after_wait);
+  add(Task{0, -1, 1, TaskKind::kWaitSends});
+  cur_ = tasks_.data();
+  end_ = cur_ + tasks_.size();
 }
 
 void RankRuntime::self_schedule(Engine& engine, TimeNs t) {
-  if (comm_.sharded() != nullptr)
+  if (ctx_->comm->sharded() != nullptr)
     engine.schedule_keyed(t, event_key::rank(rank_), this, 0);
   else
     engine.schedule_at(t, this, 0);
@@ -100,39 +144,31 @@ void RankRuntime::on_event(Engine& engine, std::uint64_t /*tag*/) {
       return;
     case State::kInTask:
       state_ = State::kRunning;
-      ++pc_;
+      ++cur_;
       advance(engine);
       return;
     case State::kPostSend: {
       // Pack finished at now; the isend posts here.
-      const Task& t = tasks_[pc_];
-      const TimeNs release =
-          comm_.isend(rank_, t.dst, t.bytes, window_, engine.now(), -1,
-                      t.msgs, priority_rank_ >= 0 && t.dst == priority_rank_);
+      const Task& t = *cur_;
+      const TimeNs release = ctx_->comm->isend(
+          rank_, t.dst, t.value, window_, engine.now(), -1, t.msgs,
+          priority_rank_ >= 0 && t.dst == priority_rank_);
       max_send_release_ = std::max(max_send_release_, release);
-      if (tracer_ != nullptr)
-        tracer_->instant(rank_, TraceCat::kSend, "isend", engine.now(),
-                         t.bytes, t.dst);
-      if (comm_.fabric().topology().same_node(rank_, t.dst)) {
-        ++stats_.msgs_local;
-        stats_.bytes_local += t.bytes;
-      } else {
-        ++stats_.msgs_remote;
-        stats_.bytes_remote += t.bytes;
-      }
-      stats_.msgs_coalesced += t.msgs - 1;
-      if (t.msgs > 1) stats_.bytes_packed += t.bytes;
+      if (ctx_->tracer != nullptr)
+        ctx_->tracer->instant(rank_, TraceCat::kSend, "isend", engine.now(),
+                              t.value, t.dst);
       state_ = State::kRunning;
-      ++pc_;
+      ++cur_;
       advance(engine);
       return;
     }
     case State::kWaitingSends: {
       stats_.send_wait_ns += engine.now() - wait_start_;
-      if (tracer_ != nullptr)
-        tracer_->end(rank_, TraceCat::kSendWait, "send-wait", engine.now());
+      if (ctx_->tracer != nullptr)
+        ctx_->tracer->end(rank_, TraceCat::kSendWait, "send-wait",
+                          engine.now());
       state_ = State::kRunning;
-      ++pc_;
+      ++cur_;
       advance(engine);
       return;
     }
@@ -144,70 +180,65 @@ void RankRuntime::on_event(Engine& engine, std::uint64_t /*tag*/) {
 }
 
 void RankRuntime::advance(Engine& engine) {
-  while (pc_ < tasks_.size()) {
-    const Task& t = tasks_[pc_];
+  Tracer* const tracer = ctx_->tracer;
+  for (; cur_ != end_; ++cur_) {
+    const Task& t = *cur_;
     switch (t.kind) {
       case TaskKind::kCompute:
-        stats_.compute_ns += t.duration;
         state_ = State::kInTask;
-        if (tracer_ != nullptr)
-          tracer_->complete(rank_, TraceCat::kCompute, "compute",
-                            engine.now(), t.duration, ordering_tag_);
-        self_schedule(engine, engine.now() + t.duration);
+        if (tracer != nullptr)
+          tracer->complete(rank_, TraceCat::kCompute, "compute",
+                           engine.now(), t.value, ordering_tag_);
+        self_schedule(engine, engine.now() + t.value);
         return;
       case TaskKind::kLocalCopy:
-      case TaskKind::kUnpack:
-        stats_.pack_ns += t.duration;
+      case TaskKind::kUnpack: {
+        const TimeNs d = duration(t);
         state_ = State::kInTask;
-        if (tracer_ != nullptr)
-          tracer_->complete(rank_, TraceCat::kPack,
-                            t.kind == TaskKind::kUnpack ? "unpack"
-                                                        : "local-copy",
-                            engine.now(), t.duration, t.bytes,
-                            ordering_tag_);
-        self_schedule(engine, engine.now() + t.duration);
-        return;
-      case TaskKind::kPackSend:
-        stats_.pack_ns += t.duration;
-        state_ = State::kPostSend;
-        if (tracer_ != nullptr)
-          tracer_->complete(rank_, TraceCat::kPack, "pack", engine.now(),
-                            t.duration, t.bytes, t.dst);
-        self_schedule(engine, engine.now() + t.duration);
-        return;
-      case TaskKind::kWaitRecvs:
-        if (comm_.wait_recvs(engine, rank_, window_)) {
-          ++pc_;
-          continue;  // everything already arrived: zero wait
-        }
-        wait_start_ = engine.now();
-        state_ = State::kWaitingRecvs;
-        if (tracer_ != nullptr)
-          tracer_->begin(rank_, TraceCat::kRecvWait, "recv-wait",
-                         engine.now());
-        return;
-      case TaskKind::kWaitSends: {
-        if (max_send_release_ <= engine.now()) {
-          ++pc_;
-          continue;
-        }
-        wait_start_ = engine.now();
-        state_ = State::kWaitingSends;
-        if (tracer_ != nullptr)
-          tracer_->begin(rank_, TraceCat::kSendWait, "send-wait",
-                         engine.now());
-        self_schedule(engine, max_send_release_);
+        if (tracer != nullptr)
+          tracer->complete(rank_, TraceCat::kPack,
+                           t.kind == TaskKind::kUnpack ? "unpack"
+                                                       : "local-copy",
+                           engine.now(), d, t.value, ordering_tag_);
+        self_schedule(engine, engine.now() + d);
         return;
       }
+      case TaskKind::kPackSend: {
+        const TimeNs d = duration(t);
+        state_ = State::kPostSend;
+        if (tracer != nullptr)
+          tracer->complete(rank_, TraceCat::kPack, "pack", engine.now(), d,
+                           t.value, t.dst);
+        self_schedule(engine, engine.now() + d);
+        return;
+      }
+      case TaskKind::kWaitRecvs:
+        if (ctx_->comm->wait_recvs(engine, rank_, window_))
+          continue;  // everything already arrived: zero wait
+        wait_start_ = engine.now();
+        state_ = State::kWaitingRecvs;
+        if (tracer != nullptr)
+          tracer->begin(rank_, TraceCat::kRecvWait, "recv-wait",
+                        engine.now());
+        return;
+      case TaskKind::kWaitSends:
+        if (max_send_release_ <= engine.now()) continue;
+        wait_start_ = engine.now();
+        state_ = State::kWaitingSends;
+        if (tracer != nullptr)
+          tracer->begin(rank_, TraceCat::kSendWait, "send-wait",
+                        engine.now());
+        self_schedule(engine, max_send_release_);
+        return;
     }
   }
   // All tasks done: enter the closing blocking collective.
   state_ = State::kInCollective;
   stats_.collective_entry = engine.now();
-  if (tracer_ != nullptr)
-    tracer_->begin(rank_, TraceCat::kSync, "collective", engine.now(),
-                   static_cast<std::int64_t>(window_));
-  comm_.enter_collective(window_, rank_, engine.now());
+  if (tracer != nullptr)
+    tracer->begin(rank_, TraceCat::kSync, "collective", engine.now(),
+                  static_cast<std::int64_t>(window_));
+  ctx_->comm->enter_collective(window_, rank_, engine.now());
 }
 
 void RankRuntime::on_recvs_ready(Engine& engine, std::uint64_t window,
@@ -216,11 +247,11 @@ void RankRuntime::on_recvs_ready(Engine& engine, std::uint64_t window,
   AMR_CHECK(state_ == State::kWaitingRecvs);
   stats_.recv_wait_ns += t - wait_start_;
   stats_.last_release_src = releasing_src;
-  if (tracer_ != nullptr)
-    tracer_->end(rank_, TraceCat::kRecvWait, "recv-wait", t,
-                 releasing_src);
+  if (ctx_->tracer != nullptr)
+    ctx_->tracer->end(rank_, TraceCat::kRecvWait, "recv-wait", t,
+                      releasing_src);
   state_ = State::kRunning;
-  ++pc_;
+  ++cur_;
   // We are inside the wake event at time t; continue inline on the
   // dispatching engine (the rank's own shard under sharding).
   advance(engine);
@@ -232,9 +263,9 @@ void RankRuntime::on_collective_done(Engine& /*engine*/,
   AMR_CHECK(state_ == State::kInCollective);
   stats_.sync_ns += t - stats_.collective_entry;
   stats_.done_at = t;
-  if (tracer_ != nullptr)
-    tracer_->end(rank_, TraceCat::kSync, "collective", t,
-                 static_cast<std::int64_t>(window));
+  if (ctx_->tracer != nullptr)
+    ctx_->tracer->end(rank_, TraceCat::kSync, "collective", t,
+                      static_cast<std::int64_t>(window));
   state_ = State::kIdle;
   step_done_ = true;
 }

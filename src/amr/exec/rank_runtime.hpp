@@ -6,6 +6,15 @@
 // arrivals; the closing blocking collective parks it until every rank has
 // entered. The per-phase accumulators it keeps are exactly the telemetry
 // the paper's collection layer records.
+//
+// Event working set. A BSP step dispatches tens of events per rank in
+// rank-interleaved order, so at 8192 ranks what an event costs is the
+// cache lines it touches, not its instructions. Each dispatch reads one
+// line of rank state (the runtime is 64-byte aligned and its hot fields
+// come first) plus the 16-byte task record under the cursor. Everything
+// the plan alone decides — compute and pack time, local/remote message
+// and byte counts, coalescing — is counted once in begin_step; events
+// record only what depends on waiting: recv-wait, send-wait and sync.
 #pragma once
 
 #include <cstdint>
@@ -46,13 +55,28 @@ struct RankStepStats {
   TimeNs comm_ns() const { return pack_ns + recv_wait_ns + send_wait_ns; }
 };
 
-class RankRuntime final : public RankEndpoint, public EventHandler {
+class alignas(64) RankRuntime final : public RankEndpoint,
+                                     public EventHandler {
  public:
-  /// `tracer` (optional) receives task-level spans on the rank's track:
-  /// compute/pack/unpack spans (tagged with the step's TaskOrdering),
-  /// isend instants, recv/send-wait stalls, and collective spans.
-  RankRuntime(std::int32_t rank, Comm& comm, ExecParams params,
-              Tracer* tracer = nullptr);
+  /// What every rank of one executor shares.
+  struct Context {
+    Comm* comm = nullptr;
+    ExecParams params;
+    /// Optional: receives task-level spans on each rank's track —
+    /// compute/pack/unpack spans (tagged with the step's TaskOrdering),
+    /// isend instants, recv/send-wait stalls, and collective spans.
+    Tracer* tracer = nullptr;
+  };
+
+  /// Runtimes live in one contiguous array owned by the executor, so
+  /// they are default-constructed and then attached once. The comm keeps
+  /// the endpoint pointer: a runtime never moves.
+  RankRuntime() = default;
+  RankRuntime(const RankRuntime&) = delete;
+  RankRuntime& operator=(const RankRuntime&) = delete;
+  /// Bind to `rank` and register as its comm endpoint. `ctx` must
+  /// outlive the runtime.
+  void attach(std::int32_t rank, const Context& ctx);
 
   /// Arm the rank for a step: build the task order from `work`, starting
   /// at absolute time `start`. Exchange and collective use window ids
@@ -89,13 +113,16 @@ class RankRuntime final : public RankEndpoint, public EventHandler {
     kUnpack,
     kWaitSends,
   };
+  // 16 bytes, so a rank's ~56 sends span 14 lines, not 35. A compute
+  // carries its duration; a send, copy or unpack carries its bytes and
+  // its duration is computed when it starts (duration()).
   struct Task {
-    TaskKind kind;
-    TimeNs duration = 0;       // compute / copy / pack part of send
+    std::int64_t value = 0;    // compute: duration; otherwise: bytes
     std::int32_t dst = -1;     // send target rank
-    std::int64_t bytes = 0;
-    std::int32_t msgs = 1;     // logical messages in a kPackSend transfer
+    std::uint16_t msgs = 1;    // logical messages in a kPackSend transfer
+    TaskKind kind = TaskKind::kCompute;
   };
+  static_assert(sizeof(Task) == 16);
   enum class State : std::uint8_t {
     kIdle,
     kRunning,        // between events, advance() drives
@@ -107,7 +134,8 @@ class RankRuntime final : public RankEndpoint, public EventHandler {
   };
 
   void advance(Engine& engine);
-  TimeNs pack_ns(std::int64_t bytes) const;
+  /// Simulated duration of a timed task (0 for the waits).
+  TimeNs duration(const Task& t) const;
   /// Schedule the rank's next self-event. Sequential mode keeps the
   /// legacy FIFO key (exact seed behaviour); sharded mode uses the
   /// canonical rank key — legal because the state machine has at most
@@ -115,20 +143,22 @@ class RankRuntime final : public RankEndpoint, public EventHandler {
   /// pending events of its class.
   void self_schedule(Engine& engine, TimeNs t);
 
-  std::int32_t rank_;
-  Comm& comm_;
-  ExecParams params_;
-  Tracer* tracer_;
-  std::int64_t ordering_tag_ = 0;  ///< TaskOrdering of the current step
-  std::int32_t priority_rank_ = -1;  ///< critical-path send target
-
-  std::vector<Task> tasks_;
-  std::size_t pc_ = 0;
-  std::uint64_t window_ = 0;
-  State state_ = State::kIdle;
-  TimeNs wait_start_ = 0;
+  // Hot: read by every dispatch. With the two vtable pointers these
+  // fill the first 64-byte line (checked in attach()).
+  const Context* ctx_ = nullptr;
+  const Task* cur_ = nullptr;  ///< task being run or next to run
+  const Task* end_ = nullptr;
   TimeNs max_send_release_ = 0;
+  std::int32_t rank_ = -1;
+  std::uint32_t window_ = 0;
+  std::int32_t priority_rank_ = -1;  ///< critical-path send target
+  State state_ = State::kIdle;
   bool step_done_ = false;
+
+  // Cold: touched at step set-up, wait edges and under tracing.
+  TimeNs wait_start_ = 0;
+  std::int64_t ordering_tag_ = 0;  ///< TaskOrdering of the current step
+  std::vector<Task> tasks_;
   RankStepStats stats_;
 };
 

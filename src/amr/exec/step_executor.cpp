@@ -7,11 +7,13 @@ namespace amr {
 
 StepExecutor::StepExecutor(Engine& engine, Comm& comm, ExecParams params,
                            Tracer* tracer)
-    : engine_(engine), comm_(comm), tracer_(tracer) {
-  runtimes_.reserve(static_cast<std::size_t>(comm.nranks()));
-  for (std::int32_t r = 0; r < comm.nranks(); ++r)
-    runtimes_.push_back(
-        std::make_unique<RankRuntime>(r, comm, params, tracer));
+    : engine_(engine),
+      comm_(comm),
+      tracer_(tracer),
+      ctx_{&comm, params, tracer},
+      runtimes_(static_cast<std::size_t>(comm.nranks())) {
+  for (std::size_t r = 0; r < runtimes_.size(); ++r)
+    runtimes_[r].attach(static_cast<std::int32_t>(r), ctx_);
 }
 
 StepResult StepExecutor::execute(std::span<const RankStepWork> work,
@@ -29,9 +31,9 @@ StepResult StepExecutor::execute(std::span<const RankStepWork> work,
   comm_.begin_exchange(window, expected_scratch_);
 
   for (std::size_t r = 0; r < work.size(); ++r) {
-    runtimes_[r]->begin_step(work[r], ordering, window, result.step_start,
-                             priority_rank);
-    runtimes_[r]->start(
+    runtimes_[r].begin_step(work[r], ordering, window, result.step_start,
+                            priority_rank);
+    runtimes_[r].start(
         sharded != nullptr
             ? sharded->engine_for_rank(static_cast<std::int32_t>(r))
             : engine_);
@@ -47,9 +49,9 @@ StepResult StepExecutor::execute(std::span<const RankStepWork> work,
   }
 
   result.ranks.reserve(work.size());
-  for (const auto& rt : runtimes_) {
-    AMR_CHECK_MSG(rt->step_done(), "rank did not complete the step");
-    result.ranks.push_back(rt->stats());
+  for (const RankRuntime& rt : runtimes_) {
+    AMR_CHECK_MSG(rt.step_done(), "rank did not complete the step");
+    result.ranks.push_back(rt.stats());
   }
   AMR_CHECK(comm_.exchange_complete(window));
   comm_.end_exchange(window);

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -33,6 +32,8 @@ class StepExecutor {
   /// a per-window span on the driver track.
   StepExecutor(Engine& engine, Comm& comm, ExecParams params = {},
                Tracer* tracer = nullptr);
+  StepExecutor(const StepExecutor&) = delete;  // runtimes point at ctx_
+  StepExecutor& operator=(const StepExecutor&) = delete;
 
   /// Execute one step. `window` must be unique per call (use the step
   /// number). All ranks start simultaneously at engine.now(). When the
@@ -49,7 +50,11 @@ class StepExecutor {
   Engine& engine_;
   Comm& comm_;
   Tracer* tracer_;
-  std::vector<std::unique_ptr<RankRuntime>> runtimes_;
+  RankRuntime::Context ctx_;  // shared by every runtime
+  // One contiguous array, never resized: the comm holds each runtime's
+  // endpoint pointer, and rank-interleaved dispatch stays on
+  // line-aligned neighbours instead of scattered heap objects.
+  std::vector<RankRuntime> runtimes_;
   std::vector<std::int32_t> expected_scratch_;  // reused across steps
 };
 

@@ -72,6 +72,8 @@ class SnapshotError : public std::runtime_error {
 //     job_config()) and the incremental-plans switch (the plan cache is
 //     the only step pipeline) leave the config fingerprint. Sections are
 //     unchanged.
+// v7: fabric section stores per-node idle count + busy free times (and
+//     each node's last shm post time) instead of every slot's free time.
 //
 // Version-bump checklist — the compile-time-checkable moral equivalent
 // of a static_assert, since the fingerprint is data, not types. When a
@@ -94,7 +96,7 @@ class SnapshotError : public std::runtime_error {
 // Counters that are scheduling artifacts rather than simulation state
 // (e.g. plan-cache share_hits) must NOT be serialized — see
 // StepPipelineStats.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 6;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 7;
 
 /// Builds a snapshot payload in memory, then writes the enveloped file.
 class SnapshotWriter {

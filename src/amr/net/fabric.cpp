@@ -34,13 +34,8 @@ Fabric::Fabric(const ClusterTopology& topo, FabricParams params, Rng rng)
 void Fabric::reset() {
   stats_ = FabricStats{};
   nic_busy_until_.assign(static_cast<std::size_t>(topo_.num_nodes()), 0);
-  shm_slot_free_.assign(static_cast<std::size_t>(topo_.num_nodes()), {});
-  // Every slot starts free at t=0; equal keys already satisfy the heap
-  // invariant, so adopt the image instead of pushing slot by slot (the
-  // pushes were most of a 4096-rank simulation's set-up CPU).
-  for (auto& slots : shm_slot_free_)
-    slots.restore(std::vector<TimeNs>(
-        static_cast<std::size_t>(params_.shm_queue_slots), 0));
+  shm_.assign(static_cast<std::size_t>(topo_.num_nodes()),
+              ShmQueue{params_.shm_queue_slots, 0, {}});
 }
 
 void Fabric::enable_sharding() {
@@ -77,10 +72,14 @@ Fabric::State Fabric::export_state() const {
   st.rng = rng_.state();
   st.stats = stats_;
   st.nic_busy_until = nic_busy_until_;
-  st.shm_slot_free.reserve(shm_slot_free_.size());
-  for (const auto& heap : shm_slot_free_) {
-    const std::span<const TimeNs> items = heap.items();
-    st.shm_slot_free.emplace_back(items.begin(), items.end());
+  st.shm_idle.reserve(shm_.size());
+  st.shm_busy.reserve(shm_.size());
+  st.shm_last_post.reserve(shm_.size());
+  for (const ShmQueue& q : shm_) {
+    const std::span<const TimeNs> busy = q.busy.items();
+    st.shm_idle.push_back(q.idle);
+    st.shm_busy.emplace_back(busy.begin(), busy.end());
+    st.shm_last_post.push_back(q.last_post);
   }
   if (sharded_) {
     st.node_rngs.reserve(node_rngs_.size());
@@ -91,20 +90,25 @@ Fabric::State Fabric::export_state() const {
 }
 
 void Fabric::import_state(const State& state) {
-  AMR_CHECK_MSG(
-      state.nic_busy_until.size() ==
-              static_cast<std::size_t>(topo_.num_nodes()) &&
-          state.shm_slot_free.size() ==
-              static_cast<std::size_t>(topo_.num_nodes()),
-      "fabric state does not match this topology");
+  const auto nnodes = static_cast<std::size_t>(topo_.num_nodes());
+  AMR_CHECK_MSG(state.nic_busy_until.size() == nnodes &&
+                    state.shm_idle.size() == nnodes &&
+                    state.shm_busy.size() == nnodes &&
+                    state.shm_last_post.size() == nnodes,
+                "fabric state does not match this topology");
   rng_.set_state(state.rng);
   stats_ = state.stats;
   nic_busy_until_ = state.nic_busy_until;
-  for (std::size_t n = 0; n < shm_slot_free_.size(); ++n) {
-    AMR_CHECK_MSG(state.shm_slot_free[n].size() ==
-                      static_cast<std::size_t>(params_.shm_queue_slots),
+  for (std::size_t n = 0; n < nnodes; ++n) {
+    AMR_CHECK_MSG(state.shm_idle[n] >= 0 &&
+                      state.shm_idle[n] +
+                              static_cast<std::int64_t>(
+                                  state.shm_busy[n].size()) ==
+                          params_.shm_queue_slots,
                   "fabric state does not match the shm slot count");
-    shm_slot_free_[n].restore(state.shm_slot_free[n]);
+    shm_[n].idle = state.shm_idle[n];
+    shm_[n].busy.restore(state.shm_busy[n]);
+    shm_[n].last_post = state.shm_last_post[n];
   }
   if (sharded_) {
     AMR_CHECK_MSG(state.node_rngs.size() == node_rngs_.size() &&
@@ -149,22 +153,28 @@ TransferTiming Fabric::transfer(std::int32_t src_rank, std::int32_t dst_rank,
   TransferTiming t;
 
   if (src_node == dst_node) {
-    // Shared-memory path: grab the earliest-free slot; if no slot is free
-    // at post time, spin in retry_delay quanta until one is.
+    // Shared-memory path: take a free slot; if no slot is free at post
+    // time, spin in retry_delay quanta until the earliest busy one is.
     t.used_shm = true;
-    auto& slots = shm_slot_free_[static_cast<std::size_t>(src_node)];
+    ShmQueue& q = shm_[static_cast<std::size_t>(src_node)];
+    AMR_CHECK_MSG(post_time >= q.last_post,
+                  "shm posts went back in time on a node");
+    q.last_post = post_time;
+    // Slots freed by now stay free for every later post of this node.
+    while (!q.busy.empty() && q.busy.top() <= post_time) {
+      q.busy.pop();
+      ++q.idle;
+    }
     if (tracer_ != nullptr) {
       // Queue occupancy at post time: the counter the paper's queue-size
       // tuning (Fig 3, right) was flying blind without.
-      std::int64_t busy = 0;
-      for (const TimeNs free_at : slots.items())
-        if (free_at > post_time) ++busy;
       tracer_->counter(Tracer::fabric_track(src_node), TraceCat::kFabric,
-                       "shm_queue_busy", post_time, busy);
+                       "shm_queue_busy", post_time,
+                       static_cast<std::int64_t>(q.busy.size()));
     }
     TimeNs start = post_time;
-    if (slots.top() > post_time) {
-      const TimeNs gap = slots.top() - post_time;
+    if (q.idle == 0) {
+      const TimeNs gap = q.busy.top() - post_time;
       const auto retries = static_cast<std::int32_t>(
           (gap + params_.shm_retry_delay - 1) / params_.shm_retry_delay);
       t.shm_retries = retries;
@@ -177,7 +187,12 @@ TransferTiming Fabric::transfer(std::int32_t src_rank, std::int32_t dst_rank,
     const TimeNs xfer =
         serialize_ns(bytes, params_.shm_gbytes_per_sec) + packed_cost;
     t.delivery = start + params_.shm_latency + xfer;
-    slots.replace_top(t.delivery);  // delivery >= the slot's old free time
+    if (q.idle > 0) {
+      --q.idle;
+      q.busy.push(t.delivery);
+    } else {
+      q.busy.replace_top(t.delivery);  // >= the slot's old free time
+    }
     // Sender hands the buffer to the queue as soon as it has a slot.
     t.sender_release = start + params_.post_overhead;
     ++stats.shm_msgs;

@@ -20,6 +20,15 @@
 // slot occupancy): transfer() returns when the sender's request completes
 // and when the message is delivered; the simmpi layer turns those into
 // DES events.
+//
+// Shm slot occupancy is kept as a count of idle slots plus a heap of the
+// busy slots' free times — not one entry per configured slot. Each shm
+// post first retires busy entries whose free time has passed into the
+// idle count. That is exact because a node's post times never decrease
+// (checked) and a post's timing depends only on whether some slot is
+// free at post time and, if none is, on the earliest busy free time. A
+// tuned 4096-slot node therefore costs a few in-flight entries of memory
+// and snapshot space instead of 32 KiB.
 #pragma once
 
 #include <cstdint>
@@ -110,11 +119,13 @@ class Fabric {
   /// Compute timings for a message posted at `post_time` from src to dst
   /// (ranks; must differ — intra-rank copies bypass the fabric). Advances
   /// internal NIC/queue state; calls must be issued in nondecreasing
-  /// post_time order per source node for the NIC model to be physical
-  /// (the DES guarantees this). `msgs` > 1 marks an aggregated transfer
-  /// carrying that many logical messages: it occupies one queue slot /
-  /// NIC serialization window and pays latency once, plus
-  /// (msgs - 1) * packed_msg_overhead of per-message processing.
+  /// post_time order per source node (the DES guarantees this): the NIC
+  /// model is physical only then, and the shm path checks it because its
+  /// busy-only slot heap is exact only then. `msgs` > 1 marks an
+  /// aggregated transfer carrying that many logical messages: it
+  /// occupies one queue slot / NIC serialization window and pays latency
+  /// once, plus (msgs - 1) * packed_msg_overhead of per-message
+  /// processing.
   TransferTiming transfer(std::int32_t src_rank, std::int32_t dst_rank,
                           std::int64_t bytes, TimeNs post_time,
                           std::int32_t msgs = 1);
@@ -163,8 +174,12 @@ class Fabric {
   struct State {
     Rng::State rng;
     FabricStats stats;
-    std::vector<TimeNs> nic_busy_until;              ///< per node
-    std::vector<std::vector<TimeNs>> shm_slot_free;  ///< per node, heap order
+    std::vector<TimeNs> nic_busy_until;  ///< per node
+    /// Per node: slots idle as of the node's last shm post, the busy
+    /// slots' free times (heap order), and that last post time.
+    std::vector<std::int32_t> shm_idle;
+    std::vector<std::vector<TimeNs>> shm_busy;
+    std::vector<TimeNs> shm_last_post;
     /// Sharded mode only (empty otherwise): per-node stream positions
     /// and counters. Node-indexed, so state round-trips across runs with
     /// different shard counts.
@@ -187,13 +202,15 @@ class Fabric {
   std::vector<Rng> node_rngs_;          // per node (sharded mode)
   std::vector<FabricStats> node_stats_; // per node (sharded mode)
   std::vector<TimeNs> nic_busy_until_;  // per node
-  // Per-node slot free-times as a min-heap: transfer() only ever needs
-  // the earliest-free slot, and its new free time only grows, so a
-  // replace-top keeps selection O(log slots) instead of the linear scan
-  // that dominated sedov_sim wall-clock with the tuned 4096-slot queue.
-  // Slot identity never affects timing (only the multiset of free times
-  // does), so heap order is observably identical to first-min selection.
-  std::vector<DaryHeap<TimeNs>> shm_slot_free_;  // per node, per slot
+  // One node's shm queue (see the file comment). Slot identity never
+  // affects timing, so a slot is either counted idle or has its free
+  // time in `busy`; idle + busy.size() == shm_queue_slots.
+  struct ShmQueue {
+    std::int32_t idle = 0;
+    TimeNs last_post = 0;
+    DaryHeap<TimeNs> busy;  // min-heap of busy slots' free times
+  };
+  std::vector<ShmQueue> shm_;  // per node
   Observer observer_;
 };
 

@@ -99,6 +99,32 @@ Rng::State read_rng(io::SnapshotReader& r) {
   return s;
 }
 
+void write_fabric_stats(io::SnapshotWriter& w, const FabricStats& s) {
+  w.i64(s.remote_msgs);
+  w.i64(s.shm_msgs);
+  w.i64(s.remote_bytes);
+  w.i64(s.shm_bytes);
+  w.i64(s.shm_retries);
+  w.i64(s.acks_lost);
+  w.i64(s.ack_block_time);
+  w.i64(s.packed_transfers);
+  w.i64(s.coalesced_msgs);
+}
+
+FabricStats read_fabric_stats(io::SnapshotReader& r) {
+  FabricStats s;
+  s.remote_msgs = r.i64();
+  s.shm_msgs = r.i64();
+  s.remote_bytes = r.i64();
+  s.shm_bytes = r.i64();
+  s.shm_retries = r.i64();
+  s.acks_lost = r.i64();
+  s.ack_block_time = r.i64();
+  s.packed_transfers = r.i64();
+  s.coalesced_msgs = r.i64();
+  return s;
+}
+
 void write_stats(io::SnapshotWriter& w, const RunningStats& s) {
   const RunningStats::Moments m = s.moments();
   w.u64(m.n);
@@ -255,6 +281,48 @@ void check_meta(io::SnapshotReader& r, const SimulationConfig& config,
 
 }  // namespace
 
+void write_fabric_section(io::SnapshotWriter& w, const Fabric::State& fab,
+                          bool sharded) {
+  w.begin_section("fabric");
+  write_rng(w, fab.rng);
+  write_fabric_stats(w, fab.stats);
+  w.vec_pod(fab.nic_busy_until);
+  w.vec_pod(fab.shm_idle);
+  w.vec_pod(fab.shm_last_post);
+  for (const auto& busy : fab.shm_busy) w.vec_pod(busy);
+  // Sharded mode: per-node stream positions and counters (node-indexed,
+  // so they restore across shard counts). Presence is pinned by the
+  // fingerprint's "sharded DES" bit.
+  if (sharded) {
+    w.u32(static_cast<std::uint32_t>(fab.node_rngs.size()));
+    for (const Rng::State& s : fab.node_rngs) write_rng(w, s);
+    for (const FabricStats& s : fab.node_stats) write_fabric_stats(w, s);
+  }
+  w.end_section();
+}
+
+Fabric::State read_fabric_section(io::SnapshotReader& r, bool sharded) {
+  r.begin_section("fabric");
+  Fabric::State fab;
+  fab.rng = read_rng(r);
+  fab.stats = read_fabric_stats(r);
+  fab.nic_busy_until = r.vec_pod<TimeNs>();
+  fab.shm_idle = r.vec_pod<std::int32_t>();
+  fab.shm_last_post = r.vec_pod<TimeNs>();
+  fab.shm_busy.resize(fab.shm_idle.size());
+  for (auto& busy : fab.shm_busy) busy = r.vec_pod<TimeNs>();
+  if (sharded) {
+    const std::uint32_t nnodes = r.u32();
+    fab.node_rngs.resize(nnodes);
+    for (Rng::State& s : fab.node_rngs) s = read_rng(r);
+    fab.node_stats.reserve(nnodes);
+    for (std::uint32_t n = 0; n < nnodes; ++n)
+      fab.node_stats.push_back(read_fabric_stats(r));
+  }
+  r.end_section();
+  return fab;
+}
+
 bool save_snapshot(const std::string& path, const SimulationConfig& config,
                    const SimState& state, const SimRuntime& runtime,
                    const Workload& workload, const Collector& collector,
@@ -376,40 +444,8 @@ bool save_snapshot(const std::string& path, const SimulationConfig& config,
   write_rng(w, runtime.rng.state());
   w.end_section();
 
-  const Fabric::State fab = runtime.fabric.export_state();
-  w.begin_section("fabric");
-  write_rng(w, fab.rng);
-  w.i64(fab.stats.remote_msgs);
-  w.i64(fab.stats.shm_msgs);
-  w.i64(fab.stats.remote_bytes);
-  w.i64(fab.stats.shm_bytes);
-  w.i64(fab.stats.shm_retries);
-  w.i64(fab.stats.acks_lost);
-  w.i64(fab.stats.ack_block_time);
-  w.i64(fab.stats.packed_transfers);
-  w.i64(fab.stats.coalesced_msgs);
-  w.vec_pod(fab.nic_busy_until);
-  w.u32(static_cast<std::uint32_t>(fab.shm_slot_free.size()));
-  for (const auto& slots : fab.shm_slot_free) w.vec_pod(slots);
-  // Sharded mode: per-node stream positions and counters (node-indexed,
-  // so they restore across shard counts). Presence is pinned by the
-  // fingerprint's "sharded DES" bit.
-  if (runtime.fabric.sharded()) {
-    w.u32(static_cast<std::uint32_t>(fab.node_rngs.size()));
-    for (const Rng::State& s : fab.node_rngs) write_rng(w, s);
-    for (const FabricStats& s : fab.node_stats) {
-      w.i64(s.remote_msgs);
-      w.i64(s.shm_msgs);
-      w.i64(s.remote_bytes);
-      w.i64(s.shm_bytes);
-      w.i64(s.shm_retries);
-      w.i64(s.acks_lost);
-      w.i64(s.ack_block_time);
-      w.i64(s.packed_transfers);
-      w.i64(s.coalesced_msgs);
-    }
-  }
-  w.end_section();
+  write_fabric_section(w, runtime.fabric.export_state(),
+                       runtime.fabric.sharded());
 
   std::vector<std::uint8_t> blob;
   workload.save_state(blob);
@@ -579,40 +615,8 @@ void restore_snapshot(const std::string& path,
   runtime.rng.set_state(read_rng(r));
   r.end_section();
 
-  r.begin_section("fabric");
-  Fabric::State fab;
-  fab.rng = read_rng(r);
-  fab.stats.remote_msgs = r.i64();
-  fab.stats.shm_msgs = r.i64();
-  fab.stats.remote_bytes = r.i64();
-  fab.stats.shm_bytes = r.i64();
-  fab.stats.shm_retries = r.i64();
-  fab.stats.acks_lost = r.i64();
-  fab.stats.ack_block_time = r.i64();
-  fab.stats.packed_transfers = r.i64();
-  fab.stats.coalesced_msgs = r.i64();
-  fab.nic_busy_until = r.vec_pod<TimeNs>();
-  fab.shm_slot_free.resize(r.u32());
-  for (auto& slots : fab.shm_slot_free) slots = r.vec_pod<TimeNs>();
-  if (runtime.fabric.sharded()) {
-    const std::uint32_t nnodes = r.u32();
-    fab.node_rngs.resize(nnodes);
-    fab.node_stats.resize(nnodes);
-    for (Rng::State& s : fab.node_rngs) s = read_rng(r);
-    for (FabricStats& s : fab.node_stats) {
-      s.remote_msgs = r.i64();
-      s.shm_msgs = r.i64();
-      s.remote_bytes = r.i64();
-      s.shm_bytes = r.i64();
-      s.shm_retries = r.i64();
-      s.acks_lost = r.i64();
-      s.ack_block_time = r.i64();
-      s.packed_transfers = r.i64();
-      s.coalesced_msgs = r.i64();
-    }
-  }
-  r.end_section();
-  runtime.fabric.import_state(fab);
+  runtime.fabric.import_state(
+      read_fabric_section(r, runtime.fabric.sharded()));
 
   r.begin_section("workload");
   const std::vector<std::uint8_t> blob = r.vec_pod<std::uint8_t>();

@@ -32,6 +32,11 @@
 
 namespace amr {
 
+namespace io {
+class SnapshotReader;
+class SnapshotWriter;
+}  // namespace io
+
 /// Cross-step simulation state. Everything here (plus the runtime's
 /// clock/RNG/fabric dynamics) is what a snapshot captures.
 struct SimState {
@@ -144,5 +149,11 @@ void restore_snapshot(const std::string& path,
                       const SimulationConfig& config, SimState& state,
                       SimRuntime& runtime, Workload& workload,
                       Collector& collector, Tracer* tracer);
+
+/// The snapshot's "fabric" section: one Fabric::State, with the per-node
+/// streams and counters when `sharded`. Exposed for round-trip tests.
+void write_fabric_section(io::SnapshotWriter& w, const Fabric::State& fab,
+                          bool sharded);
+Fabric::State read_fabric_section(io::SnapshotReader& r, bool sharded);
 
 }  // namespace amr

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "amr/exec/work.hpp"
 #include "amr/mesh/mesh.hpp"
+#include "amr/trace/tracer.hpp"
 
 namespace amr {
 namespace {
@@ -158,6 +161,96 @@ TEST(StepExecutor, DeterministicAcrossRuns) {
         .wall_ns();
   };
   EXPECT_EQ(run(), run());
+}
+
+// The counters a step's plan alone decides are counted from the task
+// list when the rank is armed. Recount them from what actually happened:
+// a fabric observer sees every transfer (the coalesced count of each is
+// the delta of the fabric's own counter), and the tracer's compute and
+// pack spans carry each task's duration as it ran.
+TEST(StepExecutor, PlanCountersMatchWhatRan) {
+  constexpr std::int32_t kRanks = 16;
+  AmrMesh mesh(RootGrid{4, 4, 2});
+  Placement placement(mesh.size());
+  for (std::size_t b = 0; b < mesh.size(); ++b)
+    placement[b] = static_cast<std::int32_t>((b * 7 + b / 5) % kRanks);
+  std::vector<TimeNs> costs(mesh.size());
+  for (std::size_t b = 0; b < costs.size(); ++b)
+    costs[b] = us(20) + static_cast<TimeNs>(b % 7) * us(3);
+
+  for (const PackingPolicy packing :
+       {PackingPolicy::none(), PackingPolicy::all()}) {
+    std::vector<RankStepWork> work =
+        build_step_work(mesh, placement, costs, kRanks, {}, true, packing);
+    work[3].computes_after_wait.push_back({0, us(7)});
+    for (const TaskOrdering ordering :
+         {TaskOrdering::kComputeFirst, TaskOrdering::kSendFirst}) {
+      for (const std::int32_t priority : {-1, 5}) {
+        SCOPED_TRACE(std::string(packing.active() ? "packed " : "eager ") +
+                     to_string(ordering) + " priority " +
+                     std::to_string(priority));
+        Engine engine;
+        const ClusterTopology topo(kRanks, 4);
+        Fabric fabric(topo, Harness::tuned_quiet(), Rng(3));
+        Comm comm(engine, fabric, kRanks);
+        TraceConfig tc;
+        tc.capacity = 1u << 16;
+        Tracer tracer(tc);
+        StepExecutor executor(engine, comm, {}, &tracer);
+
+        std::vector<RankStepStats> seen(kRanks);
+        std::int64_t coalesced_before = 0;
+        fabric.set_observer([&](std::int32_t src, std::int32_t,
+                                std::int64_t bytes,
+                                const TransferTiming& t) {
+          RankStepStats& s = seen[static_cast<std::size_t>(src)];
+          (t.used_shm ? s.msgs_local : s.msgs_remote) += 1;
+          (t.used_shm ? s.bytes_local : s.bytes_remote) += bytes;
+          const std::int64_t coalesced =
+              fabric.stats().coalesced_msgs - coalesced_before;
+          coalesced_before = fabric.stats().coalesced_msgs;
+          s.msgs_coalesced += coalesced;
+          if (coalesced > 0) s.bytes_packed += bytes;
+        });
+
+        for (std::uint64_t window = 0; window < 2; ++window) {
+          std::fill(seen.begin(), seen.end(), RankStepStats{});
+          tracer.clear();
+          const StepResult result =
+              executor.execute(work, ordering, window, priority);
+          tracer.for_each([&](const TraceEvent& e) {
+            if (e.track < 0 || e.type != TraceEventType::kComplete) return;
+            RankStepStats& s = seen[static_cast<std::size_t>(e.track)];
+            if (e.cat == TraceCat::kCompute) s.compute_ns += e.dur;
+            if (e.cat == TraceCat::kPack) s.pack_ns += e.dur;
+          });
+          ASSERT_EQ(tracer.dropped(), 0u);
+          std::int64_t local = 0;
+          std::int64_t remote = 0;
+          for (std::int32_t r = 0; r < kRanks; ++r) {
+            SCOPED_TRACE("rank " + std::to_string(r));
+            const RankStepStats& got =
+                result.ranks[static_cast<std::size_t>(r)];
+            const RankStepStats& want = seen[static_cast<std::size_t>(r)];
+            EXPECT_EQ(got.compute_ns, want.compute_ns);
+            EXPECT_EQ(got.pack_ns, want.pack_ns);
+            EXPECT_EQ(got.msgs_local, want.msgs_local);
+            EXPECT_EQ(got.msgs_remote, want.msgs_remote);
+            EXPECT_EQ(got.bytes_local, want.bytes_local);
+            EXPECT_EQ(got.bytes_remote, want.bytes_remote);
+            EXPECT_EQ(got.msgs_coalesced, want.msgs_coalesced);
+            EXPECT_EQ(got.bytes_packed, want.bytes_packed);
+            local += got.msgs_local;
+            remote += got.msgs_remote;
+          }
+          // The plan exercises both paths and, when packed, coalescing.
+          EXPECT_GT(local, 0);
+          EXPECT_GT(remote, 0);
+          EXPECT_EQ(fabric.stats().coalesced_msgs > 0, packing.active());
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -14,6 +15,7 @@
 #include "amr/faults/injector.hpp"
 #include "amr/io/snapshot.hpp"
 #include "amr/placement/registry.hpp"
+#include "amr/sim/sim_state.hpp"
 #include "amr/sim/simulation.hpp"
 #include "amr/trace/chrome_export.hpp"
 #include "amr/workloads/sedov.hpp"
@@ -335,6 +337,78 @@ TEST_F(CheckpointTest, CorruptSnapshotFailsWithDiagnostic) {
   }
   EXPECT_THROW(run_sedov(test_config(12), "cpl50", nullptr, nullptr, path),
                io::SnapshotError);
+}
+
+// The fabric section carries only busy shm slots (format v7). Fill a
+// slow 8-slot queue past capacity, round-trip the section through an
+// in-memory snapshot, and check the restored fabric times the same
+// follow-on traffic as the original.
+TEST(CheckpointFabric, SectionRoundTripsBusySlots) {
+  const ClusterTopology topo(8, 4);
+  FabricParams p = FabricParams::untuned();
+  p.shm_gbytes_per_sec = 0.01;  // each 1 KB message holds a slot 100 us
+  Fabric original(topo, p, Rng(5));
+  for (std::int32_t i = 0; i < 12; ++i)
+    original.transfer(i % 4, (i + 1) % 4, 1000, us(1) * i);
+  original.transfer(4, 0, 1000, us(3));  // remote: NIC and RNG state
+  const Fabric::State st = original.export_state();
+  ASSERT_EQ(st.shm_idle[0], 0);
+  ASSERT_EQ(st.shm_busy[0].size(), 8u);
+
+  io::SnapshotWriter w;
+  write_fabric_section(w, st, false);
+  io::SnapshotReader r(w.finish());
+  Fabric restored(topo, p, Rng(77));
+  restored.import_state(read_fabric_section(r, false));
+  EXPECT_TRUE(r.peek_section().empty());
+
+  for (std::int32_t i = 0; i < 20; ++i) {
+    const std::int32_t src = i % 8;
+    const std::int32_t dst = (i * 3 + 1) % 8 == src ? (src + 1) % 8
+                                                    : (i * 3 + 1) % 8;
+    const TimeNs at = us(20) + us(7) * i;
+    const TransferTiming a = original.transfer(src, dst, 1000, at);
+    const TransferTiming b = restored.transfer(src, dst, 1000, at);
+    EXPECT_EQ(a.sender_release, b.sender_release) << i;
+    EXPECT_EQ(a.delivery, b.delivery) << i;
+    EXPECT_EQ(a.shm_retries, b.shm_retries) << i;
+    EXPECT_EQ(a.ack_lost, b.ack_lost) << i;
+  }
+  EXPECT_GT(restored.stats().shm_retries, 0);
+  EXPECT_EQ(original.stats().shm_retries, restored.stats().shm_retries);
+}
+
+// A v6 file stored every shm slot's free time; its fabric section would
+// misparse under v7, so the envelope refuses it by version, by name.
+TEST_F(CheckpointTest, V6SnapshotIsRefused) {
+  SimulationConfig ck = test_config(12);
+  ck.checkpoint_every = 6;
+  ck.checkpoint_dir = dir_;
+  run_sedov(ck, "cpl50", nullptr, nullptr);
+
+  const std::string path = dir_ + "/ckpt_6.amrs";
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 8u);
+  const std::uint32_t v6 = 6;
+  std::memcpy(bytes.data() + 4, &v6, sizeof(v6));  // header: magic, version
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<long>(bytes.size()));
+  }
+  try {
+    run_sedov(test_config(12), "cpl50", nullptr, nullptr, path);
+    FAIL() << "a v6 snapshot was accepted";
+  } catch (const io::SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "snapshot: unsupported snapshot format version 6"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
