@@ -1,15 +1,23 @@
 // google-benchmark microbenchmarks for the hot substrate paths: Morton
 // encoding, mesh refinement and neighbor discovery, placement policies at
-// production sizes, DES event throughput, and fabric transfers. These
-// guard the performance envelope that keeps placement inside the paper's
-// 50 ms budget and the simulator fast enough for the Fig 6 sweeps.
+// production sizes, auto-X candidate evaluation, plan rebuilds, DES event
+// throughput, and fabric transfers. These guard the performance envelope
+// that keeps placement inside the paper's 50 ms budget and the simulator
+// fast enough for the Fig 6 sweeps.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "amr/common/rng.hpp"
 #include "amr/des/engine.hpp"
+#include "amr/exec/plan_cache.hpp"
 #include "amr/mesh/generators.hpp"
 #include "amr/mesh/morton.hpp"
 #include "amr/net/fabric.hpp"
+#include "amr/par/thread_pool.hpp"
+#include "amr/placement/cplx.hpp"
+#include "amr/placement/engine.hpp"
 #include "amr/placement/registry.hpp"
 #include "amr/workloads/synthetic.hpp"
 
@@ -84,6 +92,72 @@ BENCHMARK_CAPTURE(BM_Policy, cpl50, "cpl50")
     ->Arg(4096)
     ->Arg(65536)
     ->Unit(benchmark::kMillisecond);
+
+// A refined mesh of about 6K blocks for 4096 ranks (the cooling
+// rebalance scale) with skewed per-block costs.
+struct RebalanceFixture {
+  static constexpr std::int32_t kRanks = 4096;
+  AmrMesh mesh{RootGrid{16, 16, 16}};
+  std::vector<double> costs;
+  RebalanceFixture() {
+    Rng rng(7);
+    grow_to_block_count(mesh, rng, 6000, 2);
+    costs = synthetic_costs(mesh.size(), CostDistribution::kExponential,
+                            rng);
+  }
+};
+
+// One auto-X redistribution epoch: the tuner's 5 default candidates
+// rebalanced and scored. The cost content repeats under a new epoch
+// token, so every chunk solve comes from the engine's memo and the time
+// is the shared rebalance prefix, the per-X tails and comm scoring. Arg
+// is the pool size (0 = no pool).
+void BM_EvaluateCandidates(benchmark::State& state) {
+  const RebalanceFixture f;
+  const ClusterTopology topo(RebalanceFixture::kRanks, 16);
+  const MessageSizeModel sizes;
+  const std::vector<double> xs{0.0, 25.0, 50.0, 75.0, 100.0};
+  const auto threads = static_cast<int>(state.range(0));
+  std::unique_ptr<ThreadPool> pool;
+  PlacementEngine engine;
+  if (threads > 0) {
+    pool = std::make_unique<ThreadPool>(threads);
+    engine.set_parallel(pool.get());
+  }
+  std::vector<CandidateEval> evals;
+  std::uint64_t epoch = 0;
+  for (auto _ : state) {
+    engine.evaluate_candidates(f.costs, RebalanceFixture::kRanks, xs, 512,
+                               ++epoch, f.mesh, topo, sizes, evals);
+    benchmark::DoNotOptimize(evals.data());
+  }
+}
+BENCHMARK(BM_EvaluateCandidates)
+    ->Arg(0)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// BSP plan misses: two placements (cpl0 and cpl100) alternate through
+// ExchangePlanCache under a new placement version every call, so every
+// call rebuilds the 4096-rank plan.
+void BM_PlanRebuild(benchmark::State& state) {
+  const RebalanceFixture f;
+  const Placement placements[] = {
+      CplxPolicy(0.0).place(f.costs, RebalanceFixture::kRanks),
+      CplxPolicy(100.0).place(f.costs, RebalanceFixture::kRanks)};
+  const std::vector<TimeNs> block_costs(f.mesh.size(), 1000);
+  ExchangePlanCache cache;
+  std::uint64_t version = 0;
+  for (auto _ : state) {
+    const auto plan = cache.step_work(
+        f.mesh, placements[version % 2], version, block_costs,
+        RebalanceFixture::kRanks, MessageSizeModel{}, true);
+    ++version;
+    benchmark::DoNotOptimize(plan.data());
+  }
+}
+BENCHMARK(BM_PlanRebuild)->Unit(benchmark::kMillisecond);
 
 void BM_DesEventThroughput(benchmark::State& state) {
   class Null final : public EventHandler {

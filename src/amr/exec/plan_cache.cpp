@@ -76,13 +76,13 @@ std::span<const RankStepWork> ExchangePlanCache::step_work(
       ++stats_.share_hits;
       patch_bsp(block_costs);
     } else {
-      bsp_ = build_step_work(mesh, placement, block_costs, nranks, sizes,
-                             include_flux, packing);
+      build_step_work(mesh, placement, block_costs, nranks, sizes,
+                      include_flux, packing, bsp_);
       shared_->publish_bsp(std::move(key), bsp_);
     }
   } else {
-    bsp_ = build_step_work(mesh, placement, block_costs, nranks, sizes,
-                           include_flux, packing);
+    build_step_work(mesh, placement, block_costs, nranks, sizes,
+                    include_flux, packing, bsp_);
   }
   packing_ = packing;
   have_bsp_ = true;

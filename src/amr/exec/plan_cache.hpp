@@ -14,8 +14,11 @@
 // bit-identical to building it fresh: build_step_work/build_overlap_work
 // emit computes in block order with duration = block_costs[block], which
 // is exactly what the patch loop re-applies. Any regrid or rebalance
-// bumps a version and the next step misses once. The cache is the only
-// step pipeline; the from-scratch build functions are its test oracle
+// bumps a version and the next step misses once; a BSP miss rebuilds the
+// plan inside the previous plan's storage (build_step_work's in-place
+// overload), so the per-rank vectors keep their capacity and the old
+// and new plan never coexist. The cache is the only step pipeline; the
+// from-scratch build functions are its test oracle
 // (tests/exec/plan_cache_test.cpp).
 //
 // One cache instance serves one run: nranks, the message-size model, and

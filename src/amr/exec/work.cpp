@@ -6,17 +6,33 @@ namespace amr {
 
 namespace {
 
+/// Empty every rank's plan in place: vectors are cleared, never freed, so
+/// a rebuild into the same storage reuses their capacity.
+void reset_work(std::vector<RankStepWork>& work, std::int32_t nranks) {
+  work.resize(static_cast<std::size_t>(nranks));
+  for (RankStepWork& w : work) {
+    w.computes.clear();
+    w.computes_after_wait.clear();
+    w.sends.clear();
+    w.local_copy_bytes = 0;
+    w.local_copy_msgs = 0;
+    w.expected_recvs = 0;
+    w.recv_bytes = 0;
+  }
+}
+
 /// Single-pass build for the degenerate policies: every pair eager
 /// (`aggregate` false) or every multi-message pair packed (true). The
 /// general threshold build below needs a second pass over per-pair
 /// totals; these two do not.
-std::vector<RankStepWork> build_single_pass(
-    const AmrMesh& mesh, const Placement& placement,
-    std::span<const TimeNs> block_costs, std::int32_t nranks,
-    const MessageSizeModel& sizes, bool include_flux, bool aggregate) {
+void build_single_pass(const AmrMesh& mesh, const Placement& placement,
+                       std::span<const TimeNs> block_costs,
+                       std::int32_t nranks, const MessageSizeModel& sizes,
+                       bool include_flux, bool aggregate,
+                       std::vector<RankStepWork>& work) {
   AMR_CHECK(placement.size() == mesh.size());
   AMR_CHECK(block_costs.size() == mesh.size());
-  std::vector<RankStepWork> work(static_cast<std::size_t>(nranks));
+  reset_work(work, nranks);
 
   const auto& lists = mesh.neighbor_lists();
   for (std::size_t b = 0; b < mesh.size(); ++b) {
@@ -61,7 +77,6 @@ std::vector<RankStepWork> build_single_pass(
         emit(sizes.flux_bytes());
     }
   }
-  return work;
 }
 
 }  // namespace
@@ -71,13 +86,26 @@ std::vector<RankStepWork> build_step_work(
     std::span<const TimeNs> block_costs, std::int32_t nranks,
     const MessageSizeModel& sizes, bool include_flux,
     const PackingPolicy& packing) {
-  if (!packing.active() || packing.pack_all())
-    return build_single_pass(mesh, placement, block_costs, nranks, sizes,
-                             include_flux, packing.pack_all());
+  std::vector<RankStepWork> work;
+  build_step_work(mesh, placement, block_costs, nranks, sizes, include_flux,
+                  packing, work);
+  return work;
+}
+
+void build_step_work(const AmrMesh& mesh, const Placement& placement,
+                     std::span<const TimeNs> block_costs,
+                     std::int32_t nranks, const MessageSizeModel& sizes,
+                     bool include_flux, const PackingPolicy& packing,
+                     std::vector<RankStepWork>& work) {
+  if (!packing.active() || packing.pack_all()) {
+    build_single_pass(mesh, placement, block_costs, nranks, sizes,
+                      include_flux, packing.pack_all(), work);
+    return;
+  }
 
   AMR_CHECK(placement.size() == mesh.size());
   AMR_CHECK(block_costs.size() == mesh.size());
-  std::vector<RankStepWork> work(static_cast<std::size_t>(nranks));
+  reset_work(work, nranks);
 
   // Pass 1: computes, local copies, and recv byte totals as on the
   // legacy path; boundary messages are only recorded, because the pack
@@ -154,7 +182,6 @@ std::vector<RankStepWork> build_step_work(
       ++work[static_cast<std::size_t>(m.dst)].expected_recvs;
     }
   }
-  return work;
 }
 
 }  // namespace amr

@@ -102,6 +102,19 @@ constexpr const char* to_string(TaskOrdering o) {
 /// first-touch (block-emission) position, eager pairs keep per-message
 /// emission order, so the build stays deterministic. Byte totals and
 /// recv_bytes are identical under every policy.
+///
+/// The build writes into `out` in place: it is resized to `nranks` and
+/// every field of every rank is reset before the refill, so the result
+/// equals a build into fresh storage while the per-rank vectors keep
+/// their capacity (ExchangePlanCache rebuilds its plan this way on every
+/// miss).
+void build_step_work(const AmrMesh& mesh, const Placement& placement,
+                     std::span<const TimeNs> block_costs,
+                     std::int32_t nranks, const MessageSizeModel& sizes,
+                     bool include_flux, const PackingPolicy& packing,
+                     std::vector<RankStepWork>& out);
+
+/// The same build into fresh storage.
 std::vector<RankStepWork> build_step_work(
     const AmrMesh& mesh, const Placement& placement,
     std::span<const TimeNs> block_costs, std::int32_t nranks,

@@ -34,9 +34,16 @@ namespace {
 /// Key-descending, id-ascending: the shared order of both rebalance
 /// sorts. Unique for distinct ids, so any correct sort (sequential or
 /// parallel) yields the same sequence.
-bool key_before(const RebalanceScratch::Key& a,
-                const RebalanceScratch::Key& b) {
+bool key_before(const RebalanceKey& a, const RebalanceKey& b) {
   return a.key != b.key ? a.key > b.key : a.id < b.id;
+}
+
+/// Ranks rebalanced for `x_percent`; at least one source and one
+/// destination.
+std::int32_t selected_count(double x_percent, std::int32_t nranks) {
+  const auto k = static_cast<std::int32_t>(
+      std::lround(x_percent / 100.0 * static_cast<double>(nranks)));
+  return std::clamp(k, 2, nranks);
 }
 
 }  // namespace
@@ -46,18 +53,22 @@ void CplxPolicy::rebalance_into(std::span<const double> costs,
                                 double x_percent, Placement& out,
                                 RebalanceScratch& scratch,
                                 ThreadPool* pool) {
-  out = base;
-  if (x_percent <= 0.0 || nranks < 2) return;
+  rebalance_prefix(costs, base, nranks, x_percent, scratch.prefix, pool);
+  rebalance_tail(costs, base, x_percent, scratch.prefix, out, scratch);
+}
 
-  auto selected_count = static_cast<std::int32_t>(
-      std::lround(x_percent / 100.0 * static_cast<double>(nranks)));
-  // Rebalancing needs at least one source and one destination.
-  selected_count = std::clamp(selected_count, 2, nranks);
+void CplxPolicy::rebalance_prefix(std::span<const double> costs,
+                                  const Placement& base, std::int32_t nranks,
+                                  double max_x_percent,
+                                  RebalancePrefix& prefix,
+                                  ThreadPool* pool) {
+  prefix.rebalance = false;
+  prefix.blocks.clear();
+  if (max_x_percent <= 0.0 || nranks < 2) return;
 
-  // Sort ranks by descending load (ties by rank id for determinism).
   // Accumulation order matches rank_loads exactly (ascending block id),
   // so the scratch path is bit-identical to the allocating one.
-  auto& loads = scratch.loads;
+  auto& loads = prefix.loads;
   loads.assign(static_cast<std::size_t>(nranks), 0.0);
   for (std::size_t i = 0; i < costs.size(); ++i) {
     AMR_CHECK(base[i] >= 0 && base[i] < nranks);
@@ -77,53 +88,70 @@ void CplxPolicy::rebalance_into(std::span<const double> costs,
     const double mean = sum / static_cast<double>(nranks);
     if (mean <= 0.0 || max_load <= kRebalanceFloor * mean) return;
   }
-  // Both sorts below run over packed (key, id) pairs: one contiguous
-  // array instead of an id sort chasing a separate key vector, and a
-  // shape parallel_sort can chunk. Same comparator as the historical
-  // indirect sort, so the order — and the placement — is unchanged.
-  auto& keys = scratch.keys;
-  auto& order = scratch.order;
+
+  // Sort ranks by descending load (ties by rank id for determinism).
+  // Both sorts run over packed (key, id) pairs: one contiguous array
+  // instead of an id sort chasing a separate key vector, and a shape
+  // parallel_sort can chunk.
+  auto& keys = prefix.keys;
   keys.resize(static_cast<std::size_t>(nranks));
   for (std::size_t r = 0; r < keys.size(); ++r)
     keys[r] = {loads[r], static_cast<std::int32_t>(r)};
   parallel_sort(pool, keys, key_before);
-  order.resize(keys.size());
-  for (std::size_t r = 0; r < keys.size(); ++r) order[r] = keys[r].id;
 
-  // X% of ranks, drawn from both ends: most-overloaded first.
-  const std::int32_t from_top = (selected_count + 1) / 2;
-  const std::int32_t from_bottom = selected_count / 2;
+  // k ranks are selected from both ends of that order, most-overloaded
+  // first: the top (k+1)/2 and the bottom k/2. The rank at position p
+  // (q from the bottom) is therefore selected exactly when
+  // k >= min(2p+1, 2q+2).
+  auto& select_k = prefix.select_k;
+  select_k.resize(keys.size());
+  for (std::int32_t p = 0; p < nranks; ++p) {
+    const std::int32_t q = nranks - 1 - p;
+    select_k[static_cast<std::size_t>(keys[static_cast<std::size_t>(p)].id)] =
+        std::min(2 * p + 1, 2 * q + 2);
+  }
+  prefix.max_selected = selected_count(max_x_percent, nranks);
+
+  // LPT order (cost descending, id ascending) of the largest X's moved
+  // blocks, again via packed keys.
+  keys.clear();
+  for (std::size_t b = 0; b < base.size(); ++b)
+    if (select_k[static_cast<std::size_t>(base[b])] <= prefix.max_selected)
+      keys.push_back({costs[b], static_cast<std::int32_t>(b)});
+  parallel_sort(pool, keys, key_before);
+  prefix.blocks.resize(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto b = static_cast<std::size_t>(keys[i].id);
+    prefix.blocks[i] = {keys[i].id,
+                        select_k[static_cast<std::size_t>(base[b])]};
+  }
+  prefix.rebalance = true;
+}
+
+void CplxPolicy::rebalance_tail(std::span<const double> costs,
+                                const Placement& base, double x_percent,
+                                const RebalancePrefix& prefix,
+                                Placement& out, RebalanceScratch& scratch) {
+  out = base;
+  if (x_percent <= 0.0 || !prefix.rebalance) return;
+  const auto nranks = static_cast<std::int32_t>(prefix.select_k.size());
+  const std::int32_t k = selected_count(x_percent, nranks);
+  AMR_CHECK(k <= prefix.max_selected);
+
+  // Targets in ascending rank id, the order the LPT heap ties break on.
   auto& targets = scratch.targets;
   targets.clear();
-  targets.reserve(static_cast<std::size_t>(selected_count));
-  for (std::int32_t i = 0; i < from_top; ++i)
-    targets.push_back(order[static_cast<std::size_t>(i)]);
-  for (std::int32_t i = 0; i < from_bottom; ++i)
-    targets.push_back(
-        order[order.size() - 1 - static_cast<std::size_t>(i)]);
-  std::sort(targets.begin(), targets.end());
+  for (std::int32_t r = 0; r < nranks; ++r)
+    if (prefix.select_k[static_cast<std::size_t>(r)] <= k)
+      targets.push_back(r);
 
-  auto& is_target = scratch.is_target;
-  is_target.assign(static_cast<std::size_t>(nranks), false);
-  for (const std::int32_t r : targets)
-    is_target[static_cast<std::size_t>(r)] = true;
-
-  auto& moved_blocks = scratch.moved_blocks;
-  moved_blocks.clear();
-  for (std::size_t b = 0; b < base.size(); ++b)
-    if (is_target[static_cast<std::size_t>(base[b])])
-      moved_blocks.push_back(static_cast<std::int32_t>(b));
-  if (moved_blocks.empty()) return;
-
-  // LPT order (cost descending, id ascending), again via packed keys;
-  // the greedy heap loop itself is inherently sequential.
-  keys.resize(moved_blocks.size());
-  for (std::size_t i = 0; i < keys.size(); ++i)
-    keys[i] = {costs[static_cast<std::size_t>(moved_blocks[i])],
-               moved_blocks[i]};
-  parallel_sort(pool, keys, key_before);
-  order.resize(keys.size());
-  for (std::size_t i = 0; i < keys.size(); ++i) order[i] = keys[i].id;
+  // This X's moved blocks in LPT order: the prefix's order restricted to
+  // its targets. The greedy heap loop itself is inherently sequential.
+  auto& order = scratch.order;
+  order.clear();
+  for (const RebalancePrefix::Entry& e : prefix.blocks)
+    if (e.select_k <= k) order.push_back(e.block);
+  if (order.empty()) return;
   LptPolicy::assign_sorted(costs, order, targets, out, scratch.lpt);
 }
 

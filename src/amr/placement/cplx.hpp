@@ -16,25 +16,44 @@ namespace amr {
 
 class ThreadPool;
 
-/// Reusable storage for the rebalance step — per-rank loads, the sorted
-/// rank order, target/moved-block sets, packed sort keys, and the LPT
-/// heap scratch. Carries capacity only, never decisions: results are
+/// Packed (key, id) sort element: both rebalance sorts order by key
+/// descending with ascending-id tie-break — a strict total order, so the
+/// sorted sequence is unique and safe to produce in parallel.
+struct RebalanceKey {
+  double key;
+  std::int32_t id;
+};
+
+/// The part of the rebalance step that every X shares: per-rank loads,
+/// the balance guard, the rank order by load, and the LPT block order
+/// over the targets of the largest X asked for. Targets grow
+/// monotonically with X, and the block order is a strict total order, so
+/// each smaller X's LPT order is the subsequence of `blocks` whose rank
+/// it selects. Buffers keep their capacity across rebuilds.
+struct RebalancePrefix {
+  /// One entry of the LPT block order: the block, and the smallest
+  /// selected-rank count whose targets include that block's rank.
+  struct Entry {
+    std::int32_t block;
+    std::int32_t select_k;
+  };
+  std::vector<double> loads;
+  std::vector<RebalanceKey> keys;       ///< sort buffer
+  std::vector<std::int32_t> select_k;  ///< per rank, as Entry::select_k
+  std::vector<Entry> blocks;           ///< LPT order, largest X's targets
+  std::int32_t max_selected = 0;       ///< largest X's selected count
+  bool rebalance = false;  ///< false: every X returns the base unchanged
+};
+
+/// Reusable storage for one X's rebalance tail — its targets, its LPT
+/// block order and the LPT heap — plus the prefix rebalance_into builds
+/// for itself. Carries capacity only, never decisions: results are
 /// identical with a fresh or a reused scratch (the incremental engine
 /// keeps one per candidate slot alive across regrid epochs).
 struct RebalanceScratch {
-  /// Packed (key, id) sort element: both rebalance sorts order by key
-  /// descending with ascending-id tie-break — a strict total order, so
-  /// the sorted sequence is unique and safe to produce in parallel.
-  struct Key {
-    double key;
-    std::int32_t id;
-  };
-  std::vector<double> loads;
-  std::vector<std::int32_t> order;
+  RebalancePrefix prefix;
   std::vector<std::int32_t> targets;
-  std::vector<bool> is_target;
-  std::vector<std::int32_t> moved_blocks;
-  std::vector<Key> keys;
+  std::vector<std::int32_t> order;
   LptScratch lpt;
 };
 
@@ -68,14 +87,32 @@ class CplxPolicy final : public PlacementPolicy {
 
   /// Same step through caller-owned output and scratch (identical result;
   /// the incremental engine's per-candidate path, which reuses both
-  /// across regrid epochs instead of reallocating). A non-null `pool`
-  /// runs the rank-order and block-order sorts in parallel; both are
-  /// strict total orders, so the output bytes never depend on the pool.
+  /// across regrid epochs instead of reallocating): rebalance_prefix for
+  /// this one X, then rebalance_tail. A non-null `pool` runs the
+  /// rank-order and block-order sorts in parallel; both are strict total
+  /// orders, so the output bytes never depend on the pool.
   static void rebalance_into(std::span<const double> costs,
                              const Placement& base, std::int32_t nranks,
                              double x_percent, Placement& out,
                              RebalanceScratch& scratch,
                              ThreadPool* pool = nullptr);
+
+  /// The X-independent work of the rebalance step, built once for every
+  /// X up to `max_x_percent`.
+  static void rebalance_prefix(std::span<const double> costs,
+                               const Placement& base, std::int32_t nranks,
+                               double max_x_percent, RebalancePrefix& prefix,
+                               ThreadPool* pool = nullptr);
+
+  /// One X's rebalance over a prefix built from the same (costs, base,
+  /// nranks) with max_x_percent >= x_percent: picks the targets, filters
+  /// the prefix's block order to them and runs the LPT assignment.
+  /// Sequential and touches only `out` and `scratch`, so tails of one
+  /// prefix may run concurrently.
+  static void rebalance_tail(std::span<const double> costs,
+                             const Placement& base, double x_percent,
+                             const RebalancePrefix& prefix, Placement& out,
+                             RebalanceScratch& scratch);
 
  private:
   double x_percent_;

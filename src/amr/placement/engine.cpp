@@ -137,16 +137,17 @@ void PlacementEngine::evaluate_candidates(
   // Materialize the mesh's lazily built neighbor cache on this thread:
   // comm_metrics reads it from every worker, and the first call mutates.
   mesh.neighbor_lists();
-  // parallel_for is not reentrant: worker-thread evals sort sequentially;
-  // a single-candidate eval (probe epochs) runs on this thread and can
-  // hand its sorts to the pool.
-  ThreadPool* sort_pool =
-      (pool_ != nullptr && xs.size() == 1) ? pool_ : nullptr;
-  const auto eval = [&, sort_pool](std::size_t i) {
+  // The X-independent rebalance work runs once, on this thread, where
+  // its sorts may use the pool (parallel_for is not reentrant, so the
+  // per-X tails below stay sequential inside each task).
+  double max_x = 0.0;
+  for (const double x : xs) max_x = std::max(max_x, x);
+  CplxPolicy::rebalance_prefix(costs, base, nranks, max_x, prefix_, pool_);
+  const auto eval = [&](std::size_t i) {
     CandidateEval& ce = out[i];
     ce.x_percent = xs[i];
-    CplxPolicy::rebalance_into(costs, base, nranks, xs[i], ce.placement,
-                               scratch_[i], sort_pool);
+    CplxPolicy::rebalance_tail(costs, base, xs[i], prefix_, ce.placement,
+                               scratch_[i]);
     const LoadMetrics lm = load_metrics(costs, ce.placement, nranks);
     ce.makespan = lm.makespan;
     ce.mean_load = lm.mean_load;

@@ -5,7 +5,7 @@
 // epoch re-ran the chunked-CDP prefix-sum DP over the full block range
 // and rebuilt the LPT rank heap from scratch, even when most SFC
 // segments' costs were remap-carried unchanged. This engine closes that
-// gap three ways:
+// gap four ways:
 //
 //   1. Delta placement — the canonical chunk boundaries are recomputed
 //      with the exact scan ChunkedCdpPolicy uses (chunk_spans), then each
@@ -21,9 +21,15 @@
 //      borrowed amr::par pool. Results land in index-addressed slots and
 //      every reduction scans those slots in index order, so the output is
 //      independent of thread count and interleaving.
-//   3. Scratch reuse — one RebalanceScratch (rank loads, orderings, LPT
-//      4-ary heap) per candidate slot survives across epochs, keyed on
-//      the engine's lifetime rather than rebuilt per invocation.
+//   3. Shared rebalance prefix — the candidate Xs of one epoch share
+//      the rank loads, the balance guard, the rank order and the LPT
+//      block order (built once, for the largest X); each X runs only
+//      its tail, a filter of that order plus the LPT heap loop
+//      (CplxPolicy::rebalance_prefix / rebalance_tail).
+//   4. Scratch reuse — the prefix and one RebalanceScratch (targets,
+//      block order, LPT 4-ary heap) per candidate slot survive across
+//      epochs, keyed on the engine's lifetime rather than rebuilt per
+//      invocation.
 //
 // The engine is run-scoped (one per SimRuntime): its memo is equivalent
 // to keying the global CdpSplitCache on the run's placement epoch, but
@@ -86,8 +92,10 @@ class PlacementEngine {
                        double x_percent, std::int32_t chunk_ranks,
                        std::uint64_t cost_epoch);
 
-  /// Evaluate candidate X values concurrently over the shared base split.
-  /// out[i] corresponds to xs[i]; slot order is the reduction order.
+  /// Evaluate candidate X values concurrently over the shared base split
+  /// and one shared rebalance prefix; each out[i].placement is
+  /// byte-identical to CplxPolicy(xs[i], chunk_ranks).place(). out[i]
+  /// corresponds to xs[i]; slot order is the reduction order.
   void evaluate_candidates(std::span<const double> costs,
                            std::int32_t nranks, std::span<const double> xs,
                            std::int32_t chunk_ranks,
@@ -127,6 +135,7 @@ class PlacementEngine {
   Placement out_;
   double prev_x_ = -1.0;
   bool out_valid_ = false;
+  RebalancePrefix prefix_;  ///< evaluate_candidates' shared prefix
   std::vector<RebalanceScratch> scratch_;  ///< one per candidate slot
   PlacementEngineStats stats_;
   std::int64_t last_total_ = 0;

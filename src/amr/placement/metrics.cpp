@@ -1,6 +1,8 @@
 #include "amr/placement/metrics.hpp"
 
 #include <algorithm>
+#include <array>
+#include <vector>
 
 #include "amr/common/check.hpp"
 #include "amr/common/stats.hpp"
@@ -24,26 +26,46 @@ CommMetrics comm_metrics(const AmrMesh& mesh, const Placement& placement,
                          const ClusterTopology& topo,
                          const MessageSizeModel& sizes) {
   AMR_CHECK(placement.size() == mesh.size());
-  CommMetrics m;
+  // Each block's rank and node side by side, resolved (and range-checked)
+  // once per block rather than once per edge endpoint.
+  struct Home {
+    std::int32_t rank;
+    std::int32_t node;
+  };
+  std::vector<Home> home(placement.size());
+  for (std::size_t b = 0; b < placement.size(); ++b)
+    home[b] = {placement[b], topo.node_of(placement[b])};
+
+  // Edges counted per (class, kind); bytes are multiplied out at the
+  // end. A shared rank implies a shared node, so the class is the number
+  // of differing fields: 0 intra-rank, 1 intra-node, 2 inter-node.
+  constexpr std::size_t kKinds = 3;
+  std::array<std::array<std::int64_t, kKinds>, 3> counts{};
   const auto& lists = mesh.neighbor_lists();
   for (std::size_t b = 0; b < lists.size(); ++b) {
-    const std::int32_t src = placement[b];
+    const Home src = home[b];
     for (const Neighbor& n : lists[b]) {
-      const std::int32_t dst =
-          placement[static_cast<std::size_t>(n.index)];
-      const std::int64_t bytes = sizes.bytes(n.kind);
-      if (src == dst) {
-        ++m.msgs_intra_rank;
-        m.bytes_intra_rank += bytes;
-      } else if (topo.same_node(src, dst)) {
-        ++m.msgs_intra_node;
-        m.bytes_intra_node += bytes;
-      } else {
-        ++m.msgs_inter_node;
-        m.bytes_inter_node += bytes;
-      }
+      const Home dst = home[static_cast<std::size_t>(n.index)];
+      const auto cls = static_cast<std::size_t>((src.rank != dst.rank) +
+                                                (src.node != dst.node));
+      ++counts[cls][static_cast<std::size_t>(n.kind)];
     }
   }
+  std::array<std::int64_t, 3> msgs{};
+  std::array<std::int64_t, 3> bytes{};
+  for (std::size_t cls = 0; cls < counts.size(); ++cls) {
+    for (std::size_t k = 0; k < kKinds; ++k) {
+      msgs[cls] += counts[cls][k];
+      bytes[cls] += counts[cls][k] * sizes.bytes(static_cast<NeighborKind>(k));
+    }
+  }
+  CommMetrics m;
+  m.msgs_intra_rank = msgs[0];
+  m.msgs_intra_node = msgs[1];
+  m.msgs_inter_node = msgs[2];
+  m.bytes_intra_rank = bytes[0];
+  m.bytes_intra_node = bytes[1];
+  m.bytes_inter_node = bytes[2];
   return m;
 }
 

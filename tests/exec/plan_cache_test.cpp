@@ -9,6 +9,7 @@
 
 #include "amr/common/rng.hpp"
 #include "amr/exec/plan_cache.hpp"
+#include "amr/exec/shared_plan_store.hpp"
 #include "amr/placement/registry.hpp"
 #include "amr/workloads/sedov.hpp"
 
@@ -266,6 +267,77 @@ TEST(PlanCache, PackingPolicyIsPartOfTheKey) {
   EXPECT_EQ(cache.stats().misses, 4);
   (void)cache.overlap_work(mesh, p, 0, c, nranks, sizes, all);
   EXPECT_EQ(cache.stats().misses, 5);
+}
+
+TEST(PlanCache, InPlaceRebuildsEqualFreshBuilds) {
+  // Misses A -> B -> A rebuild the cached plan inside its own storage.
+  // B packs every block contiguously onto the lower half of the ranks:
+  // it empties the upper ranks and shrinks the others' send lists, and
+  // the return to A refills them. Each rebuild must equal a build into
+  // fresh storage — built locally, published to the shared store, or
+  // copied out of it.
+  AmrMesh mesh(RootGrid{4, 2, 2});
+  mesh.refine(std::vector<std::int32_t>{0, 5});  // flux along level jumps
+  const std::int32_t nranks = 8;
+  const MessageSizeModel sizes{};
+  const Placement a = round_robin(mesh.size(), nranks);
+  Placement b(mesh.size());
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = static_cast<std::int32_t>(i * (nranks / 2) / b.size());
+  const std::int64_t mid_threshold = (sizes.bytes(NeighborKind::kEdge) +
+                                      sizes.bytes(NeighborKind::kFace)) /
+                                     2;
+
+  for (const PackingPolicy packing :
+       {PackingPolicy::none(), PackingPolicy::all(),
+        PackingPolicy{mid_threshold}}) {
+    SCOPED_TRACE(packing.threshold);
+    const Placement* steps[] = {&a, &b, &a};
+    const auto costs_at = [&](std::size_t i) {
+      return costs_for(mesh.size(), 10 + 100 * static_cast<TimeNs>(i));
+    };
+    std::vector<std::vector<RankStepWork>> want;
+    for (std::size_t i = 0; i < 3; ++i)
+      want.push_back(build_step_work(mesh, *steps[i], costs_at(i), nranks,
+                                     sizes, true, packing));
+    // The sequence exercises what it claims: B empties some ranks and
+    // shrinks (without emptying) the send lists of others.
+    bool emptied = false;
+    bool shrunk = false;
+    for (std::size_t r = 0; r < want[0].size(); ++r) {
+      emptied |= !want[0][r].computes.empty() && want[1][r].computes.empty();
+      shrunk |= !want[1][r].sends.empty() &&
+                want[1][r].sends.size() < want[0][r].sends.size();
+    }
+    EXPECT_TRUE(emptied);
+    EXPECT_TRUE(shrunk);
+
+    SharedPlanStore store;
+    ExchangePlanCache local;
+    ExchangePlanCache publisher;
+    ExchangePlanCache reader;
+    publisher.set_shared_store(&store);
+    reader.set_shared_store(&store);
+    for (std::size_t i = 0; i < 3; ++i) {
+      SCOPED_TRACE(i);
+      const auto c = costs_at(i);
+      const std::uint64_t version = i;
+      expect_equal(local.step_work(mesh, *steps[i], version, c, nranks,
+                                   sizes, true, packing),
+                   want[i]);
+      expect_equal(publisher.step_work(mesh, *steps[i], version, c, nranks,
+                                       sizes, true, packing),
+                   want[i]);
+      expect_equal(reader.step_work(mesh, *steps[i], version, c, nranks,
+                                    sizes, true, packing),
+                   want[i]);
+    }
+    EXPECT_EQ(local.stats().misses, 3);
+    // The publisher builds A and B and finds A in the store on return;
+    // the reader finds every plan there.
+    EXPECT_EQ(publisher.stats().share_hits, 1);
+    EXPECT_EQ(reader.stats().share_hits, 3);
+  }
 }
 
 /// One cache per (shape, packing) point, fed the same regrid sequence

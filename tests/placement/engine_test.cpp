@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "amr/common/rng.hpp"
+#include "amr/mesh/generators.hpp"
 #include "amr/par/thread_pool.hpp"
 #include "amr/placement/cplx.hpp"
 #include "amr/placement/metrics.hpp"
@@ -173,6 +174,127 @@ TEST(PlacementEngine, EvaluateCandidatesMatchesDirectPlacement) {
     EXPECT_DOUBLE_EQ(evals[i].remote_share, cm.remote_fraction())
         << "x=" << xs[i];
   }
+}
+
+// evaluate_candidates builds one rebalance prefix for its largest X and
+// runs only the per-X tails; every slot must still equal the
+// from-scratch policy at that X.
+void expect_candidates_match(PlacementEngine& engine,
+                             std::span<const double> costs,
+                             std::int32_t nranks, std::span<const double> xs,
+                             std::int32_t chunk, std::uint64_t epoch,
+                             const AmrMesh& mesh,
+                             const ClusterTopology& topo) {
+  const MessageSizeModel sizes;
+  std::vector<CandidateEval> evals;
+  engine.evaluate_candidates(costs, nranks, xs, chunk, epoch, mesh, topo,
+                             sizes, evals);
+  ASSERT_EQ(evals.size(), xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "x=" << xs[i]);
+    EXPECT_EQ(evals[i].x_percent, xs[i]);
+    const Placement ref = CplxPolicy(xs[i], chunk).place(costs, nranks);
+    ASSERT_EQ(evals[i].placement, ref);
+    const LoadMetrics lm = load_metrics(costs, ref, nranks);
+    EXPECT_EQ(evals[i].makespan, lm.makespan);
+    EXPECT_EQ(evals[i].imbalance, lm.mean_load > 0.0 ? lm.imbalance : 1.0);
+    EXPECT_EQ(evals[i].remote_share,
+              comm_metrics(mesh, ref, topo, sizes).remote_fraction());
+  }
+}
+
+TEST(PlacementEngine, FuzzEvaluateCandidatesEqualsPerXPolicy) {
+  enum class Costs { kSkewed, kTied, kFlat };
+  struct Case {
+    RootGrid grid;
+    int refine_rounds;
+    std::int32_t nranks;
+  };
+  const Case cases[] = {
+      {RootGrid{4, 4, 2}, 3, 16},  // refined, several chunks
+      {RootGrid{4, 4, 2}, 3, 2},
+      {RootGrid{4, 4, 2}, 3, 1},
+      {RootGrid{2, 2, 2}, 0, 16},  // more ranks than blocks
+  };
+  // Every budget-trimmed prefix of the tuner's default candidates, a
+  // single X, {100} alone, and a ring whose largest X is not last.
+  const std::vector<std::vector<double>> sets = {
+      {0.0},
+      {0.0, 25.0},
+      {0.0, 25.0, 50.0},
+      {0.0, 25.0, 50.0, 75.0},
+      {0.0, 25.0, 50.0, 75.0, 100.0},
+      {50.0},
+      {100.0},
+      {75.0, 50.0, 100.0, 25.0},
+  };
+  ThreadPool pool(3);
+  std::int64_t guard_skips = 0;
+  for (const Case& c : cases) {
+    AmrMesh mesh(c.grid);
+    Rng mesh_rng(c.nranks);
+    if (c.refine_rounds > 0)
+      refine_random(mesh, mesh_rng, 0.3, c.refine_rounds, 2);
+    const ClusterTopology topo(c.nranks, 4);
+    for (const Costs kind : {Costs::kSkewed, Costs::kTied, Costs::kFlat}) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        for (const auto& xs : sets) {
+          SCOPED_TRACE(testing::Message()
+                       << "blocks " << mesh.size() << " nranks " << c.nranks
+                       << " costs " << static_cast<int>(kind) << " pool "
+                       << (p != nullptr) << " xs " << xs.size() << " first "
+                       << xs.front());
+          PlacementEngine engine;
+          engine.set_parallel(p);
+          Rng rng(static_cast<std::uint64_t>(kind) * 101 + xs.size());
+          const auto draw = [&] {
+            switch (kind) {
+              case Costs::kSkewed: return rng.exponential(1.0);
+              case Costs::kTied:
+                return 1.0 + static_cast<double>(rng.uniform_int(3));
+              case Costs::kFlat: break;
+            }
+            return 2.0;
+          };
+          std::vector<double> costs(mesh.size());
+          for (double& v : costs) v = draw();
+          std::uint64_t epoch = 1;
+          for (int round = 0; round < 4; ++round) {
+            if (round == 1 && kind != Costs::kFlat) {
+              // Cost drift on a localized span: other chunks reuse.
+              const std::size_t at = costs.size() / 3;
+              for (std::size_t i = at; i < std::min(at + 5, costs.size());
+                   ++i)
+                costs[i] = draw();
+            }
+            // Round 2 repeats the token (whole-base fast path); round 3
+            // repeats the content under a new token (chunk memo).
+            if (round != 2) ++epoch;
+            expect_candidates_match(engine, costs, c.nranks, xs, 4, epoch,
+                                    mesh, topo);
+          }
+          if (kind == Costs::kFlat &&
+              CplxPolicy(100.0, 4).place(costs, c.nranks) ==
+                  CplxPolicy(0.0, 4).place(costs, c.nranks))
+            ++guard_skips;
+        }
+      }
+    }
+  }
+  EXPECT_GT(guard_skips, 0);
+}
+
+TEST(PlacementEngine, EvaluateCandidatesParallelPrefixSorts) {
+  // 4096 ranks and blocks: large enough that the prefix's rank and block
+  // sorts take parallel_sort's pooled path.
+  AmrMesh mesh(RootGrid{16, 16, 16});
+  const auto costs = skewed_costs(mesh.size(), 41);
+  const ClusterTopology topo(4096, 16);
+  const std::vector<double> xs{0.0, 25.0, 50.0, 75.0, 100.0};
+  ThreadPool pool(3);
+  PlacementEngine engine;
+  engine.set_parallel(&pool);
+  expect_candidates_match(engine, costs, 4096, xs, 512, 1, mesh, topo);
 }
 
 }  // namespace
