@@ -1,9 +1,10 @@
 // google-benchmark microbenchmarks for the hot substrate paths: Morton
 // encoding, mesh refinement and neighbor discovery, placement policies at
-// production sizes, auto-X candidate evaluation, plan rebuilds, DES event
-// throughput, and fabric transfers. These guard the performance envelope
-// that keeps placement inside the paper's 50 ms budget and the simulator
-// fast enough for the Fig 6 sweeps.
+// production sizes, auto-X candidate evaluation, BSP and overlap plan
+// rebuilds, an overlap step, DES event throughput, and fabric transfers.
+// These guard the performance envelope that keeps placement inside the
+// paper's 50 ms budget and the simulator fast enough for the Fig 6
+// sweeps.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -11,6 +12,7 @@
 
 #include "amr/common/rng.hpp"
 #include "amr/des/engine.hpp"
+#include "amr/exec/overlap.hpp"
 #include "amr/exec/plan_cache.hpp"
 #include "amr/mesh/generators.hpp"
 #include "amr/mesh/morton.hpp"
@@ -158,6 +160,68 @@ void BM_PlanRebuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlanRebuild)->Unit(benchmark::kMillisecond);
+
+// A refined mesh of about 12K blocks on 2048 ranks (the overlap ledger
+// scale, about 6 blocks and 75 transfers per rank) with cpl0 and cpl100
+// placements of skewed costs.
+struct OverlapFixture {
+  static constexpr std::int32_t kRanks = 2048;
+  static constexpr double kStageSplit = 0.8;
+  AmrMesh mesh{RootGrid{16, 16, 8}};
+  std::vector<TimeNs> block_costs;
+  Placement placements[2];
+  OverlapFixture() {
+    Rng rng(11);
+    grow_to_block_count(mesh, rng, 12000, 2);
+    const auto costs = synthetic_costs(
+        mesh.size(), CostDistribution::kExponential, rng);
+    placements[0] = CplxPolicy(0.0).place(costs, kRanks);
+    placements[1] = CplxPolicy(100.0).place(costs, kRanks);
+    block_costs.resize(mesh.size());
+    for (std::size_t b = 0; b < costs.size(); ++b)
+      block_costs[b] = static_cast<TimeNs>(costs[b] * 100e3);
+  }
+};
+
+// Overlap plan misses: the two placements alternate through
+// ExchangePlanCache under a new placement version every call, so every
+// call rebuilds the two-stage, pack-all plan for 2048 ranks.
+void BM_OverlapPlanRebuild(benchmark::State& state) {
+  const OverlapFixture f;
+  ExchangePlanCache cache;
+  std::uint64_t version = 0;
+  for (auto _ : state) {
+    const auto& plan = cache.overlap_work(
+        f.mesh, f.placements[version % 2], version, f.block_costs,
+        OverlapFixture::kRanks, MessageSizeModel{}, PackingPolicy::all(),
+        OverlapFixture::kStageSplit);
+    ++version;
+    benchmark::DoNotOptimize(&plan);
+  }
+}
+BENCHMARK(BM_OverlapPlanRebuild)->Unit(benchmark::kMillisecond);
+
+// One overlap step on a fixed plan: 2048 ranks, two-stage, pack-all,
+// critical-path send priority on. Times the executor, the DES and Comm
+// together, which is how a step spends them.
+void BM_OverlapStep(benchmark::State& state) {
+  const OverlapFixture f;
+  ExchangePlanCache cache;
+  const auto& plan = cache.overlap_work(
+      f.mesh, f.placements[1], 0, f.block_costs, OverlapFixture::kRanks,
+      MessageSizeModel{}, PackingPolicy::all(), OverlapFixture::kStageSplit);
+  const ClusterTopology topo(OverlapFixture::kRanks, 16);
+  Engine engine;
+  Fabric fabric(topo, FabricParams::tuned(), Rng(1));
+  Comm comm(engine, fabric, OverlapFixture::kRanks);
+  OverlapExecutor executor(engine, comm);
+  std::uint64_t window = 0;
+  for (auto _ : state) {
+    const StepResult r = executor.execute(plan, window++, /*priority=*/7);
+    benchmark::DoNotOptimize(r.step_end);
+  }
+}
+BENCHMARK(BM_OverlapStep)->Unit(benchmark::kMillisecond);
 
 void BM_DesEventThroughput(benchmark::State& state) {
   class Null final : public EventHandler {

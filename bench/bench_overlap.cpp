@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
     RunningStats idle_ms;
     if (use_overlap) {
       OverlapExecutor executor(engine, comm);
-      const auto work =
-          build_two_stage_work(mesh, placement, costs, ranks, 0.5);
+      const OverlapPlan work = build_overlap_plan(
+          mesh, placement, costs, ranks, {}, PackingPolicy::none(), 0.5);
       for (std::int32_t round = 0; round < rounds; ++round) {
         const StepResult r =
             executor.execute(work, static_cast<std::uint64_t>(round));

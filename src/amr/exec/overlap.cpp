@@ -1,337 +1,314 @@
 #include "amr/exec/overlap.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <limits>
 
 #include "amr/common/check.hpp"
 #include "amr/trace/tracer.hpp"
 
 namespace amr {
-namespace {
 
-/// Shared scaffolding for the work builders: per-rank slots and the
-/// directed neighbor message sweep.
-template <typename EmitSend>
-void sweep_messages(const AmrMesh& mesh, const Placement& placement,
-                    const MessageSizeModel& sizes,
-                    std::vector<OverlapRankWork>& work,
-                    std::span<const std::int32_t> slot_of_block,
-                    EmitSend&& emit_send) {
+void OverlapPlan::clear() {
+  ranks.clear();
+  blocks.clear();
+  sends.clear();
+  credits.clear();
+  packed_out.clear();
+  stage1_order.clear();
+}
+
+// Counted passes over flat scratch: slots, then the cross-rank messages
+// grouped by source, then per-pair pack decisions with every array's
+// per-rank and per-block sizes counted, then prefix sums into ranges,
+// then the fill. Receivers' credits are appended in source order, so a
+// per-slot marker (the last source that credited it) finds a source's
+// credit for a slot in O(1); a block's messages are contiguous, so a
+// per-pair marker (the last producer counted) de-duplicates its
+// aggregates.
+void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
+                        std::span<const TimeNs> block_costs,
+                        std::int32_t nranks, const MessageSizeModel& sizes,
+                        const PackingPolicy& packing, double stage1_frac,
+                        OverlapPlan& plan, OverlapBuildScratch& sc) {
+  using Msg = OverlapBuildScratch::Msg;
+  using Pair = OverlapBuildScratch::Pair;
+  AMR_CHECK(placement.size() == mesh.size());
+  AMR_CHECK(block_costs.size() == mesh.size());
+  AMR_CHECK(stage1_frac >= 0.0 && stage1_frac < 1.0);
+  const bool two_stage = stage1_frac > 0.0;
+  const bool packs = packing.active();
+  const auto nr = static_cast<std::size_t>(nranks);
+  const std::size_t nblocks = mesh.size();
+  plan.clear();
+  plan.ranks.resize(nr);
+  plan.blocks.resize(nblocks);
+  auto& ranks = plan.ranks;
+  auto& blocks = plan.blocks;
+
+  // Slots: each rank's blocks in block order.
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    AMR_CHECK(placement[b] >= 0 && placement[b] < nranks);
+    ++ranks[static_cast<std::size_t>(placement[b])].blocks.end;
+  }
+  sc.cursor.resize(nr);
+  std::int32_t at = 0;
+  for (std::size_t r = 0; r < nr; ++r) {
+    const std::int32_t n = ranks[r].blocks.end;
+    ranks[r].blocks = {at, at + n};
+    sc.cursor[r] = at;
+    at += n;
+  }
+  sc.slot_of_block.resize(nblocks);
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    const std::int32_t s = sc.cursor[static_cast<std::size_t>(placement[b])]++;
+    sc.slot_of_block[b] = s;
+    OverlapBlock& blk = blocks[static_cast<std::size_t>(s)];
+    blk.block = static_cast<std::int32_t>(b);
+    set_block_cost(blk, block_costs[b], stage1_frac);
+  }
+
+  // Cross-rank messages per source rank in emission order (slot, then
+  // neighbor); local copies are charged here.
   const auto& lists = mesh.neighbor_lists();
-  for (std::size_t b = 0; b < mesh.size(); ++b) {
-    const std::int32_t src = placement[b];
-    auto& w = work[static_cast<std::size_t>(src)];
-    for (const Neighbor& n : lists[b]) {
-      const auto ni = static_cast<std::size_t>(n.index);
-      const std::int32_t dst = placement[ni];
-      const std::int64_t bytes = sizes.bytes(n.kind);
-      if (dst == src) {
-        w.local_copy_bytes += bytes;
-        ++w.local_copy_msgs;
-        continue;
+  sc.msgs.clear();
+  sc.msg_begin.resize(nr + 1);
+  for (std::size_t r = 0; r < nr; ++r) {
+    sc.msg_begin[r] = static_cast<std::int32_t>(sc.msgs.size());
+    OverlapRankPlan& w = ranks[r];
+    for (std::int32_t s = w.blocks.begin; s < w.blocks.end; ++s) {
+      const auto b = static_cast<std::size_t>(
+          blocks[static_cast<std::size_t>(s)].block);
+      for (const Neighbor& n : lists[b]) {
+        const auto ni = static_cast<std::size_t>(n.index);
+        const std::int32_t dst = placement[ni];
+        const std::int64_t bytes = sizes.bytes(n.kind);
+        if (static_cast<std::size_t>(dst) == r) {
+          w.local_copy_bytes += bytes;
+          ++w.local_copy_msgs;
+          continue;
+        }
+        sc.msgs.push_back(Msg{bytes, dst, sc.slot_of_block[ni], s});
       }
-      emit_send(w, static_cast<std::int32_t>(b), dst, n.index, bytes);
-      auto& dw = work[static_cast<std::size_t>(dst)];
-      ++dw.expected_recvs;
-      BlockWork& target =
-          dw.blocks[static_cast<std::size_t>(slot_of_block[ni])];
-      ++target.expected_recvs;
-      target.recv_bytes += bytes;
     }
   }
-}
-
-std::vector<std::int32_t> make_slots(const AmrMesh& mesh,
-                                     const Placement& placement,
-                                     std::vector<OverlapRankWork>& work) {
-  std::vector<std::int32_t> slot_of_block(mesh.size(), -1);
-  for (std::size_t b = 0; b < mesh.size(); ++b) {
-    auto& w = work[static_cast<std::size_t>(placement[b])];
-    slot_of_block[b] = static_cast<std::int32_t>(w.blocks.size());
-    w.blocks.push_back(BlockWork{});
-    w.blocks.back().block = static_cast<std::int32_t>(b);
-  }
-  return slot_of_block;
-}
-
-/// One boundary message recorded before the pack decision (which needs
-/// the full (src,dst) step totals).
-struct RawMsg {
-  std::int32_t src_block;
-  std::int32_t dst;  ///< destination rank
-  std::int32_t dst_block;
-  std::int64_t bytes;
-};
-
-/// Pass 1 of the adaptive builds: local copies charge immediately,
-/// cross-rank messages are only recorded (per source rank, in the legacy
-/// emission order).
-std::vector<std::vector<RawMsg>> collect_messages(
-    const AmrMesh& mesh, const Placement& placement,
-    const MessageSizeModel& sizes, std::vector<OverlapRankWork>& work) {
-  std::vector<std::vector<RawMsg>> raw(work.size());
-  const auto& lists = mesh.neighbor_lists();
-  for (std::size_t b = 0; b < mesh.size(); ++b) {
-    const std::int32_t src = placement[b];
-    auto& w = work[static_cast<std::size_t>(src)];
-    for (const Neighbor& n : lists[b]) {
-      const std::int32_t dst =
-          placement[static_cast<std::size_t>(n.index)];
-      const std::int64_t bytes = sizes.bytes(n.kind);
-      if (dst == src) {
-        w.local_copy_bytes += bytes;
-        ++w.local_copy_msgs;
-        continue;
-      }
-      raw[static_cast<std::size_t>(src)].push_back(
-          RawMsg{static_cast<std::int32_t>(b), dst, n.index, bytes});
-    }
-  }
-  return raw;
-}
-
-/// Pass 2: per-pair totals drive the eager/pack split; packed pairs
-/// become one PackedSend (first-touch order) plus receiver-side
-/// agg_credits, eager pairs keep per-message sends. `two_stage` attaches
-/// eager sends to producing blocks and makes aggregates incremental
-/// (countdown over distinct contributing blocks). Linear in messages: a
-/// per-destination index finds each pair, and the credit de-dup scans
-/// only the current source's run of the receiver's agg_credits.
-void apply_packing(std::vector<OverlapRankWork>& work,
-                   const std::vector<std::vector<RawMsg>>& raw,
-                   std::span<const std::int32_t> slot_of_block,
-                   const PackingPolicy& packing, bool two_stage) {
-  struct Pair {
-    std::int32_t dst;
-    std::int64_t msgs = 0;
-    std::int64_t bytes = 0;
-    bool packed = false;
-    std::int32_t packed_idx = -1;  ///< into packed_sends once emitted
-    /// Start of this source's credit run in the receiver's agg_credits.
-    std::int32_t credit_begin = -1;
+  // Every index range below is 32-bit; sends, credits and aggregate
+  // references each number at most one per message.
+  AMR_CHECK(sc.msgs.size() <= static_cast<std::size_t>(INT32_MAX));
+  sc.msg_begin[nr] = static_cast<std::int32_t>(sc.msgs.size());
+  const auto msgs_of = [&](std::size_t r) {
+    return std::span<const Msg>(sc.msgs).subspan(
+        static_cast<std::size_t>(sc.msg_begin[r]),
+        static_cast<std::size_t>(sc.msg_begin[r + 1] - sc.msg_begin[r]));
   };
-  std::vector<Pair> pairs;
-  const auto nranks = static_cast<std::int32_t>(work.size());
-  // [dst rank] -> index into pairs for the current source; -1 = none.
-  std::vector<std::int32_t> pair_index(static_cast<std::size_t>(nranks), -1);
-  for (std::int32_t src = 0; src < nranks; ++src) {
-    auto& w = work[static_cast<std::size_t>(src)];
-    const auto& msgs = raw[static_cast<std::size_t>(src)];
-    for (const Pair& p : pairs)
-      pair_index[static_cast<std::size_t>(p.dst)] = -1;
-    pairs.clear();
-    auto pair_of = [&](std::int32_t dst) -> Pair& {
-      std::int32_t& idx = pair_index[static_cast<std::size_t>(dst)];
-      if (idx < 0) {
-        idx = static_cast<std::int32_t>(pairs.size());
-        pairs.push_back(Pair{dst});
+
+  // Per-pair totals drive the eager/pack split. Counts land in the
+  // ranges' `end` fields until the prefix pass turns them into ranges;
+  // per-block gating stays logical whether or not a message rides an
+  // aggregate (a packed arrival credits every destination block).
+  sc.pairs.clear();
+  sc.pair_begin.resize(nr + 1);
+  sc.pair_of_dst.assign(nr, -1);
+  sc.credit_src.assign(nblocks, -1);
+  const auto pair_for = [&](std::int32_t dst) -> Pair* {
+    if (!packs) return nullptr;
+    return &sc.pairs[static_cast<std::size_t>(
+        sc.pair_of_dst[static_cast<std::size_t>(dst)])];
+  };
+  for (std::size_t src = 0; src < nr; ++src) {
+    const auto first_pair = static_cast<std::int32_t>(sc.pairs.size());
+    sc.pair_begin[src] = first_pair;
+    OverlapRankPlan& w = ranks[src];
+    const auto msgs = msgs_of(src);
+    if (packs) {
+      for (const Msg& m : msgs) {
+        std::int32_t& idx = sc.pair_of_dst[static_cast<std::size_t>(m.dst)];
+        if (idx < 0) {
+          idx = static_cast<std::int32_t>(sc.pairs.size());
+          sc.pairs.push_back(Pair{});
+          sc.pairs.back().dst = m.dst;
+        }
+        Pair& p = sc.pairs[static_cast<std::size_t>(idx)];
+        ++p.msgs;
+        p.bytes += m.bytes;
       }
-      return pairs[static_cast<std::size_t>(idx)];
-    };
-    for (const RawMsg& m : msgs) {
-      Pair& p = pair_of(m.dst);
-      ++p.msgs;
-      p.bytes += m.bytes;
+      for (std::size_t i = static_cast<std::size_t>(first_pair);
+           i < sc.pairs.size(); ++i) {
+        Pair& p = sc.pairs[i];
+        p.packed = packing.pack(p.bytes, p.msgs);
+        if (!p.packed) continue;
+        ++w.packed.end;
+        ++ranks[static_cast<std::size_t>(p.dst)].expected_recvs;
+      }
     }
-    for (Pair& p : pairs)
-      p.packed = packing.pack(p.bytes, p.msgs);
-    for (const RawMsg& m : msgs) {
-      Pair& p = pair_of(m.dst);
-      auto& dw = work[static_cast<std::size_t>(m.dst)];
-      const std::int32_t slot =
-          slot_of_block[static_cast<std::size_t>(m.dst_block)];
-      BlockWork& target = dw.blocks[static_cast<std::size_t>(slot)];
-      // Per-block gating stays logical whether or not the message rides
-      // an aggregate (a packed arrival credits every destination block).
+    for (const Msg& m : msgs) {
+      OverlapBlock& target = blocks[static_cast<std::size_t>(m.dst_slot)];
       ++target.expected_recvs;
       target.recv_bytes += m.bytes;
-      if (p.packed) target.packed_recv_bytes += m.bytes;
-      if (!p.packed) {
+      Pair* p = pair_for(m.dst);
+      OverlapRankPlan& dw = ranks[static_cast<std::size_t>(m.dst)];
+      if (p == nullptr || !p->packed) {
         ++dw.expected_recvs;
-        if (two_stage) {
-          BlockWork& producer = w.blocks[static_cast<std::size_t>(
-              slot_of_block[static_cast<std::size_t>(m.src_block)])];
-          producer.sends.push_back(OutMessage{m.dst, m.bytes, m.dst_block});
-          producer.send_dst_tags.push_back(eager_dst_tag(slot));
-        } else {
-          w.sends.push_back(OutMessage{m.dst, m.bytes, m.dst_block});
-          w.send_dst_tags.push_back(eager_dst_tag(slot));
-        }
+        ++(two_stage ? blocks[static_cast<std::size_t>(m.src_slot)].sends.end
+                     : w.upfront.end);
         continue;
       }
-      if (p.packed_idx < 0) {
-        p.packed_idx = static_cast<std::int32_t>(w.packed_sends.size());
-        p.credit_begin = static_cast<std::int32_t>(dw.agg_credits.size());
-        w.packed_sends.push_back(PackedSend{
-            OutMessage{m.dst, p.bytes, m.src_block,
-                       static_cast<std::int32_t>(p.msgs)},
-            packed_dst_tag(p.credit_begin), 0});
-        ++dw.expected_recvs;  // one arrival for the whole aggregate
+      target.packed_recv_bytes += m.bytes;
+      std::int32_t& credited = sc.credit_src[static_cast<std::size_t>(
+          m.dst_slot)];
+      if (credited != static_cast<std::int32_t>(src)) {
+        credited = static_cast<std::int32_t>(src);
+        ++dw.credits.end;
       }
-      // Receiver credit: `count` logical messages for this block slot.
-      // Sources run in order, so this source's credits are the tail.
-      auto credit = dw.agg_credits.begin() + p.credit_begin;
-      while (credit != dw.agg_credits.end() && credit->slot != slot) ++credit;
-      if (credit != dw.agg_credits.end())
-        ++credit->count;
-      else
-        dw.agg_credits.push_back(AggCredit{src, slot, 1});
-      if (two_stage) {
-        // Incremental launch: the aggregate fires when its last distinct
-        // contributing block finishes stage 1.
-        BlockWork& producer = w.blocks[static_cast<std::size_t>(
-            slot_of_block[static_cast<std::size_t>(m.src_block)])];
-        bool counted = false;
-        for (const std::int32_t idx : producer.packed_out) {
-          if (idx == p.packed_idx) {
-            counted = true;
-            break;
-          }
-        }
-        if (!counted) {
-          producer.packed_out.push_back(p.packed_idx);
-          ++w.packed_sends[static_cast<std::size_t>(p.packed_idx)]
-                .contributors;
-        }
+      if (two_stage && p->last_src != m.src_slot) {
+        p->last_src = m.src_slot;
+        ++p->contributors;
+        ++blocks[static_cast<std::size_t>(m.src_slot)].packed_out.end;
       }
     }
+    for (std::size_t i = static_cast<std::size_t>(first_pair);
+         i < sc.pairs.size(); ++i) {
+      sc.pair_of_dst[static_cast<std::size_t>(sc.pairs[i].dst)] = -1;
+      sc.pairs[i].last_src = -1;
+    }
   }
-}
+  sc.pair_begin[nr] = static_cast<std::int32_t>(sc.pairs.size());
 
-}  // namespace
-
-std::vector<OverlapRankWork> build_overlap_work(
-    const AmrMesh& mesh, const Placement& placement,
-    std::span<const TimeNs> block_costs, std::int32_t nranks,
-    const MessageSizeModel& sizes) {
-  AMR_CHECK(placement.size() == mesh.size());
-  AMR_CHECK(block_costs.size() == mesh.size());
-  std::vector<OverlapRankWork> work(static_cast<std::size_t>(nranks));
-  const auto slots = make_slots(mesh, placement, work);
-  for (std::size_t b = 0; b < mesh.size(); ++b) {
-    auto& w = work[static_cast<std::size_t>(placement[b])];
-    w.blocks[static_cast<std::size_t>(slots[b])].compute = block_costs[b];
+  // Counts to ranges. A rank's sends: up-front eager, its blocks' eager
+  // sends in slot order, then its aggregates.
+  std::int32_t send_at = 0;
+  std::int32_t credit_at = 0;
+  std::int32_t out_at = 0;
+  std::int32_t order_at = 0;
+  for (std::size_t r = 0; r < nr; ++r) {
+    OverlapRankPlan& w = ranks[r];
+    const auto take = [](std::int32_t& cur, std::int32_t n) {
+      const OverlapRange range{cur, cur + n};
+      cur += n;
+      return range;
+    };
+    w.upfront = take(send_at, w.upfront.end);
+    for (std::int32_t s = w.blocks.begin; s < w.blocks.end; ++s) {
+      OverlapBlock& blk = blocks[static_cast<std::size_t>(s)];
+      blk.sends = take(send_at, blk.sends.end);
+      blk.packed_out = take(out_at, blk.packed_out.end);
+    }
+    w.packed = take(send_at, w.packed.end);
+    w.credits = take(credit_at, w.credits.end);
+    if (two_stage && !w.packed.empty())
+      w.order = take(order_at, w.blocks.size());
   }
-  // Previous-step ghosts: sends posted up-front at rank level.
-  sweep_messages(mesh, placement, sizes, work, slots,
-                 [&](OverlapRankWork& w, std::int32_t /*src_block*/,
-                     std::int32_t dst, std::int32_t dst_block,
-                     std::int64_t bytes) {
-                   w.sends.push_back(OutMessage{dst, bytes, dst_block});
-                   w.send_dst_tags.push_back(eager_dst_tag(slots[
-                       static_cast<std::size_t>(dst_block)]));
-                 });
-  return work;
-}
+  plan.sends.resize(static_cast<std::size_t>(send_at));
+  plan.credits.resize(static_cast<std::size_t>(credit_at));
+  plan.packed_out.resize(static_cast<std::size_t>(out_at));
+  plan.stage1_order.resize(static_cast<std::size_t>(order_at));
 
-std::vector<OverlapRankWork> build_overlap_work(
-    const AmrMesh& mesh, const Placement& placement,
-    std::span<const TimeNs> block_costs, std::int32_t nranks,
-    const MessageSizeModel& sizes, const PackingPolicy& packing) {
-  if (!packing.active())
-    return build_overlap_work(mesh, placement, block_costs, nranks, sizes);
-  AMR_CHECK(placement.size() == mesh.size());
-  AMR_CHECK(block_costs.size() == mesh.size());
-  std::vector<OverlapRankWork> work(static_cast<std::size_t>(nranks));
-  const auto slots = make_slots(mesh, placement, work);
-  for (std::size_t b = 0; b < mesh.size(); ++b) {
-    auto& w = work[static_cast<std::size_t>(placement[b])];
-    w.blocks[static_cast<std::size_t>(slots[b])].compute = block_costs[b];
+  // Fill, in the same message order. Eager sends of a source land in
+  // emission order whether the rank (single-stage) or the producing
+  // block (two-stage) owns them; an aggregate lands at its pair's first
+  // message, tagged with where its source's credit run starts.
+  for (std::size_t r = 0; r < nr; ++r) sc.cursor[r] = ranks[r].credits.begin;
+  sc.credit_src.assign(nblocks, -1);
+  sc.credit_at.resize(nblocks);
+  out_at = 0;
+  for (std::size_t src = 0; src < nr; ++src) {
+    const OverlapRankPlan& w = ranks[src];
+    if (packs) {
+      for (std::int32_t i = sc.pair_begin[src]; i < sc.pair_begin[src + 1];
+           ++i)
+        sc.pair_of_dst[static_cast<std::size_t>(
+            sc.pairs[static_cast<std::size_t>(i)].dst)] = i;
+    }
+    std::int32_t eager_at = w.upfront.begin;
+    std::int32_t packed_at = w.packed.begin;
+    for (const Msg& m : msgs_of(src)) {
+      const OverlapRankPlan& dw = ranks[static_cast<std::size_t>(m.dst)];
+      Pair* p = pair_for(m.dst);
+      if (p == nullptr || !p->packed) {
+        plan.sends[static_cast<std::size_t>(eager_at++)] = OverlapSend{
+            m.bytes, m.dst, 1, eager_dst_tag(m.dst_slot - dw.blocks.begin),
+            0};
+        continue;
+      }
+      std::int32_t& cursor = sc.cursor[static_cast<std::size_t>(m.dst)];
+      if (p->send < 0) {
+        p->send = packed_at++;
+        plan.sends[static_cast<std::size_t>(p->send)] =
+            OverlapSend{p->bytes, m.dst, p->msgs,
+                        packed_dst_tag(cursor - dw.credits.begin),
+                        p->contributors};
+      }
+      const auto slot = static_cast<std::size_t>(m.dst_slot);
+      if (sc.credit_src[slot] != static_cast<std::int32_t>(src)) {
+        sc.credit_src[slot] = static_cast<std::int32_t>(src);
+        sc.credit_at[slot] = cursor;
+        plan.credits[static_cast<std::size_t>(cursor++)] = AggCredit{
+            static_cast<std::int32_t>(src), m.dst_slot - dw.blocks.begin, 0};
+      }
+      ++plan.credits[static_cast<std::size_t>(sc.credit_at[slot])].count;
+      if (two_stage && p->last_src != m.src_slot) {
+        p->last_src = m.src_slot;
+        plan.packed_out[static_cast<std::size_t>(out_at++)] = p->send;
+      }
+    }
+    if (packs) {
+      for (std::int32_t i = sc.pair_begin[src]; i < sc.pair_begin[src + 1];
+           ++i)
+        sc.pair_of_dst[static_cast<std::size_t>(
+            sc.pairs[static_cast<std::size_t>(i)].dst)] = -1;
+    }
   }
-  const auto raw = collect_messages(mesh, placement, sizes, work);
-  apply_packing(work, raw, slots, packing, /*two_stage=*/false);
-  return work;
-}
 
-std::vector<OverlapRankWork> build_two_stage_work(
-    const AmrMesh& mesh, const Placement& placement,
-    std::span<const TimeNs> block_costs, std::int32_t nranks,
-    double stage1_frac, const MessageSizeModel& sizes) {
-  AMR_CHECK(placement.size() == mesh.size());
-  AMR_CHECK(stage1_frac > 0.0 && stage1_frac < 1.0);
-  std::vector<OverlapRankWork> work(static_cast<std::size_t>(nranks));
-  const auto slots = make_slots(mesh, placement, work);
-  for (std::size_t b = 0; b < mesh.size(); ++b) {
-    auto& blk = work[static_cast<std::size_t>(placement[b])]
-                    .blocks[static_cast<std::size_t>(slots[b])];
-    const auto stage1 = static_cast<TimeNs>(
-        static_cast<double>(block_costs[b]) * stage1_frac);
-    blk.compute = stage1;
-    blk.stage2_compute = block_costs[b] - stage1;
-  }
-  // Freshly produced ghosts: sends attach to the producing block.
-  sweep_messages(
-      mesh, placement, sizes, work, slots,
-      [&](OverlapRankWork& w, std::int32_t src_block, std::int32_t dst,
-          std::int32_t dst_block, std::int64_t bytes) {
-        BlockWork& producer =
-            w.blocks[static_cast<std::size_t>(slots[src_block])];
-        producer.sends.push_back(OutMessage{dst, bytes, dst_block});
-        producer.send_dst_tags.push_back(
-            eager_dst_tag(slots[static_cast<std::size_t>(dst_block)]));
-      });
-  return work;
-}
-
-std::vector<OverlapRankWork> build_two_stage_work(
-    const AmrMesh& mesh, const Placement& placement,
-    std::span<const TimeNs> block_costs, std::int32_t nranks,
-    double stage1_frac, const MessageSizeModel& sizes,
-    const PackingPolicy& packing) {
-  if (!packing.active())
-    return build_two_stage_work(mesh, placement, block_costs, nranks,
-                                stage1_frac, sizes);
-  AMR_CHECK(placement.size() == mesh.size());
-  AMR_CHECK(stage1_frac > 0.0 && stage1_frac < 1.0);
-  std::vector<OverlapRankWork> work(static_cast<std::size_t>(nranks));
-  const auto slots = make_slots(mesh, placement, work);
-  for (std::size_t b = 0; b < mesh.size(); ++b) {
-    auto& blk = work[static_cast<std::size_t>(placement[b])]
-                    .blocks[static_cast<std::size_t>(slots[b])];
-    const auto stage1 = static_cast<TimeNs>(
-        static_cast<double>(block_costs[b]) * stage1_frac);
-    blk.compute = stage1;
-    blk.stage2_compute = block_costs[b] - stage1;
-  }
-  const auto raw = collect_messages(mesh, placement, sizes, work);
-  apply_packing(work, raw, slots, packing, /*two_stage=*/true);
   // Stage-1 schedule: serve aggregates shortest-contributor-set first
   // and run each aggregate's contributors back to back, so completed
   // aggregates stream onto the wire throughout stage 1 instead of all
-  // launching near its end (a block feeding several aggregates runs
-  // with the earliest of them). Deterministic: aggregates ordered by
-  // (contributors, dst rank), slots appended in slot order per group.
-  for (auto& w : work) {
-    if (w.packed_sends.empty()) continue;
-    std::vector<std::int32_t> agg_order(w.packed_sends.size());
-    for (std::size_t i = 0; i < agg_order.size(); ++i)
-      agg_order[i] = static_cast<std::int32_t>(i);
-    std::sort(agg_order.begin(), agg_order.end(),
-              [&](std::int32_t a, std::int32_t b) {
-                const PackedSend& pa =
-                    w.packed_sends[static_cast<std::size_t>(a)];
-                const PackedSend& pb =
-                    w.packed_sends[static_cast<std::size_t>(b)];
-                if (pa.contributors != pb.contributors)
-                  return pa.contributors < pb.contributors;
-                return pa.msg.dst_rank < pb.msg.dst_rank;
-              });
-    w.stage1_order.reserve(w.blocks.size());
-    std::vector<char> placed(w.blocks.size(), 0);
-    for (const std::int32_t agg : agg_order) {
-      for (std::size_t s = 0; s < w.blocks.size(); ++s) {
-        if (placed[s]) continue;
-        const auto& out = w.blocks[s].packed_out;
-        if (std::find(out.begin(), out.end(), agg) != out.end()) {
-          placed[s] = 1;
-          w.stage1_order.push_back(static_cast<std::int32_t>(s));
-        }
+  // launching near its end. A block feeding several aggregates runs with
+  // the earliest of them; blocks feeding none run last. Deterministic:
+  // aggregates ordered by (contributors, dst rank), slots in slot order
+  // within each group.
+  // A slot's key is the (contributors, dst) of the first aggregate it
+  // feeds in that order; slots sort by (key, slot).
+  constexpr std::int64_t kNoAggregate =
+      std::numeric_limits<std::int64_t>::max();
+  for (std::size_t r = 0; r < nr; ++r) {
+    const OverlapRankPlan& w = ranks[r];
+    if (w.order.empty()) continue;
+    auto& key = sc.order_key;
+    key.assign(static_cast<std::size_t>(w.blocks.size()), kNoAggregate);
+    std::int32_t* const order = plan.stage1_order.data() + w.order.begin;
+    for (std::int32_t i = 0; i < w.blocks.size(); ++i) {
+      const OverlapBlock& blk =
+          blocks[static_cast<std::size_t>(w.blocks.begin + i)];
+      for (const std::int32_t send :
+           OverlapPlan::slice(plan.packed_out, blk.packed_out)) {
+        const OverlapSend& agg = plan.sends[static_cast<std::size_t>(send)];
+        key[static_cast<std::size_t>(i)] =
+            std::min(key[static_cast<std::size_t>(i)],
+                     (std::int64_t{agg.contributors} << 32) | agg.dst);
       }
+      order[i] = i;
     }
-    for (std::size_t s = 0; s < w.blocks.size(); ++s)
-      if (!placed[s])
-        w.stage1_order.push_back(static_cast<std::int32_t>(s));
+    std::sort(order, order + w.blocks.size(),
+              [&](std::int32_t a, std::int32_t b) {
+                const std::int64_t ka = key[static_cast<std::size_t>(a)];
+                const std::int64_t kb = key[static_cast<std::size_t>(b)];
+                return ka != kb ? ka < kb : a < b;
+              });
   }
-  return work;
+}
+
+OverlapPlan build_overlap_plan(const AmrMesh& mesh,
+                               const Placement& placement,
+                               std::span<const TimeNs> block_costs,
+                               std::int32_t nranks,
+                               const MessageSizeModel& sizes,
+                               const PackingPolicy& packing,
+                               double stage1_frac) {
+  OverlapPlan plan;
+  OverlapBuildScratch scratch;
+  build_overlap_plan(mesh, placement, block_costs, nranks, sizes, packing,
+                     stage1_frac, plan, scratch);
+  return plan;
 }
 
 std::vector<RankStepWork> two_stage_bsp_work(
@@ -354,73 +331,160 @@ std::vector<RankStepWork> two_stage_bsp_work(
   return work;
 }
 
-class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
-                                                 public EventHandler {
+/// One block slot's receives and progress this step: everything its
+/// readiness and its release depend on, resolved by dst_tag with no
+/// search, two to a cache line.
+struct OverlapExecutor::BlockRecv {
+  TimeNs t = 0;            ///< latest posted delivery time
+  std::uint64_t key = 0;   ///< its dispatch key
+  std::int32_t posted = 0;    ///< logical messages counted so far
+  std::int32_t expected = 0;  ///< OverlapBlock::expected_recvs
+  std::int32_t src = -1;   ///< its sender
+  bool two_stage = false;
+  bool stage1_done = false;
+  bool done = false;
+  bool wake_pending = false;  ///< a wake at (t, key) is queued
+};
+
+// Event tags: the rank's plain continuation is kContinue; a wake for a
+// block's latest delivery slot (odd) and a block's compute completion
+// (even, >= 2) carry the slot (rank-relative), so neither needs a field
+// of its own.
+namespace {
+constexpr std::uint64_t kContinue = 0;
+constexpr std::uint64_t wake_tag(std::int32_t slot) {
+  return 2 * static_cast<std::uint64_t>(slot) + 1;
+}
+constexpr std::uint64_t done_tag(std::int32_t slot) {
+  return 2 * static_cast<std::uint64_t>(slot) + 2;
+}
+constexpr bool is_wake_tag(std::uint64_t tag) { return (tag & 1) != 0; }
+/// The slot a wake or completion tag carries.
+constexpr std::int32_t tag_slot(std::uint64_t tag) {
+  return static_cast<std::int32_t>((tag - 1) / 2);
+}
+}  // namespace
+
+class alignas(64) OverlapExecutor::OverlapRankRuntime final
+    : public RankEndpoint,
+      public EventHandler {
  public:
-  OverlapRankRuntime(std::int32_t rank, Comm& comm, ExecParams params,
-                     Tracer* tracer)
-      : rank_(rank), comm_(comm), params_(params), tracer_(tracer) {
-    comm_.set_endpoint(rank, this);
+  /// Runtimes live in one contiguous array owned by the executor, so
+  /// they are default-constructed and then attached once. The comm keeps
+  /// the endpoint pointer: a runtime never moves.
+  OverlapRankRuntime() = default;
+  OverlapRankRuntime(const OverlapRankRuntime&) = delete;
+  OverlapRankRuntime& operator=(const OverlapRankRuntime&) = delete;
+  static_assert(sizeof(BlockRecv) == 32);
+
+  void attach(std::int32_t rank, const Context& ctx) {
+    AMR_CHECK(ctx_ == nullptr && ctx.comm != nullptr);
+#if defined(__GNUC__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winvalid-offsetof"
+#endif
+    static_assert(offsetof(OverlapRankRuntime, copy_charged_) < 64,
+                  "dispatch-hot fields must share the first cache line");
+#if defined(__GNUC__)
+#pragma GCC diagnostic pop
+#endif
+    rank_ = rank;
+    ctx_ = &ctx;
+    ctx.comm->set_endpoint(rank, this);
   }
 
-  void begin_step(const OverlapRankWork& work, std::uint64_t window,
-                  TimeNs start, std::int32_t priority_rank) {
-    work_ = &work;
-    window_ = window;
-    priority_rank_ = priority_rank;
+  /// Arm the rank for the step in ctx_ (plan, window, priority). Every
+  /// block runs each stage once and every send posts once, so the
+  /// counters the plan alone decides — compute and pack time, local and
+  /// remote traffic, coalescing — are counted here; events add only the
+  /// waits.
+  void begin_step(TimeNs start) {
+    const OverlapPlan& plan = *ctx_->plan;
+    const OverlapRankPlan& rp = plan.ranks[static_cast<std::size_t>(rank_)];
+    const ExecParams& params = ctx_->params;
+    slot_begin_ = rp.blocks.begin;
+    slot_end_ = rp.blocks.end;
+    credit_begin_ = rp.credits.begin;
+    credit_end_ = rp.credits.end;
     state_ = State::kIdle;
-    recvs_.resize(work.blocks.size());
-    for (std::size_t s = 0; s < recvs_.size(); ++s) {
-      recvs_[s] = BlockRecv{};
-      recvs_[s].expected = work.blocks[s].expected_recvs;
+    copy_charged_ = false;
+    max_send_release_ = start;
+    armed_ = -1;
+    stats_ = RankStepStats{};
+    wait_start_ = start;
+
+    for (std::int32_t s = slot_begin_; s < slot_end_; ++s) {
+      const OverlapBlock& b = plan.blocks[static_cast<std::size_t>(s)];
+      BlockRecv& rv = ctx_->recvs[s];
+      rv = BlockRecv{};
+      rv.expected = b.expected_recvs;
+      rv.two_stage = b.stage2_compute > 0;
+      stats_.compute_ns += b.compute + params.task_overhead;
+      if (rv.two_stage)
+        stats_.compute_ns += b.stage2_compute + params.task_overhead;
+      // Aggregated arrivals are read in place (the plan fixes their
+      // layout), so only the eager slice pays an unpack, once.
+      stats_.pack_ns += pack_ns(b.recv_bytes - b.packed_recv_bytes);
     }
-    armed_gen_ = 0;
-    blocks_left_ = work.blocks.size();
-    pending_sends_.clear();
-    pending_tags_.clear();
-    // Up-front rank-level sends enter the queue immediately.
-    for (std::size_t i = 0; i < work.sends.size(); ++i) {
-      pending_sends_.push_back(work.sends[i]);
-      pending_tags_.push_back(work.send_dst_tags[i]);
-    }
-    // Aggregates with no compute dependency (previous-step ghosts) queue
-    // at step start too; two-stage aggregates arm their contributor
-    // countdown and launch from stage-1 completions.
-    packed_remaining_.assign(work.packed_sends.size(), 0);
-    for (std::size_t i = 0; i < work.packed_sends.size(); ++i) {
-      const PackedSend& p = work.packed_sends[i];
-      if (p.contributors == 0) {
-        pending_sends_.push_back(p.msg);
-        pending_tags_.push_back(p.dst_tag);
+    const std::int32_t* const node_of = ctx_->node_of;
+    const std::int32_t node = node_of[rank_];
+    const OverlapRange sends = rp.sends();
+    for (std::int32_t i = sends.begin; i < sends.end; ++i) {
+      const OverlapSend& m = plan.sends[static_cast<std::size_t>(i)];
+      stats_.pack_ns += send_task_ns(m);
+      if (node_of[m.dst] == node) {
+        ++stats_.msgs_local;
+        stats_.bytes_local += m.bytes;
       } else {
-        packed_remaining_[i] = p.contributors;
+        ++stats_.msgs_remote;
+        stats_.bytes_remote += m.bytes;
       }
+      stats_.msgs_coalesced += m.msgs - 1;
+      if (m.msgs > 1) stats_.bytes_packed += m.bytes;
     }
-    send_head_ = 0;
+    if (rp.local_copy_bytes > 0) stats_.pack_ns += copy_ns(rp.local_copy_bytes);
+
+    // Up-front eager sends and the aggregates with no compute dependency
+    // (previous-step ghosts) queue at step start; two-stage aggregates
+    // arm their contributor countdown and launch from stage-1
+    // completions. The queue occupies the rank's send run: every send is
+    // queued exactly once.
+    q_head_ = q_tail_ = sends.begin;
+    for (std::int32_t i = rp.packed.begin; i < rp.packed.end; ++i)
+      ctx_->remaining[i] = plan.sends[static_cast<std::size_t>(i)].contributors;
+    push_group(rp.upfront.begin, rp.upfront.end, rp.packed,
+               [&](std::int32_t i) {
+                 return ctx_->remaining[i] == 0 ? i : -1;
+               });
+
     // Critical-path compute priority: blocks feeding the predicted
     // critical rank (via an aggregate or an eager send) run first in
-    // stage 1, so the messages it waits on launch as early as possible.
-    // stable_partition keeps the grouped order within each class.
-    order_ = work.stage1_order;
-    if (priority_rank_ >= 0 && !order_.empty()) {
-      std::stable_partition(
-          order_.begin(), order_.end(), [&](std::int32_t s) {
-            const BlockWork& b = work.blocks[static_cast<std::size_t>(s)];
-            for (const std::int32_t idx : b.packed_out)
-              if (work.packed_sends[static_cast<std::size_t>(idx)]
-                      .msg.dst_rank == priority_rank_)
-                return true;
-            for (const OutMessage& m : b.sends)
-              if (m.dst_rank == priority_rank_) return true;
-            return false;
-          });
-    }
-    copy_charged_ = false;
-    current_block_ = -1;
-    max_send_release_ = start;
-    stats_ = RankStepStats{};
-    step_done_ = false;
-    wait_start_ = start;
+    // stage 1, so the messages it waits on launch as early as possible;
+    // the grouped order is kept within each class.
+    order_begin_ = -1;
+    if (rp.order.empty()) return;
+    order_begin_ = rp.order.begin;
+    const std::int32_t prio = ctx_->priority_rank;
+    if (prio < 0) return;
+    const auto feeds = [&](std::int32_t slot) {
+      const OverlapBlock& b =
+          plan.blocks[static_cast<std::size_t>(slot_begin_ + slot)];
+      for (std::int32_t o = b.packed_out.begin; o < b.packed_out.end; ++o)
+        if (plan.sends[static_cast<std::size_t>(
+                           plan.packed_out[static_cast<std::size_t>(o)])]
+                .dst == prio)
+          return true;
+      for (std::int32_t i = b.sends.begin; i < b.sends.end; ++i)
+        if (plan.sends[static_cast<std::size_t>(i)].dst == prio) return true;
+      return false;
+    };
+    std::int32_t* out = ctx_->order + rp.order.begin;
+    const std::int32_t* in = plan.stage1_order.data() + rp.order.begin;
+    const std::int32_t n = rp.order.size();
+    for (std::int32_t i = 0; i < n; ++i)
+      if (feeds(in[i])) *out++ = in[i];
+    for (std::int32_t i = 0; i < n; ++i)
+      if (!feeds(in[i])) *out++ = in[i];
   }
 
   void start(Engine& engine) {
@@ -429,12 +493,12 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
     engine.schedule_at(engine.now(), this, kContinue);
   }
 
-  bool step_done() const { return step_done_; }
+  bool step_done() const { return state_ == State::kDone; }
   const RankStepStats& stats() const { return stats_; }
 
   void on_event(Engine& engine, std::uint64_t tag) override {
-    if (tag != kContinue) {
-      on_wake(engine, tag);
+    if (is_wake_tag(tag)) {
+      on_wake(engine, tag_slot(tag));
       return;
     }
     switch (state_) {
@@ -442,26 +506,18 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
         advance(engine);
         return;
       case State::kPostSend: {
-        const OutMessage& m = pending_sends_[send_head_];
+        const OverlapSend& m = ctx_->plan->sends[static_cast<std::size_t>(
+            ctx_->queue[q_head_])];
+        const std::int32_t prio = ctx_->priority_rank;
         const TimeNs release =
-            comm_.isend(rank_, m.dst_rank, m.bytes, window_, engine.now(),
-                        pending_tags_[send_head_], m.msgs,
-                        priority_rank_ >= 0 &&
-                            m.dst_rank == priority_rank_);
+            ctx_->comm->isend(rank_, m.dst, m.bytes, ctx_->window,
+                              engine.now(), m.dst_tag, m.msgs,
+                              prio >= 0 && m.dst == prio);
         max_send_release_ = std::max(max_send_release_, release);
-        if (tracer_ != nullptr)
-          tracer_->instant(rank_, TraceCat::kSend, "isend", engine.now(),
-                           m.bytes, m.dst_rank);
-        if (comm_.fabric().topology().same_node(rank_, m.dst_rank)) {
-          ++stats_.msgs_local;
-          stats_.bytes_local += m.bytes;
-        } else {
-          ++stats_.msgs_remote;
-          stats_.bytes_remote += m.bytes;
-        }
-        stats_.msgs_coalesced += m.msgs - 1;
-        if (m.msgs > 1) stats_.bytes_packed += m.bytes;
-        ++send_head_;
+        if (ctx_->tracer != nullptr)
+          ctx_->tracer->instant(rank_, TraceCat::kSend, "isend",
+                                engine.now(), m.bytes, m.dst);
+        ++q_head_;
         state_ = State::kRunning;
         advance(engine);
         return;
@@ -471,51 +527,31 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
         advance(engine);
         return;
       case State::kComputingStage1: {
-        const auto s = static_cast<std::size_t>(current_block_);
-        recvs_[s].stage1_done = true;
-        const BlockWork& b = work_->blocks[s];
-        for (std::size_t i = 0; i < b.sends.size(); ++i) {
-          pending_sends_.push_back(b.sends[i]);
-          pending_tags_.push_back(b.send_dst_tags[i]);
-        }
-        // Incremental aggregates: launch each the moment this block was
-        // its last outstanding contributor.
-        for (const std::int32_t idx : b.packed_out) {
-          if (--packed_remaining_[static_cast<std::size_t>(idx)] == 0) {
-            const PackedSend& p =
-                work_->packed_sends[static_cast<std::size_t>(idx)];
-            pending_sends_.push_back(p.msg);
-            pending_tags_.push_back(p.dst_tag);
-          }
-        }
-        if (b.stage2_compute == 0) {
-          recvs_[s].done = true;
-          --blocks_left_;
-        }
-        current_block_ = -1;
+        const std::int32_t s = slot_begin_ + tag_slot(tag);
+        BlockRecv& rv = ctx_->recvs[s];
+        rv.stage1_done = true;
+        if (!rv.two_stage) rv.done = true;
+        finish_stage1(ctx_->plan->blocks[static_cast<std::size_t>(s)]);
         state_ = State::kRunning;
         advance(engine);
         return;
       }
-      case State::kComputingStage2: {
-        const auto s = static_cast<std::size_t>(current_block_);
-        recvs_[s].done = true;
-        --blocks_left_;
-        current_block_ = -1;
+      case State::kComputingStage2:
+        ctx_->recvs[slot_begin_ + tag_slot(tag)].done = true;
         state_ = State::kRunning;
         advance(engine);
         return;
-      }
       case State::kWaitingSends:
         stats_.send_wait_ns += engine.now() - wait_start_;
-        if (tracer_ != nullptr)
-          tracer_->end(rank_, TraceCat::kSendWait, "send-wait",
-                       engine.now());
+        if (ctx_->tracer != nullptr)
+          ctx_->tracer->end(rank_, TraceCat::kSendWait, "send-wait",
+                            engine.now());
         enter_collective(engine);
         return;
       case State::kIdle:
       case State::kStalled:
       case State::kInCollective:
+      case State::kDone:
         AMR_CHECK_MSG(false, "unexpected continuation event");
     }
   }
@@ -523,14 +559,15 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
   void on_post(Engine& engine, std::uint64_t window, TimeNs t,
                std::uint64_t key, std::int32_t src,
                std::int64_t dst_tag) override {
-    AMR_CHECK_MSG(window == window_, "overlap message for another window");
+    AMR_CHECK_MSG(window == ctx_->window, "overlap message for another window");
     // The tag names the receiving slot (eager) or the start of the
     // sender's credit run (packed) outright: no search. A stalled rank
     // re-arms when this completes a block whose latest delivery lands
     // before its armed wake.
-    const BlockRecv* rearm = nullptr;
-    const auto credit = [&](std::size_t slot, std::int32_t count) {
-      BlockRecv& rv = recvs_[slot];
+    BlockRecv* const recvs = ctx_->recvs;
+    std::int32_t rearm = -1;
+    const auto credit = [&](std::int32_t s, std::int32_t count) {
+      BlockRecv& rv = recvs[s];
       const bool first = rv.posted == 0;
       rv.posted += count;
       AMR_CHECK_MSG(rv.posted <= rv.expected,
@@ -541,25 +578,25 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
         rv.src = src;
       }
       if (state_ == State::kStalled && rv.posted == rv.expected &&
-          (armed_gen_ == 0 || earlier(rv, armed_)) &&
-          (rearm == nullptr || earlier(rv, *rearm)))
-        rearm = &rv;
+          (armed_ < 0 || earlier(rv, recvs[armed_])) &&
+          (rearm < 0 || earlier(rv, recvs[rearm])))
+        rearm = s;
     };
     if (is_packed_dst_tag(dst_tag)) {
-      const auto begin = static_cast<std::size_t>(dst_tag / 2);
-      const auto& credits = work_->agg_credits;
-      AMR_CHECK_MSG(begin < credits.size() && credits[begin].src_rank == src,
+      const std::int64_t begin = credit_begin_ + dst_tag / 2;
+      const AggCredit* credits = ctx_->plan->credits.data();
+      AMR_CHECK_MSG(dst_tag >= 0 && begin < credit_end_ &&
+                        credits[begin].src_rank == src,
                     "packed arrival names no credit run of its sender");
-      for (std::size_t i = begin;
-           i < credits.size() && credits[i].src_rank == src; ++i)
-        credit(static_cast<std::size_t>(credits[i].slot), credits[i].count);
+      for (std::int64_t i = begin;
+           i < credit_end_ && credits[i].src_rank == src; ++i)
+        credit(slot_begin_ + credits[i].slot, credits[i].count);
     } else {
-      const auto slot = static_cast<std::size_t>(dst_tag / 2);
-      AMR_CHECK_MSG(dst_tag >= 0 && slot < recvs_.size(),
+      AMR_CHECK_MSG(dst_tag >= 0 && dst_tag / 2 < slot_end_ - slot_begin_,
                     "eager arrival names no block slot on this rank");
-      credit(slot, 1);
+      credit(slot_begin_ + static_cast<std::int32_t>(dst_tag / 2), 1);
     }
-    if (rearm != nullptr) arm(engine, *rearm);
+    if (rearm >= 0) arm(engine, rearm);
   }
 
   void on_recvs_ready(Engine&, std::uint64_t, TimeNs,
@@ -569,15 +606,14 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
 
   void on_collective_done(Engine& /*engine*/, std::uint64_t window,
                           TimeNs t) override {
-    AMR_CHECK(window == window_);
+    AMR_CHECK(window == ctx_->window);
     AMR_CHECK(state_ == State::kInCollective);
     stats_.sync_ns += t - stats_.collective_entry;
     stats_.done_at = t;
-    if (tracer_ != nullptr)
-      tracer_->end(rank_, TraceCat::kSync, "collective", t,
-                   static_cast<std::int64_t>(window));
-    state_ = State::kIdle;
-    step_done_ = true;
+    if (ctx_->tracer != nullptr)
+      ctx_->tracer->end(rank_, TraceCat::kSync, "collective", t,
+                        static_cast<std::int64_t>(window));
+    state_ = State::kDone;
   }
 
  private:
@@ -591,30 +627,7 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
     kStalled,
     kWaitingSends,
     kInCollective,
-  };
-
-  /// One block slot's receives this step: everything its readiness and
-  /// its release depend on, resolved by dst_tag with no search.
-  struct BlockRecv {
-    TimeNs t = 0;            ///< latest posted delivery time
-    std::uint64_t key = 0;   ///< its dispatch key
-    std::int32_t posted = 0;    ///< logical messages counted so far
-    std::int32_t expected = 0;  ///< BlockWork::expected_recvs
-    std::int32_t src = -1;   ///< its sender
-    bool stage1_done = false;
-    bool done = false;
-  };
-  static_assert(sizeof(BlockRecv) == 32);
-
-  /// Event tag of the rank's own continuations; a wake's tag is its
-  /// generation (>= 1).
-  static constexpr std::uint64_t kContinue = 0;
-
-  /// A wake scheduled and not yet dispatched.
-  struct PendingWake {
-    TimeNs t;
-    std::uint64_t key;
-    std::uint64_t gen;
+    kDone,
   };
 
   static bool earlier(const BlockRecv& a, const BlockRecv& b) {
@@ -623,61 +636,108 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
 
   /// Every ghost of the block has landed: its count is complete and its
   /// latest delivery slot has dispatched.
-  bool ghosts_in(const Engine& engine, std::size_t s) const {
-    const BlockRecv& rv = recvs_[s];
+  static bool ghosts_in(const Engine& engine, const BlockRecv& rv) {
     return rv.posted == rv.expected &&
            (rv.posted == 0 || engine.dispatched(rv.t, rv.key));
   }
 
-  /// Stage-1 readiness: single-stage blocks are gated by their arrivals;
-  /// two-stage blocks start immediately.
-  bool stage1_ready(const Engine& engine, std::size_t s) const {
-    if (recvs_[s].stage1_done) return false;
-    if (work_->blocks[s].stage2_compute > 0) return true;
-    return ghosts_in(engine, s);
+  TimeNs pack_ns(std::int64_t bytes) const {
+    return static_cast<TimeNs>(static_cast<double>(bytes) /
+                               ctx_->params.pack_gbytes_per_sec);
   }
 
-  bool stage2_ready(const Engine& engine, std::size_t s) const {
-    const BlockRecv& rv = recvs_[s];
-    return rv.stage1_done && !rv.done &&
-           work_->blocks[s].stage2_compute > 0 && ghosts_in(engine, s);
+  TimeNs copy_ns(std::int64_t bytes) const {
+    return static_cast<TimeNs>(static_cast<double>(bytes) /
+                               ctx_->params.memcpy_gbytes_per_sec) +
+           ctx_->params.task_overhead;
   }
 
-  /// Point the rank's one live wake at `rv`'s latest delivery slot. A
-  /// superseded wake stays queued and is dropped when it dispatches; an
-  /// arm at a slot that already holds a pending wake revives that one
-  /// instead of scheduling a second event there.
-  void arm(Engine& engine, const BlockRecv& rv) {
-    AMR_CHECK(!engine.dispatched(rv.t, rv.key));
-    armed_ = rv;
-    for (const PendingWake& w : wakes_)
-      if (w.t == rv.t && w.key == rv.key) {
-        armed_gen_ = w.gen;
-        return;
+  /// Per-peer aggregates are fused: each contributing block writes its
+  /// ghost slab straight into the peer buffer as part of stage-1 compute
+  /// (the plan fixes the layout up front), so by the time the last
+  /// contributor finishes the aggregate is already packed and the launch
+  /// pays only the post overhead. Eager per-pair sends have no pre-laid
+  /// buffer and still pay the serial CPU pack.
+  TimeNs send_task_ns(const OverlapSend& m) const {
+    return (is_packed_dst_tag(m.dst_tag) ? 0 : pack_ns(m.bytes)) +
+           ctx_->params.task_overhead;
+  }
+
+  /// Queue a group of sends: those in [begin, end) and the aggregates of
+  /// `packed` that `ready` admits, in that order. A group is only ever
+  /// queued onto an empty queue — sends drain before any compute starts,
+  /// and groups are queued at step start and at stage-1 completions — so
+  /// critical-path send priority (sends to the priority rank first,
+  /// relative order otherwise kept) is a stable partition of the group,
+  /// done here once instead of searching the queue at every dispatch.
+  template <typename Ready>
+  void push_group(std::int32_t begin, std::int32_t end, OverlapRange packed,
+                  const Ready& ready) {
+    AMR_CHECK_MSG(q_head_ == q_tail_, "send group queued behind pending sends");
+    const auto& sends = ctx_->plan->sends;
+    const std::int32_t prio = ctx_->priority_rank;
+    std::int32_t* const queue = ctx_->queue;
+    const auto push = [&](bool to_prio) {
+      for (std::int32_t i = begin; i < end; ++i)
+        if ((sends[static_cast<std::size_t>(i)].dst == prio) == to_prio)
+          queue[q_tail_++] = i;
+      for (std::int32_t i = packed.begin; i < packed.end; ++i) {
+        const std::int32_t send = ready(i);
+        if (send >= 0 &&
+            (sends[static_cast<std::size_t>(send)].dst == prio) == to_prio)
+          queue[q_tail_++] = send;
       }
-    armed_gen_ = ++wake_gen_;
-    wakes_.push_back(PendingWake{rv.t, rv.key, armed_gen_});
-    engine.schedule_keyed(rv.t, rv.key, this, armed_gen_);
+    };
+    if (prio >= 0) push(true);
+    push(false);
+  }
+
+  /// Stage 1 of a block finished: queue its eager sends and every
+  /// aggregate for which it was the last outstanding contributor.
+  void finish_stage1(const OverlapBlock& b) {
+    const auto& packed_out = ctx_->plan->packed_out;
+    for (std::int32_t o = b.packed_out.begin; o < b.packed_out.end; ++o)
+      --ctx_->remaining[packed_out[static_cast<std::size_t>(o)]];
+    push_group(b.sends.begin, b.sends.end, b.packed_out, [&](std::int32_t o) {
+      const std::int32_t send = packed_out[static_cast<std::size_t>(o)];
+      return ctx_->remaining[send] == 0 ? send : -1;
+    });
+  }
+
+  /// Point the rank's one live wake at slot `s`'s latest delivery slot.
+  /// A superseded wake stays queued and is dropped when it dispatches;
+  /// an arm at a delivery slot that already holds a pending wake revives
+  /// that one instead of scheduling a second event there.
+  void arm(Engine& engine, std::int32_t s) {
+    BlockRecv& rv = ctx_->recvs[s];
+    AMR_CHECK(!engine.dispatched(rv.t, rv.key));
+    armed_ = s;
+    for (std::int32_t j = slot_begin_; j < slot_end_; ++j) {
+      const BlockRecv& other = ctx_->recvs[j];
+      if (other.wake_pending && other.t == rv.t && other.key == rv.key)
+        return;
+    }
+    rv.wake_pending = true;
+    engine.schedule_keyed(rv.t, rv.key, this, wake_tag(s - slot_begin_));
   }
 
   /// A wake dispatched in its block's latest delivery slot: resume the
-  /// stalled rank there, released by that delivery's sender. A stale
-  /// generation is dropped.
-  void on_wake(Engine& engine, std::uint64_t gen) {
-    for (PendingWake& w : wakes_)
-      if (w.gen == gen) {
-        w = wakes_.back();
-        wakes_.pop_back();
-        break;
-      }
-    if (gen != armed_gen_) return;
+  /// stalled rank there, released by that delivery's sender. A wake that
+  /// is not the live one (its slot differs from the armed block's) is
+  /// dropped.
+  void on_wake(Engine& engine, std::int32_t slot) {
+    BlockRecv& woken = ctx_->recvs[slot_begin_ + slot];
+    woken.wake_pending = false;
+    if (armed_ < 0) return;
+    const BlockRecv& armed = ctx_->recvs[armed_];
+    if (woken.t != armed.t || woken.key != armed.key) return;
     AMR_CHECK(state_ == State::kStalled);
-    armed_gen_ = 0;
+    armed_ = -1;
     const TimeNs t = engine.now();
     stats_.recv_wait_ns += t - wait_start_;
-    stats_.last_release_src = armed_.src;
-    if (tracer_ != nullptr)
-      tracer_->end(rank_, TraceCat::kRecvWait, "stall", t, armed_.src);
+    stats_.last_release_src = armed.src;
+    if (ctx_->tracer != nullptr)
+      ctx_->tracer->end(rank_, TraceCat::kRecvWait, "stall", t, armed.src);
     state_ = State::kRunning;
     advance(engine);
   }
@@ -689,142 +749,108 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
   void stall(Engine& engine) {
     wait_start_ = engine.now();
     state_ = State::kStalled;
-    if (tracer_ != nullptr)
-      tracer_->begin(rank_, TraceCat::kRecvWait, "stall", engine.now());
-    const BlockRecv* first = nullptr;
-    for (const BlockRecv& rv : recvs_)
+    if (ctx_->tracer != nullptr)
+      ctx_->tracer->begin(rank_, TraceCat::kRecvWait, "stall", engine.now());
+    std::int32_t first = -1;
+    for (std::int32_t s = slot_begin_; s < slot_end_; ++s) {
+      const BlockRecv& rv = ctx_->recvs[s];
       if (!rv.done && rv.posted == rv.expected &&
-          (first == nullptr || earlier(rv, *first)))
-        first = &rv;
-    if (first != nullptr) arm(engine, *first);
-  }
-
-  TimeNs pack_ns(std::int64_t bytes) const {
-    return static_cast<TimeNs>(static_cast<double>(bytes) /
-                               params_.pack_gbytes_per_sec);
-  }
-
-  /// Critical-path send priority: rotate the first queued send destined
-  /// for the predicted critical rank to the queue head (relative order
-  /// of the others preserved). No-op when priority is off or the head
-  /// already qualifies, so -1 keeps the legacy FIFO drain bit-identical.
-  void promote_priority_send() {
-    if (priority_rank_ < 0) return;
-    if (pending_sends_[send_head_].dst_rank == priority_rank_) return;
-    for (std::size_t i = send_head_ + 1; i < pending_sends_.size(); ++i) {
-      if (pending_sends_[i].dst_rank != priority_rank_) continue;
-      const auto head = static_cast<std::ptrdiff_t>(send_head_);
-      const auto at = static_cast<std::ptrdiff_t>(i);
-      std::rotate(pending_sends_.begin() + head, pending_sends_.begin() + at,
-                  pending_sends_.begin() + at + 1);
-      std::rotate(pending_tags_.begin() + head, pending_tags_.begin() + at,
-                  pending_tags_.begin() + at + 1);
-      return;
+          (first < 0 || earlier(rv, ctx_->recvs[first])))
+        first = s;
     }
+    if (first >= 0) arm(engine, first);
   }
 
   void enter_collective(Engine& engine) {
     state_ = State::kInCollective;
     stats_.collective_entry = engine.now();
-    if (tracer_ != nullptr)
-      tracer_->begin(rank_, TraceCat::kSync, "collective", engine.now(),
-                     static_cast<std::int64_t>(window_));
-    comm_.enter_collective(window_, rank_, engine.now());
+    if (ctx_->tracer != nullptr)
+      ctx_->tracer->begin(rank_, TraceCat::kSync, "collective", engine.now(),
+                          static_cast<std::int64_t>(ctx_->window));
+    ctx_->comm->enter_collective(ctx_->window, rank_, engine.now());
+  }
+
+  /// Start the compute of slot `s` (absolute): stage 1, or stage 2 once
+  /// its ghosts are in. The ghost-consuming stage charges the unpack of
+  /// the eager slice (aggregated ghosts are consumed in place).
+  void run_block(Engine& engine, std::int32_t s, bool stage2) {
+    const OverlapBlock& b = ctx_->plan->blocks[static_cast<std::size_t>(s)];
+    const bool consumes = stage2 || b.stage2_compute == 0;
+    const TimeNs unpack =
+        consumes ? pack_ns(b.recv_bytes - b.packed_recv_bytes) : 0;
+    const TimeNs d = (stage2 ? b.stage2_compute : b.compute) + unpack +
+                     ctx_->params.task_overhead;
+    state_ = stage2 ? State::kComputingStage2 : State::kComputingStage1;
+    if (ctx_->tracer != nullptr)
+      ctx_->tracer->complete(
+          rank_, TraceCat::kCompute,
+          stage2 ? "compute-s2"
+                 : (b.stage2_compute > 0 ? "compute-s1" : "compute"),
+          engine.now(), d, b.block, b.recv_bytes);
+    engine.schedule_after(d, this, done_tag(s - slot_begin_));
   }
 
   void advance(Engine& engine) {
     // Priority 1: drain pending sends (unblocks remote ranks).
-    if (send_head_ < pending_sends_.size()) {
-      promote_priority_send();
-      // Per-peer aggregates are fused: each contributing block writes its
-      // ghost slab straight into the peer buffer as part of stage-1
-      // compute (the plan fixes the layout up front), so by the time the
-      // last contributor finishes the aggregate is already packed and the
-      // launch pays only the post overhead. Eager per-pair sends have no
-      // pre-laid buffer and still pay the serial CPU pack here.
-      const bool fused = is_packed_dst_tag(pending_tags_[send_head_]);
-      const TimeNs pack =
-          (fused ? 0 : pack_ns(pending_sends_[send_head_].bytes)) +
-          params_.task_overhead;
-      stats_.pack_ns += pack;
+    if (q_head_ < q_tail_) {
+      const OverlapSend& m = ctx_->plan->sends[static_cast<std::size_t>(
+          ctx_->queue[q_head_])];
+      const TimeNs pack = send_task_ns(m);
       state_ = State::kPostSend;
-      if (tracer_ != nullptr)
-        tracer_->complete(rank_, TraceCat::kPack, fused ? "launch" : "pack",
-                          engine.now(), pack,
-                          pending_sends_[send_head_].bytes,
-                          pending_sends_[send_head_].dst_rank);
+      if (ctx_->tracer != nullptr)
+        ctx_->tracer->complete(rank_, TraceCat::kPack,
+                               is_packed_dst_tag(m.dst_tag) ? "launch"
+                                                            : "pack",
+                               engine.now(), pack, m.bytes, m.dst);
       engine.schedule_after(pack, this, kContinue);
       return;
     }
     // Priority 2: intra-rank ghost copies, once.
     if (!copy_charged_) {
       copy_charged_ = true;
-      if (work_->local_copy_bytes > 0) {
-        const auto copy = static_cast<TimeNs>(
-                              static_cast<double>(work_->local_copy_bytes) /
-                              params_.memcpy_gbytes_per_sec) +
-                          params_.task_overhead;
-        stats_.pack_ns += copy;
+      const OverlapRankPlan& rp =
+          ctx_->plan->ranks[static_cast<std::size_t>(rank_)];
+      if (rp.local_copy_bytes > 0) {
+        const TimeNs copy = copy_ns(rp.local_copy_bytes);
         state_ = State::kInCopy;
-        if (tracer_ != nullptr)
-          tracer_->complete(rank_, TraceCat::kPack, "local-copy",
-                            engine.now(), copy, work_->local_copy_bytes,
-                            work_->local_copy_msgs);
+        if (ctx_->tracer != nullptr)
+          ctx_->tracer->complete(rank_, TraceCat::kPack, "local-copy",
+                                 engine.now(), copy, rp.local_copy_bytes,
+                                 rp.local_copy_msgs);
         engine.schedule_after(copy, this, kContinue);
         return;
       }
     }
-    if (blocks_left_ > 0) {
-      // Priority 3: stage-1 work (produces sends others wait on),
-      // walked in the plan's aggregate-grouped order when it has one.
-      for (std::size_t i = 0; i < work_->blocks.size(); ++i) {
-        const std::size_t s =
-            order_.empty() ? i : static_cast<std::size_t>(order_[i]);
-        if (!stage1_ready(engine, s)) continue;
-        const BlockWork& b = work_->blocks[s];
-        current_block_ = static_cast<std::int32_t>(s);
-        // Single-stage blocks consume ghosts here: charge the unpack.
-        // Aggregated arrivals are read in place (the plan fixes their
-        // layout), so only the eager slice costs CPU.
-        const TimeNs unpack =
-            b.stage2_compute == 0
-                ? pack_ns(b.recv_bytes - b.packed_recv_bytes)
-                : 0;
-        stats_.compute_ns += b.compute + params_.task_overhead;
-        stats_.pack_ns += unpack;
-        state_ = State::kComputingStage1;
-        if (tracer_ != nullptr)
-          tracer_->complete(
-              rank_, TraceCat::kCompute,
-              b.stage2_compute > 0 ? "compute-s1" : "compute",
-              engine.now(), b.compute + unpack + params_.task_overhead,
-              b.block, b.recv_bytes);
-        engine.schedule_after(b.compute + unpack + params_.task_overhead,
-                              this, kContinue);
-        return;
-      }
-      // Priority 4: ready stage-2 work.
-      for (std::size_t s = 0; s < work_->blocks.size(); ++s) {
-        if (!stage2_ready(engine, s)) continue;
-        const BlockWork& b = work_->blocks[s];
-        current_block_ = static_cast<std::int32_t>(s);
-        // Eager slice only: aggregated ghosts are consumed in place.
-        const TimeNs unpack =
-            pack_ns(b.recv_bytes - b.packed_recv_bytes);
-        stats_.compute_ns += b.stage2_compute + params_.task_overhead;
-        stats_.pack_ns += unpack;
-        state_ = State::kComputingStage2;
-        if (tracer_ != nullptr)
-          tracer_->complete(
-              rank_, TraceCat::kCompute, "compute-s2", engine.now(),
-              b.stage2_compute + unpack + params_.task_overhead, b.block,
-              b.recv_bytes);
-        engine.schedule_after(
-            b.stage2_compute + unpack + params_.task_overhead, this,
-            kContinue);
-        return;
-      }
-      // Nothing runnable: stall until a message readies a block.
+    // Priority 3: stage-1 work (produces sends others wait on), walked
+    // in the plan's aggregate-grouped order when it has one.
+    const BlockRecv* const recvs = ctx_->recvs;
+    const std::int32_t* order =
+        order_begin_ < 0 ? nullptr
+                         : (ctx_->priority_rank >= 0
+                                ? ctx_->order
+                                : ctx_->plan->stage1_order.data()) +
+                               order_begin_;
+    const std::int32_t nslots = slot_end_ - slot_begin_;
+    for (std::int32_t i = 0; i < nslots; ++i) {
+      const std::int32_t s = slot_begin_ + (order != nullptr ? order[i] : i);
+      const BlockRecv& rv = recvs[s];
+      if (rv.stage1_done || !(rv.two_stage || ghosts_in(engine, rv)))
+        continue;
+      run_block(engine, s, /*stage2=*/false);
+      return;
+    }
+    // Priority 4: ready stage-2 work.
+    bool left = false;
+    for (std::int32_t s = slot_begin_; s < slot_end_; ++s) {
+      const BlockRecv& rv = recvs[s];
+      if (rv.done) continue;
+      left = true;
+      if (!rv.stage1_done || !ghosts_in(engine, rv)) continue;
+      run_block(engine, s, /*stage2=*/true);
+      return;
+    }
+    // Nothing runnable: stall until a message readies a block.
+    if (left) {
       stall(engine);
       return;
     }
@@ -832,77 +858,88 @@ class OverlapExecutor::OverlapRankRuntime final : public RankEndpoint,
     if (max_send_release_ > engine.now()) {
       wait_start_ = engine.now();
       state_ = State::kWaitingSends;
-      if (tracer_ != nullptr)
-        tracer_->begin(rank_, TraceCat::kSendWait, "send-wait",
-                       engine.now());
+      if (ctx_->tracer != nullptr)
+        ctx_->tracer->begin(rank_, TraceCat::kSendWait, "send-wait",
+                            engine.now());
       engine.schedule_at(max_send_release_, this, kContinue);
       return;
     }
     enter_collective(engine);
   }
 
-  std::int32_t rank_;
-  Comm& comm_;
-  ExecParams params_;
-  Tracer* tracer_;
-
-  const OverlapRankWork* work_ = nullptr;
-  std::uint64_t window_ = 0;
-  State state_ = State::kIdle;
-  std::vector<OutMessage> pending_sends_;
-  std::vector<std::int64_t> pending_tags_;
-  std::vector<std::int32_t> packed_remaining_;  ///< per packed_sends entry
-  std::vector<std::int32_t> order_;  ///< stage-1 walk (priority-partitioned)
-  std::int32_t priority_rank_ = -1;
-  std::size_t send_head_ = 0;
-  std::vector<BlockRecv> recvs_;  ///< per block slot
-  BlockRecv armed_;               ///< block record the live wake is for
-  std::uint64_t armed_gen_ = 0;   ///< live wake's generation; 0 = none
-  std::uint64_t wake_gen_ = 0;
-  std::vector<PendingWake> wakes_;
-  std::size_t blocks_left_ = 0;
-  std::int32_t current_block_ = -1;
-  bool copy_charged_ = false;
+  // Hot: read by every dispatch and by on_post. With the two vtable
+  // pointers these fill the first 64-byte line (checked in attach()).
+  const Context* ctx_ = nullptr;
   TimeNs max_send_release_ = 0;
+  std::int32_t rank_ = -1;
+  std::int32_t slot_begin_ = 0;  ///< into plan blocks and ctx recvs
+  std::int32_t slot_end_ = 0;
+  std::int32_t credit_begin_ = 0;  ///< into plan credits
+  std::int32_t credit_end_ = 0;
+  std::int32_t q_head_ = 0;  ///< pending sends: ctx queue [q_head_, q_tail_)
+  std::int32_t q_tail_ = 0;
+  State state_ = State::kIdle;
+  bool copy_charged_ = false;
+
+  // Cold: touched at step set-up, stalls, wakes and under tracing.
+  std::int32_t armed_ = -1;        ///< slot the live wake is for; -1 = none
+  std::int32_t order_begin_ = -1;  ///< stage-1 order; -1 = slot order
   TimeNs wait_start_ = 0;
   RankStepStats stats_;
-  bool step_done_ = false;
 };
 
 OverlapExecutor::OverlapExecutor(Engine& engine, Comm& comm,
                                  ExecParams params, Tracer* tracer)
-    : engine_(engine), comm_(comm), tracer_(tracer) {
-  runtimes_.reserve(static_cast<std::size_t>(comm.nranks()));
-  for (std::int32_t r = 0; r < comm.nranks(); ++r)
-    runtimes_.push_back(
-        std::make_unique<OverlapRankRuntime>(r, comm, params, tracer));
+    : engine_(engine),
+      comm_(comm),
+      tracer_(tracer),
+      ctx_{&comm, params, tracer},
+      runtimes_(static_cast<std::size_t>(comm.nranks())),
+      node_of_(runtimes_.size()) {
+  const ClusterTopology& topo = comm.fabric().topology();
+  for (std::size_t r = 0; r < runtimes_.size(); ++r) {
+    node_of_[r] = topo.node_of(static_cast<std::int32_t>(r));
+    runtimes_[r].attach(static_cast<std::int32_t>(r), ctx_);
+  }
+  ctx_.node_of = node_of_.data();
 }
 
 OverlapExecutor::~OverlapExecutor() = default;
 
-StepResult OverlapExecutor::execute(std::span<const OverlapRankWork> work,
+StepResult OverlapExecutor::execute(const OverlapPlan& plan,
                                     std::uint64_t window,
                                     std::int32_t priority_rank) {
-  AMR_CHECK(work.size() == runtimes_.size());
+  AMR_CHECK(plan.nranks() == runtimes_.size());
   StepResult result;
   result.step_start = engine_.now();
 
-  expected_scratch_.resize(work.size());
-  for (std::size_t r = 0; r < work.size(); ++r)
-    expected_scratch_[r] = work[r].expected_recvs;
+  recvs_.resize(plan.blocks.size());
+  queue_.resize(plan.sends.size());
+  remaining_.resize(plan.sends.size());
+  order_.resize(plan.stage1_order.size());
+  ctx_.plan = &plan;
+  ctx_.recvs = recvs_.data();
+  ctx_.queue = queue_.data();
+  ctx_.remaining = remaining_.data();
+  ctx_.order = order_.data();
+  ctx_.window = window;
+  ctx_.priority_rank = priority_rank;
+
+  expected_scratch_.resize(plan.nranks());
+  for (std::size_t r = 0; r < plan.nranks(); ++r)
+    expected_scratch_[r] = plan.ranks[r].expected_recvs;
   comm_.begin_exchange(window, expected_scratch_);
 
-  for (std::size_t r = 0; r < work.size(); ++r) {
-    runtimes_[r]->begin_step(work[r], window, result.step_start,
-                             priority_rank);
-    runtimes_[r]->start(engine_);
+  for (OverlapRankRuntime& rt : runtimes_) {
+    rt.begin_step(result.step_start);
+    rt.start(engine_);
   }
   engine_.run();
 
-  result.ranks.reserve(work.size());
-  for (const auto& rt : runtimes_) {
-    AMR_CHECK_MSG(rt->step_done(), "rank did not complete overlap step");
-    result.ranks.push_back(rt->stats());
+  result.ranks.reserve(runtimes_.size());
+  for (const OverlapRankRuntime& rt : runtimes_) {
+    AMR_CHECK_MSG(rt.step_done(), "rank did not complete overlap step");
+    result.ranks.push_back(rt.stats());
   }
   AMR_CHECK(comm_.exchange_complete(window));
   comm_.end_exchange(window);

@@ -38,21 +38,9 @@ void ExchangePlanCache::patch_bsp(std::span<const TimeNs> block_costs) {
 
 void ExchangePlanCache::patch_overlap(std::span<const TimeNs> block_costs,
                                       double stage1_frac) {
-  for (auto& rank : overlap_) {
-    for (auto& b : rank.blocks) {
-      const TimeNs cost = block_costs[static_cast<std::size_t>(b.block)];
-      if (stage1_frac > 0.0) {
-        // Same split math as build_two_stage_work, so a patched hit is
-        // bit-identical to a fresh build.
-        const auto stage1 =
-            static_cast<TimeNs>(static_cast<double>(cost) * stage1_frac);
-        b.compute = stage1;
-        b.stage2_compute = cost - stage1;
-      } else {
-        b.compute = cost;
-      }
-    }
-  }
+  for (OverlapBlock& b : overlap_.blocks)
+    set_block_cost(b, block_costs[static_cast<std::size_t>(b.block)],
+                   stage1_frac);
 }
 
 std::span<const RankStepWork> ExchangePlanCache::step_work(
@@ -94,7 +82,7 @@ std::span<const RankStepWork> ExchangePlanCache::step_work(
   return bsp_;
 }
 
-std::span<const OverlapRankWork> ExchangePlanCache::overlap_work(
+const OverlapPlan& ExchangePlanCache::overlap_work(
     const AmrMesh& mesh, const Placement& placement,
     std::uint64_t placement_version, std::span<const TimeNs> block_costs,
     std::int32_t nranks, const MessageSizeModel& sizes,
@@ -113,20 +101,13 @@ std::span<const OverlapRankWork> ExchangePlanCache::overlap_work(
       ++stats_.share_hits;
       patch_overlap(block_costs, stage1_frac);
     } else {
-      overlap_ = stage1_frac > 0.0
-                     ? build_two_stage_work(mesh, placement, block_costs,
-                                            nranks, stage1_frac, sizes,
-                                            packing)
-                     : build_overlap_work(mesh, placement, block_costs,
-                                          nranks, sizes, packing);
+      build_overlap_plan(mesh, placement, block_costs, nranks, sizes,
+                         packing, stage1_frac, overlap_, overlap_scratch_);
       shared_->publish_overlap(std::move(key), overlap_);
     }
   } else {
-    overlap_ = stage1_frac > 0.0
-                   ? build_two_stage_work(mesh, placement, block_costs,
-                                          nranks, stage1_frac, sizes, packing)
-                   : build_overlap_work(mesh, placement, block_costs, nranks,
-                                        sizes, packing);
+    build_overlap_plan(mesh, placement, block_costs, nranks, sizes, packing,
+                       stage1_frac, overlap_, overlap_scratch_);
   }
   packing_ = packing;
   overlap_frac_ = stage1_frac;

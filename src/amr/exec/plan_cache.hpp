@@ -11,15 +11,18 @@
 // ExchangePlanCache keys the built plan on (mesh version, placement
 // version). A hit re-patches only the compute durations — every other
 // byte of the plan is reused — so executing from a cached plan is
-// bit-identical to building it fresh: build_step_work/build_overlap_work
+// bit-identical to building it fresh: build_step_work/build_overlap_plan
 // emit computes in block order with duration = block_costs[block], which
 // is exactly what the patch loop re-applies. Any regrid or rebalance
-// bumps a version and the next step misses once; a BSP miss rebuilds the
-// plan inside the previous plan's storage (build_step_work's in-place
-// overload), so the per-rank vectors keep their capacity and the old
-// and new plan never coexist. The cache is the only step pipeline; the
-// from-scratch build functions are its test oracle
-// (tests/exec/plan_cache_test.cpp).
+// bumps a version and the next step misses once, and a miss of either
+// shape rebuilds the plan inside the previous plan's storage, so the old
+// and new plan never coexist and a rebuild allocates nothing once the
+// arrays have grown to the run's size: a BSP miss through
+// build_step_work's in-place overload (the per-rank vectors keep their
+// capacity), an overlap miss through build_overlap_plan into the flat
+// OverlapPlan arrays, with the builder's scratch owned here too. The
+// cache is the only step pipeline; the from-scratch build functions are
+// its test oracle (tests/exec/plan_cache_test.cpp).
 //
 // One cache instance serves one run: nranks, the message-size model, and
 // the flux-correction flag must not change across calls (the key does
@@ -76,7 +79,7 @@ class ExchangePlanCache {
   /// incremental aggregates on stage-1 completion, arrival-gated
   /// stage-2); it is a cache-key axis, and hits re-apply the same
   /// stage split when patching compute durations.
-  std::span<const OverlapRankWork> overlap_work(
+  const OverlapPlan& overlap_work(
       const AmrMesh& mesh, const Placement& placement,
       std::uint64_t placement_version, std::span<const TimeNs> block_costs,
       std::int32_t nranks, const MessageSizeModel& sizes,
@@ -112,7 +115,8 @@ class ExchangePlanCache {
   bool have_bsp_ = false;
   bool have_overlap_ = false;
   std::vector<RankStepWork> bsp_;
-  std::vector<OverlapRankWork> overlap_;
+  OverlapPlan overlap_;
+  OverlapBuildScratch overlap_scratch_;
   Stats stats_;
 };
 

@@ -65,8 +65,7 @@ bool SharedPlanStore::lookup_bsp(const Key& key,
   return true;
 }
 
-bool SharedPlanStore::lookup_overlap(const Key& key,
-                                     std::vector<OverlapRankWork>& out) {
+bool SharedPlanStore::lookup_overlap(const Key& key, OverlapPlan& out) {
   const std::uint64_t h = key.hash();
   std::lock_guard<std::mutex> lock(mu_);
   const Entry* e = find_locked(h, key);
@@ -81,7 +80,7 @@ bool SharedPlanStore::lookup_overlap(const Key& key,
 
 void SharedPlanStore::publish_locked(std::uint64_t hash, Key&& key,
                                      std::vector<RankStepWork> bsp,
-                                     std::vector<OverlapRankWork> overlap) {
+                                     OverlapPlan overlap) {
   if (find_locked(hash, key) != nullptr) return;  // racing builder lost
   while (entries_.size() >= max_entries_) {
     entries_.pop_front();
@@ -103,8 +102,7 @@ void SharedPlanStore::publish_bsp(Key key,
   publish_locked(h, std::move(key), plan, {});
 }
 
-void SharedPlanStore::publish_overlap(
-    Key key, const std::vector<OverlapRankWork>& plan) {
+void SharedPlanStore::publish_overlap(Key key, const OverlapPlan& plan) {
   const std::uint64_t h = key.hash();
   std::lock_guard<std::mutex> lock(mu_);
   publish_locked(h, std::move(key), {}, plan);

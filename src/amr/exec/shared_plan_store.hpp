@@ -77,13 +77,13 @@ class SharedPlanStore {
   /// them, same as a private-cache hit.
   bool lookup_bsp(const Key& key, std::vector<RankStepWork>& out);
   /// Overlap analogue.
-  bool lookup_overlap(const Key& key, std::vector<OverlapRankWork>& out);
+  bool lookup_overlap(const Key& key, OverlapPlan& out);
 
   /// Insert a freshly built plan (no-op if the key is already present —
   /// two tenants can race to build the same epoch; first insert wins and
   /// both results are identical by construction).
   void publish_bsp(Key key, const std::vector<RankStepWork>& plan);
-  void publish_overlap(Key key, const std::vector<OverlapRankWork>& plan);
+  void publish_overlap(Key key, const OverlapPlan& plan);
 
   /// Snapshot of the counters (mutex-consistent copy).
   Stats stats() const;
@@ -97,13 +97,13 @@ class SharedPlanStore {
     Key key;
     // Exactly one is populated, per key.overlap.
     std::vector<RankStepWork> bsp;
-    std::vector<OverlapRankWork> overlap;
+    OverlapPlan overlap;
   };
 
   const Entry* find_locked(std::uint64_t hash, const Key& key) const;
   void publish_locked(std::uint64_t hash, Key&& key,
                       std::vector<RankStepWork> bsp,
-                      std::vector<OverlapRankWork> overlap);
+                      OverlapPlan overlap);
 
   mutable std::mutex mu_;
   std::size_t max_entries_;

@@ -1,8 +1,11 @@
 #include "amr/serve/query_endpoint.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstring>
+#include <string_view>
 #include <vector>
 
 #include "amr/telemetry/query.hpp"
@@ -61,18 +64,106 @@ bool agg_from_name(const std::string& name, Agg& out) {
   return true;
 }
 
+enum class CmpOp : std::uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
+
+bool op_from_name(const std::string& name, CmpOp& out) {
+  if (name == "==") out = CmpOp::kEq;
+  else if (name == "!=") out = CmpOp::kNe;
+  else if (name == "<") out = CmpOp::kLt;
+  else if (name == "<=") out = CmpOp::kLe;
+  else if (name == ">") out = CmpOp::kGt;
+  else if (name == ">=") out = CmpOp::kGe;
+  else return false;
+  return true;
+}
+
+/// Whether the literal `text` (strtod syntax, finite) is exactly the
+/// integer `n`, |n| <= 2^53. Decided on its significant digits and their
+/// scale, never through a rounding parse: `9007199254740993`,
+/// `9.007199254740993e15` and `9007199254740992.5` all parse as 2^53.
+bool literal_equals(std::string_view text, std::int64_t n) {
+  std::size_t at = 0;
+  bool neg = false;
+  if (at < text.size() && (text[at] == '+' || text[at] == '-'))
+    neg = text[at++] == '-';
+  const bool hex = text.size() - at > 1 && text[at] == '0' &&
+                   (text[at + 1] == 'x' || text[at + 1] == 'X');
+  if (hex) at += 2;
+  // The literal is digits * base^scale (hex: digits * 2^scale).
+  std::string digits;
+  std::int64_t scale = 0;
+  bool point = false;
+  for (; at < text.size(); ++at) {
+    const auto c = static_cast<unsigned char>(text[at]);
+    if (c == '.') {
+      point = true;
+      continue;
+    }
+    if (!(hex ? std::isxdigit(c) : std::isdigit(c))) break;
+    if (!digits.empty() || c != '0') digits += static_cast<char>(c);
+    if (point) scale -= hex ? 4 : 1;
+  }
+  if (at < text.size()) {  // exponent: e[+-]digits, or p[+-]digits (hex)
+    ++at;
+    const bool eneg = at < text.size() && text[at] == '-';
+    if (at < text.size() && (text[at] == '+' || text[at] == '-')) ++at;
+    std::int64_t e = 0;
+    for (; at < text.size(); ++at)
+      e = std::min<std::int64_t>(e * 10 + (text[at] - '0'), 1 << 20);
+    scale += eneg ? -e : e;
+  }
+  while (!digits.empty() && digits.back() == '0') {
+    digits.pop_back();
+    scale += hex ? 4 : 1;
+  }
+  if (digits.empty()) return n == 0;
+  if (neg != (n < 0)) return false;
+  std::uint64_t m = n < 0 ? 0 - static_cast<std::uint64_t>(n)
+                          : static_cast<std::uint64_t>(n);
+  if (!hex) {
+    // No trailing zeros left: an integer only at scale >= 0.
+    std::int64_t mscale = 0;
+    while (m != 0 && m % 10 == 0) m /= 10, ++mscale;
+    return scale == mscale && digits == std::to_string(m);
+  }
+  // Past 15 hex digits (>= 2^60, at most 3 trailing zero bits) the
+  // literal is no integer up to 2^53.
+  if (digits.size() > 15) return false;
+  std::uint64_t d = 0;
+  std::from_chars(digits.data(), digits.data() + digits.size(), d, 16);
+  if (scale >= 0) return scale <= 53 && (d << scale) >> scale == d &&
+                         (d << scale) == m;
+  if (scale <= -64) return false;
+  const auto k = static_cast<unsigned>(-scale);
+  return (d & ((std::uint64_t{1} << k) - 1)) == 0 && (d >> k) == m;
+}
+
+/// Whether an integer column compares exactly against the literal
+/// `text`, parsed as `value`, for every column value up to 2^53 (each
+/// one a double). A double with a fraction has no integer between it and
+/// the literal; one beyond 2^53 has every such value on the literal's
+/// side. An integer-valued double up to 2^53 must be the literal itself.
+bool exact_against_integers(const std::string& text, double value) {
+  constexpr double kExact = 9007199254740992.0;  // 2^53
+  if (value != std::trunc(value) || std::fabs(value) > kExact) return true;
+  return literal_equals(text, static_cast<std::int64_t>(value));
+}
+
 struct Filter {
   std::string col;
-  std::string op;
+  CmpOp op = CmpOp::kEq;
   double value = 0.0;
 
   bool matches(double x) const {
-    if (op == "==") return x == value;
-    if (op == "!=") return x != value;
-    if (op == "<") return x < value;
-    if (op == "<=") return x <= value;
-    if (op == ">") return x > value;
-    return x >= value;  // ">="
+    switch (op) {
+      case CmpOp::kEq: return x == value;
+      case CmpOp::kNe: return x != value;
+      case CmpOp::kLt: return x < value;
+      case CmpOp::kLe: return x <= value;
+      case CmpOp::kGt: return x > value;
+      case CmpOp::kGe: return x >= value;
+    }
+    return false;
   }
 };
 
@@ -136,18 +227,24 @@ std::string run_table_query(const JobTables& tables, const std::string& text,
     do {
       Filter f;
       f.col = ts.next();
-      f.op = ts.next();
-      if (f.op != "==" && f.op != "!=" && f.op != "<" && f.op != "<=" &&
-          f.op != ">" && f.op != ">=")
-        return "unknown operator '" + f.op + "' in where clause";
+      const std::string op = ts.next();
+      if (!op_from_name(op, f.op))
+        return "unknown operator '" + op + "' in where clause";
       const std::string value = ts.next();
       const char* b = value.c_str();
       char* e = nullptr;
       f.value = std::strtod(b, &e);
       if (e == b || *e != '\0')
         return "expected a number in where clause, got '" + value + "'";
-      if (table->col_index(f.col) < 0)
-        return "no column '" + f.col + "' in " + table_name;
+      if (!std::isfinite(f.value))
+        return "non-finite number '" + value + "' in where clause";
+      const int col = table->col_index(f.col);
+      if (col < 0) return "no column '" + f.col + "' in " + table_name;
+      if (table->col_type(static_cast<std::size_t>(col)) == ColType::kI64 &&
+          !exact_against_integers(value, f.value))
+        return "number '" + value + "' cannot compare exactly against " +
+               "integer column '" + f.col + "' (it rounds to " +
+               std::to_string(static_cast<std::int64_t>(f.value)) + ")";
       filters.push_back(std::move(f));
     } while (ts.accept("and"));
   }

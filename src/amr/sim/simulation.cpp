@@ -486,12 +486,12 @@ void Simulation::step_once() {
     // exchange at step start. Packing-off keeps the legacy single-stage
     // plan (previous-step ghosts), bit-identical to pre-adaptive runs.
     const double stage_frac = packing.active() ? kOverlapStageSplit : 0.0;
-    const std::span<const OverlapRankWork> work = rt.plan_cache.overlap_work(
+    const OverlapPlan& plan = rt.plan_cache.overlap_work(
         mesh, st.placement, st.placement_version, rt.costs, config_.nranks,
         config_.msg_sizes, packing, stage_frac);
     result = rt.overlap_executor->execute(
-        work, static_cast<std::uint64_t>(step), priority_rank);
-    for (const auto& w : work) intra_rank_msgs += w.local_copy_msgs;
+        plan, static_cast<std::uint64_t>(step), priority_rank);
+    for (const auto& w : plan.ranks) intra_rank_msgs += w.local_copy_msgs;
   }
   report.msgs_intra_rank += intra_rank_msgs;
   if (config_.auto_cplx) {

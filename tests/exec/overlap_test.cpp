@@ -2,11 +2,91 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+
 #include "amr/mesh/generators.hpp"
 #include "amr/placement/registry.hpp"
+#include "amr/trace/tracer.hpp"
 
 namespace amr {
 namespace {
+
+/// Test-local description of hand-built work: one entry per rank,
+/// flattened into an OverlapPlan by make_plan (block sends and ranges are
+/// laid out as the builder lays them out).
+struct BlockSpec {
+  OverlapBlock work;
+  std::vector<OverlapSend> sends;  ///< posted after stage 1
+};
+struct RankSpec {
+  std::vector<BlockSpec> blocks;
+  std::vector<OverlapSend> upfront;
+  std::vector<OverlapSend> packed;
+  std::vector<AggCredit> credits;
+  std::int32_t expected_recvs = 0;
+};
+
+OverlapPlan make_plan(const std::vector<RankSpec>& spec) {
+  OverlapPlan plan;
+  const auto at = [](const auto& v) {
+    return static_cast<std::int32_t>(v.size());
+  };
+  for (const RankSpec& r : spec) {
+    OverlapRankPlan rp;
+    rp.expected_recvs = r.expected_recvs;
+    rp.upfront.begin = at(plan.sends);
+    plan.sends.insert(plan.sends.end(), r.upfront.begin(), r.upfront.end());
+    rp.upfront.end = at(plan.sends);
+    rp.blocks.begin = at(plan.blocks);
+    for (const BlockSpec& b : r.blocks) {
+      OverlapBlock blk = b.work;
+      blk.sends.begin = at(plan.sends);
+      plan.sends.insert(plan.sends.end(), b.sends.begin(), b.sends.end());
+      blk.sends.end = at(plan.sends);
+      blk.packed_out = {at(plan.packed_out), at(plan.packed_out)};
+      plan.blocks.push_back(blk);
+    }
+    rp.blocks.end = at(plan.blocks);
+    rp.packed.begin = at(plan.sends);
+    plan.sends.insert(plan.sends.end(), r.packed.begin(), r.packed.end());
+    rp.packed.end = at(plan.sends);
+    rp.credits.begin = at(plan.credits);
+    plan.credits.insert(plan.credits.end(), r.credits.begin(),
+                        r.credits.end());
+    rp.credits.end = at(plan.credits);
+    rp.order = {at(plan.stage1_order), at(plan.stage1_order)};
+    plan.ranks.push_back(rp);
+  }
+  return plan;
+}
+
+/// Rank `r`'s block slots and receiver credits.
+std::span<const OverlapBlock> blocks_of(const OverlapPlan& plan,
+                                        std::size_t r) {
+  return OverlapPlan::slice(plan.blocks, plan.ranks[r].blocks);
+}
+std::span<const AggCredit> credits_of(const OverlapPlan& plan,
+                                      std::size_t r) {
+  return OverlapPlan::slice(plan.credits, plan.ranks[r].credits);
+}
+
+/// A block with `compute` and `expected_recvs` ghosts of `recv_bytes`.
+BlockSpec block(std::int32_t id, TimeNs compute,
+                std::int32_t expected_recvs = 0,
+                std::int64_t recv_bytes = 0) {
+  BlockSpec b;
+  b.work.block = id;
+  b.work.compute = compute;
+  b.work.expected_recvs = expected_recvs;
+  b.work.recv_bytes = recv_bytes;
+  return b;
+}
+
+/// An eager send of `bytes` to block slot `slot` of rank `dst`.
+OverlapSend eager(std::int32_t dst, std::int64_t bytes, std::int32_t slot) {
+  return OverlapSend{bytes, dst, 1, eager_dst_tag(slot), 0};
+}
 
 struct Harness {
   explicit Harness(std::int32_t nranks)
@@ -34,33 +114,34 @@ TEST(BuildOverlapWork, TotalsMatchBspWork) {
   const std::vector<TimeNs> costs(mesh.size(), us(10));
 
   const auto bsp = build_step_work(mesh, placement, costs, 5);
-  const auto overlap = build_overlap_work(mesh, placement, costs, 5);
-  ASSERT_EQ(bsp.size(), overlap.size());
+  const OverlapPlan overlap = build_overlap_plan(mesh, placement, costs, 5);
+  ASSERT_EQ(bsp.size(), overlap.nranks());
   for (std::size_t r = 0; r < bsp.size(); ++r) {
-    EXPECT_EQ(bsp[r].sends.size(), overlap[r].sends.size());
-    EXPECT_EQ(bsp[r].expected_recvs, overlap[r].expected_recvs);
-    EXPECT_EQ(bsp[r].local_copy_bytes, overlap[r].local_copy_bytes);
-    EXPECT_EQ(bsp[r].computes.size(), overlap[r].blocks.size());
+    const OverlapRankPlan& w = overlap.ranks[r];
+    EXPECT_EQ(bsp[r].sends.size(),
+              static_cast<std::size_t>(w.upfront.size()));
+    EXPECT_EQ(bsp[r].expected_recvs, w.expected_recvs);
+    EXPECT_EQ(bsp[r].local_copy_bytes, w.local_copy_bytes);
+    EXPECT_EQ(bsp[r].computes.size(),
+              static_cast<std::size_t>(w.blocks.size()));
     // Per-block expected recvs sum to the rank total.
     std::int32_t per_block = 0;
     std::int64_t recv_bytes = 0;
-    for (const auto& b : overlap[r].blocks) {
+    for (const auto& b : blocks_of(overlap, r)) {
       per_block += b.expected_recvs;
       recv_bytes += b.recv_bytes;
     }
-    EXPECT_EQ(per_block, overlap[r].expected_recvs);
+    EXPECT_EQ(per_block, w.expected_recvs);
     EXPECT_EQ(recv_bytes, bsp[r].recv_bytes);
   }
 }
 
 TEST(OverlapExecutor, ComputeOnlyStepCompletes) {
   Harness h(4);
-  std::vector<OverlapRankWork> work(4);
+  std::vector<RankSpec> spec(4);
   for (std::size_t r = 0; r < 4; ++r)
-    work[r].blocks.push_back(
-        BlockWork{.block = static_cast<std::int32_t>(r),
-                  .compute = us(100)});
-  const StepResult result = h.executor.execute(work, 0);
+    spec[r].blocks.push_back(block(static_cast<std::int32_t>(r), us(100)));
+  const StepResult result = h.executor.execute(make_plan(spec), 0);
   for (const auto& s : result.ranks) {
     EXPECT_GT(s.compute_ns, us(99));
     EXPECT_EQ(s.recv_wait_ns, 0);
@@ -78,21 +159,16 @@ TEST(OverlapExecutor, IndependentBlockHidesRemoteStall) {
   // block and one independent block.
   auto run = [](bool with_independent_block) {
     Harness h(2);
-    std::vector<OverlapRankWork> work(2);
+    std::vector<RankSpec> spec(2);
     // Rank 0: one block, one huge message to rank 1's block 10 (slot 0).
-    work[0].blocks.push_back(BlockWork{.block = 0, .compute = us(10)});
-    work[0].sends.push_back(OutMessage{1, 20'000'000, 0});  // ~3ms pack
-    work[0].send_dst_tags.push_back(eager_dst_tag(0));
+    spec[0].blocks.push_back(block(0, us(10)));
+    spec[0].upfront.push_back(eager(1, 20'000'000, 0));  // ~3ms pack
     // Rank 1: dependent block 10 plus optionally an independent block.
-    OverlapRankWork& w1 = work[1];
-    w1.blocks.push_back(BlockWork{.block = 10,
-                                  .compute = ms(1),
-                                  .expected_recvs = 1,
-                                  .recv_bytes = 20'000'000});
+    RankSpec& w1 = spec[1];
+    w1.blocks.push_back(block(10, ms(1), 1, 20'000'000));
     w1.expected_recvs = 1;
-    if (with_independent_block)
-      w1.blocks.push_back(BlockWork{.block = 11, .compute = ms(2)});
-    const StepResult r = h.executor.execute(work, 0);
+    if (with_independent_block) w1.blocks.push_back(block(11, ms(2)));
+    const StepResult r = h.executor.execute(make_plan(spec), 0);
     return r.ranks[1];
   };
   const RankStepStats without = run(false);
@@ -111,7 +187,7 @@ TEST(OverlapExecutor, NoIndependentWorkNoBenefit) {
   const std::vector<TimeNs> costs(mesh.size(), us(200));
 
   Harness ho(8);
-  const auto owork = build_overlap_work(mesh, placement, costs, 8);
+  const OverlapPlan owork = build_overlap_plan(mesh, placement, costs, 8);
   const StepResult overlap = ho.executor.execute(owork, 0);
 
   Engine engine;
@@ -143,7 +219,7 @@ TEST(OverlapExecutor, ManyBlocksPerRankBeatsBsp) {
     c = static_cast<TimeNs>(rng.uniform(50e3, 400e3));
 
   Harness ho(8);
-  const auto owork = build_overlap_work(mesh, placement, costs, 8);
+  const OverlapPlan owork = build_overlap_plan(mesh, placement, costs, 8);
   const StepResult overlap = ho.executor.execute(owork, 0);
 
   Engine engine;
@@ -162,17 +238,14 @@ TEST(OverlapExecutor, ManyBlocksPerRankBeatsBsp) {
 TEST(OverlapExecutor, DeterministicAndReusable) {
   auto run = [] {
     Harness h(4);
-    std::vector<OverlapRankWork> work(4);
-    for (std::size_t r = 0; r < 4; ++r) {
-      work[r].blocks.push_back(
-          BlockWork{.block = static_cast<std::int32_t>(r),
-                    .compute = us(100)});
-    }
-    work[0].sends.push_back(OutMessage{2, 4096, 0});
-    work[0].send_dst_tags.push_back(eager_dst_tag(0));  // rank 2's block 2
-    work[2].blocks[0].expected_recvs = 1;
-    work[2].blocks[0].recv_bytes = 4096;
-    work[2].expected_recvs = 1;
+    std::vector<RankSpec> spec(4);
+    for (std::size_t r = 0; r < 4; ++r)
+      spec[r].blocks.push_back(block(static_cast<std::int32_t>(r), us(100)));
+    spec[0].upfront.push_back(eager(2, 4096, 0));  // rank 2's block 2
+    spec[2].blocks[0].work.expected_recvs = 1;
+    spec[2].blocks[0].work.recv_bytes = 4096;
+    spec[2].expected_recvs = 1;
+    const OverlapPlan work = make_plan(spec);
     const TimeNs a = h.executor.execute(work, 0).wall_ns();
     const TimeNs b = h.executor.execute(work, 1).wall_ns();
     EXPECT_EQ(a, b);  // steps are independent and state resets
@@ -189,18 +262,18 @@ TEST(TwoStageWork, SplitsCostsAndAttachesSendsToProducers) {
     placement[b] = static_cast<std::int32_t>(b % 4);
   const std::vector<TimeNs> costs(mesh.size(), us(100));
 
-  const auto overlap =
-      build_two_stage_work(mesh, placement, costs, 4, 0.25);
+  const OverlapPlan overlap = build_overlap_plan(
+      mesh, placement, costs, 4, {}, PackingPolicy::none(), 0.25);
   const auto bsp = two_stage_bsp_work(mesh, placement, costs, 4, 0.25);
   for (std::size_t r = 0; r < 4; ++r) {
     // Stage split preserved per block.
-    for (const auto& b : overlap[r].blocks) {
+    for (const auto& b : blocks_of(overlap, r)) {
       EXPECT_EQ(b.compute, us(25));
       EXPECT_EQ(b.stage2_compute, us(75));
-      EXPECT_GT(b.sends.size(), 0u);  // every block has remote neighbors
+      EXPECT_GT(b.sends.size(), 0);  // every block has remote neighbors
     }
     // Rank-level up-front sends are empty in the two-stage model.
-    EXPECT_TRUE(overlap[r].sends.empty());
+    EXPECT_TRUE(overlap.ranks[r].upfront.empty());
     // BSP rendering: same totals split across the wait.
     for (std::size_t c = 0; c < bsp[r].computes.size(); ++c) {
       EXPECT_EQ(bsp[r].computes[c].duration, us(25));
@@ -220,7 +293,8 @@ TEST(TwoStage, OverlapNoSlowerThanBspOnImbalancedStep) {
     c = static_cast<TimeNs>(rng.exponential(200e3));
 
   Harness ho(8);
-  const auto owork = build_two_stage_work(mesh, placement, costs, 8, 0.5);
+  const OverlapPlan owork = build_overlap_plan(
+      mesh, placement, costs, 8, {}, PackingPolicy::none(), 0.5);
   const StepResult overlap = ho.executor.execute(owork, 0);
 
   Engine engine;
@@ -251,16 +325,17 @@ TEST(PackedOverlap, NonePolicyMatchesPlainBuild) {
     placement[b] = static_cast<std::int32_t>(b % 5);
   const std::vector<TimeNs> costs(mesh.size(), us(10));
   const MessageSizeModel sizes;
-  const auto plain = build_overlap_work(mesh, placement, costs, 5);
-  const auto none = build_overlap_work(mesh, placement, costs, 5, sizes,
-                                       PackingPolicy::none());
-  ASSERT_EQ(plain.size(), none.size());
-  for (std::size_t r = 0; r < plain.size(); ++r) {
-    EXPECT_EQ(plain[r].sends.size(), none[r].sends.size());
-    EXPECT_EQ(plain[r].expected_recvs, none[r].expected_recvs);
-    EXPECT_TRUE(none[r].packed_sends.empty());
-    EXPECT_TRUE(none[r].agg_credits.empty());
+  const OverlapPlan plain = build_overlap_plan(mesh, placement, costs, 5);
+  const OverlapPlan none = build_overlap_plan(mesh, placement, costs, 5,
+                                              sizes, PackingPolicy::none());
+  ASSERT_EQ(plain.nranks(), none.nranks());
+  for (std::size_t r = 0; r < plain.nranks(); ++r) {
+    EXPECT_EQ(plain.ranks[r].upfront.size(), none.ranks[r].upfront.size());
+    EXPECT_EQ(plain.ranks[r].expected_recvs, none.ranks[r].expected_recvs);
+    EXPECT_TRUE(none.ranks[r].packed.empty());
+    EXPECT_TRUE(none.ranks[r].credits.empty());
   }
+  EXPECT_EQ(plain, none);
 }
 
 TEST(PackedOverlap, PackAllConservesLogicalTraffic) {
@@ -270,46 +345,46 @@ TEST(PackedOverlap, PackAllConservesLogicalTraffic) {
     placement[b] = static_cast<std::int32_t>(b % 5);
   const std::vector<TimeNs> costs(mesh.size(), us(10));
   const MessageSizeModel sizes;
-  const auto plain = build_overlap_work(mesh, placement, costs, 5);
-  const auto packed = build_overlap_work(mesh, placement, costs, 5, sizes,
-                                         PackingPolicy::all());
-  ASSERT_EQ(plain.size(), packed.size());
+  const OverlapPlan plain = build_overlap_plan(mesh, placement, costs, 5);
+  const OverlapPlan packed = build_overlap_plan(mesh, placement, costs, 5,
+                                                sizes, PackingPolicy::all());
+  ASSERT_EQ(plain.nranks(), packed.nranks());
 
   std::vector<std::int64_t> incoming(5, 0);
-  for (std::size_t r = 0; r < packed.size(); ++r) {
-    const auto& w = packed[r];
+  for (std::size_t r = 0; r < packed.nranks(); ++r) {
+    const OverlapRankPlan& w = packed.ranks[r];
     // Everything packs: no eager rank-level sends remain.
-    EXPECT_TRUE(w.sends.empty());
+    EXPECT_TRUE(w.upfront.empty());
     std::int64_t logical = 0;
     std::vector<bool> dst_seen(5, false);
-    for (const auto& ps : w.packed_sends) {
-      EXPECT_GE(ps.msg.msgs, 1);
+    for (const OverlapSend& ps : OverlapPlan::slice(packed.sends, w.packed)) {
+      EXPECT_GE(ps.msgs, 1);
       EXPECT_EQ(ps.contributors, 0);  // single-stage: queued at step start
-      logical += ps.msg.msgs;
+      logical += ps.msgs;
       // At most one aggregate per destination.
-      EXPECT_FALSE(dst_seen[static_cast<std::size_t>(ps.msg.dst_rank)]);
-      dst_seen[static_cast<std::size_t>(ps.msg.dst_rank)] = true;
-      ++incoming[static_cast<std::size_t>(ps.msg.dst_rank)];
+      EXPECT_FALSE(dst_seen[static_cast<std::size_t>(ps.dst)]);
+      dst_seen[static_cast<std::size_t>(ps.dst)] = true;
+      ++incoming[static_cast<std::size_t>(ps.dst)];
     }
-    EXPECT_EQ(logical, static_cast<std::int64_t>(plain[r].sends.size()));
+    EXPECT_EQ(logical, plain.ranks[r].upfront.size());
     // Per-block bookkeeping stays logical (one credit per message).
     std::int32_t per_block = 0;
     std::int64_t recv_bytes = 0;
-    for (const auto& b : w.blocks) {
+    for (const auto& b : blocks_of(packed, r)) {
       per_block += b.expected_recvs;
       recv_bytes += b.recv_bytes;
     }
     std::int64_t plain_recv_bytes = 0;
-    for (const auto& b : plain[r].blocks) plain_recv_bytes += b.recv_bytes;
+    for (const auto& b : blocks_of(plain, r)) plain_recv_bytes += b.recv_bytes;
     EXPECT_EQ(recv_bytes, plain_recv_bytes);
     // Credits cover exactly the per-block expectations.
     std::int32_t credits = 0;
-    for (const auto& c : w.agg_credits) credits += c.count;
+    for (const auto& c : credits_of(packed, r)) credits += c.count;
     EXPECT_EQ(credits, per_block);
   }
   // Rank-level expected counts are transfer counts, not logical counts.
-  for (std::size_t r = 0; r < packed.size(); ++r)
-    EXPECT_EQ(packed[r].expected_recvs, incoming[r]);
+  for (std::size_t r = 0; r < packed.nranks(); ++r)
+    EXPECT_EQ(packed.ranks[r].expected_recvs, incoming[r]);
 }
 
 TEST(PackedOverlap, ExecutesToCompletionAndDeterministically) {
@@ -321,8 +396,8 @@ TEST(PackedOverlap, ExecutesToCompletionAndDeterministically) {
   const MessageSizeModel sizes;
   auto run = [&](const PackingPolicy& p, std::int32_t priority) {
     Harness h(5);
-    const auto work =
-        build_overlap_work(mesh, placement, costs, 5, sizes, p);
+    const OverlapPlan work =
+        build_overlap_plan(mesh, placement, costs, 5, sizes, p);
     return h.executor.execute(work, 0, priority).wall_ns();
   };
   const TimeNs packed = run(PackingPolicy::all(), -1);
@@ -345,12 +420,12 @@ TEST(PackedOverlap, PriorityRankIsDeterministicNoopOffAndOn) {
   const MessageSizeModel sizes;
   auto run = [&](std::int32_t priority) {
     Harness h(5);
-    const auto work = build_overlap_work(mesh, placement, costs, 5);
+    const OverlapPlan work = build_overlap_plan(mesh, placement, costs, 5);
     return h.executor.execute(work, 0, priority).wall_ns();
   };
   // -1 must match the two-argument legacy call exactly.
   Harness legacy(5);
-  const auto work = build_overlap_work(mesh, placement, costs, 5);
+  const OverlapPlan work = build_overlap_plan(mesh, placement, costs, 5);
   EXPECT_EQ(run(-1), legacy.executor.execute(work, 0).wall_ns());
   // A real priority rank still completes and is reproducible.
   const TimeNs prio = run(2);
@@ -365,24 +440,30 @@ TEST(TwoStagePacked, ContributorCountsMatchProducers) {
     placement[b] = static_cast<std::int32_t>(b % 4);
   const std::vector<TimeNs> costs(mesh.size(), us(100));
   const MessageSizeModel sizes;
-  const auto work = build_two_stage_work(mesh, placement, costs, 4, 0.25,
-                                         sizes, PackingPolicy::all());
-  for (const auto& w : work) {
+  const OverlapPlan work = build_overlap_plan(
+      mesh, placement, costs, 4, sizes, PackingPolicy::all(), 0.25);
+  for (std::size_t r = 0; r < work.nranks(); ++r) {
+    const OverlapRankPlan& w = work.ranks[r];
     // Count how many distinct blocks reference each aggregate.
-    std::vector<std::int32_t> refs(w.packed_sends.size(), 0);
-    for (const auto& b : w.blocks) {
-      std::vector<bool> seen(w.packed_sends.size(), false);
-      for (const std::int32_t idx : b.packed_out) {
-        ASSERT_GE(idx, 0);
-        ASSERT_LT(static_cast<std::size_t>(idx), w.packed_sends.size());
-        EXPECT_FALSE(seen[static_cast<std::size_t>(idx)]);
-        seen[static_cast<std::size_t>(idx)] = true;
-        ++refs[static_cast<std::size_t>(idx)];
+    const auto naggs = static_cast<std::size_t>(w.packed.size());
+    std::vector<std::int32_t> refs(naggs, 0);
+    for (const auto& b : blocks_of(work, r)) {
+      std::vector<bool> seen(naggs, false);
+      for (const std::int32_t send :
+           OverlapPlan::slice(work.packed_out, b.packed_out)) {
+        ASSERT_GE(send, w.packed.begin);
+        ASSERT_LT(send, w.packed.end);
+        const auto idx = static_cast<std::size_t>(send - w.packed.begin);
+        EXPECT_FALSE(seen[idx]);
+        seen[idx] = true;
+        ++refs[idx];
       }
     }
-    for (std::size_t i = 0; i < w.packed_sends.size(); ++i) {
-      EXPECT_GT(w.packed_sends[i].contributors, 0);
-      EXPECT_EQ(refs[i], w.packed_sends[i].contributors);
+    for (std::size_t i = 0; i < naggs; ++i) {
+      const OverlapSend& agg =
+          work.sends[static_cast<std::size_t>(w.packed.begin) + i];
+      EXPECT_GT(agg.contributors, 0);
+      EXPECT_EQ(refs[i], agg.contributors);
     }
   }
   // And the schedule executes without deadlock.
@@ -419,13 +500,9 @@ struct TimedHarness {
 };
 
 /// A single-stage block with `expected_recvs` ghosts.
-BlockWork timed_block(std::int32_t id, TimeNs compute,
+BlockSpec timed_block(std::int32_t id, TimeNs compute,
                       std::int32_t expected_recvs = 0) {
-  BlockWork b;
-  b.block = id;
-  b.compute = compute;
-  b.expected_recvs = expected_recvs;
-  return b;
+  return block(id, compute, expected_recvs);
 }
 
 TEST(OverlapExecutor, EarlierLandingPostReArmsAStalledRank) {
@@ -440,21 +517,19 @@ TEST(OverlapExecutor, EarlierLandingPostReArmsAStalledRank) {
   // (ready at 2700).
   const auto run = [](TimeNs c_compute) {
     TimedHarness h(3);
-    std::vector<OverlapRankWork> work(3);
-    OverlapRankWork& rx = work[0];
+    std::vector<RankSpec> spec(3);
+    RankSpec& rx = spec[0];
     rx.blocks.push_back(timed_block(10, 100, 1));        // A, slot 0
     rx.blocks.push_back(timed_block(11, 100, 1));        // B, slot 1
     rx.blocks.push_back(timed_block(12, c_compute, 1));  // C, slot 2
     rx.expected_recvs = 3;
-    work[1].blocks.push_back(timed_block(20, 100));
-    work[1].sends.push_back(OutMessage{0, 1000, 20});
-    work[1].send_dst_tags.push_back(eager_dst_tag(0));
-    BlockWork producer = timed_block(30, 1500);
-    producer.stage2_compute = 100;
-    producer.sends = {OutMessage{0, 0, 30}, OutMessage{0, 0, 30}};
-    producer.send_dst_tags = {eager_dst_tag(1), eager_dst_tag(2)};
-    work[2].blocks.push_back(producer);
-    const StepResult r = h.executor.execute(work, 0);
+    spec[1].blocks.push_back(timed_block(20, 100));
+    spec[1].upfront.push_back(eager(0, 1000, 0));
+    BlockSpec producer = timed_block(30, 1500);
+    producer.work.stage2_compute = 100;
+    producer.sends = {eager(0, 0, 1), eager(0, 0, 2)};
+    spec[2].blocks.push_back(producer);
+    const StepResult r = h.executor.execute(make_plan(spec), 0);
     // 17 events: rank 0's start, two wakes and three block completions
     // (the stale wake dispatches too, or is revived), rank 1's start,
     // post, block and send-wait, rank 2's start, stage 1, two posts,
@@ -488,21 +563,18 @@ TEST(OverlapExecutor, EarlierLandingPostReArmsAStalledRank) {
 /// carries two messages for slot 1 (credit run at index 0), rank 1's
 /// carries three, two for slot 0 and one for slot 2 (run at index 1).
 /// `rank1_tag` is the dst_tag of rank 1's transfer.
-std::vector<OverlapRankWork> packed_credit_work(std::int64_t rank1_tag) {
-  std::vector<OverlapRankWork> work(3);
-  OverlapRankWork& rx = work[0];
+OverlapPlan packed_credit_work(std::int32_t rank1_tag) {
+  std::vector<RankSpec> spec(3);
+  RankSpec& rx = spec[0];
   for (std::int32_t slot = 0; slot < 3; ++slot)
     rx.blocks.push_back(timed_block(slot, 100, slot == 2 ? 1 : 2));
-  rx.agg_credits = {AggCredit{2, 1, 2}, AggCredit{1, 0, 2},
-                    AggCredit{1, 2, 1}};
+  rx.credits = {AggCredit{2, 1, 2}, AggCredit{1, 0, 2}, AggCredit{1, 2, 1}};
   rx.expected_recvs = 2;
-  work[1].blocks.push_back(timed_block(3, 100));
-  work[1].packed_sends.push_back(
-      PackedSend{OutMessage{0, 0, 3, 3}, rank1_tag, 0});
-  work[2].blocks.push_back(timed_block(4, 100));
-  work[2].packed_sends.push_back(
-      PackedSend{OutMessage{0, 0, 4, 2}, packed_dst_tag(0), 0});
-  return work;
+  spec[1].blocks.push_back(timed_block(3, 100));
+  spec[1].packed.push_back(OverlapSend{0, 0, 3, rank1_tag, 0});
+  spec[2].blocks.push_back(timed_block(4, 100));
+  spec[2].packed.push_back(OverlapSend{0, 0, 2, packed_dst_tag(0), 0});
+  return make_plan(spec);
 }
 
 TEST(OverlapExecutor, OnePackedTransferCreditsItsWholeCreditRun) {
@@ -527,7 +599,7 @@ TEST(OverlapExecutor, OnePackedTransferCreditsItsWholeCreditRun) {
 TEST(PackedOverlap, PlanTagsResolveWithoutSearch) {
   // Every built send names its receiver's record outright: an eager tag
   // is the destination block's slot, a packed tag the first credit of
-  // its sender's contiguous run in the receiver's agg_credits. Chunked
+  // its sender's contiguous run in the receiver's credits. Chunked
   // placement: some rank pairs share one message (eager), most several.
   AmrMesh mesh(RootGrid{4, 4, 4});
   Placement placement(mesh.size());
@@ -537,34 +609,74 @@ TEST(PackedOverlap, PlanTagsResolveWithoutSearch) {
   const MessageSizeModel sizes;
   const std::int64_t mid = (sizes.bytes(NeighborKind::kEdge) +
                             sizes.bytes(NeighborKind::kFace)) / 2;
-  const auto check_eager = [&](const std::vector<OverlapRankWork>& work,
-                               const OutMessage& m, std::int64_t tag) {
-    ASSERT_FALSE(is_packed_dst_tag(tag));
-    const auto& blocks = work[static_cast<std::size_t>(m.dst_rank)].blocks;
-    ASSERT_LT(static_cast<std::size_t>(tag / 2), blocks.size());
-    // Eager sends record their destination block in src_block.
-    EXPECT_EQ(blocks[static_cast<std::size_t>(tag / 2)].block, m.src_block);
-  };
-  for (const bool two_stage : {false, true}) {
-    const auto work =
-        two_stage ? build_two_stage_work(mesh, placement, costs, 16, 0.5,
-                                         sizes, PackingPolicy{mid})
-                  : build_overlap_work(mesh, placement, costs, 16, sizes,
-                                       PackingPolicy{mid});
+  const PackingPolicy packing{mid};
+  const std::int32_t nranks = 16;
+  // Reference: each source rank's eager messages in emission order (its
+  // blocks in block order, then neighbor order), local copies and packed
+  // pairs skipped, as the destination block each one is for.
+  const auto& lists = mesh.neighbor_lists();
+  std::vector<std::vector<std::int32_t>> eager_for(nranks);
+  for (std::int32_t src = 0; src < nranks; ++src) {
+    std::vector<std::int64_t> pair_bytes(nranks, 0);
+    std::vector<std::int64_t> pair_msgs(nranks, 0);
+    for (std::size_t b = 0; b < mesh.size(); ++b) {
+      if (placement[b] != src) continue;
+      for (const Neighbor& n : lists[b]) {
+        const std::int32_t dst = placement[static_cast<std::size_t>(n.index)];
+        if (dst == src) continue;
+        pair_bytes[static_cast<std::size_t>(dst)] += sizes.bytes(n.kind);
+        ++pair_msgs[static_cast<std::size_t>(dst)];
+      }
+    }
+    for (std::size_t b = 0; b < mesh.size(); ++b) {
+      if (placement[b] != src) continue;
+      for (const Neighbor& n : lists[b]) {
+        const auto dst = static_cast<std::size_t>(
+            placement[static_cast<std::size_t>(n.index)]);
+        if (static_cast<std::int32_t>(dst) == src ||
+            packing.pack(pair_bytes[dst], pair_msgs[dst]))
+          continue;
+        eager_for[static_cast<std::size_t>(src)].push_back(n.index);
+      }
+    }
+  }
+  for (const double stage1_frac : {0.0, 0.5}) {
+    const OverlapPlan work = build_overlap_plan(
+        mesh, placement, costs, nranks, sizes, packing, stage1_frac);
+    // Logical arrivals each receiving slot is named by: eager tags plus
+    // the credits of the aggregates that name it.
+    std::vector<std::int32_t> named(work.blocks.size(), 0);
     std::int64_t eager = 0;
     std::int64_t packed = 0;
-    for (std::size_t src = 0; src < work.size(); ++src) {
-      const OverlapRankWork& w = work[src];
-      for (std::size_t i = 0; i < w.sends.size(); ++i, ++eager)
-        check_eager(work, w.sends[i], w.send_dst_tags[i]);
-      for (const BlockWork& b : w.blocks)
-        for (std::size_t i = 0; i < b.sends.size(); ++i, ++eager)
-          check_eager(work, b.sends[i], b.send_dst_tags[i]);
-      for (const PackedSend& p : w.packed_sends) {
+    for (std::size_t src = 0; src < work.nranks(); ++src) {
+      const OverlapRankPlan& w = work.ranks[src];
+      const OverlapRange run = w.sends();
+      // Up-front (single-stage) or block (two-stage) eager sends, in
+      // emission order.
+      ASSERT_EQ(static_cast<std::size_t>(w.packed.begin - run.begin),
+                eager_for[src].size());
+      for (std::int32_t i = run.begin; i < w.packed.begin; ++i, ++eager) {
+        const OverlapSend& m = work.sends[static_cast<std::size_t>(i)];
+        ASSERT_FALSE(is_packed_dst_tag(m.dst_tag));
+        const OverlapRankPlan& dw =
+            work.ranks[static_cast<std::size_t>(m.dst)];
+        ASSERT_GE(m.dst_tag, 0);
+        ASSERT_LT(m.dst_tag / 2, dw.blocks.size());
+        const auto slot =
+            static_cast<std::size_t>(dw.blocks.begin + m.dst_tag / 2);
+        // The tag resolves to the very block the message is for.
+        EXPECT_EQ(work.blocks[slot].block,
+                  eager_for[src][static_cast<std::size_t>(i - run.begin)])
+            << "rank " << src << " send " << i - run.begin;
+        ++named[slot];
+      }
+      for (const OverlapSend& p : OverlapPlan::slice(work.sends, w.packed)) {
         ++packed;
         ASSERT_TRUE(is_packed_dst_tag(p.dst_tag));
-        const auto& credits =
-            work[static_cast<std::size_t>(p.msg.dst_rank)].agg_credits;
+        const OverlapRankPlan& dw =
+            work.ranks[static_cast<std::size_t>(p.dst)];
+        const auto credits =
+            credits_of(work, static_cast<std::size_t>(p.dst));
         const auto begin = static_cast<std::size_t>(p.dst_tag / 2);
         ASSERT_LT(begin, credits.size());
         EXPECT_EQ(credits[begin].src_rank, static_cast<std::int32_t>(src));
@@ -572,17 +684,24 @@ TEST(PackedOverlap, PlanTagsResolveWithoutSearch) {
           EXPECT_NE(credits[begin - 1].src_rank,
                     static_cast<std::int32_t>(src));
         }
-        std::int32_t run = 0;
+        std::int32_t run_msgs = 0;
         for (std::size_t i = begin;
              i < credits.size() && credits[i].src_rank ==
                                        static_cast<std::int32_t>(src);
-             ++i)
-          run += credits[i].count;
-        EXPECT_EQ(run, p.msg.msgs);  // the run is the whole transfer
+             ++i) {
+          run_msgs += credits[i].count;
+          named[static_cast<std::size_t>(dw.blocks.begin +
+                                         credits[i].slot)] +=
+              credits[i].count;
+        }
+        EXPECT_EQ(run_msgs, p.msgs);  // the run is the whole transfer
       }
     }
     EXPECT_GT(eager, 0);
     EXPECT_GT(packed, 0);
+    // The tags name each block exactly as often as it expects ghosts.
+    for (std::size_t s = 0; s < work.blocks.size(); ++s)
+      EXPECT_EQ(named[s], work.blocks[s].expected_recvs) << s;
   }
 }
 
@@ -605,15 +724,112 @@ TEST(OverlapExecutorDeath, TagOutsideTheReceiversRecordsAborts) {
   EXPECT_DEATH(
       {
         TimedHarness h(2);
-        std::vector<OverlapRankWork> work(2);
-        work[0].blocks.push_back(timed_block(0, 100, 1));
-        work[0].expected_recvs = 1;
-        work[1].blocks.push_back(timed_block(1, 100));
-        work[1].sends.push_back(OutMessage{0, 0, 0});
-        work[1].send_dst_tags.push_back(eager_dst_tag(1));
-        h.executor.execute(work, 0);
+        std::vector<RankSpec> spec(2);
+        spec[0].blocks.push_back(timed_block(0, 100, 1));
+        spec[0].expected_recvs = 1;
+        spec[1].blocks.push_back(timed_block(1, 100));
+        spec[1].upfront.push_back(eager(0, 0, 1));
+        h.executor.execute(make_plan(spec), 0);
       },
       "eager arrival names no block slot");
+}
+
+// The counters a step's plan alone decides are counted when the rank is
+// armed. Recount them from what actually happened: a fabric observer
+// sees every transfer (the coalesced count of each is the delta of the
+// fabric's own counter), and the tracer's compute and pack spans carry
+// each task's duration as it ran (a compute span includes its unpack).
+TEST(OverlapExecutor, PlanCountersMatchWhatRan) {
+  constexpr std::int32_t kRanks = 16;
+  AmrMesh mesh(RootGrid{4, 4, 2});
+  mesh.refine(std::vector<std::int32_t>{0, 9});
+  Placement placement(mesh.size());
+  for (std::size_t b = 0; b < mesh.size(); ++b)
+    placement[b] = static_cast<std::int32_t>((b * 7 + b / 5) % kRanks);
+  std::vector<TimeNs> costs(mesh.size());
+  for (std::size_t b = 0; b < costs.size(); ++b)
+    costs[b] = us(20) + static_cast<TimeNs>(b % 7) * us(3);
+  const MessageSizeModel sizes;
+  const std::int64_t mid = (sizes.bytes(NeighborKind::kEdge) +
+                            sizes.bytes(NeighborKind::kFace)) / 2;
+
+  struct Shape {
+    const char* name;
+    double stage1_frac;
+    PackingPolicy packing;
+  };
+  for (const Shape& shape :
+       {Shape{"single-stage eager", 0.0, PackingPolicy::none()},
+        Shape{"single-stage mid", 0.0, PackingPolicy{mid}},
+        Shape{"two-stage packed", 0.5, PackingPolicy::all()},
+        Shape{"two-stage mid", 0.5, PackingPolicy{mid}}}) {
+    const OverlapPlan plan = build_overlap_plan(
+        mesh, placement, costs, kRanks, sizes, shape.packing,
+        shape.stage1_frac);
+    for (const std::int32_t priority : {-1, 5}) {
+      SCOPED_TRACE(std::string(shape.name) + " priority " +
+                   std::to_string(priority));
+      Engine engine;
+      const ClusterTopology topo(kRanks, 4);
+      Fabric fabric(topo, Harness::quiet(), Rng(3));
+      Comm comm(engine, fabric, kRanks);
+      TraceConfig tc;
+      tc.capacity = 1u << 16;
+      Tracer tracer(tc);
+      OverlapExecutor executor(engine, comm, {}, &tracer);
+
+      std::vector<RankStepStats> seen(kRanks);
+      std::int64_t coalesced_before = 0;
+      fabric.set_observer([&](std::int32_t src, std::int32_t,
+                              std::int64_t bytes, const TransferTiming& t) {
+        RankStepStats& s = seen[static_cast<std::size_t>(src)];
+        (t.used_shm ? s.msgs_local : s.msgs_remote) += 1;
+        (t.used_shm ? s.bytes_local : s.bytes_remote) += bytes;
+        const std::int64_t coalesced =
+            fabric.stats().coalesced_msgs - coalesced_before;
+        coalesced_before = fabric.stats().coalesced_msgs;
+        s.msgs_coalesced += coalesced;
+        if (coalesced > 0) s.bytes_packed += bytes;
+      });
+
+      for (std::uint64_t window = 0; window < 2; ++window) {
+        std::fill(seen.begin(), seen.end(), RankStepStats{});
+        tracer.clear();
+        const StepResult result = executor.execute(plan, window, priority);
+        std::vector<TimeNs> task_ns(kRanks, 0);
+        tracer.for_each([&](const TraceEvent& e) {
+          if (e.track < 0 || e.type != TraceEventType::kComplete) return;
+          if (e.cat == TraceCat::kCompute || e.cat == TraceCat::kPack)
+            task_ns[static_cast<std::size_t>(e.track)] += e.dur;
+        });
+        ASSERT_EQ(tracer.dropped(), 0u);
+        std::int64_t local = 0;
+        std::int64_t remote = 0;
+        std::int64_t coalesced = 0;
+        for (std::int32_t r = 0; r < kRanks; ++r) {
+          SCOPED_TRACE("rank " + std::to_string(r));
+          const RankStepStats& got =
+              result.ranks[static_cast<std::size_t>(r)];
+          const RankStepStats& want = seen[static_cast<std::size_t>(r)];
+          EXPECT_EQ(got.compute_ns + got.pack_ns,
+                    task_ns[static_cast<std::size_t>(r)]);
+          EXPECT_EQ(got.msgs_local, want.msgs_local);
+          EXPECT_EQ(got.msgs_remote, want.msgs_remote);
+          EXPECT_EQ(got.bytes_local, want.bytes_local);
+          EXPECT_EQ(got.bytes_remote, want.bytes_remote);
+          EXPECT_EQ(got.msgs_coalesced, want.msgs_coalesced);
+          EXPECT_EQ(got.bytes_packed, want.bytes_packed);
+          local += got.msgs_local;
+          remote += got.msgs_remote;
+          coalesced += got.msgs_coalesced;
+        }
+        // The plan exercises both paths and, when packed, coalescing.
+        EXPECT_GT(local, 0);
+        EXPECT_GT(remote, 0);
+        EXPECT_EQ(coalesced > 0, shape.packing.active());
+      }
+    }
+  }
 }
 
 TEST(TwoStage, CompletesWithCrossDependencies) {
@@ -623,7 +839,8 @@ TEST(TwoStage, CompletesWithCrossDependencies) {
   const Placement placement{0, 1, 2, 3, 0, 1, 2, 3};
   const std::vector<TimeNs> costs(mesh.size(), us(50));
   Harness h(4);
-  const auto work = build_two_stage_work(mesh, placement, costs, 4, 0.5);
+  const OverlapPlan work = build_overlap_plan(
+      mesh, placement, costs, 4, {}, PackingPolicy::none(), 0.5);
   const StepResult r = h.executor.execute(work, 0);
   EXPECT_GT(r.wall_ns(), 0);
 }

@@ -51,46 +51,26 @@ void expect_equal(std::span<const RankStepWork> got,
   }
 }
 
-void expect_equal(std::span<const OverlapRankWork> got,
-                  std::span<const OverlapRankWork> want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t r = 0; r < got.size(); ++r) {
-    ASSERT_EQ(got[r].blocks.size(), want[r].blocks.size()) << r;
-    for (std::size_t b = 0; b < got[r].blocks.size(); ++b) {
-      const BlockWork& g = got[r].blocks[b];
-      const BlockWork& w = want[r].blocks[b];
-      EXPECT_EQ(g.block, w.block);
-      EXPECT_EQ(g.compute, w.compute);
-      EXPECT_EQ(g.stage2_compute, w.stage2_compute);
-      EXPECT_EQ(g.expected_recvs, w.expected_recvs);
-      EXPECT_EQ(g.recv_bytes, w.recv_bytes);
-      EXPECT_EQ(g.packed_recv_bytes, w.packed_recv_bytes);
-      EXPECT_TRUE(same_msgs(g.sends, w.sends));
-      EXPECT_EQ(g.send_dst_tags, w.send_dst_tags);
-      EXPECT_EQ(g.packed_out, w.packed_out);
-    }
-    EXPECT_TRUE(same_msgs(got[r].sends, want[r].sends)) << r;
-    EXPECT_EQ(got[r].send_dst_tags, want[r].send_dst_tags) << r;
-    ASSERT_EQ(got[r].packed_sends.size(), want[r].packed_sends.size()) << r;
-    for (std::size_t i = 0; i < got[r].packed_sends.size(); ++i) {
-      const PackedSend& g = got[r].packed_sends[i];
-      const PackedSend& w = want[r].packed_sends[i];
-      EXPECT_TRUE(same_msgs({g.msg}, {w.msg})) << r;
-      EXPECT_EQ(g.dst_tag, w.dst_tag) << r;
-      EXPECT_EQ(g.contributors, w.contributors) << r;
-    }
-    ASSERT_EQ(got[r].agg_credits.size(), want[r].agg_credits.size()) << r;
-    for (std::size_t i = 0; i < got[r].agg_credits.size(); ++i) {
-      EXPECT_EQ(got[r].agg_credits[i].src_rank,
-                want[r].agg_credits[i].src_rank);
-      EXPECT_EQ(got[r].agg_credits[i].slot, want[r].agg_credits[i].slot);
-      EXPECT_EQ(got[r].agg_credits[i].count, want[r].agg_credits[i].count);
-    }
-    EXPECT_EQ(got[r].stage1_order, want[r].stage1_order) << r;
-    EXPECT_EQ(got[r].local_copy_bytes, want[r].local_copy_bytes) << r;
-    EXPECT_EQ(got[r].local_copy_msgs, want[r].local_copy_msgs) << r;
-    EXPECT_EQ(got[r].expected_recvs, want[r].expected_recvs) << r;
-  }
+/// Every field of every flat array: per-rank ranges and counts, block
+/// slots (costs, gating, receive bytes, send and aggregate ranges), sends
+/// (bytes, destination, logical count, dst_tag, contributors), credits,
+/// the aggregates each block feeds and the stage-1 order.
+void expect_equal(const OverlapPlan& got, const OverlapPlan& want) {
+  ASSERT_EQ(got.nranks(), want.nranks());
+  for (std::size_t r = 0; r < got.nranks(); ++r)
+    EXPECT_EQ(got.ranks[r], want.ranks[r]) << r;
+  ASSERT_EQ(got.blocks.size(), want.blocks.size());
+  for (std::size_t s = 0; s < got.blocks.size(); ++s)
+    EXPECT_EQ(got.blocks[s], want.blocks[s]) << s;
+  ASSERT_EQ(got.sends.size(), want.sends.size());
+  for (std::size_t i = 0; i < got.sends.size(); ++i)
+    EXPECT_EQ(got.sends[i], want.sends[i]) << i;
+  ASSERT_EQ(got.credits.size(), want.credits.size());
+  for (std::size_t i = 0; i < got.credits.size(); ++i)
+    EXPECT_EQ(got.credits[i], want.credits[i]) << i;
+  EXPECT_EQ(got.packed_out, want.packed_out);
+  EXPECT_EQ(got.stage1_order, want.stage1_order);
+  EXPECT_TRUE(got == want);
 }
 
 Placement round_robin(std::size_t blocks, std::int32_t nranks) {
@@ -178,7 +158,7 @@ TEST(PlanCache, OverlapHitMatchesFreshBuild) {
   const auto c2 = costs_for(mesh.size(), 999);
   const auto got = cache.overlap_work(mesh, p, 0, c2, nranks, sizes);
   EXPECT_EQ(cache.stats().hits, 1);
-  expect_equal(got, build_overlap_work(mesh, p, c2, nranks, sizes));
+  expect_equal(got, build_overlap_plan(mesh, p, c2, nranks, sizes));
 }
 
 TEST(PlanCache, ModeSwitchRebuildsInsteadOfServingStale) {
@@ -191,7 +171,7 @@ TEST(PlanCache, ModeSwitchRebuildsInsteadOfServingStale) {
 
   (void)cache.step_work(mesh, p, 0, c, nranks, sizes, false);
   const auto ow = cache.overlap_work(mesh, p, 0, c, nranks, sizes);
-  expect_equal(ow, build_overlap_work(mesh, p, c, nranks, sizes));
+  expect_equal(ow, build_overlap_plan(mesh, p, c, nranks, sizes));
   const auto bw = cache.step_work(mesh, p, 0, c, nranks, sizes, false);
   expect_equal(bw, build_step_work(mesh, p, c, nranks, sizes, false));
   // Each switch is a miss: the cache keeps one shape at a time.
@@ -340,6 +320,87 @@ TEST(PlanCache, InPlaceRebuildsEqualFreshBuilds) {
   }
 }
 
+TEST(PlanCache, InPlaceOverlapRebuildsEqualFreshBuilds) {
+  // The overlap analogue: misses A -> B -> A rebuild the flat plan inside
+  // its own arrays, single- and two-stage under every packing shape. B
+  // packs every block onto the lower half of the ranks, emptying the
+  // upper ranks and shrinking the others' send runs; the return to A
+  // regrows them. Each rebuild — local, published, or copied out of the
+  // shared store — must equal a build into fresh storage in every field.
+  AmrMesh mesh(RootGrid{4, 2, 2});
+  mesh.refine(std::vector<std::int32_t>{0, 5});
+  const std::int32_t nranks = 8;
+  const MessageSizeModel sizes{};
+  const Placement a = round_robin(mesh.size(), nranks);
+  Placement b(mesh.size());
+  for (std::size_t i = 0; i < b.size(); ++i)
+    b[i] = static_cast<std::int32_t>(i * (nranks / 2) / b.size());
+  const std::int64_t mid_threshold = (sizes.bytes(NeighborKind::kEdge) +
+                                      sizes.bytes(NeighborKind::kFace)) /
+                                     2;
+
+  for (const double stage1_frac : {0.0, 0.8}) {
+    for (const PackingPolicy packing :
+         {PackingPolicy::none(), PackingPolicy::all(),
+          PackingPolicy{mid_threshold}}) {
+      SCOPED_TRACE(std::to_string(stage1_frac) + " " +
+                   std::to_string(packing.threshold));
+      const Placement* steps[] = {&a, &b, &a};
+      const auto costs_at = [&](std::size_t i) {
+        return costs_for(mesh.size(), 10 + 100 * static_cast<TimeNs>(i));
+      };
+      std::vector<OverlapPlan> want;
+      for (std::size_t i = 0; i < 3; ++i)
+        want.push_back(build_overlap_plan(mesh, *steps[i], costs_at(i),
+                                          nranks, sizes, packing,
+                                          stage1_frac));
+      bool emptied = false;
+      bool shrunk = false;
+      for (std::size_t r = 0; r < want[0].nranks(); ++r) {
+        const OverlapRankPlan& ra = want[0].ranks[r];
+        const OverlapRankPlan& rb = want[1].ranks[r];
+        emptied |= !ra.blocks.empty() && rb.blocks.empty();
+        shrunk |= !rb.sends().empty() && rb.sends().size() < ra.sends().size();
+      }
+      EXPECT_TRUE(emptied);
+      EXPECT_TRUE(shrunk);
+      // Aggregates, credits and (two-stage) the stage-1 order are
+      // exercised wherever packing is on.
+      if (packing.active()) {
+        EXPECT_FALSE(want[0].credits.empty());
+        EXPECT_EQ(want[0].stage1_order.empty(), stage1_frac == 0.0);
+        EXPECT_EQ(want[0].packed_out.empty(), stage1_frac == 0.0);
+      }
+
+      SharedPlanStore store;
+      ExchangePlanCache local;
+      ExchangePlanCache publisher;
+      ExchangePlanCache reader;
+      publisher.set_shared_store(&store);
+      reader.set_shared_store(&store);
+      for (std::size_t i = 0; i < 3; ++i) {
+        SCOPED_TRACE(i);
+        const auto c = costs_at(i);
+        const std::uint64_t version = i;
+        expect_equal(local.overlap_work(mesh, *steps[i], version, c, nranks,
+                                        sizes, packing, stage1_frac),
+                     want[i]);
+        expect_equal(publisher.overlap_work(mesh, *steps[i], version, c,
+                                            nranks, sizes, packing,
+                                            stage1_frac),
+                     want[i]);
+        expect_equal(reader.overlap_work(mesh, *steps[i], version, c,
+                                         nranks, sizes, packing,
+                                         stage1_frac),
+                     want[i]);
+      }
+      EXPECT_EQ(local.stats().misses, 3);
+      EXPECT_EQ(publisher.stats().share_hits, 1);
+      EXPECT_EQ(reader.stats().share_hits, 3);
+    }
+  }
+}
+
 /// One cache per (shape, packing) point, fed the same regrid sequence
 /// the simulation feeds its own cache.
 struct FuzzLane {
@@ -374,15 +435,15 @@ void run_lane(FuzzLane& lane, const AmrMesh& mesh, const Placement& p,
       expect_equal(lane.cache.overlap_work(mesh, p, placement_version,
                                            costs, nranks, sizes,
                                            lane.packing),
-                   build_overlap_work(mesh, p, costs, nranks, sizes,
+                   build_overlap_plan(mesh, p, costs, nranks, sizes,
                                       lane.packing));
       break;
     case FuzzLane::Shape::kOverlapTwoStage:
       expect_equal(lane.cache.overlap_work(mesh, p, placement_version,
                                            costs, nranks, sizes,
                                            lane.packing, kStageSplit),
-                   build_two_stage_work(mesh, p, costs, nranks, kStageSplit,
-                                        sizes, lane.packing));
+                   build_overlap_plan(mesh, p, costs, nranks, sizes,
+                                      lane.packing, kStageSplit));
       break;
   }
 }

@@ -46,22 +46,13 @@ void expect_equal(std::span<const RankStepWork> got,
   }
 }
 
-void expect_equal(std::span<const OverlapRankWork> got,
-                  std::span<const OverlapRankWork> want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t r = 0; r < got.size(); ++r) {
-    ASSERT_EQ(got[r].blocks.size(), want[r].blocks.size()) << r;
-    for (std::size_t b = 0; b < got[r].blocks.size(); ++b) {
-      const BlockWork& g = got[r].blocks[b];
-      const BlockWork& w = want[r].blocks[b];
-      EXPECT_EQ(g.block, w.block);
-      EXPECT_EQ(g.compute, w.compute);
-      EXPECT_EQ(g.expected_recvs, w.expected_recvs);
-      EXPECT_TRUE(same_msgs(g.sends, w.sends));
-    }
-    EXPECT_TRUE(same_msgs(got[r].sends, want[r].sends)) << r;
-    EXPECT_EQ(got[r].expected_recvs, want[r].expected_recvs) << r;
-  }
+void expect_equal(const OverlapPlan& got, const OverlapPlan& want) {
+  ASSERT_EQ(got.nranks(), want.nranks());
+  for (std::size_t r = 0; r < got.nranks(); ++r)
+    EXPECT_EQ(got.ranks[r], want.ranks[r]) << r;
+  EXPECT_TRUE(got.blocks == want.blocks);
+  EXPECT_TRUE(got.sends == want.sends);
+  EXPECT_TRUE(got.credits == want.credits);
 }
 
 Placement round_robin(std::size_t blocks, std::int32_t nranks) {
@@ -183,7 +174,7 @@ TEST(SharedPlanStore, OverlapPlanRoundTripsAndKeysOnStageSplit) {
   const Placement p = round_robin(mesh.size(), nranks);
   const MessageSizeModel sizes{};
   const auto c = costs_for(mesh.size(), 7);
-  const auto plan = build_overlap_work(mesh, p, c, nranks, sizes);
+  const OverlapPlan plan = build_overlap_plan(mesh, p, c, nranks, sizes);
 
   SharedPlanStore store;
   const auto key = [&](double frac) {
@@ -191,7 +182,7 @@ TEST(SharedPlanStore, OverlapPlanRoundTripsAndKeysOnStageSplit) {
                    PackingPolicy::none());
   };
   store.publish_overlap(key(0.0), plan);
-  std::vector<OverlapRankWork> out;
+  OverlapPlan out;
   ASSERT_TRUE(store.lookup_overlap(key(0.0), out));
   expect_equal(out, plan);
   // The two-stage split is a key axis: a legacy plan must not serve a
@@ -324,7 +315,7 @@ TEST(SharedPlanStore, ModeMismatchNeverShares) {
   overlap.set_shared_store(&store);
   const auto ow = overlap.overlap_work(mesh, p, 0, c, nranks, sizes);
   EXPECT_EQ(overlap.stats().share_hits, 0);
-  expect_equal(ow, build_overlap_work(mesh, p, c, nranks, sizes));
+  expect_equal(ow, build_overlap_plan(mesh, p, c, nranks, sizes));
 
   // But a second adaptive tenant with the same thresholds does share.
   ExchangePlanCache adaptive2;

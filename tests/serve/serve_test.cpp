@@ -297,11 +297,103 @@ TEST(QueryEndpoint, MalformedStatementsReportAndLeaveOutputUntouched) {
       "select count from phases group by ratio",   // f64 group key
       "select count from phases group by rank, rank",  // duplicate key
       "select sum(dur_ns) as rank from phases group by rank",  // clash
+      "select * from phases where ratio < nan",     // not a finite number
+      "select * from phases where ratio < inf",
+      "select * from phases where ratio > -infinity",
+      "select * from phases where dur_ns < 1e999",  // overflows to inf
+      // Literals whose double is an integer up to 2^53 they are not.
+      "select * from phases where dur_ns != 9007199254740993",
+      "select * from phases where dur_ns == 9007199254740993.0",
+      "select * from phases where dur_ns == 9.007199254740993e15",
+      "select * from phases where dur_ns < 9007199254740990.7",
   };
   for (const std::string& text : bad) {
     std::string out;
     EXPECT_NE(run_table_query(tables, text, out), "") << text;
     EXPECT_TRUE(out.empty()) << text;
+  }
+}
+
+TEST(QueryEndpoint, WhereLiteralsAreFiniteAndExactAgainstIntegers) {
+  const Table t = phases_fixture();
+  JobTables tables;
+  tables.phases = &t;
+  const auto error = [&](const std::string& text) {
+    std::string out;
+    return run_table_query(tables, text, out);
+  };
+  EXPECT_EQ(error("select * from phases where ratio < nan"),
+            "non-finite number 'nan' in where clause");
+  EXPECT_EQ(error("select * from phases where dur_ns < 1e999"),
+            "non-finite number '1e999' in where clause");
+  EXPECT_EQ(error("select * from phases where dur_ns == 9007199254740993"),
+            "number '9007199254740993' cannot compare exactly against "
+            "integer column 'dur_ns' (it rounds to 9007199254740992)");
+  // Exactness is decided on the literal's value, not its spelling.
+  for (const char* bad :
+       {"9007199254740993.0", "9.007199254740993e15", "9007199254740990.7",
+        "-9007199254740993", "2.0000000000000000001", "1e-400",
+        "0x20000000000001", "0x1.00000000000001p0"}) {
+    EXPECT_NE(error(std::string("select * from phases where dur_ns < ") +
+                    bad),
+              "")
+        << bad;
+  }
+  // 2^53 itself is exact however it is spelled, a literal with a
+  // fraction or beyond 2^53 has every column value on one side of it,
+  // and a float column takes any finite literal.
+  for (const char* ok :
+       {"9007199254740992", "9007199254740992.0", "9.007199254740992e15",
+        "0x20000000000000", "-9007199254740992", "1e18", "-1e300",
+        "9007199254740994", "2.5", "0.1", "-0", "0x1p4", "0x1.8p1"}) {
+    EXPECT_EQ(error(std::string("select * from phases where dur_ns < ") +
+                    ok),
+              "")
+        << ok;
+  }
+  EXPECT_EQ(error("select * from phases where ratio < 1e300"), "");
+  // Spellings of one integer answer alike.
+  for (const char* op : {"==", "!=", "<", "<=", ">", ">="}) {
+    std::string want;
+    ASSERT_EQ(run_table_query(tables,
+                              std::string("select * from phases where "
+                                          "dur_ns ") +
+                                  op + " 1001",
+                              want),
+              "");
+    for (const char* same : {"1001.0", "1.001e3", "0x3e9", "100100e-2"}) {
+      std::string out;
+      ASSERT_EQ(run_table_query(tables,
+                                std::string("select * from phases where "
+                                            "dur_ns ") +
+                                    op + " " + same,
+                                out),
+                "")
+          << op << same;
+      EXPECT_EQ(out, want) << op << same;
+    }
+  }
+  // Every operator still answers as the query engine does.
+  const std::pair<const char*, bool (*)(double)> ops[] = {
+      {"==", [](double x) { return x == 1001.0; }},
+      {"!=", [](double x) { return x != 1001.0; }},
+      {"<", [](double x) { return x < 1001.0; }},
+      {"<=", [](double x) { return x <= 1001.0; }},
+      {">", [](double x) { return x > 1001.0; }},
+      {">=", [](double x) { return x >= 1001.0; }},
+  };
+  for (const auto& [op, pred] : ops) {
+    std::string out;
+    ASSERT_EQ(run_table_query(tables,
+                              std::string("select * from phases where "
+                                          "dur_ns ") +
+                                  op + " 1001",
+                              out),
+              "")
+        << op;
+    const Table want =
+        Query(Query(t).filter("dur_ns", pred).run()).run();
+    EXPECT_EQ(out, want.format(want.num_rows())) << op;
   }
 }
 
