@@ -13,19 +13,19 @@
 // bundle with its own seed, so they fan out across the sweep pool and
 // reassemble in submission order.
 //
-// Scales up to --des-max-ranks additionally run the REAL sharded DES —
-// a full Sedov simulation per (ranks, policy) with --des-shards-style
-// node sharding — instead of relying on placement-only math alone; the
-// simulated wall-clock table is byte-stable (simulated time, not host
-// time). The --json=FILE record labels every data point with the mode
-// that produced it: "placement-only" (synthetic-cost analytic cells)
-// or "full-des-sharded" (measured on the simulated cluster). Beyond
+// Scales up to --des-max-ranks additionally run the REAL DES — a full
+// Sedov simulation per (ranks, policy) — instead of relying on
+// placement-only math alone; the simulated wall-clock table is
+// byte-stable (simulated time, not host time). The --json=FILE record
+// labels every data point with the mode that produced it:
+// "placement-only" (synthetic-cost analytic cells) or "full-des"
+// (measured on the simulated cluster). Beyond
 // --des-max-ranks only the placement-only cells exist, and the JSON
 // says so.
 //
 // Flags: --max-ranks=N (default 131072) --trials=N (default 3)
 //        --des-max-ranks=N (default 16384; 0 disables the DES section)
-//        --des-steps=N (default 8) --des-shards=N (default 2)
+//        --des-steps=N (default 8)
 //        --quick --jobs=N --timing --json=FILE
 #include "bench_util.hpp"
 
@@ -50,8 +50,6 @@ int main(int argc, char** argv) {
       flags.get_int("des-max-ranks", flags.quick() ? 2048 : 16384);
   const std::int64_t des_steps =
       flags.get_int("des-steps", flags.quick() ? 4 : 8);
-  const auto des_shards = static_cast<std::int32_t>(
-      flags.get_int("des-shards", 2));
   const int jobs = flags.jobs();
   const bool with_timing = flags.has("timing");
   const std::string json = flags.json_path();
@@ -135,10 +133,10 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // Real-DES section: scales the sharded engine can execute end-to-end
-  // run a full Sedov simulation per policy instead of placement-only
-  // math. Values are SIMULATED wall seconds (deterministic, byte-stable
-  // across --jobs); host timing stays in the JSON timing channel.
+  // Real-DES section: scales up to --des-max-ranks run a full Sedov
+  // simulation per policy instead of placement-only math. Values are
+  // SIMULATED wall seconds (deterministic, byte-stable across --jobs);
+  // host timing stays in the JSON timing channel.
   std::vector<std::int64_t> des_scales;
   for (const std::int64_t ranks : scales)
     if (ranks <= des_max_ranks) des_scales.push_back(ranks);
@@ -152,9 +150,7 @@ int main(int argc, char** argv) {
             "des/" + std::to_string(ranks) + "/" + name;
         double* val = &des_vals[slot++];
         des.add(std::move(label), [=] {
-          SimulationConfig cfg =
-              base_sim_config(ranks, des_steps);
-          cfg.des_shards = des_shards;
+          const SimulationConfig cfg = base_sim_config(ranks, des_steps);
           SedovParams sp;
           sp.total_steps = des_steps;
           sp.max_level = 1;
@@ -171,10 +167,9 @@ int main(int argc, char** argv) {
     des.run();
 
     print_header("scalebench full-DES: simulated Sedov wall time (s)");
-    std::printf("(sharded DES, %d shards/node-clamped, %lld steps; "
-                "placement-only approximation retired up to %lld "
-                "ranks)\n\n",
-                des_shards, static_cast<long long>(des_steps),
+    std::printf("(%lld steps; placement-only approximation retired up "
+                "to %lld ranks)\n\n",
+                static_cast<long long>(des_steps),
                 static_cast<long long>(des_max_ranks));
     std::printf("%8s |", "ranks");
     for (const auto& p : policies) std::printf(" %8s", p.c_str());
@@ -248,16 +243,15 @@ int main(int argc, char** argv) {
   if (!json.empty()) {
     quality.write_json(json, "scalebench/fig7b");
     // Mode record: every data point above, labelled with how it was
-    // produced — "placement-only" analytic cells vs "full-des-sharded"
+    // produced — "placement-only" analytic cells vs "full-des"
     // measured runs — so downstream readers of the JSON know which
     // scales are real DES executions and which are still approximated.
     std::FILE* f = json == "-" ? stdout : std::fopen(json.c_str(), "a");
     if (f != nullptr) {
       std::fprintf(f,
                    "{\"bench\":\"scalebench_modes\",\"des_max_ranks\":"
-                   "%lld,\"des_shards\":%d,\"des_steps\":%lld,"
-                   "\"points\":[",
-                   static_cast<long long>(des_max_ranks), des_shards,
+                   "%lld,\"des_steps\":%lld,\"points\":[",
+                   static_cast<long long>(des_max_ranks),
                    static_cast<long long>(des_steps));
       bool first = true;
       std::size_t at = 0;
@@ -277,7 +271,7 @@ int main(int argc, char** argv) {
       for (const std::int64_t ranks : des_scales)
         for (const auto& name : policies) {
           std::fprintf(f,
-                       "%s{\"mode\":\"full-des-sharded\",\"ranks\":"
+                       "%s{\"mode\":\"full-des\",\"ranks\":"
                        "%lld,\"policy\":\"%s\",\"sim_wall_s\":%.4f}",
                        first ? "" : ",", static_cast<long long>(ranks),
                        name.c_str(), des_vals[at++]);

@@ -187,10 +187,4 @@ std::uint64_t Engine::run_until(TimeNs t_end) {
   return processed_ - start;
 }
 
-std::uint64_t Engine::run_before(TimeNs horizon) {
-  const std::uint64_t start = processed_;
-  while (pending_ != 0 && next_time() < horizon) step();
-  return processed_ - start;
-}
-
 }  // namespace amr

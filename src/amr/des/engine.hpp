@@ -33,15 +33,10 @@
 // FIFO, bit-identical to the std::priority_queue over (time, seq) this
 // replaced, and ~35% faster at simulator event populations.
 //
-// Keyed scheduling (schedule_keyed) exists for the sharded engine: when
-// shards dispatch concurrently, "schedule order" is no longer a global
-// notion, so producers supply canonical keys (event_key below) that
-// depend only on simulation content — making equal-time order invariant
-// under the shard count. The two key regimes never mix within a run:
-// the sequential sim stack uses legacy keys only (schedule_at, or
-// schedule_keyed with a key taken earlier from reserve_key, which is how
-// Comm fills a dispatch slot it held open at isend); the sharded stack
-// uses canonical keys only.
+// Keyed scheduling (schedule_keyed) fills a dispatch slot taken earlier
+// from reserve_key: Comm holds a counted message's slot open at isend and
+// schedules the receiver's wake into it later, so every other event keeps
+// the key it would have had.
 #pragma once
 
 #include <cstdint>
@@ -55,36 +50,6 @@ namespace amr {
 
 class Engine;
 class Tracer;
-
-/// Canonical dispatch keys for sharded (keyed) scheduling. Equal-time
-/// events dispatch in ascending key order; the class in the top two bits
-/// fixes the cross-kind ordering (all message deliveries before any rank
-/// continuation before any collective completion), and the low bits make
-/// keys unique within a class from simulation content alone:
-///   delivery    — (source rank, per-source monotone send sequence)
-///   rank        — the rank id (a rank has at most one self-event pending)
-///   collective  — the collective's window id
-/// The legacy class is what schedule_at assigns (global schedule counter,
-/// monotone, so equal-time order degenerates to exact schedule FIFO).
-namespace event_key {
-inline constexpr std::uint64_t kClassDelivery = 0ULL << 62;
-inline constexpr std::uint64_t kClassRank = 1ULL << 62;
-inline constexpr std::uint64_t kClassCollective = 2ULL << 62;
-inline constexpr std::uint64_t kClassLegacy = 3ULL << 62;
-
-inline std::uint64_t delivery(std::int32_t src_rank, std::uint64_t send_seq) {
-  return kClassDelivery | (static_cast<std::uint64_t>(
-                               static_cast<std::uint32_t>(src_rank))
-                           << 32) |
-         (send_seq & 0xffffffffULL);
-}
-inline std::uint64_t rank(std::int32_t r) {
-  return kClassRank | static_cast<std::uint32_t>(r);
-}
-inline std::uint64_t collective(std::uint64_t window) {
-  return kClassCollective | (window & ~(3ULL << 62));
-}
-}  // namespace event_key
 
 /// Receiver of scheduled events. The 64-bit tag is caller-defined (e.g.
 /// rank id, request id) and round-trips unchanged.
@@ -107,10 +72,10 @@ class Engine {
   /// Schedule an event at absolute simulated time t (must be >= now()).
   void schedule_at(TimeNs t, EventHandler* handler, std::uint64_t tag = 0);
 
-  /// Schedule with an explicit dispatch key (see event_key). Equal-time
-  /// events dispatch in ascending key order regardless of the order the
-  /// schedule calls were made in — the sharded engine's determinism
-  /// anchor. schedule_at is exactly schedule_keyed with reserve_key().
+  /// Schedule with an explicit dispatch key. Equal-time events dispatch
+  /// in ascending key order regardless of the order the schedule calls
+  /// were made in. schedule_at is exactly schedule_keyed with
+  /// reserve_key().
   void schedule_keyed(TimeNs t, std::uint64_t key, EventHandler* handler,
                       std::uint64_t tag = 0);
 
@@ -120,7 +85,7 @@ class Engine {
   /// dispatch slot open and later fill it (schedule_keyed with the key)
   /// or leave it empty. Comm uses this for counted messages.
   std::uint64_t reserve_key() {
-    return event_key::kClassLegacy | next_seq_++;
+    return kLegacyKeyBits | next_seq_++;
   }
 
   /// True when an event at (t, key) has been dispatched by now: inside a
@@ -153,13 +118,6 @@ class Engine {
   /// queue drained earlier. Returns events processed.
   std::uint64_t run_until(TimeNs t_end);
 
-  /// Run while events exist at time strictly < horizon, WITHOUT advancing
-  /// now() to the horizon afterwards — the per-epoch slice of the sharded
-  /// engine's conservative lookahead loop (now() must stay a valid lower
-  /// bound for events injected by other shards at >= horizon). Returns
-  /// events processed.
-  std::uint64_t run_before(TimeNs horizon);
-
   bool empty() const { return pending_ == 0; }
   bool has_pending() const { return pending_ != 0; }
   /// Earliest pending event time. Requires has_pending().
@@ -175,12 +133,6 @@ class Engine {
   /// bits of its key, so exact for schedule_at events).
   std::uint64_t dispatch_seq() const { return dispatch_key_ & kKeySeqMask; }
 
-  /// Shard id stamped by the sharded engine (0 in the sequential case).
-  /// Handlers shared across shards (Comm) use it to route per-shard
-  /// bookkeeping without a map lookup.
-  std::int32_t shard_id() const { return shard_id_; }
-  void set_shard_id(std::int32_t id) { shard_id_ = id; }
-
   /// Pre-size the front bucket for a known pending-event population;
   /// optional, avoids growth reallocations mid-run.
   void reserve(std::size_t events) { front_.reserve(events); }
@@ -188,8 +140,7 @@ class Engine {
   /// Attach an event tracer (nullptr detaches). Dispatch instants are in
   /// the TraceCat::kDes category, which is off by default — enable it in
   /// the trace config to see raw event dispatch. Each instant carries the
-  /// event's tag and its dispatch_seq() (only legacy-key runs are
-  /// traced).
+  /// event's tag and its dispatch_seq().
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   /// Scalar engine state for checkpoint/restart. Checkpoints are taken at
@@ -218,8 +169,9 @@ class Engine {
   /// 64 key bits -> highest-differing-bit indices 1..64; index 0 is the
   /// separate front bucket. buckets_[0] is never used.
   static constexpr unsigned kNumBuckets = 65;
-  /// Low 62 bits of a dispatch key: the schedule sequence number of a
-  /// legacy (schedule_at) key.
+  /// A legacy (schedule_at) key is the schedule sequence number with the
+  /// top two bits set; the low 62 bits are the sequence number.
+  static constexpr std::uint64_t kLegacyKeyBits = 3ULL << 62;
   static constexpr std::uint64_t kKeySeqMask = (1ULL << 62) - 1;
 
   /// Queue entry: the whole pending event. Time ordering comes from the
@@ -265,7 +217,6 @@ class Engine {
 
   TimeNs now_ = 0;
   Tracer* tracer_ = nullptr;
-  std::int32_t shard_id_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatch_key_ = 0;  ///< key of the event in dispatch
   bool dispatching_ = false;        ///< inside a handler called by step()

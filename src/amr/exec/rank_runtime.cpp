@@ -122,19 +122,12 @@ void RankRuntime::begin_step(const RankStepWork& work,
   end_ = cur_ + tasks_.size();
 }
 
-void RankRuntime::self_schedule(Engine& engine, TimeNs t) {
-  if (ctx_->comm->sharded() != nullptr)
-    engine.schedule_keyed(t, event_key::rank(rank_), this, 0);
-  else
-    engine.schedule_at(t, this, 0);
-}
-
 void RankRuntime::start(Engine& engine) {
   AMR_CHECK(state_ == State::kIdle);
   state_ = State::kRunning;
   // Begin at the configured start time (== engine.now() for lockstep
   // steps); schedule rather than recurse so all ranks start fairly.
-  self_schedule(engine, engine.now());
+  engine.schedule_at(engine.now(), this, 0);
 }
 
 void RankRuntime::on_event(Engine& engine, std::uint64_t /*tag*/) {
@@ -189,7 +182,7 @@ void RankRuntime::advance(Engine& engine) {
         if (tracer != nullptr)
           tracer->complete(rank_, TraceCat::kCompute, "compute",
                            engine.now(), t.value, ordering_tag_);
-        self_schedule(engine, engine.now() + t.value);
+        engine.schedule_at(engine.now() + t.value, this, 0);
         return;
       case TaskKind::kLocalCopy:
       case TaskKind::kUnpack: {
@@ -200,7 +193,7 @@ void RankRuntime::advance(Engine& engine) {
                            t.kind == TaskKind::kUnpack ? "unpack"
                                                        : "local-copy",
                            engine.now(), d, t.value, ordering_tag_);
-        self_schedule(engine, engine.now() + d);
+        engine.schedule_at(engine.now() + d, this, 0);
         return;
       }
       case TaskKind::kPackSend: {
@@ -209,7 +202,7 @@ void RankRuntime::advance(Engine& engine) {
         if (tracer != nullptr)
           tracer->complete(rank_, TraceCat::kPack, "pack", engine.now(), d,
                            t.value, t.dst);
-        self_schedule(engine, engine.now() + d);
+        engine.schedule_at(engine.now() + d, this, 0);
         return;
       }
       case TaskKind::kWaitRecvs:
@@ -228,7 +221,7 @@ void RankRuntime::advance(Engine& engine) {
         if (tracer != nullptr)
           tracer->begin(rank_, TraceCat::kSendWait, "send-wait",
                         engine.now());
-        self_schedule(engine, max_send_release_);
+        engine.schedule_at(max_send_release_, this, 0);
         return;
     }
   }
@@ -252,8 +245,7 @@ void RankRuntime::on_recvs_ready(Engine& engine, std::uint64_t window,
                       releasing_src);
   state_ = State::kRunning;
   ++cur_;
-  // We are inside the wake event at time t; continue inline on the
-  // dispatching engine (the rank's own shard under sharding).
+  // We are inside the wake event at time t; continue inline.
   advance(engine);
 }
 

@@ -136,12 +136,6 @@ class alignas(64) RankRuntime final : public RankEndpoint,
   void advance(Engine& engine);
   /// Simulated duration of a timed task (0 for the waits).
   TimeNs duration(const Task& t) const;
-  /// Schedule the rank's next self-event. Sequential mode keeps the
-  /// legacy FIFO key (exact seed behaviour); sharded mode uses the
-  /// canonical rank key — legal because the state machine has at most
-  /// one outstanding self-event per rank, so the key is unique among
-  /// pending events of its class.
-  void self_schedule(Engine& engine, TimeNs t);
 
   // Hot: read by every dispatch. With the two vtable pointers these
   // fill the first 64-byte line (checked in attach()).

@@ -21,9 +21,8 @@ StepResult StepExecutor::execute(std::span<const RankStepWork> work,
                                  std::uint64_t window,
                                  std::int32_t priority_rank) {
   AMR_CHECK(work.size() == runtimes_.size());
-  ShardedEngine* sharded = comm_.sharded();
   StepResult result;
-  result.step_start = sharded != nullptr ? sharded->now() : engine_.now();
+  result.step_start = engine_.now();
 
   expected_scratch_.resize(work.size());
   for (std::size_t r = 0; r < work.size(); ++r)
@@ -33,20 +32,9 @@ StepResult StepExecutor::execute(std::span<const RankStepWork> work,
   for (std::size_t r = 0; r < work.size(); ++r) {
     runtimes_[r].begin_step(work[r], ordering, window, result.step_start,
                             priority_rank);
-    runtimes_[r].start(
-        sharded != nullptr
-            ? sharded->engine_for_rank(static_cast<std::int32_t>(r))
-            : engine_);
+    runtimes_[r].start(engine_);
   }
-  if (sharded != nullptr) {
-    sharded->run_all();
-    result.shards = sharded->last_stats();
-    for (std::size_t s = 0; s < result.shards.size(); ++s)
-      result.shards[s].mailbox_events =
-          comm_.take_cross_shard_records(static_cast<std::int32_t>(s));
-  } else {
-    engine_.run();
-  }
+  engine_.run();
 
   result.ranks.reserve(work.size());
   for (const RankRuntime& rt : runtimes_) {
@@ -55,7 +43,7 @@ StepResult StepExecutor::execute(std::span<const RankStepWork> work,
   }
   AMR_CHECK(comm_.exchange_complete(window));
   comm_.end_exchange(window);
-  result.step_end = sharded != nullptr ? sharded->now() : engine_.now();
+  result.step_end = engine_.now();
   if (tracer_ != nullptr)
     tracer_->complete(Tracer::kTrackSim, TraceCat::kStep, "step",
                       result.step_start, result.wall_ns(),

@@ -10,16 +10,12 @@
 #include <span>
 #include <vector>
 
-#include "amr/des/sharded_engine.hpp"
 #include "amr/exec/rank_runtime.hpp"
 
 namespace amr {
 
 struct StepResult {
   std::vector<RankStepStats> ranks;
-  /// Per-shard dispatch statistics for this window (empty unless the
-  /// comm runs on a sharded engine).
-  std::vector<ShardEpochStats> shards;
   TimeNs step_start = 0;
   TimeNs step_end = 0;  ///< collective completion (same for all ranks)
 
@@ -36,9 +32,7 @@ class StepExecutor {
   StepExecutor& operator=(const StepExecutor&) = delete;
 
   /// Execute one step. `window` must be unique per call (use the step
-  /// number). All ranks start simultaneously at engine.now(). When the
-  /// comm is sharded, each rank starts on its own shard engine and the
-  /// window runs under the sharded epoch loop instead of engine.run().
+  /// number). All ranks start simultaneously at engine.now().
   /// `priority_rank` >= 0 schedules every rank's sends to that rank
   /// ahead of its other sends (critical-path send priority); -1 keeps
   /// the legacy schedule bit-identical.

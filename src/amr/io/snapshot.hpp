@@ -56,10 +56,9 @@ class SnapshotError : public std::runtime_error {
 // v2: the message-aggregation flag in the config fingerprint,
 //     msgs_coalesced / bytes_packed in the report section,
 //     packed-transfer fabric counters, and two added comm-table columns.
-// v3: sharded-DES bit in the config fingerprint (shard *count* is
-//     deliberately not an axis — spill/restore may re-shard), per-node
-//     fabric RNG/stats in the fabric section when sharded, and the
-//     collector's fourth (shards) table.
+// v3: a parallel-DES bit in the config fingerprint, per-node fabric
+//     RNG/stats in the fabric section in that mode, and the collector's
+//     fourth table (per-partition epoch counters).
 // v4: adaptive-comm axes (comm_adaptive, send_priority,
 //     comm_pack_threshold) in the config fingerprint and
 //     last_straggler in the state section.
@@ -74,6 +73,9 @@ class SnapshotError : public std::runtime_error {
 //     unchanged.
 // v7: fabric section stores per-node idle count + busy free times (and
 //     each node's last shm post time) instead of every slot's free time.
+// v8: the parallel DES is gone: its v3 fingerprint bit, the fabric
+//     section's per-node tail and the collector's fourth table leave
+//     the format.
 //
 // Version-bump checklist — the compile-time-checkable moral equivalent
 // of a static_assert, since the fingerprint is data, not types. When a
@@ -88,7 +90,7 @@ class SnapshotError : public std::runtime_error {
 //      compatible; appending fields to an existing section is not);
 //   4. extend tests/sim/checkpoint_test.cpp round-trip coverage and the
 //      mismatched-restore refusal case, and run the checkpoint_ /
-//      comm_adaptive_ / par_des_ / placement_tuning_ / serve_determinism
+//      comm_adaptive_ / placement_tuning_ / serve_determinism
 //      ctest scripts — serve eviction spills reuse this exact format, so
 //      a missed axis shows up as multiplexed-vs-standalone stdout drift;
 //   5. never reuse or renumber an existing version: old spills and
@@ -96,7 +98,7 @@ class SnapshotError : public std::runtime_error {
 // Counters that are scheduling artifacts rather than simulation state
 // (e.g. plan-cache share_hits) must NOT be serialized — see
 // StepPipelineStats.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 7;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 8;
 
 /// Builds a snapshot payload in memory, then writes the enveloped file.
 class SnapshotWriter {

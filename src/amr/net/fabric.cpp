@@ -38,35 +38,6 @@ void Fabric::reset() {
               ShmQueue{params_.shm_queue_slots, 0, {}});
 }
 
-void Fabric::enable_sharding() {
-  AMR_CHECK_MSG(tracer_ == nullptr && !observer_,
-                "fabric sharding excludes tracer/observer taps");
-  sharded_ = true;
-  const auto nnodes = static_cast<std::size_t>(topo_.num_nodes());
-  node_stats_.assign(nnodes, FabricStats{});
-  node_rngs_.clear();
-  node_rngs_.reserve(nnodes);
-  for (std::size_t n = 0; n < nnodes; ++n)
-    node_rngs_.push_back(rng_.split(static_cast<std::uint64_t>(n)));
-}
-
-FabricStats Fabric::merged_stats() const {
-  if (!sharded_) return stats_;
-  FabricStats total;
-  for (const FabricStats& s : node_stats_) {
-    total.remote_msgs += s.remote_msgs;
-    total.shm_msgs += s.shm_msgs;
-    total.remote_bytes += s.remote_bytes;
-    total.shm_bytes += s.shm_bytes;
-    total.shm_retries += s.shm_retries;
-    total.acks_lost += s.acks_lost;
-    total.ack_block_time += s.ack_block_time;
-    total.packed_transfers += s.packed_transfers;
-    total.coalesced_msgs += s.coalesced_msgs;
-  }
-  return total;
-}
-
 Fabric::State Fabric::export_state() const {
   State st;
   st.rng = rng_.state();
@@ -80,11 +51,6 @@ Fabric::State Fabric::export_state() const {
     st.shm_idle.push_back(q.idle);
     st.shm_busy.emplace_back(busy.begin(), busy.end());
     st.shm_last_post.push_back(q.last_post);
-  }
-  if (sharded_) {
-    st.node_rngs.reserve(node_rngs_.size());
-    for (const Rng& r : node_rngs_) st.node_rngs.push_back(r.state());
-    st.node_stats = node_stats_;
   }
   return st;
 }
@@ -110,14 +76,6 @@ void Fabric::import_state(const State& state) {
     shm_[n].busy.restore(state.shm_busy[n]);
     shm_[n].last_post = state.shm_last_post[n];
   }
-  if (sharded_) {
-    AMR_CHECK_MSG(state.node_rngs.size() == node_rngs_.size() &&
-                      state.node_stats.size() == node_stats_.size(),
-                  "fabric state does not match sharded mode");
-    for (std::size_t n = 0; n < node_rngs_.size(); ++n)
-      node_rngs_[n].set_state(state.node_rngs[n]);
-    node_stats_ = state.node_stats;
-  }
 }
 
 TimeNs Fabric::serialize_ns(std::int64_t bytes,
@@ -134,21 +92,13 @@ TransferTiming Fabric::transfer(std::int32_t src_rank, std::int32_t dst_rank,
   AMR_CHECK(msgs >= 1);
   const std::int32_t src_node = topo_.node_of(src_rank);
   const std::int32_t dst_node = topo_.node_of(dst_rank);
-  // All mutable state a transfer touches is owned by the source node in
-  // sharded mode: its stats bucket, its RNG stream, its NIC busy time,
-  // its shm slot heap. That partition is what makes concurrent shard
-  // execution race-free.
-  FabricStats& stats =
-      sharded_ ? node_stats_[static_cast<std::size_t>(src_node)] : stats_;
-  Rng& rng =
-      sharded_ ? node_rngs_[static_cast<std::size_t>(src_node)] : rng_;
   // Aggregated transfers pay a per-carried-message processing cost beyond
   // the first; zero on the legacy path so msgs == 1 timings are bit-
   // identical to pre-aggregation builds.
   const TimeNs packed_cost = (msgs - 1) * params_.packed_msg_overhead;
   if (msgs > 1) {
-    ++stats.packed_transfers;
-    stats.coalesced_msgs += msgs - 1;
+    ++stats_.packed_transfers;
+    stats_.coalesced_msgs += msgs - 1;
   }
   TransferTiming t;
 
@@ -178,7 +128,7 @@ TransferTiming Fabric::transfer(std::int32_t src_rank, std::int32_t dst_rank,
       const auto retries = static_cast<std::int32_t>(
           (gap + params_.shm_retry_delay - 1) / params_.shm_retry_delay);
       t.shm_retries = retries;
-      stats.shm_retries += retries;
+      stats_.shm_retries += retries;
       start = post_time + retries * params_.shm_retry_delay;
       if (tracer_ != nullptr)
         tracer_->instant(Tracer::fabric_track(src_node), TraceCat::kFabric,
@@ -195,8 +145,8 @@ TransferTiming Fabric::transfer(std::int32_t src_rank, std::int32_t dst_rank,
     }
     // Sender hands the buffer to the queue as soon as it has a slot.
     t.sender_release = start + params_.post_overhead;
-    ++stats.shm_msgs;
-    stats.shm_bytes += bytes;
+    ++stats_.shm_msgs;
+    stats_.shm_bytes += bytes;
   } else {
     // Remote path: serialize on the source NIC, then fly.
     auto& nic = nic_busy_until_[static_cast<std::size_t>(src_node)];
@@ -210,14 +160,14 @@ TransferTiming Fabric::transfer(std::int32_t src_rank, std::int32_t dst_rank,
     nic = depart;
     const TimeNs jitter =
         params_.remote_jitter > 0
-            ? static_cast<TimeNs>(rng.uniform() *
+            ? static_cast<TimeNs>(rng_.uniform() *
                                   static_cast<double>(params_.remote_jitter))
             : 0;
     t.delivery = depart + params_.remote_latency + jitter;
     t.sender_release = depart;
-    if (params_.ack_loss_prob > 0.0 && rng.chance(params_.ack_loss_prob)) {
+    if (params_.ack_loss_prob > 0.0 && rng_.chance(params_.ack_loss_prob)) {
       t.ack_lost = true;
-      ++stats.acks_lost;
+      ++stats_.acks_lost;
       if (tracer_ != nullptr)
         tracer_->instant(Tracer::fabric_track(src_node), TraceCat::kFabric,
                          "ack-lost", depart, src_rank, dst_rank);
@@ -230,7 +180,7 @@ TransferTiming Fabric::transfer(std::int32_t src_rank, std::int32_t dst_rank,
         // in the untuned Fig 1a telemetry: the delay lands on whoever
         // shares the NIC, not on the rank that caused it.
         t.sender_release = depart + params_.ack_recovery_delay;
-        stats.ack_block_time += params_.ack_recovery_delay;
+        stats_.ack_block_time += params_.ack_recovery_delay;
         nic = depart + params_.ack_recovery_delay;
         if (tracer_ != nullptr)
           tracer_->complete(Tracer::fabric_track(src_node),
@@ -242,8 +192,8 @@ TransferTiming Fabric::transfer(std::int32_t src_rank, std::int32_t dst_rank,
       // one and drained in the background: no sender-visible delay and
       // no head-of-line blocking of the NIC.
     }
-    ++stats.remote_msgs;
-    stats.remote_bytes += bytes;
+    ++stats_.remote_msgs;
+    stats_.remote_bytes += bytes;
   }
 
   if (observer_) observer_(src_rank, dst_rank, bytes, t);

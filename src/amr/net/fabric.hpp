@@ -131,26 +131,8 @@ class Fabric {
                           std::int32_t msgs = 1);
 
   const FabricStats& stats() const { return stats_; }
-  /// Run counters regardless of mode: the global accumulator in the
-  /// sequential case, the per-node counters summed in node order when
-  /// sharding is enabled.
-  FabricStats merged_stats() const;
   const FabricParams& params() const { return params_; }
   const ClusterTopology& topology() const { return topo_; }
-
-  /// Switch to per-node RNG streams and per-node stats counters so that
-  /// transfer() touches only src-node-owned state — the data partition
-  /// that lets the sharded DES call the fabric from concurrent shard
-  /// threads (shards own disjoint node ranges). Per-node streams are
-  /// split off the root stream by node id, so every jitter/ACK draw
-  /// depends only on the node and that node's own transfer order — both
-  /// invariant under the shard count. Must be called before the first
-  /// transfer; the mode is part of the run's fingerprint (sequential and
-  /// sharded runs draw different jitter and are not comparable).
-  /// Tracer and observer must stay unset in sharded mode (they funnel
-  /// concurrent shards into shared sinks).
-  void enable_sharding();
-  bool sharded() const { return sharded_; }
 
   /// Optional per-message observer (telemetry taps for Fig 1/3 benches).
   using Observer = std::function<void(std::int32_t src, std::int32_t dst,
@@ -180,11 +162,6 @@ class Fabric {
     std::vector<std::int32_t> shm_idle;
     std::vector<std::vector<TimeNs>> shm_busy;
     std::vector<TimeNs> shm_last_post;
-    /// Sharded mode only (empty otherwise): per-node stream positions
-    /// and counters. Node-indexed, so state round-trips across runs with
-    /// different shard counts.
-    std::vector<Rng::State> node_rngs;
-    std::vector<FabricStats> node_stats;
   };
   State export_state() const;
   /// Sizes must match this fabric's topology and slot count.
@@ -198,9 +175,6 @@ class Fabric {
   Rng rng_;
   Tracer* tracer_ = nullptr;
   FabricStats stats_;
-  bool sharded_ = false;
-  std::vector<Rng> node_rngs_;          // per node (sharded mode)
-  std::vector<FabricStats> node_stats_; // per node (sharded mode)
   std::vector<TimeNs> nic_busy_until_;  // per node
   // One node's shm queue (see the file comment). Slot identity never
   // affects timing, so a slot is either counted idle or has its free

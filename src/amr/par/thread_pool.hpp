@@ -43,11 +43,12 @@ class ThreadPool {
   void wait_idle();
 
   /// Run fn(0..n-1) across the pool and block until all n calls return —
-  /// the sharded DES's per-epoch barrier. Unlike wait_idle this waits on
-  /// exactly these n tasks (a private latch), so it composes with other
-  /// outstanding submissions, and the pool persists across epochs
-  /// instead of being torn down and respawned per barrier. The caller's
-  /// thread does not execute tasks. Not reentrant from inside a task.
+  /// the barrier of a serve batch or a placement evaluation. Unlike
+  /// wait_idle this waits on exactly these n tasks (a private latch), so
+  /// it composes with other outstanding submissions, and the pool
+  /// persists across calls instead of being respawned per barrier. The
+  /// caller's thread does not execute tasks. Not reentrant from inside a
+  /// task.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   int size() const { return static_cast<int>(workers_.size()); }

@@ -213,11 +213,10 @@ std::string run_table_query(const JobTables& tables, const std::string& text,
   if (table_name == "phases") table = tables.phases;
   else if (table_name == "comm") table = tables.comm;
   else if (table_name == "blocks") table = tables.blocks;
-  else if (table_name == "shards") table = tables.shards;
   else if (table_name == "placement") table = tables.placement;
   else
     return "unknown table '" + table_name +
-           "' (phases | comm | blocks | shards | placement)";
+           "' (phases | comm | blocks | placement)";
   if (table == nullptr)
     return "table '" + table_name +
            "' was not collected for this job (telemetry off)";

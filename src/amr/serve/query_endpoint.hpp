@@ -7,7 +7,7 @@
 //       where phase == 1 group by step, rank order by total desc
 //
 // Grammar (keywords lowercase, one statement per line):
-//   select <*| agg[, agg...]> from <phases|comm|blocks|shards|placement>
+//   select <*| agg[, agg...]> from <phases|comm|blocks|placement>
 //       [where <col> <op> <number> [and ...]]
 //       [group by <col>[, col...]]
 //       [order by <col> [desc]] [limit <n>]
@@ -31,6 +31,7 @@ struct JobTables {
   const Table* phases = nullptr;
   const Table* comm = nullptr;
   const Table* blocks = nullptr;
+  /// Never read: kept for ledger/ until a benchmark PR drops it.
   const Table* shards = nullptr;
   const Table* placement = nullptr;
 };

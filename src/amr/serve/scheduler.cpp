@@ -111,7 +111,6 @@ void QuantumScheduler::finish(Tenant& t) {
     t.result.phases = std::make_unique<Table>(c.phases());
     t.result.comm = std::make_unique<Table>(c.comm());
     t.result.blocks = std::make_unique<Table>(c.blocks());
-    t.result.shards = std::make_unique<Table>(c.shards());
     t.result.placement = std::make_unique<Table>(c.placement());
   }
   if (!t.spill.empty()) {

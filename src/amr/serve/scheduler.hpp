@@ -71,7 +71,9 @@ struct JobResult {
   std::string error;  ///< set when !ok (construction/validation failure)
   std::string text;   ///< the job's stdout block (compact report text)
   RunReport report;
-  std::unique_ptr<Table> phases, comm, blocks, shards, placement;
+  std::unique_ptr<Table> phases, comm, blocks, placement;
+  /// Always null: kept for ledger/ until a benchmark PR drops it.
+  std::unique_ptr<Table> shards;
 };
 
 class QuantumScheduler {

@@ -43,7 +43,6 @@ void SimServer::handle_query(const ServeRequest& req, std::FILE* out) {
   tables.phases = r->phases.get();
   tables.comm = r->comm.get();
   tables.blocks = r->blocks.get();
-  tables.shards = r->shards.get();
   tables.placement = r->placement.get();
   std::string text;
   const std::string err = run_table_query(tables, req.query_text, text);

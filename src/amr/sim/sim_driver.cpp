@@ -63,9 +63,6 @@ constexpr JobField kJobFields[] = {
      "-1 = modeled)"},
     {"send_priority", &JobSpec::send_priority,
      "send to the previous window's critical-path straggler rank first"},
-    {"des_shards", &JobSpec::des_shards,
-     "run the DES as N node shards in parallel (bsp only; 0 = "
-     "sequential engine)"},
     {"auto_cplx", &JobSpec::auto_cplx,
      "self-tuning CPLX: pick X per regrid epoch from an online "
      "step-time model"},
@@ -165,7 +162,6 @@ std::string validate_job(const JobSpec& spec) {
   if (spec.steps <= 0) return "steps must be positive";
   if (spec.workload != "sedov" && spec.workload != "cooling")
     return "unknown workload " + spec.workload + " (sedov | cooling)";
-  if (spec.des_shards < 0) return "--des-shards must be >= 0";
   if (spec.fault_nodes < 0) return "--faults must be >= 0";
   if (spec.checkpoint_every < 0) return "--checkpoint-every must be >= 0";
   if (spec.sedov_max_level < 0) return "--sedov-max-level must be >= 0";
@@ -174,9 +170,6 @@ std::string validate_job(const JobSpec& spec) {
     return "--restore and --replay are mutually exclusive";
   if (spec.pack_threshold >= 0 && !packs_messages(spec))
     return "--pack-threshold requires --comm-adaptive";
-  if (spec.des_shards > 0 && spec.overlap)
-    return "--des-shards requires --execution=bsp (overlap self-events "
-           "carry no dispatch keys)";
   if (spec.cplx_budget_ms >= 0 && !spec.auto_cplx)
     return "--cplx-budget-ms requires --auto-cplx";
   if (spec.auto_cplx && spec.cplx_budget_ms == 0)
@@ -231,7 +224,6 @@ SimulationConfig job_config(const JobSpec& spec) {
   cfg.comm_adaptive = packs_messages(spec);
   cfg.comm_pack_threshold = spec.pack_threshold;
   cfg.send_priority = spec.send_priority;
-  cfg.des_shards = spec.des_shards;
   cfg.auto_cplx = spec.auto_cplx;
   cfg.placement_incremental = spec.placement_incremental;
   if (spec.cplx_budget_ms > 0)

@@ -42,7 +42,6 @@ struct JobSpec {
   bool aggregate = false;
   std::int64_t pack_threshold = -1;  ///< requires comm_adaptive; -1 modeled
   bool send_priority = false;
-  std::int32_t des_shards = 0;  ///< BSP only; 0 = sequential engine
   /// Self-tuning CPLX: the auto-X tuner picks X per regrid epoch.
   bool auto_cplx = false;
   /// Auto-X evaluation budget in ms (requires auto_cplx when >= 0);

@@ -11,46 +11,14 @@
 
 namespace amr {
 
-namespace {
-
-/// Sharded-mode construction detour: flip the fabric to per-node state
-/// (before the comm captures it) and build the shard partition + worker
-/// pool. Runs inside SimRuntime's init list so `sharded.get()` is valid
-/// by the time the comm member constructs.
-std::unique_ptr<ShardedEngine> make_sharded(
-    const SimulationConfig& config, const ClusterTopology& topo,
-    Fabric& fabric, std::unique_ptr<ThreadPool>& pool) {
-  if (config.des_shards <= 0) return nullptr;
-  fabric.enable_sharding();
-  const std::int32_t shards =
-      std::min(config.des_shards, topo.num_nodes());
-  if (shards > 1)
-    pool = std::make_unique<ThreadPool>(
-        std::min(shards, ThreadPool::hardware_jobs()));
-  return std::make_unique<ShardedEngine>(topo, config.des_shards,
-                                         config.fabric.remote_latency,
-                                         pool.get());
-}
-
-}  // namespace
-
 SimRuntime::SimRuntime(const SimulationConfig& config, Tracer* tracer)
     : topo(config.nranks, config.ranks_per_node),
       rng(config.seed),
       fabric(topo, config.fabric, rng.split(0xfab)),
-      sharded(make_sharded(config, topo, fabric, des_pool)),
-      comm(engine, fabric, config.nranks, config.collective,
-           sharded.get()) {
-  if (sharded) {
-    // Concurrent shards cannot funnel into the shared trace ring; the
-    // driver rejects trace_enabled + des_shards before getting here.
-    AMR_CHECK(tracer == nullptr);
-    sharded->set_barrier_callback([this] { comm.on_epoch_barrier(); });
-  } else {
-    engine.set_tracer(tracer);
-    fabric.set_tracer(tracer);
-    comm.set_tracer(tracer);
-  }
+      comm(engine, fabric, config.nranks, config.collective) {
+  engine.set_tracer(tracer);
+  fabric.set_tracer(tracer);
+  comm.set_tracer(tracer);
   if (config.execution == ExecutionMode::kBsp)
     bsp_executor =
         std::make_unique<StepExecutor>(engine, comm, config.exec, tracer);
@@ -209,10 +177,6 @@ void write_meta(io::SnapshotWriter& w, const SimulationConfig& config,
   w.b(config.comm_adaptive);
   w.b(config.send_priority);
   w.i64(config.comm_pack_threshold);
-  // Sharded vs sequential is a fingerprint axis (the two draw different
-  // fabric jitter); the shard *count* is deliberately not — any sharded
-  // run restores any sharded snapshot (state is node-indexed).
-  w.b(config.des_shards > 0);
   w.b(config.telemetry_driven_costs);
   // Placement-engine axes (format v5): both change which placements the
   // run computes, and the tuner budget shapes every auto-X decision.
@@ -256,7 +220,6 @@ void check_meta(io::SnapshotReader& r, const SimulationConfig& config,
   require(r.b() == config.comm_adaptive, "adaptive packing");
   require(r.b() == config.send_priority, "send priority");
   require(r.i64() == config.comm_pack_threshold, "packing threshold");
-  require(r.b() == (config.des_shards > 0), "sharded DES");
   require(r.b() == config.telemetry_driven_costs, "telemetry-driven costs");
   require(r.b() == config.auto_cplx, "auto-X tuning");
   require(r.b() == config.placement_incremental, "incremental placement");
@@ -281,8 +244,7 @@ void check_meta(io::SnapshotReader& r, const SimulationConfig& config,
 
 }  // namespace
 
-void write_fabric_section(io::SnapshotWriter& w, const Fabric::State& fab,
-                          bool sharded) {
+void write_fabric_section(io::SnapshotWriter& w, const Fabric::State& fab) {
   w.begin_section("fabric");
   write_rng(w, fab.rng);
   write_fabric_stats(w, fab.stats);
@@ -290,18 +252,10 @@ void write_fabric_section(io::SnapshotWriter& w, const Fabric::State& fab,
   w.vec_pod(fab.shm_idle);
   w.vec_pod(fab.shm_last_post);
   for (const auto& busy : fab.shm_busy) w.vec_pod(busy);
-  // Sharded mode: per-node stream positions and counters (node-indexed,
-  // so they restore across shard counts). Presence is pinned by the
-  // fingerprint's "sharded DES" bit.
-  if (sharded) {
-    w.u32(static_cast<std::uint32_t>(fab.node_rngs.size()));
-    for (const Rng::State& s : fab.node_rngs) write_rng(w, s);
-    for (const FabricStats& s : fab.node_stats) write_fabric_stats(w, s);
-  }
   w.end_section();
 }
 
-Fabric::State read_fabric_section(io::SnapshotReader& r, bool sharded) {
+Fabric::State read_fabric_section(io::SnapshotReader& r) {
   r.begin_section("fabric");
   Fabric::State fab;
   fab.rng = read_rng(r);
@@ -311,14 +265,6 @@ Fabric::State read_fabric_section(io::SnapshotReader& r, bool sharded) {
   fab.shm_last_post = r.vec_pod<TimeNs>();
   fab.shm_busy.resize(fab.shm_idle.size());
   for (auto& busy : fab.shm_busy) busy = r.vec_pod<TimeNs>();
-  if (sharded) {
-    const std::uint32_t nnodes = r.u32();
-    fab.node_rngs.resize(nnodes);
-    for (Rng::State& s : fab.node_rngs) s = read_rng(r);
-    fab.node_stats.reserve(nnodes);
-    for (std::uint32_t n = 0; n < nnodes; ++n)
-      fab.node_stats.push_back(read_fabric_stats(r));
-  }
   r.end_section();
   return fab;
 }
@@ -429,10 +375,7 @@ bool save_snapshot(const std::string& path, const SimulationConfig& config,
   }
   w.end_section();
 
-  // Sharded runs save one merged clock (the shards agree at step
-  // boundaries), so a snapshot restores under any shard count.
-  const Engine::Clock clock =
-      runtime.sharded ? runtime.sharded->clock() : runtime.engine.clock();
+  const Engine::Clock clock = runtime.engine.clock();
   w.begin_section("engine");
   w.i64(clock.now);
   w.i64(clock.front_time);
@@ -444,8 +387,7 @@ bool save_snapshot(const std::string& path, const SimulationConfig& config,
   write_rng(w, runtime.rng.state());
   w.end_section();
 
-  write_fabric_section(w, runtime.fabric.export_state(),
-                       runtime.fabric.sharded());
+  write_fabric_section(w, runtime.fabric.export_state());
 
   std::vector<std::uint8_t> blob;
   workload.save_state(blob);
@@ -458,7 +400,6 @@ bool save_snapshot(const std::string& path, const SimulationConfig& config,
   write_table(w, collector.phases());
   write_table(w, collector.comm());
   write_table(w, collector.blocks());
-  write_table(w, collector.shards());
   write_table(w, collector.placement());
   w.end_section();
 
@@ -605,18 +546,14 @@ void restore_snapshot(const std::string& path,
   clock.front_time = r.i64();
   clock.next_seq = r.u64();
   clock.processed = r.u64();
-  if (runtime.sharded)
-    runtime.sharded->restore_clock(clock);
-  else
-    runtime.engine.restore_clock(clock);
+  runtime.engine.restore_clock(clock);
   r.end_section();
 
   r.begin_section("rng");
   runtime.rng.set_state(read_rng(r));
   r.end_section();
 
-  runtime.fabric.import_state(
-      read_fabric_section(r, runtime.fabric.sharded()));
+  runtime.fabric.import_state(read_fabric_section(r));
 
   r.begin_section("workload");
   const std::vector<std::uint8_t> blob = r.vec_pod<std::uint8_t>();
@@ -628,10 +565,9 @@ void restore_snapshot(const std::string& path,
   Table phases = read_table(r, collector.phases());
   Table comm = read_table(r, collector.comm());
   Table blocks = read_table(r, collector.blocks());
-  Table shard_tab = read_table(r, collector.shards());
   Table placement_tab = read_table(r, collector.placement());
   collector.restore(std::move(phases), std::move(comm), std::move(blocks),
-                    std::move(shard_tab), std::move(placement_tab));
+                    std::move(placement_tab));
   r.end_section();
 
   r.begin_section("tracer");

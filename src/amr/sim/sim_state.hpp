@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "amr/des/engine.hpp"
-#include "amr/des/sharded_engine.hpp"
 #include "amr/exec/plan_cache.hpp"
 #include "amr/exec/step_executor.hpp"
 #include "amr/par/thread_pool.hpp"
@@ -97,11 +96,6 @@ struct SimRuntime {
   Engine engine;
   Rng rng;  ///< root stream (already split for the fabric)
   Fabric fabric;
-  /// Sharded-DES mode only (config.des_shards > 0, both null otherwise):
-  /// the worker pool and the per-node shard partition. Declared before
-  /// comm, which captures sharded.get() at construction.
-  std::unique_ptr<ThreadPool> des_pool;
-  std::unique_ptr<ShardedEngine> sharded;
   Comm comm;
   // Exactly one executor registers rank endpoints on the comm.
   std::unique_ptr<StepExecutor> bsp_executor;
@@ -150,10 +144,9 @@ void restore_snapshot(const std::string& path,
                       SimRuntime& runtime, Workload& workload,
                       Collector& collector, Tracer* tracer);
 
-/// The snapshot's "fabric" section: one Fabric::State, with the per-node
-/// streams and counters when `sharded`. Exposed for round-trip tests.
-void write_fabric_section(io::SnapshotWriter& w, const Fabric::State& fab,
-                          bool sharded);
-Fabric::State read_fabric_section(io::SnapshotReader& r, bool sharded);
+/// The snapshot's "fabric" section: one Fabric::State. Exposed for
+/// round-trip tests.
+void write_fabric_section(io::SnapshotWriter& w, const Fabric::State& fab);
+Fabric::State read_fabric_section(io::SnapshotReader& r);
 
 }  // namespace amr

@@ -179,17 +179,9 @@ void Simulation::begin_run() {
   // is on.
   AMR_CHECK_MSG(config_.comm_pack_threshold < 0 || config_.comm_adaptive,
                 "comm_pack_threshold requires comm_adaptive");
-  AMR_CHECK_MSG(!(config_.des_shards > 0 &&
-                  config_.execution == ExecutionMode::kOverlap),
-                "sharded DES requires BSP execution (overlap self-events "
-                "carry no dispatch keys)");
   AMR_CHECK_MSG(config_.cplx_budget_ms > 0.0,
                 "cplx_budget_ms must be positive");
-  // Sharded mode: the runtime's concurrent layers run untraced (shard
-  // threads cannot share the ring); the driver still records its own
-  // step-level events below.
-  runtime_ = std::make_unique<SimRuntime>(
-      config_, config_.des_shards > 0 ? nullptr : tracer_.get());
+  runtime_ = std::make_unique<SimRuntime>(config_, tracer_.get());
   state_ = std::make_unique<SimState>(config_);
   SimState& st = *state_;
 
@@ -227,11 +219,6 @@ void Simulation::step_once() {
   Tracer* const tracer = tracer_.get();
   RunReport& report = st.report;
   const std::int64_t step = st.step;
-  // Simulated now regardless of DES mode (the sequential engine idles at
-  // 0 when the sharded engine is driving).
-  const auto sim_now = [&rt, &engine]() -> TimeNs {
-    return rt.sharded ? rt.sharded->now() : engine.now();
-  };
 
   // -- Mesh evolution + redistribution ------------------------------
   const std::uint64_t pre_evolve_version = mesh.version();
@@ -244,7 +231,7 @@ void Simulation::step_once() {
       const MeshRemap* r = mesh.remap_to(v);
       if (r != nullptr && !r->src.empty())
         tracer->counter(Tracer::kTrackSim, TraceCat::kRebalance,
-                        "delta-carried-permille", sim_now(),
+                        "delta-carried-permille", engine.now(),
                         static_cast<std::int64_t>(r->carried * 1000 /
                                                   r->src.size()));
     }
@@ -347,12 +334,9 @@ void Simulation::step_once() {
     const TimeNs rebalance_wall = migration + config_.placement_charge;
     if (tracer != nullptr)
       tracer->complete(Tracer::kTrackSim, TraceCat::kRebalance,
-                       "rebalance", sim_now(), rebalance_wall, moved,
+                       "rebalance", engine.now(), rebalance_wall, moved,
                        step);
-    if (rt.sharded)
-      rt.sharded->run_until(rt.sharded->now() + rebalance_wall);
-    else
-      engine.run_until(engine.now() + rebalance_wall);
+    engine.run_until(engine.now() + rebalance_wall);
 
     const double rebalance_s = to_sec(rebalance_wall);
     report.phases.rebalance += rebalance_s;
@@ -384,14 +368,14 @@ void Simulation::step_once() {
       if (tracer != nullptr) {
         if (config_.auto_cplx) {
           tracer->counter(Tracer::kTrackSim, TraceCat::kRebalance, "auto-x",
-                          sim_now(),
+                          engine.now(),
                           static_cast<std::int64_t>(x_chosen));
           tracer->counter(Tracer::kTrackSim, TraceCat::kRebalance,
-                          "tuner-fallback-epochs", sim_now(),
+                          "tuner-fallback-epochs", engine.now(),
                           st.tuner.fallback_epochs);
         }
         tracer->counter(Tracer::kTrackSim, TraceCat::kRebalance,
-                        "placement-chunks-reused", sim_now(),
+                        "placement-chunks-reused", engine.now(),
                         rt.placement_engine.stats().chunks_reused);
       }
     }
@@ -418,7 +402,7 @@ void Simulation::step_once() {
           [&](const ActiveFault& p) { return p.node == f.node; });
       if (!was_active)
         tracer->instant(Tracer::kTrackSim, TraceCat::kFault,
-                        "fault-onset", sim_now(), f.node,
+                        "fault-onset", engine.now(), f.node,
                         static_cast<std::int64_t>(f.factor * 100.0));
     }
     for (const ActiveFault& p : st.prev_faults) {
@@ -427,7 +411,7 @@ void Simulation::step_once() {
           [&](const ActiveFault& f) { return f.node == p.node; });
       if (!still_active)
         tracer->instant(Tracer::kTrackSim, TraceCat::kFault,
-                        "fault-clear", sim_now(), p.node,
+                        "fault-clear", engine.now(), p.node,
                         static_cast<std::int64_t>(p.factor * 100.0));
     }
     st.prev_faults = active;
@@ -456,14 +440,14 @@ void Simulation::step_once() {
   st.last_plan_placement = st.placement_version;
   if (tracer != nullptr) {
     tracer->counter(Tracer::kTrackSim, TraceCat::kRebalance,
-                    "plan-cache-hits", sim_now(),
+                    "plan-cache-hits", engine.now(),
                     st.pipeline_stats.predicted_hits);
     tracer->counter(Tracer::kTrackSim, TraceCat::kRebalance,
-                    "plan-cache-misses", sim_now(),
+                    "plan-cache-misses", engine.now(),
                     st.pipeline_stats.predicted_misses);
   }
 
-  const TimeNs exec_start = sim_now();
+  const TimeNs exec_start = engine.now();
   StepResult result;
   std::int64_t intra_rank_msgs = 0;
   const PackingPolicy packing = packing_policy(config_);
@@ -498,7 +482,7 @@ void Simulation::step_once() {
     // Executed-window wall feeds the tuner at the next redistribution
     // (simulated time: deterministic and checkpoint-stable).
     ++st.epoch_steps;
-    st.epoch_wall_ns += sim_now() - exec_start;
+    st.epoch_wall_ns += engine.now() - exec_start;
   }
   const WindowPath path = rt.critical_path.observe(result);
   st.last_straggler = path.straggler;
@@ -569,31 +553,9 @@ void Simulation::step_once() {
   // packing is on so legacy traces stay byte-identical.
   if (tracer != nullptr && config_.comm_adaptive) {
     tracer->counter(Tracer::kTrackSim, TraceCat::kMsg, "msgs_coalesced",
-                    sim_now(), report.msgs_coalesced);
+                    engine.now(), report.msgs_coalesced);
     tracer->counter(Tracer::kTrackSim, TraceCat::kMsg, "bytes_packed",
-                    sim_now(), report.bytes_packed);
-  }
-
-  // Per-shard epoch counters (sharded mode): shard-imbalance visibility
-  // in both the telemetry tables and the Perfetto timeline. Emitted by
-  // the coordinator after the step, so the trace ring sees one thread.
-  if (rt.sharded) {
-    for (std::size_t s = 0; s < result.shards.size(); ++s) {
-      const ShardEpochStats& ss = result.shards[s];
-      const auto shard = static_cast<std::int32_t>(s);
-      if (config_.collect_telemetry)
-        collector_.record_shard(step, shard, ss.events, ss.epochs,
-                                ss.lookahead_stalls, ss.mailbox_events);
-      if (tracer != nullptr) {
-        const std::int32_t track = Tracer::shard_track(shard);
-        tracer->counter(track, TraceCat::kStep, "shard_events", sim_now(),
-                        ss.events);
-        tracer->counter(track, TraceCat::kStep, "shard_stalls", sim_now(),
-                        ss.lookahead_stalls);
-        tracer->counter(track, TraceCat::kStep, "shard_mailbox", sim_now(),
-                        ss.mailbox_events);
-      }
-    }
+                    engine.now(), report.bytes_packed);
   }
 
   ++st.step;
@@ -610,9 +572,7 @@ RunReport Simulation::finish_run() {
 
   st.report.steps = config_.steps;
   st.report.final_blocks = st.mesh.size();
-  st.report.wall_seconds = to_sec(runtime_->sharded
-                                      ? runtime_->sharded->now()
-                                      : runtime_->engine.now());
+  st.report.wall_seconds = to_sec(runtime_->engine.now());
   st.report.critical_path = runtime_->critical_path.stats();
   return st.report;
 }

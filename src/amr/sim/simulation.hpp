@@ -71,19 +71,6 @@ struct SimulationConfig {
   /// rank — the predicted critical-path successor — before other sends.
   /// Off = legacy send order, byte-identical.
   bool send_priority = false;
-  /// Parallel DES sharding (the profiling-paper scaling lever): partition
-  /// the event queue by cluster node into `des_shards` shards (clamped to
-  /// the node count) and run them concurrently under a conservative
-  /// lookahead of the fabric's remote latency. 0 = the legacy sequential
-  /// engine, byte-identical to builds without this option. Any value
-  /// >= 1 selects the sharded configuration, whose output is identical
-  /// for every shard count (ctest par_des_determinism) but NOT to the
-  /// sequential run (per-node fabric RNG streams draw different jitter).
-  /// BSP execution only. Event tracing is reduced to driver-level events
-  /// (step/rebalance/fault/critical-path plus per-shard epoch counters):
-  /// the engine/fabric/comm taps stay detached because concurrent shards
-  /// cannot share the trace ring.
-  std::int32_t des_shards = 0;
   FabricParams fabric = FabricParams::tuned();
   CollectiveParams collective{};
   ExecParams exec{};

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "amr/common/check.hpp"
-#include "amr/des/sharded_engine.hpp"
 #include "amr/trace/tracer.hpp"
 
 namespace amr {
@@ -21,8 +20,8 @@ unsigned rank_bits_for(std::int32_t nranks) {
 }  // namespace
 
 Comm::Comm(Engine& engine, Fabric& fabric, std::int32_t nranks,
-           CollectiveParams collective, ShardedEngine* sharded)
-    : engine_(engine), fabric_(fabric), sharded_(sharded), nranks_(nranks),
+           CollectiveParams collective)
+    : engine_(engine), fabric_(fabric), nranks_(nranks),
       collective_params_(collective), rank_bits_(rank_bits_for(nranks)),
       dst_tag_bits_(kSlotShift - 2 * rank_bits_),
       dst_shift_(dst_tag_bits_ + rank_bits_),
@@ -33,23 +32,9 @@ Comm::Comm(Engine& engine, Fabric& fabric, std::int32_t nranks,
   collective_overhead_ =
       collective_params_.alpha +
       collective_params_.beta * static_cast<TimeNs>(rank_bits_);
-  send_seq_.assign(static_cast<std::size_t>(nranks), 0);
-  if (sharded_ != nullptr) {
-    AMR_CHECK_MSG(fabric_.sharded(),
-                  "sharded comm requires a sharding-enabled fabric");
-    const auto shards = static_cast<std::size_t>(sharded_->num_shards());
-    shard_collectives_.resize(shards);
-    outboxes_.resize(shards);
-    cross_shard_records_.assign(shards, 0);
-  }
 }
 
-void Comm::set_tracer(Tracer* tracer) {
-  // The trace ring has one writer; shard threads would race on it.
-  AMR_CHECK_MSG(tracer == nullptr || sharded_ == nullptr,
-                "sharded comm cannot be traced");
-  tracer_ = tracer;
-}
+void Comm::set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
 void Comm::set_endpoint(std::int32_t rank, RankEndpoint* endpoint) {
   AMR_CHECK(rank >= 0 && rank < nranks_);
@@ -117,31 +102,13 @@ TimeNs Comm::isend(std::int32_t src, std::int32_t dst, std::int64_t bytes,
   }
   const std::uint64_t tag =
       delivery_tag(static_cast<std::size_t>(xi), src, dst, dst_tag);
-  if (sharded_ == nullptr) {
-    // The message takes the legacy key its delivery event would have
-    // had, so every other event keeps its key.
-    post(engine_, tag, t.delivery, engine_.reserve_key());
-    return t.sender_release;
-  }
-  // Sharded: key the message by (source rank, per-source send sequence)
-  // so its equal-time dispatch position is independent of the shard
-  // layout. A cross-shard message waits in the source shard's outbox
-  // for the barrier merge; the fabric guarantees cross-node delivery >=
-  // post_time + lookahead, so whatever the merge schedules lands beyond
-  // the receiver shard's current epoch.
-  const std::int32_t src_shard = sharded_->shard_of_rank(src);
-  const std::uint64_t key =
-      event_key::delivery(src, send_seq_[static_cast<std::size_t>(src)]++);
-  if (src_shard == sharded_->shard_of_rank(dst))
-    post(sharded_->shard(src_shard), tag, t.delivery, key);
-  else
-    outboxes_[static_cast<std::size_t>(src_shard)].push_back(
-        CrossPost{t.delivery, key, tag});
+  // The message takes the legacy key its delivery event would have had,
+  // so every other event keeps its key.
+  post(tag, t.delivery, engine_.reserve_key());
   return t.sender_release;
 }
 
-void Comm::post(Engine& engine, std::uint64_t tag, TimeNs t,
-                std::uint64_t key) {
+void Comm::post(std::uint64_t tag, TimeNs t, std::uint64_t key) {
   const std::size_t slot = slot_of(tag);
   AMR_CHECK_MSG(slot < exchanges_.size() && exchanges_[slot].open,
                 "delivery into a closed exchange window");
@@ -150,12 +117,12 @@ void Comm::post(Engine& engine, std::uint64_t tag, TimeNs t,
   RecvRecord& rv = exchanges_[slot].recvs[static_cast<std::size_t>(dst)];
   count(rv, t, key, src);
   if (rv.waiting && rv.posted == rv.expected)
-    schedule_wake(engine, slot, dst, rv);
+    schedule_wake(slot, dst, rv);
   const std::int64_t dst_tag = dst_tag_of(tag);
   if (dst_tag == -1) return;
   RankEndpoint* ep = endpoints_[static_cast<std::size_t>(dst)];
   if (ep != nullptr)
-    ep->on_post(engine, exchanges_[slot].window, t, key, src, dst_tag);
+    ep->on_post(engine_, exchanges_[slot].window, t, key, src, dst_tag);
 }
 
 void Comm::count(RecvRecord& rv, TimeNs t, std::uint64_t key,
@@ -170,9 +137,9 @@ void Comm::count(RecvRecord& rv, TimeNs t, std::uint64_t key,
   }
 }
 
-void Comm::schedule_wake(Engine& engine, std::size_t slot,
-                         std::int32_t rank, const RecvRecord& rv) {
-  engine.schedule_keyed(rv.t, rv.key, this,
+void Comm::schedule_wake(std::size_t slot, std::int32_t rank,
+                         const RecvRecord& rv) {
+  engine_.schedule_keyed(rv.t, rv.key, this,
                         delivery_tag(slot, rv.src, rank, -1));
 }
 
@@ -187,7 +154,7 @@ bool Comm::wait_recvs(Engine& engine, std::int32_t rank,
     return true;
   AMR_CHECK_MSG(!rv.waiting, "rank already waiting on window");
   rv.waiting = true;
-  if (counted) schedule_wake(engine, slot, rank, rv);
+  if (counted) schedule_wake(slot, rank, rv);
   return false;
 }
 
@@ -195,9 +162,8 @@ bool Comm::exchange_complete(std::uint64_t window) const {
   const std::ptrdiff_t xi = find_exchange(window);
   AMR_CHECK(xi >= 0);
   const auto slot = static_cast<std::size_t>(xi);
-  const TimeNs now = sharded_ != nullptr ? sharded_->now() : engine_.now();
   for (const RecvRecord& rv : exchanges_[slot].recvs)
-    if (rv.posted != rv.expected || (rv.posted > 0 && rv.t > now))
+    if (rv.posted != rv.expected || (rv.posted > 0 && rv.t > engine_.now()))
       return false;
   return true;
 }
@@ -211,33 +177,10 @@ void Comm::end_exchange(std::uint64_t window) {
   state.open = false;  // slot (and its vectors) recycled by the next open
 }
 
-std::int64_t Comm::take_cross_shard_records(std::int32_t shard) {
-  std::int64_t& n = cross_shard_records_[static_cast<std::size_t>(shard)];
-  const std::int64_t taken = n;
-  n = 0;
-  return taken;
-}
-
 void Comm::enter_collective(std::uint64_t window, std::int32_t rank,
                             TimeNs entry_time) {
   AMR_CHECK(window < (1ULL << 31));
   AMR_CHECK(rank >= 0 && rank < nranks_);
-  if (sharded_ != nullptr) {
-    // Accumulate on the caller's shard; the merge (and the completion
-    // check) happens at the next epoch barrier, where it is both
-    // race-free and order-independent (counts add, entries max).
-    auto& list =
-        shard_collectives_[static_cast<std::size_t>(
-            sharded_->shard_of_rank(rank))];
-    for (CollectiveState& c : list)
-      if (c.window == window) {
-        ++c.entered;
-        c.max_entry = std::max(c.max_entry, entry_time);
-        return;
-      }
-    list.push_back(CollectiveState{window, 1, entry_time});
-    return;
-  }
   CollectiveState* found = nullptr;
   for (auto& c : collectives_)
     if (c.window == window) {
@@ -259,75 +202,9 @@ void Comm::enter_collective(std::uint64_t window, std::int32_t rank,
   }
 }
 
-void Comm::on_epoch_barrier() {
-  // Merge cross-shard messages into their receivers' records. The merge
-  // commutes (counts add, the latest is the max by (t, key) and keys are
-  // unique), and a wake is scheduled only once a count is complete, when
-  // its latest is final, so the shard iteration order cannot matter.
-  for (std::vector<CrossPost>& box : outboxes_) {
-    for (const CrossPost& p : box) {
-      const std::int32_t shard = sharded_->shard_of_rank(dst_of(p.tag));
-      ++cross_shard_records_[static_cast<std::size_t>(shard)];
-      post(sharded_->shard(shard), p.tag, p.t, p.key);
-    }
-    box.clear();
-  }
-  // Merge per-shard collective entries (commutative, so the shard
-  // iteration order cannot matter), then fire any completed collective
-  // into every shard: each shard's dispatch notifies its own rank range.
-  for (std::vector<CollectiveState>& list : shard_collectives_) {
-    for (const CollectiveState& e : list) {
-      CollectiveState* found = nullptr;
-      for (CollectiveState& c : collectives_)
-        if (c.window == e.window) {
-          found = &c;
-          break;
-        }
-      if (found == nullptr) {
-        collectives_.push_back(e);
-      } else {
-        found->entered += e.entered;
-        found->max_entry = std::max(found->max_entry, e.max_entry);
-      }
-    }
-    list.clear();
-  }
-  for (std::size_t i = 0; i < collectives_.size();) {
-    CollectiveState& c = collectives_[i];
-    AMR_CHECK_MSG(c.entered <= nranks_,
-                  "rank entered collective twice in one window");
-    if (c.entered < nranks_) {
-      ++i;
-      continue;
-    }
-    const std::uint64_t window = c.window;
-    const TimeNs done = c.max_entry + collective_overhead_;
-    // Remove before scheduling: the sharded dispatch path does not
-    // consult collectives_ (window and time ride in the tag and event).
-    collectives_[i] = collectives_.back();
-    collectives_.pop_back();
-    for (std::int32_t s = 0; s < sharded_->num_shards(); ++s)
-      sharded_->shard(s).schedule_keyed(done, event_key::collective(window),
-                                        this,
-                                        kCollectiveBit | (window << 32));
-  }
-}
-
 void Comm::on_event(Engine& engine, std::uint64_t tag) {
   if (tag & kCollectiveBit) {
     const std::uint64_t window = (tag & ~kCollectiveBit) >> 32;
-    if (sharded_ != nullptr) {
-      // Per-shard completion event: notify only this shard's ranks (in
-      // rank order; the global notification order across shards is not
-      // observable — each rank's continuation stays in its own shard).
-      const auto [first, last] = sharded_->rank_range(engine.shard_id());
-      for (std::int32_t r = first; r < last; ++r) {
-        RankEndpoint* ep = endpoints_[static_cast<std::size_t>(r)];
-        AMR_CHECK(ep != nullptr);
-        ep->on_collective_done(engine, window, engine.now());
-      }
-      return;
-    }
     std::size_t ci = collectives_.size();
     for (std::size_t i = 0; i < collectives_.size(); ++i)
       if (collectives_[i].window == window) {

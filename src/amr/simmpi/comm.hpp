@@ -37,14 +37,11 @@
 
 namespace amr {
 
-class ShardedEngine;
 class Tracer;
 
 /// Callbacks into the per-rank runtime (implemented by exec::RankRuntime).
-/// `engine` is the engine that dispatched the triggering event — under
-/// sharding, the rank's own shard engine, which the endpoint must use for
-/// any continuation it schedules (in the sequential case it is simply the
-/// one global engine).
+/// `engine` is the engine that dispatched the triggering event, which the
+/// endpoint uses for any continuation it schedules.
 class RankEndpoint {
  public:
   virtual ~RankEndpoint() = default;
@@ -61,8 +58,7 @@ class RankEndpoint {
 
   /// A tagged message (dst_tag != -1) was posted to this rank. It is
   /// not an event: the call comes when the message is counted (inside
-  /// isend; under sharding in the same-shard post or at the epoch barrier
-  /// merge), and (t, key) is the dispatch slot its delivery would have
+  /// isend), and (t, key) is the dispatch slot its delivery would have
   /// had — `engine.dispatched(t, key)` says whether it has landed, and
   /// a wake scheduled at (t, key) resumes the receiver exactly where that
   /// delivery would have. `dst_tag` is the sender-supplied routing tag —
@@ -90,18 +86,9 @@ struct CollectiveParams {
 
 class Comm final : public EventHandler {
  public:
-  /// With `sharded` non-null the comm routes events through the sharded
-  /// engine instead of `engine`: messages take canonical dispatch keys
-  /// (engine.hpp event_key), and wakes and collective completions go
-  /// into the destination rank's shard. All mutable
-  /// bookkeeping a shard thread touches is partitioned by rank or by
-  /// shard: a same-shard message updates the receiver's record directly,
-  /// a cross-shard one is appended to its source shard's outbox, and
-  /// on_epoch_barrier() merges the outboxes and collective accumulators.
-  /// The fabric must have sharding enabled so transfer() is per-node too.
   /// nranks must fit the delivery tag layout (at most kMaxRanks).
   Comm(Engine& engine, Fabric& fabric, std::int32_t nranks,
-       CollectiveParams collective = {}, ShardedEngine* sharded = nullptr);
+       CollectiveParams collective = {});
 
   /// Limits of the delivery tag layout (see kSlotShift below).
   static constexpr std::int32_t kMaxRanks = 1 << 24;
@@ -117,14 +104,13 @@ class Comm final : public EventHandler {
   std::int32_t nranks() const { return nranks_; }
   Engine& engine() { return engine_; }
   Fabric& fabric() { return fabric_; }
-  ShardedEngine* sharded() { return sharded_; }
 
   /// Register the runtime object receiving callbacks for `rank`.
   void set_endpoint(std::int32_t rank, RankEndpoint* endpoint);
 
   /// Attach an event tracer (nullptr detaches): every P2P message gets a
   /// flow arrow from its isend post to its delivery, both recorded at
-  /// isend. Sequential only.
+  /// isend.
   void set_tracer(Tracer* tracer);
 
   /// Open a P2P exchange window. expected[r] = number of messages rank r
@@ -145,15 +131,14 @@ class Comm final : public EventHandler {
   /// an MPI_Wait on this send request would return (buffer handed off;
   /// inflated by ACK-recovery blocking when that pathology is active).
   /// The message is counted against the receiver's expected count here
-  /// (aborting if that count is exceeded; cross-shard ones are counted
-  /// at the next epoch barrier); it never becomes a DES event. A tagged
-  /// message's `dst_tag` is handed to the receiver's on_post hook as it
-  /// is counted; it must lie in [kMinDstTag, max_dst_tag()], and -1
-  /// means untagged: no on_post call. `msgs` >
-  /// 1 posts an aggregated transfer (one delivery carrying that many
-  /// logical boundary messages; counts as ONE arrival against the
-  /// window's expected count, so aggregated windows must size `expected`
-  /// per peer rather than per block pair).
+  /// (aborting if that count is exceeded); it never becomes a DES event.
+  /// A tagged message's `dst_tag` is handed to the receiver's on_post hook
+  /// as it is counted; it must lie in [kMinDstTag, max_dst_tag()], and -1
+  /// means untagged: no on_post call. `msgs` > 1 posts an aggregated
+  /// transfer (one delivery carrying that many logical boundary messages;
+  /// counts as ONE arrival against the window's expected count, so
+  /// aggregated windows must size `expected` per peer rather than per block
+  /// pair).
   /// `priority` marks a transfer promoted by critical-path send ordering
   /// — timing is unchanged, but the trace flow is named "p2p-priority"
   /// so promotions are visible.
@@ -163,26 +148,19 @@ class Comm final : public EventHandler {
                bool priority = false);
 
   /// Rank's waitall on its receives for the window, called from an event
-  /// `engine` is dispatching (the rank's shard under sharding). Returns
-  /// true when every expected message is counted and the latest one's
-  /// (time, key) has dispatched (Engine::dispatched) — the rank proceeds
-  /// at once. Otherwise the rank parks and returns false; once its count
-  /// is complete, one wake event at the latest (time, key) calls
-  /// on_recvs_ready, tagged or untagged.
+  /// `engine` is dispatching. Returns true when every expected message is
+  /// counted and the latest one's (time, key) has dispatched
+  /// (Engine::dispatched) — the rank proceeds at once. Otherwise the rank
+  /// parks and returns false; once its count is complete, one wake event at
+  /// the latest (time, key) calls on_recvs_ready, tagged or untagged.
   bool wait_recvs(Engine& engine, std::int32_t rank, std::uint64_t window);
 
   /// True once every expected message of the window is counted and
-  /// delivered by the coordinator's clock (engine.now(), or the sharded
-  /// engine's now()); the window can then be closed.
+  /// delivered by engine.now(); the window can then be closed.
   bool exchange_complete(std::uint64_t window) const;
 
   /// Release a completed exchange window's bookkeeping.
   void end_exchange(std::uint64_t window);
-
-  /// Sharded mode: cross-shard message records merged into `shard`'s
-  /// receivers since the last call (the shards table's mailbox column);
-  /// resets the count.
-  std::int64_t take_cross_shard_records(std::int32_t shard);
 
   /// Enter a blocking collective (allreduce-style). Completion fires
   /// on_collective_done on every participating rank. Every rank must
@@ -192,19 +170,6 @@ class Comm final : public EventHandler {
 
   // EventHandler: receive wakes and collective completions.
   void on_event(Engine& engine, std::uint64_t tag) override;
-
-  /// Sharded mode: the sharded engine's epoch-barrier hook (registered
-  /// by the owner via ShardedEngine::set_barrier_callback). Runs single-
-  /// threaded between epochs. Hands the outboxes' messages to their
-  /// receivers as isend does (counts add, the latest is the max by
-  /// (time, key); tagged ones reach on_post with the receiver's shard
-  /// engine), scheduling each completed wake into the receiver's shard;
-  /// lookahead puts every such time at or beyond the next epoch's
-  /// start. Then merges per-shard collective
-  /// accumulators, scheduling a completion event into every shard once
-  /// all ranks have entered (each shard then notifies its own contiguous
-  /// rank range).
-  void on_epoch_barrier();
 
  private:
   /// One receiver's messages in one window: everything its receive
@@ -228,18 +193,9 @@ class Comm final : public EventHandler {
   struct ExchangeState {
     std::uint64_t window = 0;
     bool open = false;
-    // Indexed by receiver. No aggregate outstanding counter: posts on
-    // different shards would race on it. exchange_complete/end_exchange
-    // (coordinator-only calls) scan the records instead.
+    // Indexed by receiver. exchange_complete/end_exchange scan the
+    // records.
     std::vector<RecvRecord> recvs;
-  };
-
-  /// A cross-shard message awaiting the barrier merge: its delivery
-  /// tag (which names slot, dst and src) and dispatch slot.
-  struct CrossPost {
-    TimeNs t;
-    std::uint64_t key;
-    std::uint64_t tag;
   };
 
   /// Active collectives (typically one): linear scan beats a hash map at
@@ -250,13 +206,12 @@ class Comm final : public EventHandler {
     TimeNs max_entry = 0;
   };
 
-  // A delivery tag names a whole message: cross-shard outboxes carry it
-  // to the barrier merge, and a receive wake's event tag is its last
-  // message's tag with the dst_tag field cleared, so dispatch reads
+  // A delivery tag names a whole message: a receive wake's event tag is its
+  // last message's tag with the dst_tag field cleared, so dispatch reads
   // nothing but the engine's queue entry. Bit 63 selects wake (0) vs
   // collective completion (1, bits 32..62 = window id). A delivery tag
-  // packs, from the top: the exchange slot in bits 59..62, then dst and
-  // src in rank_bits_ = bit_width(nranks - 1) bits each, then dst_tag -
+  // packs, from the top: the exchange slot in bits 59..62, then dst and src
+  // in rank_bits_ = bit_width(nranks - 1) bits each, then dst_tag -
   // kMinDstTag in the low dst_tag_bits_ = 59 - 2 * rank_bits_ bits.
   static constexpr std::uint64_t kCollectiveBit = 1ULL << 63;
   static constexpr unsigned kSlotShift = 59;
@@ -282,20 +237,19 @@ class Comm final : public EventHandler {
     return static_cast<std::int64_t>(tag & dst_tag_mask_) + kMinDstTag;
   }
 
-  /// Hand a message to its receiver; `engine` is the receiver's (shard)
-  /// engine. The message is counted, schedules the receiver's wake when
-  /// it completes a parked receive, and, if tagged, reaches on_post.
-  void post(Engine& engine, std::uint64_t tag, TimeNs t, std::uint64_t key);
+  /// Hand a message to its receiver: it is counted, schedules the
+  /// receiver's wake when it completes a parked receive, and, if tagged,
+  /// reaches on_post.
+  void post(std::uint64_t tag, TimeNs t, std::uint64_t key);
   /// Count a message delivered at (t, key) from `src` into a record.
   static void count(RecvRecord& rv, TimeNs t, std::uint64_t key,
                     std::int32_t src);
   /// Schedule `rank`'s wake at its record's latest (t, key).
-  void schedule_wake(Engine& engine, std::size_t slot, std::int32_t rank,
+  void schedule_wake(std::size_t slot, std::int32_t rank,
                      const RecvRecord& rv);
 
   Engine& engine_;
   Fabric& fabric_;
-  ShardedEngine* sharded_;
   Tracer* tracer_ = nullptr;
   std::int32_t nranks_;
   CollectiveParams collective_params_;
@@ -312,21 +266,6 @@ class Comm final : public EventHandler {
   std::vector<RankEndpoint*> endpoints_;
   std::vector<ExchangeState> exchanges_;       // pooled, see ExchangeState
   std::vector<CollectiveState> collectives_;   // active only, swap-pop
-  /// Per-source-rank monotone send counters, the per-class uniquifier of
-  /// delivery dispatch keys. Not checkpointed: no delivery is in flight
-  /// at a step boundary, so resetting them applies a common offset per
-  /// source and preserves every relative order.
-  std::vector<std::uint64_t> send_seq_;
-  /// [shard] -> collective entries accumulated by that shard's ranks
-  /// this epoch; merged (commutatively: counts add, max_entry maxes)
-  /// into collectives_ at the barrier.
-  std::vector<std::vector<CollectiveState>> shard_collectives_;
-  /// [source shard] -> cross-shard messages posted this epoch; one
-  /// writer per vector (the source shard's thread).
-  std::vector<std::vector<CrossPost>> outboxes_;
-  /// [receiver shard] -> cross-shard records merged since the last
-  /// take_cross_shard_records.
-  std::vector<std::int64_t> cross_shard_records_;
 };
 
 }  // namespace amr

@@ -38,12 +38,6 @@ Collector::Collector()
                          {"block", ColType::kI64},
                          {"rank", ColType::kI64},
                          {"cost_ns", ColType::kI64}}),
-      shards_("shards", {{"step", ColType::kI64},
-                         {"shard", ColType::kI64},
-                         {"events", ColType::kI64},
-                         {"epochs", ColType::kI64},
-                         {"stalls", ColType::kI64},
-                         {"mailbox", ColType::kI64}}),
       placement_("placement", {{"step", ColType::kI64},
                                {"x", ColType::kF64},
                                {"mode", ColType::kI64},
@@ -87,27 +81,24 @@ void Collector::clear() {
   phases_.clear();
   comm_.clear();
   blocks_.clear();
-  shards_.clear();
   placement_.clear();
 }
 
 void Collector::restore(Table phases, Table comm, Table blocks,
-                        Table shards, Table placement) {
+                        Table placement) {
   AMR_CHECK_MSG(same_schema(phases, phases_) && same_schema(comm, comm_) &&
                     same_schema(blocks, blocks_) &&
-                    same_schema(shards, shards_) &&
                     same_schema(placement, placement_),
                 "restored telemetry tables do not match the collector schema");
   phases_ = std::move(phases);
   comm_ = std::move(comm);
   blocks_ = std::move(blocks);
-  shards_ = std::move(shards);
   placement_ = std::move(placement);
 }
 
 std::size_t Collector::bytes_used() const {
   return phases_.bytes_used() + comm_.bytes_used() + blocks_.bytes_used() +
-         shards_.bytes_used() + placement_.bytes_used();
+         placement_.bytes_used();
 }
 
 void Collector::record_block(std::int64_t step, std::int32_t block,
@@ -116,13 +107,6 @@ void Collector::record_block(std::int64_t step, std::int32_t block,
   blocks_.append_row({step, static_cast<std::int64_t>(block),
                       static_cast<std::int64_t>(rank),
                       static_cast<std::int64_t>(cost)});
-}
-
-void Collector::record_shard(std::int64_t step, std::int32_t shard,
-                             std::int64_t events, std::int64_t epochs,
-                             std::int64_t stalls, std::int64_t mailbox) {
-  shards_.append_row({step, static_cast<std::int64_t>(shard), events,
-                      epochs, stalls, mailbox});
 }
 
 void Collector::record_placement(std::int64_t step, double x,

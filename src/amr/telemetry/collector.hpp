@@ -57,18 +57,6 @@ class Collector {
   void record_block(std::int64_t step, std::int32_t block,
                     std::int32_t rank, TimeNs cost);
 
-  /// shards(step, shard i64, events i64, epochs i64, stalls i64,
-  ///        mailbox i64) — per-(step, DES shard) execution counters from
-  ///        the sharded engine (empty for sequential runs). `events`
-  ///        counts dispatched events (untagged messages are counted by
-  ///        the comm, not dispatched); `stalls` counts lookahead epochs
-  ///        in which the shard dispatched nothing — the shard-imbalance
-  ///        signal; `mailbox` counts cross-shard message records merged
-  ///        into the shard at epoch barriers.
-  void record_shard(std::int64_t step, std::int32_t shard,
-                    std::int64_t events, std::int64_t epochs,
-                    std::int64_t stalls, std::int64_t mailbox);
-
   /// placement(step i64, x f64, mode i64, candidates i64,
   ///           chunks_reused i64, chunks_total i64, moved i64,
   ///           predicted_ns f64, measured_ns f64, err_ewma f64) — one
@@ -87,6 +75,7 @@ class Collector {
   const Table& phases() const { return phases_; }
   const Table& comm() const { return comm_; }
   const Table& blocks() const { return blocks_; }
+  /// Always empty: kept for ledger/ until a benchmark PR drops it.
   const Table& shards() const { return shards_; }
   const Table& placement() const { return placement_; }
 
@@ -104,10 +93,9 @@ class Collector {
   /// trace->table exporters use this to reuse one collector per run.
   void clear();
 
-  /// Replace all five tables with checkpointed copies. The tables must
+  /// Replace all four tables with checkpointed copies. The tables must
   /// carry this collector's schemas (schema mismatch aborts).
-  void restore(Table phases, Table comm, Table blocks, Table shards,
-               Table placement);
+  void restore(Table phases, Table comm, Table blocks, Table placement);
 
   /// Total heap bytes held by the tables' column storage.
   std::size_t bytes_used() const;

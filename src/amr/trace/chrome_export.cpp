@@ -26,8 +26,6 @@ TrackIds map_track(std::int32_t track, std::int32_t ranks_per_node) {
   if (track >= 0) return {track / ranks_per_node, track};
   if (track == Tracer::kTrackSim) return {kSimPid, 0};
   if (track == Tracer::kTrackCrit) return {kSimPid, 1};
-  const std::int32_t shard = Tracer::shard_track_id(track);
-  if (shard >= 0) return {kSimPid, 2 + shard};
   const std::int32_t node = Tracer::fabric_track_node(track);
   return {node, kFabricTidBase + node};
 }
@@ -197,8 +195,6 @@ std::string chrome_trace_json(const Tracer& tracer) {
       name = "steps";
     else if (track == Tracer::kTrackCrit)
       name = "critical-path";
-    else if (Tracer::shard_track_id(track) >= 0)
-      name = "des-shard " + std::to_string(Tracer::shard_track_id(track));
     else
       name = "fabric";
     append_metadata(out, "thread_name", key.first, key.second, true, name);

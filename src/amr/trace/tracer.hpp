@@ -102,20 +102,9 @@ class Tracer {
   static constexpr std::int32_t fabric_track(std::int32_t node) {
     return -3 - node;
   }
-  /// Per-DES-shard track (epoch counters from the sharded engine). Sits
-  /// below every fabric track — the fabric range is bounded by the node
-  /// count, which never approaches a million in this simulator.
-  static constexpr std::int32_t kShardTrackBase = -1'000'003;
-  static constexpr std::int32_t shard_track(std::int32_t shard) {
-    return kShardTrackBase - shard;
-  }
-  /// Inverse of shard_track; -1 if `track` is not a shard track.
-  static constexpr std::int32_t shard_track_id(std::int32_t track) {
-    return track <= kShardTrackBase ? kShardTrackBase - track : -1;
-  }
   /// Inverse of fabric_track; -1 if `track` is not a fabric track.
   static constexpr std::int32_t fabric_track_node(std::int32_t track) {
-    return track <= -3 && track > kShardTrackBase ? -3 - track : -1;
+    return track <= -3 ? -3 - track : -1;
   }
 
   explicit Tracer(TraceConfig config = {});

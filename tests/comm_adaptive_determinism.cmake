@@ -2,17 +2,13 @@
 #   1. --comm-adaptive --send-priority stdout is byte-identical across
 #      --jobs (the sweep runtime must not perturb adaptive plans or the
 #      straggler-priority schedule),
-#   2. adaptive stdout is byte-identical across --des-shards >= 1 (the
-#      sharded engine makes the same per-pair packing decisions; this
-#      leg drives the concurrent shard threads under the
-#      AMR_SANITIZE=thread tree),
-#   3. an --overlap --comm-adaptive --send-priority run restored from
+#   2. an --overlap --comm-adaptive --send-priority run restored from
 #      any mid-run snapshot continues byte-identically (last_straggler
 #      and the packing axes ride in the snapshot),
-#   4. snapshots written under the adaptive axes refuse to restore into
+#   3. snapshots written under the adaptive axes refuse to restore into
 #      runs without them (config fingerprint mismatch), naming the
 #      offending axis, and
-#   5. a BSP --comm-adaptive run with a fault window restored from any
+#   4. a BSP --comm-adaptive run with a fault window restored from any
 #      mid-run snapshot continues byte-identically.
 # The --aggregate spelling of --comm-adaptive is checked by
 # aggregate_determinism.cmake.
@@ -42,26 +38,6 @@ if(NOT out_j1 STREQUAL out_j4)
                       "under --comm-adaptive --send-priority: adaptive "
                       "plans are not deterministic across the sweep "
                       "runtime")
-endif()
-
-# Sharded DES must make identical packing decisions for every shard
-# count >= 1 (BSP execution; this is the concurrency leg under tsan).
-execute_process(
-  COMMAND "${SEDOV}" cpl50 32 24 --comm-adaptive --send-priority
-          --des-shards=1
-  OUTPUT_VARIABLE out_s1 RESULT_VARIABLE rc1)
-execute_process(
-  COMMAND "${SEDOV}" cpl50 32 24 --comm-adaptive --send-priority
-          --des-shards=2
-  OUTPUT_VARIABLE out_s2 RESULT_VARIABLE rc2)
-if(NOT rc1 EQUAL 0 OR NOT rc2 EQUAL 0)
-  message(FATAL_ERROR "adaptive sharded runs failed "
-                      "(exit ${rc1} / ${rc2})")
-endif()
-if(NOT out_s1 STREQUAL out_s2)
-  message(FATAL_ERROR "stdout differs between --des-shards=1 and "
-                      "--des-shards=2 under --comm-adaptive: sharded "
-                      "execution changes adaptive packing")
 endif()
 
 # Overlap + adaptive + priority across checkpoint/restore, with a fault

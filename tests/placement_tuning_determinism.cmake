@@ -2,10 +2,8 @@
 #   1. --placement-incremental stdout is byte-identical to the default
 #      full-rebuild path (the delta engine's chunk reuse and parallel
 #      solves never change output bytes),
-#   2. engine-mode stdout is byte-identical across --jobs and across
-#      --des-shards >= 1 (the dedicated placement pool and the sharded
-#      DES must not perturb tuning decisions; the shards leg drives the
-#      concurrent threads under the AMR_SANITIZE=thread tree),
+#   2. engine-mode stdout is byte-identical across --jobs (the
+#      dedicated placement pool must not perturb tuning decisions),
 #   3. an --auto-cplx run restored from any mid-run snapshot continues
 #      byte-identically (the tuner's surrogate weights, error EWMA, and
 #      epoch accumulators ride in the v5 "tuner" section),
@@ -52,24 +50,6 @@ if(NOT out_j1 STREQUAL out_j2)
   message(FATAL_ERROR "stdout differs between --jobs=1 and --jobs=2 "
                       "under --auto-cplx: tuning decisions are not "
                       "deterministic across the sweep runtime")
-endif()
-
-# Sharded DES must leave tuning decisions untouched for every shard
-# count >= 1 (this is the concurrency leg under tsan).
-execute_process(
-  COMMAND "${SEDOV}" cpl50 32 24 ${mode} --des-shards=1
-  OUTPUT_VARIABLE out_s1 RESULT_VARIABLE rc1)
-execute_process(
-  COMMAND "${SEDOV}" cpl50 32 24 ${mode} --des-shards=2
-  OUTPUT_VARIABLE out_s2 RESULT_VARIABLE rc2)
-if(NOT rc1 EQUAL 0 OR NOT rc2 EQUAL 0)
-  message(FATAL_ERROR "auto-cplx sharded runs failed "
-                      "(exit ${rc1} / ${rc2})")
-endif()
-if(NOT out_s1 STREQUAL out_s2)
-  message(FATAL_ERROR "stdout differs between --des-shards=1 and "
-                      "--des-shards=2 under --auto-cplx: sharded "
-                      "execution changes tuning decisions")
 endif()
 
 # Auto-X across checkpoint/restore, with a fault window so the measured

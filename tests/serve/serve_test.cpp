@@ -38,15 +38,19 @@ TEST(JobProtocol, UnknownAndMistypedFieldsAreRejected) {
   const ServeRequest typo = parse_serve_line("{\"polcy\": \"lpt\"}");
   ASSERT_EQ(typo.kind, ServeRequest::Kind::kError);
   EXPECT_NE(typo.error.find("polcy"), std::string::npos);
+  // A removed field is refused by name like any other unknown key.
+  const ServeRequest removed = parse_serve_line("{\"des_shards\": 2}");
+  ASSERT_EQ(removed.kind, ServeRequest::Kind::kError);
+  EXPECT_EQ(removed.error, "unknown field \"des_shards\"");
 
   EXPECT_EQ(parse_serve_line("{\"ranks\": \"64\"}").kind,
             ServeRequest::Kind::kError);
   EXPECT_EQ(parse_serve_line("{\"execution\": \"fancy\"}").kind,
             ServeRequest::Kind::kError);
   // A value an int32 field cannot hold is refused, not truncated.
-  const ServeRequest wide = parse_serve_line("{\"des_shards\": 4294967297}");
+  const ServeRequest wide = parse_serve_line("{\"faults\": 4294967297}");
   ASSERT_EQ(wide.kind, ServeRequest::Kind::kError);
-  EXPECT_EQ(wide.error, "field \"des_shards\" must be a 32-bit integer");
+  EXPECT_EQ(wide.error, "field \"faults\" must be a 32-bit integer");
   EXPECT_EQ(parse_serve_line("{\"policy\": \"lpt\"} trailing").kind,
             ServeRequest::Kind::kError);
   EXPECT_EQ(parse_serve_line("{\"policy\" \"lpt\"}").kind,
@@ -94,7 +98,7 @@ std::string config_text(const SimulationConfig& c) {
     << c.collect_telemetry << ' ' << static_cast<int>(c.execution) << ' '
     << c.include_flux_correction << ' ' << c.comm_adaptive << ' '
     << c.comm_pack_threshold << ' ' << c.send_priority << ' '
-    << c.des_shards << ' ' << c.auto_cplx << ' ' << c.cplx_budget_ms << ' '
+    << c.auto_cplx << ' ' << c.cplx_budget_ms << ' '
     << c.placement_incremental << ' ' << c.checkpoint_every << ' '
     << c.checkpoint_dir << ' ' << c.trace_enabled << ' '
     << c.trace.capacity;
@@ -284,7 +288,7 @@ TEST(QueryEndpoint, MalformedStatementsReportAndLeaveOutputUntouched) {
   const std::vector<std::string> bad = {
       "order by dur_ns",                         // no select
       "select * from nowhere",                   // unknown table
-      "select * from shards",                    // table not collected
+      "select * from comm",                      // table not collected
       "select sum(dur_ns) from phases",          // aggregate, no group by
       "select * from phases group by rank",      // star cannot group
       "select * from phases where nope == 1",    // unknown column
@@ -312,6 +316,11 @@ TEST(QueryEndpoint, MalformedStatementsReportAndLeaveOutputUntouched) {
     EXPECT_NE(run_table_query(tables, text, out), "") << text;
     EXPECT_TRUE(out.empty()) << text;
   }
+  // A removed table's name is unknown, not "not collected".
+  std::string out;
+  EXPECT_EQ(run_table_query(tables, "select * from shards", out),
+            "unknown table 'shards' (phases | comm | blocks | placement)");
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(QueryEndpoint, WhereLiteralsAreFiniteAndExactAgainstIntegers) {
@@ -571,7 +580,6 @@ TEST(QuantumScheduler, OutOfRangeSpecsFailWithNamedErrors) {
   // 3 ranks would build a 2-block root grid.
   add("ranks must be a power of two", [](JobSpec& s) { s.ranks = 3; });
   add("ranks must be a power of two", [](JobSpec& s) { s.ranks = 24; });
-  add("--des-shards must be >= 0", [](JobSpec& s) { s.des_shards = -2; });
   add("--faults must be >= 0", [](JobSpec& s) { s.fault_nodes = -1; });
   add("--checkpoint-every must be >= 0",
       [](JobSpec& s) { s.checkpoint_every = -1; });

@@ -356,10 +356,10 @@ TEST(CheckpointFabric, SectionRoundTripsBusySlots) {
   ASSERT_EQ(st.shm_busy[0].size(), 8u);
 
   io::SnapshotWriter w;
-  write_fabric_section(w, st, false);
+  write_fabric_section(w, st);
   io::SnapshotReader r(w.finish());
   Fabric restored(topo, p, Rng(77));
-  restored.import_state(read_fabric_section(r, false));
+  restored.import_state(read_fabric_section(r));
   EXPECT_TRUE(r.peek_section().empty());
 
   for (std::int32_t i = 0; i < 20; ++i) {

@@ -270,38 +270,6 @@ TEST(Simulation, AdaptiveOverlapSplitsPairsAndIsDeterministic) {
   EXPECT_EQ(none.msgs_coalesced, 0);
 }
 
-TEST(Simulation, ShardedAdaptiveStatsMatchAcrossShardCounts) {
-  // Packing decisions are plan-derived, so the coalescing counters must
-  // agree between the sequential engine and every shard count, and
-  // sharded runs must stay identical to each other.
-  auto run = [](std::int32_t shards) {
-    SedovWorkload sedov(small_sedov());
-    const auto policy = make_policy("cpl50");
-    SimulationConfig cfg = small_config();
-    cfg.comm_adaptive = true;
-    cfg.send_priority = true;
-    cfg.des_shards = shards;
-    Simulation sim(cfg, sedov, *policy);
-    return sim.run();
-  };
-  const RunReport seq = run(0);
-  const RunReport s1 = run(1);
-  const RunReport s4 = run(4);
-  // Shard-count invariance is the existing par-DES contract.
-  EXPECT_EQ(s1.wall_seconds, s4.wall_seconds);
-  EXPECT_EQ(s1.msgs_coalesced, s4.msgs_coalesced);
-  EXPECT_EQ(s1.bytes_packed, s4.bytes_packed);
-  EXPECT_EQ(s1.msgs_local, s4.msgs_local);
-  EXPECT_EQ(s1.msgs_remote, s4.msgs_remote);
-  // Structural counters agree with the sequential engine too (timing
-  // differs: per-node RNG streams draw different jitter).
-  EXPECT_EQ(seq.msgs_coalesced, s1.msgs_coalesced);
-  EXPECT_EQ(seq.bytes_packed, s1.bytes_packed);
-  EXPECT_EQ(seq.msgs_local, s1.msgs_local);
-  EXPECT_EQ(seq.msgs_remote, s1.msgs_remote);
-  EXPECT_GT(seq.msgs_coalesced, 0);
-}
-
 TEST(SimulationDeath, PackThresholdRequiresAdaptive) {
   SedovWorkload sedov(small_sedov());
   const auto policy = make_policy("baseline");

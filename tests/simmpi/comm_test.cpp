@@ -7,8 +7,6 @@
 #include <random>
 #include <vector>
 
-#include "amr/des/sharded_engine.hpp"
-
 namespace amr {
 namespace {
 
@@ -625,162 +623,6 @@ TEST(Comm, MixedTaggedAndUntaggedWindowWakesAtTheLatest) {
   // Same fabric calls and keys, so the big message lands in the slot it
   // had tagged.
   EXPECT_EQ(untagged[1], tagged[2]);
-}
-
-/// Scripted sends and waits on a sharded comm: tag = (action << 8) |
-/// rank, action 0 = send to `dst` with `bytes` (dst_tag = the sender's
-/// rank when `tagged`), 1 = wait.
-class ShardScript final : public EventHandler {
- public:
-  ShardScript(Comm& comm, std::int32_t dst, bool tagged = false)
-      : comm_(comm), dst_(dst), tagged_(tagged) {}
-  void on_event(Engine& engine, std::uint64_t tag) override {
-    const auto rank = static_cast<std::int32_t>(tag & 0xff);
-    if ((tag >> 8) == 0)
-      comm_.isend(rank, dst_, rank == 1 ? 1000 : 64000, 1, engine.now(),
-                  tagged_ ? rank : -1);
-    else
-      EXPECT_FALSE(comm_.wait_recvs(engine, rank, 1));
-  }
-
- private:
-  Comm& comm_;
-  std::int32_t dst_;
-  bool tagged_;
-};
-
-/// Endpoint recording on_post calls with the shard they ran in, and
-/// the release of its receive wait.
-class ShardPostLog final : public RankEndpoint {
- public:
-  struct Post {
-    std::int32_t shard;
-    TimeNs t;
-    std::uint64_t key;
-    std::int32_t src;
-    std::int64_t dst_tag;
-    bool operator==(const Post&) const = default;
-  };
-  void on_recvs_ready(Engine&, std::uint64_t, TimeNs t,
-                      std::int32_t src) override {
-    ready_time = t;
-    release_src = src;
-  }
-  void on_collective_done(Engine&, std::uint64_t, TimeNs) override {}
-  void on_post(Engine& engine, std::uint64_t, TimeNs t, std::uint64_t key,
-               std::int32_t src, std::int64_t dst_tag) override {
-    posts.push_back({engine.shard_id(), t, key, src, dst_tag});
-  }
-  std::vector<Post> posts;
-  TimeNs ready_time = -1;
-  std::int32_t release_src = -1;
-};
-
-TEST(Comm, CrossShardLastArrivalCompletesAtTheBarrier) {
-  // Rank 0 (shard 0) waits on a same-shard message from rank 1 and a
-  // larger cross-shard one from rank 16 (shard 1) that lands last. The
-  // cross-shard record reaches rank 0 only at an epoch barrier, which
-  // must schedule the wake: same time and releasing sender as the
-  // sequential comm, one record in shard 0's mailbox column.
-  const ClusterTopology topo(32, 16);
-  const std::vector<std::int32_t> expected = [] {
-    std::vector<std::int32_t> e(32, 0);
-    e[0] = 2;
-    return e;
-  }();
-
-  Engine seq_engine;
-  Fabric seq_fabric(topo, quiet_params(), Rng(1));
-  Comm seq(seq_engine, seq_fabric, 32);
-  std::vector<TestEndpoint> seq_eps(32);
-  for (std::int32_t r = 0; r < 32; ++r) seq.set_endpoint(r, &seq_eps[r]);
-  seq.begin_exchange(1, expected);
-  ShardScript seq_script(seq, 0);
-  seq_engine.schedule_at(0, &seq_script, 1);
-  seq_engine.schedule_at(0, &seq_script, 16);
-  seq_engine.schedule_at(100, &seq_script, (1 << 8) | 0);
-  seq_engine.run();
-
-  Engine unused;
-  Fabric fabric(topo, quiet_params(), Rng(1));
-  fabric.enable_sharding();
-  ShardedEngine sharded(topo, 2, quiet_params().remote_latency, nullptr);
-  Comm comm(unused, fabric, 32, {}, &sharded);
-  sharded.set_barrier_callback([&comm] { comm.on_epoch_barrier(); });
-  std::vector<TestEndpoint> eps(32);
-  for (std::int32_t r = 0; r < 32; ++r) comm.set_endpoint(r, &eps[r]);
-  comm.begin_exchange(1, expected);
-  ShardScript script(comm, 0);
-  sharded.shard(0).schedule_keyed(0, event_key::rank(1), &script, 1);
-  sharded.shard(1).schedule_keyed(0, event_key::rank(16), &script, 16);
-  sharded.shard(0).schedule_keyed(100, event_key::rank(0), &script,
-                                  (1 << 8) | 0);
-  sharded.run_all();
-
-  ASSERT_EQ(seq_eps[0].recv_ready_calls, 1);
-  EXPECT_EQ(seq_eps[0].release_src, 16);
-  EXPECT_EQ(eps[0].recv_ready_calls, 1);
-  EXPECT_EQ(eps[0].release_src, 16);
-  EXPECT_EQ(eps[0].recv_ready_time, seq_eps[0].recv_ready_time);
-  EXPECT_GE(eps[0].recv_ready_time, quiet_params().remote_latency);
-  EXPECT_EQ(comm.take_cross_shard_records(0), 1);
-  EXPECT_EQ(comm.take_cross_shard_records(1), 0);
-  EXPECT_EQ(comm.take_cross_shard_records(0), 0);  // taking resets
-  EXPECT_TRUE(comm.exchange_complete(1));
-  comm.end_exchange(1);
-}
-
-TEST(Comm, ShardedTaggedPostsReachTheReceiversShard) {
-  // Under sharding a tagged message is no event either: it reaches
-  // on_post in the receiver's shard engine, with its canonical delivery
-  // key — inside the same-shard isend, or at the epoch barrier that
-  // merges a cross-shard outbox. The wake still lands in the latest's
-  // slot, released by its sender.
-  const ClusterTopology topo(32, 16);
-  const std::vector<std::int32_t> expected = [] {
-    std::vector<std::int32_t> e(32, 0);
-    e[0] = 2;
-    return e;
-  }();
-  Engine unused;
-  Fabric fabric(topo, quiet_params(), Rng(1));
-  fabric.enable_sharding();
-  ShardedEngine sharded(topo, 2, quiet_params().remote_latency, nullptr);
-  Comm comm(unused, fabric, 32, {}, &sharded);
-  std::size_t posts_at_barrier = 0;
-  std::vector<ShardPostLog> eps(32);
-  sharded.set_barrier_callback([&] {
-    if (posts_at_barrier == 0) posts_at_barrier = eps[0].posts.size();
-    comm.on_epoch_barrier();
-  });
-  for (std::int32_t r = 0; r < 32; ++r) comm.set_endpoint(r, &eps[r]);
-  comm.begin_exchange(1, expected);
-  ShardScript script(comm, 0, /*tagged=*/true);
-  sharded.shard(0).schedule_keyed(0, event_key::rank(1), &script, 1);
-  sharded.shard(1).schedule_keyed(0, event_key::rank(16), &script, 16);
-  sharded.shard(0).schedule_keyed(100, event_key::rank(0), &script,
-                                  (1 << 8) | 0);
-  sharded.run_all();
-
-  ASSERT_EQ(eps[0].posts.size(), 2u);
-  // Only the same-shard post had arrived by the first barrier.
-  EXPECT_EQ(posts_at_barrier, 1u);
-  const ShardPostLog::Post& near = eps[0].posts[0];
-  const ShardPostLog::Post& far = eps[0].posts[1];
-  EXPECT_EQ(near.shard, 0);
-  EXPECT_EQ(near.src, 1);
-  EXPECT_EQ(near.dst_tag, 1);
-  EXPECT_EQ(near.key, event_key::delivery(1, 0));
-  EXPECT_EQ(far.shard, 0);
-  EXPECT_EQ(far.src, 16);
-  EXPECT_EQ(far.dst_tag, 16);
-  EXPECT_EQ(far.key, event_key::delivery(16, 0));
-  EXPECT_LT(near.t, far.t);
-  EXPECT_EQ(eps[0].ready_time, far.t);
-  EXPECT_EQ(eps[0].release_src, 16);
-  EXPECT_EQ(comm.take_cross_shard_records(0), 1);
-  EXPECT_TRUE(comm.exchange_complete(1));
-  comm.end_exchange(1);
 }
 
 TEST(CommDeath, TooManyRanksForTheTagLayoutAborts) {
