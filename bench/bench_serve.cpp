@@ -24,6 +24,7 @@
 #include "bench_util.hpp"
 
 #include <chrono>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -100,8 +101,8 @@ int main(int argc, char** argv) {
   const int max_tenants = static_cast<int>(
       flags.get_int("max-tenants", flags.quick() ? 4 : 8));
   const std::int64_t quantum = flags.get_int("quantum", 4);
-  const int serve_jobs =
-      static_cast<int>(flags.get_int("serve-jobs", 2));
+  const int serve_jobs = static_cast<int>(flags.get_int_in(
+      "serve-jobs", 2, 1, std::numeric_limits<int>::max()));
   const std::string json = flags.json_path();
   flags.done();
 

@@ -1,5 +1,5 @@
-// Host-side overhead of the tracing subsystem (ISSUE acceptance: <= 5%
-// per-step overhead with tracing disabled).
+// Host-side overhead of the tracing subsystem (target: <= 5% per-step
+// overhead with tracing disabled).
 //
 // Runs the same Sedov configuration three ways and reports real
 // wall-clock per simulated step:
@@ -15,7 +15,7 @@
 //                                         all of it post-run)
 // The acceptance constraint is on the *disabled* path: an instrumented
 // build with tracing off, timed against the pre-trace seed on the same
-// sedov_sim run (identical simulated result, 0.140 s), showed no
+// Sedov run (identical simulated result, 0.140 s), showed no
 // slowdown — best-of-7 host times were 0.381 s (instrumented) vs
 // 0.498 s (seed), i.e. within build-layout noise. The disabled path is
 // one null-pointer test per would-be event.

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -36,9 +37,9 @@ namespace amr::bench {
 /// after the main has read all its flags a single done() call can (a)
 /// answer --help with the full flag list and defaults, and (b) reject
 /// unrecognized --flags by listing the known ones — no per-binary usage
-/// text to keep in sync. Arguments not starting with "--" are positional
-/// and ignored by the validation. Simulation frontends register the
-/// whole job-field table with job().
+/// text to keep in sync. Every argument is a --flag: done() refuses a
+/// positional one. Simulation frontends register the whole job-field
+/// table with job().
 class Flags {
  public:
   /// `prog` names the program in messages (default argv[0]); a
@@ -68,6 +69,20 @@ class Flags {
     const auto [ptr, ec] = std::from_chars(v, end, out);
     if (ec != std::errc{} || ptr != end)
       die_invalid(name, v, "an integer");
+    return out;
+  }
+
+  /// get_int, refusing a value outside [lo, hi] with exit 2 naming the
+  /// flag, so a count narrowed to a smaller type cannot wrap.
+  std::int64_t get_int_in(const std::string& name, std::int64_t def,
+                          std::int64_t lo, std::int64_t hi,
+                          const char* help = "") const {
+    const std::int64_t out = get_int(name, def, help);
+    if (out < lo || out > hi) {
+      const std::string want = "an integer in [" + std::to_string(lo) +
+                               ", " + std::to_string(hi) + "]";
+      die_invalid(name, std::to_string(out).c_str(), want.c_str());
+    }
     return out;
   }
 
@@ -106,10 +121,10 @@ class Flags {
   /// worker per hardware thread". Output is byte-identical across jobs
   /// values (see amr/par/sweep.hpp).
   int jobs() const {
-    const std::int64_t j =
-        get_int("jobs", 1, "parallel sweep workers (0 = one per hardware "
-                           "thread); output is identical for every N");
-    if (j < 0) die_invalid("jobs", std::to_string(j).c_str(), ">= 0");
+    const std::int64_t j = get_int_in(
+        "jobs", 1, 0, std::numeric_limits<int>::max(),
+        "parallel sweep workers (0 = one per hardware thread); output is "
+        "identical for every N");
     if (j == 0) return ThreadPool::hardware_jobs();
     return static_cast<int>(j);
   }
@@ -117,14 +132,6 @@ class Flags {
   /// Machine-readable sweep record destination from --json=FILE
   /// (appended; "-" for stdout). Empty when absent.
   std::string json_path() const { return get_str("json", ""); }
-
-  /// Arguments not starting with "--", in command-line order.
-  std::vector<std::string> positionals() const {
-    std::vector<std::string> out;
-    for (const auto& a : args_)
-      if (a.rfind("--", 0) != 0) out.push_back(a);
-    return out;
-  }
 
   /// Text --help prints between the usage line and the flag list.
   void about(std::string text) const { about_ = std::move(text); }
@@ -163,7 +170,8 @@ class Flags {
 
   /// Call once after all flags have been read. --help prints every
   /// registered flag with its default and help and exits 0; an
-  /// unrecognized --flag aborts listing the known ones.
+  /// unrecognized --flag aborts listing the known ones, and a positional
+  /// argument aborts naming it (exit 2 either way).
   void done() const {
     if (flag_set("help")) {
       std::printf("usage: %s [flags]\n%sflags:\n", prog_.c_str(),
@@ -179,7 +187,13 @@ class Flags {
       std::exit(0);
     }
     for (const auto& a : args_) {
-      if (a.rfind("--", 0) != 0) continue;  // positional argument
+      if (a.rfind("--", 0) != 0) {
+        std::fprintf(stderr,
+                     "%s: unexpected argument '%s'; every argument is a "
+                     "--flag (--help lists them)\n",
+                     prog_.c_str(), a.c_str());
+        std::exit(2);
+      }
       const std::string name = a.substr(2, a.find('=') - 2);
       if (name == "help" || known(name)) continue;
       std::fprintf(stderr, "%s: unrecognized flag --%s; known flags:\n",

@@ -2,7 +2,8 @@
 // mirroring the paper's released tooling. Subcommands:
 //
 //   run      simulate a workload end-to-end and print the run report
-//   sweep    compare all evaluation policies on one configuration
+//   sweep    compare placement policies (default: the evaluation set)
+//            on one configuration
 //   serve    multiplex a batch of jobs over one process
 //   mesh     build a mesh and print structure/locality statistics
 //   policies list registered placement policies
@@ -15,14 +16,17 @@
 //   amrcplx run --workload=sedov --policy=cpl50 --ranks=512 --steps=60
 //   amrcplx run --workload=cooling --policy=lpt --execution=overlap
 //   amrcplx sweep --ranks=256 --steps=40 --jobs=8
+//   amrcplx sweep --policy=cpl50,lpt,baseline --ranks=32 --jobs=4
 //   amrcplx mesh --ranks=512 --sfc=hilbert
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "amr/mesh/generators.hpp"
 #include "amr/par/sweep.hpp"
@@ -30,6 +34,7 @@
 #include "amr/placement/registry.hpp"
 #include "amr/serve/sim_server.hpp"
 #include "amr/sim/sim_driver.hpp"
+#include "amr/simmpi/comm.hpp"
 #include "amr/trace/chrome_export.hpp"
 #include "bench_util.hpp"
 
@@ -80,29 +85,59 @@ int cmd_run(const Flags& flags) {
 }
 
 int cmd_sweep(const Flags& flags) {
-  // A sweep runs every evaluation policy; these name a single run.
-  constexpr std::string_view kOneRun[] = {
-      "policy",         "restore", "replay", "checkpoint_every",
-      "checkpoint_dir", "trace_out"};
-  for (const std::string_view field : kOneRun) {
+  // Snapshots and traces belong to one run; a sweep refuses them.
+  const auto one_run = [&](std::string_view field) {
     const std::string flag = Flags::flag_name(field);
-    if (!flags.given(flag)) continue;
+    if (!flags.given(flag)) return false;
     std::fprintf(stderr,
-                 "amrcplx sweep: --%s names a single run; a sweep runs "
-                 "every evaluation policy\n",
+                 "amrcplx sweep: --%s names a single run; use `amrcplx "
+                 "run`\n",
                  flag.c_str());
-    return 2;
-  }
+    return true;
+  };
+  for (const std::string_view field : kSingleRunFields)
+    if (one_run(field)) return 2;
+  if (one_run("trace_out")) return 2;
+  flags.about(
+      "run each policy of the --policy comma list (default: the evaluation\n"
+      "set) on one configuration; blocks print in list order\n");
   JobSpec spec;
   spec.collect_telemetry = false;
-  flags.job(spec, kOneRun);
+  spec.policy.clear();
+  for (const auto& name : evaluation_policy_names())
+    spec.policy += (spec.policy.empty() ? "" : ",") + name;
+  flags.job(spec, kSingleRunFields);
   const int jobs = flags.jobs();
   const std::string json = flags.json_path();
   flags.done(spec);
+  // Every name must build before any run starts.
+  std::vector<std::string> policies;
+  for (std::size_t at = 0;;) {
+    const std::size_t comma = spec.policy.find(',', at);
+    policies.push_back(spec.policy.substr(at, comma - at));
+    if (comma == std::string::npos) break;
+    at = comma + 1;
+  }
+  for (const std::string& name : policies) {
+    std::string err;
+    if (name.empty()) {
+      err = "an empty name";
+    } else {
+      try {
+        make_policy(name);
+      } catch (const std::exception& e) {
+        err = "'" + name + "': " + e.what();
+      }
+    }
+    if (err.empty()) continue;
+    std::fprintf(stderr, "amrcplx sweep: --policy names %s (got '%s')\n",
+                 err.c_str(), spec.policy.c_str());
+    return 2;
+  }
   // Each policy's simulation is independent and fully deterministic in
   // simulated time, so the fan-out preserves serial output exactly.
   Sweep sweep(jobs);
-  for (const auto& name : evaluation_policy_names()) {
+  for (const std::string& name : policies) {
     sweep.add(name, [spec, name] {
       JobSpec run = spec;
       run.policy = name;
@@ -118,8 +153,9 @@ int cmd_sweep(const Flags& flags) {
 }
 
 int cmd_mesh(const Flags& flags) {
-  const std::int64_t ranks = flags.get_int("ranks", 512, "mesh for this "
-                                           "many ranks (Table I grid)");
+  const std::int64_t ranks =
+      flags.get_int_in("ranks", 512, 1, Comm::kMaxRanks,
+                       "mesh for this many ranks (Table I grid)");
   const std::string sfc_name =
       flags.get_str("sfc", "z-order", "z-order | hilbert");
   flags.done();
@@ -167,7 +203,8 @@ int cmd_serve(const Flags& flags) {
   opts.quantum_steps =
       flags.get_int("quantum-steps", 16, "steps per tenant slice");
   opts.serve_jobs = static_cast<int>(
-      flags.get_int("serve-jobs", 1, "tenants sliced concurrently"));
+      flags.get_int_in("serve-jobs", 1, 1, std::numeric_limits<int>::max(),
+                       "tenants sliced concurrently"));
   opts.max_resident_mb = flags.get_int(
       "max-resident", -1,
       "evict cold sims to snapshots beyond this many MiB (-1 unlimited, "
@@ -181,10 +218,6 @@ int cmd_serve(const Flags& flags) {
   flags.done();
   if (opts.quantum_steps <= 0) {
     std::fprintf(stderr, "amrcplx: --quantum-steps must be positive\n");
-    return 2;
-  }
-  if (opts.serve_jobs < 1) {
-    std::fprintf(stderr, "amrcplx: --serve-jobs must be >= 1\n");
     return 2;
   }
   std::ifstream job_file;

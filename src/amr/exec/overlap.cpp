@@ -556,9 +556,8 @@ class alignas(64) OverlapExecutor::OverlapRankRuntime final
     }
   }
 
-  void on_post(Engine& engine, std::uint64_t window, TimeNs t,
-               std::uint64_t key, std::int32_t src,
-               std::int64_t dst_tag) override {
+  void on_post(std::uint64_t window, TimeNs t, std::uint64_t key,
+               std::int32_t src, std::int64_t dst_tag) override {
     AMR_CHECK_MSG(window == ctx_->window, "overlap message for another window");
     // The tag names the receiving slot (eager) or the start of the
     // sender's credit run (packed) outright: no search. A stalled rank
@@ -596,16 +595,14 @@ class alignas(64) OverlapExecutor::OverlapRankRuntime final
                     "eager arrival names no block slot on this rank");
       credit(slot_begin_ + static_cast<std::int32_t>(dst_tag / 2), 1);
     }
-    if (rearm >= 0) arm(engine, rearm);
+    if (rearm >= 0) arm(ctx_->comm->engine(), rearm);
   }
 
-  void on_recvs_ready(Engine&, std::uint64_t, TimeNs,
-                      std::int32_t) override {
+  void on_recvs_ready(std::uint64_t, TimeNs, std::int32_t) override {
     AMR_CHECK_MSG(false, "overlap runtime never blocks in wait_recvs");
   }
 
-  void on_collective_done(Engine& /*engine*/, std::uint64_t window,
-                          TimeNs t) override {
+  void on_collective_done(std::uint64_t window, TimeNs t) override {
     AMR_CHECK(window == ctx_->window);
     AMR_CHECK(state_ == State::kInCollective);
     stats_.sync_ns += t - stats_.collective_entry;

@@ -206,7 +206,7 @@ void RankRuntime::advance(Engine& engine) {
         return;
       }
       case TaskKind::kWaitRecvs:
-        if (ctx_->comm->wait_recvs(engine, rank_, window_))
+        if (ctx_->comm->wait_recvs(rank_, window_))
           continue;  // everything already arrived: zero wait
         wait_start_ = engine.now();
         state_ = State::kWaitingRecvs;
@@ -234,8 +234,8 @@ void RankRuntime::advance(Engine& engine) {
   ctx_->comm->enter_collective(window_, rank_, engine.now());
 }
 
-void RankRuntime::on_recvs_ready(Engine& engine, std::uint64_t window,
-                                 TimeNs t, std::int32_t releasing_src) {
+void RankRuntime::on_recvs_ready(std::uint64_t window, TimeNs t,
+                                 std::int32_t releasing_src) {
   AMR_CHECK(window == window_);
   AMR_CHECK(state_ == State::kWaitingRecvs);
   stats_.recv_wait_ns += t - wait_start_;
@@ -246,11 +246,10 @@ void RankRuntime::on_recvs_ready(Engine& engine, std::uint64_t window,
   state_ = State::kRunning;
   ++cur_;
   // We are inside the wake event at time t; continue inline.
-  advance(engine);
+  advance(ctx_->comm->engine());
 }
 
-void RankRuntime::on_collective_done(Engine& /*engine*/,
-                                     std::uint64_t window, TimeNs t) {
+void RankRuntime::on_collective_done(std::uint64_t window, TimeNs t) {
   AMR_CHECK(window == window_);
   AMR_CHECK(state_ == State::kInCollective);
   stats_.sync_ns += t - stats_.collective_entry;

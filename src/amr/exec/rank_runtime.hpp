@@ -96,10 +96,9 @@ class alignas(64) RankRuntime final : public RankEndpoint,
   std::int32_t rank() const { return rank_; }
 
   // RankEndpoint
-  void on_recvs_ready(Engine& engine, std::uint64_t window, TimeNs t,
+  void on_recvs_ready(std::uint64_t window, TimeNs t,
                       std::int32_t releasing_src) override;
-  void on_collective_done(Engine& engine, std::uint64_t window,
-                          TimeNs t) override;
+  void on_collective_done(std::uint64_t window, TimeNs t) override;
 
   // EventHandler (self-scheduled continuations)
   void on_event(Engine& engine, std::uint64_t tag) override;

@@ -284,72 +284,6 @@ std::string compact_report_text(const RunReport& r, bool show_packing) {
   return out;
 }
 
-std::string verbose_report_text(const RunReport& report, bool timing,
-                                bool show_packing) {
-  std::string out;
-  appendf(out, "\n== run report: %s ==\n", report.policy.c_str());
-  appendf(out, "wall time            %10.3f s (simulated)\n",
-          report.wall_seconds);
-  const double total = report.phases.total();
-  appendf(out, "  compute            %10.3f s (%4.1f%%)\n",
-          report.phases.compute, 100 * report.phases.compute / total);
-  appendf(out, "  communication      %10.3f s (%4.1f%%)\n",
-          report.phases.comm, 100 * report.phases.comm / total);
-  appendf(out, "  synchronization    %10.3f s (%4.1f%%)\n",
-          report.phases.sync, 100 * report.phases.sync / total);
-  appendf(out, "  rebalancing        %10.3f s (%4.1f%%)\n",
-          report.phases.rebalance, 100 * report.phases.rebalance / total);
-  appendf(out, "blocks               %zu -> %zu\n", report.initial_blocks,
-          report.final_blocks);
-  appendf(out, "redistributions      %lld (moved %lld blocks)\n",
-          static_cast<long long>(report.lb_invocations),
-          static_cast<long long>(report.blocks_migrated));
-  // Placement wall-clock is host-measured (nondeterministic), so it only
-  // prints under --timing; everything else is simulated time and
-  // byte-stable across --jobs.
-  if (timing && !report.placement_ms.empty()) {
-    double max_ms = 0;
-    double sum_ms = 0;
-    for (const double m : report.placement_ms) {
-      max_ms = std::max(max_ms, m);
-      sum_ms += m;
-    }
-    appendf(out,
-            "placement compute    mean %.3f ms, max %.3f ms "
-            "(budget: 50 ms)\n",
-            sum_ms / static_cast<double>(report.placement_ms.size()),
-            max_ms);
-  }
-  appendf(out,
-          "P2P messages         %lld local, %lld remote (%.0f%% remote), "
-          "%lld memcpy'd\n",
-          static_cast<long long>(report.msgs_local),
-          static_cast<long long>(report.msgs_remote),
-          100.0 * static_cast<double>(report.msgs_remote) /
-              static_cast<double>(std::max<std::int64_t>(
-                  1, report.msgs_local + report.msgs_remote)),
-          static_cast<long long>(report.msgs_intra_rank));
-  // Printed only in packing modes so legacy stdout stays byte-identical.
-  if (show_packing) {
-    const std::int64_t transfers = report.msgs_local + report.msgs_remote;
-    appendf(out,
-            "aggregation          %lld msgs coalesced into %lld transfers "
-            "(%.2fx), %lld bytes packed\n",
-            static_cast<long long>(report.msgs_coalesced),
-            static_cast<long long>(transfers),
-            static_cast<double>(report.msgs_coalesced + transfers) /
-                static_cast<double>(std::max<std::int64_t>(1, transfers)),
-            static_cast<long long>(report.bytes_packed));
-  }
-  appendf(out,
-          "critical paths       %lld windows: %lld one-rank, "
-          "%lld two-rank\n",
-          static_cast<long long>(report.critical_path.windows),
-          static_cast<long long>(report.critical_path.one_rank_paths),
-          static_cast<long long>(report.critical_path.two_rank_paths));
-  return out;
-}
-
 SimDriver::SimDriver(const JobSpec& spec, SharedPlanStore* shared_plans)
     : spec_(spec) {
   const std::string err = validate_job(spec_);

@@ -1,6 +1,6 @@
-// Shared driver for the three simulation frontends (sedov_sim, amrcplx
-// run, amrcplx serve): one job spec -> validated config -> owned
-// workload/policy/Simulation, plus the canonical report renderings.
+// Shared driver for the simulation frontends (amrcplx run, amrcplx
+// sweep, amrcplx serve): one job spec -> validated config -> owned
+// workload/policy/Simulation, plus the canonical report rendering.
 //
 // Before this existed, each frontend carried its own copy of the
 // flag-to-config mapping, the mode-matrix validation, the fault-schedule
@@ -89,6 +89,10 @@ using JobValue = std::variant<std::string, std::int64_t, bool>;
 /// The job-field table, in help order.
 std::span<const JobField> job_fields();
 
+/// Rows that name one run's snapshots: `amrcplx sweep` refuses them.
+inline constexpr std::string_view kSingleRunFields[] = {
+    "restore", "replay", "checkpoint_every", "checkpoint_dir"};
+
 /// The row named `name` (JSON spelling), or nullptr.
 const JobField* find_job_field(std::string_view name);
 
@@ -127,8 +131,8 @@ SimulationConfig base_sim_config(std::int64_t ranks, std::int64_t steps);
 /// per tenant).
 SimulationConfig job_config(const JobSpec& spec);
 
-/// The deterministic fail-slow schedule shared by sedov_sim --faults,
-/// amrcplx run --faults, and serve fault-scenario jobs: throttle
+/// The deterministic fail-slow schedule shared by `amrcplx run` and
+/// `amrcplx sweep` --faults and serve fault-scenario jobs: throttle
 /// `fault_nodes` nodes x4 for the middle half of the run, victims
 /// picked from the config seed. A restore inside, at, or after the
 /// fault window must reproduce both edges.
@@ -141,13 +145,8 @@ std::unique_ptr<Workload> make_job_workload(const JobSpec& spec);
 
 /// The `amrcplx run` report rendering (compact). Byte-for-byte the text
 /// the serve scheduler emits per job — that identity is what the
-/// serve_determinism harness diffs.
+/// serve_determinism contract checks.
 std::string compact_report_text(const RunReport& r, bool show_packing);
-
-/// The sedov_sim report rendering (verbose, optional host-measured
-/// placement timing).
-std::string verbose_report_text(const RunReport& r, bool timing,
-                                bool show_packing);
 
 /// One job end to end: owns config, workload, policy, and Simulation in
 /// construction order so teardown is safe. Construction performs the

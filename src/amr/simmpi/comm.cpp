@@ -122,7 +122,7 @@ void Comm::post(std::uint64_t tag, TimeNs t, std::uint64_t key) {
   if (dst_tag == -1) return;
   RankEndpoint* ep = endpoints_[static_cast<std::size_t>(dst)];
   if (ep != nullptr)
-    ep->on_post(engine_, exchanges_[slot].window, t, key, src, dst_tag);
+    ep->on_post(exchanges_[slot].window, t, key, src, dst_tag);
 }
 
 void Comm::count(RecvRecord& rv, TimeNs t, std::uint64_t key,
@@ -143,14 +143,13 @@ void Comm::schedule_wake(std::size_t slot, std::int32_t rank,
                         delivery_tag(slot, rv.src, rank, -1));
 }
 
-bool Comm::wait_recvs(Engine& engine, std::int32_t rank,
-                      std::uint64_t window) {
+bool Comm::wait_recvs(std::int32_t rank, std::uint64_t window) {
   const std::ptrdiff_t xi = find_exchange(window);
   AMR_CHECK(xi >= 0);
   const auto slot = static_cast<std::size_t>(xi);
   RecvRecord& rv = exchanges_[slot].recvs[static_cast<std::size_t>(rank)];
   const bool counted = rv.posted == rv.expected;
-  if (counted && (rv.posted == 0 || engine.dispatched(rv.t, rv.key)))
+  if (counted && (rv.posted == 0 || engine_.dispatched(rv.t, rv.key)))
     return true;
   AMR_CHECK_MSG(!rv.waiting, "rank already waiting on window");
   rv.waiting = true;
@@ -219,7 +218,7 @@ void Comm::on_event(Engine& engine, std::uint64_t tag) {
     for (std::int32_t r = 0; r < nranks_; ++r) {
       RankEndpoint* ep = endpoints_[static_cast<std::size_t>(r)];
       AMR_CHECK(ep != nullptr);
-      ep->on_collective_done(engine, window, engine.now());
+      ep->on_collective_done(window, engine.now());
     }
     return;
   }
@@ -233,8 +232,7 @@ void Comm::on_event(Engine& engine, std::uint64_t tag) {
   rv.waiting = false;
   RankEndpoint* ep = endpoints_[r];
   AMR_CHECK(ep != nullptr);
-  ep->on_recvs_ready(engine, exchanges_[slot].window, engine.now(),
-                     src_of(tag));
+  ep->on_recvs_ready(exchanges_[slot].window, engine.now(), src_of(tag));
 }
 
 }  // namespace amr

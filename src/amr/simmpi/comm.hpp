@@ -40,8 +40,8 @@ namespace amr {
 class Tracer;
 
 /// Callbacks into the per-rank runtime (implemented by exec::RankRuntime).
-/// `engine` is the engine that dispatched the triggering event, which the
-/// endpoint uses for any continuation it schedules.
+/// Every call comes from inside an event of the Comm's own engine, which
+/// the endpoint uses for any continuation it schedules.
 class RankEndpoint {
  public:
   virtual ~RankEndpoint() = default;
@@ -50,25 +50,22 @@ class RankEndpoint {
   /// (time, key) slot of its last delivery. `t` is that delivery's time
   /// and `releasing_src` its sender — the second rank of a two-rank
   /// critical path (paper §IV-D).
-  virtual void on_recvs_ready(Engine& engine, std::uint64_t window,
-                              TimeNs t, std::int32_t releasing_src) = 0;
+  virtual void on_recvs_ready(std::uint64_t window, TimeNs t,
+                              std::int32_t releasing_src) = 0;
   /// The collective entered in `window` completed at time `t`.
-  virtual void on_collective_done(Engine& engine, std::uint64_t window,
-                                  TimeNs t) = 0;
+  virtual void on_collective_done(std::uint64_t window, TimeNs t) = 0;
 
   /// A tagged message (dst_tag != -1) was posted to this rank. It is
   /// not an event: the call comes when the message is counted (inside
   /// isend), and (t, key) is the dispatch slot its delivery would have
-  /// had — `engine.dispatched(t, key)` says whether it has landed, and
+  /// had — `Engine::dispatched(t, key)` says whether it has landed, and
   /// a wake scheduled at (t, key) resumes the receiver exactly where that
   /// delivery would have. `dst_tag` is the sender-supplied routing tag —
   /// the hook the overlap runtime uses to track per-block readiness.
   /// Untagged messages (the BSP runtime's, which only cares about window
   /// completion) never reach this call. Default: ignored.
-  virtual void on_post(Engine& engine, std::uint64_t window, TimeNs t,
-                       std::uint64_t key, std::int32_t src,
-                       std::int64_t dst_tag) {
-    (void)engine;
+  virtual void on_post(std::uint64_t window, TimeNs t, std::uint64_t key,
+                       std::int32_t src, std::int64_t dst_tag) {
     (void)window;
     (void)t;
     (void)key;
@@ -148,12 +145,12 @@ class Comm final : public EventHandler {
                bool priority = false);
 
   /// Rank's waitall on its receives for the window, called from an event
-  /// `engine` is dispatching. Returns true when every expected message is
-  /// counted and the latest one's (time, key) has dispatched
+  /// the Comm's engine is dispatching. Returns true when every expected
+  /// message is counted and the latest one's (time, key) has dispatched
   /// (Engine::dispatched) — the rank proceeds at once. Otherwise the rank
   /// parks and returns false; once its count is complete, one wake event at
   /// the latest (time, key) calls on_recvs_ready, tagged or untagged.
-  bool wait_recvs(Engine& engine, std::int32_t rank, std::uint64_t window);
+  bool wait_recvs(std::int32_t rank, std::uint64_t window);
 
   /// True once every expected message of the window is counted and
   /// delivered by engine.now(); the window can then be closed.

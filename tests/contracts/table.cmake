@@ -1,0 +1,173 @@
+# The byte-identity contracts, one row per assertion. driver.cmake reads
+# this table twice: at configure time it registers one ctest per group,
+# and under `cmake -P` it runs one group's rows in order.
+#
+# A command is one string whose first word names a binary (amrcplx or
+# bench_scalebench). @DIR@ is the row's scratch directory and @DATA@ this
+# directory. Row kinds:
+#
+#   same     RUN cmd...             every RUN exits 0 with equal stdout;
+#            [NO_FILES glob...]     no file in @DIR@ matches a glob after
+#   restore  RUN cmd EVERY k        RUN checkpointing every k steps prints
+#            [AS cmd...]            RUN's stdout, and so do RUN and each AS
+#            [REPLAY cmd text]      restored from every snapshot; REPLAY
+#                                   from the first snapshot exits 0 and
+#                                   prints text
+#   refuse   RUN cmd EVERY k        AS restored from RUN's first snapshot
+#            AS cmd NAMES text      exits 1 and names the axis on stderr
+#   corrupt  RUN cmd EVERY k        snapshot `name` with 8 bytes overwritten
+#            SNAPSHOT name          mid-file, and cut mid-file, each fail
+#                                   RUN's restore: exit 1, "snapshot" on
+#                                   stderr
+#   reject   RUN cmd [EXIT n]       exits n (default 2); stderr contains
+#            [STDERR text...]       each STDERR text and stdout each
+#            [STDOUT text...]       STDOUT text
+#   contains RUN cmd PART cmd...    each PART exits 0 and its stdout appears
+#            [HEADER text...]       verbatim in RUN's, in order, each after
+#                                   its HEADER line
+#
+# Two classes of knob:
+#  - performance knobs must not change a byte: --jobs, quantum,
+#    --serve-jobs, --max-resident, plan sharing, restore point,
+#    --placement-incremental and the --aggregate spelling (same, restore
+#    and contains rows);
+#  - answer knobs are config-fingerprint axes: a snapshot refuses to
+#    restore under a changed one, naming it (refuse rows): adaptive
+#    packing, send priority, auto-X tuning, incremental placement and
+#    the auto-X budget.
+
+# Groups the sanitizer build trees run by label (ctest -L <group>).
+set(contract_labeled
+  comm_adaptive_determinism serve_determinism placement_tuning_determinism)
+
+set(sedov32 "amrcplx run --ranks=32 --sedov-max-level=1")
+set(cpl50 "${sedov32} --policy=cpl50 --steps=24 --faults=2")
+set(sweep32 "amrcplx sweep --ranks=32 --steps=24 --sedov-max-level=1")
+set(trio "${sweep32} --policy=cpl50,lpt,baseline")
+set(serve "amrcplx serve --file=@DATA@/serve_fleet.txt")
+
+# --jobs: a parallel sweep prints the serial sweep's bytes.
+contract(sweep_determinism same
+  RUN "bench_scalebench --quick --jobs=1"
+  RUN "bench_scalebench --quick --jobs=8")
+
+# Restore point, with a fault window; the two step counts put the
+# snapshots inside, at the edge of and after the regrids and the window.
+contract(checkpoint_determinism restore
+  RUN "${sedov32} --policy=cpl50 --steps=24 --faults=2" EVERY 5)
+contract(checkpoint_determinism restore
+  RUN "${sedov32} --policy=lpt --steps=17 --faults=2" EVERY 7)
+
+contract(checkpoint_corruption corrupt
+  RUN "${sedov32} --policy=cpl50 --steps=12 --faults=1" EVERY 6
+  SNAPSHOT ckpt_6.amrs)
+
+# --aggregate is a second spelling of --comm-adaptive: across --jobs,
+# and its snapshots restore under either spelling.
+contract(aggregate_determinism same
+  RUN "${trio} --aggregate --jobs=1"
+  RUN "${trio} --aggregate --jobs=4"
+  RUN "${trio} --comm-adaptive --jobs=1")
+contract(aggregate_determinism restore
+  RUN "${cpl50} --aggregate" EVERY 7 AS "${cpl50} --comm-adaptive")
+contract(aggregate_determinism refuse
+  RUN "${cpl50} --aggregate" EVERY 7 AS "${cpl50}" NAMES "adaptive packing")
+
+# Adaptive packing and send priority: across --jobs, overlap and BSP
+# restores, and each axis refused by name.
+contract(comm_adaptive_determinism same
+  RUN "${trio} --comm-adaptive --send-priority --jobs=1"
+  RUN "${trio} --comm-adaptive --send-priority --jobs=4")
+set(adaptive "${cpl50} --overlap --comm-adaptive --send-priority")
+contract(comm_adaptive_determinism restore RUN "${adaptive}" EVERY 7)
+contract(comm_adaptive_determinism refuse
+  RUN "${adaptive}" EVERY 7
+  AS "${cpl50} --overlap --send-priority" NAMES "adaptive packing")
+contract(comm_adaptive_determinism refuse
+  RUN "${adaptive}" EVERY 7
+  AS "${cpl50} --overlap --comm-adaptive" NAMES "send priority")
+contract(comm_adaptive_determinism restore
+  RUN "${cpl50} --comm-adaptive" EVERY 7)
+contract(comm_adaptive_determinism refuse
+  RUN "${cpl50} --comm-adaptive" EVERY 7 AS "${cpl50}"
+  NAMES "adaptive packing")
+
+# The incremental placement engine prints the full rebuild's bytes;
+# auto-X tuning holds across --jobs and restores, keeps tuning under a
+# replay with another seed policy, and each engine axis is refused.
+contract(placement_tuning_determinism same
+  RUN "${sweep32} --policy=cpl50,cpl25,cpl100"
+  RUN "${sweep32} --policy=cpl50,cpl25,cpl100 --placement-incremental")
+set(tuned "--auto-cplx --placement-incremental --faults=2")
+contract(placement_tuning_determinism same
+  RUN "${sweep32} --policy=cpl50,cpl50 ${tuned} --jobs=1"
+  RUN "${sweep32} --policy=cpl50,cpl50 ${tuned} --jobs=2")
+set(auto "${cpl50} --auto-cplx --placement-incremental")
+contract(placement_tuning_determinism restore
+  RUN "${auto}" EVERY 7
+  REPLAY "${sedov32} --policy=cpl25 --steps=24 ${tuned}" "policy auto-cplx:")
+contract(placement_tuning_determinism refuse
+  RUN "${auto}" EVERY 7
+  AS "${cpl50} --placement-incremental" NAMES "auto-X tuning")
+contract(placement_tuning_determinism refuse
+  RUN "${auto}" EVERY 7
+  AS "${cpl50} --auto-cplx" NAMES "incremental placement")
+contract(placement_tuning_determinism refuse
+  RUN "${auto}" EVERY 7
+  AS "${auto} --cplx-budget-ms=5" NAMES "auto-X budget")
+
+# Serve: quantum, --serve-jobs, eviction (--max-resident=0) and plan
+# sharing leave a fleet's bytes alone, eviction spills do not outlive
+# their jobs, each job block is the standalone `amrcplx run` stdout, and
+# a bad job line is reported while the good jobs still run.
+contract(serve_determinism same
+  RUN "${serve} --quantum-steps=1000000"
+  RUN "${serve} --quantum-steps=3 --serve-jobs=4"
+  RUN "${serve} --quantum-steps=2 --serve-jobs=2 --max-resident=0 --spill-dir=@DIR@"
+  RUN "${serve} --quantum-steps=3 --serve-jobs=4 --no-share"
+  NO_FILES "serve_spill_*.amrs")
+contract(serve_determinism contains
+  RUN "${serve} --quantum-steps=1000000"
+  HEADER "== job 0 ==" PART "amrcplx run --policy=cpl50 --ranks=64 --steps=10"
+  HEADER "== job 2 =="
+  PART "amrcplx run --policy=cpl50 --ranks=64 --steps=10 --faults=1")
+contract(serve_determinism reject
+  RUN "amrcplx serve --file=@DATA@/serve_bad.txt --quantum-steps=1000000"
+  EXIT 1 STDOUT "unknown field" "== job 0 ==")
+
+# A sweep's policy list prints each policy's `amrcplx run` stdout.
+contract(sweep_policy_list contains
+  RUN "${sweep32} --policy=cpl50,lpt"
+  PART "${sedov32} --steps=24 --policy=cpl50"
+  PART "${sedov32} --steps=24 --policy=lpt")
+
+# A strict frontend names bad input instead of running a default job.
+contract(cli_rejects_unknown_flag reject
+  RUN "amrcplx run --comm-adaptiv" STDERR "unrecognized flag --comm-adaptiv")
+contract(cli_rejects_bad_choice reject
+  RUN "amrcplx run --execution=overlapp"
+  STDERR "--execution must be \"bsp\" or \"overlap\"")
+contract(cli_rejects_invalid_job reject
+  RUN "amrcplx run --ranks=24" STDERR "ranks must be a power of two")
+contract(cli_rejects_sweep_policy reject
+  RUN "amrcplx sweep --restore=x.amrs" STDERR "--restore names a single run")
+contract(cli_rejects_removed_des_shards reject
+  RUN "amrcplx run --des-shards=2" STDERR "unrecognized flag --des-shards")
+contract(cli_rejects_positional reject
+  RUN "amrcplx run lpt 512 60" STDERR "unexpected argument 'lpt'")
+contract(cli_rejects_positional reject
+  RUN "amrcplx mesh junk" STDERR "unexpected argument 'junk'")
+contract(cli_rejects_out_of_range reject
+  RUN "amrcplx serve --file=/dev/null --serve-jobs=4294967297"
+  STDERR "--serve-jobs: '4294967297'")
+contract(cli_rejects_out_of_range reject
+  RUN "amrcplx serve --file=/dev/null --serve-jobs=0"
+  STDERR "--serve-jobs: '0'")
+contract(cli_rejects_out_of_range reject
+  RUN "amrcplx sweep --jobs=4294967297" STDERR "--jobs: '4294967297'")
+contract(cli_rejects_out_of_range reject
+  RUN "amrcplx mesh --ranks=0" STDERR "--ranks: '0'")
+contract(cli_rejects_sweep_policy_list reject
+  RUN "amrcplx sweep --policy=cpl50,nope" STDERR "--policy names 'nope'")
+contract(cli_rejects_sweep_policy_list reject
+  RUN "amrcplx sweep --policy=cpl50,,lpt" STDERR "--policy names an empty name")

@@ -7,7 +7,9 @@
 // inside a fault window).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -121,7 +123,7 @@ void expect_same_job(const std::vector<std::string>& cli,
       << json;
 }
 
-#if defined(AMR_SEDOV_SIM) && defined(AMR_AMRCPLX)
+#if defined(AMR_AMRCPLX)
 std::string help_text(const std::string& command) {
   std::string out;
   FILE* pipe = popen((command + " --help").c_str(), "r");
@@ -208,15 +210,19 @@ TEST(JobFields, CliFlagsAndServeFieldsBuildTheSameSpec) {
     expect_same_job(cli, line);
   }
 
-#if defined(AMR_SEDOV_SIM) && defined(AMR_AMRCPLX)
-  // Each frontend's --help lists every row.
-  const std::string sedov = help_text(AMR_SEDOV_SIM);
+#if defined(AMR_AMRCPLX)
+  // Each frontend's --help lists every row; sweep lists all but the
+  // single-run rows, which it refuses.
   const std::string run = help_text(std::string(AMR_AMRCPLX) + " run");
+  const std::string sweep = help_text(std::string(AMR_AMRCPLX) + " sweep");
   const std::string serve = help_text(std::string(AMR_AMRCPLX) + " serve");
   for (const JobField& f : job_fields()) {
     const std::string flag = "  --" + bench::Flags::flag_name(f.name);
-    EXPECT_NE(sedov.find(flag), std::string::npos) << f.name;
+    const bool single_run =
+        std::find(std::begin(kSingleRunFields), std::end(kSingleRunFields),
+                  f.name) != std::end(kSingleRunFields);
     EXPECT_NE(run.find(flag), std::string::npos) << f.name;
+    EXPECT_EQ(sweep.find(flag) != std::string::npos, !single_run) << f.name;
     EXPECT_NE(serve.find(std::string("  ") + f.name + " ("),
               std::string::npos)
         << f.name;

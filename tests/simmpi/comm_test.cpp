@@ -19,15 +19,14 @@ FabricParams quiet_params() {
 /// Minimal endpoint recording callbacks.
 class TestEndpoint final : public RankEndpoint {
  public:
-  void on_recvs_ready(Engine& /*engine*/, std::uint64_t window, TimeNs t,
+  void on_recvs_ready(std::uint64_t window, TimeNs t,
                       std::int32_t releasing_src) override {
     recv_ready_time = t;
     recv_ready_window = window;
     release_src = releasing_src;
     ++recv_ready_calls;
   }
-  void on_collective_done(Engine& /*engine*/, std::uint64_t window,
-                          TimeNs t) override {
+  void on_collective_done(std::uint64_t window, TimeNs t) override {
     collective_time = t;
     collective_window = window;
     ++collective_calls;
@@ -73,7 +72,7 @@ TEST(Comm, WaitBeforeArrivalParksThenNotifies) {
   h.comm.begin_exchange(2, {0, 1, 0, 0});
   const TimeNs release = h.comm.isend(0, 1, 1000, 2, 0);
   EXPECT_GT(release, 0);
-  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 1, 2));
+  EXPECT_FALSE(h.comm.wait_recvs(1, 2));
   h.engine.run();
   EXPECT_EQ(h.endpoints[1].recv_ready_calls, 1);
   EXPECT_EQ(h.endpoints[1].recv_ready_window, 2u);
@@ -86,7 +85,7 @@ TEST(Comm, WaitAfterArrivalReturnsImmediately) {
   h.comm.begin_exchange(3, {0, 1, 0, 0});
   h.comm.isend(0, 1, 1000, 3, 0);
   h.engine.run_until(ms(1.0));
-  EXPECT_TRUE(h.comm.wait_recvs(h.engine, 1, 3));
+  EXPECT_TRUE(h.comm.wait_recvs(1, 3));
   EXPECT_EQ(h.endpoints[1].recv_ready_calls, 0);  // no callback needed
 }
 
@@ -96,7 +95,7 @@ TEST(Comm, MultipleMessagesReleaseOnLastArrival) {
   h.comm.isend(0, 1, 1000, 4, 0);
   h.comm.isend(2, 1, 1000, 4, 0);
   h.comm.isend(3, 1, 500000, 4, 0);  // big message arrives last
-  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 1, 4));
+  EXPECT_FALSE(h.comm.wait_recvs(1, 4));
   h.engine.run();
   EXPECT_EQ(h.endpoints[1].recv_ready_calls, 1);
   EXPECT_EQ(h.endpoints[1].release_src, 3);
@@ -133,8 +132,8 @@ TEST(Comm, IndependentWindowsDoNotInterfere) {
   h.comm.begin_exchange(11, {0, 0, 1, 0});
   h.comm.isend(0, 1, 100, 10, 0);
   h.comm.isend(0, 2, 100, 11, 0);
-  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 1, 10));
-  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 2, 11));
+  EXPECT_FALSE(h.comm.wait_recvs(1, 10));
+  EXPECT_FALSE(h.comm.wait_recvs(2, 11));
   h.engine.run();
   EXPECT_EQ(h.endpoints[1].recv_ready_window, 10u);
   EXPECT_EQ(h.endpoints[2].recv_ready_window, 11u);
@@ -153,7 +152,7 @@ TEST(Comm, SenderReleaseReflectsAckPathology) {
   h.comm.begin_exchange(12, {0, 0, 1, 0});
   const TimeNs release = h.comm.isend(0, 2, 1000, 12, 0);
   EXPECT_GE(release, ms(2.0));
-  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 2, 12));
+  EXPECT_FALSE(h.comm.wait_recvs(2, 12));
   h.engine.run();
   // The data arrived long before the sender's request completed.
   EXPECT_LT(h.endpoints[2].recv_ready_time, release);
@@ -169,7 +168,7 @@ TEST(Comm, ZeroMessageWindowCompletesImmediately) {
   h.comm.begin_exchange(20, {0, 0, 0, 0});
   EXPECT_TRUE(h.comm.exchange_complete(20));
   for (std::int32_t r = 0; r < 4; ++r)
-    EXPECT_TRUE(h.comm.wait_recvs(h.engine, r, 20));
+    EXPECT_TRUE(h.comm.wait_recvs(r, 20));
   h.engine.run();
   for (const auto& ep : h.endpoints) EXPECT_EQ(ep.recv_ready_calls, 0);
   h.comm.end_exchange(20);
@@ -182,7 +181,7 @@ TEST(Comm, SenderWithNoRecvsNeverParks) {
   h.comm.begin_exchange(21, {0, 2, 0, 0});
   h.comm.isend(0, 1, 1000, 21, 0);
   h.comm.isend(0, 1, 2000, 21, 0);
-  EXPECT_TRUE(h.comm.wait_recvs(h.engine, 0, 21));
+  EXPECT_TRUE(h.comm.wait_recvs(0, 21));
   EXPECT_FALSE(h.comm.exchange_complete(21));
   h.engine.run_until(ms(1.0));
   EXPECT_EQ(h.endpoints[0].recv_ready_calls, 0);
@@ -201,7 +200,7 @@ TEST(Comm, AggregatedSendCountsAsOneArrival) {
   h.comm.begin_exchange(22, {0, 1, 0, 0});
   h.comm.isend(0, 1, 4000, 22, 0, -1, 5);
   EXPECT_FALSE(h.comm.exchange_complete(22));
-  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 1, 22));
+  EXPECT_FALSE(h.comm.wait_recvs(1, 22));
   h.engine.run();
   EXPECT_EQ(rx.recv_ready_calls, 1);
   EXPECT_TRUE(h.comm.exchange_complete(22));
@@ -213,14 +212,14 @@ TEST(Comm, AggregatedSendCountsAsOneArrival) {
   h.comm.begin_exchange(23, {0, 1, 0, 0});
   h.comm.isend(0, 1, 4000, 23, h.engine.now());
   const TimeNs plain_start = h.engine.now();
-  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 1, 23));
+  EXPECT_FALSE(h.comm.wait_recvs(1, 23));
   h.engine.run();
   const TimeNs plain = rx.recv_ready_time - plain_start;
   h.comm.end_exchange(23);
   h.comm.begin_exchange(24, {0, 1, 0, 0});
   h.comm.isend(0, 1, 4000, 24, h.engine.now(), -1, 5);
   const TimeNs packed_start = h.engine.now();
-  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 1, 24));
+  EXPECT_FALSE(h.comm.wait_recvs(1, 24));
   h.engine.run();
   const TimeNs packed = rx.recv_ready_time - packed_start;
   h.comm.end_exchange(24);
@@ -245,12 +244,11 @@ class MessageLog final : public RankEndpoint {
   };
   MessageLog(std::vector<Message>* log, std::int32_t rank)
       : log_(log), rank_(rank) {}
-  void on_recvs_ready(Engine&, std::uint64_t, TimeNs, std::int32_t src)
-      override {
+  void on_recvs_ready(std::uint64_t, TimeNs, std::int32_t src) override {
     last_release_src = src;
   }
-  void on_collective_done(Engine&, std::uint64_t, TimeNs) override {}
-  void on_post(Engine&, std::uint64_t window, TimeNs t, std::uint64_t key,
+  void on_collective_done(std::uint64_t, TimeNs) override {}
+  void on_post(std::uint64_t window, TimeNs t, std::uint64_t key,
                std::int32_t src, std::int64_t dst_tag) override {
     log_->push_back({rank_, window, src, dst_tag, t, key});
   }
@@ -298,7 +296,7 @@ TEST(Comm, ExtremeFieldValuesRoundTripThroughTheDeliveryTag) {
       {0, window, kLast, 0},
       {kLast, window, 0, 77}};
   EXPECT_EQ(log, want);
-  EXPECT_FALSE(comm.wait_recvs(engine, 0, window));
+  EXPECT_FALSE(comm.wait_recvs(0, window));
   engine.run();
   EXPECT_EQ(log.size(), want.size());
   EXPECT_EQ(eps[0].last_release_src, kLast);
@@ -326,7 +324,7 @@ TEST(Comm, UntaggedSendsSkipOnPost) {
   EXPECT_EQ(log[0], (MessageLog::Message{1, 5, 3, 9}));
   EXPECT_GT(log[0].t, 0);
   EXPECT_FALSE(engine.dispatched(log[0].t, log[0].key));
-  EXPECT_FALSE(comm.wait_recvs(engine, 1, 5));
+  EXPECT_FALSE(comm.wait_recvs(1, 5));
   engine.run();
   ASSERT_EQ(log.size(), 1u);
   EXPECT_TRUE(comm.exchange_complete(5));
@@ -350,19 +348,20 @@ struct Observed {
 
 class ObservingEndpoint final : public RankEndpoint {
  public:
-  ObservingEndpoint(std::vector<Observed>* log, std::int32_t rank)
-      : log_(log), rank_(rank) {}
-  void on_recvs_ready(Engine& engine, std::uint64_t, TimeNs t,
-                      std::int32_t src) override {
-    log_->push_back({'r', rank_, t, engine.dispatch_key(), src, -1});
+  ObservingEndpoint(const Engine* engine, std::vector<Observed>* log,
+                    std::int32_t rank)
+      : engine_(engine), log_(log), rank_(rank) {}
+  void on_recvs_ready(std::uint64_t, TimeNs t, std::int32_t src) override {
+    log_->push_back({'r', rank_, t, engine_->dispatch_key(), src, -1});
   }
-  void on_collective_done(Engine&, std::uint64_t, TimeNs) override {}
-  void on_post(Engine&, std::uint64_t, TimeNs t, std::uint64_t key,
+  void on_collective_done(std::uint64_t, TimeNs) override {}
+  void on_post(std::uint64_t, TimeNs t, std::uint64_t key,
                std::int32_t src, std::int64_t dst_tag) override {
     log_->push_back({'p', rank_, t, key, src, dst_tag});
   }
 
  private:
+  const Engine* engine_;
   std::vector<Observed>* log_;
   std::int32_t rank_;
 };
@@ -404,8 +403,8 @@ class EagerComm final : public EventHandler {
     deliveries.push_back({dst, t.delivery});
     const std::uint64_t key = engine_.reserve_key();
     if (dst_tag != -1)
-      eps_[static_cast<std::size_t>(dst)].on_post(
-          engine_, kFuzzWindow, t.delivery, key, src, dst_tag);
+      eps_[static_cast<std::size_t>(dst)].on_post(kFuzzWindow, t.delivery,
+                                                  key, src, dst_tag);
     engine_.schedule_keyed(t.delivery, key, this,
                            static_cast<std::uint64_t>(src) |
                                (static_cast<std::uint64_t>(dst) << 16));
@@ -424,7 +423,7 @@ class EagerComm final : public EventHandler {
     ++arrived_[dst];
     if (waiting_[dst] && arrived_[dst] == expected_[dst]) {
       waiting_[dst] = false;
-      eps_[dst].on_recvs_ready(engine, kFuzzWindow, engine.now(), src);
+      eps_[dst].on_recvs_ready(kFuzzWindow, engine.now(), src);
     }
   }
 
@@ -513,7 +512,8 @@ FuzzOutcome run_fuzz(const FuzzScenario& sc, bool eager) {
   Fabric fabric(topo, grid_params(), Rng(1));
   FuzzOutcome out;
   std::vector<ObservingEndpoint> eps;
-  for (std::int32_t r = 0; r < kFuzzRanks; ++r) eps.emplace_back(&out.log, r);
+  for (std::int32_t r = 0; r < kFuzzRanks; ++r)
+    eps.emplace_back(&engine, &out.log, r);
   Comm comm(engine, fabric, kFuzzRanks);
   for (std::int32_t r = 0; r < kFuzzRanks; ++r)
     comm.set_endpoint(r, &eps[static_cast<std::size_t>(r)]);
@@ -533,7 +533,7 @@ FuzzOutcome run_fuzz(const FuzzScenario& sc, bool eager) {
                  a.dst_tag);
     };
     player.wait = [&](std::int32_t r) {
-      return comm.wait_recvs(engine, r, kFuzzWindow);
+      return comm.wait_recvs(r, kFuzzWindow);
     };
   }
   const auto complete = [&] {
@@ -597,13 +597,13 @@ TEST(Comm, MixedTaggedAndUntaggedWindowWakesAtTheLatest) {
     Comm comm(engine, fabric, 4);
     std::vector<Observed> log;
     std::vector<ObservingEndpoint> eps;
-    for (std::int32_t r = 0; r < 4; ++r) eps.emplace_back(&log, r);
+    for (std::int32_t r = 0; r < 4; ++r) eps.emplace_back(&engine, &log, r);
     for (std::int32_t r = 0; r < 4; ++r) comm.set_endpoint(r, &eps[r]);
     comm.begin_exchange(6, {0, 3, 0, 0});
     comm.isend(0, 1, 100, 6, 0, 4);
     comm.isend(2, 1, 100, 6, 0);
     comm.isend(3, 1, 500000, 6, 0, big_tag);  // arrives last
-    EXPECT_FALSE(comm.wait_recvs(engine, 1, 6));
+    EXPECT_FALSE(comm.wait_recvs(1, 6));
     engine.run();
     EXPECT_EQ(engine.now(), log.back().t);
     EXPECT_TRUE(comm.exchange_complete(6));
@@ -652,8 +652,8 @@ TEST(CommDeath, UnencodableDstTagAborts) {
 TEST(CommDeath, DoubleWaitOnSameWindowAborts) {
   Harness h(4);
   h.comm.begin_exchange(13, {0, 1, 0, 0});
-  EXPECT_FALSE(h.comm.wait_recvs(h.engine, 1, 13));
-  EXPECT_DEATH(h.comm.wait_recvs(h.engine, 1, 13), "waiting");
+  EXPECT_FALSE(h.comm.wait_recvs(1, 13));
+  EXPECT_DEATH(h.comm.wait_recvs(1, 13), "waiting");
 }
 
 TEST(CommDeath, ClosingIncompleteWindowAborts) {
