@@ -55,10 +55,11 @@ CorrelationReport scatter_correlation(
 int main(int argc, char** argv) {
   using namespace amr::bench;
   const Flags flags(argc, argv);
-  const auto ranks =
-      static_cast<std::int32_t>(flags.get_int("ranks", flags.quick() ? 32 : 128));
-  const auto rounds =
-      static_cast<std::int32_t>(flags.get_int("rounds", flags.quick() ? 20 : 60));
+  constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+  const auto ranks = static_cast<std::int32_t>(
+      flags.get_int_in("ranks", flags.quick() ? 32 : 128, 1, kInt32Max));
+  const auto rounds = static_cast<std::int32_t>(
+      flags.get_int_in("rounds", flags.quick() ? 20 : 60, 1, kInt32Max));
   flags.done();
 
   AmrMesh mesh(grid_for_ranks(ranks));

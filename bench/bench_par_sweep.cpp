@@ -129,10 +129,11 @@ double lpt_wall_ms(std::size_t blocks, std::int32_t ranks) {
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const auto tasks = static_cast<int>(
-      flags.get_int("tasks", flags.quick() ? 12 : 48));
+  const auto tasks = static_cast<int>(flags.get_int_in(
+      "tasks", flags.quick() ? 12 : 48, 1, std::numeric_limits<int>::max()));
   const auto ranks = static_cast<std::int32_t>(
-      flags.get_int("ranks", flags.quick() ? 512 : 2048));
+      flags.get_int_in("ranks", flags.quick() ? 512 : 2048, 1,
+                       std::numeric_limits<std::int32_t>::max()));
   const int jobs = flags.jobs();
   const std::string json = flags.json_path();
   flags.done();

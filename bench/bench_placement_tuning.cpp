@@ -186,11 +186,12 @@ QualityRow bench_quality(const char* workload, std::int32_t ranks,
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const int epochs =
-      static_cast<int>(flags.get_int("epochs", flags.quick() ? 12 : 60));
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  const int epochs = static_cast<int>(
+      flags.get_int_in("epochs", flags.quick() ? 12 : 60, 1, kIntMax));
   const std::int64_t steps = flags.get_int("steps", flags.quick() ? 12 : 120);
-  const int trials =
-      static_cast<int>(flags.get_int("trials", flags.quick() ? 1 : 3));
+  const int trials = static_cast<int>(
+      flags.get_int_in("trials", flags.quick() ? 1 : 3, 1, kIntMax));
   const std::string json = flags.json_path();
   flags.done();
 

@@ -98,11 +98,12 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const std::int64_t steps =
       flags.get_int("steps", flags.quick() ? 6 : 10);
-  const int max_tenants = static_cast<int>(
-      flags.get_int("max-tenants", flags.quick() ? 4 : 8));
+  const int max_tenants = static_cast<int>(flags.get_int_in(
+      "max-tenants", flags.quick() ? 4 : 8, 1,
+      std::numeric_limits<int>::max()));
   const std::int64_t quantum = flags.get_int("quantum", 4);
-  const int serve_jobs = static_cast<int>(flags.get_int_in(
-      "serve-jobs", 2, 1, std::numeric_limits<int>::max()));
+  const int serve_jobs = static_cast<int>(
+      flags.get_int_in("serve-jobs", 2, 1, Flags::kMaxWorkers));
   const std::string json = flags.json_path();
   flags.done();
 

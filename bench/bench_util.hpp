@@ -117,12 +117,16 @@ class Flags {
     return flag_set("quick");
   }
 
+  /// Ceiling on any worker-count flag (--jobs, --serve-jobs): each
+  /// worker is an OS thread, and a larger value is a typo, not a host.
+  static constexpr std::int64_t kMaxWorkers = 256;
+
   /// Sweep parallelism from --jobs=N. Default 1 (serial); 0 means "one
   /// worker per hardware thread". Output is byte-identical across jobs
-  /// values (see amr/par/sweep.hpp).
+  /// values (see amr/par/sweep.hpp). Above kMaxWorkers exits 2.
   int jobs() const {
     const std::int64_t j = get_int_in(
-        "jobs", 1, 0, std::numeric_limits<int>::max(),
+        "jobs", 1, 0, kMaxWorkers,
         "parallel sweep workers (0 = one per hardware thread); output is "
         "identical for every N");
     if (j == 0) return ThreadPool::hardware_jobs();

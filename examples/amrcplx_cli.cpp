@@ -203,7 +203,7 @@ int cmd_serve(const Flags& flags) {
   opts.quantum_steps =
       flags.get_int("quantum-steps", 16, "steps per tenant slice");
   opts.serve_jobs = static_cast<int>(
-      flags.get_int_in("serve-jobs", 1, 1, std::numeric_limits<int>::max(),
+      flags.get_int_in("serve-jobs", 1, 1, bench::Flags::kMaxWorkers,
                        "tenants sliced concurrently"));
   opts.max_resident_mb = flags.get_int(
       "max-resident", -1,

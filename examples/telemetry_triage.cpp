@@ -61,12 +61,14 @@ int main(int argc, char** argv) {
   std::printf("\n[1] phase totals (query: group by phase, sum dur)\n");
   const Table by_phase =
       Query(phases).group_by({"phase"}).agg({{"dur_ns", Agg::kSum, "ns"}});
+  const auto phase_ids = by_phase.i64("phase");
+  const auto phase_ns = by_phase.f64("ns");
   double total_ns = 0;
-  for (const double v : by_phase.f64("ns")) total_ns += v;
+  for (const double v : phase_ns) total_ns += v;
   for (std::size_t r = 0; r < by_phase.num_rows(); ++r) {
-    const auto phase = static_cast<Phase>(by_phase.i64("phase")[r]);
+    const auto phase = static_cast<Phase>(phase_ids[r]);
     std::printf("    %-10s %6.1f%%\n", to_string(phase),
-                100.0 * by_phase.f64("ns")[r] / total_ns);
+                100.0 * phase_ns[r] / total_ns);
   }
 
   // Step 2: sync dominates -> who is the straggler? Throttle detection

@@ -76,6 +76,10 @@ class SnapshotError : public std::runtime_error {
 // v8: the parallel DES is gone: its v3 fingerprint bit, the fabric
 //     section's per-node tail and the collector's fourth table leave
 //     the format.
+// v9: the collector section stores each telemetry column as its sealed
+//     4096-row chunks (base, max, width, bit-packed words; raw doubles
+//     for f64) plus the raw tail, instead of one raw 8-byte value per
+//     cell.
 //
 // Version-bump checklist — the compile-time-checkable moral equivalent
 // of a static_assert, since the fingerprint is data, not types. When a
@@ -98,7 +102,7 @@ class SnapshotError : public std::runtime_error {
 // Counters that are scheduling artifacts rather than simulation state
 // (e.g. plan-cache share_hits) must NOT be serialized — see
 // StepPipelineStats.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 8;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 9;
 
 /// Builds a snapshot payload in memory, then writes the enveloped file.
 class SnapshotWriter {

@@ -114,49 +114,52 @@ RunningStats read_stats(io::SnapshotReader& r) {
   return RunningStats::from_moments(m);
 }
 
+/// A table as stored (format v9): per column its sealed chunks (base,
+/// max, width, packed words), then the raw tail.
 void write_table(io::SnapshotWriter& w, const Table& t) {
   w.u64(t.num_rows());
   w.u32(static_cast<std::uint32_t>(t.num_cols()));
   for (std::size_t c = 0; c < t.num_cols(); ++c) {
     w.u8(static_cast<std::uint8_t>(t.col_type(c)));
-    if (t.col_type(c) == ColType::kI64)
-      w.vec_pod(t.i64(c));
-    else
-      w.vec_pod(t.f64(c));
+    const Table::Column& col = t.column(c);
+    w.u64(col.chunks.size());
+    for (const Table::Chunk& ch : col.chunks) {
+      w.i64(ch.base);
+      w.i64(ch.max);
+      w.u8(ch.width);
+      w.vec_pod(ch.words);
+    }
+    w.vec_pod(col.tail);
   }
 }
 
-/// Rebuild a table with `like`'s name and schema from serialized columns.
+/// Rebuild a table with `like`'s name and schema from its stored chunks.
 Table read_table(io::SnapshotReader& r, const Table& like) {
   Table t(like.name(), like.schema());
+  const std::string what = "snapshot: table '" + like.name() + "' ";
   const std::uint64_t rows = r.u64();
   const std::uint32_t cols = r.u32();
   if (cols != like.schema().size())
-    throw io::SnapshotError("snapshot: table '" + like.name() +
-                            "' column count does not match the schema");
-  std::vector<std::vector<std::int64_t>> icols(cols);
-  std::vector<std::vector<double>> fcols(cols);
+    throw io::SnapshotError(what + "column count does not match the schema");
+  std::vector<Table::Column> stored(cols);
   for (std::uint32_t c = 0; c < cols; ++c) {
-    const auto type = static_cast<ColType>(r.u8());
-    if (type != like.schema()[c].type)
-      throw io::SnapshotError("snapshot: table '" + like.name() +
-                              "' column type does not match the schema");
-    const std::size_t got = type == ColType::kI64
-                                ? (icols[c] = r.vec_pod<std::int64_t>()).size()
-                                : (fcols[c] = r.vec_pod<double>()).size();
-    if (got != rows)
-      throw io::SnapshotError("snapshot: table '" + like.name() +
-                              "' column length does not match the row count");
+    if (static_cast<ColType>(r.u8()) != like.schema()[c].type)
+      throw io::SnapshotError(what + "column type does not match the schema");
+    // Every chunk reads at least its 25-byte header, so a corrupt count
+    // runs into the section's end instead of allocating.
+    const std::uint64_t chunks = r.u64();
+    for (std::uint64_t k = 0; k < chunks; ++k) {
+      Table::Chunk ch;
+      ch.base = r.i64();
+      ch.max = r.i64();
+      ch.width = r.u8();
+      ch.words = r.vec_pod<std::uint64_t>();
+      stored[c].chunks.push_back(std::move(ch));
+    }
+    stored[c].tail = r.vec_pod<std::uint64_t>();
   }
-  t.reserve(static_cast<std::size_t>(rows));
-  std::vector<CellValue> cells(cols);
-  for (std::uint64_t row = 0; row < rows; ++row) {
-    for (std::uint32_t c = 0; c < cols; ++c)
-      cells[c] = like.schema()[c].type == ColType::kI64
-                     ? CellValue(icols[c][row])
-                     : CellValue(fcols[c][row]);
-    t.append_row(cells);
-  }
+  const std::string err = t.load(rows, std::move(stored));
+  if (!err.empty()) throw io::SnapshotError(what + err);
   return t;
 }
 
@@ -243,6 +246,30 @@ void check_meta(io::SnapshotReader& r, const SimulationConfig& config,
 }
 
 }  // namespace
+
+void write_collector_section(io::SnapshotWriter& w,
+                             const Collector& collector) {
+  w.begin_section("collector");
+  w.b(collector.block_records());
+  write_table(w, collector.phases());
+  write_table(w, collector.comm());
+  write_table(w, collector.blocks());
+  write_table(w, collector.placement());
+  w.end_section();
+}
+
+void read_collector_section(io::SnapshotReader& r, Collector& collector) {
+  r.begin_section("collector");
+  const bool block_records = r.b();
+  Table phases = read_table(r, collector.phases());
+  Table comm = read_table(r, collector.comm());
+  Table blocks = read_table(r, collector.blocks());
+  Table placement = read_table(r, collector.placement());
+  r.end_section();
+  collector.set_block_records(block_records);
+  collector.restore(std::move(phases), std::move(comm), std::move(blocks),
+                    std::move(placement));
+}
 
 void write_fabric_section(io::SnapshotWriter& w, const Fabric::State& fab) {
   w.begin_section("fabric");
@@ -395,13 +422,7 @@ bool save_snapshot(const std::string& path, const SimulationConfig& config,
   w.vec_pod(blob);
   w.end_section();
 
-  w.begin_section("collector");
-  w.b(collector.block_records());
-  write_table(w, collector.phases());
-  write_table(w, collector.comm());
-  write_table(w, collector.blocks());
-  write_table(w, collector.placement());
-  w.end_section();
+  write_collector_section(w, collector);
 
   w.begin_section("tracer");
   w.b(tracer != nullptr);
@@ -560,15 +581,7 @@ void restore_snapshot(const std::string& path,
   r.end_section();
   workload.restore_state(blob);
 
-  r.begin_section("collector");
-  collector.set_block_records(r.b());
-  Table phases = read_table(r, collector.phases());
-  Table comm = read_table(r, collector.comm());
-  Table blocks = read_table(r, collector.blocks());
-  Table placement_tab = read_table(r, collector.placement());
-  collector.restore(std::move(phases), std::move(comm), std::move(blocks),
-                    std::move(placement_tab));
-  r.end_section();
+  read_collector_section(r, collector);
 
   r.begin_section("tracer");
   const bool had_tracer = r.b();

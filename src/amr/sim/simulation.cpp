@@ -192,17 +192,6 @@ void Simulation::begin_run() {
   st.report.rank_compute_seconds.assign(
       static_cast<std::size_t>(config_.nranks), 0.0);
 
-  // Pre-size the telemetry tables for the expected row volume so the
-  // per-step appends never reallocate mid-run.
-  if (config_.collect_telemetry) {
-    const auto steps = static_cast<std::size_t>(config_.steps);
-    const auto nranks = static_cast<std::size_t>(config_.nranks);
-    collector_.reserve(steps * nranks * 4, steps * nranks,
-                       config_.collect_block_telemetry
-                           ? steps * st.mesh.size()
-                           : 0);
-  }
-
   // Initial placement: no telemetry exists yet, costs default to uniform.
   {
     const std::vector<double> uniform(st.mesh.size(), 1.0);

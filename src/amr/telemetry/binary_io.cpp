@@ -11,7 +11,7 @@ namespace amr {
 namespace {
 
 constexpr char kMagic[4] = {'A', 'M', 'R', 'T'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -45,6 +45,26 @@ std::string read_string(std::FILE* f) {
   if (len > 0 && std::fread(s.data(), 1, len, f) != len)
     throw std::runtime_error("telemetry file truncated");
   return s;
+}
+
+bool write_words(std::FILE* f, const std::vector<std::uint64_t>& words) {
+  return write_pod(f, std::uint64_t{words.size()}) &&
+         (words.empty() ||
+          std::fwrite(words.data(), 8, words.size(), f) == words.size());
+}
+
+/// A u64 word count, at most `limit`, then that many words.
+std::vector<std::uint64_t> read_words(std::FILE* f, std::size_t limit) {
+  std::uint64_t n = 0;
+  read_pod(f, n);
+  if (n > limit)
+    throw std::runtime_error("telemetry file: word count " +
+                             std::to_string(n) + " exceeds " +
+                             std::to_string(limit));
+  std::vector<std::uint64_t> words(static_cast<std::size_t>(n));
+  if (n > 0 && std::fread(words.data(), 8, words.size(), f) != words.size())
+    throw std::runtime_error("telemetry file truncated");
+  return words;
 }
 
 void read_header(std::FILE* f, std::string& name, std::uint32_t& ncols,
@@ -87,12 +107,13 @@ bool write_table(const Table& table, const std::string& path) {
       return false;
   }
   for (std::size_t c = 0; c < table.num_cols(); ++c) {
-    const void* data = table.col_type(c) == ColType::kI64
-                           ? static_cast<const void*>(table.i64(c).data())
-                           : static_cast<const void*>(table.f64(c).data());
-    if (nrows > 0 &&
-        std::fwrite(data, 8, nrows, f.get()) != nrows)
-      return false;
+    const Table::Column& col = table.column(c);
+    if (!write_pod(f.get(), std::uint64_t{col.chunks.size()})) return false;
+    for (const Table::Chunk& ch : col.chunks)
+      if (!write_pod(f.get(), ch.base) || !write_pod(f.get(), ch.max) ||
+          !write_pod(f.get(), ch.width) || !write_words(f.get(), ch.words))
+        return false;
+    if (!write_words(f.get(), col.tail)) return false;
   }
   return true;
 }
@@ -122,33 +143,26 @@ Table read_table(const std::string& path) {
   }
 
   Table table(name, defs);
-  // Columnar data: read column buffers and re-append row-wise would be
-  // O(rows*cols) dispatch; instead bulk-read into temporaries and replay.
-  std::vector<std::vector<std::int64_t>> icols(ncols);
-  std::vector<std::vector<double>> fcols(ncols);
-  for (std::uint32_t c = 0; c < ncols; ++c) {
-    if (defs[c].type == ColType::kI64) {
-      icols[c].resize(nrows);
-      if (nrows > 0 &&
-          std::fread(icols[c].data(), 8, nrows, f.get()) != nrows)
-        throw std::runtime_error("telemetry file truncated");
-    } else {
-      fcols[c].resize(nrows);
-      if (nrows > 0 &&
-          std::fread(fcols[c].data(), 8, nrows, f.get()) != nrows)
-        throw std::runtime_error("telemetry file truncated");
+  std::vector<Table::Column> cols(ncols);
+  for (Table::Column& col : cols) {
+    std::uint64_t nchunks = 0;
+    read_pod(f.get(), nchunks);
+    if (nchunks != nrows / Table::kChunkRows)
+      throw std::runtime_error("telemetry file: chunk count " +
+                               std::to_string(nchunks) +
+                               " does not match the row count");
+    for (std::uint64_t k = 0; k < nchunks; ++k) {
+      Table::Chunk ch;
+      read_pod(f.get(), ch.base);
+      read_pod(f.get(), ch.max);
+      read_pod(f.get(), ch.width);
+      ch.words = read_words(f.get(), Table::kChunkRows);
+      col.chunks.push_back(std::move(ch));
     }
+    col.tail = read_words(f.get(), Table::kChunkRows - 1);
   }
-  std::vector<CellValue> row(ncols);
-  for (std::uint64_t r = 0; r < nrows; ++r) {
-    for (std::uint32_t c = 0; c < ncols; ++c) {
-      if (defs[c].type == ColType::kI64)
-        row[c] = icols[c][r];
-      else
-        row[c] = fcols[c][r];
-    }
-    table.append_row(row);
-  }
+  const std::string err = table.load(nrows, std::move(cols));
+  if (!err.empty()) throw std::runtime_error("telemetry file: " + err);
   return table;
 }
 

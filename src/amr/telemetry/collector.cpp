@@ -51,9 +51,8 @@ Collector::Collector()
 
 void Collector::record_phase(std::int64_t step, std::int32_t rank,
                              Phase phase, TimeNs dur) {
-  phases_.append_row({step, static_cast<std::int64_t>(rank),
-                      static_cast<std::int64_t>(phase),
-                      static_cast<std::int64_t>(dur)});
+  phases_.append(step, std::int64_t{rank}, static_cast<std::int64_t>(phase),
+                 std::int64_t{dur});
 }
 
 void Collector::record_comm(std::int64_t step, std::int32_t rank,
@@ -63,18 +62,9 @@ void Collector::record_comm(std::int64_t step, std::int32_t rank,
                             std::int64_t bytes_remote, TimeNs send_wait,
                             TimeNs recv_wait, std::int64_t msgs_coalesced,
                             std::int64_t bytes_packed) {
-  comm_.append_row({step, static_cast<std::int64_t>(rank), msgs_local,
-                    msgs_remote, bytes_local, bytes_remote,
-                    static_cast<std::int64_t>(send_wait),
-                    static_cast<std::int64_t>(recv_wait), msgs_coalesced,
-                    bytes_packed});
-}
-
-void Collector::reserve(std::size_t phase_rows, std::size_t comm_rows,
-                        std::size_t block_rows) {
-  phases_.reserve(phase_rows);
-  comm_.reserve(comm_rows);
-  if (block_records_) blocks_.reserve(block_rows);
+  comm_.append(step, std::int64_t{rank}, msgs_local, msgs_remote,
+               bytes_local, bytes_remote, std::int64_t{send_wait},
+               std::int64_t{recv_wait}, msgs_coalesced, bytes_packed);
 }
 
 void Collector::clear() {
@@ -104,9 +94,8 @@ std::size_t Collector::bytes_used() const {
 void Collector::record_block(std::int64_t step, std::int32_t block,
                              std::int32_t rank, TimeNs cost) {
   if (!block_records_) return;
-  blocks_.append_row({step, static_cast<std::int64_t>(block),
-                      static_cast<std::int64_t>(rank),
-                      static_cast<std::int64_t>(cost)});
+  blocks_.append(step, std::int64_t{block}, std::int64_t{rank},
+                 std::int64_t{cost});
 }
 
 void Collector::record_placement(std::int64_t step, double x,
@@ -115,9 +104,8 @@ void Collector::record_placement(std::int64_t step, double x,
                                  std::int64_t chunks_total,
                                  std::int64_t moved, double predicted_ns,
                                  double measured_ns, double err_ewma) {
-  placement_.append_row({step, x, mode, candidates, chunks_reused,
-                         chunks_total, moved, predicted_ns, measured_ns,
-                         err_ewma});
+  placement_.append(step, x, mode, candidates, chunks_reused, chunks_total,
+                    moved, predicted_ns, measured_ns, err_ewma);
 }
 
 }  // namespace amr

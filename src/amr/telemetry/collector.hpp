@@ -84,11 +84,6 @@ class Collector {
   void set_block_records(bool enabled) { block_records_ = enabled; }
   bool block_records() const { return block_records_; }
 
-  /// Pre-size the tables for an expected row volume (a run's steps x
-  /// ranks) so per-step appends never reallocate.
-  void reserve(std::size_t phase_rows, std::size_t comm_rows,
-               std::size_t block_rows);
-
   /// Drop all recorded rows (schemas survive). Long sweeps and the
   /// trace->table exporters use this to reuse one collector per run.
   void clear();
@@ -97,7 +92,7 @@ class Collector {
   /// carry this collector's schemas (schema mismatch aborts).
   void restore(Table phases, Table comm, Table blocks, Table placement);
 
-  /// Total heap bytes held by the tables' column storage.
+  /// Total heap bytes held by the tables' encoded column storage.
   std::size_t bytes_used() const;
 
  private:

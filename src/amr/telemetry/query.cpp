@@ -1,6 +1,10 @@
 #include "amr/telemetry/query.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
+#include <span>
+#include <type_traits>
 #include <unordered_map>
 
 #include "amr/common/check.hpp"
@@ -8,6 +12,76 @@
 #include "amr/common/stats.hpp"
 
 namespace amr {
+namespace {
+
+/// Reads one column along a scan. Over ascending rows it decodes each
+/// sealed chunk it touches once. The raw tail needs no decoding, and a
+/// permuted selection (after sort_by) would decode a chunk again on
+/// every switch, so both read cells in O(1) instead.
+template <typename T>
+class ColumnCursor {
+ public:
+  ColumnCursor(const Table& table, std::size_t col, bool ascending)
+      : table_(table), col_(col), ascending_(ascending),
+        sealed_rows_(table.column(col).chunks.size() * Table::kChunkRows) {}
+
+  T operator()(std::size_t row) {
+    if (row >= sealed_rows_ || !ascending_) {
+      if constexpr (std::is_same_v<T, std::int64_t>)
+        return table_.ivalue(col_, row);
+      else
+        return table_.value(col_, row);
+    }
+    const std::size_t chunk = row / Table::kChunkRows;
+    if (chunk != loaded_) {
+      if (!buf_) buf_ = std::make_unique_for_overwrite<T[]>(Table::kChunkRows);
+      table_.decode(col_, chunk, buf_.get());
+      loaded_ = chunk;
+    }
+    return buf_[row % Table::kChunkRows];
+  }
+
+ private:
+  const Table& table_;
+  std::size_t col_;
+  bool ascending_;
+  std::size_t sealed_rows_;
+  std::size_t loaded_ = static_cast<std::size_t>(-1);
+  std::unique_ptr<T[]> buf_;
+};
+
+/// Reads whole rows (the given columns, each as its own type) along a
+/// scan, one cursor per column.
+class RowReader {
+ public:
+  RowReader(const Table& table, std::span<const std::size_t> cols,
+            bool ascending) {
+    for (const std::size_t c : cols) {
+      const bool is_int = table.col_type(c) == ColType::kI64;
+      slots_.push_back(is_int ? ints_.size() : doubles_.size());
+      is_int_.push_back(is_int);
+      if (is_int)
+        ints_.emplace_back(table, c, ascending);
+      else
+        doubles_.emplace_back(table, c, ascending);
+    }
+  }
+
+  /// Write row `row`'s cells into cells[at], cells[at + 1], ...
+  void read(std::size_t row, std::vector<CellValue>& cells, std::size_t at) {
+    for (std::size_t i = 0; i < slots_.size(); ++i)
+      cells[at + i] = is_int_[i] ? CellValue(ints_[slots_[i]](row))
+                                 : CellValue(doubles_[slots_[i]](row));
+  }
+
+ private:
+  std::vector<ColumnCursor<std::int64_t>> ints_;
+  std::vector<ColumnCursor<double>> doubles_;
+  std::vector<std::size_t> slots_;
+  std::vector<bool> is_int_;
+};
+
+}  // namespace
 
 const char* to_string(Agg agg) {
   switch (agg) {
@@ -33,11 +107,12 @@ Query& Query::filter_i64(std::string_view col,
                          const std::function<bool(std::int64_t)>& pred) {
   const std::int32_t idx = table_.col_index(col);
   AMR_CHECK_MSG(idx >= 0, "filter: no such column");
-  const auto c = static_cast<std::size_t>(idx);
+  ColumnCursor<std::int64_t> cells(table_, static_cast<std::size_t>(idx),
+                                   ascending_);
   std::vector<std::size_t> kept;
   kept.reserve(rows_.size());
   for (const std::size_t r : rows_)
-    if (pred(table_.ivalue(c, r))) kept.push_back(r);
+    if (pred(cells(r))) kept.push_back(r);
   rows_ = std::move(kept);
   return *this;
 }
@@ -46,25 +121,32 @@ Query& Query::filter(std::string_view col,
                      const std::function<bool(double)>& pred) {
   const std::int32_t idx = table_.col_index(col);
   AMR_CHECK_MSG(idx >= 0, "filter: no such column");
-  const auto c = static_cast<std::size_t>(idx);
+  ColumnCursor<double> cells(table_, static_cast<std::size_t>(idx),
+                             ascending_);
   std::vector<std::size_t> kept;
   kept.reserve(rows_.size());
   for (const std::size_t r : rows_)
-    if (pred(table_.value(c, r))) kept.push_back(r);
+    if (pred(cells(r))) kept.push_back(r);
   rows_ = std::move(kept);
   return *this;
 }
 
 Query& Query::sort_by(std::string_view col, bool descending) {
-  const std::int32_t idx = table_.col_index(col);
-  AMR_CHECK_MSG(idx >= 0, "sort_by: no such column");
-  const auto c = static_cast<std::size_t>(idx);
-  std::stable_sort(rows_.begin(), rows_.end(),
+  AMR_CHECK_MSG(table_.col_index(col) >= 0, "sort_by: no such column");
+  // The keys are read in one scan; sorting positions by them orders the
+  // rows exactly as a stable sort of the rows by their cells would.
+  const std::vector<double> keys = values(col);
+  std::vector<std::size_t> order(rows_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     const double va = table_.value(c, a);
-                     const double vb = table_.value(c, b);
-                     return descending ? va > vb : va < vb;
+                     return descending ? keys[a] > keys[b]
+                                       : keys[a] < keys[b];
                    });
+  std::vector<std::size_t> sorted(rows_.size());
+  for (std::size_t i = 0; i < order.size(); ++i) sorted[i] = rows_[order[i]];
+  rows_ = std::move(sorted);
+  ascending_ = std::is_sorted(rows_.begin(), rows_.end());
   return *this;
 }
 
@@ -76,23 +158,22 @@ Query& Query::limit(std::size_t n) {
 std::vector<double> Query::values(std::string_view col) const {
   const std::int32_t idx = table_.col_index(col);
   AMR_CHECK_MSG(idx >= 0, "values: no such column");
-  const auto c = static_cast<std::size_t>(idx);
+  ColumnCursor<double> cells(table_, static_cast<std::size_t>(idx),
+                             ascending_);
   std::vector<double> out;
   out.reserve(rows_.size());
-  for (const std::size_t r : rows_) out.push_back(table_.value(c, r));
+  for (const std::size_t r : rows_) out.push_back(cells(r));
   return out;
 }
 
 Table Query::run() const {
   Table out(table_.name() + "#filtered", table_.schema());
+  std::vector<std::size_t> cols(table_.num_cols());
+  std::iota(cols.begin(), cols.end(), std::size_t{0});
+  RowReader cells(table_, cols, ascending_);
   std::vector<CellValue> row(table_.num_cols());
   for (const std::size_t r : rows_) {
-    for (std::size_t c = 0; c < table_.num_cols(); ++c) {
-      if (table_.col_type(c) == ColType::kI64)
-        row[c] = table_.ivalue(c, r);
-      else
-        row[c] = table_.value(c, r);
-    }
+    cells.read(r, row, 0);
     out.append_row(row);
   }
   return out;
@@ -138,12 +219,20 @@ Table GroupedQuery::agg(std::vector<AggSpec> specs) const {
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
   std::vector<Group> groups;
 
+  const bool ascending = query_.ascending_;
+  std::vector<ColumnCursor<std::int64_t>> key_cells;
+  for (const std::size_t c : key_cols)
+    key_cells.emplace_back(src, c, ascending);
+  std::vector<ColumnCursor<double>> val_cells;
+  for (std::size_t s = 0; s < specs.size(); ++s)
+    val_cells.emplace_back(src, val_cols[s], ascending);
+
   for (const std::size_t r : query_.rows_) {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     std::vector<std::int64_t> key;
     key.reserve(key_cols.size());
-    for (const std::size_t c : key_cols) {
-      const std::int64_t v = src.ivalue(c, r);
+    for (auto& cells : key_cells) {
+      const std::int64_t v = cells(r);
       key.push_back(v);
       h = hash64(h ^ static_cast<std::uint64_t>(v));
     }
@@ -163,7 +252,7 @@ Table GroupedQuery::agg(std::vector<AggSpec> specs) const {
     for (std::size_t s = 0; s < specs.size(); ++s) {
       if (specs[s].agg == Agg::kCount)
         continue;  // derived from any column's size; track via first spec
-      group->values[s].push_back(src.value(val_cols[s], r));
+      group->values[s].push_back(val_cells[s](r));
     }
     // kCount groups still need a size; reuse a 1-element push.
     for (std::size_t s = 0; s < specs.size(); ++s)
@@ -264,36 +353,35 @@ Table join(const Table& left, const Table& right,
   };
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
   std::vector<std::vector<std::int64_t>> rkey_rows(right.num_rows());
-  for (std::size_t r = 0; r < right.num_rows(); ++r) {
-    auto& key = rkey_rows[r];
-    key.reserve(rkeys.size());
-    for (const std::size_t c : rkeys) key.push_back(right.ivalue(c, r));
-    buckets[key_hash(key)].push_back(r);
+  {
+    std::vector<ColumnCursor<std::int64_t>> key_cells;
+    for (const std::size_t c : rkeys) key_cells.emplace_back(right, c, true);
+    for (std::size_t r = 0; r < right.num_rows(); ++r) {
+      auto& key = rkey_rows[r];
+      key.reserve(rkeys.size());
+      for (auto& cells : key_cells) key.push_back(cells(r));
+      buckets[key_hash(key)].push_back(r);
+    }
   }
 
+  // Left rows are scanned in order; right payload rows are visited in
+  // bucket order, so they are read cell by cell.
+  std::vector<ColumnCursor<std::int64_t>> lkey_cells;
+  for (const std::size_t c : lkeys) lkey_cells.emplace_back(left, c, true);
+  RowReader lcells(left, lpayload, true);
+  RowReader rcells(right, rpayload, false);
   std::vector<CellValue> row(out.num_cols());
   std::vector<std::int64_t> lkey(lkeys.size());
   for (std::size_t lr = 0; lr < left.num_rows(); ++lr) {
-    for (std::size_t i = 0; i < lkeys.size(); ++i)
-      lkey[i] = left.ivalue(lkeys[i], lr);
+    for (std::size_t i = 0; i < lkeys.size(); ++i) lkey[i] = lkey_cells[i](lr);
     const auto it = buckets.find(key_hash(lkey));
     if (it == buckets.end()) continue;
     for (const std::size_t rr : it->second) {
       if (rkey_rows[rr] != lkey) continue;
       std::size_t at = 0;
       for (const std::int64_t v : lkey) row[at++] = v;
-      for (const std::size_t c : lpayload) {
-        if (left.col_type(c) == ColType::kI64)
-          row[at++] = left.ivalue(c, lr);
-        else
-          row[at++] = left.value(c, lr);
-      }
-      for (const std::size_t c : rpayload) {
-        if (right.col_type(c) == ColType::kI64)
-          row[at++] = right.ivalue(c, rr);
-        else
-          row[at++] = right.value(c, rr);
-      }
+      lcells.read(lr, row, at);
+      rcells.read(rr, row, at + lpayload.size());
       out.append_row(row);
     }
   }

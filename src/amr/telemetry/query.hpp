@@ -3,7 +3,9 @@
 // The SQL-over-ClickHouse analogue of the paper's final analysis workflow
 // (§IV-C): filter / group-by / aggregate, "grouped by timestep and sorted
 // by rank" (Lesson 4). Queries materialize row selections eagerly and
-// produce new Tables, so chains compose without lifetime traps.
+// produce new Tables, so chains compose without lifetime traps. A scan
+// decodes the columns it touches one stored chunk at a time, never a
+// whole column.
 //
 //   Table by_rank = Query(phases)
 //       .filter_i64("phase", [](auto p) { return p == 1; })
@@ -75,6 +77,9 @@ class Query {
   friend class GroupedQuery;
   const Table& table_;
   std::vector<std::size_t> rows_;
+  /// rows_ is ascending (no sort_by has permuted it): scans then decode
+  /// each chunk of each column they touch once.
+  bool ascending_ = true;
 };
 
 class GroupedQuery {

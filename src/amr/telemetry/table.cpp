@@ -1,15 +1,77 @@
 #include "amr/telemetry/table.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "amr/common/check.hpp"
 
 namespace amr {
+namespace {
+
+std::uint64_t to_bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+double to_double(std::uint64_t b) { return std::bit_cast<double>(b); }
+
+/// Row i of a packed chunk, before adding the base.
+std::uint64_t unpack(const std::uint64_t* words, unsigned width,
+                     std::size_t i) {
+  if (width == 0) return 0;
+  const std::size_t bit = i * width;
+  const unsigned shift = bit & 63;
+  std::uint64_t v = words[bit >> 6] >> shift;
+  if (shift + width > 64) v |= words[(bit >> 6) + 1] << (64 - shift);
+  return width == 64 ? v : v & ((std::uint64_t{1} << width) - 1);
+}
+
+unsigned range_width(std::int64_t min, std::int64_t max) {
+  return static_cast<unsigned>(std::bit_width(
+      static_cast<std::uint64_t>(max) - static_cast<std::uint64_t>(min)));
+}
+
+Table::Chunk pack_i64(const std::vector<std::uint64_t>& raw) {
+  Table::Chunk ch;
+  const auto [lo, hi] = std::minmax_element(
+      raw.begin(), raw.end(), [](std::uint64_t a, std::uint64_t b) {
+        return static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b);
+      });
+  ch.base = static_cast<std::int64_t>(*lo);
+  ch.max = static_cast<std::int64_t>(*hi);
+  const unsigned width = range_width(ch.base, ch.max);
+  ch.width = static_cast<std::uint8_t>(width);
+  if (width == 0) return ch;
+  ch.words.assign(width * Table::kWordsPerBit, 0);
+  const auto base = static_cast<std::uint64_t>(ch.base);
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const std::uint64_t v = raw[i] - base;
+    const std::size_t bit = i * width;
+    const unsigned shift = bit & 63;
+    ch.words[bit >> 6] |= v << shift;
+    if (shift + width > 64) ch.words[(bit >> 6) + 1] |= v >> (64 - shift);
+  }
+  return ch;
+}
+
+/// Chunk `chunk` of an i64 column (the tail when it is past the sealed
+/// ones), converted to T.
+template <typename T>
+std::size_t decode_ints(const Table::Column& c, std::size_t chunk, T* out) {
+  if (chunk == c.chunks.size()) {
+    for (std::size_t i = 0; i < c.tail.size(); ++i)
+      out[i] = static_cast<T>(static_cast<std::int64_t>(c.tail[i]));
+    return c.tail.size();
+  }
+  const Table::Chunk& ch = c.chunks[chunk];
+  const auto base = static_cast<std::uint64_t>(ch.base);
+  for (std::size_t i = 0; i < Table::kChunkRows; ++i)
+    out[i] = static_cast<T>(static_cast<std::int64_t>(
+        base + unpack(ch.words.data(), ch.width, i)));
+  return Table::kChunkRows;
+}
+
+}  // namespace
 
 Table::Table(std::string name, std::vector<ColumnDef> defs)
-    : name_(std::move(name)), defs_(std::move(defs)),
-      i64_cols_(defs_.size()), f64_cols_(defs_.size()) {
+    : name_(std::move(name)), defs_(std::move(defs)), cols_(defs_.size()) {
   AMR_CHECK_MSG(!defs_.empty(), "table needs at least one column");
   for (std::size_t i = 0; i < defs_.size(); ++i)
     for (std::size_t j = i + 1; j < defs_.size(); ++j)
@@ -23,25 +85,46 @@ std::int32_t Table::col_index(std::string_view name) const {
   return -1;
 }
 
+void Table::check_arity(std::size_t cells) const {
+  AMR_CHECK_MSG(cells == defs_.size(), "row arity mismatch");
+}
+
+void Table::put(std::size_t col, std::int64_t v) {
+  cols_[col].tail.push_back(defs_[col].type == ColType::kI64
+                                ? static_cast<std::uint64_t>(v)
+                                : to_bits(static_cast<double>(v)));
+}
+
+void Table::put(std::size_t col, double v) {
+  AMR_CHECK_MSG(defs_[col].type == ColType::kF64,
+                "double value into i64 column");
+  cols_[col].tail.push_back(to_bits(v));
+}
+
 void Table::append_row(std::initializer_list<CellValue> cells) {
   append_row(std::span<const CellValue>(cells.begin(), cells.size()));
 }
 
 void Table::append_row(std::span<const CellValue> cells) {
-  AMR_CHECK_MSG(cells.size() == defs_.size(), "row arity mismatch");
-  for (std::size_t c = 0; c < cells.size(); ++c) {
+  check_arity(cells.size());
+  for (std::size_t c = 0; c < cells.size(); ++c)
+    std::visit([&](auto v) { put(c, v); }, cells[c]);
+  end_row();
+}
+
+void Table::seal() {
+  for (std::size_t c = 0; c < cols_.size(); ++c) {
+    Column& col = cols_[c];
     if (defs_[c].type == ColType::kI64) {
-      AMR_CHECK_MSG(std::holds_alternative<std::int64_t>(cells[c]),
-                    "double value into i64 column");
-      i64_cols_[c].push_back(std::get<std::int64_t>(cells[c]));
-    } else if (std::holds_alternative<double>(cells[c])) {
-      f64_cols_[c].push_back(std::get<double>(cells[c]));
+      col.chunks.push_back(pack_i64(col.tail));
     } else {
-      f64_cols_[c].push_back(
-          static_cast<double>(std::get<std::int64_t>(cells[c])));
+      Chunk ch;
+      ch.width = 64;
+      ch.words = col.tail;
+      col.chunks.push_back(std::move(ch));
     }
+    col.tail.clear();
   }
-  ++rows_;
 }
 
 std::size_t Table::checked_col(std::string_view name, ColType type) const {
@@ -52,62 +135,111 @@ std::size_t Table::checked_col(std::string_view name, ColType type) const {
   return static_cast<std::size_t>(idx);
 }
 
-std::span<const std::int64_t> Table::i64(std::string_view col) const {
-  return i64_cols_[checked_col(col, ColType::kI64)];
+std::vector<std::int64_t> Table::i64(std::string_view col) const {
+  return i64(checked_col(col, ColType::kI64));
 }
 
-std::span<const double> Table::f64(std::string_view col) const {
-  return f64_cols_[checked_col(col, ColType::kF64)];
+std::vector<double> Table::f64(std::string_view col) const {
+  return f64(checked_col(col, ColType::kF64));
 }
 
-std::span<const std::int64_t> Table::i64(std::size_t col) const {
-  AMR_CHECK(defs_[col].type == ColType::kI64);
-  return i64_cols_[col];
+std::vector<std::int64_t> Table::i64(std::size_t col) const {
+  AMR_CHECK_MSG(defs_[col].type == ColType::kI64, "column type mismatch");
+  std::vector<std::int64_t> out(rows_);
+  for (std::size_t k = 0; k < num_chunks(); ++k)
+    decode(col, k, out.data() + k * kChunkRows);
+  return out;
 }
 
-std::span<const double> Table::f64(std::size_t col) const {
-  AMR_CHECK(defs_[col].type == ColType::kF64);
-  return f64_cols_[col];
+std::vector<double> Table::f64(std::size_t col) const {
+  AMR_CHECK_MSG(defs_[col].type == ColType::kF64, "column type mismatch");
+  std::vector<double> out(rows_);
+  for (std::size_t k = 0; k < num_chunks(); ++k)
+    decode(col, k, out.data() + k * kChunkRows);
+  return out;
+}
+
+std::uint64_t Table::bits(std::size_t col, std::size_t row) const {
+  AMR_CHECK(col < defs_.size() && row < rows_);
+  const Column& c = cols_[col];
+  const std::size_t k = row / kChunkRows;
+  if (k == c.chunks.size()) return c.tail[row % kChunkRows];
+  const Chunk& ch = c.chunks[k];
+  return static_cast<std::uint64_t>(ch.base) +
+         unpack(ch.words.data(), ch.width, row % kChunkRows);
 }
 
 double Table::value(std::size_t col, std::size_t row) const {
-  AMR_CHECK(col < defs_.size() && row < rows_);
+  const std::uint64_t b = bits(col, row);
   return defs_[col].type == ColType::kI64
-             ? static_cast<double>(i64_cols_[col][row])
-             : f64_cols_[col][row];
+             ? static_cast<double>(static_cast<std::int64_t>(b))
+             : to_double(b);
 }
 
 std::int64_t Table::ivalue(std::size_t col, std::size_t row) const {
-  AMR_CHECK(col < defs_.size() && row < rows_);
-  AMR_CHECK(defs_[col].type == ColType::kI64);
-  return i64_cols_[col][row];
+  AMR_CHECK(col < defs_.size() && defs_[col].type == ColType::kI64);
+  return static_cast<std::int64_t>(bits(col, row));
 }
 
-void Table::reserve(std::size_t rows) {
-  for (std::size_t col = 0; col < defs_.size(); ++col) {
-    if (defs_[col].type == ColType::kI64)
-      i64_cols_[col].reserve(rows);
-    else
-      f64_cols_[col].reserve(rows);
+std::size_t Table::decode(std::size_t col, std::size_t chunk,
+                          std::int64_t* out) const {
+  AMR_CHECK(col < defs_.size() && defs_[col].type == ColType::kI64 &&
+            chunk < num_chunks());
+  return decode_ints(cols_[col], chunk, out);
+}
+
+std::size_t Table::decode(std::size_t col, std::size_t chunk,
+                          double* out) const {
+  AMR_CHECK(col < defs_.size() && chunk < num_chunks());
+  const Column& c = cols_[col];
+  if (defs_[col].type == ColType::kI64) return decode_ints(c, chunk, out);
+  const std::vector<std::uint64_t>& raw =
+      chunk == c.chunks.size() ? c.tail : c.chunks[chunk].words;
+  for (std::size_t i = 0; i < raw.size(); ++i) out[i] = to_double(raw[i]);
+  return raw.size();
+}
+
+std::string Table::load(std::uint64_t rows, std::vector<Column> cols) {
+  if (cols.size() != defs_.size()) return "column count does not match";
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    const Column& col = cols[c];
+    const std::string where = "column '" + defs_[c].name + "' ";
+    if (col.chunks.size() != rows / kChunkRows ||
+        col.tail.size() != rows % kChunkRows)
+      return where + "chunk and tail counts do not match the row count";
+    const bool ints = defs_[c].type == ColType::kI64;
+    for (std::size_t k = 0; k < col.chunks.size(); ++k) {
+      const Chunk& ch = col.chunks[k];
+      const std::string at = where + "chunk " + std::to_string(k) + ": ";
+      if (ch.width > 64)
+        return at + "width " + std::to_string(ch.width) + " exceeds 64";
+      if (ints ? ch.max < ch.base || ch.width != range_width(ch.base, ch.max)
+               : ch.width != 64 || ch.base != 0 || ch.max != 0)
+        return at + "width " + std::to_string(ch.width) +
+               " does not match its range";
+      if (ch.words.size() != ch.width * kWordsPerBit)
+        return at + "payload of " + std::to_string(ch.words.size()) +
+               " words, not " + std::to_string(ch.width * kWordsPerBit);
+    }
   }
+  cols_ = std::move(cols);
+  rows_ = static_cast<std::size_t>(rows);
+  return "";
 }
 
 void Table::clear() {
-  for (auto& c : i64_cols_) {
-    c.clear();
-    c.shrink_to_fit();
-  }
-  for (auto& c : f64_cols_) {
-    c.clear();
-    c.shrink_to_fit();
-  }
+  for (auto& c : cols_) c = Column{};
   rows_ = 0;
 }
 
 std::size_t Table::bytes_used() const {
   std::size_t bytes = 0;
-  for (const auto& c : i64_cols_) bytes += c.capacity() * sizeof(std::int64_t);
-  for (const auto& c : f64_cols_) bytes += c.capacity() * sizeof(double);
+  for (const Column& c : cols_) {
+    bytes += c.chunks.capacity() * sizeof(Chunk) +
+             c.tail.capacity() * sizeof(std::uint64_t);
+    for (const Chunk& ch : c.chunks)
+      bytes += ch.words.capacity() * sizeof(std::uint64_t);
+  }
   return bytes;
 }
 
@@ -117,7 +249,17 @@ void Table::column_stats(std::size_t col, double& min, double& max) const {
   if (rows_ == 0) return;
   min = value(col, 0);
   max = min;
-  for (std::size_t r = 1; r < rows_; ++r) {
+  const Column& c = cols_[col];
+  std::size_t from = 1;
+  if (defs_[col].type == ColType::kI64) {
+    // Sealed chunks carry their range; only the tail is scanned.
+    for (const Chunk& ch : c.chunks) {
+      min = std::min(min, static_cast<double>(ch.base));
+      max = std::max(max, static_cast<double>(ch.max));
+    }
+    from = std::max(from, c.chunks.size() * kChunkRows);
+  }
+  for (std::size_t r = from; r < rows_; ++r) {
     const double v = value(col, r);
     min = std::min(min, v);
     max = std::max(max, v);
@@ -138,9 +280,9 @@ std::string Table::format(std::size_t max_rows) const {
     for (std::size_t c = 0; c < defs_.size(); ++c) {
       if (defs_[c].type == ColType::kI64)
         std::snprintf(buf, sizeof(buf), "%lld\t",
-                      static_cast<long long>(i64_cols_[c][r]));
+                      static_cast<long long>(ivalue(c, r)));
       else
-        std::snprintf(buf, sizeof(buf), "%.6g\t", f64_cols_[c][r]);
+        std::snprintf(buf, sizeof(buf), "%.6g\t", value(c, r));
       out += buf;
     }
     out += '\n';

@@ -18,7 +18,7 @@ if(NOT CMAKE_SCRIPT_MODE_FILE)
     endif()
     set(used ${contract_uses_${group}})
     foreach(arg IN LISTS ARGN)
-      string(REGEX MATCH "^[a-z_]+ " bin "${arg}")
+      string(REGEX MATCH "^[a-z_0-9]+ " bin "${arg}")
       string(STRIP "${bin}" bin)
       if(bin IN_LIST contract_bins AND NOT bin IN_LIST used)
         list(APPEND used ${bin})
@@ -30,8 +30,8 @@ if(NOT CMAKE_SCRIPT_MODE_FILE)
   # A function scope keeps the table's variables out of the caller's.
   function(contract_register dir)
     # Binary names the table uses, and the targets that build them.
-    set(contract_bins amrcplx bench_scalebench)
-    set(contract_targets amrcplx_cli bench_scalebench)
+    set(contract_bins amrcplx bench_scalebench bench_fig1)
+    set(contract_targets amrcplx_cli bench_scalebench bench_fig1)
     set(contract_groups "")
     include(${dir}/table.cmake)
     foreach(group IN LISTS contract_groups)

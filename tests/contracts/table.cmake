@@ -2,9 +2,9 @@
 # this table twice: at configure time it registers one ctest per group,
 # and under `cmake -P` it runs one group's rows in order.
 #
-# A command is one string whose first word names a binary (amrcplx or
-# bench_scalebench). @DIR@ is the row's scratch directory and @DATA@ this
-# directory. Row kinds:
+# A command is one string whose first word names a binary (amrcplx,
+# bench_scalebench or bench_fig1). @DIR@ is the row's scratch directory
+# and @DATA@ this directory. Row kinds:
 #
 #   same     RUN cmd...             every RUN exits 0 with equal stdout;
 #            [NO_FILES glob...]     no file in @DIR@ matches a glob after
@@ -167,6 +167,14 @@ contract(cli_rejects_out_of_range reject
   RUN "amrcplx sweep --jobs=4294967297" STDERR "--jobs: '4294967297'")
 contract(cli_rejects_out_of_range reject
   RUN "amrcplx mesh --ranks=0" STDERR "--ranks: '0'")
+# Worker counts stop at Flags::kMaxWorkers, before any thread starts.
+contract(cli_rejects_out_of_range reject
+  RUN "amrcplx sweep --jobs=100000" STDERR "--jobs: '100000'")
+contract(cli_rejects_out_of_range reject
+  RUN "amrcplx serve --file=/dev/null --serve-jobs=100000"
+  STDERR "--serve-jobs: '100000'")
+contract(cli_rejects_out_of_range reject
+  RUN "bench_fig1 --ranks=4294967297" STDERR "--ranks: '4294967297'")
 contract(cli_rejects_sweep_policy_list reject
   RUN "amrcplx sweep --policy=cpl50,nope" STDERR "--policy names 'nope'")
 contract(cli_rejects_sweep_policy_list reject

@@ -378,15 +378,15 @@ TEST(CheckpointFabric, SectionRoundTripsBusySlots) {
   EXPECT_EQ(original.stats().shm_retries, restored.stats().shm_retries);
 }
 
-// A v6 file stored every shm slot's free time; its fabric section would
-// misparse under v7, so the envelope refuses it by version, by name.
-TEST_F(CheckpointTest, V6SnapshotIsRefused) {
+/// Write a checkpoint, relabel its header as format `version`, and
+/// expect the restore to be refused by version, by name.
+void expect_version_refused(const std::string& dir, std::uint32_t version) {
   SimulationConfig ck = test_config(12);
   ck.checkpoint_every = 6;
-  ck.checkpoint_dir = dir_;
+  ck.checkpoint_dir = dir;
   run_sedov(ck, "cpl50", nullptr, nullptr);
 
-  const std::string path = dir_ + "/ckpt_6.amrs";
+  const std::string path = dir + "/ckpt_6.amrs";
   std::vector<char> bytes;
   {
     std::ifstream in(path, std::ios::binary);
@@ -394,21 +394,166 @@ TEST_F(CheckpointTest, V6SnapshotIsRefused) {
                  std::istreambuf_iterator<char>());
   }
   ASSERT_GT(bytes.size(), 8u);
-  const std::uint32_t v6 = 6;
-  std::memcpy(bytes.data() + 4, &v6, sizeof(v6));  // header: magic, version
+  std::memcpy(bytes.data() + 4, &version, sizeof(version));  // after magic
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<long>(bytes.size()));
   }
   try {
     run_sedov(test_config(12), "cpl50", nullptr, nullptr, path);
-    FAIL() << "a v6 snapshot was accepted";
+    FAIL() << "a v" << version << " snapshot was accepted";
   } catch (const io::SnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find(
-                  "snapshot: unsupported snapshot format version 6"),
+                  "snapshot: unsupported snapshot format version " +
+                  std::to_string(version)),
               std::string::npos)
         << e.what();
   }
+}
+
+// A v6 file stored every shm slot's free time; its fabric section would
+// misparse under v7, so the envelope refuses it by version, by name.
+TEST_F(CheckpointTest, V6SnapshotIsRefused) {
+  expect_version_refused(dir_, 6);
+}
+
+// A v8 file stored every telemetry cell as a raw 8-byte value; its
+// collector section would misparse under v9.
+TEST_F(CheckpointTest, V8SnapshotIsRefused) {
+  expect_version_refused(dir_, 8);
+}
+
+/// The raw body of one named section of a snapshot file.
+std::vector<char> section_body(const std::string& path,
+                               const std::string& name) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  std::size_t at = 16;  // magic, version, payload size
+  while (at + 4 <= bytes.size()) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, bytes.data() + at, sizeof len);
+    const std::string got(bytes.data() + at + 4, len);
+    std::uint64_t body = 0;
+    std::memcpy(&body, bytes.data() + at + 4 + len, sizeof body);
+    at += 4 + len + 8;
+    if (got == name)
+      return {bytes.begin() + static_cast<std::ptrdiff_t>(at),
+              bytes.begin() + static_cast<std::ptrdiff_t>(at + body)};
+    at += body;
+  }
+  ADD_FAILURE() << "no section " << name << " in " << path;
+  return {};
+}
+
+// Telemetry chunks are cut at fixed row multiples, so a run restored
+// from a snapshot taken mid-chunk seals the same chunks as the
+// uninterrupted run: every later snapshot's collector section is byte
+// for byte the same. (Other sections may differ: the rebuilt plan cache
+// counts one extra miss per restore.)
+TEST_F(CheckpointTest, MidChunkRestoreKeepsLaterTelemetryBytes) {
+  const std::int64_t steps = 48;
+  SimulationConfig ck = test_config(steps);
+  ck.checkpoint_every = 8;
+  ck.checkpoint_dir = dir_ + "/full";
+  std::filesystem::create_directories(ck.checkpoint_dir);
+  Table full_phases;
+  run_sedov(ck, "cpl50", nullptr, &full_phases);
+  ASSERT_GT(full_phases.num_rows(), Table::kChunkRows);
+
+  SimulationConfig resumed = test_config(steps);
+  resumed.checkpoint_every = 8;
+  resumed.checkpoint_dir = dir_ + "/resumed";
+  std::filesystem::create_directories(resumed.checkpoint_dir);
+  const std::string first = dir_ + "/full/ckpt_8.amrs";
+  run_sedov(resumed, "cpl50", nullptr, nullptr, first);
+  Collector at_first;
+  {
+    io::SnapshotReader r(first);
+    while (r.peek_section() != "collector") r.skip_section();
+    read_collector_section(r, at_first);
+  }
+  ASSERT_NE(at_first.phases().num_rows() % Table::kChunkRows, 0u);
+  ASSERT_LT(at_first.phases().num_rows(), Table::kChunkRows);
+
+  for (const std::int64_t at : {16, 24, 32, 40}) {
+    const std::string name = "/ckpt_" + std::to_string(at) + ".amrs";
+    SCOPED_TRACE(name);
+    EXPECT_EQ(section_body(dir_ + "/full" + name, "collector"),
+              section_body(dir_ + "/resumed" + name, "collector"));
+  }
+}
+
+/// A collector section whose phases table holds `rows` rows stored as
+/// `chunks` chunks of `width` bits (base 0, max 7) with `words` words
+/// each; the other three tables are empty.
+std::vector<std::uint8_t> collector_snapshot(std::uint64_t rows,
+                                             std::uint64_t chunks,
+                                             std::uint8_t width,
+                                             std::uint64_t words) {
+  const Collector schema;
+  io::SnapshotWriter w;
+  w.begin_section("collector");
+  w.b(false);
+  w.u64(rows);
+  w.u32(4);
+  for (int c = 0; c < 4; ++c) {
+    w.u8(0);
+    w.u64(chunks);
+    for (std::uint64_t k = 0; k < chunks; ++k) {
+      w.i64(0);
+      w.i64(7);
+      w.u8(width);
+      w.vec_pod(std::vector<std::uint64_t>(words, 0));
+    }
+    w.vec_pod(std::vector<std::uint64_t>(rows % Table::kChunkRows, 0));
+  }
+  for (const Table* t : {&schema.comm(), &schema.blocks(),
+                         &schema.placement()}) {
+    w.u64(0);
+    w.u32(static_cast<std::uint32_t>(t->num_cols()));
+    for (std::size_t c = 0; c < t->num_cols(); ++c) {
+      w.u8(static_cast<std::uint8_t>(t->col_type(c)));
+      w.u64(0);
+      w.vec_pod(std::vector<std::uint64_t>{});
+    }
+  }
+  w.end_section();
+  return w.finish();
+}
+
+std::string collector_error(std::vector<std::uint8_t> bytes) {
+  try {
+    io::SnapshotReader r(std::move(bytes));
+    Collector c;
+    read_collector_section(r, c);
+  } catch (const io::SnapshotError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CheckpointCollector, MalformedChunksAreRefusedByName) {
+  constexpr std::uint64_t kRows = Table::kChunkRows + 1;
+  {
+    io::SnapshotReader r(collector_snapshot(kRows, 1, 3, 192));
+    Collector c;
+    read_collector_section(r, c);  // the well-formed baseline
+    EXPECT_EQ(c.phases().num_rows(), kRows);
+  }
+  EXPECT_NE(collector_error(collector_snapshot(kRows, 1, 65, 65 * 64))
+                .find("snapshot: table 'phases' column 'step' chunk 0: "
+                      "width 65 exceeds 64"),
+            std::string::npos);
+  EXPECT_NE(collector_error(collector_snapshot(kRows, 1, 3, 191))
+                .find("payload of 191 words, not 192"),
+            std::string::npos);
+  EXPECT_NE(collector_error(collector_snapshot(2 * kRows, 1, 3, 192))
+                .find("do not match the row count"),
+            std::string::npos);
+  EXPECT_NE(collector_error(collector_snapshot(kRows, 1, 4, 256))
+                .find("does not match its range"),
+            std::string::npos);
 }
 
 }  // namespace

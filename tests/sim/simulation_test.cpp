@@ -58,6 +58,29 @@ TEST(Simulation, TelemetryTablesPopulated) {
   EXPECT_EQ(comm.num_rows(), static_cast<std::size_t>(12 * 16));
 }
 
+// Telemetry is stored as bit-packed chunks: a run's phases and comm
+// rows cost well under the 208 B per rank-step that raw 8-byte cells
+// took (4 phase rows x 4 columns + 1 comm row x 10 columns).
+TEST(Simulation, TelemetryFootprintPerRankStep) {
+  SimulationConfig cfg;
+  cfg.nranks = 1024;
+  cfg.ranks_per_node = 16;
+  cfg.root_grid = RootGrid{16, 8, 8};
+  cfg.steps = 40;
+  SedovParams sp;
+  sp.total_steps = cfg.steps;
+  sp.max_level = 1;
+  SedovWorkload sedov(sp);
+  const auto policy = make_policy("cpl50");
+  Simulation sim(cfg, sedov, *policy);
+  sim.run();
+  const double rank_steps = static_cast<double>(cfg.nranks * cfg.steps);
+  const double per_rank_step =
+      static_cast<double>(sim.collector().bytes_used()) / rank_steps;
+  EXPECT_GT(sim.collector().comm().num_rows(), 4 * Table::kChunkRows);
+  EXPECT_LE(per_rank_step, 48.0);
+}
+
 TEST(Simulation, RefinementTriggersRebalanceAndMigration) {
   SedovWorkload sedov(small_sedov());
   const auto policy = make_policy("cpl50");
