@@ -24,15 +24,14 @@ using namespace amr;
 
 std::vector<double> per_rank_bytes(const AmrMesh& mesh, const Placement& p,
                                    std::int32_t ranks) {
-  const auto work =
-      build_step_work(mesh, p, std::vector<TimeNs>(mesh.size(), 0), ranks);
+  const BspPlan plan =
+      build_bsp_plan(mesh, p, std::vector<TimeNs>(mesh.size(), 0), ranks);
   std::vector<double> bytes;
-  bytes.reserve(work.size());
-  for (const auto& w : work) {
-    double b = static_cast<double>(w.local_copy_bytes);
-    for (const auto& s : w.sends) b += static_cast<double>(s.bytes);
-    bytes.push_back(b);
-  }
+  bytes.reserve(plan.nranks());
+  for (std::size_t r = 0; r < plan.nranks(); ++r)
+    bytes.push_back(static_cast<double>(
+        plan.bytes_of(r, BspTaskKind::kLocalCopy) +
+        plan.bytes_of(r, BspTaskKind::kPackSend)));
   return bytes;
 }
 

@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the hot substrate paths: Morton
 // encoding, mesh refinement and neighbor discovery, placement policies at
 // production sizes, auto-X candidate evaluation, BSP and overlap plan
-// rebuilds, an overlap step, DES event throughput, and fabric transfers.
+// rebuilds, a BSP and an overlap step, DES event throughput, and fabric
+// transfers.
 // These guard the performance envelope that keeps placement inside the
 // paper's 50 ms budget and the simulator fast enough for the Fig 6
 // sweeps.
@@ -21,6 +22,8 @@
 #include "amr/placement/cplx.hpp"
 #include "amr/placement/engine.hpp"
 #include "amr/placement/registry.hpp"
+#include "amr/sim/sim_driver.hpp"
+#include "amr/workloads/sedov.hpp"
 #include "amr/workloads/synthetic.hpp"
 
 namespace {
@@ -142,7 +145,7 @@ BENCHMARK(BM_EvaluateCandidates)
 
 // BSP plan misses: two placements (cpl0 and cpl100) alternate through
 // ExchangePlanCache under a new placement version every call, so every
-// call rebuilds the 4096-rank plan.
+// call rebuilds the flat 4096-rank plan in place.
 void BM_PlanRebuild(benchmark::State& state) {
   const RebalanceFixture f;
   const Placement placements[] = {
@@ -152,11 +155,11 @@ void BM_PlanRebuild(benchmark::State& state) {
   ExchangePlanCache cache;
   std::uint64_t version = 0;
   for (auto _ : state) {
-    const auto plan = cache.step_work(
+    const BspPlan& plan = cache.step_work(
         f.mesh, placements[version % 2], version, block_costs,
         RebalanceFixture::kRanks, MessageSizeModel{}, true);
     ++version;
-    benchmark::DoNotOptimize(plan.data());
+    benchmark::DoNotOptimize(plan.tasks.data());
   }
 }
 BENCHMARK(BM_PlanRebuild)->Unit(benchmark::kMillisecond);
@@ -222,6 +225,50 @@ void BM_OverlapStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OverlapStep)->Unit(benchmark::kMillisecond);
+
+// A Sedov mesh at the BSP ledger's shape (the sim driver's root grid,
+// the front a third of the way out) on 4096 ranks under cpl50.
+struct SedovFixture {
+  static constexpr std::int32_t kRanks = 4096;
+  AmrMesh mesh{grid_for_ranks(kRanks)};
+  std::vector<TimeNs> block_costs;
+  Placement placement;
+  SedovFixture() {
+    SedovParams sp;
+    sp.total_steps = 12;
+    SedovWorkload sedov(sp);
+    for (std::int64_t step = 0; step <= 4; ++step) sedov.evolve(mesh, step);
+    block_costs.resize(mesh.size());
+    std::vector<double> est(mesh.size());
+    for (std::size_t b = 0; b < mesh.size(); ++b) {
+      block_costs[b] = sedov.block_cost(mesh, b, 4);
+      est[b] = static_cast<double>(block_costs[b]);
+    }
+    placement = CplxPolicy(50.0).place(est, kRanks);
+  }
+};
+
+// One BSP step on a fixed plan: 4096 ranks, send-first with flux
+// corrections, critical-path send priority on. Times the executor, the
+// DES and Comm together, which is how a step spends them.
+void BM_BspStep(benchmark::State& state) {
+  const SedovFixture f;
+  ExchangePlanCache cache;
+  const BspPlan& plan = cache.step_work(
+      f.mesh, f.placement, 0, f.block_costs, SedovFixture::kRanks,
+      MessageSizeModel{}, true);
+  const ClusterTopology topo(SedovFixture::kRanks, 16);
+  Engine engine;
+  Fabric fabric(topo, FabricParams::tuned(), Rng(1));
+  Comm comm(engine, fabric, SedovFixture::kRanks);
+  StepExecutor executor(engine, comm);
+  std::uint64_t window = 0;
+  for (auto _ : state) {
+    const StepResult r = executor.execute(plan, window++, /*priority=*/7);
+    benchmark::DoNotOptimize(r.step_end);
+  }
+}
+BENCHMARK(BM_BspStep)->Unit(benchmark::kMillisecond);
 
 void BM_DesEventThroughput(benchmark::State& state) {
   class Null final : public EventHandler {

@@ -87,9 +87,8 @@ int main(int argc, char** argv) {
       const auto work =
           two_stage_bsp_work(mesh, placement, costs, ranks, 0.5);
       for (std::int32_t round = 0; round < rounds; ++round) {
-        const StepResult r = executor.execute(
-            work, TaskOrdering::kComputeFirst,
-            static_cast<std::uint64_t>(round));
+        const StepResult r =
+            executor.execute(work, static_cast<std::uint64_t>(round));
         wall_ms.add(to_ms(r.wall_ns()));
         RunningStats idle;
         for (const auto& s : r.ranks) idle.add(to_ms(s.recv_wait_ns));

@@ -311,24 +311,14 @@ OverlapPlan build_overlap_plan(const AmrMesh& mesh,
   return plan;
 }
 
-std::vector<RankStepWork> two_stage_bsp_work(
-    const AmrMesh& mesh, const Placement& placement,
-    std::span<const TimeNs> block_costs, std::int32_t nranks,
-    double stage1_frac, const MessageSizeModel& sizes) {
-  // BSP rendering: stage-1 computes (before sends, via kComputeFirst),
-  // sends, wait, stage-2 computes, collective.
-  auto work = build_step_work(mesh, placement, block_costs, nranks, sizes);
-  for (auto& w : work) {
-    w.computes_after_wait.reserve(w.computes.size());
-    for (auto& c : w.computes) {
-      const auto stage1 = static_cast<TimeNs>(
-          static_cast<double>(c.duration) * stage1_frac);
-      w.computes_after_wait.push_back(
-          BlockCompute{c.block, c.duration - stage1});
-      c.duration = stage1;
-    }
-  }
-  return work;
+BspPlan two_stage_bsp_work(const AmrMesh& mesh, const Placement& placement,
+                           std::span<const TimeNs> block_costs,
+                           std::int32_t nranks, double stage1_frac,
+                           const MessageSizeModel& sizes) {
+  AMR_CHECK(stage1_frac > 0.0);
+  return build_bsp_plan(mesh, placement, block_costs, nranks, sizes,
+                        /*include_flux=*/false, PackingPolicy::none(),
+                        TaskOrdering::kComputeFirst, stage1_frac);
 }
 
 /// One block slot's receives and progress this step: everything its

@@ -83,15 +83,7 @@ inline constexpr bool is_packed_dst_tag(std::int64_t dst_tag) {
 }
 
 /// Half-open index range into one of OverlapPlan's arrays.
-struct OverlapRange {
-  std::int32_t begin = 0;
-  std::int32_t end = 0;
-
-  std::int32_t size() const { return end - begin; }
-  bool empty() const { return begin == end; }
-  friend bool operator==(const OverlapRange&,
-                         const OverlapRange&) = default;
-};
+using OverlapRange = PlanRange;
 
 /// One transfer of the step: an eager ghost message (msgs == 1) or a
 /// per-destination aggregate (msgs >= 2, packed dst_tag).
@@ -253,7 +245,7 @@ struct OverlapBuildScratch {
 /// at step start; two-stage aggregates launch incrementally, the moment
 /// their last contributing block finishes stage 1. Eager pairs keep one
 /// send per message, posted up-front (single-stage) or by the producing
-/// block (two-stage). Totals match build_step_work exactly.
+/// block (two-stage). Totals match build_bsp_plan exactly.
 void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
                         std::span<const TimeNs> block_costs,
                         std::int32_t nranks, const MessageSizeModel& sizes,
@@ -268,9 +260,9 @@ OverlapPlan build_overlap_plan(
     const PackingPolicy& packing = PackingPolicy::none(),
     double stage1_frac = 0.0);
 
-/// The BSP rendering of the same two-stage step: stage-1 computes, sends,
-/// wait-all, stage-2 computes, collective.
-std::vector<RankStepWork> two_stage_bsp_work(
+/// The BSP rendering of the same two-stage step, compute-first: stage-1
+/// computes, sends, wait-all, stage-2 computes, collective.
+BspPlan two_stage_bsp_work(
     const AmrMesh& mesh, const Placement& placement,
     std::span<const TimeNs> block_costs, std::int32_t nranks,
     double stage1_frac, const MessageSizeModel& sizes = {});

@@ -11,9 +11,11 @@ SharedPlanStore::Key make_key(bool overlap, const AmrMesh& mesh,
                               std::int32_t nranks,
                               const MessageSizeModel& sizes,
                               bool include_flux, double stage1_frac,
-                              const PackingPolicy& packing) {
+                              const PackingPolicy& packing,
+                              TaskOrdering ordering) {
   SharedPlanStore::Key key;
   key.overlap = overlap;
+  key.ordering = ordering;
   key.nranks = nranks;
   key.include_flux = include_flux;
   key.stage1_frac = stage1_frac;
@@ -27,15 +29,6 @@ SharedPlanStore::Key make_key(bool overlap, const AmrMesh& mesh,
 
 }  // namespace
 
-void ExchangePlanCache::patch_bsp(std::span<const TimeNs> block_costs) {
-  for (auto& rank : bsp_) {
-    for (auto& c : rank.computes)
-      c.duration = block_costs[static_cast<std::size_t>(c.block)];
-    for (auto& c : rank.computes_after_wait)
-      c.duration = block_costs[static_cast<std::size_t>(c.block)];
-  }
-}
-
 void ExchangePlanCache::patch_overlap(std::span<const TimeNs> block_costs,
                                       double stage1_frac) {
   for (OverlapBlock& b : overlap_.blocks)
@@ -43,34 +36,37 @@ void ExchangePlanCache::patch_overlap(std::span<const TimeNs> block_costs,
                    stage1_frac);
 }
 
-std::span<const RankStepWork> ExchangePlanCache::step_work(
+const BspPlan& ExchangePlanCache::step_work(
     const AmrMesh& mesh, const Placement& placement,
     std::uint64_t placement_version, std::span<const TimeNs> block_costs,
     std::int32_t nranks, const MessageSizeModel& sizes, bool include_flux,
-    const PackingPolicy& packing) {
+    const PackingPolicy& packing, TaskOrdering ordering) {
   if (fresh(mesh.version(), placement_version, have_bsp_) &&
-      packing_ == packing) {
+      packing_ == packing && bsp_.ordering == ordering) {
     ++stats_.hits;
-    patch_bsp(block_costs);
+    set_bsp_costs(bsp_, block_costs);
     return bsp_;
   }
   ++stats_.misses;
+  const auto build = [&] {
+    build_bsp_plan(mesh, placement, block_costs, nranks, sizes, include_flux,
+                   packing, ordering, /*stage1_frac=*/0.0, bsp_,
+                   bsp_scratch_);
+  };
   if (shared_ != nullptr) {
     auto key = make_key(/*overlap=*/false, mesh, placement, nranks, sizes,
-                        include_flux, /*stage1_frac=*/0.0, packing);
+                        include_flux, /*stage1_frac=*/0.0, packing, ordering);
     if (shared_->lookup_bsp(key, bsp_)) {
-      // The store holds the publisher's durations; re-patching makes the
+      // The store holds the publisher's costs; re-patching makes the
       // plan byte-identical to one built fresh against block_costs.
       ++stats_.share_hits;
-      patch_bsp(block_costs);
+      set_bsp_costs(bsp_, block_costs);
     } else {
-      build_step_work(mesh, placement, block_costs, nranks, sizes,
-                      include_flux, packing, bsp_);
+      build();
       shared_->publish_bsp(std::move(key), bsp_);
     }
   } else {
-    build_step_work(mesh, placement, block_costs, nranks, sizes,
-                    include_flux, packing, bsp_);
+    build();
   }
   packing_ = packing;
   have_bsp_ = true;
@@ -96,7 +92,8 @@ const OverlapPlan& ExchangePlanCache::overlap_work(
   ++stats_.misses;
   if (shared_ != nullptr) {
     auto key = make_key(/*overlap=*/true, mesh, placement, nranks, sizes,
-                        /*include_flux=*/false, stage1_frac, packing);
+                        /*include_flux=*/false, stage1_frac, packing,
+                        TaskOrdering::kSendFirst);
     if (shared_->lookup_overlap(key, overlap_)) {
       ++stats_.share_hits;
       patch_overlap(block_costs, stage1_frac);

@@ -9,20 +9,19 @@
 // collection plus plan construction dominates small-step wall-clock.
 //
 // ExchangePlanCache keys the built plan on (mesh version, placement
-// version). A hit re-patches only the compute durations — every other
-// byte of the plan is reused — so executing from a cached plan is
-// bit-identical to building it fresh: build_step_work/build_overlap_plan
-// emit computes in block order with duration = block_costs[block], which
-// is exactly what the patch loop re-applies. Any regrid or rebalance
-// bumps a version and the next step misses once, and a miss of either
-// shape rebuilds the plan inside the previous plan's storage, so the old
-// and new plan never coexist and a rebuild allocates nothing once the
-// arrays have grown to the run's size: a BSP miss through
-// build_step_work's in-place overload (the per-rank vectors keep their
-// capacity), an overlap miss through build_overlap_plan into the flat
-// OverlapPlan arrays, with the builder's scratch owned here too. The
-// cache is the only step pipeline; the from-scratch build functions are
-// its test oracle (tests/exec/plan_cache_test.cpp).
+// version). A hit re-patches only the compute costs — every other byte
+// of the plan is reused — so executing from a cached plan is
+// bit-identical to building it fresh: both builders fill costs through
+// the same function the patch re-applies (set_bsp_costs for the flat
+// BspPlan's compute tasks and per-rank compute sums, set_block_cost for
+// overlap blocks). A BSP hit leaves the plan's serial alone, so the
+// executor's per-plan counters stay valid. Any regrid or rebalance bumps
+// a version and the next step misses once, and a miss of either shape
+// rebuilds the plan inside the previous plan's flat arrays, with the
+// builder's scratch owned here too, so the old and new plan never
+// coexist and a rebuild allocates nothing once the arrays have grown to
+// the run's size. The cache is the only step pipeline; the from-scratch
+// build functions are its test oracle (tests/exec/plan_cache_test.cpp).
 //
 // One cache instance serves one run: nranks, the message-size model, and
 // the flux-correction flag must not change across calls (the key does
@@ -63,16 +62,17 @@ class ExchangePlanCache {
   /// modes, is deliberately NOT bumped when a redistribution reproduces
   /// the identical placement under an unchanged mesh numbering (the
   /// incremental path's no-op-rebalance fast path in sim/simulation.cpp),
-  /// so such epochs keep hitting. On a hit only compute durations
-  /// are refreshed from `block_costs`. `packing` is part of the cache
-  /// key: a threshold change misses once and rebuilds rather than
+  /// so such epochs keep hitting. On a hit only compute costs are
+  /// refreshed from `block_costs`. `packing` and `ordering` are part of
+  /// the cache key: a change misses once and rebuilds rather than
   /// serving a plan with different pack decisions (send lists and
-  /// expected counts differ).
-  std::span<const RankStepWork> step_work(
+  /// expected counts differ) or a different task layout.
+  const BspPlan& step_work(
       const AmrMesh& mesh, const Placement& placement,
       std::uint64_t placement_version, std::span<const TimeNs> block_costs,
       std::int32_t nranks, const MessageSizeModel& sizes, bool include_flux,
-      const PackingPolicy& packing = PackingPolicy::none());
+      const PackingPolicy& packing = PackingPolicy::none(),
+      TaskOrdering ordering = TaskOrdering::kSendFirst);
 
   /// Overlap-mode analogue of step_work. `stage1_frac > 0` builds the
   /// two-stage rendering (ghost-producing stage-1 compute, sends and
@@ -103,7 +103,6 @@ class ExchangePlanCache {
            placement_version_ == placement_version;
   }
 
-  void patch_bsp(std::span<const TimeNs> block_costs);
   void patch_overlap(std::span<const TimeNs> block_costs,
                      double stage1_frac);
 
@@ -114,7 +113,8 @@ class ExchangePlanCache {
   double overlap_frac_ = 0.0;  ///< stage split of the cached overlap plan
   bool have_bsp_ = false;
   bool have_overlap_ = false;
-  std::vector<RankStepWork> bsp_;
+  BspPlan bsp_;
+  BspBuildScratch bsp_scratch_;
   OverlapPlan overlap_;
   OverlapBuildScratch overlap_scratch_;
   Stats stats_;

@@ -4,21 +4,25 @@
 // kernels advance the rank's clock; pack+send tasks post messages to the
 // simulated fabric; waits park the rank until the Comm layer signals
 // arrivals; the closing blocking collective parks it until every rank has
-// entered. The per-phase accumulators it keeps are exactly the telemetry
-// the paper's collection layer records.
+// entered. Its wait times, with the plan's counters the executor adds,
+// are exactly the telemetry the paper's collection layer records.
 //
 // Event working set. A BSP step dispatches tens of events per rank in
 // rank-interleaved order, so at 8192 ranks what an event costs is the
-// cache lines it touches, not its instructions. Each dispatch reads one
-// line of rank state (the runtime is 64-byte aligned and its hot fields
-// come first) plus the 16-byte task record under the cursor. Everything
-// the plan alone decides — compute and pack time, local/remote message
-// and byte counts, coalescing — is counted once in begin_step; events
-// record only what depends on waiting: recv-wait, send-wait and sync.
+// cache lines it touches, not its instructions. A runtime is exactly one
+// 64-byte line, and it reads its task run in place from the BspPlan (or,
+// for a rank that sends to the send-priority target, from the executor's
+// partitioned copy): each dispatch touches that line plus the 16-byte
+// task under the cursor, and arming a rank for a step is O(1). What is
+// shared by every rank of a step — window, send-priority target,
+// ordering — lives in the executor's Context. Nothing the plan alone
+// decides is counted here (the executor does that once per plan); events
+// record only what depends on waiting — recv-wait, send-wait and sync —
+// into the executor's per-rank RankWaitStats.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "amr/des/engine.hpp"
 #include "amr/exec/work.hpp"
@@ -32,6 +36,11 @@ struct ExecParams {
   double memcpy_gbytes_per_sec = 10.0; ///< intra-rank ghost copy bandwidth
   TimeNs task_overhead = us(0.2);      ///< per-task runtime dispatch cost
 };
+
+/// Simulated duration of a timed task under `params` (0 for the waits):
+/// a compute's cost, or its bytes over the pack or memcpy bandwidth
+/// (truncated per task), plus the per-task dispatch overhead.
+TimeNs bsp_task_duration(const BspTask& t, const ExecParams& params);
 
 /// Telemetry accumulated by one rank over one step.
 struct RankStepStats {
@@ -55,10 +64,22 @@ struct RankStepStats {
   TimeNs comm_ns() const { return pack_ns + recv_wait_ns + send_wait_ns; }
 };
 
+/// The part of a rank's step telemetry that depends on waiting, written
+/// by its runtime's events into an executor-owned array.
+struct RankWaitStats {
+  TimeNs recv_wait_ns = 0;
+  TimeNs send_wait_ns = 0;
+  TimeNs sync_ns = 0;
+  TimeNs collective_entry = 0;  ///< absolute entry time into the sync
+  TimeNs done_at = 0;           ///< absolute completion time
+  std::int32_t last_release_src = -1;  ///< sender ending the last stall
+};
+
 class alignas(64) RankRuntime final : public RankEndpoint,
                                      public EventHandler {
  public:
-  /// What every rank of one executor shares.
+  /// What every rank of one executor shares. The executor sets the
+  /// per-step fields before it arms the ranks.
   struct Context {
     Comm* comm = nullptr;
     ExecParams params;
@@ -66,6 +87,12 @@ class alignas(64) RankRuntime final : public RankEndpoint,
     /// compute/pack/unpack spans (tagged with the step's TaskOrdering),
     /// isend instants, recv/send-wait stalls, and collective spans.
     Tracer* tracer = nullptr;
+    RankWaitStats* waits = nullptr;  ///< per rank, executor-owned
+    std::uint64_t window = 0;        ///< this step's exchange window
+    /// Critical-path send target (-1: none): transfers to it are
+    /// posted as priority transfers.
+    std::int32_t priority_rank = -1;
+    std::int64_t ordering_tag = 0;  ///< TaskOrdering of the step's plan
   };
 
   /// Runtimes live in one contiguous array owned by the executor, so
@@ -78,21 +105,15 @@ class alignas(64) RankRuntime final : public RankEndpoint,
   /// outlive the runtime.
   void attach(std::int32_t rank, const Context& ctx);
 
-  /// Arm the rank for a step: build the task order from `work`, starting
-  /// at absolute time `start`. Exchange and collective use window ids
-  /// `window` (the executor opens/closes them). `priority_rank` >= 0
-  /// applies critical-path send priority: sends destined for that rank
-  /// are scheduled before the step's other sends (relative order
-  /// otherwise preserved); -1 keeps the legacy order bit-identical.
-  void begin_step(const RankStepWork& work, TaskOrdering ordering,
-                  std::uint64_t window, TimeNs start,
-                  std::int32_t priority_rank = -1);
+  /// Arm the rank to run `tasks` (read in place; they must stay put
+  /// until the step ends) from absolute time `start`. The rank's wait
+  /// stats must have been reset by the caller.
+  void begin_step(std::span<const BspTask> tasks, TimeNs start);
 
   /// Kick off execution (schedules the first advance).
   void start(Engine& engine);
 
   bool step_done() const { return step_done_; }
-  const RankStepStats& stats() const { return stats_; }
   std::int32_t rank() const { return rank_; }
 
   // RankEndpoint
@@ -104,24 +125,6 @@ class alignas(64) RankRuntime final : public RankEndpoint,
   void on_event(Engine& engine, std::uint64_t tag) override;
 
  private:
-  enum class TaskKind : std::uint8_t {
-    kCompute,
-    kPackSend,
-    kLocalCopy,
-    kWaitRecvs,
-    kUnpack,
-    kWaitSends,
-  };
-  // 16 bytes, so a rank's ~56 sends span 14 lines, not 35. A compute
-  // carries its duration; a send, copy or unpack carries its bytes and
-  // its duration is computed when it starts (duration()).
-  struct Task {
-    std::int64_t value = 0;    // compute: duration; otherwise: bytes
-    std::int32_t dst = -1;     // send target rank
-    std::uint16_t msgs = 1;    // logical messages in a kPackSend transfer
-    TaskKind kind = TaskKind::kCompute;
-  };
-  static_assert(sizeof(Task) == 16);
   enum class State : std::uint8_t {
     kIdle,
     kRunning,        // between events, advance() drives
@@ -134,25 +137,20 @@ class alignas(64) RankRuntime final : public RankEndpoint,
 
   void advance(Engine& engine);
   /// Simulated duration of a timed task (0 for the waits).
-  TimeNs duration(const Task& t) const;
+  TimeNs duration(const BspTask& t) const;
+  RankWaitStats& waits() const { return ctx_->waits[rank_]; }
 
-  // Hot: read by every dispatch. With the two vtable pointers these
-  // fill the first 64-byte line (checked in attach()).
+  // With the two vtable pointers these fill the line exactly.
   const Context* ctx_ = nullptr;
-  const Task* cur_ = nullptr;  ///< task being run or next to run
-  const Task* end_ = nullptr;
+  const BspTask* cur_ = nullptr;  ///< task being run or next to run
+  const BspTask* end_ = nullptr;
   TimeNs max_send_release_ = 0;
+  TimeNs wait_start_ = 0;
   std::int32_t rank_ = -1;
-  std::uint32_t window_ = 0;
-  std::int32_t priority_rank_ = -1;  ///< critical-path send target
   State state_ = State::kIdle;
   bool step_done_ = false;
-
-  // Cold: touched at step set-up, wait edges and under tracing.
-  TimeNs wait_start_ = 0;
-  std::int64_t ordering_tag_ = 0;  ///< TaskOrdering of the current step
-  std::vector<Task> tasks_;
-  RankStepStats stats_;
 };
+static_assert(sizeof(RankRuntime) == 64,
+              "a rank runtime is one cache line");
 
 }  // namespace amr

@@ -27,6 +27,7 @@ std::uint64_t fnv_pod(std::uint64_t h, const T& v) {
 std::uint64_t SharedPlanStore::Key::hash() const {
   std::uint64_t h = 0xcbf29ce484222325ull;
   h = fnv_pod(h, overlap);
+  h = fnv_pod(h, ordering);
   h = fnv_pod(h, nranks);
   h = fnv_pod(h, include_flux);
   h = fnv_pod(h, stage1_frac);
@@ -51,8 +52,7 @@ const SharedPlanStore::Entry* SharedPlanStore::find_locked(
   return nullptr;
 }
 
-bool SharedPlanStore::lookup_bsp(const Key& key,
-                                 std::vector<RankStepWork>& out) {
+bool SharedPlanStore::lookup_bsp(const Key& key, BspPlan& out) {
   const std::uint64_t h = key.hash();
   std::lock_guard<std::mutex> lock(mu_);
   const Entry* e = find_locked(h, key);
@@ -79,7 +79,7 @@ bool SharedPlanStore::lookup_overlap(const Key& key, OverlapPlan& out) {
 }
 
 void SharedPlanStore::publish_locked(std::uint64_t hash, Key&& key,
-                                     std::vector<RankStepWork> bsp,
+                                     BspPlan bsp,
                                      OverlapPlan overlap) {
   if (find_locked(hash, key) != nullptr) return;  // racing builder lost
   while (entries_.size() >= max_entries_) {
@@ -95,8 +95,7 @@ void SharedPlanStore::publish_locked(std::uint64_t hash, Key&& key,
   ++stats_.published;
 }
 
-void SharedPlanStore::publish_bsp(Key key,
-                                  const std::vector<RankStepWork>& plan) {
+void SharedPlanStore::publish_bsp(Key key, const BspPlan& plan) {
   const std::uint64_t h = key.hash();
   std::lock_guard<std::mutex> lock(mu_);
   publish_locked(h, std::move(key), plan, {});

@@ -8,8 +8,8 @@
 // other than the per-step compute durations (which every consumer
 // re-patches, exactly as a private cache hit does).
 //
-//   key = (mode, nranks, flux, stage split, message-size model,
-//          packing policy, mesh leaves, placement vector)
+//   key = (mode, task ordering, nranks, flux, stage split,
+//          message-size model, packing policy, mesh leaves, placement)
 //
 // Identical-fingerprint tenant fleets — policy sweeps fanned out over
 // the same workload, what-if replays of one snapshot, N users running
@@ -54,6 +54,8 @@ class SharedPlanStore {
   /// any mesh epoch it has seen.
   struct Key {
     bool overlap = false;  ///< overlap_work vs step_work shape
+    /// BSP only: a BspPlan lays each rank's tasks out in this order.
+    TaskOrdering ordering = TaskOrdering::kSendFirst;
     std::int32_t nranks = 0;
     bool include_flux = false;  ///< BSP only (overlap builds carry none)
     double stage1_frac = 0.0;   ///< overlap two-stage split (0 = legacy)
@@ -72,17 +74,20 @@ class SharedPlanStore {
   /// every epoch it ever saw.
   explicit SharedPlanStore(std::size_t max_entries = 64);
 
-  /// Copy the stored BSP plan for `key` into `out` (true on a hit).
-  /// Durations in `out` are the publisher's — the caller re-patches
-  /// them, same as a private-cache hit.
-  bool lookup_bsp(const Key& key, std::vector<RankStepWork>& out);
+  /// Copy the stored BSP plan for `key` into `out` (true on a hit),
+  /// reusing `out`'s capacity. Compute costs in `out` are the
+  /// publisher's — the caller re-patches them, same as a private-cache
+  /// hit.
+  /// The copy keeps the stored plan's serial: same content, same
+  /// identity.
+  bool lookup_bsp(const Key& key, BspPlan& out);
   /// Overlap analogue.
   bool lookup_overlap(const Key& key, OverlapPlan& out);
 
   /// Insert a freshly built plan (no-op if the key is already present —
   /// two tenants can race to build the same epoch; first insert wins and
   /// both results are identical by construction).
-  void publish_bsp(Key key, const std::vector<RankStepWork>& plan);
+  void publish_bsp(Key key, const BspPlan& plan);
   void publish_overlap(Key key, const OverlapPlan& plan);
 
   /// Snapshot of the counters (mutex-consistent copy).
@@ -96,13 +101,13 @@ class SharedPlanStore {
     std::uint64_t hash = 0;
     Key key;
     // Exactly one is populated, per key.overlap.
-    std::vector<RankStepWork> bsp;
+    BspPlan bsp;
     OverlapPlan overlap;
   };
 
   const Entry* find_locked(std::uint64_t hash, const Key& key) const;
   void publish_locked(std::uint64_t hash, Key&& key,
-                      std::vector<RankStepWork> bsp,
+                      BspPlan bsp,
                       OverlapPlan overlap);
 
   mutable std::mutex mu_;

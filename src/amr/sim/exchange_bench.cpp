@@ -27,6 +27,8 @@ ExchangeRoundsResult run_exchange_rounds(
   // per round via the callback.
   std::vector<TimeNs> costs(mesh.size(), 0);
   Rng cost_rng = rng.split(0xc05);
+  BspPlan plan;
+  BspBuildScratch scratch;
 
   const std::int32_t total_rounds = config.rounds + config.warmup_rounds;
   for (std::int32_t round = 0; round < total_rounds; ++round) {
@@ -34,10 +36,11 @@ ExchangeRoundsResult run_exchange_rounds(
       for (std::size_t b = 0; b < mesh.size(); ++b)
         costs[b] = config.compute_cost(b, round, cost_rng);
     }
-    const auto work = build_step_work(mesh, placement, costs,
-                                      config.nranks, config.msg_sizes);
-    const StepResult step = executor.execute(
-        work, config.ordering, static_cast<std::uint64_t>(round));
+    build_bsp_plan(mesh, placement, costs, config.nranks, config.msg_sizes,
+                   /*include_flux=*/false, PackingPolicy::none(),
+                   config.ordering, /*stage1_frac=*/0.0, plan, scratch);
+    const StepResult step =
+        executor.execute(plan, static_cast<std::uint64_t>(round));
 
     if (round < config.warmup_rounds) continue;
     const double latency_ms = to_ms(step.wall_ns());

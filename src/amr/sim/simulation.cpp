@@ -445,13 +445,13 @@ void Simulation::step_once() {
   const std::int32_t priority_rank =
       config_.send_priority ? st.last_straggler : -1;
   if (config_.execution == ExecutionMode::kBsp) {
-    const std::span<const RankStepWork> work = rt.plan_cache.step_work(
+    const BspPlan& plan = rt.plan_cache.step_work(
         mesh, st.placement, st.placement_version, rt.costs, config_.nranks,
-        config_.msg_sizes, config_.include_flux_correction, packing);
-    result = rt.bsp_executor->execute(work, config_.ordering,
-                                      static_cast<std::uint64_t>(step),
-                                      priority_rank);
-    for (const auto& w : work) intra_rank_msgs += w.local_copy_msgs;
+        config_.msg_sizes, config_.include_flux_correction, packing,
+        config_.ordering);
+    result = rt.bsp_executor->execute(
+        plan, static_cast<std::uint64_t>(step), priority_rank);
+    for (const auto& w : plan.ranks) intra_rank_msgs += w.local_copy_msgs;
   } else {
     // With packing active the step runs two-stage: stage-1 compute
     // produces the ghosts, so per-peer aggregates launch incrementally
@@ -602,10 +602,14 @@ RunReport Simulation::finish() {
 std::size_t Simulation::resident_bytes() const {
   if (state_ == nullptr) return 0;
   // Per-block: coords + placement + true/measured/estimated costs, plus
-  // the exchange plans' dominant share (neighbor sends, receive counts,
-  // compute slots — empirically a few hundred bytes per block at the
-  // paper's connectivity). Per-rank: fabric NIC/slot state and executor
-  // endpoints. The constant covers topology, engine queue, and scratch.
+  // an allowance of 256 bytes for the exchange plan. The flat BSP plan
+  // holds 21-27 16-byte tasks per block on Sedov with flux corrections
+  // (sends dominate), 350-520 bytes per block with its per-rank
+  // records, so the allowance undercounts it; it stays 256 because
+  // serve evicts tenants against this estimate, and a new figure would
+  // move its eviction schedule. Per-rank: fabric NIC/slot state and
+  // executor endpoints. The constant covers topology, engine queue, and
+  // scratch.
   const std::size_t per_block = sizeof(BlockCoord) +
                                 sizeof(std::int32_t) + 3 * sizeof(TimeNs) +
                                 256;

@@ -113,16 +113,16 @@ TEST(BuildOverlapWork, TotalsMatchBspWork) {
     placement[b] = static_cast<std::int32_t>(b % 5);
   const std::vector<TimeNs> costs(mesh.size(), us(10));
 
-  const auto bsp = build_step_work(mesh, placement, costs, 5);
+  const BspPlan bsp = build_bsp_plan(mesh, placement, costs, 5);
   const OverlapPlan overlap = build_overlap_plan(mesh, placement, costs, 5);
-  ASSERT_EQ(bsp.size(), overlap.nranks());
-  for (std::size_t r = 0; r < bsp.size(); ++r) {
+  ASSERT_EQ(bsp.nranks(), overlap.nranks());
+  for (std::size_t r = 0; r < bsp.nranks(); ++r) {
     const OverlapRankPlan& w = overlap.ranks[r];
-    EXPECT_EQ(bsp[r].sends.size(),
+    EXPECT_EQ(bsp.sends_of(r).size(),
               static_cast<std::size_t>(w.upfront.size()));
-    EXPECT_EQ(bsp[r].expected_recvs, w.expected_recvs);
-    EXPECT_EQ(bsp[r].local_copy_bytes, w.local_copy_bytes);
-    EXPECT_EQ(bsp[r].computes.size(),
+    EXPECT_EQ(bsp.expected_recvs[r], w.expected_recvs);
+    EXPECT_EQ(bsp.bytes_of(r, BspTaskKind::kLocalCopy), w.local_copy_bytes);
+    EXPECT_EQ(bsp.computes_of(r).size(),
               static_cast<std::size_t>(w.blocks.size()));
     // Per-block expected recvs sum to the rank total.
     std::int32_t per_block = 0;
@@ -132,7 +132,7 @@ TEST(BuildOverlapWork, TotalsMatchBspWork) {
       recv_bytes += b.recv_bytes;
     }
     EXPECT_EQ(per_block, w.expected_recvs);
-    EXPECT_EQ(recv_bytes, bsp[r].recv_bytes);
+    EXPECT_EQ(recv_bytes, bsp.bytes_of(r, BspTaskKind::kUnpack));
   }
 }
 
@@ -195,9 +195,8 @@ TEST(OverlapExecutor, NoIndependentWorkNoBenefit) {
   Fabric fabric(topo, Harness::quiet(), Rng(1));
   Comm comm(engine, fabric, 8);
   StepExecutor bsp_executor(engine, comm);
-  const auto bwork = build_step_work(mesh, placement, costs, 8);
-  const StepResult bsp =
-      bsp_executor.execute(bwork, TaskOrdering::kSendFirst, 0);
+  const BspPlan bwork = build_bsp_plan(mesh, placement, costs, 8);
+  const StepResult bsp = bsp_executor.execute(bwork, 0);
 
   // Same work, same ordering of sends: walls within a small tolerance
   // (scheduling details differ slightly).
@@ -227,9 +226,8 @@ TEST(OverlapExecutor, ManyBlocksPerRankBeatsBsp) {
   Fabric fabric(topo, Harness::quiet(), Rng(1));
   Comm comm(engine, fabric, 8);
   StepExecutor bsp_executor(engine, comm);
-  const auto bwork = build_step_work(mesh, placement, costs, 8);
-  const StepResult bsp =
-      bsp_executor.execute(bwork, TaskOrdering::kSendFirst, 0);
+  const BspPlan bwork = build_bsp_plan(mesh, placement, costs, 8);
+  const StepResult bsp = bsp_executor.execute(bwork, 0);
 
   EXPECT_LE(overlap.wall_ns(),
             bsp.wall_ns() + bsp.wall_ns() / 20);
@@ -275,9 +273,11 @@ TEST(TwoStageWork, SplitsCostsAndAttachesSendsToProducers) {
     // Rank-level up-front sends are empty in the two-stage model.
     EXPECT_TRUE(overlap.ranks[r].upfront.empty());
     // BSP rendering: same totals split across the wait.
-    for (std::size_t c = 0; c < bsp[r].computes.size(); ++c) {
-      EXPECT_EQ(bsp[r].computes[c].duration, us(25));
-      EXPECT_EQ(bsp[r].computes_after_wait[c].duration, us(75));
+    ASSERT_EQ(bsp.computes_of(r).size(),
+              bsp.computes_after_wait_of(r).size());
+    for (std::size_t c = 0; c < bsp.computes_of(r).size(); ++c) {
+      EXPECT_EQ(bsp.computes_of(r)[c].value, us(25));
+      EXPECT_EQ(bsp.computes_after_wait_of(r)[c].value, us(75));
     }
   }
 }
@@ -303,8 +303,7 @@ TEST(TwoStage, OverlapNoSlowerThanBspOnImbalancedStep) {
   Comm comm(engine, fabric, 8);
   StepExecutor bsp_executor(engine, comm);
   const auto bwork = two_stage_bsp_work(mesh, placement, costs, 8, 0.5);
-  const StepResult bsp =
-      bsp_executor.execute(bwork, TaskOrdering::kComputeFirst, 0);
+  const StepResult bsp = bsp_executor.execute(bwork, 0);
 
   EXPECT_LE(overlap.wall_ns(), bsp.wall_ns() + bsp.wall_ns() / 50);
   // And the idle time spent stalled must not exceed the BSP recv wait by

@@ -10,45 +10,26 @@
 #include "amr/common/rng.hpp"
 #include "amr/exec/plan_cache.hpp"
 #include "amr/exec/shared_plan_store.hpp"
+#include "amr/exec/step_executor.hpp"
 #include "amr/placement/registry.hpp"
 #include "amr/workloads/sedov.hpp"
 
 namespace amr {
 namespace {
 
-bool same_msgs(const std::vector<OutMessage>& a,
-               const std::vector<OutMessage>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i].dst_rank != b[i].dst_rank || a[i].bytes != b[i].bytes ||
-        a[i].src_block != b[i].src_block || a[i].msgs != b[i].msgs)
-      return false;
-  return true;
-}
-
-bool same_computes(const std::vector<BlockCompute>& a,
-                   const std::vector<BlockCompute>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i].block != b[i].block || a[i].duration != b[i].duration)
-      return false;
-  return true;
-}
-
-void expect_equal(std::span<const RankStepWork> got,
-                  std::span<const RankStepWork> want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t r = 0; r < got.size(); ++r) {
-    EXPECT_TRUE(same_computes(got[r].computes, want[r].computes)) << r;
-    EXPECT_TRUE(same_computes(got[r].computes_after_wait,
-                              want[r].computes_after_wait))
-        << r;
-    EXPECT_TRUE(same_msgs(got[r].sends, want[r].sends)) << r;
-    EXPECT_EQ(got[r].local_copy_bytes, want[r].local_copy_bytes) << r;
-    EXPECT_EQ(got[r].local_copy_msgs, want[r].local_copy_msgs) << r;
-    EXPECT_EQ(got[r].expected_recvs, want[r].expected_recvs) << r;
-    EXPECT_EQ(got[r].recv_bytes, want[r].recv_bytes) << r;
-  }
+/// Every field of the flat BSP plan: per-rank ranges and counters, every
+/// task, the expected counts, the ordering and the stage split.
+void expect_equal(const BspPlan& got, const BspPlan& want) {
+  ASSERT_EQ(got.nranks(), want.nranks());
+  for (std::size_t r = 0; r < got.nranks(); ++r)
+    EXPECT_EQ(got.ranks[r], want.ranks[r]) << r;
+  ASSERT_EQ(got.tasks.size(), want.tasks.size());
+  for (std::size_t i = 0; i < got.tasks.size(); ++i)
+    EXPECT_EQ(got.tasks[i], want.tasks[i]) << i;
+  EXPECT_EQ(got.expected_recvs, want.expected_recvs);
+  EXPECT_EQ(got.ordering, want.ordering);
+  EXPECT_EQ(got.stage1_frac, want.stage1_frac);
+  EXPECT_TRUE(got == want);
 }
 
 /// Every field of every flat array: per-rank ranges and counts, block
@@ -105,7 +86,7 @@ TEST(PlanCache, HitPatchesCostsAndMatchesFreshBuild) {
   const auto c2 = costs_for(mesh.size(), 5000);
   const auto got = cache.step_work(mesh, p, 0, c2, nranks, sizes, true);
   EXPECT_EQ(cache.stats().hits, 1);
-  const auto want = build_step_work(mesh, p, c2, nranks, sizes, true);
+  const auto want = build_bsp_plan(mesh, p, c2, nranks, sizes, true);
   expect_equal(got, want);
 }
 
@@ -124,7 +105,7 @@ TEST(PlanCache, MeshVersionChangeInvalidates) {
   const auto got = cache.step_work(mesh, p, 0, c, nranks, sizes, false);
   EXPECT_EQ(cache.stats().misses, 2);
   EXPECT_EQ(cache.stats().hits, 0);
-  expect_equal(got, build_step_work(mesh, p, c, nranks, sizes, false));
+  expect_equal(got, build_bsp_plan(mesh, p, c, nranks, sizes, false));
 }
 
 TEST(PlanCache, PlacementVersionChangeInvalidates) {
@@ -142,7 +123,7 @@ TEST(PlanCache, PlacementVersionChangeInvalidates) {
   for (auto& r : p2) r = nranks - 1 - r;
   const auto got = cache.step_work(mesh, p2, 1, c, nranks, sizes, false);
   EXPECT_EQ(cache.stats().misses, 2);
-  expect_equal(got, build_step_work(mesh, p2, c, nranks, sizes, false));
+  expect_equal(got, build_bsp_plan(mesh, p2, c, nranks, sizes, false));
 }
 
 TEST(PlanCache, OverlapHitMatchesFreshBuild) {
@@ -173,7 +154,7 @@ TEST(PlanCache, ModeSwitchRebuildsInsteadOfServingStale) {
   const auto ow = cache.overlap_work(mesh, p, 0, c, nranks, sizes);
   expect_equal(ow, build_overlap_plan(mesh, p, c, nranks, sizes));
   const auto bw = cache.step_work(mesh, p, 0, c, nranks, sizes, false);
-  expect_equal(bw, build_step_work(mesh, p, c, nranks, sizes, false));
+  expect_equal(bw, build_bsp_plan(mesh, p, c, nranks, sizes, false));
   // Each switch is a miss: the cache keeps one shape at a time.
   EXPECT_EQ(cache.stats().misses, 3);
 }
@@ -197,18 +178,18 @@ TEST(PlanCache, AggregateFlagIsPartOfTheKey) {
   const auto packed = cache.step_work(mesh, p, 0, c, nranks, sizes, true,
                                       all);
   EXPECT_EQ(cache.stats().misses, 2);
-  expect_equal(packed, build_step_work(mesh, p, c, nranks, sizes, true, all));
+  expect_equal(packed, build_bsp_plan(mesh, p, c, nranks, sizes, true, all));
   // And back: the cache keeps one flavor at a time.
   const auto legacy =
       cache.step_work(mesh, p, 0, c, nranks, sizes, true, none);
   EXPECT_EQ(cache.stats().misses, 3);
-  expect_equal(legacy, build_step_work(mesh, p, c, nranks, sizes, true));
+  expect_equal(legacy, build_bsp_plan(mesh, p, c, nranks, sizes, true));
   // A packed hit with patched costs still equals the fresh build.
   (void)cache.step_work(mesh, p, 0, c, nranks, sizes, true, all);
   const auto c2 = costs_for(mesh.size(), 777);
   const auto hit = cache.step_work(mesh, p, 0, c2, nranks, sizes, true, all);
   EXPECT_EQ(cache.stats().hits, 1);
-  expect_equal(hit, build_step_work(mesh, p, c2, nranks, sizes, true, all));
+  expect_equal(hit, build_bsp_plan(mesh, p, c2, nranks, sizes, true, all));
 }
 
 TEST(PlanCache, PackingPolicyIsPartOfTheKey) {
@@ -232,7 +213,7 @@ TEST(PlanCache, PackingPolicyIsPartOfTheKey) {
                                          split);
   EXPECT_EQ(cache.stats().hits, 1);
   expect_equal(split_hit,
-               build_step_work(mesh, p, c, nranks, sizes, true, split));
+               build_bsp_plan(mesh, p, c, nranks, sizes, true, split));
   // Different thresholds: miss.
   (void)cache.step_work(mesh, p, 0, c, nranks, sizes, true,
                         PackingPolicy{100});
@@ -276,18 +257,19 @@ TEST(PlanCache, InPlaceRebuildsEqualFreshBuilds) {
     const auto costs_at = [&](std::size_t i) {
       return costs_for(mesh.size(), 10 + 100 * static_cast<TimeNs>(i));
     };
-    std::vector<std::vector<RankStepWork>> want;
+    std::vector<BspPlan> want;
     for (std::size_t i = 0; i < 3; ++i)
-      want.push_back(build_step_work(mesh, *steps[i], costs_at(i), nranks,
+      want.push_back(build_bsp_plan(mesh, *steps[i], costs_at(i), nranks,
                                      sizes, true, packing));
     // The sequence exercises what it claims: B empties some ranks and
     // shrinks (without emptying) the send lists of others.
     bool emptied = false;
     bool shrunk = false;
-    for (std::size_t r = 0; r < want[0].size(); ++r) {
-      emptied |= !want[0][r].computes.empty() && want[1][r].computes.empty();
-      shrunk |= !want[1][r].sends.empty() &&
-                want[1][r].sends.size() < want[0][r].sends.size();
+    for (std::size_t r = 0; r < want[0].nranks(); ++r) {
+      const BspRankPlan& ra = want[0].ranks[r];
+      const BspRankPlan& rb = want[1].ranks[r];
+      emptied |= !ra.computes.empty() && rb.computes.empty();
+      shrunk |= !rb.sends.empty() && rb.sends.size() < ra.sends.size();
     }
     EXPECT_TRUE(emptied);
     EXPECT_TRUE(shrunk);
@@ -311,8 +293,17 @@ TEST(PlanCache, InPlaceRebuildsEqualFreshBuilds) {
       expect_equal(reader.step_work(mesh, *steps[i], version, c, nranks,
                                     sizes, true, packing),
                    want[i]);
+      // The next step hits and patches the rebuilt plan in place.
+      const auto c2 = costs_for(mesh.size(), 7 + 50 * static_cast<TimeNs>(i));
+      const BspPlan want_hit =
+          build_bsp_plan(mesh, *steps[i], c2, nranks, sizes, true, packing);
+      for (ExchangePlanCache* cache : {&local, &publisher, &reader})
+        expect_equal(cache->step_work(mesh, *steps[i], version, c2, nranks,
+                                      sizes, true, packing),
+                     want_hit);
     }
     EXPECT_EQ(local.stats().misses, 3);
+    EXPECT_EQ(local.stats().hits, 3);
     // The publisher builds A and B and finds A in the store on return;
     // the reader finds every plan there.
     EXPECT_EQ(publisher.stats().share_hits, 1);
@@ -410,6 +401,7 @@ struct FuzzLane {
   ExchangePlanCache cache;
   std::int64_t packed_sends = 0;  ///< BSP transfers with msgs > 1
   std::int64_t eager_sends = 0;   ///< BSP transfers with msgs == 1
+  TaskOrdering ordering = TaskOrdering::kSendFirst;  ///< BSP layout
 };
 
 constexpr double kStageSplit = 0.8;
@@ -420,14 +412,14 @@ void run_lane(FuzzLane& lane, const AmrMesh& mesh, const Placement& p,
               const MessageSizeModel& sizes) {
   switch (lane.shape) {
     case FuzzLane::Shape::kBspFlux: {
-      const auto got = lane.cache.step_work(mesh, p, placement_version,
-                                            costs, nranks, sizes, true,
-                                            lane.packing);
-      const auto want = build_step_work(mesh, p, costs, nranks, sizes,
-                                        true, lane.packing);
+      const BspPlan& got = lane.cache.step_work(
+          mesh, p, placement_version, costs, nranks, sizes, true,
+          lane.packing, lane.ordering);
+      const BspPlan want = build_bsp_plan(mesh, p, costs, nranks, sizes,
+                                          true, lane.packing, lane.ordering);
       expect_equal(got, want);
-      for (const RankStepWork& w : want)
-        for (const OutMessage& m : w.sends)
+      for (std::size_t r = 0; r < want.nranks(); ++r)
+        for (const BspTask& m : want.sends_of(r))
           ++(m.msgs > 1 ? lane.packed_sends : lane.eager_sends);
       break;
     }
@@ -455,7 +447,9 @@ TEST(PlanCache, SeededRegridSequencesMatchFreshBuilds) {
   // current placement under an unchanged mesh and keep the placement
   // version (the placement-engine no-bump case), so those steps hit.
   // Every call of every lane must equal the from-scratch build of the
-  // same inputs, and hits must follow the version pair exactly.
+  // same inputs, and hits must follow the version pair exactly. Two
+  // compute-first BSP lanes share a store, so the second lane's plans
+  // are all store copies patched with its costs.
   const MessageSizeModel sizes{};
   const std::int64_t mid_threshold = (sizes.bytes(NeighborKind::kEdge) +
                                       sizes.bytes(NeighborKind::kFace)) /
@@ -477,6 +471,7 @@ TEST(PlanCache, SeededRegridSequencesMatchFreshBuilds) {
     SedovWorkload sedov(sp);
     AmrMesh mesh(RootGrid{4, 2, 2});
 
+    SharedPlanStore store;
     std::vector<FuzzLane> lanes;
     for (const auto shape : {FuzzLane::Shape::kBspFlux,
                              FuzzLane::Shape::kOverlapSingle,
@@ -485,6 +480,14 @@ TEST(PlanCache, SeededRegridSequencesMatchFreshBuilds) {
            {PackingPolicy::none(), PackingPolicy::all(),
             PackingPolicy{mid_threshold}})
         lanes.push_back(FuzzLane{shape, packing, {}, 0, 0});
+    // Compute-first BSP lanes: one builds and publishes to a shared
+    // store, the next reads every miss back out of it.
+    for (int i = 0; i < 2; ++i) {
+      lanes.push_back(FuzzLane{FuzzLane::Shape::kBspFlux,
+                               PackingPolicy{mid_threshold}, {}, 0, 0,
+                               TaskOrdering::kComputeFirst});
+      lanes.back().cache.set_shared_store(&store);
+    }
 
     Placement placement;
     std::vector<double> last_est;
@@ -551,11 +554,56 @@ TEST(PlanCache, SeededRegridSequencesMatchFreshBuilds) {
       EXPECT_GT(lane.cache.stats().hits, 0);
       EXPECT_GT(lane.cache.stats().misses, 1);
     }
+    // Every miss of the reading lane came from the store.
+    const FuzzLane& reader = lanes.back();
+    EXPECT_EQ(reader.cache.stats().share_hits, reader.cache.stats().misses);
     // The mid threshold genuinely splits traffic: packed and eager
     // transfers both occur in its BSP plans.
     EXPECT_GT(lanes[2].packed_sends, 0);
     EXPECT_GT(lanes[2].eager_sends, 0);
   }
+}
+
+// What a BSP step holds per task on a 1024-rank Sedov mesh (the shape of
+// Simulation.TelemetryFootprintPerRankStep): the flat plan, the
+// executor's one-line runtimes and wait stats, its per-plan counters and
+// send-priority scratch, per-rank records included, with critical-path
+// send priority on. The nested per-rank vectors and per-step task copies
+// this replaced held 59 bytes per task on this mesh (capacity, before
+// per-allocation overhead).
+TEST(PlanCache, BspPlanFootprintPerTask) {
+  constexpr std::int32_t kRanks = 1024;
+  SedovParams sp;
+  sp.total_steps = 40;
+  sp.max_level = 1;
+  SedovWorkload sedov(sp);
+  AmrMesh mesh(RootGrid{16, 8, 8});
+  for (std::int64_t step = 0; step <= 20; ++step) sedov.evolve(mesh, step);
+  std::vector<TimeNs> costs(mesh.size());
+  std::vector<double> est(mesh.size());
+  for (std::size_t b = 0; b < mesh.size(); ++b) {
+    costs[b] = sedov.block_cost(mesh, b, 20);
+    est[b] = static_cast<double>(costs[b]);
+  }
+  const Placement placement = make_policy("cpl50")->place(est, kRanks);
+
+  ExchangePlanCache cache;
+  const BspPlan& plan = cache.step_work(mesh, placement, 0, costs, kRanks,
+                                        MessageSizeModel{}, true);
+  const ClusterTopology topo(kRanks, 16);
+  Engine engine;
+  Fabric fabric(topo, FabricParams::tuned(), Rng(1));
+  Comm comm(engine, fabric, kRanks);
+  StepExecutor executor(engine, comm);
+  for (std::uint64_t window = 0; window < 2; ++window)
+    (void)executor.execute(plan, window, /*priority_rank=*/3);
+
+  const double per_task =
+      static_cast<double>(plan.bytes() + executor.bytes()) /
+      static_cast<double>(plan.tasks.size());
+  RecordProperty("bytes_per_task", std::to_string(per_task));
+  EXPECT_GT(plan.tasks.size(), 40u * kRanks);  // a real exchange
+  EXPECT_LE(per_task, 24.0);
 }
 
 }  // namespace

@@ -15,35 +15,13 @@
 namespace amr {
 namespace {
 
-bool same_msgs(const std::vector<OutMessage>& a,
-               const std::vector<OutMessage>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i].dst_rank != b[i].dst_rank || a[i].bytes != b[i].bytes ||
-        a[i].src_block != b[i].src_block || a[i].msgs != b[i].msgs)
-      return false;
-  return true;
-}
-
-bool same_computes(const std::vector<BlockCompute>& a,
-                   const std::vector<BlockCompute>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (a[i].block != b[i].block || a[i].duration != b[i].duration)
-      return false;
-  return true;
-}
-
-void expect_equal(std::span<const RankStepWork> got,
-                  std::span<const RankStepWork> want) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t r = 0; r < got.size(); ++r) {
-    EXPECT_TRUE(same_computes(got[r].computes, want[r].computes)) << r;
-    EXPECT_TRUE(same_msgs(got[r].sends, want[r].sends)) << r;
-    EXPECT_EQ(got[r].local_copy_bytes, want[r].local_copy_bytes) << r;
-    EXPECT_EQ(got[r].expected_recvs, want[r].expected_recvs) << r;
-    EXPECT_EQ(got[r].recv_bytes, want[r].recv_bytes) << r;
-  }
+void expect_equal(const BspPlan& got, const BspPlan& want) {
+  ASSERT_EQ(got.nranks(), want.nranks());
+  for (std::size_t r = 0; r < got.nranks(); ++r)
+    EXPECT_EQ(got.ranks[r], want.ranks[r]) << r;
+  EXPECT_TRUE(got.tasks == want.tasks);
+  EXPECT_EQ(got.expected_recvs, want.expected_recvs);
+  EXPECT_TRUE(got == want);
 }
 
 void expect_equal(const OverlapPlan& got, const OverlapPlan& want) {
@@ -95,10 +73,10 @@ TEST(SharedPlanStore, PublishedBspPlanRoundTrips) {
   const Placement p = round_robin(mesh.size(), nranks);
   const MessageSizeModel sizes{};
   const auto c = costs_for(mesh.size(), 100);
-  const auto plan = build_step_work(mesh, p, c, nranks, sizes, true);
+  const auto plan = build_bsp_plan(mesh, p, c, nranks, sizes, true);
 
   SharedPlanStore store;
-  std::vector<RankStepWork> out;
+  BspPlan out;
   auto key = [&] {
     return key_for(mesh, p, nranks, false, true, 0.0, sizes,
                    PackingPolicy::none());
@@ -108,6 +86,7 @@ TEST(SharedPlanStore, PublishedBspPlanRoundTrips) {
   // A second tenant presents its own copy of the same content.
   ASSERT_TRUE(store.lookup_bsp(key(), out));
   expect_equal(out, plan);
+  EXPECT_EQ(out.serial, plan.serial);  // same content, same identity
   EXPECT_EQ(store.stats().hits, 1);
   EXPECT_EQ(store.stats().misses, 1);
   EXPECT_EQ(store.stats().published, 1);
@@ -121,7 +100,7 @@ TEST(SharedPlanStore, EveryKeyAxisIsolates) {
   const std::int32_t nranks = 4;
   const Placement p = round_robin(mesh.size(), nranks);
   const MessageSizeModel sizes{};
-  const auto plan = build_step_work(mesh, p, costs_for(mesh.size(), 10),
+  const auto plan = build_bsp_plan(mesh, p, costs_for(mesh.size(), 10),
                                     nranks, sizes, true);
 
   SharedPlanStore store;
@@ -130,7 +109,7 @@ TEST(SharedPlanStore, EveryKeyAxisIsolates) {
                    PackingPolicy::none());
   };
   store.publish_bsp(base(), plan);
-  std::vector<RankStepWork> out;
+  BspPlan out;
   ASSERT_TRUE(store.lookup_bsp(base(), out));
 
   auto k = base();
@@ -151,6 +130,10 @@ TEST(SharedPlanStore, EveryKeyAxisIsolates) {
 
   k = base();
   k.packing = PackingPolicy{4000};
+  EXPECT_FALSE(store.lookup_bsp(k, out));
+
+  k = base();
+  k.ordering = TaskOrdering::kComputeFirst;  // a different task layout
   EXPECT_FALSE(store.lookup_bsp(k, out));
 
   k = base();
@@ -194,13 +177,13 @@ TEST(SharedPlanStore, FifoEvictsOldestAtCapacity) {
   AmrMesh mesh(RootGrid{2, 2, 2});
   const MessageSizeModel sizes{};
   SharedPlanStore store(2);
-  std::vector<RankStepWork> out;
+  BspPlan out;
   // Three distinct keys (by nranks), published in order.
   for (std::int32_t nranks = 2; nranks <= 8; nranks *= 2) {
     const Placement p = round_robin(mesh.size(), nranks);
     store.publish_bsp(key_for(mesh, p, nranks, false, true, 0.0, sizes,
                               PackingPolicy::none()),
-                      build_step_work(mesh, p, costs_for(mesh.size(), 1),
+                      build_bsp_plan(mesh, p, costs_for(mesh.size(), 1),
                                       nranks, sizes, true));
   }
   EXPECT_EQ(store.size(), 2u);
@@ -227,7 +210,7 @@ TEST(SharedPlanStore, DuplicatePublishKeepsFirst) {
   const std::int32_t nranks = 2;
   const Placement p = round_robin(mesh.size(), nranks);
   const MessageSizeModel sizes{};
-  const auto plan = build_step_work(mesh, p, costs_for(mesh.size(), 3),
+  const auto plan = build_bsp_plan(mesh, p, costs_for(mesh.size(), 3),
                                     nranks, sizes, true);
   SharedPlanStore store;
   const auto key = [&] {
@@ -269,7 +252,7 @@ TEST(SharedPlanStore, IdenticalFingerprintCachesShare) {
   EXPECT_EQ(b.stats().misses, 1);
   EXPECT_EQ(b.stats().share_hits, 1);
   EXPECT_EQ(store.stats().hits, 1);
-  expect_equal(got, build_step_work(mesh, p, cb, nranks, sizes, true));
+  expect_equal(got, build_bsp_plan(mesh, p, cb, nranks, sizes, true));
 
   // B's next step with fresh costs is a plain private hit: no store
   // traffic, same bytes as a fresh build.
@@ -277,7 +260,7 @@ TEST(SharedPlanStore, IdenticalFingerprintCachesShare) {
   const auto hit = b.step_work(mesh, p, 0, cb2, nranks, sizes, true);
   EXPECT_EQ(b.stats().hits, 1);
   EXPECT_EQ(store.stats().hits, 1);
-  expect_equal(hit, build_step_work(mesh, p, cb2, nranks, sizes, true));
+  expect_equal(hit, build_bsp_plan(mesh, p, cb2, nranks, sizes, true));
 }
 
 TEST(SharedPlanStore, ModeMismatchNeverShares) {
@@ -302,7 +285,7 @@ TEST(SharedPlanStore, ModeMismatchNeverShares) {
   const auto got = packed.step_work(mesh, p, 0, c, nranks, sizes, true,
                                     PackingPolicy::all());
   EXPECT_EQ(packed.stats().share_hits, 0);
-  expect_equal(got, build_step_work(mesh, p, c, nranks, sizes, true,
+  expect_equal(got, build_bsp_plan(mesh, p, c, nranks, sizes, true,
                                     PackingPolicy::all()));
 
   ExchangePlanCache adaptive;
@@ -324,7 +307,7 @@ TEST(SharedPlanStore, ModeMismatchNeverShares) {
       adaptive2.step_work(mesh, p, 0, c, nranks, sizes, true, split);
   EXPECT_EQ(adaptive2.stats().share_hits, 1);
   expect_equal(got2,
-               build_step_work(mesh, p, c, nranks, sizes, true, split));
+               build_bsp_plan(mesh, p, c, nranks, sizes, true, split));
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+
+#include "bsp_oracle.hpp"
 
 namespace amr {
 namespace {
@@ -12,9 +15,10 @@ TEST(BuildStepWork, ComputeTasksFollowPlacement) {
   AmrMesh mesh(RootGrid{2, 2, 2});
   const Placement placement{0, 0, 1, 1, 2, 2, 3, 3};
   const std::vector<TimeNs> costs(8, us(100));
-  const auto work = build_step_work(mesh, placement, costs, 4);
-  ASSERT_EQ(work.size(), 4u);
-  for (const auto& w : work) EXPECT_EQ(w.computes.size(), 2u);
+  const BspPlan plan = build_bsp_plan(mesh, placement, costs, 4);
+  ASSERT_EQ(plan.nranks(), 4u);
+  for (std::size_t r = 0; r < 4; ++r)
+    EXPECT_EQ(plan.computes_of(r).size(), 2u);
 }
 
 TEST(BuildStepWork, SendsMatchExpectedRecvs) {
@@ -23,20 +27,20 @@ TEST(BuildStepWork, SendsMatchExpectedRecvs) {
   for (std::size_t b = 0; b < mesh.size(); ++b)
     placement[b] = static_cast<std::int32_t>(b % 5);
   const std::vector<TimeNs> costs(mesh.size(), us(10));
-  const auto work = build_step_work(mesh, placement, costs, 5);
+  const BspPlan plan = build_bsp_plan(mesh, placement, costs, 5);
 
   std::vector<std::int64_t> incoming(5, 0);
   std::int64_t total_sends = 0;
-  for (const auto& w : work) {
-    for (const auto& s : w.sends) {
-      ++incoming[static_cast<std::size_t>(s.dst_rank)];
+  for (std::size_t r = 0; r < plan.nranks(); ++r) {
+    for (const BspTask& s : plan.sends_of(r)) {
+      ++incoming[static_cast<std::size_t>(s.dst)];
       ++total_sends;
     }
   }
   std::int64_t total_expected = 0;
-  for (std::size_t r = 0; r < work.size(); ++r) {
-    EXPECT_EQ(incoming[r], work[r].expected_recvs);
-    total_expected += work[r].expected_recvs;
+  for (std::size_t r = 0; r < plan.nranks(); ++r) {
+    EXPECT_EQ(incoming[r], plan.expected_recvs[r]);
+    total_expected += plan.expected_recvs[r];
   }
   EXPECT_EQ(total_sends, total_expected);
 }
@@ -45,12 +49,12 @@ TEST(BuildStepWork, SingleRankHasOnlyLocalCopies) {
   AmrMesh mesh(RootGrid{2, 2, 2});
   const Placement placement(mesh.size(), 0);
   const std::vector<TimeNs> costs(mesh.size(), us(10));
-  const auto work = build_step_work(mesh, placement, costs, 1);
-  EXPECT_TRUE(work[0].sends.empty());
-  EXPECT_EQ(work[0].expected_recvs, 0);
-  EXPECT_GT(work[0].local_copy_msgs, 0);
+  const BspPlan plan = build_bsp_plan(mesh, placement, costs, 1);
+  EXPECT_TRUE(plan.sends_of(0).empty());
+  EXPECT_EQ(plan.expected_recvs[0], 0);
+  EXPECT_GT(plan.ranks[0].local_copy_msgs, 0);
   // 8 blocks x 7 neighbors each (2x2x2 fully adjacent) = 56 pairs.
-  EXPECT_EQ(work[0].local_copy_msgs, 56);
+  EXPECT_EQ(plan.ranks[0].local_copy_msgs, 56);
 }
 
 TEST(BuildStepWork, MessageBytesFollowNeighborKind) {
@@ -58,9 +62,9 @@ TEST(BuildStepWork, MessageBytesFollowNeighborKind) {
   const Placement placement{0, 1};
   const std::vector<TimeNs> costs(2, us(10));
   const MessageSizeModel sizes;
-  const auto work = build_step_work(mesh, placement, costs, 2, sizes);
-  ASSERT_EQ(work[0].sends.size(), 1u);
-  EXPECT_EQ(work[0].sends[0].bytes, sizes.bytes(NeighborKind::kFace));
+  const BspPlan plan = build_bsp_plan(mesh, placement, costs, 2, sizes);
+  ASSERT_EQ(plan.sends_of(0).size(), 1u);
+  EXPECT_EQ(plan.sends_of(0)[0].value, sizes.bytes(NeighborKind::kFace));
 }
 
 TEST(BuildStepWork, TotalComputeConservedAcrossPlacements) {
@@ -72,8 +76,9 @@ TEST(BuildStepWork, TotalComputeConservedAcrossPlacements) {
   const Placement b{3, 2, 1, 0, 3, 2, 1, 0};
   auto total = [&](const Placement& p) {
     TimeNs sum = 0;
-    for (const auto& w : build_step_work(mesh, p, costs, 4))
-      for (const auto& c : w.computes) sum += c.duration;
+    const BspPlan plan = build_bsp_plan(mesh, p, costs, 4);
+    for (std::size_t r = 0; r < plan.nranks(); ++r)
+      for (const BspTask& c : plan.computes_of(r)) sum += c.value;
     return sum;
   };
   EXPECT_EQ(total(a), total(b));
@@ -90,18 +95,18 @@ TEST(BuildStepWork, AggregateFoldsSendsPerDestination) {
     placement[b] = static_cast<std::int32_t>(b % 5);
   const std::vector<TimeNs> costs(mesh.size(), us(10));
   const MessageSizeModel sizes;
-  const auto legacy =
-      build_step_work(mesh, placement, costs, 5, sizes, false);
-  const auto agg = build_step_work(mesh, placement, costs, 5, sizes, false,
-                                   PackingPolicy::all());
-  ASSERT_EQ(agg.size(), legacy.size());
+  const BspPlan legacy =
+      build_bsp_plan(mesh, placement, costs, 5, sizes, false);
+  const BspPlan agg = build_bsp_plan(mesh, placement, costs, 5, sizes, false,
+                                     PackingPolicy::all());
+  ASSERT_EQ(agg.nranks(), legacy.nranks());
 
   std::int64_t legacy_sends = 0;
   std::int64_t legacy_bytes = 0;
-  for (const auto& w : legacy) {
-    legacy_sends += static_cast<std::int64_t>(w.sends.size());
-    for (const auto& s : w.sends) {
-      legacy_bytes += s.bytes;
+  for (std::size_t r = 0; r < legacy.nranks(); ++r) {
+    legacy_sends += static_cast<std::int64_t>(legacy.sends_of(r).size());
+    for (const BspTask& s : legacy.sends_of(r)) {
+      legacy_bytes += s.value;
       EXPECT_EQ(s.msgs, 1);
     }
   }
@@ -109,29 +114,30 @@ TEST(BuildStepWork, AggregateFoldsSendsPerDestination) {
   std::int64_t agg_bytes = 0;
   std::int64_t agg_logical = 0;
   std::vector<std::int64_t> incoming(5, 0);
-  for (std::size_t r = 0; r < agg.size(); ++r) {
-    const auto& w = agg[r];
-    agg_sends += static_cast<std::int64_t>(w.sends.size());
+  for (std::size_t r = 0; r < agg.nranks(); ++r) {
+    agg_sends += static_cast<std::int64_t>(agg.sends_of(r).size());
     std::vector<bool> dst_seen(5, false);
-    for (const auto& s : w.sends) {
-      agg_bytes += s.bytes;
+    for (const BspTask& s : agg.sends_of(r)) {
+      agg_bytes += s.value;
       agg_logical += s.msgs;
       EXPECT_GE(s.msgs, 1);
       // One packed transfer per destination, at most.
-      EXPECT_FALSE(dst_seen[static_cast<std::size_t>(s.dst_rank)]);
-      dst_seen[static_cast<std::size_t>(s.dst_rank)] = true;
-      ++incoming[static_cast<std::size_t>(s.dst_rank)];
+      EXPECT_FALSE(dst_seen[static_cast<std::size_t>(s.dst)]);
+      dst_seen[static_cast<std::size_t>(s.dst)] = true;
+      ++incoming[static_cast<std::size_t>(s.dst)];
     }
     // Local copies and per-rank recv bytes are unaffected by packing.
-    EXPECT_EQ(w.local_copy_msgs, legacy[r].local_copy_msgs);
-    EXPECT_EQ(w.local_copy_bytes, legacy[r].local_copy_bytes);
-    EXPECT_EQ(w.recv_bytes, legacy[r].recv_bytes);
+    EXPECT_EQ(agg.ranks[r].local_copy_msgs, legacy.ranks[r].local_copy_msgs);
+    EXPECT_EQ(agg.bytes_of(r, BspTaskKind::kLocalCopy),
+              legacy.bytes_of(r, BspTaskKind::kLocalCopy));
+    EXPECT_EQ(agg.bytes_of(r, BspTaskKind::kUnpack),
+              legacy.bytes_of(r, BspTaskKind::kUnpack));
   }
   EXPECT_EQ(agg_logical, legacy_sends);
   EXPECT_EQ(agg_bytes, legacy_bytes);
   EXPECT_LT(agg_sends, legacy_sends);
-  for (std::size_t r = 0; r < agg.size(); ++r)
-    EXPECT_EQ(incoming[r], agg[r].expected_recvs);
+  for (std::size_t r = 0; r < agg.nranks(); ++r)
+    EXPECT_EQ(incoming[r], agg.expected_recvs[r]);
 }
 
 TEST(PackingPolicy, MeanPayloadThreshold) {
@@ -166,17 +172,17 @@ TEST(BuildStepWork, AdaptiveThresholdSplitsPairs) {
     placement[b] = static_cast<std::int32_t>(b % 5);
   const std::vector<TimeNs> costs(mesh.size(), us(10));
   const MessageSizeModel sizes;
-  const auto legacy =
-      build_step_work(mesh, placement, costs, 5, sizes, false);
+  const BspPlan legacy =
+      build_bsp_plan(mesh, placement, costs, 5, sizes, false);
 
   // Pick a threshold strictly between the smallest and largest per-pair
   // mean, so the split is guaranteed to separate real traffic.
   std::int64_t pair_msgs[5][5] = {};
   std::int64_t pair_bytes[5][5] = {};
-  for (std::size_t r = 0; r < legacy.size(); ++r) {
-    for (const auto& s : legacy[r].sends) {
-      ++pair_msgs[r][s.dst_rank];
-      pair_bytes[r][s.dst_rank] += s.bytes;
+  for (std::size_t r = 0; r < legacy.nranks(); ++r) {
+    for (const BspTask& s : legacy.sends_of(r)) {
+      ++pair_msgs[r][s.dst];
+      pair_bytes[r][s.dst] += s.value;
     }
   }
   std::int64_t lo = std::numeric_limits<std::int64_t>::max();
@@ -192,29 +198,29 @@ TEST(BuildStepWork, AdaptiveThresholdSplitsPairs) {
   ASSERT_LT(lo, hi);  // pair means genuinely differ on this mesh
   const std::int64_t mid = (lo + hi) / 2;
   const PackingPolicy policy{mid};
-  const auto adaptive =
-      build_step_work(mesh, placement, costs, 5, sizes, false, policy);
+  const BspPlan adaptive =
+      build_bsp_plan(mesh, placement, costs, 5, sizes, false, policy);
 
   std::int64_t legacy_sends = 0;
   std::int64_t legacy_bytes = 0;
-  for (const auto& w : legacy) {
-    legacy_sends += static_cast<std::int64_t>(w.sends.size());
-    for (const auto& s : w.sends) legacy_bytes += s.bytes;
+  for (std::size_t r = 0; r < legacy.nranks(); ++r) {
+    legacy_sends += static_cast<std::int64_t>(legacy.sends_of(r).size());
+    for (const BspTask& s : legacy.sends_of(r)) legacy_bytes += s.value;
   }
   std::int64_t logical = 0;
   std::int64_t bytes = 0;
   std::int64_t packed = 0;
   std::int64_t eager = 0;
   std::vector<std::int64_t> incoming(5, 0);
-  for (const auto& w : adaptive) {
-    for (const auto& s : w.sends) {
+  for (std::size_t r = 0; r < adaptive.nranks(); ++r) {
+    for (const BspTask& s : adaptive.sends_of(r)) {
       logical += s.msgs;
-      bytes += s.bytes;
-      ++incoming[static_cast<std::size_t>(s.dst_rank)];
+      bytes += s.value;
+      ++incoming[static_cast<std::size_t>(s.dst)];
       if (s.msgs > 1) {
         ++packed;
         // A packed pair's mean stayed at or below the threshold.
-        EXPECT_LE(s.bytes, policy.threshold * s.msgs);
+        EXPECT_LE(s.value, policy.threshold * s.msgs);
       } else {
         ++eager;
       }
@@ -225,8 +231,82 @@ TEST(BuildStepWork, AdaptiveThresholdSplitsPairs) {
   // The split is genuine: both kinds of traffic exist at this threshold.
   EXPECT_GT(packed, 0);
   EXPECT_GT(eager, 0);
-  for (std::size_t r = 0; r < adaptive.size(); ++r)
-    EXPECT_EQ(incoming[r], adaptive[r].expected_recvs);
+  for (std::size_t r = 0; r < adaptive.nranks(); ++r)
+    EXPECT_EQ(incoming[r], adaptive.expected_recvs[r]);
+}
+
+// The flat builder lays every rank's run out exactly as the nested
+// builder plus the runtime's old per-step expansion did (the oracle in
+// bsp_oracle.hpp): the two plans must be equal in every field — tasks,
+// ranges, per-rank counters, expected counts — for both orderings,
+// every packing shape, with and without flux, and for the two-stage
+// rendering.
+TEST(BuildBspPlan, TaskOrderMatchesNestedOracle) {
+  AmrMesh mesh(RootGrid{4, 2, 2});
+  mesh.refine(std::vector<std::int32_t>{0, 5});  // flux along level jumps
+  const std::int32_t nranks = 7;  // rank 6 holds no block
+  Placement placement(mesh.size());
+  for (std::size_t b = 0; b < mesh.size(); ++b)
+    placement[b] = static_cast<std::int32_t>((b * 5 + b / 3) % 6);
+  std::vector<TimeNs> costs(mesh.size());
+  for (std::size_t b = 0; b < costs.size(); ++b)
+    costs[b] = us(20) + static_cast<TimeNs>(b) * 997;
+  const MessageSizeModel sizes;
+  const PackingPolicy mid{(sizes.bytes(NeighborKind::kEdge) +
+                           sizes.bytes(NeighborKind::kFace)) /
+                          2};
+
+  auto expect_same = [](const BspPlan& got, const BspPlan& want) {
+    ASSERT_EQ(got.nranks(), want.nranks());
+    for (std::size_t r = 0; r < got.nranks(); ++r) {
+      const auto g = got.tasks_of(r);
+      const auto w = want.tasks_of(r);
+      EXPECT_TRUE(std::equal(g.begin(), g.end(), w.begin(), w.end()))
+          << "rank " << r;
+      EXPECT_EQ(got.ranks[r], want.ranks[r]) << "rank " << r;
+    }
+    EXPECT_EQ(got.expected_recvs, want.expected_recvs);
+    EXPECT_TRUE(got == want);
+  };
+
+  bool copies = false;
+  bool packed = false;
+  bool eager = false;
+  for (const TaskOrdering ordering :
+       {TaskOrdering::kComputeFirst, TaskOrdering::kSendFirst}) {
+    for (const PackingPolicy packing :
+         {PackingPolicy::none(), PackingPolicy::all(), mid}) {
+      for (const bool flux : {false, true}) {
+        SCOPED_TRACE(std::string(to_string(ordering)) + " threshold " +
+                     std::to_string(packing.threshold) +
+                     (flux ? " flux" : ""));
+        const BspPlan got = build_bsp_plan(mesh, placement, costs, nranks,
+                                           sizes, flux, packing, ordering);
+        expect_same(got, oracle::make_bsp_plan(
+                             oracle::nested_work(mesh, placement, costs,
+                                                 nranks, sizes, flux,
+                                                 packing),
+                             ordering));
+        for (std::size_t r = 0; r < got.nranks(); ++r) {
+          copies |= got.bytes_of(r, BspTaskKind::kLocalCopy) > 0;
+          for (const BspTask& t : got.sends_of(r))
+            (t.msgs > 1 ? packed : eager) = true;
+        }
+      }
+    }
+    SCOPED_TRACE(std::string(to_string(ordering)) + " two-stage");
+    BspPlan want = oracle::make_bsp_plan(
+        oracle::nested_two_stage(mesh, placement, costs, nranks, 0.3, sizes),
+        ordering);
+    want.stage1_frac = 0.3;
+    expect_same(build_bsp_plan(mesh, placement, costs, nranks, sizes, false,
+                               PackingPolicy::none(), ordering, 0.3),
+                want);
+  }
+  // The mesh exercises what the layout has to place.
+  EXPECT_TRUE(copies);
+  EXPECT_TRUE(packed);
+  EXPECT_TRUE(eager);
 }
 
 }  // namespace

@@ -147,15 +147,13 @@ TEST(EndToEnd, UntunedFabricDegradesCorrelation) {
     cfg.outlier_cutoff = sec(1.0);  // keep everything; we want the noise
     const auto result = run_exchange_rounds(mesh, p, cfg);
     // Work metric: per-rank message bytes (constant across rounds).
-    const auto work_items =
-        build_step_work(mesh, p, std::vector<TimeNs>(mesh.size(), 0), 32);
+    const BspPlan plan =
+        build_bsp_plan(mesh, p, std::vector<TimeNs>(mesh.size(), 0), 32);
     std::vector<double> rank_bytes;
-    for (const auto& w : work_items) {
-      double bytes = static_cast<double>(w.local_copy_bytes);
-      for (const auto& s : w.sends)
-        bytes += static_cast<double>(s.bytes);
-      rank_bytes.push_back(bytes);
-    }
+    for (std::size_t r = 0; r < plan.nranks(); ++r)
+      rank_bytes.push_back(static_cast<double>(
+          plan.bytes_of(r, BspTaskKind::kLocalCopy) +
+          plan.bytes_of(r, BspTaskKind::kPackSend)));
     // Fig 1a is a per-(round, rank) scatter over ACTIVE MPI time (pack +
     // send waits): spiky untuned noise scatters individual samples, and
     // excluding the passive recv idle avoids the BSP equalizer that
