@@ -112,11 +112,10 @@ struct RebalanceFixture {
   }
 };
 
-// One auto-X redistribution epoch: the tuner's 5 default candidates
-// rebalanced and scored. The cost content repeats under a new epoch
-// token, so every chunk solve comes from the engine's memo and the time
-// is the shared rebalance prefix, the per-X tails and comm scoring. Arg
-// is the pool size (0 = no pool).
+// One auto-X redistribution epoch: the chunked-CDP base split, then the
+// tuner's 5 default candidates rebalanced and scored (the shared
+// rebalance prefix, the per-X tails and comm scoring). Arg is the pool
+// size (0 = no pool).
 void BM_EvaluateCandidates(benchmark::State& state) {
   const RebalanceFixture f;
   const ClusterTopology topo(RebalanceFixture::kRanks, 16);
@@ -130,10 +129,9 @@ void BM_EvaluateCandidates(benchmark::State& state) {
     engine.set_parallel(pool.get());
   }
   std::vector<CandidateEval> evals;
-  std::uint64_t epoch = 0;
   for (auto _ : state) {
     engine.evaluate_candidates(f.costs, RebalanceFixture::kRanks, xs, 512,
-                               ++epoch, f.mesh, topo, sizes, evals);
+                               f.mesh, topo, sizes, evals);
     benchmark::DoNotOptimize(evals.data());
   }
 }

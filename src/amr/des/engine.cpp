@@ -23,7 +23,7 @@ unsigned Engine::bucket_index(TimeNs t, TimeNs min) {
 }
 
 void Engine::sort_front() {
-  // Legacy keys arrive already sorted, so check before sorting: a
+  // Schedule keys arrive already sorted, so check before sorting: a
   // stable_sort call allocates its merge buffer even when it has nothing
   // to move.
   const auto by_key = [](const Entry& a, const Entry& b) {
@@ -49,7 +49,7 @@ void Engine::refill_front() {
   // Stable redistribution: every entry lands strictly below j (it shares
   // bit j-1 of the time with the new minimum); equal-minimum entries
   // land in front_ in their original append order, then a stable sort
-  // puts them in dispatch-key order. Legacy keys are monotone in append
+  // puts them in dispatch-key order. Schedule keys are monotone in append
   // order, so for the sequential schedule_at path the sort is an
   // already-sorted pass and the drain order stays exact schedule FIFO.
   for (const Entry& e : buckets_[j]) {
@@ -104,7 +104,7 @@ void Engine::rebucket_all(TimeNs new_min) {
 
 void Engine::schedule_at(TimeNs t, EventHandler* handler,
                          std::uint64_t tag) {
-  // The legacy key is the global schedule counter: monotone, so
+  // The key is the global schedule counter: monotone, so
   // equal-time dispatch order is exactly schedule FIFO.
   schedule_keyed(t, reserve_key(), handler, tag);
 }
@@ -121,7 +121,7 @@ void Engine::schedule_keyed(TimeNs t, std::uint64_t key,
   // refill_front, and by rebucket_all above when a legal earlier time
   // arrives). Mixing references would break the equal-time colocation
   // the key-order guarantee rests on. Entries at exactly the front time
-  // join the front bucket at their key position — for monotone legacy
+  // join the front bucket at their key position — for monotone schedule
   // keys that is always the tail, a plain O(1) append.
   const unsigned i = bucket_index(t, front_time_);
   if (i == 0) {
@@ -166,7 +166,7 @@ bool Engine::step() {
   if (tracer_ != nullptr) [[unlikely]]
     tracer_->instant(Tracer::kTrackSim, TraceCat::kDes, "dispatch", now_,
                      static_cast<std::int64_t>(ev.tag),
-                     static_cast<std::int64_t>(dispatch_seq()));
+                     static_cast<std::int64_t>(ev.key));
   dispatching_ = true;
   ev.handler->on_event(*this, ev.tag);
   dispatching_ = false;

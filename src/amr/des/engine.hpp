@@ -18,7 +18,7 @@
 // current minimum. Each entry is the whole event — dispatch reads the
 // entry it pops and nothing else. Scheduling is an O(1) append
 // (amortized; an equal-minimum entry with an out-of-order key pays a
-// sorted insert into the front bucket, which the monotone legacy keys
+// sorted insert into the front bucket, which the monotone schedule keys
 // never do); dispatch pops the equal-minimum bucket and refills it by
 // redistributing the lowest non-empty bucket (each entry moves at most
 // 64 times over its lifetime, amortized ~O(1) for the near-sorted
@@ -28,8 +28,8 @@
 // index depends only on (time, current-min)), appends and
 // redistributions are order-stable, and the front bucket drains in
 // ascending dispatch-key order — so dispatch order is exactly
-// (time, key). The default schedule_at path assigns monotonically
-// increasing legacy keys, which makes equal-time order exactly schedule
+// (time, key). The schedule_at path assigns the schedule sequence number
+// as the key, which makes equal-time order exactly schedule
 // FIFO, bit-identical to the std::priority_queue over (time, seq) this
 // replaced, and ~35% faster at simulator event populations.
 //
@@ -79,14 +79,12 @@ class Engine {
   void schedule_keyed(TimeNs t, std::uint64_t key, EventHandler* handler,
                       std::uint64_t tag = 0);
 
-  /// Consume the next legacy key without scheduling anything: returns
-  /// the key schedule_at would assign now. Every later legacy key is the
+  /// Consume the next schedule key without scheduling anything: returns
+  /// the key schedule_at would assign now. Every later key is the
   /// same as if an event had been scheduled, so a producer can hold the
   /// dispatch slot open and later fill it (schedule_keyed with the key)
   /// or leave it empty. Comm uses this for counted messages.
-  std::uint64_t reserve_key() {
-    return kLegacyKeyBits | next_seq_++;
-  }
+  std::uint64_t reserve_key() { return next_seq_++; }
 
   /// True when an event at (t, key) has been dispatched by now: inside a
   /// dispatch, it orders at or before the event being dispatched;
@@ -127,11 +125,9 @@ class Engine {
   }
   std::uint64_t events_processed() const { return processed_; }
 
-  /// Dispatch key of the event being dispatched (or last dispatched).
+  /// Dispatch key of the event being dispatched (or last dispatched):
+  /// its schedule sequence number, for schedule_at events.
   std::uint64_t dispatch_key() const { return dispatch_key_; }
-  /// Schedule sequence number of the event being dispatched (the low 62
-  /// bits of its key, so exact for schedule_at events).
-  std::uint64_t dispatch_seq() const { return dispatch_key_ & kKeySeqMask; }
 
   /// Pre-size the front bucket for a known pending-event population;
   /// optional, avoids growth reallocations mid-run.
@@ -140,7 +136,7 @@ class Engine {
   /// Attach an event tracer (nullptr detaches). Dispatch instants are in
   /// the TraceCat::kDes category, which is off by default — enable it in
   /// the trace config to see raw event dispatch. Each instant carries the
-  /// event's tag and its dispatch_seq().
+  /// event's tag and its dispatch key.
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   /// Scalar engine state for checkpoint/restart. Checkpoints are taken at
@@ -169,10 +165,6 @@ class Engine {
   /// 64 key bits -> highest-differing-bit indices 1..64; index 0 is the
   /// separate front bucket. buckets_[0] is never used.
   static constexpr unsigned kNumBuckets = 65;
-  /// A legacy (schedule_at) key is the schedule sequence number with the
-  /// top two bits set; the low 62 bits are the sequence number.
-  static constexpr std::uint64_t kLegacyKeyBits = 3ULL << 62;
-  static constexpr std::uint64_t kKeySeqMask = (1ULL << 62) - 1;
 
   /// Queue entry: the whole pending event. Time ordering comes from the
   /// radix structure; the key orders equal-time entries in the front

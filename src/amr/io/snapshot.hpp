@@ -62,7 +62,7 @@ class SnapshotError : public std::runtime_error {
 // v4: adaptive-comm axes (comm_adaptive, send_priority,
 //     comm_pack_threshold) in the config fingerprint and
 //     last_straggler in the state section.
-// v5: placement-engine axes (auto_cplx, placement_incremental,
+// v5: placement-engine axes (auto_cplx, the incremental-placement bit,
 //     cplx_budget_ms) in the config fingerprint, the "tuner" section
 //     (auto-X tuner state + epoch accumulators), and the collector's
 //     fifth (placement) table.
@@ -80,6 +80,9 @@ class SnapshotError : public std::runtime_error {
 //     4096-row chunks (base, max, width, bit-packed words; raw doubles
 //     for f64) plus the raw tail, instead of one raw 8-byte value per
 //     cell.
+// v10: the incremental-placement bit leaves the config fingerprint (CPLX
+//     placements take one path, so the bit encoded no answer). Sections
+//     are unchanged.
 //
 // Version-bump checklist — the compile-time-checkable moral equivalent
 // of a static_assert, since the fingerprint is data, not types. When a
@@ -102,7 +105,7 @@ class SnapshotError : public std::runtime_error {
 // Counters that are scheduling artifacts rather than simulation state
 // (e.g. plan-cache share_hits) must NOT be serialized — see
 // StepPipelineStats.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 9;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 10;
 
 /// Builds a snapshot payload in memory, then writes the enveloped file.
 class SnapshotWriter {

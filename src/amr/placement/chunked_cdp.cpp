@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "amr/common/check.hpp"
+#include "amr/par/thread_pool.hpp"
 #include "amr/placement/cdp.hpp"
 
 namespace amr {
@@ -11,12 +12,23 @@ std::string ChunkedCdpPolicy::name() const {
   return "chunked-cdp/" + std::to_string(chunk_ranks_);
 }
 
+namespace {
+
+/// One contiguous chunk of the SFC block range paired with its contiguous
+/// rank group.
+struct ChunkSpan {
+  std::size_t block_begin = 0;
+  std::size_t block_end = 0;  ///< exclusive
+  std::int32_t rank_begin = 0;
+  std::int32_t group_ranks = 0;
+};
+
+/// The chunk decomposition: cut the block range at the rank groups'
+/// proportional cost shares via one sequential prefix-sum scan.
 std::vector<ChunkSpan> chunk_spans(std::span<const double> costs,
                                    std::int32_t nranks,
                                    std::int32_t chunk_ranks) {
-  AMR_CHECK(nranks > 0 && chunk_ranks > 0);
-  const std::int32_t num_chunks =
-      (nranks + chunk_ranks - 1) / chunk_ranks;
+  const std::int32_t num_chunks = chunk_count(nranks, chunk_ranks);
   std::vector<ChunkSpan> spans;
   if (num_chunks <= 1) {
     spans.push_back(ChunkSpan{0, costs.size(), 0, nranks});
@@ -61,18 +73,39 @@ std::vector<ChunkSpan> chunk_spans(std::span<const double> costs,
   return spans;
 }
 
-Placement ChunkedCdpPolicy::place(std::span<const double> costs,
-                                  std::int32_t nranks) const {
-  const auto spans = chunk_spans(costs, nranks, chunk_ranks_);
-  const CdpPolicy cdp(CdpMode::kRestricted);
+}  // namespace
+
+std::int32_t chunk_count(std::int32_t nranks, std::int32_t chunk_ranks) {
+  AMR_CHECK(nranks > 0 && chunk_ranks > 0);
+  return (nranks + chunk_ranks - 1) / chunk_ranks;
+}
+
+Placement chunked_cdp_split(std::span<const double> costs,
+                            std::int32_t nranks, std::int32_t chunk_ranks,
+                            ThreadPool* pool) {
+  const std::vector<ChunkSpan> spans =
+      chunk_spans(costs, nranks, chunk_ranks);
   Placement out(costs.size(), 0);
-  for (const ChunkSpan& s : spans) {
-    const auto sub = costs.subspan(s.block_begin, s.block_end - s.block_begin);
-    const Placement local = cdp.place(sub, s.group_ranks);
+  const auto solve = [&](std::size_t c) {
+    const ChunkSpan& s = spans[c];
+    const CdpPolicy cdp(CdpMode::kRestricted);
+    const Placement local = cdp.place(
+        costs.subspan(s.block_begin, s.block_end - s.block_begin),
+        s.group_ranks);
+    AMR_CHECK(local.size() == s.block_end - s.block_begin);
     for (std::size_t i = 0; i < local.size(); ++i)
       out[s.block_begin + i] = s.rank_begin + local[i];
-  }
+  };
+  if (pool != nullptr && spans.size() > 1)
+    pool->parallel_for(spans.size(), solve);
+  else
+    for (std::size_t c = 0; c < spans.size(); ++c) solve(c);
   return out;
+}
+
+Placement ChunkedCdpPolicy::place(std::span<const double> costs,
+                                  std::int32_t nranks) const {
+  return chunked_cdp_split(costs, nranks, chunk_ranks_);
 }
 
 }  // namespace amr

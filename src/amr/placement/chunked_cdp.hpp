@@ -3,34 +3,30 @@
 // Divides the SFC-ordered blocks into contiguous chunks of approximately
 // equal total cost, assigns each chunk a contiguous group of ranks, and
 // runs restricted CDP independently per chunk. At 4096 ranks with
-// chunk_ranks=512 this yields 8 independent sub-problems (parallelizable
-// in a real deployment; sequential here, but the complexity reduction is
-// what matters for the placement-overhead budget).
+// chunk_ranks=512 this yields 8 independent sub-problems, solved
+// concurrently when a pool is supplied — the complexity reduction is what
+// matters for the placement-overhead budget.
 #pragma once
 
 #include "amr/placement/policy.hpp"
 
 namespace amr {
 
-/// One contiguous chunk of the SFC block range paired with its contiguous
-/// rank group — the unit both the chunked solve and the incremental
-/// placement engine's per-chunk memo operate on.
-struct ChunkSpan {
-  std::size_t block_begin = 0;
-  std::size_t block_end = 0;  ///< exclusive
-  std::int32_t rank_begin = 0;
-  std::int32_t group_ranks = 0;
-};
+class ThreadPool;
 
-/// The canonical chunk decomposition: cut the block range at the rank
-/// groups' proportional cost shares via one sequential prefix-sum scan.
-/// ChunkedCdpPolicy::place and PlacementEngine both call this, so their
-/// chunk boundaries are identical by construction — the engine's
-/// byte-identity contract rests on sharing this exact scan, because any
-/// cost change shifts `total` and with it every proportional target.
-std::vector<ChunkSpan> chunk_spans(std::span<const double> costs,
-                                   std::int32_t nranks,
-                                   std::int32_t chunk_ranks);
+/// Number of chunks (rank groups of `chunk_ranks`, the last one possibly
+/// narrower) the split of `nranks` solves independently.
+std::int32_t chunk_count(std::int32_t nranks, std::int32_t chunk_ranks);
+
+/// The chunked-CDP split: cut the block range at the rank groups'
+/// proportional cost shares via one sequential prefix-sum scan, then
+/// solve each chunk with restricted CDP over its rank group. A non-null
+/// `pool` solves the chunks concurrently; each writes only its own block
+/// range, so the output bytes never depend on the pool. ChunkedCdpPolicy,
+/// CplxPolicy's base and the placement engine all call this one function.
+Placement chunked_cdp_split(std::span<const double> costs,
+                            std::int32_t nranks, std::int32_t chunk_ranks,
+                            ThreadPool* pool = nullptr);
 
 class ChunkedCdpPolicy final : public PlacementPolicy {
  public:

@@ -5,7 +5,6 @@
 
 #include "amr/common/check.hpp"
 #include "amr/par/parallel_sort.hpp"
-#include "amr/placement/cdp_cache.hpp"
 #include "amr/placement/chunked_cdp.hpp"
 #include "amr/placement/lpt.hpp"
 
@@ -23,9 +22,11 @@ std::string CplxPolicy::name() const {
 Placement CplxPolicy::rebalance(std::span<const double> costs,
                                 const Placement& base, std::int32_t nranks,
                                 double x_percent) {
-  Placement out;
+  RebalancePrefix prefix;
   RebalanceScratch scratch;
-  rebalance_into(costs, base, nranks, x_percent, out, scratch);
+  Placement out;
+  rebalance_prefix(costs, base, nranks, x_percent, prefix);
+  rebalance_tail(costs, base, x_percent, prefix, out, scratch);
   return out;
 }
 
@@ -47,15 +48,6 @@ std::int32_t selected_count(double x_percent, std::int32_t nranks) {
 }
 
 }  // namespace
-
-void CplxPolicy::rebalance_into(std::span<const double> costs,
-                                const Placement& base, std::int32_t nranks,
-                                double x_percent, Placement& out,
-                                RebalanceScratch& scratch,
-                                ThreadPool* pool) {
-  rebalance_prefix(costs, base, nranks, x_percent, scratch.prefix, pool);
-  rebalance_tail(costs, base, x_percent, scratch.prefix, out, scratch);
-}
 
 void CplxPolicy::rebalance_prefix(std::span<const double> costs,
                                   const Placement& base, std::int32_t nranks,
@@ -157,15 +149,8 @@ void CplxPolicy::rebalance_tail(std::span<const double> costs,
 
 Placement CplxPolicy::place(std::span<const double> costs,
                             std::int32_t nranks) const {
-  // The contiguous base split depends only on (costs, nranks, chunk) —
-  // shared across every X and across repeat invocations on unchanged
-  // costs, so a policy sweep pays for the CDP prefix-sum DP once.
-  const Placement base = CdpSplitCache::instance().get_or_compute(
-      costs, nranks, chunk_ranks_, [&] {
-        const ChunkedCdpPolicy cdp(chunk_ranks_);
-        return cdp.place(costs, nranks);
-      });
-  return rebalance(costs, base, nranks, x_percent_);
+  return rebalance(costs, chunked_cdp_split(costs, nranks, chunk_ranks_),
+                   nranks, x_percent_);
 }
 
 }  // namespace amr

@@ -46,12 +46,10 @@ struct RebalancePrefix {
 };
 
 /// Reusable storage for one X's rebalance tail — its targets, its LPT
-/// block order and the LPT heap — plus the prefix rebalance_into builds
-/// for itself. Carries capacity only, never decisions: results are
-/// identical with a fresh or a reused scratch (the incremental engine
-/// keeps one per candidate slot alive across regrid epochs).
+/// block order and the LPT heap. Carries capacity only, never decisions:
+/// results are identical with a fresh or a reused scratch (the placement
+/// engine keeps one per candidate slot alive across regrid epochs).
 struct RebalanceScratch {
-  RebalancePrefix prefix;
   std::vector<std::int32_t> targets;
   std::vector<std::int32_t> order;
   LptScratch lpt;
@@ -80,25 +78,16 @@ class CplxPolicy final : public PlacementPolicy {
   static constexpr double kRebalanceFloor = 1.05;
 
   /// The LPT rebalance step on its own: given any placement, rebalance the
-  /// X% most over/under-loaded ranks. Exposed for tests and ablations.
+  /// X% most over/under-loaded ranks (rebalance_prefix for this one X,
+  /// then rebalance_tail). Exposed for tests and ablations.
   static Placement rebalance(std::span<const double> costs,
                              const Placement& base, std::int32_t nranks,
                              double x_percent);
 
-  /// Same step through caller-owned output and scratch (identical result;
-  /// the incremental engine's per-candidate path, which reuses both
-  /// across regrid epochs instead of reallocating): rebalance_prefix for
-  /// this one X, then rebalance_tail. A non-null `pool` runs the
-  /// rank-order and block-order sorts in parallel; both are strict total
-  /// orders, so the output bytes never depend on the pool.
-  static void rebalance_into(std::span<const double> costs,
-                             const Placement& base, std::int32_t nranks,
-                             double x_percent, Placement& out,
-                             RebalanceScratch& scratch,
-                             ThreadPool* pool = nullptr);
-
   /// The X-independent work of the rebalance step, built once for every
-  /// X up to `max_x_percent`.
+  /// X up to `max_x_percent`. A non-null `pool` runs the rank-order and
+  /// block-order sorts in parallel; both are strict total orders, so the
+  /// output bytes never depend on the pool.
   static void rebalance_prefix(std::span<const double> costs,
                                const Placement& base, std::int32_t nranks,
                                double max_x_percent, RebalancePrefix& prefix,

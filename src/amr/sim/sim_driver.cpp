@@ -68,9 +68,6 @@ constexpr JobField kJobFields[] = {
      "step-time model"},
     {"cplx_budget_ms", &JobSpec::cplx_budget_ms,
      "auto-X evaluation budget (needs auto_cplx; -1 = 50 ms)"},
-    {"placement_incremental", &JobSpec::placement_incremental,
-     "incremental parallel placement engine for CPLX policies (same "
-     "output as a full rebuild)"},
     {"sedov_max_level", &JobSpec::sedov_max_level,
      "Sedov refinement depth (0 = workload default)"},
     {"checkpoint_every", &JobSpec::checkpoint_every,
@@ -225,7 +222,6 @@ SimulationConfig job_config(const JobSpec& spec) {
   cfg.comm_pack_threshold = spec.pack_threshold;
   cfg.send_priority = spec.send_priority;
   cfg.auto_cplx = spec.auto_cplx;
-  cfg.placement_incremental = spec.placement_incremental;
   if (spec.cplx_budget_ms > 0)
     cfg.cplx_budget_ms = static_cast<double>(spec.cplx_budget_ms);
   cfg.checkpoint_every = spec.checkpoint_every;

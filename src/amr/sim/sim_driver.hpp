@@ -47,7 +47,9 @@ struct JobSpec {
   /// Auto-X evaluation budget in ms (requires auto_cplx when >= 0);
   /// -1 keeps the simulation default (the paper's 50 ms).
   std::int64_t cplx_budget_ms = -1;
-  /// Incremental parallel placement engine for CPLX policies.
+  /// Removed option kept for API callers that still set it: nothing
+  /// reads it, and no job field or flag sets it. CPLX placements take
+  /// one path (CplxPolicy::place, or the auto-X engine).
   bool placement_incremental = false;
   bool collect_telemetry = true;
   /// Sedov refinement depth override; 0 keeps the workload default.

@@ -26,7 +26,7 @@ SimRuntime::SimRuntime(const SimulationConfig& config, Tracer* tracer)
     overlap_executor =
         std::make_unique<OverlapExecutor>(engine, comm, config.exec, tracer);
   plan_cache.set_shared_store(config.shared_plans);
-  if (config.auto_cplx || config.placement_incremental) {
+  if (config.auto_cplx) {
     // Chunk solves and candidate scoring parallelize well up to the
     // candidate count; more workers than that only cost startup.
     placement_pool = std::make_unique<ThreadPool>(
@@ -181,10 +181,9 @@ void write_meta(io::SnapshotWriter& w, const SimulationConfig& config,
   w.b(config.send_priority);
   w.i64(config.comm_pack_threshold);
   w.b(config.telemetry_driven_costs);
-  // Placement-engine axes (format v5): both change which placements the
-  // run computes, and the tuner budget shapes every auto-X decision.
+  // Auto-X axes (format v5): auto-X changes which placements the run
+  // computes, and the tuner budget shapes every auto-X decision.
   w.b(config.auto_cplx);
-  w.b(config.placement_incremental);
   w.f64(config.cplx_budget_ms);
   w.b(config.collect_telemetry);
   w.b(config.collect_block_telemetry);
@@ -225,7 +224,6 @@ void check_meta(io::SnapshotReader& r, const SimulationConfig& config,
   require(r.i64() == config.comm_pack_threshold, "packing threshold");
   require(r.b() == config.telemetry_driven_costs, "telemetry-driven costs");
   require(r.b() == config.auto_cplx, "auto-X tuning");
-  require(r.b() == config.placement_incremental, "incremental placement");
   require(r.f64() == config.cplx_budget_ms, "auto-X budget");
   require(r.b() == config.collect_telemetry, "collect_telemetry");
   require(r.b() == config.collect_block_telemetry,

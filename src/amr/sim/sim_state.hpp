@@ -103,10 +103,10 @@ struct SimRuntime {
   CriticalPathAnalyzer critical_path;
   ExchangePlanCache plan_cache;
 
-  /// Placement-engine mode (auto_cplx || placement_incremental, both
-  /// null/inert otherwise). The engine gets its OWN pool: sweeps run
-  /// whole Simulations inside worker tasks, and ThreadPool::parallel_for
-  /// is not reentrant, so borrowing an outer pool would deadlock.
+  /// Auto-X only (null/inert otherwise). The engine gets its OWN pool:
+  /// sweeps run whole Simulations inside worker tasks, and
+  /// ThreadPool::parallel_for is not reentrant, so borrowing an outer
+  /// pool would deadlock.
   std::unique_ptr<ThreadPool> placement_pool;
   PlacementEngine placement_engine;
   std::unique_ptr<AutoXTuner> auto_tuner;  ///< auto_cplx only

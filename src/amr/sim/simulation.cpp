@@ -8,6 +8,7 @@
 #include "amr/common/log.hpp"
 #include "amr/common/stats.hpp"
 #include "amr/placement/baseline.hpp"
+#include "amr/placement/chunked_cdp.hpp"
 #include "amr/placement/cplx.hpp"
 #include "amr/placement/metrics.hpp"
 #include "amr/sim/sim_state.hpp"
@@ -233,14 +234,8 @@ void Simulation::step_once() {
     for (std::size_t i = 0; i < rt.est.size(); ++i)
       rt.est_d[i] = static_cast<double>(rt.est[i]);
 
-    const bool engine_mode =
-        config_.auto_cplx || config_.placement_incremental;
     const auto* cplx = dynamic_cast<const CplxPolicy*>(&policy_);
-    // Input-identity token for the engine's whole-base fast path: a
-    // placement input can only repeat exactly when both the mesh
-    // numbering and the telemetry epoch that produced the costs repeat.
-    const std::uint64_t cost_epoch =
-        (mesh.version() << 32) ^ static_cast<std::uint64_t>(st.step);
+    const std::int32_t chunk = cplx != nullptr ? cplx->chunk_ranks() : 512;
 
     AutoXTuner::Decision decision;
     double observed_ns = 0.0;
@@ -256,7 +251,6 @@ void Simulation::step_once() {
       }
       st.epoch_steps = 0;
       st.epoch_wall_ns = 0;
-      const std::int32_t chunk = cplx != nullptr ? cplx->chunk_ranks() : 512;
       report.placement_ms.push_back(timed_ms([&] {
         tuner.budget_candidates(st.tuner, mesh.size(), rt.cand_indices);
         rt.cand_xs.resize(rt.cand_indices.size());
@@ -264,8 +258,8 @@ void Simulation::step_once() {
           rt.cand_xs[i] = tuner.config().candidates[static_cast<std::size_t>(
               rt.cand_indices[i])];
         rt.placement_engine.evaluate_candidates(
-            rt.est_d, config_.nranks, rt.cand_xs, chunk, cost_epoch, mesh,
-            rt.topo, config_.msg_sizes, rt.cand_evals);
+            rt.est_d, config_.nranks, rt.cand_xs, chunk, mesh, rt.topo,
+            config_.msg_sizes, rt.cand_evals);
         decision = tuner.choose(st.tuner, rt.cand_indices, rt.cand_evals);
         // Uninformative (uniform-default) cost estimates make mean_load
         // a meaningless scale: keep the decision pending so the measured
@@ -274,12 +268,6 @@ void Simulation::step_once() {
         if (!costs_informative) st.tuner.last_scale = 0.0;
         next = std::move(
             rt.cand_evals[static_cast<std::size_t>(decision.slot)].placement);
-      }));
-    } else if (config_.placement_incremental && cplx != nullptr) {
-      report.placement_ms.push_back(timed_ms([&] {
-        next = rt.placement_engine.place_cplx(rt.est_d, config_.nranks,
-                                              cplx->x_percent(),
-                                              cplx->chunk_ranks(), cost_epoch);
       }));
     } else {
       report.placement_ms.push_back(timed_ms(
@@ -335,46 +323,37 @@ void Simulation::step_once() {
                                 rebalance_wall);
     }
 
-    // Placement-phase telemetry + trace counters: engine modes only, so
-    // legacy tables/traces (and serve's resident-bytes eviction signal)
+    // Placement-phase telemetry + trace counters: auto-X only, so other
+    // runs' tables/traces (and serve's resident-bytes eviction signal)
     // stay byte-identical. Everything recorded is simulated/deterministic.
-    if (engine_mode) {
+    if (config_.auto_cplx) {
       const double x_chosen =
-          config_.auto_cplx
-              ? rt.auto_tuner->config()
-                    .candidates[static_cast<std::size_t>(decision.candidate)]
-              : (cplx != nullptr ? cplx->x_percent() : -1.0);
+          rt.auto_tuner->config()
+              .candidates[static_cast<std::size_t>(decision.candidate)];
       if (config_.collect_telemetry) {
+        // chunks_reused is always 0 (no chunk solve is reused); the
+        // column stays for the table's readers.
         collector_.record_placement(
-            step, x_chosen, config_.auto_cplx ? decision.mode : -1,
-            config_.auto_cplx
-                ? static_cast<std::int64_t>(rt.cand_indices.size())
-                : 0,
-            rt.placement_engine.last_chunks_reused(),
-            rt.placement_engine.last_chunks_total(), moved,
+            step, x_chosen, decision.mode,
+            static_cast<std::int64_t>(rt.cand_indices.size()), 0,
+            chunk_count(config_.nranks, chunk), moved,
             decision.predicted_ns, observed_ns, st.tuner.err_ewma);
       }
       if (tracer != nullptr) {
-        if (config_.auto_cplx) {
-          tracer->counter(Tracer::kTrackSim, TraceCat::kRebalance, "auto-x",
-                          engine.now(),
-                          static_cast<std::int64_t>(x_chosen));
-          tracer->counter(Tracer::kTrackSim, TraceCat::kRebalance,
-                          "tuner-fallback-epochs", engine.now(),
-                          st.tuner.fallback_epochs);
-        }
+        tracer->counter(Tracer::kTrackSim, TraceCat::kRebalance, "auto-x",
+                        engine.now(), static_cast<std::int64_t>(x_chosen));
         tracer->counter(Tracer::kTrackSim, TraceCat::kRebalance,
-                        "placement-chunks-reused", engine.now(),
-                        rt.placement_engine.stats().chunks_reused);
+                        "tuner-fallback-epochs", engine.now(),
+                        st.tuner.fallback_epochs);
       }
     }
 
-    // Plan-key skip: when the engine modes are on and redistribution
-    // reproduced the current placement under an unchanged mesh numbering,
-    // keep the (mesh, placement) version pair so the exchange-plan cache
-    // serves the next step instead of rebuilding identical plans. The
-    // legacy path always bumps (the off-mode byte-identity reference).
-    const bool plan_reusable = engine_mode &&
+    // Plan-key skip: under auto-X, when redistribution reproduced the
+    // current placement under an unchanged mesh numbering, keep the
+    // (mesh, placement) version pair so the exchange-plan cache serves
+    // the next step instead of rebuilding identical plans. Other runs
+    // always bump.
+    const bool plan_reusable = config_.auto_cplx &&
                                mesh.version() == st.placement_mesh_version &&
                                next == st.placement;
     st.placement = std::move(next);

@@ -112,13 +112,6 @@ struct SimulationConfig {
   /// function of the block count — never wall-clock, so decisions are
   /// replay-stable). The paper's 50 ms placement budget by default.
   double cplx_budget_ms = 50.0;
-  /// Incremental placement: route CPLX placements through the run's
-  /// PlacementEngine, which reuses unchanged SFC-chunk solves from the
-  /// previous epoch and runs the rest in parallel. Results are
-  /// byte-identical to the full rebuild (ctest
-  /// placement_tuning_determinism); off is the reference path. Inert for
-  /// non-CPLX policies. Snapshot fingerprint axis (format v5).
-  bool placement_incremental = false;
   double migration_gbytes_per_sec = 4.0;
   /// Payload of one migrated block; defaults to the message-size model's
   /// block interior so the two stay one source of truth.

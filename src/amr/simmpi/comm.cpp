@@ -102,7 +102,7 @@ TimeNs Comm::isend(std::int32_t src, std::int32_t dst, std::int64_t bytes,
   }
   const std::uint64_t tag =
       delivery_tag(static_cast<std::size_t>(xi), src, dst, dst_tag);
-  // The message takes the legacy key its delivery event would have had,
+  // The message takes the schedule key its delivery event would have had,
   // so every other event keeps its key.
   post(tag, t.delivery, engine_.reserve_key());
   return t.sender_release;

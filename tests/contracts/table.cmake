@@ -28,13 +28,11 @@
 #
 # Two classes of knob:
 #  - performance knobs must not change a byte: --jobs, quantum,
-#    --serve-jobs, --max-resident, plan sharing, restore point,
-#    --placement-incremental and the --aggregate spelling (same, restore
-#    and contains rows);
+#    --serve-jobs, --max-resident, plan sharing, restore point and the
+#    --aggregate spelling (same, restore and contains rows);
 #  - answer knobs are config-fingerprint axes: a snapshot refuses to
 #    restore under a changed one, naming it (refuse rows): adaptive
-#    packing, send priority, auto-X tuning, incremental placement and
-#    the auto-X budget.
+#    packing, send priority, auto-X tuning and the auto-X budget.
 
 # Groups the sanitizer build trees run by label (ctest -L <group>).
 set(contract_labeled
@@ -92,26 +90,18 @@ contract(comm_adaptive_determinism refuse
   RUN "${cpl50} --comm-adaptive" EVERY 7 AS "${cpl50}"
   NAMES "adaptive packing")
 
-# The incremental placement engine prints the full rebuild's bytes;
-# auto-X tuning holds across --jobs and restores, keeps tuning under a
-# replay with another seed policy, and each engine axis is refused.
-contract(placement_tuning_determinism same
-  RUN "${sweep32} --policy=cpl50,cpl25,cpl100"
-  RUN "${sweep32} --policy=cpl50,cpl25,cpl100 --placement-incremental")
-set(tuned "--auto-cplx --placement-incremental --faults=2")
+# Auto-X tuning holds across --jobs and restores, keeps tuning under a
+# replay with another seed policy, and each auto-X axis is refused.
+set(tuned "--auto-cplx --faults=2")
 contract(placement_tuning_determinism same
   RUN "${sweep32} --policy=cpl50,cpl50 ${tuned} --jobs=1"
   RUN "${sweep32} --policy=cpl50,cpl50 ${tuned} --jobs=2")
-set(auto "${cpl50} --auto-cplx --placement-incremental")
+set(auto "${cpl50} --auto-cplx")
 contract(placement_tuning_determinism restore
   RUN "${auto}" EVERY 7
   REPLAY "${sedov32} --policy=cpl25 --steps=24 ${tuned}" "policy auto-cplx:")
 contract(placement_tuning_determinism refuse
-  RUN "${auto}" EVERY 7
-  AS "${cpl50} --placement-incremental" NAMES "auto-X tuning")
-contract(placement_tuning_determinism refuse
-  RUN "${auto}" EVERY 7
-  AS "${cpl50} --auto-cplx" NAMES "incremental placement")
+  RUN "${auto}" EVERY 7 AS "${cpl50}" NAMES "auto-X tuning")
 contract(placement_tuning_determinism refuse
   RUN "${auto}" EVERY 7
   AS "${auto} --cplx-budget-ms=5" NAMES "auto-X budget")
@@ -153,6 +143,10 @@ contract(cli_rejects_sweep_policy reject
   RUN "amrcplx sweep --restore=x.amrs" STDERR "--restore names a single run")
 contract(cli_rejects_removed_des_shards reject
   RUN "amrcplx run --des-shards=2" STDERR "unrecognized flag --des-shards")
+# A removed flag fails loudly instead of running a default job.
+contract(cli_rejects_unknown_flag reject
+  RUN "amrcplx run --placement-incremental"
+  STDERR "unrecognized flag --placement-incremental")
 contract(cli_rejects_positional reject
   RUN "amrcplx run lpt 512 60" STDERR "unexpected argument 'lpt'")
 contract(cli_rejects_positional reject

@@ -370,7 +370,7 @@ TEST(Engine, FuzzKeyedDispatchMatchesTimeKeySortReference) {
 
 TEST(Engine, DesTraceCarriesTagAndScheduleSequence) {
   // The kDes dispatch instant records (tag, seq), seq being the event's
-  // position in schedule order — the same numbering the legacy keys use.
+  // position in schedule order — the same numbering the keys use.
   TraceConfig cfg;
   cfg.categories = kAllTraceCategories;
   Tracer tracer(cfg);
@@ -395,7 +395,7 @@ TEST(Engine, DesTraceCarriesTagAndScheduleSequence) {
 
 TEST(Engine, ReservedKeyLeavesLaterKeysAndDesInstantsUnchanged) {
   // reserve_key() is a schedule_at whose event does not exist (yet):
-  // every later legacy key, and the (tag, seq) dispatch instants of the
+  // every later schedule key, and the (tag, seq) dispatch instants of the
   // remaining events, match a run that scheduled it. Filling the slot
   // later with schedule_keyed restores that run exactly.
   enum class Mode { kScheduled, kReserved, kFilledLate };
@@ -435,8 +435,10 @@ TEST(Engine, ReservedKeyLeavesLaterKeysAndDesInstantsUnchanged) {
 TEST(Engine, DispatchedOrdersByTimeThenKey) {
   // Inside a dispatch, (t, key) has dispatched when it orders at or
   // before the event being dispatched; outside one, when t <= now().
+  // An earlier event takes key 0, so the probe's key - 1 is a real key.
   Engine engine;
   std::vector<bool> seen;
+  engine.call_at(5, [](Engine&) {});
   engine.call_at(10, [&seen](Engine& e) {
     const std::uint64_t key = e.dispatch_key();
     seen.push_back(e.dispatched(9, ~0ULL));

@@ -100,9 +100,8 @@ std::string config_text(const SimulationConfig& c) {
     << c.collect_telemetry << ' ' << static_cast<int>(c.execution) << ' '
     << c.include_flux_correction << ' ' << c.comm_adaptive << ' '
     << c.comm_pack_threshold << ' ' << c.send_priority << ' '
-    << c.auto_cplx << ' ' << c.cplx_budget_ms << ' '
-    << c.placement_incremental << ' ' << c.checkpoint_every << ' '
-    << c.checkpoint_dir << ' ' << c.trace_enabled << ' '
+    << c.auto_cplx << ' ' << c.cplx_budget_ms << ' ' << c.checkpoint_every
+    << ' ' << c.checkpoint_dir << ' ' << c.trace_enabled << ' '
     << c.trace.capacity;
   for (const ThrottleFault& f : c.faults.throttles()) {
     o << " throttle " << f.factor << ' ' << f.onset_step << ' '

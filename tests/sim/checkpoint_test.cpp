@@ -251,7 +251,6 @@ TEST_F(CheckpointTest, AutoCplxRestoreMatchesUninterrupted) {
   auto auto_config = [&] {
     SimulationConfig cfg = test_config(steps);
     cfg.auto_cplx = true;
-    cfg.placement_incremental = true;
     return cfg;
   };
   std::string full_trace;
@@ -284,7 +283,6 @@ TEST_F(CheckpointTest, AutoCplxRestoreMatchesUninterrupted) {
 TEST_F(CheckpointTest, PlacementEngineAxesArePartOfTheFingerprint) {
   SimulationConfig ck = test_config(12);
   ck.auto_cplx = true;
-  ck.placement_incremental = true;
   ck.checkpoint_every = 6;
   ck.checkpoint_dir = dir_;
   run_sedov(ck, "cpl50", nullptr, nullptr);
@@ -301,17 +299,10 @@ TEST_F(CheckpointTest, PlacementEngineAxesArePartOfTheFingerprint) {
     }
   };
   // Tuning off: the remaining epochs would place with the static X.
-  SimulationConfig off = test_config(12);
-  off.placement_incremental = true;
-  expect_refused(off, "auto-X tuning");
-  // Engine off: a different (legacy) placement code path.
-  SimulationConfig legacy = test_config(12);
-  legacy.auto_cplx = true;
-  expect_refused(legacy, "incremental placement");
+  expect_refused(test_config(12), "auto-X tuning");
   // A different budget trims a different candidate set every epoch.
   SimulationConfig budget = test_config(12);
   budget.auto_cplx = true;
-  budget.placement_incremental = true;
   budget.cplx_budget_ms = 5.0;
   expect_refused(budget, "auto-X budget");
 }
@@ -421,6 +412,12 @@ TEST_F(CheckpointTest, V6SnapshotIsRefused) {
 // collector section would misparse under v9.
 TEST_F(CheckpointTest, V8SnapshotIsRefused) {
   expect_version_refused(dir_, 8);
+}
+
+// A v9 file's meta section carries the incremental-placement bit, which
+// would misalign every later fingerprint field under v10.
+TEST_F(CheckpointTest, V9SnapshotIsRefused) {
+  expect_version_refused(dir_, 9);
 }
 
 /// The raw body of one named section of a snapshot file.
