@@ -6,20 +6,17 @@
 // coalesces every pair but the receiver still waits for the full
 // exchange; plain overlap unblocks dependent blocks early but pays the
 // per-message launch cost for every small send. Packing
-// (--comm-adaptive) decides per (src,dst) pair from the modeled policy;
+// (--comm-adaptive) coalesces every multi-message (src,dst) pair;
 // under overlap the step runs two-stage with fused per-peer buffers
 // (aggregates launch from stage-1 completions and pay no serial
 // pack/unpack), and critical-path send priority runs the blocks
-// feeding the predicted straggler first. Three sections:
+// feeding the predicted straggler first. Two sections:
 //   1. steps/sec in SIMULATED time at paper scales for the five modes
 //      {bsp, bsp+adaptive, overlap, overlap+adaptive,
 //      overlap+adaptive+priority}, with coalescing counters and an
 //      in-bench acceptance check at 2048 ranks: the adaptive overlap
 //      modes must beat both the best packed-BSP run and plain overlap;
-//   2. modeled-policy parity: per scale, the modeled policy must reach
-//      >= 98% of the best hand-picked global --pack-threshold setting
-//      (sweep over fixed bytes/msg points);
-//   3. determinism: two identical adaptive runs produce identical
+//   2. determinism: two identical adaptive runs produce identical
 //      reports.
 //
 // The mesh runs denser than one block per rank (--blocks-per-rank,
@@ -79,8 +76,7 @@ struct ModeResult {
 
 SimulationConfig mode_config(std::int32_t ranks, std::int64_t steps,
                              std::int64_t blocks_per_rank,
-                             const Mode& mode,
-                             std::int64_t pack_threshold) {
+                             const Mode& mode) {
   SimulationConfig cfg = base_sim_config(ranks, steps);
   cfg.root_grid =
       grid_for_ranks(static_cast<std::int64_t>(ranks) * blocks_per_rank);
@@ -89,16 +85,13 @@ SimulationConfig mode_config(std::int32_t ranks, std::int64_t steps,
   // compares schedules, not message sets.
   cfg.include_flux_correction = false;
   cfg.comm_adaptive = mode.adaptive;
-  cfg.comm_pack_threshold = pack_threshold;
   cfg.send_priority = mode.priority;
   return cfg;
 }
 
 ModeResult run_mode(std::int32_t ranks, std::int64_t steps,
-                    std::int64_t blocks_per_rank, const Mode& mode,
-                    std::int64_t pack_threshold = -1) {
-  SimulationConfig cfg =
-      mode_config(ranks, steps, blocks_per_rank, mode, pack_threshold);
+                    std::int64_t blocks_per_rank, const Mode& mode) {
+  SimulationConfig cfg = mode_config(ranks, steps, blocks_per_rank, mode);
   SedovParams sp;
   sp.total_steps = steps;
   sp.max_level = 1;
@@ -181,45 +174,6 @@ int main(int argc, char** argv) {
     results.push_back(std::move(row));
   }
 
-  print_header(
-      "modeled policy vs hand-picked global --pack-threshold");
-  // Global sweep points in mean bytes/message: never-pack, the small
-  // payloads (vertex/edge/flux), between-edge-and-face, face, pack-all.
-  const std::vector<std::int64_t> sweep = {0,    512,   2560,  5120,
-                                           10240, 20480, 1 << 30};
-  std::vector<double> parity_ratio;
-  std::vector<std::vector<double>> sweep_sps(scales.size());
-  for (std::size_t s = 0; s < scales.size(); ++s) {
-    const std::int32_t ranks = scales[s];
-    double best_global = 0.0;
-    std::int64_t best_threshold = -1;
-    for (const std::int64_t t : sweep) {
-      const ModeResult r =
-          run_mode(ranks, steps, blocks_per_rank, kModes[3], t);
-      sweep_sps[s].push_back(r.steps_per_s);
-      std::printf("%5d ranks, global threshold %10lld B/msg: %7.1f "
-                  "steps/s  (transfers %lld)\n",
-                  ranks, static_cast<long long>(t), r.steps_per_s,
-                  static_cast<long long>(r.report.msgs_local +
-                                         r.report.msgs_remote));
-      if (r.steps_per_s > best_global) {
-        best_global = r.steps_per_s;
-        best_threshold = t;
-      }
-    }
-    const double modeled = results[s][3].steps_per_s;
-    const double ratio = best_global > 0 ? modeled / best_global : 1.0;
-    parity_ratio.push_back(ratio);
-    const bool parity = ratio >= 0.98;
-    std::printf(
-        "%5d ranks: modeled %7.1f steps/s  best global %7.1f "
-        "(threshold %lld B/msg)  ratio %.3f  %s\n",
-        ranks, modeled, best_global,
-        static_cast<long long>(best_threshold), ratio,
-        parity ? "parity" : "BELOW PARITY");
-    all_ok = all_ok && parity;
-  }
-
   print_header("determinism: identical adaptive runs, identical reports");
   const std::int32_t det_ranks = scales.front();
   const ModeResult d1 =
@@ -257,14 +211,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(r.report.msgs_coalesced),
               static_cast<long long>(r.report.bytes_packed));
         }
-        std::fprintf(f, "],\"threshold_sweep\":[");
-        for (std::size_t t = 0; t < sweep.size(); ++t)
-          std::fprintf(f, "%s{\"bytes_per_msg\":%lld,\"steps_per_s\":%.2f}",
-                       t == 0 ? "" : ",",
-                       static_cast<long long>(sweep[t]),
-                       sweep_sps[s][t]);
-        std::fprintf(f, "],\"modeled_vs_best_global\":%.4f}",
-                     parity_ratio[s]);
+        std::fprintf(f, "]}");
       }
       std::fprintf(f, "],\"deterministic\":%s,\"all_ok\":%s}\n",
                    deterministic ? "true" : "false",

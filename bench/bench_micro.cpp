@@ -194,7 +194,7 @@ void BM_OverlapPlanRebuild(benchmark::State& state) {
   for (auto _ : state) {
     const auto& plan = cache.overlap_work(
         f.mesh, f.placements[version % 2], version, f.block_costs,
-        OverlapFixture::kRanks, MessageSizeModel{}, PackingPolicy::all(),
+        OverlapFixture::kRanks, MessageSizeModel{}, /*pack=*/true,
         OverlapFixture::kStageSplit);
     ++version;
     benchmark::DoNotOptimize(&plan);
@@ -210,7 +210,7 @@ void BM_OverlapStep(benchmark::State& state) {
   ExchangePlanCache cache;
   const auto& plan = cache.overlap_work(
       f.mesh, f.placements[1], 0, f.block_costs, OverlapFixture::kRanks,
-      MessageSizeModel{}, PackingPolicy::all(), OverlapFixture::kStageSplit);
+      MessageSizeModel{}, /*pack=*/true, OverlapFixture::kStageSplit);
   const ClusterTopology topo(OverlapFixture::kRanks, 16);
   Engine engine;
   Fabric fabric(topo, FabricParams::tuned(), Rng(1));

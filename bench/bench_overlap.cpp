@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     if (use_overlap) {
       OverlapExecutor executor(engine, comm);
       const OverlapPlan work = build_overlap_plan(
-          mesh, placement, costs, ranks, {}, PackingPolicy::none(), 0.5);
+          mesh, placement, costs, ranks, {}, /*pack=*/false, 0.5);
       for (std::int32_t round = 0; round < rounds; ++round) {
         const StepResult r =
             executor.execute(work, static_cast<std::uint64_t>(round));

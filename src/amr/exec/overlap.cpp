@@ -16,6 +16,7 @@ void OverlapPlan::clear() {
   credits.clear();
   packed_out.clear();
   stage1_order.clear();
+  expected_recvs.clear();
 }
 
 // Counted passes over flat scratch: slots, then the cross-rank messages
@@ -29,21 +30,22 @@ void OverlapPlan::clear() {
 void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
                         std::span<const TimeNs> block_costs,
                         std::int32_t nranks, const MessageSizeModel& sizes,
-                        const PackingPolicy& packing, double stage1_frac,
-                        OverlapPlan& plan, OverlapBuildScratch& sc) {
+                        bool pack, double stage1_frac, OverlapPlan& plan,
+                        OverlapBuildScratch& sc) {
   using Msg = OverlapBuildScratch::Msg;
   using Pair = OverlapBuildScratch::Pair;
   AMR_CHECK(placement.size() == mesh.size());
   AMR_CHECK(block_costs.size() == mesh.size());
   AMR_CHECK(stage1_frac >= 0.0 && stage1_frac < 1.0);
   const bool two_stage = stage1_frac > 0.0;
-  const bool packs = packing.active();
   const auto nr = static_cast<std::size_t>(nranks);
   const std::size_t nblocks = mesh.size();
   plan.clear();
   plan.ranks.resize(nr);
   plan.blocks.resize(nblocks);
+  plan.expected_recvs.assign(nr, 0);
   auto& ranks = plan.ranks;
+  auto& expected = plan.expected_recvs;
   auto& blocks = plan.blocks;
 
   // Slots: each rank's blocks in block order.
@@ -111,7 +113,7 @@ void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
   sc.pair_of_dst.assign(nr, -1);
   sc.credit_src.assign(nblocks, -1);
   const auto pair_for = [&](std::int32_t dst) -> Pair* {
-    if (!packs) return nullptr;
+    if (!pack) return nullptr;
     return &sc.pairs[static_cast<std::size_t>(
         sc.pair_of_dst[static_cast<std::size_t>(dst)])];
   };
@@ -120,7 +122,7 @@ void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
     sc.pair_begin[src] = first_pair;
     OverlapRankPlan& w = ranks[src];
     const auto msgs = msgs_of(src);
-    if (packs) {
+    if (pack) {
       for (const Msg& m : msgs) {
         std::int32_t& idx = sc.pair_of_dst[static_cast<std::size_t>(m.dst)];
         if (idx < 0) {
@@ -135,10 +137,10 @@ void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
       for (std::size_t i = static_cast<std::size_t>(first_pair);
            i < sc.pairs.size(); ++i) {
         Pair& p = sc.pairs[i];
-        p.packed = packing.pack(p.bytes, p.msgs);
+        p.packed = p.msgs >= 2;
         if (!p.packed) continue;
         ++w.packed.end;
-        ++ranks[static_cast<std::size_t>(p.dst)].expected_recvs;
+        ++expected[static_cast<std::size_t>(p.dst)];
       }
     }
     for (const Msg& m : msgs) {
@@ -148,7 +150,7 @@ void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
       Pair* p = pair_for(m.dst);
       OverlapRankPlan& dw = ranks[static_cast<std::size_t>(m.dst)];
       if (p == nullptr || !p->packed) {
-        ++dw.expected_recvs;
+        ++expected[static_cast<std::size_t>(m.dst)];
         ++(two_stage ? blocks[static_cast<std::size_t>(m.src_slot)].sends.end
                      : w.upfront.end);
         continue;
@@ -213,7 +215,7 @@ void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
   out_at = 0;
   for (std::size_t src = 0; src < nr; ++src) {
     const OverlapRankPlan& w = ranks[src];
-    if (packs) {
+    if (pack) {
       for (std::int32_t i = sc.pair_begin[src]; i < sc.pair_begin[src + 1];
            ++i)
         sc.pair_of_dst[static_cast<std::size_t>(
@@ -251,7 +253,7 @@ void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
         plan.packed_out[static_cast<std::size_t>(out_at++)] = p->send;
       }
     }
-    if (packs) {
+    if (pack) {
       for (std::int32_t i = sc.pair_begin[src]; i < sc.pair_begin[src + 1];
            ++i)
         sc.pair_of_dst[static_cast<std::size_t>(
@@ -301,12 +303,11 @@ OverlapPlan build_overlap_plan(const AmrMesh& mesh,
                                const Placement& placement,
                                std::span<const TimeNs> block_costs,
                                std::int32_t nranks,
-                               const MessageSizeModel& sizes,
-                               const PackingPolicy& packing,
+                               const MessageSizeModel& sizes, bool pack,
                                double stage1_frac) {
   OverlapPlan plan;
   OverlapBuildScratch scratch;
-  build_overlap_plan(mesh, placement, block_costs, nranks, sizes, packing,
+  build_overlap_plan(mesh, placement, block_costs, nranks, sizes, pack,
                      stage1_frac, plan, scratch);
   return plan;
 }
@@ -317,7 +318,7 @@ BspPlan two_stage_bsp_work(const AmrMesh& mesh, const Placement& placement,
                            const MessageSizeModel& sizes) {
   AMR_CHECK(stage1_frac > 0.0);
   return build_bsp_plan(mesh, placement, block_costs, nranks, sizes,
-                        /*include_flux=*/false, PackingPolicy::none(),
+                        /*include_flux=*/false, /*pack=*/false,
                         TaskOrdering::kComputeFirst, stage1_frac);
 }
 
@@ -912,10 +913,7 @@ StepResult OverlapExecutor::execute(const OverlapPlan& plan,
   ctx_.window = window;
   ctx_.priority_rank = priority_rank;
 
-  expected_scratch_.resize(plan.nranks());
-  for (std::size_t r = 0; r < plan.nranks(); ++r)
-    expected_scratch_[r] = plan.ranks[r].expected_recvs;
-  comm_.begin_exchange(window, expected_scratch_);
+  comm_.begin_exchange(window, plan.expected_recvs);
 
   for (OverlapRankRuntime& rt : runtimes_) {
     rt.begin_step(result.step_start);

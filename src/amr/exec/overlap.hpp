@@ -160,7 +160,6 @@ struct OverlapRankPlan {
   /// clustering at its end. Empty = slot order (plans without
   /// aggregates).
   OverlapRange order;
-  std::int32_t expected_recvs = 0;  ///< total transfers (not logical)
   std::int64_t local_copy_bytes = 0;
   std::int64_t local_copy_msgs = 0;
 
@@ -172,7 +171,9 @@ struct OverlapRankPlan {
 
 /// A step's overlap work for every rank, as flat arrays sliced per rank
 /// by OverlapRankPlan (and per block by OverlapBlock). Slots, tags and
-/// credits are rank-relative; packed_out holds indices into `sends`.
+/// credits are rank-relative; packed_out holds indices into `sends`. The
+/// expected receive counts are one contiguous array, as in BspPlan, so
+/// Comm::begin_exchange takes it directly.
 struct OverlapPlan {
   std::vector<OverlapRankPlan> ranks;
   std::vector<OverlapBlock> blocks;
@@ -180,6 +181,9 @@ struct OverlapPlan {
   std::vector<AggCredit> credits;
   std::vector<std::int32_t> packed_out;
   std::vector<std::int32_t> stage1_order;
+  /// Per rank: transfers in (an aggregate counts once, not per logical
+  /// message).
+  std::vector<std::int32_t> expected_recvs;
 
   std::size_t nranks() const { return ranks.size(); }
   /// Empty every array, keeping its capacity.
@@ -238,26 +242,26 @@ struct OverlapBuildScratch {
 /// cost in stage 1, sends its ghosts, and the remainder in stage 2 gated
 /// on its neighbors' arrivals.
 ///
-/// `packing` decides per (src, dst) pair whether the step's messages
-/// coalesce into one aggregate (first-touch order); receivers get one
-/// arrival per aggregate, credited to every destination block via the
-/// credits. Single-stage aggregates have no compute dependency and queue
-/// at step start; two-stage aggregates launch incrementally, the moment
-/// their last contributing block finishes stage 1. Eager pairs keep one
-/// send per message, posted up-front (single-stage) or by the producing
-/// block (two-stage). Totals match build_bsp_plan exactly.
+/// With `pack`, every (src, dst) pair with two or more messages in the
+/// step coalesces them into one aggregate (first-touch order); receivers
+/// get one arrival per aggregate, credited to every destination block
+/// via the credits. Single-stage aggregates have no compute dependency
+/// and queue at step start; two-stage aggregates launch incrementally,
+/// the moment their last contributing block finishes stage 1. Eager
+/// pairs (a single message, or every pair without `pack`) keep one send
+/// per message, posted up-front (single-stage) or by the producing block
+/// (two-stage). Totals match build_bsp_plan exactly.
 void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
                         std::span<const TimeNs> block_costs,
                         std::int32_t nranks, const MessageSizeModel& sizes,
-                        const PackingPolicy& packing, double stage1_frac,
-                        OverlapPlan& out, OverlapBuildScratch& scratch);
+                        bool pack, double stage1_frac, OverlapPlan& out,
+                        OverlapBuildScratch& scratch);
 
 /// The same build into fresh storage.
 OverlapPlan build_overlap_plan(
     const AmrMesh& mesh, const Placement& placement,
     std::span<const TimeNs> block_costs, std::int32_t nranks,
-    const MessageSizeModel& sizes = {},
-    const PackingPolicy& packing = PackingPolicy::none(),
+    const MessageSizeModel& sizes = {}, bool pack = false,
     double stage1_frac = 0.0);
 
 /// The BSP rendering of the same two-stage step, compute-first: stage-1
@@ -319,7 +323,6 @@ class OverlapExecutor {
   std::vector<std::int32_t> queue_;
   std::vector<std::int32_t> remaining_;
   std::vector<std::int32_t> order_;
-  std::vector<std::int32_t> expected_scratch_;  // reused across steps
 };
 
 }  // namespace amr

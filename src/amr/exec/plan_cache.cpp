@@ -11,8 +11,7 @@ SharedPlanStore::Key make_key(bool overlap, const AmrMesh& mesh,
                               std::int32_t nranks,
                               const MessageSizeModel& sizes,
                               bool include_flux, double stage1_frac,
-                              const PackingPolicy& packing,
-                              TaskOrdering ordering) {
+                              bool pack, TaskOrdering ordering) {
   SharedPlanStore::Key key;
   key.overlap = overlap;
   key.ordering = ordering;
@@ -20,7 +19,7 @@ SharedPlanStore::Key make_key(bool overlap, const AmrMesh& mesh,
   key.include_flux = include_flux;
   key.stage1_frac = stage1_frac;
   key.sizes = sizes;
-  key.packing = packing;
+  key.pack = pack;
   const auto blocks = mesh.blocks();
   key.blocks.assign(blocks.begin(), blocks.end());
   key.placement = placement;
@@ -40,9 +39,9 @@ const BspPlan& ExchangePlanCache::step_work(
     const AmrMesh& mesh, const Placement& placement,
     std::uint64_t placement_version, std::span<const TimeNs> block_costs,
     std::int32_t nranks, const MessageSizeModel& sizes, bool include_flux,
-    const PackingPolicy& packing, TaskOrdering ordering) {
-  if (fresh(mesh.version(), placement_version, have_bsp_) &&
-      packing_ == packing && bsp_.ordering == ordering) {
+    bool pack, TaskOrdering ordering) {
+  if (fresh(mesh.version(), placement_version, have_bsp_) && pack_ == pack &&
+      bsp_.ordering == ordering) {
     ++stats_.hits;
     set_bsp_costs(bsp_, block_costs);
     return bsp_;
@@ -50,12 +49,12 @@ const BspPlan& ExchangePlanCache::step_work(
   ++stats_.misses;
   const auto build = [&] {
     build_bsp_plan(mesh, placement, block_costs, nranks, sizes, include_flux,
-                   packing, ordering, /*stage1_frac=*/0.0, bsp_,
+                   pack, ordering, /*stage1_frac=*/0.0, bsp_,
                    bsp_scratch_);
   };
   if (shared_ != nullptr) {
     auto key = make_key(/*overlap=*/false, mesh, placement, nranks, sizes,
-                        include_flux, /*stage1_frac=*/0.0, packing, ordering);
+                        include_flux, /*stage1_frac=*/0.0, pack, ordering);
     if (shared_->lookup_bsp(key, bsp_)) {
       // The store holds the publisher's costs; re-patching makes the
       // plan byte-identical to one built fresh against block_costs.
@@ -68,7 +67,7 @@ const BspPlan& ExchangePlanCache::step_work(
   } else {
     build();
   }
-  packing_ = packing;
+  pack_ = pack;
   have_bsp_ = true;
   // A key change invalidates both shapes; only the requested one is
   // rebuilt, the other stays stale and must not be served.
@@ -81,10 +80,10 @@ const BspPlan& ExchangePlanCache::step_work(
 const OverlapPlan& ExchangePlanCache::overlap_work(
     const AmrMesh& mesh, const Placement& placement,
     std::uint64_t placement_version, std::span<const TimeNs> block_costs,
-    std::int32_t nranks, const MessageSizeModel& sizes,
-    const PackingPolicy& packing, double stage1_frac) {
+    std::int32_t nranks, const MessageSizeModel& sizes, bool pack,
+    double stage1_frac) {
   if (fresh(mesh.version(), placement_version, have_overlap_) &&
-      packing_ == packing && overlap_frac_ == stage1_frac) {
+      pack_ == pack && overlap_frac_ == stage1_frac) {
     ++stats_.hits;
     patch_overlap(block_costs, stage1_frac);
     return overlap_;
@@ -92,21 +91,21 @@ const OverlapPlan& ExchangePlanCache::overlap_work(
   ++stats_.misses;
   if (shared_ != nullptr) {
     auto key = make_key(/*overlap=*/true, mesh, placement, nranks, sizes,
-                        /*include_flux=*/false, stage1_frac, packing,
+                        /*include_flux=*/false, stage1_frac, pack,
                         TaskOrdering::kSendFirst);
     if (shared_->lookup_overlap(key, overlap_)) {
       ++stats_.share_hits;
       patch_overlap(block_costs, stage1_frac);
     } else {
-      build_overlap_plan(mesh, placement, block_costs, nranks, sizes,
-                         packing, stage1_frac, overlap_, overlap_scratch_);
+      build_overlap_plan(mesh, placement, block_costs, nranks, sizes, pack,
+                         stage1_frac, overlap_, overlap_scratch_);
       shared_->publish_overlap(std::move(key), overlap_);
     }
   } else {
-    build_overlap_plan(mesh, placement, block_costs, nranks, sizes, packing,
+    build_overlap_plan(mesh, placement, block_costs, nranks, sizes, pack,
                        stage1_frac, overlap_, overlap_scratch_);
   }
-  packing_ = packing;
+  pack_ = pack;
   overlap_frac_ = stage1_frac;
   have_overlap_ = true;
   have_bsp_ = false;

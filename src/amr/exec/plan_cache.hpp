@@ -58,21 +58,19 @@ class ExchangePlanCache {
   };
 
   /// BSP plan for (mesh, placement). `placement_version` must change
-  /// whenever the placement vector does — and, under the placement-engine
-  /// modes, is deliberately NOT bumped when a redistribution reproduces
-  /// the identical placement under an unchanged mesh numbering (the
-  /// incremental path's no-op-rebalance fast path in sim/simulation.cpp),
-  /// so such epochs keep hitting. On a hit only compute costs are
-  /// refreshed from `block_costs`. `packing` and `ordering` are part of
-  /// the cache key: a change misses once and rebuilds rather than
-  /// serving a plan with different pack decisions (send lists and
-  /// expected counts differ) or a different task layout.
+  /// whenever the placement vector does — and, under auto-X, is
+  /// deliberately NOT bumped when a redistribution reproduces the
+  /// identical placement under an unchanged mesh numbering (the plan-key
+  /// skip in sim/simulation.cpp), so such epochs keep hitting. On a hit
+  /// only compute costs are refreshed from `block_costs`. `pack` and
+  /// `ordering` are part of the cache key: a change misses once and
+  /// rebuilds rather than serving a plan with different pack decisions
+  /// (send lists and expected counts differ) or a different task layout.
   const BspPlan& step_work(
       const AmrMesh& mesh, const Placement& placement,
       std::uint64_t placement_version, std::span<const TimeNs> block_costs,
       std::int32_t nranks, const MessageSizeModel& sizes, bool include_flux,
-      const PackingPolicy& packing = PackingPolicy::none(),
-      TaskOrdering ordering = TaskOrdering::kSendFirst);
+      bool pack = false, TaskOrdering ordering = TaskOrdering::kSendFirst);
 
   /// Overlap-mode analogue of step_work. `stage1_frac > 0` builds the
   /// two-stage rendering (ghost-producing stage-1 compute, sends and
@@ -82,8 +80,7 @@ class ExchangePlanCache {
   const OverlapPlan& overlap_work(
       const AmrMesh& mesh, const Placement& placement,
       std::uint64_t placement_version, std::span<const TimeNs> block_costs,
-      std::int32_t nranks, const MessageSizeModel& sizes,
-      const PackingPolicy& packing = PackingPolicy::none(),
+      std::int32_t nranks, const MessageSizeModel& sizes, bool pack = false,
       double stage1_frac = 0.0);
 
   const Stats& stats() const { return stats_; }
@@ -109,7 +106,7 @@ class ExchangePlanCache {
   SharedPlanStore* shared_ = nullptr;
   std::uint64_t mesh_version_ = 0;
   std::uint64_t placement_version_ = 0;
-  PackingPolicy packing_;  ///< shape of the cached plan (either mode)
+  bool pack_ = false;  ///< shape of the cached plan (either mode)
   double overlap_frac_ = 0.0;  ///< stage split of the cached overlap plan
   bool have_bsp_ = false;
   bool have_overlap_ = false;

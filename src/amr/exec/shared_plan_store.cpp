@@ -35,7 +35,7 @@ std::uint64_t SharedPlanStore::Key::hash() const {
   h = fnv_pod(h, sizes.ghost);
   h = fnv_pod(h, sizes.nvars);
   h = fnv_pod(h, sizes.bytes_per_value);
-  h = fnv_pod(h, packing.threshold);
+  h = fnv_pod(h, pack);
   h = fnv_bytes(h, blocks.data(), blocks.size() * sizeof(BlockCoord));
   h = fnv_bytes(h, placement.data(),
                 placement.size() * sizeof(std::int32_t));

@@ -9,7 +9,7 @@
 // re-patches, exactly as a private cache hit does).
 //
 //   key = (mode, task ordering, nranks, flux, stage split,
-//          message-size model, packing policy, mesh leaves, placement)
+//          message-size model, packing, mesh leaves, placement)
 //
 // Identical-fingerprint tenant fleets — policy sweeps fanned out over
 // the same workload, what-if replays of one snapshot, N users running
@@ -19,7 +19,7 @@
 // compare the full key (hash prefilter, then exact vector equality):
 // a hit is provably the plan the consumer would have built, which is
 // what keeps shared results byte-identical to private-cache runs. Any
-// mode-matrix mismatch — execution mode, packing threshold, flux
+// mode-matrix mismatch — execution mode, packing, flux
 // flag, message sizes — simply never matches, isolating the tenants.
 //
 // Thread-safe (tenants slice concurrently on the serve pool); bounded
@@ -60,7 +60,7 @@ class SharedPlanStore {
     bool include_flux = false;  ///< BSP only (overlap builds carry none)
     double stage1_frac = 0.0;   ///< overlap two-stage split (0 = legacy)
     MessageSizeModel sizes;
-    PackingPolicy packing;
+    bool pack = false;  ///< multi-message pairs coalesce
     std::vector<BlockCoord> blocks;
     std::vector<std::int32_t> placement;
 

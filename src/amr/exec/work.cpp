@@ -89,7 +89,7 @@ void set_bsp_costs(BspPlan& plan, std::span<const TimeNs> block_costs) {
 void build_bsp_plan(const AmrMesh& mesh, const Placement& placement,
                     std::span<const TimeNs> block_costs, std::int32_t nranks,
                     const MessageSizeModel& sizes, bool include_flux,
-                    const PackingPolicy& packing, TaskOrdering ordering,
+                    bool pack, TaskOrdering ordering,
                     double stage1_frac, BspPlan& plan,
                     BspBuildScratch& sc) {
   using Pair = BspBuildScratch::Pair;
@@ -138,7 +138,7 @@ void build_bsp_plan(const AmrMesh& mesh, const Placement& placement,
   plan.tasks.reserve(remote_msgs + nblocks * (stage1_frac > 0.0 ? 2 : 1) +
                      4 * nr);
 
-  if (packing.active()) sc.pairs.assign(nr, Pair{});
+  if (pack) sc.pairs.assign(nr, Pair{});
   auto& tasks = plan.tasks;
   const auto at = [&] { return static_cast<std::int32_t>(tasks.size()); };
 
@@ -170,7 +170,7 @@ void build_bsp_plan(const AmrMesh& mesh, const Placement& placement,
     const auto sends = [&] {
       std::int64_t copy_bytes = 0;
       const std::int32_t begin = at();
-      if (!packing.active()) {
+      if (!pack) {
         each_msg([&](std::int32_t dst, std::int64_t bytes) {
           if (dst == rank) {
             copy_bytes += bytes;
@@ -195,7 +195,7 @@ void build_bsp_plan(const AmrMesh& mesh, const Placement& placement,
         each_msg([&](std::int32_t dst, std::int64_t bytes) {
           if (dst == rank) return;
           Pair& p = sc.pairs[static_cast<std::size_t>(dst)];
-          if (!packing.pack(p.bytes, p.msgs)) {
+          if (p.msgs < 2) {
             push_send(dst, bytes, 1);
           } else if (!p.emitted) {
             p.emitted = true;
@@ -232,12 +232,12 @@ void build_bsp_plan(const AmrMesh& mesh, const Placement& placement,
 BspPlan build_bsp_plan(const AmrMesh& mesh, const Placement& placement,
                        std::span<const TimeNs> block_costs,
                        std::int32_t nranks, const MessageSizeModel& sizes,
-                       bool include_flux, const PackingPolicy& packing,
+                       bool include_flux, bool pack,
                        TaskOrdering ordering, double stage1_frac) {
   BspPlan plan;
   BspBuildScratch scratch;
   build_bsp_plan(mesh, placement, block_costs, nranks, sizes, include_flux,
-                 packing, ordering, stage1_frac, plan, scratch);
+                 pack, ordering, stage1_frac, plan, scratch);
   return plan;
 }
 

@@ -33,36 +33,6 @@
 
 namespace amr {
 
-/// Per-peer packing decision for the boundary exchange. A (src,dst)
-/// pair's messages coalesce into one packed transfer when their *mean*
-/// payload is at or below `threshold` — small messages amortize the
-/// per-message launch cost by packing, large ones already pay mostly
-/// serialization and go eagerly so receivers see their first ghost
-/// sooner. The policy is a pure function of the run config, so plans
-/// stay deterministic and checkpoint/replay-compatible.
-struct PackingPolicy {
-  /// Pack when mean bytes/msg <= threshold; <= 0 disables packing.
-  /// Values at or above kPackAlways mean "always pack".
-  std::int64_t threshold = 0;
-
-  /// Sentinel large enough to dominate any real payload without risking
-  /// signed overflow in `bytes <= threshold * msgs`.
-  static constexpr std::int64_t kPackAlways = std::int64_t{1} << 40;
-
-  static PackingPolicy none() { return {}; }
-  static PackingPolicy all() { return {kPackAlways}; }
-
-  bool active() const { return threshold > 0; }
-  bool pack_all() const { return threshold >= kPackAlways; }
-  /// Decision for one (src,dst) pair given its step totals.
-  bool pack(std::int64_t bytes, std::int64_t msgs) const {
-    if (msgs < 2) return false;  // nothing to coalesce
-    return threshold > 0 && bytes <= threshold * msgs;
-  }
-  friend bool operator==(const PackingPolicy&,
-                         const PackingPolicy&) = default;
-};
-
 /// Task ordering policies (paper §IV-B "Task Reordering", Fig 4b).
 enum class TaskOrdering {
   kComputeFirst,  ///< untuned: sends dispatched after compute
@@ -209,14 +179,15 @@ struct BspBuildScratch {
 /// small peer-to-peer messages that exist only along refinement
 /// boundaries.
 ///
-/// `packing` decides per (src,dst) pair whether the step's messages
-/// coalesce into one per-destination packed transfer (how real AMR
-/// frameworks pack all ghost data for a neighbor rank into one buffer):
-/// bytes are summed, the logical message count rides in BspTask::msgs,
-/// and the receiver expects one arrival for the pair instead of one per
-/// block pair. A packed pair's transfer sits at the pair's first
-/// message, eager pairs keep one send per message in emission order.
-/// Byte totals and unpack volumes are identical under every policy.
+/// With `pack`, every (src,dst) pair with two or more messages in the
+/// step coalesces them into one per-destination packed transfer (how
+/// real AMR frameworks pack all ghost data for a neighbor rank into one
+/// buffer): bytes are summed, the logical message count rides in
+/// BspTask::msgs, and the receiver expects one arrival for the pair
+/// instead of one per block pair. A packed pair's transfer sits at the
+/// pair's first message; a pair with one message, and every pair
+/// without `pack`, sends eagerly in emission order. Byte totals and
+/// unpack volumes are identical either way.
 ///
 /// `ordering` lays each rank's run out in execution order.
 /// `stage1_frac` in (0, 1) builds the two-stage rendering: each block's
@@ -225,7 +196,7 @@ struct BspBuildScratch {
 void build_bsp_plan(const AmrMesh& mesh, const Placement& placement,
                     std::span<const TimeNs> block_costs, std::int32_t nranks,
                     const MessageSizeModel& sizes, bool include_flux,
-                    const PackingPolicy& packing, TaskOrdering ordering,
+                    bool pack, TaskOrdering ordering,
                     double stage1_frac, BspPlan& out,
                     BspBuildScratch& scratch);
 
@@ -233,8 +204,7 @@ void build_bsp_plan(const AmrMesh& mesh, const Placement& placement,
 BspPlan build_bsp_plan(const AmrMesh& mesh, const Placement& placement,
                        std::span<const TimeNs> block_costs,
                        std::int32_t nranks, const MessageSizeModel& sizes = {},
-                       bool include_flux = false,
-                       const PackingPolicy& packing = PackingPolicy::none(),
+                       bool include_flux = false, bool pack = false,
                        TaskOrdering ordering = TaskOrdering::kSendFirst,
                        double stage1_frac = 0.0);
 

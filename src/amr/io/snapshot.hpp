@@ -59,11 +59,11 @@ class SnapshotError : public std::runtime_error {
 // v3: a parallel-DES bit in the config fingerprint, per-node fabric
 //     RNG/stats in the fabric section in that mode, and the collector's
 //     fourth table (per-partition epoch counters).
-// v4: adaptive-comm axes (comm_adaptive, send_priority,
-//     comm_pack_threshold) in the config fingerprint and
-//     last_straggler in the state section.
+// v4: adaptive-comm axes (comm_adaptive, send_priority, the packing
+//     threshold) in the config fingerprint and last_straggler in the
+//     state section.
 // v5: placement-engine axes (auto_cplx, the incremental-placement bit,
-//     cplx_budget_ms) in the config fingerprint, the "tuner" section
+//     the auto-X budget) in the config fingerprint, the "tuner" section
 //     (auto-X tuner state + epoch accumulators), and the collector's
 //     fifth (placement) table.
 // v6: the first bump that removes axes: the message-aggregation flag
@@ -83,6 +83,11 @@ class SnapshotError : public std::runtime_error {
 // v10: the incremental-placement bit leaves the config fingerprint (CPLX
 //     placements take one path, so the bit encoded no answer). Sections
 //     are unchanged.
+// v11: four axes leave the config fingerprint: the packing threshold
+//     (packing is on or off with comm_adaptive), the auto-X budget (the
+//     paper's 50 ms), the telemetry-driven-costs switch (always on) and
+//     the per-block telemetry switch (never on); the collector section
+//     loses its block-records flag.
 //
 // Version-bump checklist — the compile-time-checkable moral equivalent
 // of a static_assert, since the fingerprint is data, not types. When a
@@ -105,7 +110,7 @@ class SnapshotError : public std::runtime_error {
 // Counters that are scheduling artifacts rather than simulation state
 // (e.g. plan-cache share_hits) must NOT be serialized — see
 // StepPipelineStats.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 10;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 11;
 
 /// Builds a snapshot payload in memory, then writes the enveloped file.
 class SnapshotWriter {

@@ -12,10 +12,10 @@
 namespace amr {
 
 /// Reusable storage for assign_subset: the block-ordering vector and the
-/// 4-ary load heap keep their capacity across invocations. Without this,
-/// every regrid epoch rebuilt both from scratch even when the cost vector
-/// was remap-carried unchanged; the incremental placement engine keys one
-/// scratch per candidate slot on the placement epoch and reuses it.
+/// 4-ary load heap keep their capacity across invocations, so a caller
+/// that places every regrid epoch allocates nothing once they have grown.
+/// The auto-X engine keeps one per candidate slot (inside its
+/// RebalanceScratch) across epochs.
 struct LptScratch {
   std::vector<std::int32_t> order;
   TopUpdateMinHeap<4> loads;

@@ -37,7 +37,7 @@ ExchangeRoundsResult run_exchange_rounds(
         costs[b] = config.compute_cost(b, round, cost_rng);
     }
     build_bsp_plan(mesh, placement, costs, config.nranks, config.msg_sizes,
-                   /*include_flux=*/false, PackingPolicy::none(),
+                   /*include_flux=*/false, /*pack=*/false,
                    config.ordering, /*stage1_frac=*/0.0, plan, scratch);
     const StepResult step =
         executor.execute(plan, static_cast<std::uint64_t>(round));

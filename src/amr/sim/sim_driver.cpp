@@ -58,16 +58,11 @@ constexpr JobField kJobFields[] = {
      "per-peer packing: coalesce each (src,dst) pair's boundary sends of "
      "a step into one transfer"},
     {"aggregate", &JobSpec::comm_adaptive, "same as comm_adaptive"},
-    {"pack_threshold", &JobSpec::pack_threshold,
-     "packing threshold in mean bytes/message (needs comm_adaptive; "
-     "-1 = modeled)"},
     {"send_priority", &JobSpec::send_priority,
      "send to the previous window's critical-path straggler rank first"},
     {"auto_cplx", &JobSpec::auto_cplx,
      "self-tuning CPLX: pick X per regrid epoch from an online "
      "step-time model"},
-    {"cplx_budget_ms", &JobSpec::cplx_budget_ms,
-     "auto-X evaluation budget (needs auto_cplx; -1 = 50 ms)"},
     {"sedov_max_level", &JobSpec::sedov_max_level,
      "Sedov refinement depth (0 = workload default)"},
     {"checkpoint_every", &JobSpec::checkpoint_every,
@@ -162,15 +157,8 @@ std::string validate_job(const JobSpec& spec) {
   if (spec.fault_nodes < 0) return "--faults must be >= 0";
   if (spec.checkpoint_every < 0) return "--checkpoint-every must be >= 0";
   if (spec.sedov_max_level < 0) return "--sedov-max-level must be >= 0";
-  if (spec.pack_threshold < -1) return "--pack-threshold must be >= -1";
   if (!spec.restore.empty() && !spec.replay.empty())
     return "--restore and --replay are mutually exclusive";
-  if (spec.pack_threshold >= 0 && !packs_messages(spec))
-    return "--pack-threshold requires --comm-adaptive";
-  if (spec.cplx_budget_ms >= 0 && !spec.auto_cplx)
-    return "--cplx-budget-ms requires --auto-cplx";
-  if (spec.auto_cplx && spec.cplx_budget_ms == 0)
-    return "--cplx-budget-ms must be positive";
   return "";
 }
 
@@ -219,11 +207,8 @@ SimulationConfig job_config(const JobSpec& spec) {
   // restores cannot silently claim flux messages.
   cfg.include_flux_correction = cfg.execution == ExecutionMode::kBsp;
   cfg.comm_adaptive = packs_messages(spec);
-  cfg.comm_pack_threshold = spec.pack_threshold;
   cfg.send_priority = spec.send_priority;
   cfg.auto_cplx = spec.auto_cplx;
-  if (spec.cplx_budget_ms > 0)
-    cfg.cplx_budget_ms = static_cast<double>(spec.cplx_budget_ms);
   cfg.checkpoint_every = spec.checkpoint_every;
   cfg.checkpoint_dir = spec.checkpoint_dir;
   if (spec.trace) {

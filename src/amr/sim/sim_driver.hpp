@@ -40,13 +40,9 @@ struct JobSpec {
   /// sim_driver: downstream code reads SimulationConfig::comm_adaptive,
   /// never this field. (The `aggregate` job field sets comm_adaptive.)
   bool aggregate = false;
-  std::int64_t pack_threshold = -1;  ///< requires comm_adaptive; -1 modeled
   bool send_priority = false;
   /// Self-tuning CPLX: the auto-X tuner picks X per regrid epoch.
   bool auto_cplx = false;
-  /// Auto-X evaluation budget in ms (requires auto_cplx when >= 0);
-  /// -1 keeps the simulation default (the paper's 50 ms).
-  std::int64_t cplx_budget_ms = -1;
   /// Removed option kept for API callers that still set it: nothing
   /// reads it, and no job field or flag sets it. CPLX placements take
   /// one path (CplxPolicy::place, or the auto-X engine).

@@ -32,11 +32,7 @@ SimRuntime::SimRuntime(const SimulationConfig& config, Tracer* tracer)
     placement_pool = std::make_unique<ThreadPool>(
         std::min(ThreadPool::hardware_jobs(), 8));
     placement_engine.set_parallel(placement_pool.get());
-  }
-  if (config.auto_cplx) {
-    TunerConfig tuner_cfg;
-    tuner_cfg.budget_ms = config.cplx_budget_ms;
-    auto_tuner = std::make_unique<AutoXTuner>(tuner_cfg);
+    auto_tuner = std::make_unique<AutoXTuner>(TunerConfig{});
   }
 }
 
@@ -179,14 +175,10 @@ void write_meta(io::SnapshotWriter& w, const SimulationConfig& config,
   // shape every window, so mismatched restores must be refused.
   w.b(config.comm_adaptive);
   w.b(config.send_priority);
-  w.i64(config.comm_pack_threshold);
-  w.b(config.telemetry_driven_costs);
-  // Auto-X axes (format v5): auto-X changes which placements the run
-  // computes, and the tuner budget shapes every auto-X decision.
+  // Auto-X axis (format v5): auto-X changes which placements the run
+  // computes.
   w.b(config.auto_cplx);
-  w.f64(config.cplx_budget_ms);
   w.b(config.collect_telemetry);
-  w.b(config.collect_block_telemetry);
   w.b(config.trace_enabled);
   w.str(workload.name());
   w.str(state.report.policy);  // informational: replay may swap it
@@ -221,13 +213,8 @@ void check_meta(io::SnapshotReader& r, const SimulationConfig& config,
   require(r.b() == config.include_flux_correction, "flux correction");
   require(r.b() == config.comm_adaptive, "adaptive packing");
   require(r.b() == config.send_priority, "send priority");
-  require(r.i64() == config.comm_pack_threshold, "packing threshold");
-  require(r.b() == config.telemetry_driven_costs, "telemetry-driven costs");
   require(r.b() == config.auto_cplx, "auto-X tuning");
-  require(r.f64() == config.cplx_budget_ms, "auto-X budget");
   require(r.b() == config.collect_telemetry, "collect_telemetry");
-  require(r.b() == config.collect_block_telemetry,
-          "collect_block_telemetry");
   require(r.b() == config.trace_enabled, "trace_enabled");
   require(r.str() == workload.name(), "workload");
   r.str();  // policy: informational only
@@ -248,7 +235,6 @@ void check_meta(io::SnapshotReader& r, const SimulationConfig& config,
 void write_collector_section(io::SnapshotWriter& w,
                              const Collector& collector) {
   w.begin_section("collector");
-  w.b(collector.block_records());
   write_table(w, collector.phases());
   write_table(w, collector.comm());
   write_table(w, collector.blocks());
@@ -258,13 +244,11 @@ void write_collector_section(io::SnapshotWriter& w,
 
 void read_collector_section(io::SnapshotReader& r, Collector& collector) {
   r.begin_section("collector");
-  const bool block_records = r.b();
   Table phases = read_table(r, collector.phases());
   Table comm = read_table(r, collector.comm());
   Table blocks = read_table(r, collector.blocks());
   Table placement = read_table(r, collector.placement());
   r.end_section();
-  collector.set_block_records(block_records);
   collector.restore(std::move(phases), std::move(comm), std::move(blocks),
                     std::move(placement));
 }

@@ -149,10 +149,10 @@ void restore_snapshot(const std::string& path,
 void write_fabric_section(io::SnapshotWriter& w, const Fabric::State& fab);
 Fabric::State read_fabric_section(io::SnapshotReader& r);
 
-/// The snapshot's "collector" section: the block-records switch and the
-/// four telemetry tables as stored (format v9). The reader throws
-/// io::SnapshotError on any inconsistent chunk. Exposed for
-/// malformed-input tests.
+/// The snapshot's "collector" section: the four telemetry tables as
+/// stored (format v9; v11 dropped the block-records flag before them).
+/// The reader throws io::SnapshotError on any inconsistent chunk.
+/// Exposed for malformed-input tests.
 void write_collector_section(io::SnapshotWriter& w,
                              const Collector& collector);
 void read_collector_section(io::SnapshotReader& r, Collector& collector);

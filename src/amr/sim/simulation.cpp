@@ -39,32 +39,11 @@ std::string checkpoint_path(const std::string& dir, std::int64_t step) {
 /// that transfer latency can stall (the bench plateaus at ~0.8).
 constexpr double kOverlapStageSplit = 0.8;
 
-/// The run's packing policy as a pure function of the config: off,
-/// the global threshold override, or the modeled policy. Under BSP the
-/// receiver waits for all arrivals anyway, so deferring a message into
-/// a packed transfer is free and the model packs every pair.
-PackingPolicy packing_policy(const SimulationConfig& cfg) {
-  if (!cfg.comm_adaptive) return PackingPolicy::none();
-  if (cfg.comm_pack_threshold >= 0) return {cfg.comm_pack_threshold};
-  // Overlap runs two-stage with fused buffers: contributors write ghost
-  // slabs into per-peer aggregates during stage-1 compute and receivers
-  // read them in place, so packing costs no CPU on either side. Keeping
-  // a pair eager saves at most its launch-delay serialization
-  // (~bytes/wire_rate) but pays pack+unpack (~2*bytes/cpu_pack_rate);
-  // with the CPU pack rate well below wire bandwidth that trade never
-  // favors eager, so the modeled per-peer decision packs every
-  // multi-message pair (singleton pairs still go eager — there is
-  // nothing to coalesce). Finite thresholds stay reachable via
-  // comm_pack_threshold for sweeps.
-  return PackingPolicy::all();
-}
-
 }  // namespace
 
 Simulation::Simulation(SimulationConfig config, Workload& workload,
                        const PlacementPolicy& policy)
     : config_(std::move(config)), workload_(workload), policy_(policy) {
-  collector_.set_block_records(config_.collect_block_telemetry);
   if (config_.trace_enabled) {
     TraceConfig tc = config_.trace;
     tc.ranks_per_node = config_.ranks_per_node;
@@ -132,7 +111,7 @@ bool Simulation::sync_measured_costs(const AmrMesh& mesh) {
 bool Simulation::estimated_costs(const AmrMesh& mesh,
                                  std::vector<TimeNs>& out) {
   out.resize(mesh.size());
-  if (!config_.telemetry_driven_costs || !sync_measured_costs(mesh)) {
+  if (!sync_measured_costs(mesh)) {
     // Framework default: every block costs 1 (paper §V-A3).
     std::fill(out.begin(), out.end(), TimeNs{1});
     return false;
@@ -176,12 +155,6 @@ void Simulation::previous_ranks(const AmrMesh& mesh,
 }
 
 void Simulation::begin_run() {
-  // The global threshold override only means something when packing
-  // is on.
-  AMR_CHECK_MSG(config_.comm_pack_threshold < 0 || config_.comm_adaptive,
-                "comm_pack_threshold requires comm_adaptive");
-  AMR_CHECK_MSG(config_.cplx_budget_ms > 0.0,
-                "cplx_budget_ms must be positive");
   runtime_ = std::make_unique<SimRuntime>(config_, tracer_.get());
   state_ = std::make_unique<SimState>(config_);
   SimState& st = *state_;
@@ -418,7 +391,18 @@ void Simulation::step_once() {
   const TimeNs exec_start = engine.now();
   StepResult result;
   std::int64_t intra_rank_msgs = 0;
-  const PackingPolicy packing = packing_policy(config_);
+  // Packing is on with comm_adaptive and packs every multi-message
+  // pair. Under BSP the receiver waits for all arrivals anyway, so
+  // deferring a message into a packed transfer is free. Overlap runs
+  // two-stage with fused buffers: contributors write ghost slabs into
+  // per-peer aggregates during stage-1 compute and receivers read them
+  // in place, so packing costs no CPU on either side. Keeping a pair
+  // eager saves at most its launch-delay serialization
+  // (~bytes/wire_rate) but pays pack+unpack (~2*bytes/cpu_pack_rate);
+  // with the CPU pack rate well below wire bandwidth that trade never
+  // favors eager. Singleton pairs go eager: there is nothing to
+  // coalesce.
+  const bool pack = config_.comm_adaptive;
   // Critical-path send priority: the previous window's straggler is the
   // predicted critical-path successor; its feeders launch first.
   const std::int32_t priority_rank =
@@ -426,7 +410,7 @@ void Simulation::step_once() {
   if (config_.execution == ExecutionMode::kBsp) {
     const BspPlan& plan = rt.plan_cache.step_work(
         mesh, st.placement, st.placement_version, rt.costs, config_.nranks,
-        config_.msg_sizes, config_.include_flux_correction, packing,
+        config_.msg_sizes, config_.include_flux_correction, pack,
         config_.ordering);
     result = rt.bsp_executor->execute(
         plan, static_cast<std::uint64_t>(step), priority_rank);
@@ -437,10 +421,10 @@ void Simulation::step_once() {
     // as their last contributor finishes instead of queueing the whole
     // exchange at step start. Packing-off keeps the legacy single-stage
     // plan (previous-step ghosts), bit-identical to pre-adaptive runs.
-    const double stage_frac = packing.active() ? kOverlapStageSplit : 0.0;
+    const double stage_frac = pack ? kOverlapStageSplit : 0.0;
     const OverlapPlan& plan = rt.plan_cache.overlap_work(
         mesh, st.placement, st.placement_version, rt.costs, config_.nranks,
-        config_.msg_sizes, packing, stage_frac);
+        config_.msg_sizes, pack, stage_frac);
     result = rt.overlap_executor->execute(
         plan, static_cast<std::uint64_t>(step), priority_rank);
     for (const auto& w : plan.ranks) intra_rank_msgs += w.local_copy_msgs;
@@ -508,12 +492,6 @@ void Simulation::step_once() {
                              s.bytes_local, s.bytes_remote, s.send_wait_ns,
                              s.recv_wait_ns, s.msgs_coalesced,
                              s.bytes_packed);
-    }
-    if (config_.collect_block_telemetry) {
-      for (std::size_t b = 0; b < mesh.size(); ++b)
-        if (st.placement[b] == static_cast<std::int32_t>(r))
-          collector_.record_block(step, static_cast<std::int32_t>(b),
-                                  st.placement[b], rt.costs[b]);
     }
   }
 

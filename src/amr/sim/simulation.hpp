@@ -49,23 +49,15 @@ struct SimulationConfig {
   /// Fine->coarse flux-correction messages along refinement boundaries
   /// (paper §II-B).
   bool include_flux_correction = true;
-  /// Per-peer message packing: each (src,dst) pair coalesces its step's
-  /// boundary sends into one packed transfer (Parthenon-style
-  /// neighbor-buffer packing) when its mean bytes/message is at or below
-  /// the packing threshold. The modeled policy packs every multi-message
-  /// pair under both BSP (the receiver waits for all arrivals, so
-  /// deferral is free) and fused two-stage overlap (contributors write
-  /// straight into the packed buffer, so packing costs no CPU); overlap
-  /// receivers credit every destination block when the packed transfer
-  /// arrives. The policy is a pure function of the config: runs stay
-  /// deterministic and checkpoint/replay-compatible (the axes are in
-  /// the snapshot fingerprint). Off = byte-identical legacy behavior.
+  /// Per-peer message packing: each (src,dst) pair with two or more
+  /// boundary sends in a step coalesces them into one packed transfer
+  /// (Parthenon-style neighbor-buffer packing), under both BSP (the
+  /// receiver waits for all arrivals, so deferral is free) and fused
+  /// two-stage overlap (contributors write straight into the packed
+  /// buffer, so packing costs no CPU); overlap receivers credit every
+  /// destination block when the packed transfer arrives. The flag is in
+  /// the snapshot fingerprint. Off = byte-identical legacy behavior.
   bool comm_adaptive = false;
-  /// Global packing-threshold override in mean bytes/message (requires
-  /// comm_adaptive): >= 0 replaces the modeled pack-every-pair policy —
-  /// the hand-picked global setting the modeled policy is benchmarked
-  /// against (bench_comm_adaptive). -1 = use the modeled policy.
-  std::int64_t comm_pack_threshold = -1;
   /// Critical-path-aware send priority (§IV critical-path model): each
   /// step schedules sends destined for the previous window's straggler
   /// rank — the predicted critical-path successor — before other sends.
@@ -76,11 +68,6 @@ struct SimulationConfig {
   ExecParams exec{};
   MessageSizeModel msg_sizes{};
   std::uint64_t seed = 42;
-
-  /// Use measured telemetry (previous steps) as placement cost input.
-  /// When false, placement sees uniform costs (the frameworks' default
-  /// "cost hooks initialized to 1" behaviour, §V-A3).
-  bool telemetry_driven_costs = true;
 
   /// Deterministic rebalance-phase charge per invocation (placement
   /// computation inside the run); real wall-clock placement times are
@@ -98,20 +85,16 @@ struct SimulationConfig {
   bool enforce_placement_budget = false;
 
   /// Auto-X: hand redistribution decisions to the self-tuning CPLX
-  /// engine (placement/tuner.hpp). Each regrid epoch it scores a
-  /// budgeted set of candidate X values in parallel and picks the one
-  /// whose predicted step time is lowest, learning the predictor online
+  /// engine (placement/tuner.hpp). Each regrid epoch it scores, in
+  /// parallel, the candidate X values that fit the paper's 50 ms budget
+  /// under a modeled per-candidate cost (TunerConfig), picks the one
+  /// whose predicted step time is lowest, and learns the predictor online
   /// from the run's own simulated telemetry. The configured policy still
   /// provides the initial placement and the CPLX chunk width; reports
   /// carry policy name "auto-cplx". Off = byte-identical legacy
   /// behaviour. Snapshot fingerprint axis (format v5); tuner state rides
   /// in the snapshot so restored runs decide identically.
   bool auto_cplx = false;
-  /// Auto-X evaluation budget in ms: bounds how many candidate X values
-  /// are scored per epoch under a MODELED per-candidate cost (a pure
-  /// function of the block count — never wall-clock, so decisions are
-  /// replay-stable). The paper's 50 ms placement budget by default.
-  double cplx_budget_ms = 50.0;
   double migration_gbytes_per_sec = 4.0;
   /// Payload of one migrated block; defaults to the message-size model's
   /// block interior so the two stay one source of truth.
@@ -123,8 +106,6 @@ struct SimulationConfig {
 
   /// Record per-(step,rank) rows into the telemetry collector.
   bool collect_telemetry = true;
-  /// Also record per-(step,block) rows (large).
-  bool collect_block_telemetry = false;
 
   /// Event-level tracing (off by default; see amr/trace/tracer.hpp).
   /// When enabled the run records task spans, message flows, fabric

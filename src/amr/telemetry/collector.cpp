@@ -93,7 +93,6 @@ std::size_t Collector::bytes_used() const {
 
 void Collector::record_block(std::int64_t step, std::int32_t block,
                              std::int32_t rank, TimeNs cost) {
-  if (!block_records_) return;
   blocks_.append(step, std::int64_t{block}, std::int64_t{rank},
                  std::int64_t{cost});
 }

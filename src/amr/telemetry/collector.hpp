@@ -2,9 +2,10 @@
 //
 // Plays the role of the paper's MPI/Kokkos-profiling-interface collection
 // layer (§IV-C): the simulation driver records per-(step, rank) phase
-// durations, per-(step, rank) message aggregates, and per-(step, block)
-// compute costs into structured tables that the query engine analyzes and
-// binary_io persists.
+// durations, per-(step, rank) message aggregates and, under auto-X, one
+// placement row per redistribution into structured tables that the query
+// engine analyzes and binary_io persists. The per-(step, block) cost
+// table has a schema and an API but no simulation writer.
 #pragma once
 
 #include <cstdint>
@@ -60,10 +61,9 @@ class Collector {
   /// placement(step i64, x f64, mode i64, candidates i64,
   ///           chunks_reused i64, chunks_total i64, moved i64,
   ///           predicted_ns f64, measured_ns f64, err_ewma f64) — one
-  /// row per redistribution under the placement-engine modes (empty for
-  /// legacy runs, so legacy bytes_used/eviction behaviour is unchanged).
-  /// `x` is the chosen CPLX X; `mode` is the tuner mode (0 surrogate,
-  /// 1 measured probe, -1 incremental-only); `measured_ns` is the mean
+  /// row per auto-X redistribution (empty for other runs). `x` is the
+  /// chosen CPLX X; `mode` is the tuner mode (0 surrogate, 1 measured
+  /// probe); `chunks_reused` is always 0; `measured_ns` is the mean
   /// executed-window wall the tuner observed for the PREVIOUS epoch.
   /// All values are simulated/deterministic — no host wall-clock.
   void record_placement(std::int64_t step, double x, std::int64_t mode,
@@ -78,11 +78,6 @@ class Collector {
   /// Always empty: kept for ledger/ until a benchmark PR drops it.
   const Table& shards() const { return shards_; }
   const Table& placement() const { return placement_; }
-
-  /// Enable/disable per-block records (largest table; off by default for
-  /// big sweeps).
-  void set_block_records(bool enabled) { block_records_ = enabled; }
-  bool block_records() const { return block_records_; }
 
   /// Drop all recorded rows (schemas survive). Long sweeps and the
   /// trace->table exporters use this to reuse one collector per run.
@@ -101,7 +96,6 @@ class Collector {
   Table blocks_;
   Table shards_;
   Table placement_;
-  bool block_records_ = true;
 };
 
 }  // namespace amr

@@ -32,7 +32,7 @@
 #    --aggregate spelling (same, restore and contains rows);
 #  - answer knobs are config-fingerprint axes: a snapshot refuses to
 #    restore under a changed one, naming it (refuse rows): adaptive
-#    packing, send priority, auto-X tuning and the auto-X budget.
+#    packing, send priority and auto-X tuning.
 
 # Groups the sanitizer build trees run by label (ctest -L <group>).
 set(contract_labeled
@@ -91,7 +91,7 @@ contract(comm_adaptive_determinism refuse
   NAMES "adaptive packing")
 
 # Auto-X tuning holds across --jobs and restores, keeps tuning under a
-# replay with another seed policy, and each auto-X axis is refused.
+# replay with another seed policy, and its axis is refused.
 set(tuned "--auto-cplx --faults=2")
 contract(placement_tuning_determinism same
   RUN "${sweep32} --policy=cpl50,cpl50 ${tuned} --jobs=1"
@@ -102,9 +102,6 @@ contract(placement_tuning_determinism restore
   REPLAY "${sedov32} --policy=cpl25 --steps=24 ${tuned}" "policy auto-cplx:")
 contract(placement_tuning_determinism refuse
   RUN "${auto}" EVERY 7 AS "${cpl50}" NAMES "auto-X tuning")
-contract(placement_tuning_determinism refuse
-  RUN "${auto}" EVERY 7
-  AS "${auto} --cplx-budget-ms=5" NAMES "auto-X budget")
 
 # Serve: quantum, --serve-jobs, eviction (--max-resident=0) and plan
 # sharing leave a fleet's bytes alone, eviction spills do not outlive
@@ -147,6 +144,12 @@ contract(cli_rejects_removed_des_shards reject
 contract(cli_rejects_unknown_flag reject
   RUN "amrcplx run --placement-incremental"
   STDERR "unrecognized flag --placement-incremental")
+contract(cli_rejects_unknown_flag reject
+  RUN "amrcplx run --pack-threshold=0"
+  STDERR "unrecognized flag --pack-threshold")
+contract(cli_rejects_unknown_flag reject
+  RUN "amrcplx run --auto-cplx --cplx-budget-ms=5"
+  STDERR "unrecognized flag --cplx-budget-ms")
 contract(cli_rejects_positional reject
   RUN "amrcplx run lpt 512 60" STDERR "unexpected argument 'lpt'")
 contract(cli_rejects_positional reject

@@ -5,8 +5,9 @@
 // at the start of every step. This header keeps a copy of that nested
 // description, of its builder and of the runtime's expansion, for two
 // uses: they are the oracle for the flat builder's task order (every
-// ordering, packing shape, flux, two-stage and send priority), and
-// make_bsp_plan() turns hand-written per-rank lists into a plan.
+// ordering, with and without packing, flux, two-stage and send
+// priority), and make_bsp_plan() turns hand-written per-rank lists into
+// a plan.
 #pragma once
 
 #include <cstdint>
@@ -41,22 +42,15 @@ struct RankWork {
   std::int64_t recv_bytes = 0;
 };
 
-/// The nested builder: one pass for packing none or all, a recorded
-/// pass plus a per-pair pass for a finite threshold.
+/// The nested builder, in one pass: with `pack`, a message to a
+/// destination the rank already sends to folds into that transfer.
 inline std::vector<RankWork> nested_work(
     const AmrMesh& mesh, const Placement& placement,
     std::span<const TimeNs> block_costs, std::int32_t nranks,
     const MessageSizeModel& sizes = {}, bool include_flux = false,
-    const PackingPolicy& packing = PackingPolicy::none()) {
+    bool pack = false) {
   AMR_CHECK(placement.size() == mesh.size());
   std::vector<RankWork> work(static_cast<std::size_t>(nranks));
-  const bool threshold = packing.active() && !packing.pack_all();
-  struct RawMsg {
-    std::int32_t dst;
-    std::int64_t bytes;
-    std::int32_t src_block;
-  };
-  std::vector<std::vector<RawMsg>> raw(static_cast<std::size_t>(nranks));
   const auto& lists = mesh.neighbor_lists();
   for (std::size_t b = 0; b < mesh.size(); ++b) {
     const std::int32_t src = placement[b];
@@ -72,12 +66,7 @@ inline std::vector<RankWork> nested_work(
           return;
         }
         work[static_cast<std::size_t>(dst)].recv_bytes += bytes;
-        if (threshold) {
-          raw[static_cast<std::size_t>(src)].push_back(
-              RawMsg{dst, bytes, static_cast<std::int32_t>(b)});
-          return;
-        }
-        if (packing.pack_all()) {
+        if (pack) {
           for (auto it = w.sends.rbegin(); it != w.sends.rend(); ++it) {
             if (it->dst_rank == dst) {
               it->bytes += bytes;
@@ -93,43 +82,6 @@ inline std::vector<RankWork> nested_work(
       if (include_flux && n.kind == NeighborKind::kFace &&
           n.level_diff == -1)
         emit(sizes.flux_bytes());
-    }
-  }
-  if (!threshold) return work;
-
-  struct PairTotal {
-    std::int32_t dst;
-    std::int64_t msgs = 0;
-    std::int64_t bytes = 0;
-    bool emitted = false;
-  };
-  std::vector<PairTotal> totals;
-  for (std::int32_t src = 0; src < nranks; ++src) {
-    auto& w = work[static_cast<std::size_t>(src)];
-    const auto& msgs = raw[static_cast<std::size_t>(src)];
-    totals.clear();
-    auto pair_of = [&](std::int32_t dst) -> PairTotal& {
-      for (auto it = totals.rbegin(); it != totals.rend(); ++it)
-        if (it->dst == dst) return *it;
-      totals.push_back(PairTotal{dst});
-      return totals.back();
-    };
-    for (const RawMsg& m : msgs) {
-      PairTotal& t = pair_of(m.dst);
-      ++t.msgs;
-      t.bytes += m.bytes;
-    }
-    for (const RawMsg& m : msgs) {
-      PairTotal& t = pair_of(m.dst);
-      if (packing.pack(t.bytes, t.msgs)) {
-        if (t.emitted) continue;
-        t.emitted = true;
-        w.sends.push_back(Send{m.dst, t.bytes, m.src_block,
-                               static_cast<std::int32_t>(t.msgs)});
-      } else {
-        w.sends.push_back(Send{m.dst, m.bytes, m.src_block, 1});
-      }
-      ++work[static_cast<std::size_t>(m.dst)].expected_recvs;
     }
   }
   return work;

@@ -34,7 +34,7 @@ OverlapPlan make_plan(const std::vector<RankSpec>& spec) {
   };
   for (const RankSpec& r : spec) {
     OverlapRankPlan rp;
-    rp.expected_recvs = r.expected_recvs;
+    plan.expected_recvs.push_back(r.expected_recvs);
     rp.upfront.begin = at(plan.sends);
     plan.sends.insert(plan.sends.end(), r.upfront.begin(), r.upfront.end());
     rp.upfront.end = at(plan.sends);
@@ -120,7 +120,7 @@ TEST(BuildOverlapWork, TotalsMatchBspWork) {
     const OverlapRankPlan& w = overlap.ranks[r];
     EXPECT_EQ(bsp.sends_of(r).size(),
               static_cast<std::size_t>(w.upfront.size()));
-    EXPECT_EQ(bsp.expected_recvs[r], w.expected_recvs);
+    EXPECT_EQ(bsp.expected_recvs[r], overlap.expected_recvs[r]);
     EXPECT_EQ(bsp.bytes_of(r, BspTaskKind::kLocalCopy), w.local_copy_bytes);
     EXPECT_EQ(bsp.computes_of(r).size(),
               static_cast<std::size_t>(w.blocks.size()));
@@ -131,7 +131,7 @@ TEST(BuildOverlapWork, TotalsMatchBspWork) {
       per_block += b.expected_recvs;
       recv_bytes += b.recv_bytes;
     }
-    EXPECT_EQ(per_block, w.expected_recvs);
+    EXPECT_EQ(per_block, overlap.expected_recvs[r]);
     EXPECT_EQ(recv_bytes, bsp.bytes_of(r, BspTaskKind::kUnpack));
   }
 }
@@ -261,7 +261,7 @@ TEST(TwoStageWork, SplitsCostsAndAttachesSendsToProducers) {
   const std::vector<TimeNs> costs(mesh.size(), us(100));
 
   const OverlapPlan overlap = build_overlap_plan(
-      mesh, placement, costs, 4, {}, PackingPolicy::none(), 0.25);
+      mesh, placement, costs, 4, {}, /*pack=*/false, 0.25);
   const auto bsp = two_stage_bsp_work(mesh, placement, costs, 4, 0.25);
   for (std::size_t r = 0; r < 4; ++r) {
     // Stage split preserved per block.
@@ -294,7 +294,7 @@ TEST(TwoStage, OverlapNoSlowerThanBspOnImbalancedStep) {
 
   Harness ho(8);
   const OverlapPlan owork = build_overlap_plan(
-      mesh, placement, costs, 8, {}, PackingPolicy::none(), 0.5);
+      mesh, placement, costs, 8, {}, /*pack=*/false, 0.5);
   const StepResult overlap = ho.executor.execute(owork, 0);
 
   Engine engine;
@@ -326,11 +326,11 @@ TEST(PackedOverlap, NonePolicyMatchesPlainBuild) {
   const MessageSizeModel sizes;
   const OverlapPlan plain = build_overlap_plan(mesh, placement, costs, 5);
   const OverlapPlan none = build_overlap_plan(mesh, placement, costs, 5,
-                                              sizes, PackingPolicy::none());
+                                              sizes, /*pack=*/false);
   ASSERT_EQ(plain.nranks(), none.nranks());
+  EXPECT_EQ(plain.expected_recvs, none.expected_recvs);
   for (std::size_t r = 0; r < plain.nranks(); ++r) {
     EXPECT_EQ(plain.ranks[r].upfront.size(), none.ranks[r].upfront.size());
-    EXPECT_EQ(plain.ranks[r].expected_recvs, none.ranks[r].expected_recvs);
     EXPECT_TRUE(none.ranks[r].packed.empty());
     EXPECT_TRUE(none.ranks[r].credits.empty());
   }
@@ -346,7 +346,7 @@ TEST(PackedOverlap, PackAllConservesLogicalTraffic) {
   const MessageSizeModel sizes;
   const OverlapPlan plain = build_overlap_plan(mesh, placement, costs, 5);
   const OverlapPlan packed = build_overlap_plan(mesh, placement, costs, 5,
-                                                sizes, PackingPolicy::all());
+                                                sizes, /*pack=*/true);
   ASSERT_EQ(plain.nranks(), packed.nranks());
 
   std::vector<std::int64_t> incoming(5, 0);
@@ -383,7 +383,7 @@ TEST(PackedOverlap, PackAllConservesLogicalTraffic) {
   }
   // Rank-level expected counts are transfer counts, not logical counts.
   for (std::size_t r = 0; r < packed.nranks(); ++r)
-    EXPECT_EQ(packed.ranks[r].expected_recvs, incoming[r]);
+    EXPECT_EQ(packed.expected_recvs[r], incoming[r]);
 }
 
 TEST(PackedOverlap, ExecutesToCompletionAndDeterministically) {
@@ -393,21 +393,33 @@ TEST(PackedOverlap, ExecutesToCompletionAndDeterministically) {
     placement[b] = static_cast<std::int32_t>(b % 5);
   const std::vector<TimeNs> costs(mesh.size(), us(50));
   const MessageSizeModel sizes;
-  auto run = [&](const PackingPolicy& p, std::int32_t priority) {
-    Harness h(5);
-    const OverlapPlan work =
-        build_overlap_plan(mesh, placement, costs, 5, sizes, p);
-    return h.executor.execute(work, 0, priority).wall_ns();
+  auto run = [&](const OverlapPlan& work, std::int32_t nranks) {
+    Harness h(nranks);
+    return h.executor.execute(work, 0, -1).wall_ns();
   };
-  const TimeNs packed = run(PackingPolicy::all(), -1);
+  const OverlapPlan all_packed =
+      build_overlap_plan(mesh, placement, costs, 5, sizes, /*pack=*/true);
+  const TimeNs packed = run(all_packed, 5);
   EXPECT_GT(packed, 0);
-  EXPECT_EQ(packed, run(PackingPolicy::all(), -1));
-  // A per-pair split executes too (threshold between edge and face).
-  const std::int64_t mid = (sizes.bytes(NeighborKind::kEdge) +
-                            sizes.bytes(NeighborKind::kFace)) / 2;
-  const TimeNs split = run(PackingPolicy{mid}, -1);
+  EXPECT_EQ(packed, run(all_packed, 5));
+  // A mixed plan executes too: a chunked placement leaves some rank
+  // pairs with one message, which go eager beside the aggregates.
+  AmrMesh chunked(RootGrid{4, 4, 4});
+  Placement by_chunk(chunked.size());
+  for (std::size_t b = 0; b < chunked.size(); ++b)
+    by_chunk[b] = static_cast<std::int32_t>(b / 4);
+  const std::vector<TimeNs> chunk_costs(chunked.size(), us(50));
+  const OverlapPlan mixed = build_overlap_plan(chunked, by_chunk, chunk_costs,
+                                               16, sizes, /*pack=*/true);
+  std::int64_t aggregates = 0;
+  std::int64_t eager_sends = 0;
+  for (const OverlapSend& send : mixed.sends)
+    ++(send.msgs > 1 ? aggregates : eager_sends);
+  EXPECT_GT(aggregates, 0);
+  EXPECT_GT(eager_sends, 0);
+  const TimeNs split = run(mixed, 16);
   EXPECT_GT(split, 0);
-  EXPECT_EQ(split, run(PackingPolicy{mid}, -1));
+  EXPECT_EQ(split, run(mixed, 16));
 }
 
 TEST(PackedOverlap, PriorityRankIsDeterministicNoopOffAndOn) {
@@ -440,7 +452,7 @@ TEST(TwoStagePacked, ContributorCountsMatchProducers) {
   const std::vector<TimeNs> costs(mesh.size(), us(100));
   const MessageSizeModel sizes;
   const OverlapPlan work = build_overlap_plan(
-      mesh, placement, costs, 4, sizes, PackingPolicy::all(), 0.25);
+      mesh, placement, costs, 4, sizes, /*pack=*/true, 0.25);
   for (std::size_t r = 0; r < work.nranks(); ++r) {
     const OverlapRankPlan& w = work.ranks[r];
     // Count how many distinct blocks reference each aggregate.
@@ -606,25 +618,20 @@ TEST(PackedOverlap, PlanTagsResolveWithoutSearch) {
     placement[b] = static_cast<std::int32_t>(b / 4);
   const std::vector<TimeNs> costs(mesh.size(), us(50));
   const MessageSizeModel sizes;
-  const std::int64_t mid = (sizes.bytes(NeighborKind::kEdge) +
-                            sizes.bytes(NeighborKind::kFace)) / 2;
-  const PackingPolicy packing{mid};
   const std::int32_t nranks = 16;
   // Reference: each source rank's eager messages in emission order (its
   // blocks in block order, then neighbor order), local copies and packed
-  // pairs skipped, as the destination block each one is for.
+  // (multi-message) pairs skipped, as the destination block each one is
+  // for.
   const auto& lists = mesh.neighbor_lists();
   std::vector<std::vector<std::int32_t>> eager_for(nranks);
   for (std::int32_t src = 0; src < nranks; ++src) {
-    std::vector<std::int64_t> pair_bytes(nranks, 0);
     std::vector<std::int64_t> pair_msgs(nranks, 0);
     for (std::size_t b = 0; b < mesh.size(); ++b) {
       if (placement[b] != src) continue;
       for (const Neighbor& n : lists[b]) {
         const std::int32_t dst = placement[static_cast<std::size_t>(n.index)];
-        if (dst == src) continue;
-        pair_bytes[static_cast<std::size_t>(dst)] += sizes.bytes(n.kind);
-        ++pair_msgs[static_cast<std::size_t>(dst)];
+        if (dst != src) ++pair_msgs[static_cast<std::size_t>(dst)];
       }
     }
     for (std::size_t b = 0; b < mesh.size(); ++b) {
@@ -632,8 +639,7 @@ TEST(PackedOverlap, PlanTagsResolveWithoutSearch) {
       for (const Neighbor& n : lists[b]) {
         const auto dst = static_cast<std::size_t>(
             placement[static_cast<std::size_t>(n.index)]);
-        if (static_cast<std::int32_t>(dst) == src ||
-            packing.pack(pair_bytes[dst], pair_msgs[dst]))
+        if (static_cast<std::int32_t>(dst) == src || pair_msgs[dst] >= 2)
           continue;
         eager_for[static_cast<std::size_t>(src)].push_back(n.index);
       }
@@ -641,7 +647,7 @@ TEST(PackedOverlap, PlanTagsResolveWithoutSearch) {
   }
   for (const double stage1_frac : {0.0, 0.5}) {
     const OverlapPlan work = build_overlap_plan(
-        mesh, placement, costs, nranks, sizes, packing, stage1_frac);
+        mesh, placement, costs, nranks, sizes, /*pack=*/true, stage1_frac);
     // Logical arrivals each receiving slot is named by: eager tags plus
     // the credits of the aggregates that name it.
     std::vector<std::int32_t> named(work.blocks.size(), 0);
@@ -749,22 +755,27 @@ TEST(OverlapExecutor, PlanCountersMatchWhatRan) {
   for (std::size_t b = 0; b < costs.size(); ++b)
     costs[b] = us(20) + static_cast<TimeNs>(b % 7) * us(3);
   const MessageSizeModel sizes;
-  const std::int64_t mid = (sizes.bytes(NeighborKind::kEdge) +
-                            sizes.bytes(NeighborKind::kFace)) / 2;
 
   struct Shape {
     const char* name;
     double stage1_frac;
-    PackingPolicy packing;
+    bool pack;
   };
-  for (const Shape& shape :
-       {Shape{"single-stage eager", 0.0, PackingPolicy::none()},
-        Shape{"single-stage mid", 0.0, PackingPolicy{mid}},
-        Shape{"two-stage packed", 0.5, PackingPolicy::all()},
-        Shape{"two-stage mid", 0.5, PackingPolicy{mid}}}) {
+  for (const Shape& shape : {Shape{"single-stage eager", 0.0, false},
+                             Shape{"single-stage packed", 0.0, true},
+                             Shape{"two-stage packed", 0.5, true}}) {
     const OverlapPlan plan = build_overlap_plan(
-        mesh, placement, costs, kRanks, sizes, shape.packing,
+        mesh, placement, costs, kRanks, sizes, shape.pack,
         shape.stage1_frac);
+    // A packed plan is mixed: single-message pairs stay eager.
+    if (shape.pack) {
+      std::int64_t aggregates = 0;
+      std::int64_t eager_sends = 0;
+      for (const OverlapSend& send : plan.sends)
+        ++(send.msgs > 1 ? aggregates : eager_sends);
+      EXPECT_GT(aggregates, 0) << shape.name;
+      EXPECT_GT(eager_sends, 0) << shape.name;
+    }
     for (const std::int32_t priority : {-1, 5}) {
       SCOPED_TRACE(std::string(shape.name) + " priority " +
                    std::to_string(priority));
@@ -825,7 +836,7 @@ TEST(OverlapExecutor, PlanCountersMatchWhatRan) {
         // The plan exercises both paths and, when packed, coalescing.
         EXPECT_GT(local, 0);
         EXPECT_GT(remote, 0);
-        EXPECT_EQ(coalesced > 0, shape.packing.active());
+        EXPECT_EQ(coalesced > 0, shape.pack);
       }
     }
   }
@@ -839,7 +850,7 @@ TEST(TwoStage, CompletesWithCrossDependencies) {
   const std::vector<TimeNs> costs(mesh.size(), us(50));
   Harness h(4);
   const OverlapPlan work = build_overlap_plan(
-      mesh, placement, costs, 4, {}, PackingPolicy::none(), 0.5);
+      mesh, placement, costs, 4, {}, /*pack=*/false, 0.5);
   const StepResult r = h.executor.execute(work, 0);
   EXPECT_GT(r.wall_ns(), 0);
 }

@@ -35,7 +35,8 @@ void expect_equal(const BspPlan& got, const BspPlan& want) {
 /// Every field of every flat array: per-rank ranges and counts, block
 /// slots (costs, gating, receive bytes, send and aggregate ranges), sends
 /// (bytes, destination, logical count, dst_tag, contributors), credits,
-/// the aggregates each block feeds and the stage-1 order.
+/// the aggregates each block feeds, the stage-1 order and the expected
+/// counts.
 void expect_equal(const OverlapPlan& got, const OverlapPlan& want) {
   ASSERT_EQ(got.nranks(), want.nranks());
   for (std::size_t r = 0; r < got.nranks(); ++r)
@@ -51,6 +52,7 @@ void expect_equal(const OverlapPlan& got, const OverlapPlan& want) {
     EXPECT_EQ(got.credits[i], want.credits[i]) << i;
   EXPECT_EQ(got.packed_out, want.packed_out);
   EXPECT_EQ(got.stage1_order, want.stage1_order);
+  EXPECT_EQ(got.expected_recvs, want.expected_recvs);
   EXPECT_TRUE(got == want);
 }
 
@@ -160,18 +162,18 @@ TEST(PlanCache, ModeSwitchRebuildsInsteadOfServingStale) {
 }
 
 TEST(PlanCache, AggregateFlagIsPartOfTheKey) {
-  // Aggregation (PackingPolicy::all, what --aggregate selects) changes
-  // the plan shape (folded sends, per-peer expected counts), so a hit
-  // must never serve a plan built under packing none, or the reverse —
-  // even with identical mesh/placement versions.
+  // Packing (what --comm-adaptive and --aggregate select) changes the
+  // plan shape (folded sends, per-peer expected counts), so a hit must
+  // never serve a plan built without packing, or the reverse — even
+  // with identical mesh/placement versions.
   AmrMesh mesh(RootGrid{2, 2, 2});
   mesh.refine(std::vector<std::int32_t>{0});
   const std::int32_t nranks = 2;  // several blocks per rank: folds exist
   const Placement p = round_robin(mesh.size(), nranks);
   const MessageSizeModel sizes{};
   const auto c = costs_for(mesh.size(), 10);
-  const PackingPolicy none = PackingPolicy::none();
-  const PackingPolicy all = PackingPolicy::all();
+  const bool none = false;
+  const bool all = true;
   ExchangePlanCache cache;
 
   (void)cache.step_work(mesh, p, 0, c, nranks, sizes, true, none);
@@ -192,42 +194,27 @@ TEST(PlanCache, AggregateFlagIsPartOfTheKey) {
   expect_equal(hit, build_bsp_plan(mesh, p, c2, nranks, sizes, true, all));
 }
 
-TEST(PlanCache, PackingPolicyIsPartOfTheKey) {
-  // A finite threshold changes which pairs fold, so switching the policy
-  // (or its threshold) must rebuild — and identical policies must hit.
+TEST(PlanCache, PackingIsPartOfTheOverlapKey) {
+  // The overlap shape keys on packing too: switching it rebuilds, and
+  // the same setting hits and equals the fresh build.
   AmrMesh mesh(RootGrid{2, 2, 2});
   mesh.refine(std::vector<std::int32_t>{0});
   const std::int32_t nranks = 2;
   const Placement p = round_robin(mesh.size(), nranks);
   const MessageSizeModel sizes{};
   const auto c = costs_for(mesh.size(), 10);
-  const PackingPolicy none = PackingPolicy::none();
-  const PackingPolicy all = PackingPolicy::all();
-  const PackingPolicy split{4000};
   ExchangePlanCache cache;
 
-  // A finite threshold is its own key: miss, then hit, equal to fresh.
-  (void)cache.step_work(mesh, p, 0, c, nranks, sizes, true, split);
+  (void)cache.overlap_work(mesh, p, 0, c, nranks, sizes, /*pack=*/true);
   EXPECT_EQ(cache.stats().misses, 1);
-  const auto split_hit = cache.step_work(mesh, p, 0, c, nranks, sizes, true,
-                                         split);
+  const auto c2 = costs_for(mesh.size(), 555);
+  const auto hit = cache.overlap_work(mesh, p, 0, c2, nranks, sizes, true);
   EXPECT_EQ(cache.stats().hits, 1);
-  expect_equal(split_hit,
-               build_bsp_plan(mesh, p, c, nranks, sizes, true, split));
-  // Different thresholds: miss.
-  (void)cache.step_work(mesh, p, 0, c, nranks, sizes, true,
-                        PackingPolicy{100});
+  expect_equal(hit, build_overlap_plan(mesh, p, c2, nranks, sizes, true));
+  (void)cache.overlap_work(mesh, p, 0, c, nranks, sizes, /*pack=*/false);
   EXPECT_EQ(cache.stats().misses, 2);
-
-  // The overlap shape keys on the policy too.
-  (void)cache.overlap_work(mesh, p, 0, c, nranks, sizes, split);
+  (void)cache.overlap_work(mesh, p, 0, c, nranks, sizes, /*pack=*/true);
   EXPECT_EQ(cache.stats().misses, 3);
-  (void)cache.overlap_work(mesh, p, 0, c, nranks, sizes, split);
-  EXPECT_EQ(cache.stats().hits, 2);
-  (void)cache.overlap_work(mesh, p, 0, c, nranks, sizes, none);
-  EXPECT_EQ(cache.stats().misses, 4);
-  (void)cache.overlap_work(mesh, p, 0, c, nranks, sizes, all);
-  EXPECT_EQ(cache.stats().misses, 5);
 }
 
 TEST(PlanCache, InPlaceRebuildsEqualFreshBuilds) {
@@ -239,20 +226,15 @@ TEST(PlanCache, InPlaceRebuildsEqualFreshBuilds) {
   // copied out of it.
   AmrMesh mesh(RootGrid{4, 2, 2});
   mesh.refine(std::vector<std::int32_t>{0, 5});  // flux along level jumps
-  const std::int32_t nranks = 8;
+  const std::int32_t nranks = 12;
   const MessageSizeModel sizes{};
   const Placement a = round_robin(mesh.size(), nranks);
   Placement b(mesh.size());
   for (std::size_t i = 0; i < b.size(); ++i)
     b[i] = static_cast<std::int32_t>(i * (nranks / 2) / b.size());
-  const std::int64_t mid_threshold = (sizes.bytes(NeighborKind::kEdge) +
-                                      sizes.bytes(NeighborKind::kFace)) /
-                                     2;
 
-  for (const PackingPolicy packing :
-       {PackingPolicy::none(), PackingPolicy::all(),
-        PackingPolicy{mid_threshold}}) {
-    SCOPED_TRACE(packing.threshold);
+  for (const bool pack : {false, true}) {
+    SCOPED_TRACE(pack);
     const Placement* steps[] = {&a, &b, &a};
     const auto costs_at = [&](std::size_t i) {
       return costs_for(mesh.size(), 10 + 100 * static_cast<TimeNs>(i));
@@ -260,7 +242,7 @@ TEST(PlanCache, InPlaceRebuildsEqualFreshBuilds) {
     std::vector<BspPlan> want;
     for (std::size_t i = 0; i < 3; ++i)
       want.push_back(build_bsp_plan(mesh, *steps[i], costs_at(i), nranks,
-                                     sizes, true, packing));
+                                     sizes, true, pack));
     // The sequence exercises what it claims: B empties some ranks and
     // shrinks (without emptying) the send lists of others.
     bool emptied = false;
@@ -273,6 +255,16 @@ TEST(PlanCache, InPlaceRebuildsEqualFreshBuilds) {
     }
     EXPECT_TRUE(emptied);
     EXPECT_TRUE(shrunk);
+    // Packing folds A's multi-message pairs and leaves its single-message
+    // pairs eager, so the packed plan is mixed.
+    if (pack) {
+      std::int64_t packed = 0;
+      std::int64_t eager = 0;
+      for (const BspTask& t : want[0].tasks)
+        if (t.kind == BspTaskKind::kPackSend) ++(t.msgs > 1 ? packed : eager);
+      EXPECT_GT(packed, 0);
+      EXPECT_GT(eager, 0);
+    }
 
     SharedPlanStore store;
     ExchangePlanCache local;
@@ -285,21 +277,21 @@ TEST(PlanCache, InPlaceRebuildsEqualFreshBuilds) {
       const auto c = costs_at(i);
       const std::uint64_t version = i;
       expect_equal(local.step_work(mesh, *steps[i], version, c, nranks,
-                                   sizes, true, packing),
+                                   sizes, true, pack),
                    want[i]);
       expect_equal(publisher.step_work(mesh, *steps[i], version, c, nranks,
-                                       sizes, true, packing),
+                                       sizes, true, pack),
                    want[i]);
       expect_equal(reader.step_work(mesh, *steps[i], version, c, nranks,
-                                    sizes, true, packing),
+                                    sizes, true, pack),
                    want[i]);
       // The next step hits and patches the rebuilt plan in place.
       const auto c2 = costs_for(mesh.size(), 7 + 50 * static_cast<TimeNs>(i));
       const BspPlan want_hit =
-          build_bsp_plan(mesh, *steps[i], c2, nranks, sizes, true, packing);
+          build_bsp_plan(mesh, *steps[i], c2, nranks, sizes, true, pack);
       for (ExchangePlanCache* cache : {&local, &publisher, &reader})
         expect_equal(cache->step_work(mesh, *steps[i], version, c2, nranks,
-                                      sizes, true, packing),
+                                      sizes, true, pack),
                      want_hit);
     }
     EXPECT_EQ(local.stats().misses, 3);
@@ -313,29 +305,23 @@ TEST(PlanCache, InPlaceRebuildsEqualFreshBuilds) {
 
 TEST(PlanCache, InPlaceOverlapRebuildsEqualFreshBuilds) {
   // The overlap analogue: misses A -> B -> A rebuild the flat plan inside
-  // its own arrays, single- and two-stage under every packing shape. B
+  // its own arrays, single- and two-stage with and without packing. B
   // packs every block onto the lower half of the ranks, emptying the
   // upper ranks and shrinking the others' send runs; the return to A
   // regrows them. Each rebuild — local, published, or copied out of the
   // shared store — must equal a build into fresh storage in every field.
   AmrMesh mesh(RootGrid{4, 2, 2});
   mesh.refine(std::vector<std::int32_t>{0, 5});
-  const std::int32_t nranks = 8;
+  const std::int32_t nranks = 12;
   const MessageSizeModel sizes{};
   const Placement a = round_robin(mesh.size(), nranks);
   Placement b(mesh.size());
   for (std::size_t i = 0; i < b.size(); ++i)
     b[i] = static_cast<std::int32_t>(i * (nranks / 2) / b.size());
-  const std::int64_t mid_threshold = (sizes.bytes(NeighborKind::kEdge) +
-                                      sizes.bytes(NeighborKind::kFace)) /
-                                     2;
 
   for (const double stage1_frac : {0.0, 0.8}) {
-    for (const PackingPolicy packing :
-         {PackingPolicy::none(), PackingPolicy::all(),
-          PackingPolicy{mid_threshold}}) {
-      SCOPED_TRACE(std::to_string(stage1_frac) + " " +
-                   std::to_string(packing.threshold));
+    for (const bool pack : {false, true}) {
+      SCOPED_TRACE(std::to_string(stage1_frac) + (pack ? " pack" : ""));
       const Placement* steps[] = {&a, &b, &a};
       const auto costs_at = [&](std::size_t i) {
         return costs_for(mesh.size(), 10 + 100 * static_cast<TimeNs>(i));
@@ -343,7 +329,7 @@ TEST(PlanCache, InPlaceOverlapRebuildsEqualFreshBuilds) {
       std::vector<OverlapPlan> want;
       for (std::size_t i = 0; i < 3; ++i)
         want.push_back(build_overlap_plan(mesh, *steps[i], costs_at(i),
-                                          nranks, sizes, packing,
+                                          nranks, sizes, pack,
                                           stage1_frac));
       bool emptied = false;
       bool shrunk = false;
@@ -355,9 +341,16 @@ TEST(PlanCache, InPlaceOverlapRebuildsEqualFreshBuilds) {
       }
       EXPECT_TRUE(emptied);
       EXPECT_TRUE(shrunk);
-      // Aggregates, credits and (two-stage) the stage-1 order are
-      // exercised wherever packing is on.
-      if (packing.active()) {
+      // Aggregates, eager sends of single-message pairs, credits and
+      // (two-stage) the stage-1 order are exercised wherever packing is
+      // on.
+      if (pack) {
+        std::int64_t packed = 0;
+        std::int64_t eager = 0;
+        for (const OverlapSend& send : want[0].sends)
+          ++(send.msgs > 1 ? packed : eager);
+        EXPECT_GT(packed, 0);
+        EXPECT_GT(eager, 0);
         EXPECT_FALSE(want[0].credits.empty());
         EXPECT_EQ(want[0].stage1_order.empty(), stage1_frac == 0.0);
         EXPECT_EQ(want[0].packed_out.empty(), stage1_frac == 0.0);
@@ -374,14 +367,14 @@ TEST(PlanCache, InPlaceOverlapRebuildsEqualFreshBuilds) {
         const auto c = costs_at(i);
         const std::uint64_t version = i;
         expect_equal(local.overlap_work(mesh, *steps[i], version, c, nranks,
-                                        sizes, packing, stage1_frac),
+                                        sizes, pack, stage1_frac),
                      want[i]);
         expect_equal(publisher.overlap_work(mesh, *steps[i], version, c,
-                                            nranks, sizes, packing,
+                                            nranks, sizes, pack,
                                             stage1_frac),
                      want[i]);
         expect_equal(reader.overlap_work(mesh, *steps[i], version, c,
-                                         nranks, sizes, packing,
+                                         nranks, sizes, pack,
                                          stage1_frac),
                      want[i]);
       }
@@ -397,7 +390,7 @@ TEST(PlanCache, InPlaceOverlapRebuildsEqualFreshBuilds) {
 struct FuzzLane {
   enum class Shape { kBspFlux, kOverlapSingle, kOverlapTwoStage };
   Shape shape;
-  PackingPolicy packing;
+  bool pack = false;
   ExchangePlanCache cache;
   std::int64_t packed_sends = 0;  ///< BSP transfers with msgs > 1
   std::int64_t eager_sends = 0;   ///< BSP transfers with msgs == 1
@@ -414,9 +407,9 @@ void run_lane(FuzzLane& lane, const AmrMesh& mesh, const Placement& p,
     case FuzzLane::Shape::kBspFlux: {
       const BspPlan& got = lane.cache.step_work(
           mesh, p, placement_version, costs, nranks, sizes, true,
-          lane.packing, lane.ordering);
+          lane.pack, lane.ordering);
       const BspPlan want = build_bsp_plan(mesh, p, costs, nranks, sizes,
-                                          true, lane.packing, lane.ordering);
+                                          true, lane.pack, lane.ordering);
       expect_equal(got, want);
       for (std::size_t r = 0; r < want.nranks(); ++r)
         for (const BspTask& m : want.sends_of(r))
@@ -426,16 +419,16 @@ void run_lane(FuzzLane& lane, const AmrMesh& mesh, const Placement& p,
     case FuzzLane::Shape::kOverlapSingle:
       expect_equal(lane.cache.overlap_work(mesh, p, placement_version,
                                            costs, nranks, sizes,
-                                           lane.packing),
+                                           lane.pack),
                    build_overlap_plan(mesh, p, costs, nranks, sizes,
-                                      lane.packing));
+                                      lane.pack));
       break;
     case FuzzLane::Shape::kOverlapTwoStage:
       expect_equal(lane.cache.overlap_work(mesh, p, placement_version,
                                            costs, nranks, sizes,
-                                           lane.packing, kStageSplit),
+                                           lane.pack, kStageSplit),
                    build_overlap_plan(mesh, p, costs, nranks, sizes,
-                                      lane.packing, kStageSplit));
+                                      lane.pack, kStageSplit));
       break;
   }
 }
@@ -451,9 +444,6 @@ TEST(PlanCache, SeededRegridSequencesMatchFreshBuilds) {
   // compute-first BSP lanes share a store, so the second lane's plans
   // are all store copies patched with its costs.
   const MessageSizeModel sizes{};
-  const std::int64_t mid_threshold = (sizes.bytes(NeighborKind::kEdge) +
-                                      sizes.bytes(NeighborKind::kFace)) /
-                                     2;
   const std::int32_t nranks = 8;
   const std::int32_t ranks_per_node = 4;
   const std::int64_t steps = 30;
@@ -476,15 +466,13 @@ TEST(PlanCache, SeededRegridSequencesMatchFreshBuilds) {
     for (const auto shape : {FuzzLane::Shape::kBspFlux,
                              FuzzLane::Shape::kOverlapSingle,
                              FuzzLane::Shape::kOverlapTwoStage})
-      for (const PackingPolicy packing :
-           {PackingPolicy::none(), PackingPolicy::all(),
-            PackingPolicy{mid_threshold}})
-        lanes.push_back(FuzzLane{shape, packing, {}, 0, 0});
+      for (const bool pack : {false, true})
+        lanes.push_back(FuzzLane{shape, pack, {}, 0, 0});
     // Compute-first BSP lanes: one builds and publishes to a shared
     // store, the next reads every miss back out of it.
     for (int i = 0; i < 2; ++i) {
       lanes.push_back(FuzzLane{FuzzLane::Shape::kBspFlux,
-                               PackingPolicy{mid_threshold}, {}, 0, 0,
+                               /*pack=*/true, {}, 0, 0,
                                TaskOrdering::kComputeFirst});
       lanes.back().cache.set_shared_store(&store);
     }
@@ -557,10 +545,11 @@ TEST(PlanCache, SeededRegridSequencesMatchFreshBuilds) {
     // Every miss of the reading lane came from the store.
     const FuzzLane& reader = lanes.back();
     EXPECT_EQ(reader.cache.stats().share_hits, reader.cache.stats().misses);
-    // The mid threshold genuinely splits traffic: packed and eager
-    // transfers both occur in its BSP plans.
-    EXPECT_GT(lanes[2].packed_sends, 0);
-    EXPECT_GT(lanes[2].eager_sends, 0);
+    // Packing leaves single-message pairs eager: packed and eager
+    // transfers both occur in the packed BSP lane's plans.
+    ASSERT_TRUE(lanes[1].pack);
+    EXPECT_GT(lanes[1].packed_sends, 0);
+    EXPECT_GT(lanes[1].eager_sends, 0);
   }
 }
 

@@ -31,6 +31,7 @@ void expect_equal(const OverlapPlan& got, const OverlapPlan& want) {
   EXPECT_TRUE(got.blocks == want.blocks);
   EXPECT_TRUE(got.sends == want.sends);
   EXPECT_TRUE(got.credits == want.credits);
+  EXPECT_EQ(got.expected_recvs, want.expected_recvs);
 }
 
 Placement round_robin(std::size_t blocks, std::int32_t nranks) {
@@ -52,15 +53,14 @@ std::vector<TimeNs> costs_for(std::size_t blocks, TimeNs base) {
 SharedPlanStore::Key key_for(const AmrMesh& mesh, const Placement& p,
                              std::int32_t nranks, bool overlap,
                              bool include_flux, double stage1_frac,
-                             const MessageSizeModel& sizes,
-                             const PackingPolicy& packing) {
+                             const MessageSizeModel& sizes, bool pack) {
   SharedPlanStore::Key k;
   k.overlap = overlap;
   k.nranks = nranks;
   k.include_flux = include_flux;
   k.stage1_frac = stage1_frac;
   k.sizes = sizes;
-  k.packing = packing;
+  k.pack = pack;
   k.blocks.assign(mesh.blocks().begin(), mesh.blocks().end());
   k.placement = p;
   return k;
@@ -79,7 +79,7 @@ TEST(SharedPlanStore, PublishedBspPlanRoundTrips) {
   BspPlan out;
   auto key = [&] {
     return key_for(mesh, p, nranks, false, true, 0.0, sizes,
-                   PackingPolicy::none());
+                   /*pack=*/false);
   };
   EXPECT_FALSE(store.lookup_bsp(key(), out));
   store.publish_bsp(key(), plan);
@@ -106,7 +106,7 @@ TEST(SharedPlanStore, EveryKeyAxisIsolates) {
   SharedPlanStore store;
   const auto base = [&] {
     return key_for(mesh, p, nranks, false, true, 0.0, sizes,
-                   PackingPolicy::none());
+                   /*pack=*/false);
   };
   store.publish_bsp(base(), plan);
   BspPlan out;
@@ -125,11 +125,7 @@ TEST(SharedPlanStore, EveryKeyAxisIsolates) {
   EXPECT_FALSE(store.lookup_bsp(k, out));
 
   k = base();
-  k.packing = PackingPolicy::all();
-  EXPECT_FALSE(store.lookup_bsp(k, out));
-
-  k = base();
-  k.packing = PackingPolicy{4000};
+  k.pack = true;
   EXPECT_FALSE(store.lookup_bsp(k, out));
 
   k = base();
@@ -146,7 +142,7 @@ TEST(SharedPlanStore, EveryKeyAxisIsolates) {
   const Placement pf = round_robin(fine.size(), nranks);
   EXPECT_FALSE(store.lookup_bsp(
       key_for(fine, pf, nranks, false, true, 0.0, sizes,
-              PackingPolicy::none()),
+              /*pack=*/false),
       out));
 }
 
@@ -162,7 +158,7 @@ TEST(SharedPlanStore, OverlapPlanRoundTripsAndKeysOnStageSplit) {
   SharedPlanStore store;
   const auto key = [&](double frac) {
     return key_for(mesh, p, nranks, true, false, frac, sizes,
-                   PackingPolicy::none());
+                   /*pack=*/false);
   };
   store.publish_overlap(key(0.0), plan);
   OverlapPlan out;
@@ -182,7 +178,7 @@ TEST(SharedPlanStore, FifoEvictsOldestAtCapacity) {
   for (std::int32_t nranks = 2; nranks <= 8; nranks *= 2) {
     const Placement p = round_robin(mesh.size(), nranks);
     store.publish_bsp(key_for(mesh, p, nranks, false, true, 0.0, sizes,
-                              PackingPolicy::none()),
+                              /*pack=*/false),
                       build_bsp_plan(mesh, p, costs_for(mesh.size(), 1),
                                       nranks, sizes, true));
   }
@@ -191,15 +187,15 @@ TEST(SharedPlanStore, FifoEvictsOldestAtCapacity) {
   // Oldest (nranks=2) is gone; the newer two survive.
   EXPECT_FALSE(store.lookup_bsp(
       key_for(mesh, round_robin(mesh.size(), 2), 2, false, true, 0.0,
-              sizes, PackingPolicy::none()),
+              sizes, /*pack=*/false),
       out));
   EXPECT_TRUE(store.lookup_bsp(
       key_for(mesh, round_robin(mesh.size(), 4), 4, false, true, 0.0,
-              sizes, PackingPolicy::none()),
+              sizes, /*pack=*/false),
       out));
   EXPECT_TRUE(store.lookup_bsp(
       key_for(mesh, round_robin(mesh.size(), 8), 8, false, true, 0.0,
-              sizes, PackingPolicy::none()),
+              sizes, /*pack=*/false),
       out));
 }
 
@@ -215,7 +211,7 @@ TEST(SharedPlanStore, DuplicatePublishKeepsFirst) {
   SharedPlanStore store;
   const auto key = [&] {
     return key_for(mesh, p, nranks, false, true, 0.0, sizes,
-                   PackingPolicy::none());
+                   /*pack=*/false);
   };
   store.publish_bsp(key(), plan);
   store.publish_bsp(key(), plan);
@@ -265,8 +261,7 @@ TEST(SharedPlanStore, IdenticalFingerprintCachesShare) {
 
 TEST(SharedPlanStore, ModeMismatchNeverShares) {
   // A tenant running any different mode-matrix point must build its own
-  // plan: pack-none, pack-all, a finite threshold, and the execution
-  // mode all key.
+  // plan: packing on or off and the execution mode both key.
   AmrMesh mesh(RootGrid{2, 2, 2});
   mesh.refine(std::vector<std::int32_t>{0});
   const std::int32_t nranks = 2;
@@ -283,16 +278,10 @@ TEST(SharedPlanStore, ModeMismatchNeverShares) {
   ExchangePlanCache packed;
   packed.set_shared_store(&store);
   const auto got = packed.step_work(mesh, p, 0, c, nranks, sizes, true,
-                                    PackingPolicy::all());
+                                    /*pack=*/true);
   EXPECT_EQ(packed.stats().share_hits, 0);
   expect_equal(got, build_bsp_plan(mesh, p, c, nranks, sizes, true,
-                                    PackingPolicy::all()));
-
-  ExchangePlanCache adaptive;
-  adaptive.set_shared_store(&store);
-  const PackingPolicy split{4000};
-  (void)adaptive.step_work(mesh, p, 0, c, nranks, sizes, true, split);
-  EXPECT_EQ(adaptive.stats().share_hits, 0);
+                                    /*pack=*/true));
 
   ExchangePlanCache overlap;
   overlap.set_shared_store(&store);
@@ -300,14 +289,14 @@ TEST(SharedPlanStore, ModeMismatchNeverShares) {
   EXPECT_EQ(overlap.stats().share_hits, 0);
   expect_equal(ow, build_overlap_plan(mesh, p, c, nranks, sizes));
 
-  // But a second adaptive tenant with the same thresholds does share.
-  ExchangePlanCache adaptive2;
-  adaptive2.set_shared_store(&store);
+  // But a second packing tenant does share.
+  ExchangePlanCache packed2;
+  packed2.set_shared_store(&store);
   const auto got2 =
-      adaptive2.step_work(mesh, p, 0, c, nranks, sizes, true, split);
-  EXPECT_EQ(adaptive2.stats().share_hits, 1);
-  expect_equal(got2,
-               build_bsp_plan(mesh, p, c, nranks, sizes, true, split));
+      packed2.step_work(mesh, p, 0, c, nranks, sizes, true, /*pack=*/true);
+  EXPECT_EQ(packed2.stats().share_hits, 1);
+  expect_equal(got2, build_bsp_plan(mesh, p, c, nranks, sizes, true,
+                                     /*pack=*/true));
 }
 
 }  // namespace

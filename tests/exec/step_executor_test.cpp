@@ -206,17 +206,16 @@ TEST(StepExecutor, PlanCountersMatchWhatRan) {
     std::function<const BspPlan&(std::uint64_t)> plan;
   };
   std::vector<Lane> lanes;
-  for (const PackingPolicy packing :
-       {PackingPolicy::none(), PackingPolicy::all()}) {
+  for (const bool pack : {false, true}) {
     auto work = oracle::nested_work(mesh, placement, costs, kRanks, {}, true,
-                                    packing);
+                                    pack);
     work[3].computes_after_wait.push_back({0, us(7)});
     for (const TaskOrdering ordering :
          {TaskOrdering::kComputeFirst, TaskOrdering::kSendFirst}) {
       auto plan = std::make_shared<BspPlan>(make_bsp_plan(work, ordering));
-      lanes.push_back({std::string(packing.active() ? "packed " : "eager ") +
+      lanes.push_back({std::string(pack ? "packed " : "eager ") +
                            to_string(ordering),
-                       packing.active(),
+                       pack,
                        [plan](std::uint64_t) -> const BspPlan& {
                          return *plan;
                        }});
@@ -234,7 +233,7 @@ TEST(StepExecutor, PlanCountersMatchWhatRan) {
        [&, cache](std::uint64_t window) -> const BspPlan& {
          return cache->step_work(mesh, placement, 0,
                                  window == 0 ? costs : patched, kRanks, {},
-                                 true, PackingPolicy::all(),
+                                 true, /*pack=*/true,
                                  TaskOrdering::kComputeFirst);
        }});
   // The same plan object rebuilt for another placement between windows:
@@ -323,7 +322,7 @@ TEST(StepExecutor, PlanCountersMatchWhatRan) {
 // it. The order is read back from the trace, where every timed task of
 // a rank is one complete span on its track.
 TEST(StepExecutor, ExecutedOrderMatchesNestedOracle) {
-  constexpr std::int32_t kRanks = 12;
+  constexpr std::int32_t kRanks = 14;
   AmrMesh mesh(RootGrid{4, 2, 2});
   mesh.refine(std::vector<std::int32_t>{0, 5});
   Placement placement(mesh.size());
@@ -334,9 +333,6 @@ TEST(StepExecutor, ExecutedOrderMatchesNestedOracle) {
     costs[b] = us(10) + static_cast<TimeNs>(b % 9) * us(4);
   const ExecParams params;
   const MessageSizeModel sizes;
-  const PackingPolicy mid{(sizes.bytes(NeighborKind::kEdge) +
-                           sizes.bytes(NeighborKind::kFace)) /
-                          2};
 
   // A timed task as its trace span shows it.
   auto timed = [&](const BspTask& t) {
@@ -344,23 +340,29 @@ TEST(StepExecutor, ExecutedOrderMatchesNestedOracle) {
     return std::tuple(t.kind, d, t.kind == BspTaskKind::kPackSend ? t.dst : -1);
   };
   std::int64_t reordered = 0;
+  bool packed = false;
+  bool eager = false;
   for (const TaskOrdering ordering :
        {TaskOrdering::kComputeFirst, TaskOrdering::kSendFirst}) {
-    for (const PackingPolicy packing :
-         {PackingPolicy::none(), PackingPolicy::all(), mid}) {
+    for (const bool pack : {false, true}) {
       for (const bool two_stage : {false, true}) {
-        if (two_stage && packing.active()) continue;
+        if (two_stage && pack) continue;
         const auto work =
             two_stage ? oracle::nested_two_stage(mesh, placement, costs,
                                                  kRanks, 0.4, sizes)
                       : oracle::nested_work(mesh, placement, costs, kRanks,
-                                            sizes, true, packing);
+                                            sizes, true, pack);
         const BspPlan plan =
             build_bsp_plan(mesh, placement, costs, kRanks, sizes, !two_stage,
-                           packing, ordering, two_stage ? 0.4 : 0.0);
+                           pack, ordering, two_stage ? 0.4 : 0.0);
+        if (pack) {
+          for (const BspTask& t : plan.tasks)
+            if (t.kind == BspTaskKind::kPackSend)
+              (t.msgs > 1 ? packed : eager) = true;
+        }
         for (const std::int32_t priority : {-1, 0, 7}) {
-          SCOPED_TRACE(std::string(to_string(ordering)) + " threshold " +
-                       std::to_string(packing.threshold) +
+          SCOPED_TRACE(std::string(to_string(ordering)) +
+                       (pack ? " packed" : "") +
                        (two_stage ? " two-stage" : "") + " priority " +
                        std::to_string(priority));
           Engine engine;
@@ -412,8 +414,11 @@ TEST(StepExecutor, ExecutedOrderMatchesNestedOracle) {
       }
     }
   }
-  // Priority genuinely moved sends on some ranks.
+  // Priority genuinely moved sends on some ranks, and the packed plans
+  // hold aggregates beside the eager sends of single-message pairs.
   EXPECT_GT(reordered, 0);
+  EXPECT_TRUE(packed);
+  EXPECT_TRUE(eager);
 }
 
 }  // namespace

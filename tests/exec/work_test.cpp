@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <string>
 
 #include "bsp_oracle.hpp"
@@ -98,7 +97,7 @@ TEST(BuildStepWork, AggregateFoldsSendsPerDestination) {
   const BspPlan legacy =
       build_bsp_plan(mesh, placement, costs, 5, sizes, false);
   const BspPlan agg = build_bsp_plan(mesh, placement, costs, 5, sizes, false,
-                                     PackingPolicy::all());
+                                     /*pack=*/true);
   ASSERT_EQ(agg.nranks(), legacy.nranks());
 
   std::int64_t legacy_sends = 0;
@@ -140,95 +139,53 @@ TEST(BuildStepWork, AggregateFoldsSendsPerDestination) {
     EXPECT_EQ(incoming[r], agg.expected_recvs[r]);
 }
 
-TEST(PackingPolicy, MeanPayloadThreshold) {
-  // Mean bytes/message vs the threshold, independent of which ranks the
-  // pair connects.
-  const PackingPolicy p{1000};
-  EXPECT_TRUE(p.active());
-  EXPECT_FALSE(p.pack_all());
-  // Single messages never pack regardless of size.
-  EXPECT_FALSE(p.pack(100, 1));
-  // Mean 500 <= 1000 packs; mean 2000 > 1000 stays eager; the boundary
-  // (mean == threshold) packs.
-  EXPECT_TRUE(p.pack(1000, 2));
-  EXPECT_FALSE(p.pack(4000, 2));
-  EXPECT_TRUE(p.pack(2000, 2));
-  EXPECT_FALSE(PackingPolicy::none().active());
-  EXPECT_FALSE(PackingPolicy::none().pack(2, 2));
-  EXPECT_FALSE(PackingPolicy{0}.active());
-  EXPECT_TRUE(PackingPolicy::all().active());
-  EXPECT_TRUE(PackingPolicy::all().pack_all());
-  EXPECT_TRUE(PackingPolicy::all().pack(std::int64_t{1} << 39, 2));
-  EXPECT_FALSE(PackingPolicy::all().pack(std::int64_t{1} << 39, 1));
-}
-
 TEST(BuildStepWork, AdaptiveThresholdSplitsPairs) {
-  // Threshold between the edge payload (small) and the face payload
-  // (large): small-mean pairs pack, large-mean pairs stay eager, and
-  // the logical message count and byte volume are conserved either way.
-  AmrMesh mesh(RootGrid{3, 3, 3});
+  // Packing's threshold is two messages: on a chunked placement some
+  // (src,dst) pairs carry one boundary message and stay eager while the
+  // rest pack, and the logical message count and byte volume are
+  // conserved either way.
+  AmrMesh mesh(RootGrid{4, 4, 4});
+  const std::int32_t nranks = 16;
   Placement placement(mesh.size());
   for (std::size_t b = 0; b < mesh.size(); ++b)
-    placement[b] = static_cast<std::int32_t>(b % 5);
+    placement[b] = static_cast<std::int32_t>(b / 4);
   const std::vector<TimeNs> costs(mesh.size(), us(10));
   const MessageSizeModel sizes;
   const BspPlan legacy =
-      build_bsp_plan(mesh, placement, costs, 5, sizes, false);
+      build_bsp_plan(mesh, placement, costs, nranks, sizes, false);
+  const BspPlan adaptive = build_bsp_plan(mesh, placement, costs, nranks,
+                                          sizes, false, /*pack=*/true);
 
-  // Pick a threshold strictly between the smallest and largest per-pair
-  // mean, so the split is guaranteed to separate real traffic.
-  std::int64_t pair_msgs[5][5] = {};
-  std::int64_t pair_bytes[5][5] = {};
-  for (std::size_t r = 0; r < legacy.nranks(); ++r) {
-    for (const BspTask& s : legacy.sends_of(r)) {
-      ++pair_msgs[r][s.dst];
-      pair_bytes[r][s.dst] += s.value;
-    }
-  }
-  std::int64_t lo = std::numeric_limits<std::int64_t>::max();
-  std::int64_t hi = 0;
-  for (int s = 0; s < 5; ++s) {
-    for (int d = 0; d < 5; ++d) {
-      if (pair_msgs[s][d] < 2) continue;
-      const std::int64_t mean = pair_bytes[s][d] / pair_msgs[s][d];
-      lo = std::min(lo, mean);
-      hi = std::max(hi, mean);
-    }
-  }
-  ASSERT_LT(lo, hi);  // pair means genuinely differ on this mesh
-  const std::int64_t mid = (lo + hi) / 2;
-  const PackingPolicy policy{mid};
-  const BspPlan adaptive =
-      build_bsp_plan(mesh, placement, costs, 5, sizes, false, policy);
-
+  std::vector<std::vector<std::int64_t>> pair_msgs(
+      nranks, std::vector<std::int64_t>(nranks, 0));
   std::int64_t legacy_sends = 0;
   std::int64_t legacy_bytes = 0;
   for (std::size_t r = 0; r < legacy.nranks(); ++r) {
     legacy_sends += static_cast<std::int64_t>(legacy.sends_of(r).size());
-    for (const BspTask& s : legacy.sends_of(r)) legacy_bytes += s.value;
+    for (const BspTask& s : legacy.sends_of(r)) {
+      legacy_bytes += s.value;
+      ++pair_msgs[r][static_cast<std::size_t>(s.dst)];
+    }
   }
   std::int64_t logical = 0;
   std::int64_t bytes = 0;
   std::int64_t packed = 0;
   std::int64_t eager = 0;
-  std::vector<std::int64_t> incoming(5, 0);
+  std::vector<std::int64_t> incoming(nranks, 0);
   for (std::size_t r = 0; r < adaptive.nranks(); ++r) {
     for (const BspTask& s : adaptive.sends_of(r)) {
       logical += s.msgs;
       bytes += s.value;
       ++incoming[static_cast<std::size_t>(s.dst)];
-      if (s.msgs > 1) {
-        ++packed;
-        // A packed pair's mean stayed at or below the threshold.
-        EXPECT_LE(s.value, policy.threshold * s.msgs);
-      } else {
-        ++eager;
-      }
+      // A pair packs iff it carries two or more messages, all of them.
+      const std::int64_t msgs = pair_msgs[r][static_cast<std::size_t>(s.dst)];
+      EXPECT_EQ(s.msgs, msgs >= 2 ? msgs : 1);
+      ++(s.msgs > 1 ? packed : eager);
     }
   }
   EXPECT_EQ(logical, legacy_sends);
   EXPECT_EQ(bytes, legacy_bytes);
-  // The split is genuine: both kinds of traffic exist at this threshold.
+  // The split is genuine: both kinds of traffic exist on this placement.
   EXPECT_GT(packed, 0);
   EXPECT_GT(eager, 0);
   for (std::size_t r = 0; r < adaptive.nranks(); ++r)
@@ -238,23 +195,20 @@ TEST(BuildStepWork, AdaptiveThresholdSplitsPairs) {
 // The flat builder lays every rank's run out exactly as the nested
 // builder plus the runtime's old per-step expansion did (the oracle in
 // bsp_oracle.hpp): the two plans must be equal in every field — tasks,
-// ranges, per-rank counters, expected counts — for both orderings,
-// every packing shape, with and without flux, and for the two-stage
+// ranges, per-rank counters, expected counts — for both orderings, with
+// and without packing, with and without flux, and for the two-stage
 // rendering.
 TEST(BuildBspPlan, TaskOrderMatchesNestedOracle) {
   AmrMesh mesh(RootGrid{4, 2, 2});
   mesh.refine(std::vector<std::int32_t>{0, 5});  // flux along level jumps
-  const std::int32_t nranks = 7;  // rank 6 holds no block
+  const std::int32_t nranks = 11;  // rank 10 holds no block
   Placement placement(mesh.size());
   for (std::size_t b = 0; b < mesh.size(); ++b)
-    placement[b] = static_cast<std::int32_t>((b * 5 + b / 3) % 6);
+    placement[b] = static_cast<std::int32_t>((b * 5 + b / 3) % 10);
   std::vector<TimeNs> costs(mesh.size());
   for (std::size_t b = 0; b < costs.size(); ++b)
     costs[b] = us(20) + static_cast<TimeNs>(b) * 997;
   const MessageSizeModel sizes;
-  const PackingPolicy mid{(sizes.bytes(NeighborKind::kEdge) +
-                           sizes.bytes(NeighborKind::kFace)) /
-                          2};
 
   auto expect_same = [](const BspPlan& got, const BspPlan& want) {
     ASSERT_EQ(got.nranks(), want.nranks());
@@ -274,23 +228,24 @@ TEST(BuildBspPlan, TaskOrderMatchesNestedOracle) {
   bool eager = false;
   for (const TaskOrdering ordering :
        {TaskOrdering::kComputeFirst, TaskOrdering::kSendFirst}) {
-    for (const PackingPolicy packing :
-         {PackingPolicy::none(), PackingPolicy::all(), mid}) {
+    for (const bool pack : {false, true}) {
       for (const bool flux : {false, true}) {
-        SCOPED_TRACE(std::string(to_string(ordering)) + " threshold " +
-                     std::to_string(packing.threshold) +
-                     (flux ? " flux" : ""));
+        SCOPED_TRACE(std::string(to_string(ordering)) +
+                     (pack ? " packed" : "") + (flux ? " flux" : ""));
         const BspPlan got = build_bsp_plan(mesh, placement, costs, nranks,
-                                           sizes, flux, packing, ordering);
+                                           sizes, flux, pack, ordering);
         expect_same(got, oracle::make_bsp_plan(
                              oracle::nested_work(mesh, placement, costs,
-                                                 nranks, sizes, flux,
-                                                 packing),
+                                                 nranks, sizes, flux, pack),
                              ordering));
         for (std::size_t r = 0; r < got.nranks(); ++r) {
           copies |= got.bytes_of(r, BspTaskKind::kLocalCopy) > 0;
-          for (const BspTask& t : got.sends_of(r))
-            (t.msgs > 1 ? packed : eager) = true;
+          // The packed plans hold aggregates beside the eager sends of
+          // single-message pairs.
+          if (pack) {
+            for (const BspTask& t : got.sends_of(r))
+              (t.msgs > 1 ? packed : eager) = true;
+          }
         }
       }
     }
@@ -300,7 +255,7 @@ TEST(BuildBspPlan, TaskOrderMatchesNestedOracle) {
         ordering);
     want.stage1_frac = 0.3;
     expect_same(build_bsp_plan(mesh, placement, costs, nranks, sizes, false,
-                               PackingPolicy::none(), ordering, 0.3),
+                               /*pack=*/false, ordering, 0.3),
                 want);
   }
   // The mesh exercises what the layout has to place.

@@ -19,6 +19,7 @@
 #include "amr/serve/job_protocol.hpp"
 #include "amr/serve/query_endpoint.hpp"
 #include "amr/serve/scheduler.hpp"
+#include "amr/serve/sim_server.hpp"
 #include "amr/simmpi/comm.hpp"
 #include "amr/telemetry/query.hpp"
 #include "bench_util.hpp"
@@ -99,8 +100,7 @@ std::string config_text(const SimulationConfig& c) {
     << c.root_grid.ny << 'x' << c.root_grid.nz << ' ' << c.steps << ' '
     << c.collect_telemetry << ' ' << static_cast<int>(c.execution) << ' '
     << c.include_flux_correction << ' ' << c.comm_adaptive << ' '
-    << c.comm_pack_threshold << ' ' << c.send_priority << ' '
-    << c.auto_cplx << ' ' << c.cplx_budget_ms << ' ' << c.checkpoint_every
+    << c.send_priority << ' ' << c.auto_cplx << ' ' << c.checkpoint_every
     << ' ' << c.checkpoint_dir << ' ' << c.trace_enabled << ' '
     << c.trace.capacity;
   for (const ThrottleFault& f : c.faults.throttles()) {
@@ -162,25 +162,18 @@ TEST(JobProtocol, JobObjectPopulatesTheSpec) {
 
 TEST(JobProtocol, AggregateIsASecondSpellingOfCommAdaptive) {
   // Aliases set the same member: "aggregate" is comm_adaptive and
-  // "overlap" is execution=overlap, with or without a threshold, through
-  // both the CLI and the JSON spelling.
-  for (const char* extra : {"", ", \"pack_threshold\": 2560"}) {
-    std::vector<std::string> alias = {"--overlap", "--aggregate"};
-    if (*extra != '\0') alias.push_back("--pack-threshold=2560");
-    const std::string adaptive =
-        std::string("{\"execution\": \"overlap\", \"comm_adaptive\": true") +
-        extra + "}";
-    const std::string agg =
-        std::string("{\"execution\": \"overlap\", \"aggregate\": true") +
-        extra + "}";
-    EXPECT_EQ(validate_job(spec_from_json(adaptive)), "") << extra;
-    EXPECT_EQ(validate_job(spec_from_json(agg)), "") << extra;
-    EXPECT_TRUE(job_config(spec_from_json(agg)).comm_adaptive) << extra;
-    expect_same_job(alias, adaptive);
-    expect_same_job(alias, agg);
-    expect_same_job(alias, std::string("{\"overlap\": true, \"aggregate\": "
-                                       "true") + extra + "}");
-  }
+  // "overlap" is execution=overlap, through both the CLI and the JSON
+  // spelling.
+  const std::vector<std::string> alias = {"--overlap", "--aggregate"};
+  const std::string adaptive =
+      "{\"execution\": \"overlap\", \"comm_adaptive\": true}";
+  const std::string agg = "{\"execution\": \"overlap\", \"aggregate\": true}";
+  EXPECT_EQ(validate_job(spec_from_json(adaptive)), "");
+  EXPECT_EQ(validate_job(spec_from_json(agg)), "");
+  EXPECT_TRUE(job_config(spec_from_json(agg)).comm_adaptive);
+  expect_same_job(alias, adaptive);
+  expect_same_job(alias, agg);
+  expect_same_job(alias, "{\"overlap\": true, \"aggregate\": true}");
 }
 
 TEST(JobFields, CliFlagsAndServeFieldsBuildTheSameSpec) {
@@ -590,10 +583,6 @@ TEST(QuantumScheduler, OutOfRangeSpecsFailWithNamedErrors) {
       [](JobSpec& s) { s.checkpoint_every = -1; });
   add("--sedov-max-level must be >= 0",
       [](JobSpec& s) { s.sedov_max_level = -1; });
-  add("--pack-threshold must be >= -1", [](JobSpec& s) {
-    s.comm_adaptive = true;
-    s.pack_threshold = -2;
-  });
   add("unknown workload bogus (sedov | cooling)",
       [](JobSpec& s) { s.workload = "bogus"; });
 
@@ -615,6 +604,34 @@ TEST(QuantumScheduler, OutOfRangeSpecsFailWithNamedErrors) {
   ASSERT_NE(last, nullptr);
   ASSERT_TRUE(last->ok) << last->error;
   EXPECT_EQ(last->text, standalone_text(fine));
+}
+
+TEST(SimServer, RemovedFieldIsUnknownAndTheOtherJobsRun) {
+  // Packing is a yes/no: a line still carrying the removed packing
+  // threshold is refused by name, and the jobs around it run.
+  std::istringstream in(
+      "{\"ranks\": 64, \"steps\": 4}\n"
+      "{\"ranks\": 64, \"steps\": 4, \"comm_adaptive\": true, "
+      "\"pack_threshold\": 2560}\n"
+      "{\"ranks\": 64, \"steps\": 4, \"comm_adaptive\": true}\n");
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  SimServer server{ServeOptions{}};
+  EXPECT_EQ(server.run(in, out), 1);
+  std::string text(static_cast<std::size_t>(std::ftell(out)), '\0');
+  std::rewind(out);
+  EXPECT_EQ(std::fread(text.data(), 1, text.size(), out), text.size());
+  std::fclose(out);
+
+  JobSpec plain;
+  plain.ranks = 64;
+  plain.steps = 4;
+  JobSpec packed = plain;
+  packed.comm_adaptive = true;
+  EXPECT_EQ(text, "error: unknown field \"pack_threshold\"\n"
+                  "== job 0 ==\n" +
+                      standalone_text(plain) + "== job 1 ==\n" +
+                      standalone_text(packed));
 }
 
 TEST(QuantumScheduler, RejectsIncoherentOptions) {
