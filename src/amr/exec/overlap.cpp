@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <limits>
 
+#include "amr/common/capacity.hpp"
 #include "amr/common/check.hpp"
 #include "amr/trace/tracer.hpp"
 
@@ -19,14 +20,25 @@ void OverlapPlan::clear() {
   expected_recvs.clear();
 }
 
-// Counted passes over flat scratch: slots, then the cross-rank messages
-// grouped by source, then per-pair pack decisions with every array's
-// per-rank and per-block sizes counted, then prefix sums into ranges,
-// then the fill. Receivers' credits are appended in source order, so a
-// per-slot marker (the last source that credited it) finds a source's
-// credit for a slot in O(1); a block's messages are contiguous, so a
-// per-pair marker (the last producer counted) de-duplicates its
-// aggregates.
+std::size_t OverlapPlan::bytes() const {
+  return capacity_bytes(ranks, blocks, sends, credits, packed_out,
+                        stage1_order, expected_recvs);
+}
+
+std::size_t OverlapBuildScratch::bytes() const {
+  return capacity_bytes(slot_of_block, msgs, pairs, touched, credit_src,
+                        credit_at, cursor, order_key);
+}
+
+// Counted passes over scratch that grows with ranks and blocks: slots;
+// a count pass (per-rank and per-block sizes, pack decisions); prefix
+// sums into ranges; the fill. Each of the two message passes gathers
+// one source rank's cross-rank messages at a time, in emission order
+// (slot, then neighbor), and rebuilds that source's pair totals from
+// them. Receivers' credits are appended in source order, so a per-slot
+// marker (the last source that credited it) finds a source's credit for
+// a slot in O(1); a block's messages are contiguous, so a per-pair
+// marker (the last producer counted) de-duplicates its aggregates.
 void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
                         std::span<const TimeNs> block_costs,
                         std::int32_t nranks, const MessageSizeModel& sizes,
@@ -70,14 +82,15 @@ void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
     set_block_cost(blk, block_costs[b], stage1_frac);
   }
 
-  // Cross-rank messages per source rank in emission order (slot, then
-  // neighbor); local copies are charged here.
-  const auto& lists = mesh.neighbor_lists();
-  sc.msgs.clear();
-  sc.msg_begin.resize(nr + 1);
-  for (std::size_t r = 0; r < nr; ++r) {
-    sc.msg_begin[r] = static_cast<std::int32_t>(sc.msgs.size());
-    OverlapRankPlan& w = ranks[r];
+  // Gather `src`'s cross-rank messages into sc.msgs (charging its local
+  // copies when `charge`) and, with `pack`, its per-destination totals
+  // and pack decisions into sc.pairs; sc.touched lists the destinations.
+  const NeighborTable& lists = mesh.neighbor_lists();
+  sc.pairs.assign(nr, Pair{});
+  sc.touched.clear();
+  const auto gather = [&](std::size_t src, bool charge) {
+    OverlapRankPlan& w = ranks[src];
+    sc.msgs.clear();
     for (std::int32_t s = w.blocks.begin; s < w.blocks.end; ++s) {
       const auto b = static_cast<std::size_t>(
           blocks[static_cast<std::size_t>(s)].block);
@@ -85,65 +98,52 @@ void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
         const auto ni = static_cast<std::size_t>(n.index);
         const std::int32_t dst = placement[ni];
         const std::int64_t bytes = sizes.bytes(n.kind);
-        if (static_cast<std::size_t>(dst) == r) {
-          w.local_copy_bytes += bytes;
-          ++w.local_copy_msgs;
+        if (static_cast<std::size_t>(dst) == src) {
+          if (charge) {
+            w.local_copy_bytes += bytes;
+            ++w.local_copy_msgs;
+          }
           continue;
         }
         sc.msgs.push_back(Msg{bytes, dst, sc.slot_of_block[ni], s});
       }
     }
-  }
-  // Every index range below is 32-bit; sends, credits and aggregate
-  // references each number at most one per message.
-  AMR_CHECK(sc.msgs.size() <= static_cast<std::size_t>(INT32_MAX));
-  sc.msg_begin[nr] = static_cast<std::int32_t>(sc.msgs.size());
-  const auto msgs_of = [&](std::size_t r) {
-    return std::span<const Msg>(sc.msgs).subspan(
-        static_cast<std::size_t>(sc.msg_begin[r]),
-        static_cast<std::size_t>(sc.msg_begin[r + 1] - sc.msg_begin[r]));
+    if (!pack) return;
+    for (const Msg& m : sc.msgs) {
+      Pair& p = sc.pairs[static_cast<std::size_t>(m.dst)];
+      if (p.msgs++ == 0) sc.touched.push_back(m.dst);
+      p.bytes += m.bytes;
+    }
+    for (const std::int32_t dst : sc.touched) {
+      Pair& p = sc.pairs[static_cast<std::size_t>(dst)];
+      p.packed = p.msgs >= 2;
+    }
+  };
+  const auto reset_pairs = [&] {
+    for (const std::int32_t dst : sc.touched)
+      sc.pairs[static_cast<std::size_t>(dst)] = Pair{};
+    sc.touched.clear();
+  };
+  const auto pair_for = [&](std::int32_t dst) -> Pair* {
+    return pack ? &sc.pairs[static_cast<std::size_t>(dst)] : nullptr;
   };
 
-  // Per-pair totals drive the eager/pack split. Counts land in the
-  // ranges' `end` fields until the prefix pass turns them into ranges;
-  // per-block gating stays logical whether or not a message rides an
-  // aggregate (a packed arrival credits every destination block).
-  sc.pairs.clear();
-  sc.pair_begin.resize(nr + 1);
-  sc.pair_of_dst.assign(nr, -1);
+  // Count pass. Counts land in the ranges' `end` fields until the prefix
+  // pass turns them into ranges; per-block gating stays logical whether
+  // or not a message rides an aggregate (a packed arrival credits every
+  // destination block).
   sc.credit_src.assign(nblocks, -1);
-  const auto pair_for = [&](std::int32_t dst) -> Pair* {
-    if (!pack) return nullptr;
-    return &sc.pairs[static_cast<std::size_t>(
-        sc.pair_of_dst[static_cast<std::size_t>(dst)])];
-  };
+  std::size_t total_msgs = 0;
   for (std::size_t src = 0; src < nr; ++src) {
-    const auto first_pair = static_cast<std::int32_t>(sc.pairs.size());
-    sc.pair_begin[src] = first_pair;
+    gather(src, /*charge=*/true);
+    total_msgs += sc.msgs.size();
     OverlapRankPlan& w = ranks[src];
-    const auto msgs = msgs_of(src);
-    if (pack) {
-      for (const Msg& m : msgs) {
-        std::int32_t& idx = sc.pair_of_dst[static_cast<std::size_t>(m.dst)];
-        if (idx < 0) {
-          idx = static_cast<std::int32_t>(sc.pairs.size());
-          sc.pairs.push_back(Pair{});
-          sc.pairs.back().dst = m.dst;
-        }
-        Pair& p = sc.pairs[static_cast<std::size_t>(idx)];
-        ++p.msgs;
-        p.bytes += m.bytes;
-      }
-      for (std::size_t i = static_cast<std::size_t>(first_pair);
-           i < sc.pairs.size(); ++i) {
-        Pair& p = sc.pairs[i];
-        p.packed = p.msgs >= 2;
-        if (!p.packed) continue;
-        ++w.packed.end;
-        ++expected[static_cast<std::size_t>(p.dst)];
-      }
+    for (const std::int32_t dst : sc.touched) {
+      if (!sc.pairs[static_cast<std::size_t>(dst)].packed) continue;
+      ++w.packed.end;
+      ++expected[static_cast<std::size_t>(dst)];
     }
-    for (const Msg& m : msgs) {
+    for (const Msg& m : sc.msgs) {
       OverlapBlock& target = blocks[static_cast<std::size_t>(m.dst_slot)];
       ++target.expected_recvs;
       target.recv_bytes += m.bytes;
@@ -164,17 +164,14 @@ void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
       }
       if (two_stage && p->last_src != m.src_slot) {
         p->last_src = m.src_slot;
-        ++p->contributors;
         ++blocks[static_cast<std::size_t>(m.src_slot)].packed_out.end;
       }
     }
-    for (std::size_t i = static_cast<std::size_t>(first_pair);
-         i < sc.pairs.size(); ++i) {
-      sc.pair_of_dst[static_cast<std::size_t>(sc.pairs[i].dst)] = -1;
-      sc.pairs[i].last_src = -1;
-    }
+    reset_pairs();
   }
-  sc.pair_begin[nr] = static_cast<std::int32_t>(sc.pairs.size());
+  // Every index range below is 32-bit; sends, credits and aggregate
+  // references each number at most one per message.
+  AMR_CHECK(total_msgs <= static_cast<std::size_t>(INT32_MAX));
 
   // Counts to ranges. A rank's sends: up-front eager, its blocks' eager
   // sends in slot order, then its aggregates.
@@ -208,22 +205,18 @@ void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
   // Fill, in the same message order. Eager sends of a source land in
   // emission order whether the rank (single-stage) or the producing
   // block (two-stage) owns them; an aggregate lands at its pair's first
-  // message, tagged with where its source's credit run starts.
+  // message, tagged with where its source's credit run starts, and
+  // counts its contributors as they appear.
   for (std::size_t r = 0; r < nr; ++r) sc.cursor[r] = ranks[r].credits.begin;
   sc.credit_src.assign(nblocks, -1);
   sc.credit_at.resize(nblocks);
   out_at = 0;
   for (std::size_t src = 0; src < nr; ++src) {
+    gather(src, /*charge=*/false);
     const OverlapRankPlan& w = ranks[src];
-    if (pack) {
-      for (std::int32_t i = sc.pair_begin[src]; i < sc.pair_begin[src + 1];
-           ++i)
-        sc.pair_of_dst[static_cast<std::size_t>(
-            sc.pairs[static_cast<std::size_t>(i)].dst)] = i;
-    }
     std::int32_t eager_at = w.upfront.begin;
     std::int32_t packed_at = w.packed.begin;
-    for (const Msg& m : msgs_of(src)) {
+    for (const Msg& m : sc.msgs) {
       const OverlapRankPlan& dw = ranks[static_cast<std::size_t>(m.dst)];
       Pair* p = pair_for(m.dst);
       if (p == nullptr || !p->packed) {
@@ -237,8 +230,7 @@ void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
         p->send = packed_at++;
         plan.sends[static_cast<std::size_t>(p->send)] =
             OverlapSend{p->bytes, m.dst, p->msgs,
-                        packed_dst_tag(cursor - dw.credits.begin),
-                        p->contributors};
+                        packed_dst_tag(cursor - dw.credits.begin), 0};
       }
       const auto slot = static_cast<std::size_t>(m.dst_slot);
       if (sc.credit_src[slot] != static_cast<std::int32_t>(src)) {
@@ -250,15 +242,11 @@ void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
       ++plan.credits[static_cast<std::size_t>(sc.credit_at[slot])].count;
       if (two_stage && p->last_src != m.src_slot) {
         p->last_src = m.src_slot;
+        ++plan.sends[static_cast<std::size_t>(p->send)].contributors;
         plan.packed_out[static_cast<std::size_t>(out_at++)] = p->send;
       }
     }
-    if (pack) {
-      for (std::int32_t i = sc.pair_begin[src]; i < sc.pair_begin[src + 1];
-           ++i)
-        sc.pair_of_dst[static_cast<std::size_t>(
-            sc.pairs[static_cast<std::size_t>(i)].dst)] = -1;
-    }
+    reset_pairs();
   }
 
   // Stage-1 schedule: serve aggregates shortest-contributor-set first

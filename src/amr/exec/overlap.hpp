@@ -188,6 +188,8 @@ struct OverlapPlan {
   std::size_t nranks() const { return ranks.size(); }
   /// Empty every array, keeping its capacity.
   void clear();
+  /// Heap bytes held (capacity, not size).
+  std::size_t bytes() const;
 
   template <typename T>
   static std::span<const T> slice(const std::vector<T>& v, OverlapRange r) {
@@ -200,36 +202,40 @@ struct OverlapPlan {
 
 /// Working arrays of the plan builder. A caller that rebuilds plans
 /// (ExchangePlanCache) keeps one, so a rebuild allocates nothing once
-/// the arrays have grown to the run's size.
+/// the arrays have grown to the run's size. They grow with ranks and
+/// blocks, not with messages: the builder gathers one source rank's
+/// messages at a time, and its pair totals are indexed by destination
+/// rank, so the largest array is the busiest rank's message list.
 struct OverlapBuildScratch {
-  /// One cross-rank boundary message, grouped by source rank in
-  /// emission order (slot, then neighbor).
+  /// One cross-rank boundary message of the current source rank.
   struct Msg {
     std::int64_t bytes;
     std::int32_t dst;       ///< destination rank
     std::int32_t dst_slot;  ///< into OverlapPlan::blocks
     std::int32_t src_slot;  ///< into OverlapPlan::blocks
   };
-  /// One (src, dst) rank pair's step totals and pack decision.
+  /// The current source's step totals toward one destination rank, and
+  /// its pack decision.
   struct Pair {
     std::int64_t bytes = 0;
-    std::int32_t dst = -1;
     std::int32_t msgs = 0;
-    std::int32_t contributors = 0;
     std::int32_t send = -1;       ///< the aggregate, into sends
     std::int32_t last_src = -1;   ///< producer slot last counted
     bool packed = false;
   };
   std::vector<std::int32_t> slot_of_block;  ///< into OverlapPlan::blocks
+  /// The current source's messages in emission order (slot, then
+  /// neighbor).
   std::vector<Msg> msgs;
-  std::vector<std::int32_t> msg_begin;   ///< per source rank, + 1
-  std::vector<Pair> pairs;
-  std::vector<std::int32_t> pair_begin;  ///< per source rank, + 1
-  std::vector<std::int32_t> pair_of_dst;  ///< current source's pairs
+  std::vector<Pair> pairs;              ///< per destination rank
+  std::vector<std::int32_t> touched;    ///< destinations `msgs` reach
   std::vector<std::int32_t> credit_src;   ///< per slot: last crediting src
   std::vector<std::int32_t> credit_at;    ///< per slot: its credit index
   std::vector<std::int32_t> cursor;       ///< per rank fill position
   std::vector<std::int64_t> order_key;    ///< stage-1 order sort keys
+
+  /// Heap bytes held (capacity, not size).
+  std::size_t bytes() const;
 };
 
 /// Build the overlap plan of (mesh, placement) into `out`, which is

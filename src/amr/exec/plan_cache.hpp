@@ -20,8 +20,12 @@
 // rebuilds the plan inside the previous plan's flat arrays, with the
 // builder's scratch owned here too, so the old and new plan never
 // coexist and a rebuild allocates nothing once the arrays have grown to
-// the run's size. The cache is the only step pipeline; the from-scratch
-// build functions are its test oracle (tests/exec/plan_cache_test.cpp).
+// the run's size. Both builders' scratch grows with ranks and blocks
+// (the overlap builder's with its busiest rank's messages too), never
+// with the step's message count, so the plans themselves are the
+// cache's large holders (bytes()). The cache is the only step pipeline;
+// the from-scratch build functions are its test oracle
+// (tests/exec/plan_cache_test.cpp).
 //
 // One cache instance serves one run: nranks, the message-size model, and
 // the flux-correction flag must not change across calls (the key does
@@ -84,6 +88,13 @@ class ExchangePlanCache {
       double stage1_frac = 0.0);
 
   const Stats& stats() const { return stats_; }
+
+  /// Heap bytes held (capacity, not size): both plans and both builders'
+  /// scratch.
+  std::size_t bytes() const {
+    return bsp_.bytes() + bsp_scratch_.bytes() + overlap_.bytes() +
+           overlap_scratch_.bytes();
+  }
 
   /// Drop the cached plans (the next call rebuilds).
   void invalidate() { have_bsp_ = have_overlap_ = false; }

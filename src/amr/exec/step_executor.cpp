@@ -3,19 +3,11 @@
 #include <algorithm>
 #include <utility>
 
+#include "amr/common/capacity.hpp"
 #include "amr/common/check.hpp"
 #include "amr/trace/tracer.hpp"
 
 namespace amr {
-
-namespace {
-
-template <typename T>
-std::size_t capacity_bytes(const std::vector<T>& v) {
-  return v.capacity() * sizeof(T);
-}
-
-}  // namespace
 
 StepExecutor::StepExecutor(Engine& engine, Comm& comm, ExecParams params,
                            Tracer* tracer)
@@ -31,9 +23,8 @@ StepExecutor::StepExecutor(Engine& engine, Comm& comm, ExecParams params,
 }
 
 std::size_t StepExecutor::bytes() const {
-  return capacity_bytes(runtimes_) + capacity_bytes(waits_) +
-         capacity_bytes(counters_) + capacity_bytes(sender_begin_) +
-         capacity_bytes(senders_) + capacity_bytes(priority_tasks_);
+  return capacity_bytes(runtimes_, waits_, counters_, sender_begin_,
+                        senders_, priority_tasks_);
 }
 
 void StepExecutor::count_plan(const BspPlan& plan) {

@@ -2,22 +2,18 @@
 
 #include <atomic>
 
+#include "amr/common/capacity.hpp"
 #include "amr/common/check.hpp"
 
 namespace amr {
 
 namespace {
 
-template <typename T>
-std::size_t capacity_bytes(const std::vector<T>& v) {
-  return v.capacity() * sizeof(T);
-}
-
 /// Call `f(dst_rank, bytes)` for every boundary message of `block`, in
 /// neighbor order: the ghost message, then (with flux) the flux
 /// correction a fine block owes a coarser face neighbor.
 template <typename F>
-void for_each_msg(std::span<const std::vector<Neighbor>> lists,
+void for_each_msg(const NeighborTable& lists,
                   const Placement& placement, std::int32_t block,
                   const MessageSizeModel& sizes, bool include_flux, F&& f) {
   for (const Neighbor& n : lists[static_cast<std::size_t>(block)]) {
@@ -39,8 +35,11 @@ void BspPlan::clear() {
 }
 
 std::size_t BspPlan::bytes() const {
-  return capacity_bytes(ranks) + capacity_bytes(tasks) +
-         capacity_bytes(expected_recvs);
+  return capacity_bytes(ranks, tasks, expected_recvs);
+}
+
+std::size_t BspBuildScratch::bytes() const {
+  return capacity_bytes(rank_begin, rank_blocks, recv_bytes, pairs, touched);
 }
 
 std::int64_t BspPlan::bytes_of(std::size_t rank, BspTaskKind kind) const {
@@ -121,7 +120,7 @@ void build_bsp_plan(const AmrMesh& mesh, const Placement& placement,
   for (std::size_t r = nr; r > 0; --r) sc.rank_begin[r] = sc.rank_begin[r - 1];
   sc.rank_begin[0] = 0;
 
-  const std::span<const std::vector<Neighbor>> lists = mesh.neighbor_lists();
+  const NeighborTable& lists = mesh.neighbor_lists();
   sc.recv_bytes.assign(nr, 0);
   std::size_t remote_msgs = 0;
   for (std::size_t b = 0; b < nblocks; ++b) {

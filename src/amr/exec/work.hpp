@@ -168,6 +168,9 @@ struct BspBuildScratch {
   std::vector<std::int64_t> recv_bytes;   ///< per rank: incoming volume
   std::vector<Pair> pairs;                ///< per destination rank
   std::vector<std::int32_t> touched;      ///< destinations of one source
+
+  /// Heap bytes held (capacity, not size).
+  std::size_t bytes() const;
 };
 
 /// Build the BSP plan of (mesh, placement) into `out`, which is cleared

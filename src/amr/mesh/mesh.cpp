@@ -4,6 +4,7 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "amr/common/capacity.hpp"
 #include "amr/mesh/hilbert.hpp"
 #include "amr/mesh/morton.hpp"
 
@@ -70,7 +71,7 @@ void AmrMesh::rebuild_index() {
             .second;
     AMR_CHECK_MSG(inserted, "duplicate leaf");
   }
-  neighbor_cache_valid_ = false;
+  neighbor_table_valid_ = false;
 }
 
 void AmrMesh::apply_delta(const std::vector<char>& removed,
@@ -203,12 +204,13 @@ bool AmrMesh::neighbor_coord(const BlockCoord& b, int dx, int dy, int dz,
 void AmrMesh::collect_neighbors(std::size_t id,
                                 std::vector<Neighbor>& out) const {
   const BlockCoord& b = leaves_[id];
-  out.clear();
+  const std::size_t first = out.size();
   auto add = [&](std::int32_t idx, NeighborKind kind, std::int8_t diff) {
     // Dedup against earlier directions: a coarse block can cover several
     // directions; keep the strongest adjacency (face < edge < vertex in
     // kStrength order, lower = stronger).
-    for (auto& n : out) {
+    for (std::size_t i = first; i < out.size(); ++i) {
+      Neighbor& n = out[i];
       if (n.index == idx) {
         if (kStrength(kind) < kStrength(n.kind)) n.kind = kind;
         return;
@@ -265,14 +267,37 @@ void AmrMesh::collect_neighbors(std::size_t id,
   }
 }
 
-const std::vector<std::vector<Neighbor>>& AmrMesh::neighbor_lists() const {
-  if (!neighbor_cache_valid_) {
-    neighbor_cache_.assign(leaves_.size(), {});
-    for (std::size_t i = 0; i < leaves_.size(); ++i)
-      collect_neighbors(i, neighbor_cache_[i]);
-    neighbor_cache_valid_ = true;
+std::size_t NeighborTable::bytes() const {
+  return capacity_bytes(offsets_, entries_);
+}
+
+const NeighborTable& AmrMesh::neighbor_lists() const {
+  if (!neighbor_table_valid_) {
+    NeighborTable& t = neighbor_table_;
+    const std::size_t n = leaves_.size();
+    AMR_CHECK(n * NeighborTable::kMaxPerBlock <=
+              static_cast<std::size_t>(INT32_MAX));
+    t.entries_.clear();
+    t.entries_.reserve(n * NeighborTable::kMaxPerBlock);
+    t.offsets_.resize(n + 1);
+    t.offsets_[0] = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      collect_neighbors(i, t.entries_);
+      t.offsets_[i + 1] = static_cast<std::int32_t>(t.entries_.size());
+    }
+    neighbor_table_valid_ = true;
   }
-  return neighbor_cache_;
+  return neighbor_table_;
+}
+
+std::size_t AmrMesh::bytes() const {
+  std::size_t remaps = capacity_bytes(remaps_);
+  for (const MeshRemap& r : remaps_) remaps += capacity_bytes(r.src, r.kind);
+  using IndexEntry = decltype(index_)::value_type;
+  return capacity_bytes(leaves_, keys_) +
+         index_.bucket_count() * sizeof(void*) +
+         index_.size() * (sizeof(IndexEntry) + sizeof(void*)) + remaps +
+         neighbor_table_.bytes();
 }
 
 std::size_t AmrMesh::refine(std::span<const std::int32_t> tagged) {

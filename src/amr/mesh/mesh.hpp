@@ -31,6 +31,34 @@ struct Neighbor {
   std::int32_t index = -1;      ///< Neighbor's block ID (SFC position).
   NeighborKind kind = NeighborKind::kFace;
   std::int8_t level_diff = 0;   ///< neighbor.level - block.level (-1,0,+1).
+  friend bool operator==(const Neighbor&, const Neighbor&) = default;
+};
+
+/// Every block's neighbor list in one flat table: block b's neighbors
+/// are entries()[offsets[b], offsets[b + 1]). `table[b]` is a view into
+/// the mesh's table, valid until the next refine, coarsen or restore.
+class NeighborTable {
+ public:
+  /// Most neighbors a leaf has under 2:1 balance: four finer blocks
+  /// across each of 6 faces, two across each of 12 edges and one across
+  /// each of 8 vertices.
+  static constexpr std::size_t kMaxPerBlock = 56;
+
+  std::size_t size() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  std::span<const Neighbor> operator[](std::size_t b) const {
+    return {entries_.data() + offsets_[b], entries_.data() + offsets_[b + 1]};
+  }
+  /// Every block's entries, block by block.
+  std::span<const Neighbor> entries() const { return entries_; }
+  /// Heap bytes held (capacity, not size).
+  std::size_t bytes() const;
+
+ private:
+  friend class AmrMesh;
+  std::vector<std::int32_t> offsets_;  ///< per block, + 1
+  std::vector<Neighbor> entries_;
 };
 
 /// Space-filling curve used for block ID assignment. Z-order is the
@@ -128,9 +156,18 @@ class AmrMesh {
 
   /// All 26-direction neighbors of every leaf, directed, deduplicated
   /// (a coarse block reachable through several directions is listed once,
-  /// with its strongest adjacency). Built lazily and cached per mesh
-  /// version.
-  const std::vector<std::vector<Neighbor>>& neighbor_lists() const;
+  /// with its strongest adjacency), as one flat table. Built lazily per
+  /// mesh version and rebuilt in place: the entries are reserved at the
+  /// 2:1 bound (NeighborTable::kMaxPerBlock per block) before the fill,
+  /// so a growing regrid never holds an old and a new copy, and the
+  /// reserve never written costs no resident memory. Not thread-safe
+  /// while stale: call it once on one thread before sharing the mesh.
+  const NeighborTable& neighbor_lists() const;
+
+  /// Heap bytes held (capacity, not size): leaves, SFC keys, the leaf
+  /// index (buckets, plus each node's entry and link), the remap
+  /// history and the neighbor table.
+  std::size_t bytes() const;
 
   /// Invariant: adjacent leaves differ by at most one level.
   bool check_balance() const;
@@ -185,6 +222,7 @@ class AmrMesh {
   /// returns false if outside a non-periodic domain.
   bool neighbor_coord(const BlockCoord& b, int dx, int dy, int dz,
                       BlockCoord& out) const;
+  /// Append block `id`'s neighbors to `out`.
   void collect_neighbors(std::size_t id,
                          std::vector<Neighbor>& out) const;
 
@@ -199,8 +237,8 @@ class AmrMesh {
   std::unordered_map<std::uint64_t, std::int32_t> index_;  // key -> block ID
   std::uint64_t version_ = 0;
   std::vector<MeshRemap> remaps_;  // bounded at kMaxRemapHistory
-  mutable std::vector<std::vector<Neighbor>> neighbor_cache_;
-  mutable bool neighbor_cache_valid_ = false;
+  mutable NeighborTable neighbor_table_;
+  mutable bool neighbor_table_valid_ = false;
 };
 
 }  // namespace amr

@@ -15,7 +15,7 @@ void PlacementEngine::evaluate_candidates(
   const Placement base = chunked_cdp_split(costs, nranks, chunk_ranks, pool_);
   out.resize(xs.size());
   if (scratch_.size() < xs.size()) scratch_.resize(xs.size());
-  // Materialize the mesh's lazily built neighbor cache on this thread:
+  // Materialize the mesh's lazily built neighbor table on this thread:
   // comm_metrics reads it from every worker, and the first call mutates.
   mesh.neighbor_lists();
   // The X-independent rebalance work runs once, on this thread, where

@@ -5,8 +5,10 @@
 #
 #   cmake -DGROUP=<group> -DWORK_DIR=<dir> -DBIN_<name>=<path>... -P driver.cmake
 #
-# it runs that group's rows in order and fails naming the first broken
-# row. Snapshots of one (RUN, EVERY) pair are written once per group.
+# it runs each of that group's rows in order, in a process of its own
+# (the same script with -DROW=<n>), so a broken row stops only itself,
+# and fails naming every broken row. Snapshots of one (RUN, EVERY) pair
+# are written once per group.
 
 if(NOT CMAKE_SCRIPT_MODE_FILE)
   # Configure time: collect the groups and the binaries each one runs.
@@ -64,9 +66,49 @@ endif()
 # ------------------------------------------------------------ run time
 
 cmake_policy(VERSION 3.16)
-file(REMOVE_RECURSE "${WORK_DIR}")
-file(MAKE_DIRECTORY "${WORK_DIR}")
 set(contract_row 0)
+
+if(NOT DEFINED ROW)
+  # The group: count its rows, run each in its own process and report
+  # every one that fails.
+  file(REMOVE_RECURSE "${WORK_DIR}")
+  file(MAKE_DIRECTORY "${WORK_DIR}")
+  function(contract group)
+    if(group STREQUAL GROUP)
+      math(EXPR row "${contract_row} + 1")
+      set(contract_row ${row} PARENT_SCOPE)
+    endif()
+  endfunction()
+  include(${CMAKE_CURRENT_LIST_DIR}/table.cmake)
+  if(contract_row EQUAL 0)
+    message(FATAL_ERROR "no contract rows in group ${GROUP}")
+  endif()
+  set(defs "")
+  get_cmake_property(vars VARIABLES)
+  foreach(var IN LISTS vars)
+    if(var MATCHES "^BIN_")
+      list(APPEND defs "-D${var}=${${var}}")
+    endif()
+  endforeach()
+  set(failed "")
+  foreach(row RANGE 1 ${contract_row})
+    execute_process(
+      COMMAND ${CMAKE_COMMAND} -DGROUP=${GROUP} -DROW=${row}
+              -DWORK_DIR=${WORK_DIR} ${defs} -P ${CMAKE_CURRENT_LIST_FILE}
+      RESULT_VARIABLE rc ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+      list(APPEND failed ${row})
+      message("${err}")
+    endif()
+  endforeach()
+  if(NOT failed STREQUAL "")
+    list(LENGTH failed n)
+    string(REPLACE ";" ", " failed "${failed}")
+    message(FATAL_ERROR
+      "${GROUP}: ${n} of ${contract_row} rows failed: ${failed}")
+  endif()
+  return()
+endif()
 
 function(contract_fail what)
   message(FATAL_ERROR "${GROUP} row ${contract_row} (${contract_kind}): "
@@ -138,6 +180,9 @@ function(contract group kind)
   endif()
   math(EXPR row "${contract_row} + 1")
   set(contract_row ${row} PARENT_SCOPE)
+  if(NOT row EQUAL ROW)
+    return()
+  endif()
   set(contract_row ${row})
   set(contract_kind ${kind})
   set(contract_dir "${WORK_DIR}/row${row}")
@@ -271,6 +316,3 @@ function(contract group kind)
 endfunction()
 
 include(${CMAKE_CURRENT_LIST_DIR}/table.cmake)
-if(contract_row EQUAL 0)
-  message(FATAL_ERROR "no contract rows in group ${GROUP}")
-endif()

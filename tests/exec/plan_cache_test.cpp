@@ -11,8 +11,10 @@
 #include "amr/exec/plan_cache.hpp"
 #include "amr/exec/shared_plan_store.hpp"
 #include "amr/exec/step_executor.hpp"
+#include "amr/mesh/generators.hpp"
 #include "amr/placement/registry.hpp"
 #include "amr/workloads/sedov.hpp"
+#include "overlap_oracle.hpp"
 
 namespace amr {
 namespace {
@@ -593,6 +595,161 @@ TEST(PlanCache, BspPlanFootprintPerTask) {
   RecordProperty("bytes_per_task", std::to_string(per_task));
   EXPECT_GT(plan.tasks.size(), 40u * kRanks);  // a real exchange
   EXPECT_LE(per_task, 24.0);
+}
+
+// The builder that gathers one source rank's messages at a time equals
+// the materialized-message builder it replaced (overlap_oracle.hpp) in
+// every field, packing on and off, single- and two-stage, under CPLX 0
+// and 100 and under random placements. One plan and one scratch serve
+// every build, as in the cache, so state a build of another shape
+// leaves behind would show.
+TEST(PlanCache, OverlapBuilderMatchesMaterializedOracle) {
+  constexpr std::int32_t kRanks = 48;
+  AmrMesh mesh(RootGrid{4, 4, 4});
+  Rng rng(5);
+  refine_random(mesh, rng, 0.3, 2, 2);
+  std::vector<TimeNs> costs(mesh.size());
+  std::vector<double> est(mesh.size());
+  for (std::size_t b = 0; b < mesh.size(); ++b) {
+    costs[b] = us(10) + static_cast<TimeNs>(rng.uniform_int(40000));
+    est[b] = static_cast<double>(costs[b]);
+  }
+  std::vector<Placement> placements = {
+      make_policy("cpl0")->place(est, kRanks),
+      make_policy("cpl100")->place(est, kRanks)};
+  for (int i = 0; i < 3; ++i) {
+    Placement p(mesh.size());
+    for (auto& r : p) r = static_cast<std::int32_t>(rng.uniform_int(kRanks));
+    placements.push_back(std::move(p));
+  }
+  const MessageSizeModel sizes;
+
+  OverlapPlan plan;
+  OverlapBuildScratch scratch;
+  bool aggregates = false;
+  bool shared_aggregates = false;
+  for (std::size_t i = 0; i < placements.size(); ++i) {
+    for (const double stage1_frac : {0.0, 0.6}) {
+      for (const bool pack : {false, true}) {
+        SCOPED_TRACE("placement " + std::to_string(i) + " stage1 " +
+                     std::to_string(stage1_frac) + (pack ? " pack" : ""));
+        build_overlap_plan(mesh, placements[i], costs, kRanks, sizes, pack,
+                           stage1_frac, plan, scratch);
+        expect_equal(plan, oracle::materialized_overlap_plan(
+                               mesh, placements[i], costs, kRanks, sizes,
+                               pack, stage1_frac));
+        for (const OverlapSend& send : plan.sends) {
+          aggregates |= send.msgs > 1;
+          shared_aggregates |= send.contributors > 1;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(aggregates);
+  EXPECT_TRUE(shared_aggregates);
+}
+
+// The overlap builder's scratch grows with ranks, blocks and the busiest
+// rank's messages, not with the step's message count: refining the mesh
+// multiplies the cross-rank messages, and the scratch stays within a
+// bound that has no term for their total.
+TEST(PlanCache, OverlapScratchFootprint) {
+  using Msg = OverlapBuildScratch::Msg;
+  using Pair = OverlapBuildScratch::Pair;
+  constexpr std::int32_t kRanks = 64;
+  AmrMesh mesh(RootGrid{4, 4, 4});
+  const MessageSizeModel sizes;
+  OverlapPlan plan;
+  OverlapBuildScratch scratch;
+  std::size_t first_msgs = 0;
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    const Placement placement = round_robin(mesh.size(), kRanks);
+    const std::vector<TimeNs> costs = costs_for(mesh.size(), us(10));
+    build_overlap_plan(mesh, placement, costs, kRanks, sizes, /*pack=*/true,
+                       /*stage1_frac=*/0.5, plan, scratch);
+    // Cross-rank logical messages, per source rank and in total.
+    std::size_t total = 0;
+    std::size_t busiest = 0;
+    std::size_t busiest_blocks = 0;
+    for (const OverlapRankPlan& rp : plan.ranks) {
+      std::size_t msgs = 0;
+      for (const OverlapSend& send : OverlapPlan::slice(plan.sends,
+                                                        rp.sends()))
+        msgs += static_cast<std::size_t>(send.msgs);
+      total += msgs;
+      busiest = std::max(busiest, msgs);
+      busiest_blocks = std::max(busiest_blocks,
+                                static_cast<std::size_t>(rp.blocks.size()));
+    }
+    // Per rank: a pair record, a touched entry and a fill cursor. Per
+    // block: its slot and two credit markers. The stage-1 sort keys of
+    // the busiest rank's blocks, and its messages. Twice that allows for
+    // growth by doubling.
+    const std::size_t bound =
+        2 * (kRanks * (sizeof(Pair) + 2 * sizeof(std::int32_t)) +
+             mesh.size() * 3 * sizeof(std::int32_t) +
+             busiest_blocks * sizeof(std::int64_t) + busiest * sizeof(Msg));
+    RecordProperty("scratch_bytes_round" + std::to_string(round),
+                   std::to_string(scratch.bytes()));
+    EXPECT_LE(scratch.bytes(), bound);
+    // Materializing the step's messages alone would take several times
+    // what the whole scratch holds.
+    EXPECT_LT(4 * scratch.bytes(), total * sizeof(Msg));
+    if (round == 0) {
+      first_msgs = total;
+      mesh.refine_all();
+    } else {
+      EXPECT_GE(total, 6 * first_msgs);  // the messages did multiply
+    }
+  }
+}
+
+// Each holder's byte count is the capacity of what it holds: a plan's
+// flat arrays, and for the cache both plans and both builders' scratch,
+// which a fresh build into fresh storage reproduces exactly.
+TEST(PlanCache, BytesCountPlansAndScratch) {
+  AmrMesh mesh(RootGrid{4, 2, 2});
+  mesh.refine(std::vector<std::int32_t>{0, 5});
+  const std::int32_t nranks = 6;
+  const Placement p = round_robin(mesh.size(), nranks);
+  const auto costs = costs_for(mesh.size(), 50);
+  const MessageSizeModel sizes;
+
+  OverlapPlan plan;
+  OverlapBuildScratch scratch;
+  build_overlap_plan(mesh, p, costs, nranks, sizes, /*pack=*/true,
+                     kStageSplit, plan, scratch);
+  EXPECT_EQ(plan.bytes(),
+            plan.ranks.capacity() * sizeof(OverlapRankPlan) +
+                plan.blocks.capacity() * sizeof(OverlapBlock) +
+                plan.sends.capacity() * sizeof(OverlapSend) +
+                plan.credits.capacity() * sizeof(AggCredit) +
+                (plan.packed_out.capacity() + plan.stage1_order.capacity() +
+                 plan.expected_recvs.capacity()) *
+                    sizeof(std::int32_t));
+  EXPECT_GT(plan.bytes(), plan.sends.size() * sizeof(OverlapSend));
+  EXPECT_EQ(scratch.bytes(),
+            scratch.msgs.capacity() * sizeof(OverlapBuildScratch::Msg) +
+                scratch.pairs.capacity() * sizeof(OverlapBuildScratch::Pair) +
+                scratch.order_key.capacity() * sizeof(std::int64_t) +
+                (scratch.slot_of_block.capacity() +
+                 scratch.touched.capacity() + scratch.credit_src.capacity() +
+                 scratch.credit_at.capacity() + scratch.cursor.capacity()) *
+                    sizeof(std::int32_t));
+
+  ExchangePlanCache cache;
+  EXPECT_EQ(cache.bytes(), 0u);
+  (void)cache.overlap_work(mesh, p, 0, costs, nranks, sizes, true,
+                           kStageSplit);
+  EXPECT_EQ(cache.bytes(), plan.bytes() + scratch.bytes());
+  BspPlan bsp;
+  BspBuildScratch bsp_scratch;
+  build_bsp_plan(mesh, p, costs, nranks, sizes, true, false,
+                 TaskOrdering::kSendFirst, 0.0, bsp, bsp_scratch);
+  (void)cache.step_work(mesh, p, 1, costs, nranks, sizes, true);
+  EXPECT_EQ(cache.bytes(), plan.bytes() + scratch.bytes() + bsp.bytes() +
+                               bsp_scratch.bytes());
 }
 
 }  // namespace

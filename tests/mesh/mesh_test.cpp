@@ -108,8 +108,9 @@ TEST(AmrMesh, UniformNeighborCounts) {
 
 TEST(AmrMesh, PeriodicMeshAllBlocksHave26Neighbors) {
   AmrMesh mesh(RootGrid{4, 4, 4}, /*periodic=*/true);
-  for (const auto& list : mesh.neighbor_lists())
-    EXPECT_EQ(list.size(), 26u);
+  const auto& lists = mesh.neighbor_lists();
+  for (std::size_t b = 0; b < lists.size(); ++b)
+    EXPECT_EQ(lists[b].size(), 26u);
 }
 
 TEST(AmrMesh, NeighborKindsPartitionAs6_12_8) {
@@ -252,15 +253,54 @@ TEST(AmrMesh, RefineIsDeterministic) {
     EXPECT_EQ(a.block(i), b.block(i));
 }
 
+TEST(AmrMesh, BytesCountsEveryHolder) {
+  using IndexEntry = std::pair<const std::uint64_t, std::int32_t>;
+  // Leaves and SFC keys (two words each) are reserved to the leaf
+  // count; each index node holds its (key, id) entry and a link; the
+  // index's bucket array is the remainder, at least one bucket per leaf.
+  const auto expect_holders = [](const AmrMesh& mesh, std::size_t table,
+                                 std::size_t remaps) {
+    const std::size_t n = mesh.size();
+    const std::size_t counted =
+        n * sizeof(BlockCoord) + n * 2 * sizeof(std::uint64_t) +
+        n * (sizeof(IndexEntry) + sizeof(void*)) + table + remaps;
+    ASSERT_GE(mesh.bytes(), counted);
+    const std::size_t buckets = mesh.bytes() - counted;
+    EXPECT_EQ(buckets % sizeof(void*), 0u);
+    EXPECT_GE(buckets / sizeof(void*), n);
+    EXPECT_LE(buckets / sizeof(void*), 8 * n);
+  };
+  AmrMesh mesh(RootGrid{2, 2, 2});
+  expect_holders(mesh, 0, 0);
+  // The table: an offset per block plus one, and the entries reserved at
+  // the 2:1 bound.
+  const auto table_bytes = [](std::size_t blocks) {
+    return (blocks + 1) * sizeof(std::int32_t) +
+           blocks * NeighborTable::kMaxPerBlock * sizeof(Neighbor);
+  };
+  EXPECT_EQ(mesh.neighbor_lists().bytes(), table_bytes(8));
+  expect_holders(mesh, table_bytes(8), 0);
+  // A regrid adds a remap record (an entry and a kind per new block);
+  // the stale table keeps its capacity until the next build.
+  mesh.refine(std::vector<std::int32_t>{0});
+  ASSERT_EQ(mesh.size(), 15u);
+  const std::size_t remap =
+      sizeof(MeshRemap) + 15 * (sizeof(std::int32_t) + sizeof(RemapKind));
+  expect_holders(mesh, table_bytes(8), remap);
+  const std::size_t offsets = mesh.neighbor_lists().bytes() -
+                              15 * NeighborTable::kMaxPerBlock *
+                                  sizeof(Neighbor);
+  EXPECT_GE(offsets, 16 * sizeof(std::int32_t));
+  expect_holders(mesh, mesh.neighbor_lists().bytes(), remap);
+}
+
 TEST(AmrMesh, NonCubicRootGridNeighbors) {
   // Paper Table I uses non-cubic meshes (128^2 x 256 etc.).
   AmrMesh mesh(RootGrid{8, 8, 16});
   EXPECT_EQ(mesh.size(), 1024u);
   EXPECT_TRUE(mesh.check_coverage());
   const auto& lists = mesh.neighbor_lists();
-  std::size_t total = 0;
-  for (const auto& l : lists) total += l.size();
-  EXPECT_GT(total, 0u);
+  EXPECT_GT(lists.entries().size(), 0u);
 }
 
 }  // namespace

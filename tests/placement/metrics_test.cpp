@@ -132,8 +132,8 @@ TEST(CommMetrics, MatchesPerEdgeClassifierOnRefinedMeshes) {
     Rng rng(seed);
     refine_random(mesh, rng, 0.3, 3, 2);
     bool level_jump = false;
-    for (const auto& list : mesh.neighbor_lists())
-      for (const Neighbor& n : list) level_jump |= n.level_diff != 0;
+    for (const Neighbor& n : mesh.neighbor_lists().entries())
+      level_jump |= n.level_diff != 0;
     ASSERT_TRUE(level_jump) << "seed " << seed;
 
     for (const std::int32_t per_node : {1, 4, 16}) {
