@@ -10,16 +10,6 @@
 
 namespace amr {
 
-void OverlapPlan::clear() {
-  ranks.clear();
-  blocks.clear();
-  sends.clear();
-  credits.clear();
-  packed_out.clear();
-  stage1_order.clear();
-  expected_recvs.clear();
-}
-
 std::size_t OverlapPlan::bytes() const {
   return capacity_bytes(ranks, blocks, sends, credits, packed_out,
                         stage1_order, expected_recvs);
@@ -52,9 +42,8 @@ void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
   const bool two_stage = stage1_frac > 0.0;
   const auto nr = static_cast<std::size_t>(nranks);
   const std::size_t nblocks = mesh.size();
-  plan.clear();
-  plan.ranks.resize(nr);
-  plan.blocks.resize(nblocks);
+  reserve_fresh(plan.ranks, nr).resize(nr);
+  reserve_fresh(plan.blocks, nblocks).resize(nblocks);
   plan.expected_recvs.assign(nr, 0);
   auto& ranks = plan.ranks;
   auto& expected = plan.expected_recvs;
@@ -197,10 +186,14 @@ void build_overlap_plan(const AmrMesh& mesh, const Placement& placement,
     if (two_stage && !w.packed.empty())
       w.order = take(order_at, w.blocks.size());
   }
-  plan.sends.resize(static_cast<std::size_t>(send_at));
-  plan.credits.resize(static_cast<std::size_t>(credit_at));
-  plan.packed_out.resize(static_cast<std::size_t>(out_at));
-  plan.stage1_order.resize(static_cast<std::size_t>(order_at));
+  const auto size_to = [](auto& v, std::int32_t n) {
+    const auto size = static_cast<std::size_t>(n);
+    reserve_fresh(v, size).resize(size);
+  };
+  size_to(plan.sends, send_at);
+  size_to(plan.credits, credit_at);
+  size_to(plan.packed_out, out_at);
+  size_to(plan.stage1_order, order_at);
 
   // Fill, in the same message order. Eager sends of a source land in
   // emission order whether the rank (single-stage) or the producing

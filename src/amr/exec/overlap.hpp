@@ -186,8 +186,6 @@ struct OverlapPlan {
   std::vector<std::int32_t> expected_recvs;
 
   std::size_t nranks() const { return ranks.size(); }
-  /// Empty every array, keeping its capacity.
-  void clear();
   /// Heap bytes held (capacity, not size).
   std::size_t bytes() const;
 
@@ -238,9 +236,10 @@ struct OverlapBuildScratch {
   std::size_t bytes() const;
 };
 
-/// Build the overlap plan of (mesh, placement) into `out`, which is
-/// cleared first and keeps its capacity; the result equals a build into
-/// fresh storage.
+/// Build the overlap plan of (mesh, placement) into `out`, rewriting
+/// every array. An array keeps its capacity unless it must grow, and
+/// then frees the old buffer first; the result equals a build into fresh
+/// storage.
 ///
 /// `stage1_frac == 0` builds single-stage work: `compute` consumes the
 /// ghosts every rank sends up-front (previous-step state). `stage1_frac`

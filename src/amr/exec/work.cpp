@@ -134,8 +134,8 @@ void build_bsp_plan(const AmrMesh& mesh, const Placement& placement,
   }
   // An upper bound on the task count (exact but for absent copies and
   // unpacks when nothing packs), so the array never grows by doubling.
-  plan.tasks.reserve(remote_msgs + nblocks * (stage1_frac > 0.0 ? 2 : 1) +
-                     4 * nr);
+  reserve_fresh(plan.tasks,
+                remote_msgs + nblocks * (stage1_frac > 0.0 ? 2 : 1) + 4 * nr);
 
   if (pack) sc.pairs.assign(nr, Pair{});
   auto& tasks = plan.tasks;

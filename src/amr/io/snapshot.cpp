@@ -58,8 +58,8 @@ void SnapshotWriter::end_section() {
               sizeof(body_len));
 }
 
-void SnapshotWriter::str(std::string_view s) {
-  u32(static_cast<std::uint32_t>(s.size()));
+void SnapshotWriter::field(std::string_view s) {
+  pod(static_cast<std::uint32_t>(s.size()));
   append(s.data(), s.size());
 }
 
@@ -154,7 +154,7 @@ void SnapshotReader::check_available(std::uint64_t count,
 }
 
 std::string SnapshotReader::str() {
-  const std::uint32_t len = u32();
+  const auto len = pod<std::uint32_t>();
   check_available(len, 1);
   std::string s(len, '\0');
   take(s.data(), len);
@@ -178,7 +178,7 @@ void SnapshotReader::begin_section(std::string_view name) {
   if (actual != name)
     fail("expected section '" + std::string(name) + "', found '" + actual +
          "'");
-  const std::uint64_t body_len = u64();
+  const auto body_len = pod<std::uint64_t>();
   if (body_len > payload_end_ - at_)
     fail("section '" + actual + "' overruns the payload (truncated?)");
   section_end_ = at_ + static_cast<std::size_t>(body_len);
@@ -195,7 +195,7 @@ void SnapshotReader::skip_section() {
   AMR_CHECK_MSG(!in_section_, "skip_section inside a section");
   if (at_ >= payload_end_) fail("skip_section at end of file");
   (void)str();
-  const std::uint64_t body_len = u64();
+  const auto body_len = pod<std::uint64_t>();
   if (body_len > payload_end_ - at_)
     fail("skipped section overruns the payload (truncated?)");
   at_ += static_cast<std::size_t>(body_len);

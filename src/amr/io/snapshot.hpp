@@ -24,6 +24,7 @@
 // file fails with a SnapshotError diagnostic, never undefined behaviour.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -43,9 +44,10 @@ class SnapshotError : public std::runtime_error {
 };
 
 // Format version history — every bump through v5 added a *config
-// fingerprint* axis (fields write_meta/check_meta in sim_state.cpp
-// diff to refuse a restore under a different simulation mode) plus the
-// sections/fields that mode needs to resume byte-identically:
+// fingerprint* axis (an `expect` entry of the meta field list in
+// sim_state.cpp, which refuses a restore under a different simulation
+// mode) plus the sections/fields that mode needs to resume
+// byte-identically:
 //
 // v1: the base format. Fingerprint: cluster shape (nranks,
 //     ranks_per_node, root grid), seed, execution mode, task ordering,
@@ -93,8 +95,9 @@ class SnapshotError : public std::runtime_error {
 // of a static_assert, since the fingerprint is data, not types. When a
 // new SimulationConfig field changes simulated results, you MUST:
 //   1. bump kSnapshotFormatVersion and append a history line above;
-//   2. write the axis in write_meta() and require() it in check_meta()
-//      (sim/sim_state.cpp) so mismatched restores are refused with a
+//   2. add the axis as one `expect(value, "name")` line to the meta
+//      field list (meta_section() in sim/sim_state.cpp): the writer
+//      stores it, and the reader refuses a mismatched restore with a
 //      diagnostic naming the axis;
 //   3. serialize any new runtime state the axis introduces (its own
 //      section, or appended to an existing one — readers of the same
@@ -112,6 +115,28 @@ class SnapshotError : public std::runtime_error {
 // StepPipelineStats.
 inline constexpr std::uint32_t kSnapshotFormatVersion = 11;
 
+// Field lists. Each section is one function template over the archive
+// (sim/sim_state.cpp): SnapshotWriter walks it on save and
+// SnapshotReader walks the same list on restore, so the field order is
+// written down once. Both archives share this vocabulary:
+//   field(x)              save: write x; restore: read into x
+//   expect(value, name)   save: write value; restore: refuse a
+//                         different value, naming the entry
+//   count(vec)            a u32 element count; restore resizes vec
+//   kReading              false on save, true on restore
+// field(x) encodes by type: bool as one byte, a string as its u32 length
+// and bytes, a vector of trivially copyable elements as its u64 count
+// and raw bytes, a C array element by element, and a RawField raw.
+
+/// What field() stores raw. A struct is listed member by member, so no
+/// padding byte reaches the file; a bool is one byte, 0 or 1.
+template <typename T>
+concept RawField = (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) ||
+                   std::is_enum_v<T>;
+
+// size_t fields (counts, sizes) are u64 in the file.
+static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
+
 /// Builds a snapshot payload in memory, then writes the enveloped file.
 class SnapshotWriter {
  public:
@@ -120,29 +145,33 @@ class SnapshotWriter {
   void begin_section(std::string_view name);
   void end_section();
 
-  void u8(std::uint8_t v) { pod(v); }
-  void u32(std::uint32_t v) { pod(v); }
-  void u64(std::uint64_t v) { pod(v); }
-  void i32(std::int32_t v) { pod(v); }
-  void i64(std::int64_t v) { pod(v); }
-  void b(bool v) { u8(v ? 1 : 0); }
+  static constexpr bool kReading = false;
+  // A template, so a pointer (a string literal) never converts to bool.
+  template <std::same_as<bool> B>
+  void field(B v) { pod(std::uint8_t{v}); }
+  /// A string: its u32 length, then its bytes.
+  void field(std::string_view s);
   /// Doubles round-trip bit-exactly (raw IEEE-754 image).
-  void f64(double v) { pod(v); }
-
-  void str(std::string_view s);
-
-  /// u64 element count followed by the raw bytes of a trivially copyable
-  /// element vector.
+  template <RawField T>
+  void field(T v) { pod(v); }
+  /// A u64 element count, then the elements' raw bytes.
   template <typename T>
-  void vec_pod(std::span<const T> v) {
+  void field(std::span<const T> v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    u64(v.size());
+    pod(static_cast<std::uint64_t>(v.size()));
     append(v.data(), v.size() * sizeof(T));
   }
   template <typename T>
-  void vec_pod(const std::vector<T>& v) {
-    vec_pod(std::span<const T>(v));
+  void field(const std::vector<T>& v) { field(std::span<const T>(v)); }
+  template <typename T, std::size_t N>
+    requires(!std::is_same_v<T, char>)  // a string literal is a string
+  void field(const T (&a)[N]) {
+    for (const T& e : a) field(e);
   }
+  template <typename T>
+  void expect(const T& value, std::string_view /*name*/) { field(value); }
+  template <typename C>
+  void count(const C& c) { pod(static_cast<std::uint32_t>(c.size())); }
 
   /// Finish (no section may be open) and write the enveloped file.
   /// Returns false on I/O failure.
@@ -185,24 +214,42 @@ class SnapshotReader {
   /// Skip the next section wholesale (forward compatibility).
   void skip_section();
 
-  std::uint8_t u8() { return pod<std::uint8_t>(); }
-  std::uint32_t u32() { return pod<std::uint32_t>(); }
-  std::uint64_t u64() { return pod<std::uint64_t>(); }
-  std::int32_t i32() { return pod<std::int32_t>(); }
-  std::int64_t i64() { return pod<std::int64_t>(); }
-  bool b() { return u8() != 0; }
-  double f64() { return pod<double>(); }
-
-  std::string str();
-
+  static constexpr bool kReading = true;
+  void field(bool& v) { v = pod<std::uint8_t>() != 0; }
+  void field(std::string& s) { s = str(); }
+  template <RawField T>
+  void field(T& v) { v = pod<T>(); }
+  /// A corrupt element count fails the bounds check, never allocates.
   template <typename T>
-  std::vector<T> vec_pod() {
+  void field(std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    const std::uint64_t n = u64();
+    const auto n = pod<std::uint64_t>();
     check_available(n, sizeof(T));
-    std::vector<T> out(static_cast<std::size_t>(n));
-    take(out.data(), static_cast<std::size_t>(n) * sizeof(T));
-    return out;
+    v.resize(static_cast<std::size_t>(n));
+    take(v.data(), v.size() * sizeof(T));
+  }
+  template <typename T, std::size_t N>
+  void field(T (&a)[N]) {
+    for (T& e : a) field(e);
+  }
+  /// Throws SnapshotError naming `name` if the stored value differs.
+  template <typename T>
+  void expect(const T& value, std::string_view name) {
+    T stored{};
+    field(stored);
+    if (!(stored == value))
+      throw SnapshotError("snapshot: config mismatch on " +
+                          std::string(name) +
+                          " (restore requires the run configuration that "
+                          "produced the checkpoint)");
+  }
+  /// Every element reads at least one byte, so a corrupt count runs into
+  /// the section's end instead of allocating.
+  template <typename T>
+  void count(std::vector<T>& v) {
+    const auto n = pod<std::uint32_t>();
+    check_available(n, 1);
+    v.resize(n);
   }
 
  private:
@@ -213,6 +260,7 @@ class SnapshotReader {
     take(&v, sizeof(T));
     return v;
   }
+  std::string str();
   void validate_envelope();
   void take(void* out, std::size_t n);
   void check_available(std::uint64_t count, std::size_t elem_size) const;

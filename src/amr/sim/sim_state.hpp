@@ -144,10 +144,11 @@ void restore_snapshot(const std::string& path,
                       SimRuntime& runtime, Workload& workload,
                       Collector& collector, Tracer* tracer);
 
-/// The snapshot's "fabric" section: one Fabric::State. Exposed for
-/// round-trip tests.
-void write_fabric_section(io::SnapshotWriter& w, const Fabric::State& fab);
-Fabric::State read_fabric_section(io::SnapshotReader& r);
+/// The snapshot's "fabric" section: the field list of one Fabric::State,
+/// walked by an io::SnapshotWriter (const state) or io::SnapshotReader.
+/// Exposed for round-trip tests.
+template <class Ar, class S>
+void fabric_section(Ar& ar, S& fab);
 
 /// The snapshot's "collector" section: the four telemetry tables as
 /// stored (format v9; v11 dropped the block-records flag before them).

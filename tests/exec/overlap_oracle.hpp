@@ -74,7 +74,7 @@ inline void materialized_overlap_plan(
   const bool two_stage = stage1_frac > 0.0;
   const auto nr = static_cast<std::size_t>(nranks);
   const std::size_t nblocks = mesh.size();
-  plan.clear();
+  plan = OverlapPlan{};
   plan.ranks.resize(nr);
   plan.blocks.resize(nblocks);
   plan.expected_recvs.assign(nr, 0);
