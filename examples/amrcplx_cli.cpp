@@ -211,8 +211,6 @@ int cmd_serve(const Flags& flags) {
       "0 evicts all idle)");
   opts.spill_dir =
       flags.get_str("spill-dir", ".", "eviction snapshot directory");
-  opts.share_plans =
-      !flags.has("no-share", "disable cross-tenant plan sharing");
   const bool stats =
       flags.has("stats", "print scheduler counters to stderr");
   flags.done();

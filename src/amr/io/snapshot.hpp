@@ -90,13 +90,18 @@ class SnapshotError : public std::runtime_error {
 //     paper's 50 ms), the telemetry-driven-costs switch (always on) and
 //     the per-block telemetry switch (never on); the collector section
 //     loses its block-records flag.
+// v12: the workload's parameters join the config fingerprint after its
+//     name: every SedovParams field (total_steps included, so a Sedov
+//     restore keeps its step count) and every CoolingParams field.
+//     Sections are unchanged.
 //
 // Version-bump checklist — the compile-time-checkable moral equivalent
 // of a static_assert, since the fingerprint is data, not types. When a
 // new SimulationConfig field changes simulated results, you MUST:
 //   1. bump kSnapshotFormatVersion and append a history line above;
 //   2. add the axis as one `expect(value, "name")` line to the meta
-//      field list (meta_section() in sim/sim_state.cpp): the writer
+//      field list (meta_section() in sim/sim_state.cpp; a workload
+//      parameter goes in its workload's list there): the writer
 //      stores it, and the reader refuses a mismatched restore with a
 //      diagnostic naming the axis;
 //   3. serialize any new runtime state the axis introduces (its own
@@ -113,7 +118,7 @@ class SnapshotError : public std::runtime_error {
 // Counters that are scheduling artifacts rather than simulation state
 // (e.g. plan-cache share_hits) must NOT be serialized — see
 // StepPipelineStats.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 11;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 12;
 
 // Field lists. Each section is one function template over the archive
 // (sim/sim_state.cpp): SnapshotWriter walks it on save and

@@ -69,8 +69,8 @@ void Sweep::run() {
   if (jobs_ <= 1) {
     for (std::size_t i = 0; i < tasks_.size(); ++i) run_one(i);
   } else {
-    // Oversubscribing cores is a pure loss for CPU-bound trials
-    // (BENCH_par_sweep.json measured 0.713x with jobs=4 on one CPU);
+    // Oversubscribing cores is a pure loss for CPU-bound trials (a
+    // 4-worker sweep on one CPU once ran at 0.71x the serial speed);
     // clamp and tell the user rather than silently running slower.
     const int hw = ThreadPool::hardware_jobs();
     if (jobs_ > hw) {

@@ -16,8 +16,8 @@ ExchangeRoundsResult run_exchange_rounds(
   Engine engine;
   Rng rng(config.seed);
   Fabric fabric(topo, config.fabric, rng.split(0xfab));
-  Comm comm(engine, fabric, config.nranks, config.collective);
-  StepExecutor executor(engine, comm, config.exec);
+  Comm comm(engine, fabric, config.nranks);
+  StepExecutor executor(engine, comm);
 
   ExchangeRoundsResult result;
   std::vector<RunningStats> rank_comm(
@@ -36,7 +36,7 @@ ExchangeRoundsResult run_exchange_rounds(
       for (std::size_t b = 0; b < mesh.size(); ++b)
         costs[b] = config.compute_cost(b, round, cost_rng);
     }
-    build_bsp_plan(mesh, placement, costs, config.nranks, config.msg_sizes,
+    build_bsp_plan(mesh, placement, costs, config.nranks, MessageSizeModel{},
                    /*include_flux=*/false, /*pack=*/false,
                    config.ordering, /*stage1_frac=*/0.0, plan, scratch);
     const StepResult step =

@@ -12,11 +12,9 @@
 #include <vector>
 
 #include "amr/common/rng.hpp"
-#include "amr/exec/rank_runtime.hpp"
 #include "amr/exec/work.hpp"
 #include "amr/net/fabric.hpp"
 #include "amr/placement/policy.hpp"
-#include "amr/simmpi/comm.hpp"
 
 namespace amr {
 
@@ -24,9 +22,6 @@ struct ExchangeRoundsConfig {
   std::int32_t nranks = 64;
   std::int32_t ranks_per_node = 16;
   FabricParams fabric = FabricParams::tuned();
-  CollectiveParams collective{};
-  ExecParams exec{};
-  MessageSizeModel msg_sizes{};
   TaskOrdering ordering = TaskOrdering::kSendFirst;
   std::int32_t rounds = 100;
   std::int32_t warmup_rounds = 3;    ///< discarded cold-start rounds

@@ -9,6 +9,8 @@
 
 #include "amr/common/stats.hpp"
 #include "amr/io/snapshot.hpp"
+#include "amr/workloads/cooling.hpp"
+#include "amr/workloads/sedov.hpp"
 
 namespace amr {
 
@@ -16,16 +18,16 @@ SimRuntime::SimRuntime(const SimulationConfig& config, Tracer* tracer)
     : topo(config.nranks, config.ranks_per_node),
       rng(config.seed),
       fabric(topo, config.fabric, rng.split(0xfab)),
-      comm(engine, fabric, config.nranks, config.collective) {
+      comm(engine, fabric, config.nranks) {
   engine.set_tracer(tracer);
   fabric.set_tracer(tracer);
   comm.set_tracer(tracer);
   if (config.execution == ExecutionMode::kBsp)
     bsp_executor =
-        std::make_unique<StepExecutor>(engine, comm, config.exec, tracer);
+        std::make_unique<StepExecutor>(engine, comm, ExecParams{}, tracer);
   else
     overlap_executor =
-        std::make_unique<OverlapExecutor>(engine, comm, config.exec, tracer);
+        std::make_unique<OverlapExecutor>(engine, comm, ExecParams{}, tracer);
   plan_cache.set_shared_store(config.shared_plans);
   if (config.auto_cplx) {
     // Chunk solves and candidate scoring parallelize well up to the
@@ -140,10 +142,52 @@ Table read_table(io::SnapshotReader& r, const Table& like) {
   return t;
 }
 
+/// Every Sedov parameter (format v12): each one moves the front or the
+/// block costs. total_steps is the front's time scale, so a Sedov
+/// restore keeps the step count it was saved under.
+template <class Ar>
+void sedov_fields(Ar& ar, const SedovParams& p) {
+  ar.expect(p.center[0], "sedov.center.x");
+  ar.expect(p.center[1], "sedov.center.y");
+  ar.expect(p.center[2], "sedov.center.z");
+  ar.expect(p.max_radius, "sedov.max_radius");
+  ar.expect(p.total_steps, "sedov.total_steps");
+  ar.expect(p.shell_half_width, "sedov.shell_half_width");
+  ar.expect(p.coarsen_margin, "sedov.coarsen_margin");
+  ar.expect(p.max_level, "sedov.max_level");
+  ar.expect(p.check_period, "sedov.check_period");
+  ar.expect(p.base_cost, "sedov.base_cost");
+  ar.expect(p.front_boost, "sedov.front_boost");
+  ar.expect(p.cost_sigma, "sedov.cost_sigma");
+  ar.expect(p.noise_sigma, "sedov.noise_sigma");
+  ar.expect(p.hot_fraction, "sedov.hot_fraction");
+  ar.expect(p.hot_mu, "sedov.hot_mu");
+  ar.expect(p.hot_sigma, "sedov.hot_sigma");
+  ar.expect(p.jitter_sigma, "sedov.jitter_sigma");
+  ar.expect(p.seed, "sedov.seed");
+}
+
+/// Every cooling parameter (format v12). None of them is a step count,
+/// so a cooling restore may continue to a different horizon.
+template <class Ar>
+void cooling_fields(Ar& ar, const CoolingParams& p) {
+  ar.expect(p.center[0], "cooling.center.x");
+  ar.expect(p.center[1], "cooling.center.y");
+  ar.expect(p.center[2], "cooling.center.z");
+  ar.expect(p.clump_radius, "cooling.clump_radius");
+  ar.expect(p.max_level, "cooling.max_level");
+  ar.expect(p.base_cost, "cooling.base_cost");
+  ar.expect(p.clump_boost, "cooling.clump_boost");
+  ar.expect(p.falloff, "cooling.falloff");
+  ar.expect(p.noise_sigma, "cooling.noise_sigma");
+  ar.expect(p.seed, "cooling.seed");
+}
+
 /// The config fingerprint: a restore under a different simulation mode
-/// is refused, naming the entry. The policy is informational (replay
-/// swaps it), so it is read and never checked; the step horizon is not
-/// stored (a restored run may continue to a different horizon).
+/// or workload parameter is refused, naming the entry. The policy is
+/// informational (replay swaps it), so it is read and never checked; the
+/// step horizon is not stored (a cooling run may continue to a
+/// different horizon).
 template <class Ar>
 void meta_section(Ar& ar, const SimulationConfig& config,
                   const Workload& workload, std::string policy) {
@@ -168,6 +212,10 @@ void meta_section(Ar& ar, const SimulationConfig& config,
   ar.expect(config.collect_telemetry, "collect_telemetry");
   ar.expect(config.trace_enabled, "trace_enabled");
   ar.expect(workload.name(), "workload");
+  if (const auto* sedov = dynamic_cast<const SedovWorkload*>(&workload))
+    sedov_fields(ar, sedov->params());
+  else if (const auto* cool = dynamic_cast<const CoolingWorkload*>(&workload))
+    cooling_fields(ar, cool->params());
   ar.field(policy);
   const auto& faults = config.faults.throttles();
   ar.expect(static_cast<std::uint32_t>(faults.size()), "fault schedule size");

@@ -22,7 +22,6 @@
 #include "amr/net/fabric.hpp"
 #include "amr/placement/policy.hpp"
 #include "amr/sim/triggers.hpp"
-#include "amr/simmpi/comm.hpp"
 #include "amr/telemetry/collector.hpp"
 #include "amr/trace/tracer.hpp"
 #include "amr/workloads/workload.hpp"
@@ -64,18 +63,7 @@ struct SimulationConfig {
   /// Off = legacy send order, byte-identical.
   bool send_priority = false;
   FabricParams fabric = FabricParams::tuned();
-  CollectiveParams collective{};
-  ExecParams exec{};
-  MessageSizeModel msg_sizes{};
   std::uint64_t seed = 42;
-
-  /// Deterministic rebalance-phase charge per invocation (placement
-  /// computation inside the run); real wall-clock placement times are
-  /// reported separately for the Fig 7c budget analysis. The default
-  /// matches the paper's 50 ms budget scaled to the simulator's time
-  /// units (block kernels run ~1000x faster than the 250 ms production
-  /// timesteps).
-  TimeNs placement_charge = us(50.0);
 
   /// The paper's hard redistribution budget: placement computation must
   /// finish within placement_budget_ms of real time. With enforcement
@@ -95,11 +83,6 @@ struct SimulationConfig {
   /// behaviour. Snapshot fingerprint axis (format v5); tuner state rides
   /// in the snapshot so restored runs decide identically.
   bool auto_cplx = false;
-  double migration_gbytes_per_sec = 4.0;
-  /// Payload of one migrated block; defaults to the message-size model's
-  /// block interior so the two stay one source of truth.
-  std::int64_t migrated_block_bytes =
-      MessageSizeModel{}.block_payload_bytes();
 
   /// When to redistribute beyond mandatory mesh changes.
   RebalanceTrigger trigger{};

@@ -28,11 +28,11 @@
 #
 # Two classes of knob:
 #  - performance knobs must not change a byte: --jobs, quantum,
-#    --serve-jobs, --max-resident, plan sharing, restore point and the
-#    --aggregate spelling (same, restore and contains rows);
+#    --serve-jobs, --max-resident, restore point and the --aggregate
+#    spelling (same, restore and contains rows);
 #  - answer knobs are config-fingerprint axes: a snapshot refuses to
 #    restore under a changed one, naming it (refuse rows): adaptive
-#    packing, send priority and auto-X tuning.
+#    packing, send priority, auto-X tuning and the Sedov parameters.
 
 # Groups the sanitizer build trees run by label (ctest -L <group>).
 set(contract_labeled
@@ -55,6 +55,13 @@ contract(checkpoint_determinism restore
   RUN "${sedov32} --policy=cpl50 --steps=24 --faults=2" EVERY 5)
 contract(checkpoint_determinism restore
   RUN "${sedov32} --policy=lpt --steps=17 --faults=2" EVERY 7)
+
+# A Sedov parameter is an answer knob. The run has no fault window, so
+# the refusal names the parameter, not the window's step-bound edges.
+contract(checkpoint_determinism refuse
+  RUN "amrcplx run --ranks=32 --policy=cpl50 --steps=24" EVERY 8
+  AS "amrcplx run --ranks=32 --policy=cpl50 --steps=24 --sedov-max-level=2"
+  NAMES "sedov.max_level")
 
 contract(checkpoint_corruption corrupt
   RUN "${sedov32} --policy=cpl50 --steps=12 --faults=1" EVERY 6
@@ -103,15 +110,16 @@ contract(placement_tuning_determinism restore
 contract(placement_tuning_determinism refuse
   RUN "${auto}" EVERY 7 AS "${cpl50}" NAMES "auto-X tuning")
 
-# Serve: quantum, --serve-jobs, eviction (--max-resident=0) and plan
-# sharing leave a fleet's bytes alone, eviction spills do not outlive
-# their jobs, each job block is the standalone `amrcplx run` stdout, and
-# a bad job line is reported while the good jobs still run.
+# Serve: quantum, --serve-jobs and eviction (--max-resident=0) leave a
+# fleet's bytes alone, eviction spills do not outlive their jobs, each
+# job block is the standalone `amrcplx run` stdout, and a bad job line
+# is reported while the good jobs still run. Plan sharing is always on;
+# QuantumScheduler.PlanSharingDoesNotChangeOutput holds it to the
+# unshared bytes.
 contract(serve_determinism same
   RUN "${serve} --quantum-steps=1000000"
   RUN "${serve} --quantum-steps=3 --serve-jobs=4"
   RUN "${serve} --quantum-steps=2 --serve-jobs=2 --max-resident=0 --spill-dir=@DIR@"
-  RUN "${serve} --quantum-steps=3 --serve-jobs=4 --no-share"
   NO_FILES "serve_spill_*.amrs")
 contract(serve_determinism contains
   RUN "${serve} --quantum-steps=1000000"
@@ -150,6 +158,8 @@ contract(cli_rejects_unknown_flag reject
 contract(cli_rejects_unknown_flag reject
   RUN "amrcplx run --auto-cplx --cplx-budget-ms=5"
   STDERR "unrecognized flag --cplx-budget-ms")
+contract(cli_rejects_unknown_flag reject
+  RUN "amrcplx serve --no-share" STDERR "unrecognized flag --no-share")
 contract(cli_rejects_positional reject
   RUN "amrcplx run lpt 512 60" STDERR "unexpected argument 'lpt'")
 contract(cli_rejects_positional reject

@@ -472,25 +472,30 @@ TEST(QuantumScheduler, PlanSharingDoesNotChangeOutput) {
   ServeOptions shared;
   shared.quantum_steps = 4;
   QuantumScheduler with(shared);
-  ServeOptions isolated = shared;
-  isolated.share_plans = false;
-  QuantumScheduler without(isolated);
-  for (const JobSpec& spec : fleet) {
-    with.submit(spec);
-    without.submit(spec);
-  }
+  for (const JobSpec& spec : fleet) with.submit(spec);
   with.drain();
-  without.drain();
-
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    const auto id = static_cast<std::int64_t>(i);
-    ASSERT_TRUE(with.result(id)->ok);
-    ASSERT_TRUE(without.result(id)->ok);
-    EXPECT_EQ(with.result(id)->text, without.result(id)->text) << i;
-  }
   EXPECT_GT(with.stats().store.hits, 0);
-  EXPECT_EQ(without.stats().store.hits, 0);
-  EXPECT_EQ(without.stats().plan_share_hits, 0);
+
+  // Sharing off: serially, and at quantum 3 with 4 workers.
+  ServeOptions serial = shared;
+  serial.share_plans = false;
+  ServeOptions pooled = serial;
+  pooled.quantum_steps = 3;
+  pooled.serve_jobs = 4;
+  for (const ServeOptions& isolated : {serial, pooled}) {
+    SCOPED_TRACE("serve_jobs " + std::to_string(isolated.serve_jobs));
+    QuantumScheduler without(isolated);
+    for (const JobSpec& spec : fleet) without.submit(spec);
+    without.drain();
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      const auto id = static_cast<std::int64_t>(i);
+      ASSERT_TRUE(with.result(id)->ok);
+      ASSERT_TRUE(without.result(id)->ok);
+      EXPECT_EQ(with.result(id)->text, without.result(id)->text) << i;
+    }
+    EXPECT_EQ(without.stats().store.hits, 0);
+    EXPECT_EQ(without.stats().plan_share_hits, 0);
+  }
 }
 
 TEST(QuantumScheduler, EvictionInsideFaultWindowMatchesStandalone) {

@@ -55,13 +55,18 @@ SimulationConfig test_config(std::int64_t steps) {
   return cfg;
 }
 
+/// The Sedov parameters of a `steps`-step test run.
+SedovParams test_sedov(std::int64_t steps) {
+  SedovParams sp;
+  sp.total_steps = steps;
+  sp.max_level = 1;
+  return sp;
+}
+
 RunReport run_sedov(const SimulationConfig& cfg, const std::string& policy,
                     std::string* trace_json, Table* phases,
                     const std::string& restore_from = "") {
-  SedovParams sp;
-  sp.total_steps = cfg.steps;
-  sp.max_level = 1;
-  SedovWorkload sedov(sp);
+  SedovWorkload sedov(test_sedov(cfg.steps));
   const PolicyPtr pol = make_policy(policy);
   Simulation sim(cfg, sedov, *pol);
   if (!restore_from.empty()) sim.restore_checkpoint(restore_from);
@@ -215,10 +220,7 @@ TEST_F(CheckpointTest, RestoreThenSaveIsByteIdentical) {
     const std::string first = dir_ + "/first.amrs";
     const std::string second = dir_ + "/second.amrs";
     for (const std::string& path : {first, second}) {
-      SedovParams sp;
-      sp.total_steps = c.cfg.steps;
-      sp.max_level = 1;
-      SedovWorkload sedov(sp);
+      SedovWorkload sedov(test_sedov(c.cfg.steps));
       CoolingWorkload cooling(CoolingParams{});
       Workload& work = c.cooling ? static_cast<Workload&>(cooling) : sedov;
       const PolicyPtr pol = make_policy(c.cooling ? "cpl100" : "cpl50");
@@ -303,15 +305,19 @@ TEST_F(CheckpointTest, AutoCplxRestoreMatchesUninterrupted) {
   }
 }
 
-// A config fingerprint entry and an edit that changes that entry alone.
+// A config fingerprint entry and an edit that changes that entry alone:
+// an edit of the config, or of the restoring workload's parameters.
 struct FingerprintRow {
   const char* entry;
   std::function<void(SimulationConfig&)> edit;
   bool cooling = false;  ///< restore under the cooling workload
+  std::function<void(SedovParams&)> edit_sedov = nullptr;
+  std::function<void(CoolingParams&)> edit_cooling = nullptr;
 };
 
-// Restores the snapshot at `path` under `base` with each row's edit
-// applied; every restore must be refused naming the row's entry.
+// Restores the snapshot at `path` under `base` and the workload it was
+// saved with (test_sedov, or default cooling parameters) with each row's
+// edit applied; every restore must be refused naming the row's entry.
 void expect_refused_by_name(const std::string& path,
                             const std::function<SimulationConfig()>& base,
                             const std::vector<FingerprintRow>& rows) {
@@ -319,8 +325,12 @@ void expect_refused_by_name(const std::string& path,
     SCOPED_TRACE(row.entry);
     SimulationConfig cfg = base();
     row.edit(cfg);
-    SedovWorkload sedov(SedovParams{});
-    CoolingWorkload cooling(CoolingParams{});
+    SedovParams sp = test_sedov(base().steps);
+    if (row.edit_sedov) row.edit_sedov(sp);
+    CoolingParams cp;
+    if (row.edit_cooling) row.edit_cooling(cp);
+    SedovWorkload sedov(sp);
+    CoolingWorkload cooling(cp);
     Workload& work = row.cooling ? static_cast<Workload&>(cooling) : sedov;
     const PolicyPtr pol = make_policy("cpl50");
     Simulation sim(cfg, work, *pol);
@@ -436,6 +446,97 @@ TEST_F(CheckpointTest, EveryFingerprintAxisIsRefusedByName) {
        refault([](ThrottleFault& f) { f.onset_step += 1; })},
       {"fault end step", refault([](ThrottleFault& f) { f.end_step += 1; })},
   });
+
+  // Every workload parameter, against a snapshot of its own workload.
+  const auto keep = [](SimulationConfig&) {};
+  const auto sedov = [&](const char* entry,
+                         std::function<void(SedovParams&)> edit) {
+    return FingerprintRow{entry, keep, false, std::move(edit), nullptr};
+  };
+  expect_refused_by_name(path, base, {
+      sedov("sedov.center.x", [](SedovParams& p) { p.center[0] = 0.4; }),
+      sedov("sedov.center.y", [](SedovParams& p) { p.center[1] = 0.4; }),
+      sedov("sedov.center.z", [](SedovParams& p) { p.center[2] = 0.4; }),
+      sedov("sedov.max_radius", [](SedovParams& p) { p.max_radius = 0.8; }),
+      // The front's time scale: a longer --steps moves it more slowly.
+      sedov("sedov.total_steps", [](SedovParams& p) { p.total_steps += 8; }),
+      sedov("sedov.shell_half_width",
+            [](SedovParams& p) { p.shell_half_width = 0.05; }),
+      sedov("sedov.coarsen_margin",
+            [](SedovParams& p) { p.coarsen_margin = 3.0; }),
+      sedov("sedov.max_level", [](SedovParams& p) { p.max_level = 2; }),
+      sedov("sedov.check_period", [](SedovParams& p) { p.check_period = 4; }),
+      sedov("sedov.base_cost", [](SedovParams& p) { p.base_cost = us(200.0); }),
+      sedov("sedov.front_boost", [](SedovParams& p) { p.front_boost = 2.0; }),
+      sedov("sedov.cost_sigma", [](SedovParams& p) { p.cost_sigma = 0.05; }),
+      sedov("sedov.noise_sigma", [](SedovParams& p) { p.noise_sigma = 0.02; }),
+      sedov("sedov.hot_fraction",
+            [](SedovParams& p) { p.hot_fraction = 0.2; }),
+      sedov("sedov.hot_mu", [](SedovParams& p) { p.hot_mu = 0.7; }),
+      sedov("sedov.hot_sigma", [](SedovParams& p) { p.hot_sigma = 0.2; }),
+      sedov("sedov.jitter_sigma",
+            [](SedovParams& p) { p.jitter_sigma = 0.05; }),
+      sedov("sedov.seed", [](SedovParams& p) { p.seed += 1; }),
+  });
+
+  SimulationConfig cool = base();
+  cool.checkpoint_every = 6;
+  cool.checkpoint_dir = dir_ + "/cooling";
+  std::filesystem::create_directories(cool.checkpoint_dir);
+  {
+    CoolingWorkload cooling(CoolingParams{});
+    const PolicyPtr pol = make_policy("cpl50");
+    Simulation(cool, cooling, *pol).run();
+  }
+  const auto cooling = [&](const char* entry,
+                           std::function<void(CoolingParams&)> edit) {
+    return FingerprintRow{entry, keep, true, nullptr, std::move(edit)};
+  };
+  expect_refused_by_name(cool.checkpoint_dir + "/ckpt_6.amrs", base, {
+      cooling("cooling.center.x", [](CoolingParams& p) { p.center[0] = 0.4; }),
+      cooling("cooling.center.y", [](CoolingParams& p) { p.center[1] = 0.4; }),
+      cooling("cooling.center.z", [](CoolingParams& p) { p.center[2] = 0.4; }),
+      cooling("cooling.clump_radius",
+              [](CoolingParams& p) { p.clump_radius = 0.2; }),
+      cooling("cooling.max_level", [](CoolingParams& p) { p.max_level = 2; }),
+      cooling("cooling.base_cost",
+              [](CoolingParams& p) { p.base_cost = us(200.0); }),
+      cooling("cooling.clump_boost",
+              [](CoolingParams& p) { p.clump_boost = 4.0; }),
+      cooling("cooling.falloff", [](CoolingParams& p) { p.falloff = 2.0; }),
+      cooling("cooling.noise_sigma",
+              [](CoolingParams& p) { p.noise_sigma = 0.2; }),
+      cooling("cooling.seed", [](CoolingParams& p) { p.seed += 1; }),
+  });
+}
+
+// Cooling has no step-count parameter, so its snapshot restores into a
+// longer run and finishes it exactly as the uninterrupted longer run.
+TEST_F(CheckpointTest, CoolingRestoreContinuesToALongerHorizon) {
+  const auto cooling_run = [](SimulationConfig cfg, Table* phases,
+                              const std::string& restore_from) {
+    cfg.faults = FaultInjector{};  // its window would bind the step count
+    CoolingWorkload cooling(CoolingParams{});
+    const PolicyPtr pol = make_policy("cpl100");
+    Simulation sim(cfg, cooling, *pol);
+    if (!restore_from.empty()) sim.restore_checkpoint(restore_from);
+    const RunReport report = sim.run();
+    *phases = sim.collector().phases();
+    return report;
+  };
+  SimulationConfig ck = test_config(12);
+  ck.checkpoint_every = 6;
+  ck.checkpoint_dir = dir_;
+  Table phases;
+  cooling_run(ck, &phases, "");
+
+  Table full_phases;
+  const RunReport full = cooling_run(test_config(18), &full_phases, "");
+  Table restored_phases;
+  const RunReport restored = cooling_run(test_config(18), &restored_phases,
+                                         dir_ + "/ckpt_6.amrs");
+  expect_reports_equal(full, restored);
+  expect_tables_equal(full_phases, restored_phases);
 }
 
 TEST_F(CheckpointTest, CorruptSnapshotFailsWithDiagnostic) {
@@ -558,6 +659,13 @@ TEST_F(CheckpointTest, V9SnapshotIsRefused) {
 // block-records flag, which would misalign every later field under v11.
 TEST_F(CheckpointTest, V10SnapshotIsRefused) {
   expect_version_refused(dir_, 10);
+}
+
+// A v11 file's meta section ends its workload entry at the name; under
+// v12 the workload's parameters follow it, so every later field would
+// misalign.
+TEST_F(CheckpointTest, V11SnapshotIsRefused) {
+  expect_version_refused(dir_, 11);
 }
 
 /// The raw body of one named section of a snapshot file.
