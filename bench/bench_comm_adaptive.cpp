@@ -24,13 +24,14 @@
 // when a rank holds several blocks.
 //
 // The headline metric is simulated steps/s (steps / report
-// wall_seconds): host ms is printed for reference but the simulated
-// schedule is what the modes change. Stdout includes host wall-clock
-// values and is NOT byte-stable; the --json=FILE record (one object per
-// line, appended) is the tracked artifact (BENCH_comm_adaptive.json).
+// wall_seconds): the simulated schedule is what the modes change. Host
+// ms per mode prints only under --timing, so default stdout is
+// byte-stable; the --json=FILE record (one object per line, appended,
+// host ms included) is the tracked artifact (BENCH_comm_adaptive.json).
 //
 // Flags: --steps=N (default 20) --quick --blocks-per-rank=N (default 4)
-//        --ranks=N (single scale instead of the ladder) --json=FILE
+//        --ranks=N (single scale instead of the ladder) --timing
+//        --json=FILE
 #include "bench_util.hpp"
 
 #include <chrono>
@@ -125,6 +126,7 @@ int main(int argc, char** argv) {
   const std::int64_t steps = flags.get_int("steps", flags.quick() ? 10 : 20);
   const std::int64_t blocks_per_rank = flags.get_int("blocks-per-rank", 4);
   const std::int64_t only_ranks = flags.get_int("ranks", 0);
+  const bool with_timing = flags.has("timing", "print host ms per mode");
   const std::string json = flags.json_path();
   flags.done();
 
@@ -150,12 +152,12 @@ int main(int argc, char** argv) {
       const ModeResult& r = row[m];
       const std::int64_t transfers =
           r.report.msgs_local + r.report.msgs_remote;
-      std::printf(
-          "  %-26s %8.4f s sim (%7.1f steps/s)  host %7.1f ms  "
-          "transfers %7lld  coalesced %7lld\n",
-          kModes[m].name, r.report.wall_seconds, r.steps_per_s, r.host_ms,
-          static_cast<long long>(transfers),
-          static_cast<long long>(r.report.msgs_coalesced));
+      std::printf("  %-26s %8.4f s sim (%7.1f steps/s)  ", kModes[m].name,
+                  r.report.wall_seconds, r.steps_per_s);
+      if (with_timing) std::printf("host %7.1f ms  ", r.host_ms);
+      std::printf("transfers %7lld  coalesced %7lld\n",
+                  static_cast<long long>(transfers),
+                  static_cast<long long>(r.report.msgs_coalesced));
     }
     // Acceptance check (2048 ranks, the paper's headline scale): the
     // adaptive overlap modes must beat both single-axis baselines.

@@ -56,18 +56,18 @@ int cmd_run(const Flags& flags) {
     spec.trace_capacity = static_cast<std::size_t>(trace_capacity);
 
   std::unique_ptr<SimDriver> driver;
+  std::string text;
   try {
     driver = std::make_unique<SimDriver>(spec);
+    // Restore diagnostics go to stderr so a restored run's stdout stays
+    // byte-identical to the uninterrupted run's.
+    if (!driver->restore_note().empty())
+      std::fprintf(stderr, "amrcplx: %s\n", driver->restore_note().c_str());
+    text = compact_report_text(driver->run(), driver->config().comm_adaptive);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "amrcplx: %s\n", e.what());
     return 1;
   }
-  // Restore diagnostics go to stderr so a restored run's stdout stays
-  // byte-identical to the uninterrupted run's.
-  if (!driver->restore_note().empty())
-    std::fprintf(stderr, "amrcplx: %s\n", driver->restore_note().c_str());
-  const std::string text =
-      compact_report_text(driver->run(), driver->config().comm_adaptive);
   std::fwrite(text.data(), 1, text.size(), stdout);
   if (!trace_out.empty()) {
     const Tracer& tracer = *driver->sim().tracer();

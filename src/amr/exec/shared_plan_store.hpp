@@ -12,7 +12,7 @@
 //          message-size model, packing, mesh leaves, placement)
 //
 // Identical-fingerprint tenant fleets — policy sweeps fanned out over
-// the same workload, what-if replays of one snapshot, N users running
+// the same workload, what-if restores of one snapshot, N users running
 // the same scenario — walk identical (mesh, placement) sequences, so
 // the first tenant through a regrid epoch builds the plan and the rest
 // copy it out instead of re-running neighbor collection. Lookups

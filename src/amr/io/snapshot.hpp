@@ -108,11 +108,18 @@ class SnapshotError : public std::runtime_error {
 //      section, or appended to an existing one — readers of the same
 //      version skip unknown sections, so appending a *section* is
 //      compatible; appending fields to an existing section is not);
-//   4. extend tests/sim/checkpoint_test.cpp round-trip coverage and the
-//      mismatched-restore refusal case, and run the checkpoint_ /
-//      comm_adaptive_ / placement_tuning_ / serve_determinism
-//      ctest scripts — serve eviction spills reuse this exact format, so
-//      a missed axis shows up as multiplexed-vs-standalone stdout drift;
+//   4. if a job option sets the field, that option is an answer option:
+//      its job_fields() row (sim/sim_driver.cpp) declares
+//      JobEffect::kAnswer with the entry named in step 2, and
+//      JobFields.EachRowChangesWhatItDeclares then refuses a changed
+//      restore by that name — write no refusal row by hand (a field no
+//      job option sets takes a row in
+//      CheckpointTest.EveryFingerprintAxisIsRefusedByName). Extend
+//      tests/sim/checkpoint_test.cpp round-trip coverage, and run the
+//      checkpoint_ / comm_adaptive_ / placement_tuning_ /
+//      serve_determinism ctest scripts — serve eviction spills reuse
+//      this exact format, so a missed axis shows up as
+//      multiplexed-vs-standalone stdout drift;
 //   5. never reuse or renumber an existing version: old spills and
 //      checkpoints must keep failing loudly, not misparse.
 // Counters that are scheduling artifacts rather than simulation state

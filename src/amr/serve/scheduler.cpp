@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "amr/par/thread_pool.hpp"
 #include "amr/telemetry/collector.hpp"
@@ -46,20 +47,14 @@ void QuantumScheduler::make_resident(Tenant& t) {
   if (t.state == State::kResident || t.state == State::kDone) return;
   JobSpec spec = t.spec;
   if (t.state == State::kEvicted) {
-    // Revival is a pure resume of the spilled snapshot — even when the
-    // original job was itself a --replay (the replay already happened at
-    // first construction and is part of the spilled state).
+    // Revival is a pure resume of the spilled snapshot, which already
+    // holds any restore the job named.
     spec.restore = t.spill;
-    spec.replay.clear();
   }
   try {
     t.driver = std::make_unique<SimDriver>(spec, store_.get());
   } catch (const std::exception& e) {
-    t.state = State::kDone;
-    t.result.ok = false;
-    t.result.error = e.what();
-    if (!t.spill.empty()) std::remove(t.spill.c_str());
-    t.spill.clear();
+    fail(t, e.what());
     return;
   }
   if (t.state == State::kEvicted) {
@@ -68,6 +63,15 @@ void QuantumScheduler::make_resident(Tenant& t) {
     t.spill.clear();
   }
   t.state = State::kResident;
+}
+
+void QuantumScheduler::fail(Tenant& t, std::string error) {
+  t.driver.reset();
+  t.state = State::kDone;
+  t.result.ok = false;
+  t.result.error = std::move(error);
+  if (!t.spill.empty()) std::remove(t.spill.c_str());
+  t.spill.clear();
 }
 
 void QuantumScheduler::evict(Tenant& t) {
@@ -172,10 +176,17 @@ void QuantumScheduler::drain() {
                 batch.end());
 
     // The slice itself: independent Simulations, so batch members can
-    // advance concurrently; the shared store is internally locked.
+    // advance concurrently; the shared store is internally locked. A
+    // failed slice (a checkpoint it cannot write) ends its tenant alone:
+    // no exception crosses parallel_for.
     const std::int64_t quantum = opts_.quantum_steps;
+    std::vector<std::string> errors(batch.size());
     const auto advance = [&](std::size_t i) {
-      batch[i]->driver->sim().advance(quantum);
+      try {
+        batch[i]->driver->sim().advance(quantum);
+      } catch (const std::exception& e) {
+        errors[i] = e.what();
+      }
     };
     if (pool_ != nullptr && batch.size() > 1) {
       pool_->parallel_for(batch.size(), advance);
@@ -188,8 +199,12 @@ void QuantumScheduler::drain() {
     }
     ++slice_clock_;
 
-    for (Tenant* t : batch)
-      if (t->driver->sim().done()) finish(*t);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (!errors[i].empty())
+        fail(*batch[i], std::move(errors[i]));
+      else if (batch[i]->driver->sim().done())
+        finish(*batch[i]);
+    }
     enforce_budget();
   }
 }

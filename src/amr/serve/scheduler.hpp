@@ -68,7 +68,7 @@ struct SchedulerStats {
 /// the query endpoint.
 struct JobResult {
   bool ok = false;
-  std::string error;  ///< set when !ok (construction/validation failure)
+  std::string error;  ///< set when !ok (validation, construction or a slice)
   std::string text;   ///< the job's stdout block (compact report text)
   RunReport report;
   std::unique_ptr<Table> phases, comm, blocks, placement;
@@ -114,6 +114,9 @@ class QuantumScheduler {
   /// Construct (kPending) or revive (kEvicted) the tenant's Simulation.
   /// Failures mark the tenant kDone with an error result.
   void make_resident(Tenant& t);
+  /// Mark the tenant kDone with an error result, dropping its
+  /// Simulation and spill.
+  void fail(Tenant& t, std::string error);
   void evict(Tenant& t);
   void finish(Tenant& t);
   /// Spill least-recently-sliced residents until under budget.

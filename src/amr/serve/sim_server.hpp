@@ -1,5 +1,5 @@
 // amrcplx serve: multiplex batches of parameterized jobs (policy
-// sweeps, fault scenarios, --replay what-ifs) over one process.
+// sweeps, fault scenarios, what-if restores) over one process.
 //
 // SimServer owns the line protocol and output framing; the
 // QuantumScheduler owns execution. Requests stream in (job file or

@@ -42,39 +42,51 @@ bool packs_messages(const JobSpec& spec) {
 }
 
 constexpr JobField kJobFields[] = {
-    {"id", &JobSpec::id, "label that `query <id>` lines name (serve)"},
-    {"workload", &JobSpec::workload, "sedov | cooling"},
-    {"policy", &JobSpec::policy,
-     "placement policy (see `amrcplx policies`)"},
+    {"id", &JobSpec::id, "label that `query <id>` lines name (serve)",
+     JobEffect::kOutput},
+    {"workload", &JobSpec::workload, "sedov | cooling", JobEffect::kAnswer,
+     "workload"},
+    {"policy", &JobSpec::policy, "placement policy (see `amrcplx policies`)",
+     JobEffect::kWhatIf},
     {"ranks", &JobSpec::ranks,
-     "simulated MPI ranks, a power of two (16 per node)"},
-    {"steps", &JobSpec::steps, "timesteps"},
+     "simulated MPI ranks, a power of two (16 per node)", JobEffect::kAnswer,
+     "nranks"},
+    // Sedov only: the front's time scale. A cooling restore may run to
+    // another horizon.
+    {"steps", &JobSpec::steps, "timesteps", JobEffect::kAnswer,
+     "sedov.total_steps"},
     {"execution", &JobSpec::overlap,
      "bsp, or overlap: task-graph steps that overlap compute and "
      "communication",
-     "bsp", "overlap"},
-    {"overlap", &JobSpec::overlap, "same as execution=overlap"},
+     JobEffect::kAnswer, "execution mode", "bsp", "overlap"},
     {"comm_adaptive", &JobSpec::comm_adaptive,
      "per-peer packing: coalesce each (src,dst) pair's boundary sends of "
-     "a step into one transfer"},
-    {"aggregate", &JobSpec::comm_adaptive, "same as comm_adaptive"},
+     "a step into one transfer",
+     JobEffect::kAnswer, "adaptive packing"},
+    {"aggregate", &JobSpec::comm_adaptive, "same as comm_adaptive",
+     JobEffect::kAnswer, "adaptive packing"},
     {"send_priority", &JobSpec::send_priority,
-     "send to the previous window's critical-path straggler rank first"},
+     "send to the previous window's critical-path straggler rank first",
+     JobEffect::kAnswer, "send priority"},
     {"auto_cplx", &JobSpec::auto_cplx,
      "self-tuning CPLX: pick X per regrid epoch from an online "
-     "step-time model"},
+     "step-time model",
+     JobEffect::kAnswer, "auto-X tuning"},
     {"sedov_max_level", &JobSpec::sedov_max_level,
-     "Sedov refinement depth (0 = workload default)"},
+     "Sedov refinement depth (0 = workload default)", JobEffect::kAnswer,
+     "sedov.max_level"},
     {"checkpoint_every", &JobSpec::checkpoint_every,
-     "write ckpt_<step>.amrs every K steps (0 = never)"},
-    {"checkpoint_dir", &JobSpec::checkpoint_dir, "checkpoint directory"},
+     "write ckpt_<step>.amrs every K steps (0 = never)", JobEffect::kOutput},
+    {"checkpoint_dir", &JobSpec::checkpoint_dir, "checkpoint directory",
+     JobEffect::kOutput},
     {"restore", &JobSpec::restore,
-     "resume from a snapshot; stdout matches the uninterrupted run"},
-    {"replay", &JobSpec::replay,
-     "like restore, to re-drive the run under another policy"},
+     "resume from a snapshot; stdout matches the uninterrupted run (under "
+     "another policy: the what-if)",
+     JobEffect::kOutput},
     {"faults", &JobSpec::fault_nodes,
      "throttle N nodes x4 for the middle half of the run (victims from "
-     "the seed)"},
+     "the seed)",
+     JobEffect::kAnswer, "fault nodes"},
 };
 
 }  // namespace
@@ -157,8 +169,6 @@ std::string validate_job(const JobSpec& spec) {
   if (spec.fault_nodes < 0) return "--faults must be >= 0";
   if (spec.checkpoint_every < 0) return "--checkpoint-every must be >= 0";
   if (spec.sedov_max_level < 0) return "--sedov-max-level must be >= 0";
-  if (!spec.restore.empty() && !spec.replay.empty())
-    return "--restore and --replay are mutually exclusive";
   return "";
 }
 
@@ -274,14 +284,12 @@ SimDriver::SimDriver(const JobSpec& spec, SharedPlanStore* shared_plans)
   workload_ = make_job_workload(spec_);  // validate_job knows the names
   policy_ = make_policy(spec_.policy);  // throws on an unknown policy
   sim_ = std::make_unique<Simulation>(config_, *workload_, *policy_);
-  const std::string snapshot =
-      !spec_.restore.empty() ? spec_.restore : spec_.replay;
-  if (!snapshot.empty()) {
-    sim_->restore_checkpoint(snapshot);  // throws SnapshotError on mismatch
+  if (!spec_.restore.empty()) {
+    // Throws SnapshotError on a mismatch.
+    sim_->restore_checkpoint(spec_.restore);
     char buf[512];
-    std::snprintf(buf, sizeof(buf), "%s %s at step %lld (policy=%s)",
-                  spec_.replay.empty() ? "restored" : "replaying",
-                  snapshot.c_str(),
+    std::snprintf(buf, sizeof(buf), "restored %s at step %lld (policy=%s)",
+                  spec_.restore.c_str(),
                   static_cast<long long>(sim_->current_step()),
                   policy_->name().c_str());
     restore_note_ = buf;

@@ -53,7 +53,6 @@ struct JobSpec {
   std::int64_t checkpoint_every = 0;
   std::string checkpoint_dir = ".";
   std::string restore;  ///< resume from snapshot
-  std::string replay;   ///< re-drive snapshot (what-if)
   /// Throttle this many nodes x4 for the middle half of the run,
   /// victims drawn deterministically from the seed.
   std::int32_t fault_nodes = 0;
@@ -63,18 +62,34 @@ struct JobSpec {
   friend bool operator==(const JobSpec&, const JobSpec&) = default;
 };
 
+/// What changing a job field's value does to a run.
+enum class JobEffect {
+  /// Changes answers: a snapshot restored under another value is
+  /// refused, naming the field's config fingerprint entry (`axis`).
+  kAnswer,
+  /// The what-if: a snapshot restored under another value continues the
+  /// run under it (the placement policy).
+  kWhatIf,
+  /// Changes no stdout byte (labels, checkpoint cadence and place, the
+  /// restore point).
+  kOutput,
+};
+
 /// One job field, declared once for every frontend: `name` is the serve
 /// JSON key, and the CLI flag is `--name` with '-' for '_'. Rows that
-/// share a member are aliases ("aggregate" sets comm_adaptive,
-/// "overlap" is the switch spelling of "execution"); the last one given
-/// wins. collect_telemetry, trace and trace_capacity are not rows: each
-/// frontend sets them from its own presets and flags.
+/// share a member are aliases ("aggregate" sets comm_adaptive); the
+/// last one given wins. collect_telemetry, trace and trace_capacity are
+/// not rows: each frontend sets them from its own presets and flags.
 struct JobField {
   using Member = std::variant<std::string JobSpec::*, std::int64_t JobSpec::*,
                               std::int32_t JobSpec::*, bool JobSpec::*>;
   const char* name;
   Member member;
   const char* help;
+  JobEffect effect;
+  /// kAnswer rows: the meta fingerprint entry a changed restore is
+  /// refused by (sim/sim_state.cpp).
+  const char* axis = nullptr;
   /// Set on a bool member spelled as a choice of two words instead of a
   /// boolean ("execution": off = "bsp", on = "overlap").
   const char* off = nullptr;
@@ -89,7 +104,7 @@ std::span<const JobField> job_fields();
 
 /// Rows that name one run's snapshots: `amrcplx sweep` refuses them.
 inline constexpr std::string_view kSingleRunFields[] = {
-    "restore", "replay", "checkpoint_every", "checkpoint_dir"};
+    "restore", "checkpoint_every", "checkpoint_dir"};
 
 /// The row named `name` (JSON spelling), or nullptr.
 const JobField* find_job_field(std::string_view name);
@@ -148,7 +163,7 @@ std::string compact_report_text(const RunReport& r, bool show_packing);
 
 /// One job end to end: owns config, workload, policy, and Simulation in
 /// construction order so teardown is safe. Construction performs the
-/// restore/replay if the spec names a snapshot.
+/// restore if the spec names a snapshot.
 class SimDriver {
  public:
   /// Throws std::runtime_error on an incoherent spec, unknown
@@ -165,13 +180,14 @@ class SimDriver {
   const PlacementPolicy& policy() const { return *policy_; }
   Simulation& sim() { return *sim_; }
 
-  /// Non-empty iff the spec restored/replayed a snapshot: the stderr
+  /// Non-empty iff the spec restored a snapshot: the stderr
   /// diagnostic line ("restored <path> at step N (policy=...)"),
   /// without trailing newline. Frontends print it to stderr so job
   /// stdout stays byte-identical to an uninterrupted run.
   const std::string& restore_note() const { return restore_note_; }
 
-  /// Run to the step horizon (the classic blocking loop). The serve
+  /// Run to the step horizon (the classic blocking loop); throws
+  /// io::SnapshotError naming a checkpoint it cannot write. The serve
   /// scheduler uses sim().begin()/advance()/finish() instead.
   RunReport run() { return sim_->run(); }
 

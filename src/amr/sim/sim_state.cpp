@@ -184,10 +184,11 @@ void cooling_fields(Ar& ar, const CoolingParams& p) {
 }
 
 /// The config fingerprint: a restore under a different simulation mode
-/// or workload parameter is refused, naming the entry. The policy is
-/// informational (replay swaps it), so it is read and never checked; the
-/// step horizon is not stored (a cooling run may continue to a
-/// different horizon).
+/// or workload parameter is refused, naming the entry. Each answer row
+/// of the job-field table (sim/sim_driver.cpp) names the entry it
+/// changes. The policy is informational (a what-if restores under
+/// another), so it is read and never checked; the step horizon is not
+/// stored (a cooling run may continue to a different horizon).
 template <class Ar>
 void meta_section(Ar& ar, const SimulationConfig& config,
                   const Workload& workload, std::string policy) {

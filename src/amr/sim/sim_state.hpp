@@ -137,9 +137,10 @@ bool save_snapshot(const std::string& path, const SimulationConfig& config,
 /// io::SnapshotError if the file is malformed or its config fingerprint
 /// (cluster shape, seed, modes, workload and its parameters, fault
 /// schedule) does not match `config`. The policy and the step horizon
-/// are deliberately NOT part of the fingerprint: replay swaps the
-/// policy, and a cooling run may continue to a different step count (a
-/// Sedov run may not: its front's time scale is its step count).
+/// are deliberately NOT part of the fingerprint: a restore under
+/// another policy is the what-if, and a cooling run may continue to a
+/// different step count (a Sedov run may not: its front's time scale is
+/// its step count).
 void restore_snapshot(const std::string& path,
                       const SimulationConfig& config, SimState& state,
                       SimRuntime& runtime, Workload& workload,

@@ -7,6 +7,7 @@
 #include "amr/common/check.hpp"
 #include "amr/common/log.hpp"
 #include "amr/common/stats.hpp"
+#include "amr/io/snapshot.hpp"
 #include "amr/placement/baseline.hpp"
 #include "amr/placement/chunked_cdp.hpp"
 #include "amr/placement/cplx.hpp"
@@ -557,7 +558,8 @@ std::int64_t Simulation::advance(std::int64_t max_steps) {
         state_->step < config_.steps) {
       const std::string path =
           checkpoint_path(config_.checkpoint_dir, state_->step);
-      AMR_CHECK_MSG(save_checkpoint(path), "failed to write checkpoint");
+      if (!save_checkpoint(path))
+        throw io::SnapshotError("cannot write snapshot file: " + path);
     }
   }
   return executed;
@@ -608,8 +610,9 @@ void Simulation::restore_checkpoint(const std::string& path) {
   restore_snapshot(path, config_, *state_, *runtime_, workload_,
                    collector_, tracer_.get());
   // The active policy names the run: identical for a plain restore,
-  // the replacement's name under --replay. Auto-X overrides either way
-  // (the tuner, not the seed policy, is making the decisions).
+  // the replacement's name for a what-if under another policy. Auto-X
+  // overrides either way (the tuner, not the seed policy, is making the
+  // decisions).
   state_->report.policy =
       config_.auto_cplx ? "auto-cplx" : policy_.name();
 }

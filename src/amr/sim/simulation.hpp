@@ -195,11 +195,12 @@ class Simulation {
 
   /// Execute up to `max_steps` further steps (honouring the configured
   /// checkpoint cadence) and return how many actually ran — fewer only
-  /// when the step horizon is reached. Implies begin(). The quantum
-  /// scheduler's slice primitive: any partition of the horizon into
-  /// advance() calls is byte-identical to one run() (steps are the
-  /// state-machine granularity; nothing carries across the boundary
-  /// that is not in SimState).
+  /// when the step horizon is reached. Implies begin(). A checkpoint
+  /// that cannot be written throws io::SnapshotError naming its path.
+  /// The quantum scheduler's slice primitive: any partition of the
+  /// horizon into advance() calls is byte-identical to one run() (steps
+  /// are the state-machine granularity; nothing carries across the
+  /// boundary that is not in SimState).
   std::int64_t advance(std::int64_t max_steps);
 
   /// True once every configured step has executed (begun or finished).
@@ -222,7 +223,7 @@ class Simulation {
 
   /// Resume from a snapshot: the next run() continues at the saved step
   /// and produces output byte-identical to the uninterrupted run. The
-  /// configured policy may differ from the saved one (replay); the
+  /// configured policy may differ from the saved one (the what-if); the
   /// config fingerprint must otherwise match or io::SnapshotError is
   /// thrown.
   void restore_checkpoint(const std::string& path);

@@ -32,8 +32,9 @@ if(NOT CMAKE_SCRIPT_MODE_FILE)
   # A function scope keeps the table's variables out of the caller's.
   function(contract_register dir)
     # Binary names the table uses, and the targets that build them.
-    set(contract_bins amrcplx bench_scalebench bench_fig1)
-    set(contract_targets amrcplx_cli bench_scalebench bench_fig1)
+    set(contract_bins amrcplx bench_scalebench bench_fig1 bench_comm_adaptive)
+    set(contract_targets
+      amrcplx_cli bench_scalebench bench_fig1 bench_comm_adaptive)
     set(contract_groups "")
     include(${dir}/table.cmake)
     foreach(group IN LISTS contract_groups)
@@ -227,10 +228,10 @@ function(contract group kind)
       list(GET c_REPLAY 0 cmd)
       list(GET c_REPLAY 1 text)
       list(GET snapshots 0 snapshot)
-      contract_ok("${cmd} --replay=${snapshot}")
+      contract_ok("${cmd} --restore=${snapshot}")
       string(FIND "${out}" "${text}" at)
       if(at EQUAL -1)
-        contract_fail("`${cmd}` replaying ${snapshot} does not print "
+        contract_fail("`${cmd}` restoring ${snapshot} does not print "
                       "\"${text}\"")
       endif()
     endif()

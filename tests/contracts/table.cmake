@@ -3,14 +3,15 @@
 # and under `cmake -P` it runs one group's rows in order.
 #
 # A command is one string whose first word names a binary (amrcplx,
-# bench_scalebench or bench_fig1). @DIR@ is the row's scratch directory
-# and @DATA@ this directory. Row kinds:
+# bench_scalebench, bench_fig1 or bench_comm_adaptive). @DIR@ is the
+# row's scratch directory and @DATA@ this directory. Row kinds:
 #
 #   same     RUN cmd...             every RUN exits 0 with equal stdout;
 #            [NO_FILES glob...]     no file in @DIR@ matches a glob after
 #   restore  RUN cmd EVERY k        RUN checkpointing every k steps prints
 #            [AS cmd...]            RUN's stdout, and so do RUN and each AS
 #            [REPLAY cmd text]      restored from every snapshot; REPLAY
+#                                   (a what-if: another policy) restored
 #                                   from the first snapshot exits 0 and
 #                                   prints text
 #   refuse   RUN cmd EVERY k        AS restored from RUN's first snapshot
@@ -30,9 +31,11 @@
 #  - performance knobs must not change a byte: --jobs, quantum,
 #    --serve-jobs, --max-resident, restore point and the --aggregate
 #    spelling (same, restore and contains rows);
-#  - answer knobs are config-fingerprint axes: a snapshot refuses to
-#    restore under a changed one, naming it (refuse rows): adaptive
-#    packing, send priority, auto-X tuning and the Sedov parameters.
+#  - an answer option is its job_fields() row's effect (JobEffect::kAnswer
+#    and the fingerprint entry it changes) plus one `expect` line of the
+#    meta field list. JobFields.EachRowChangesWhatItDeclares refuses a
+#    restore under each one by name, so it takes no hand-written refuse
+#    row here; the one refuse row below checks the CLI's exit 1.
 
 # Groups the sanitizer build trees run by label (ctest -L <group>).
 set(contract_labeled
@@ -56,8 +59,9 @@ contract(checkpoint_determinism restore
 contract(checkpoint_determinism restore
   RUN "${sedov32} --policy=lpt --steps=17 --faults=2" EVERY 7)
 
-# A Sedov parameter is an answer knob. The run has no fault window, so
-# the refusal names the parameter, not the window's step-bound edges.
+# A Sedov parameter is an answer knob, refused at the CLI with exit 1.
+# The run has no fault window, so the refusal names the parameter, not
+# the window's step-bound edges.
 contract(checkpoint_determinism refuse
   RUN "amrcplx run --ranks=32 --policy=cpl50 --steps=24" EVERY 8
   AS "amrcplx run --ranks=32 --policy=cpl50 --steps=24 --sedov-max-level=2"
@@ -67,6 +71,12 @@ contract(checkpoint_corruption corrupt
   RUN "${sedov32} --policy=cpl50 --steps=12 --faults=1" EVERY 6
   SNAPSHOT ckpt_6.amrs)
 
+# A checkpoint that cannot be written fails the run, naming the file.
+set(unwritable "--checkpoint-every=6 --checkpoint-dir=@DIR@/nonexist")
+contract(cli_rejects_unwritable_checkpoint reject
+  RUN "amrcplx run --ranks=32 --steps=12 ${unwritable}"
+  EXIT 1 STDERR "nonexist")
+
 # --aggregate is a second spelling of --comm-adaptive: across --jobs,
 # and its snapshots restore under either spelling.
 contract(aggregate_determinism same
@@ -75,30 +85,22 @@ contract(aggregate_determinism same
   RUN "${trio} --comm-adaptive --jobs=1")
 contract(aggregate_determinism restore
   RUN "${cpl50} --aggregate" EVERY 7 AS "${cpl50} --comm-adaptive")
-contract(aggregate_determinism refuse
-  RUN "${cpl50} --aggregate" EVERY 7 AS "${cpl50}" NAMES "adaptive packing")
 
-# Adaptive packing and send priority: across --jobs, overlap and BSP
-# restores, and each axis refused by name.
+# Adaptive packing and send priority: across --jobs and overlap and BSP
+# restores. The bench's five modes print the same bytes run to run.
 contract(comm_adaptive_determinism same
   RUN "${trio} --comm-adaptive --send-priority --jobs=1"
   RUN "${trio} --comm-adaptive --send-priority --jobs=4")
-set(adaptive "${cpl50} --overlap --comm-adaptive --send-priority")
+set(adaptive "${cpl50} --execution=overlap --comm-adaptive --send-priority")
 contract(comm_adaptive_determinism restore RUN "${adaptive}" EVERY 7)
-contract(comm_adaptive_determinism refuse
-  RUN "${adaptive}" EVERY 7
-  AS "${cpl50} --overlap --send-priority" NAMES "adaptive packing")
-contract(comm_adaptive_determinism refuse
-  RUN "${adaptive}" EVERY 7
-  AS "${cpl50} --overlap --comm-adaptive" NAMES "send priority")
 contract(comm_adaptive_determinism restore
   RUN "${cpl50} --comm-adaptive" EVERY 7)
-contract(comm_adaptive_determinism refuse
-  RUN "${cpl50} --comm-adaptive" EVERY 7 AS "${cpl50}"
-  NAMES "adaptive packing")
+contract(comm_adaptive_determinism same
+  RUN "bench_comm_adaptive --quick"
+  RUN "bench_comm_adaptive --quick")
 
-# Auto-X tuning holds across --jobs and restores, keeps tuning under a
-# replay with another seed policy, and its axis is refused.
+# Auto-X tuning holds across --jobs and restores, and keeps tuning when
+# restored under another seed policy.
 set(tuned "--auto-cplx --faults=2")
 contract(placement_tuning_determinism same
   RUN "${sweep32} --policy=cpl50,cpl50 ${tuned} --jobs=1"
@@ -107,8 +109,6 @@ set(auto "${cpl50} --auto-cplx")
 contract(placement_tuning_determinism restore
   RUN "${auto}" EVERY 7
   REPLAY "${sedov32} --policy=cpl25 --steps=24 ${tuned}" "policy auto-cplx:")
-contract(placement_tuning_determinism refuse
-  RUN "${auto}" EVERY 7 AS "${cpl50}" NAMES "auto-X tuning")
 
 # Serve: quantum, --serve-jobs and eviction (--max-resident=0) leave a
 # fleet's bytes alone, eviction spills do not outlive their jobs, each
@@ -160,6 +160,10 @@ contract(cli_rejects_unknown_flag reject
   STDERR "unrecognized flag --cplx-budget-ms")
 contract(cli_rejects_unknown_flag reject
   RUN "amrcplx serve --no-share" STDERR "unrecognized flag --no-share")
+contract(cli_rejects_unknown_flag reject
+  RUN "amrcplx run --replay=x.amrs" STDERR "unrecognized flag --replay")
+contract(cli_rejects_unknown_flag reject
+  RUN "amrcplx run --overlap" STDERR "unrecognized flag --overlap")
 contract(cli_rejects_positional reject
   RUN "amrcplx run lpt 512 60" STDERR "unexpected argument 'lpt'")
 contract(cli_rejects_positional reject

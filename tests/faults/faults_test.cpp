@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "amr/faults/health.hpp"
 #include "amr/faults/injector.hpp"
 
 namespace amr {
@@ -56,60 +55,6 @@ TEST(PickVictimNodes, DistinctAndDeterministic) {
   EXPECT_EQ(va, vb);
   ASSERT_EQ(va.size(), 10u);
   for (std::size_t i = 1; i < va.size(); ++i) EXPECT_LT(va[i - 1], va[i]);
-}
-
-TEST(ScanSensors, PerfectDetectionFindsAllFaultyNodes) {
-  FaultInjector injector;
-  injector.add_throttle({.nodes = {2, 5}, .factor = 4.0});
-  Rng rng(7);
-  const auto detected = scan_sensors(injector, 8, rng, 1.0);
-  EXPECT_EQ(detected, (std::vector<std::int32_t>{2, 5}));
-}
-
-TEST(ScanSensors, ImperfectDetectionIsSubset) {
-  FaultInjector injector;
-  std::vector<std::int32_t> all;
-  for (int n = 0; n < 50; ++n) all.push_back(n);
-  injector.add_throttle({.nodes = all, .factor = 4.0});
-  Rng rng(9);
-  const auto detected = scan_sensors(injector, 50, rng, 0.5);
-  EXPECT_GT(detected.size(), 10u);
-  EXPECT_LT(detected.size(), 40u);
-}
-
-TEST(NodePool, AllocateSkipsBlacklisted) {
-  NodePool pool(10);
-  pool.blacklist(0);
-  pool.blacklist(2);
-  EXPECT_EQ(pool.healthy_count(), 8);
-  const auto nodes = pool.allocate(3);
-  EXPECT_EQ(nodes, (std::vector<std::int32_t>{1, 3, 4}));
-}
-
-TEST(NodePool, BlacklistAllAndQuery) {
-  NodePool pool(4);
-  pool.blacklist_all({1, 3});
-  EXPECT_TRUE(pool.is_blacklisted(1));
-  EXPECT_FALSE(pool.is_blacklisted(0));
-  EXPECT_EQ(pool.healthy_count(), 2);
-}
-
-TEST(NodePoolDeath, ExhaustedPoolAborts) {
-  NodePool pool(3);
-  pool.blacklist(0);
-  pool.blacklist(1);
-  EXPECT_DEATH(pool.allocate(3), "overprovision");
-}
-
-TEST(HealthWorkflow, PruneAndRerunRemovesFaultImpact) {
-  // The paper's launch workflow: scan, blacklist, allocate healthy nodes.
-  FaultInjector injector;
-  injector.add_throttle({.nodes = {1}, .factor = 4.0});
-  NodePool pool(6);  // overprovisioned: need 4
-  Rng rng(11);
-  pool.blacklist_all(scan_sensors(injector, 6, rng, 1.0));
-  const auto nodes = pool.allocate(4);
-  for (const auto n : nodes) EXPECT_FALSE(injector.node_faulty(n));
 }
 
 }  // namespace

@@ -9,13 +9,18 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
 
+#include <unistd.h>
+
+#include "amr/io/snapshot.hpp"
 #include "amr/serve/job_protocol.hpp"
 #include "amr/serve/query_endpoint.hpp"
 #include "amr/serve/scheduler.hpp"
@@ -122,6 +127,13 @@ void expect_same_job(const std::vector<std::string>& cli,
       << json;
 }
 
+/// The reference rendering: the job run alone, straight through
+/// SimDriver, exactly as `amrcplx run` would.
+std::string standalone_text(const JobSpec& spec) {
+  SimDriver driver(spec);
+  return compact_report_text(driver.run(), driver.config().comm_adaptive);
+}
+
 #if defined(AMR_AMRCPLX)
 std::string help_text(const std::string& command) {
   std::string out;
@@ -161,19 +173,16 @@ TEST(JobProtocol, JobObjectPopulatesTheSpec) {
 }
 
 TEST(JobProtocol, AggregateIsASecondSpellingOfCommAdaptive) {
-  // Aliases set the same member: "aggregate" is comm_adaptive and
-  // "overlap" is execution=overlap, through both the CLI and the JSON
-  // spelling.
-  const std::vector<std::string> alias = {"--overlap", "--aggregate"};
-  const std::string adaptive =
-      "{\"execution\": \"overlap\", \"comm_adaptive\": true}";
-  const std::string agg = "{\"execution\": \"overlap\", \"aggregate\": true}";
+  // The alias row sets the same member: "aggregate" is comm_adaptive,
+  // through both the CLI and the JSON spelling.
+  const std::vector<std::string> alias = {"--aggregate"};
+  const std::string adaptive = "{\"comm_adaptive\": true}";
+  const std::string agg = "{\"aggregate\": true}";
   EXPECT_EQ(validate_job(spec_from_json(adaptive)), "");
   EXPECT_EQ(validate_job(spec_from_json(agg)), "");
   EXPECT_TRUE(job_config(spec_from_json(agg)).comm_adaptive);
   expect_same_job(alias, adaptive);
   expect_same_job(alias, agg);
-  expect_same_job(alias, "{\"overlap\": true, \"aggregate\": true}");
 }
 
 TEST(JobFields, CliFlagsAndServeFieldsBuildTheSameSpec) {
@@ -220,6 +229,76 @@ TEST(JobFields, CliFlagsAndServeFieldsBuildTheSameSpec) {
         << f.name;
   }
 #endif
+}
+
+TEST(JobFields, EachRowChangesWhatItDeclares) {
+  // A checkpointed Sedov run, then one restore of its first snapshot per
+  // row with that row's value alone changed. The second value comes
+  // from the row's type: a flipped bool or choice, a doubled integer,
+  // or, for a string, the value `other` holds (the other workload,
+  // another policy, another label, directory or snapshot).
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("job_fields_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir / "a");
+  std::filesystem::create_directories(dir / "b");
+  JobSpec base;
+  base.ranks = 32;
+  base.steps = 12;
+  base.sedov_max_level = 1;
+  base.fault_nodes = 1;
+  base.checkpoint_every = 4;
+  base.checkpoint_dir = (dir / "a").string();
+  const std::string want = standalone_text(base);
+  JobSpec restored = base;
+  restored.restore = base.checkpoint_dir + "/ckpt_4.amrs";
+  JobSpec other;
+  other.workload = "cooling";
+  other.policy = "lpt";
+  other.id = "what-if";
+  other.checkpoint_dir = (dir / "b").string();
+  other.restore = base.checkpoint_dir + "/ckpt_8.amrs";
+
+  for (const JobField& f : job_fields()) {
+    SCOPED_TRACE(f.name);
+    JobSpec spec = restored;
+    std::visit(
+        [&](auto JobSpec::* member) {
+          auto& v = spec.*member;
+          using T = std::remove_reference_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, bool>)
+            v = !v;
+          else if constexpr (std::is_same_v<T, std::string>)
+            v = other.*member;
+          else
+            v *= 2;
+        },
+        f.member);
+    ASSERT_FALSE(spec == restored);
+    switch (f.effect) {
+      case JobEffect::kAnswer:
+        ASSERT_NE(f.axis, nullptr);
+        try {
+          SimDriver driver(spec);
+          ADD_FAILURE() << "restore unexpectedly succeeded";
+        } catch (const io::SnapshotError& e) {
+          EXPECT_NE(std::string(e.what()).find(
+                        std::string("config mismatch on ") + f.axis + " ("),
+                    std::string::npos)
+              << e.what();
+        }
+        break;
+      case JobEffect::kWhatIf: {
+        SimDriver driver(spec);
+        EXPECT_EQ(driver.run().policy, spec.policy);
+        break;
+      }
+      case JobEffect::kOutput:
+        EXPECT_EQ(standalone_text(spec), want);
+        break;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ----------------------------------------------------------- query endpoint
@@ -406,13 +485,6 @@ TEST(QueryEndpoint, WhereLiteralsAreFiniteAndExactAgainstIntegers) {
 
 // -------------------------------------------------- scheduler determinism
 
-/// The reference rendering: the job run alone, straight through
-/// SimDriver, exactly as `amrcplx run` would.
-std::string standalone_text(const JobSpec& spec) {
-  SimDriver driver(spec);
-  return compact_report_text(driver.run(), driver.config().comm_adaptive);
-}
-
 std::vector<JobSpec> mixed_fleet() {
   // Two identical-fingerprint tenants (the plan-sharing case), a
   // different policy, and an overlap-mode tenant (the isolation case).
@@ -534,9 +606,8 @@ TEST(QuantumScheduler, EvictionInsideFaultWindowMatchesStandalone) {
 }
 
 TEST(QuantumScheduler, InvalidSpecsFailAtSubmitWithoutPoisoningTheQueue) {
-  JobSpec contradictory;
-  contradictory.restore = "a.amrs";
-  contradictory.replay = "b.amrs";
+  JobSpec invalid;
+  invalid.ranks = 24;
   JobSpec unknown_policy;
   unknown_policy.policy = "no-such-policy";
   unknown_policy.ranks = 64;
@@ -546,14 +617,14 @@ TEST(QuantumScheduler, InvalidSpecsFailAtSubmitWithoutPoisoningTheQueue) {
   fine.steps = 4;
 
   QuantumScheduler sched(ServeOptions{});
-  sched.submit(contradictory);
+  sched.submit(invalid);
   sched.submit(unknown_policy);
   sched.submit(fine);
   sched.drain();
 
   ASSERT_NE(sched.result(0), nullptr);
   EXPECT_FALSE(sched.result(0)->ok);
-  EXPECT_EQ(sched.result(0)->error, validate_job(contradictory));
+  EXPECT_EQ(sched.result(0)->error, validate_job(invalid));
   // A rank count the message layer cannot address is refused up front.
   JobSpec huge = fine;
   huge.ranks = std::int64_t{Comm::kMaxRanks} + 1;
@@ -566,6 +637,35 @@ TEST(QuantumScheduler, InvalidSpecsFailAtSubmitWithoutPoisoningTheQueue) {
   ASSERT_NE(sched.result(2), nullptr);
   EXPECT_TRUE(sched.result(2)->ok);
   EXPECT_EQ(sched.result(2)->text, standalone_text(fine));
+}
+
+TEST(QuantumScheduler, UnwritableCheckpointFailsItsTenantAlone) {
+  // A checkpoint directory that does not exist fails its tenant
+  // mid-drain, naming the file, while the tenant sliced beside it on the
+  // other worker finishes untouched.
+  JobSpec fine;
+  fine.ranks = 64;
+  fine.steps = 8;
+  JobSpec unwritable = fine;
+  unwritable.checkpoint_every = 2;
+  unwritable.checkpoint_dir = ::testing::TempDir() + "/nonexist-ckpt-dir";
+  ServeOptions opts;
+  opts.quantum_steps = 3;
+  opts.serve_jobs = 2;
+  QuantumScheduler sched(opts);
+  sched.submit(unwritable);
+  sched.submit(fine);
+  sched.drain();
+
+  ASSERT_NE(sched.result(0), nullptr);
+  EXPECT_FALSE(sched.result(0)->ok);
+  EXPECT_NE(sched.result(0)->error.find(unwritable.checkpoint_dir +
+                                        "/ckpt_2.amrs"),
+            std::string::npos)
+      << sched.result(0)->error;
+  ASSERT_NE(sched.result(1), nullptr);
+  ASSERT_TRUE(sched.result(1)->ok) << sched.result(1)->error;
+  EXPECT_EQ(sched.result(1)->text, standalone_text(fine));
 }
 
 TEST(QuantumScheduler, OutOfRangeSpecsFailWithNamedErrors) {
@@ -612,31 +712,37 @@ TEST(QuantumScheduler, OutOfRangeSpecsFailWithNamedErrors) {
 }
 
 TEST(SimServer, RemovedFieldIsUnknownAndTheOtherJobsRun) {
-  // Packing is a yes/no: a line still carrying the removed packing
-  // threshold is refused by name, and the jobs around it run.
-  std::istringstream in(
-      "{\"ranks\": 64, \"steps\": 4}\n"
-      "{\"ranks\": 64, \"steps\": 4, \"comm_adaptive\": true, "
-      "\"pack_threshold\": 2560}\n"
-      "{\"ranks\": 64, \"steps\": 4, \"comm_adaptive\": true}\n");
-  std::FILE* out = std::tmpfile();
-  ASSERT_NE(out, nullptr);
-  SimServer server{ServeOptions{}};
-  EXPECT_EQ(server.run(in, out), 1);
-  std::string text(static_cast<std::size_t>(std::ftell(out)), '\0');
-  std::rewind(out);
-  EXPECT_EQ(std::fread(text.data(), 1, text.size(), out), text.size());
-  std::fclose(out);
-
+  // A line still carrying a removed field is refused by name, and the
+  // jobs around it run: the packing threshold (packing is a yes/no) and
+  // the "overlap" switch (execution=overlap is the one spelling).
   JobSpec plain;
   plain.ranks = 64;
   plain.steps = 4;
   JobSpec packed = plain;
   packed.comm_adaptive = true;
-  EXPECT_EQ(text, "error: unknown field \"pack_threshold\"\n"
-                  "== job 0 ==\n" +
-                      standalone_text(plain) + "== job 1 ==\n" +
-                      standalone_text(packed));
+  for (const std::string removed :
+       {"\"pack_threshold\": 2560", "\"overlap\": true"}) {
+    SCOPED_TRACE(removed);
+    std::istringstream in(
+        "{\"ranks\": 64, \"steps\": 4}\n"
+        "{\"ranks\": 64, \"steps\": 4, \"comm_adaptive\": true, " +
+        removed +
+        "}\n"
+        "{\"ranks\": 64, \"steps\": 4, \"comm_adaptive\": true}\n");
+    std::FILE* out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    SimServer server{ServeOptions{}};
+    EXPECT_EQ(server.run(in, out), 1);
+    std::string text(static_cast<std::size_t>(std::ftell(out)), '\0');
+    std::rewind(out);
+    EXPECT_EQ(std::fread(text.data(), 1, text.size(), out), text.size());
+    std::fclose(out);
+
+    const std::string name = removed.substr(1, removed.find('"', 1) - 1);
+    EXPECT_EQ(text, "error: unknown field \"" + name + "\"\n" +
+                        "== job 0 ==\n" + standalone_text(plain) +
+                        "== job 1 ==\n" + standalone_text(packed));
+  }
 }
 
 TEST(QuantumScheduler, RejectsIncoherentOptions) {
